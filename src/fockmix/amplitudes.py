@@ -14,20 +14,24 @@ the convention consistent with the closed-form amplitude generating function
 Probabilities are insensitive to the choice.
 
 Accuracy policy: plain floats with compensated summation up to total photon
-number 32; above that the alternating sums lose more than ~1e-11 absolute in
-double precision, so both routes switch to 40-digit arithmetic (mpmath) and
-round the result once at the end.
+number 32. Above that the alternating sums lose more than ~1e-11 absolute in
+double precision, so both routes take the exact factored sums U and V of the
+probability engine instead: sqrt(i! k! n! (N-n)!) factors out of every term of
+the direct sum, which leaves a positive constant times (-1)**i * U, and
+A**2 = B = U*V / q**N for eta = p/q. The amplitude is the root of that exact
+probability, rounded once to a float (within one ulp), with the sign of the
+direct sum, at every total. In exact arithmetic the two routes are the same
+sum there, so they cross-check each other only up to total 32.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-from mpmath import mp, mpf
+from fractions import Fraction
 
 from .numerics import gamma_capital, sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
+from .probabilities import _scaled_factor_sums
 
 __all__ = [
     "bs_vacuum_row",
@@ -40,11 +44,6 @@ __all__ = [
 
 # Above this total photon number the 53-bit error can exceed ~1e-11 absolute.
 _FLOAT_MAX_TOTAL = 32
-_MP_DPS = 40
-
-# Above this total, the convolution route cancels less violently per term
-# pair and becomes the default.
-_DIRECT_DEFAULT_MAX_TOTAL = 60
 
 
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
@@ -86,7 +85,7 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
         return 0.0
     lo, hi = max(0, n - k), min(i, n)
     if i + k > _FLOAT_MAX_TOTAL:
-        return _bs_amplitude_direct_mp(i, k, n, p.eta)
+        return _bs_amplitude_exact(i, k, n, p)
     eta, om = p.eta, 1.0 - p.eta
     terms = []
     for m in range(lo, hi + 1):
@@ -97,15 +96,13 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     return math.fsum(terms)
 
 
-def _bs_amplitude_direct_mp(i: int, k: int, n: int, eta: float) -> float:
-    with mp.workdps(_MP_DPS):
-        e = mpf(eta)
-        om = 1 - e
-        total = mpf(0)
-        for m in range(max(0, n - k), min(i, n) + 1):
-            mag = mp.sqrt(gamma_capital(i, k, m, n - m) * e ** (2 * m + k - n) * om ** (i - 2 * m + n))
-            total += -mag if (i - m) % 2 else mag
-        return float(total)
+def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
+    """(-1)**i sgn(U) sqrt(U*V / q**(i+k)) from the exact factored sums."""
+    eta = p.eta_exact if p.eta_exact is not None else Fraction(p.eta)
+    u, v = _scaled_factor_sums(i, k, n, eta.numerator, eta.denominator)
+    # int / int is correctly rounded and skips the Fraction gcd.
+    mag = math.sqrt(u * v / eta.denominator ** (i + k))
+    return -mag if mag and (u < 0) != (i % 2 == 1) else mag
 
 
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -116,7 +113,7 @@ def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
         return 0.0
     lo, hi = max(0, n - k), min(i, n)
     if i + k > _FLOAT_MAX_TOTAL:
-        return _bs_amplitude_convolution_mp(i, k, n, p.eta)
+        return _bs_amplitude_exact(i, k, n, p)
     terms = [
         sqrt_binomial(n, t)
         * sqrt_binomial(i + k - n, i - t)
@@ -127,33 +124,9 @@ def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
     return math.fsum(terms)
 
 
-@lru_cache(maxsize=200_000)
-def _mp_vacuum_pair(i: int, n: int, eta: float, mode_b: bool):
-    # Cached at 40 digits; keyed by the exact binary value of eta.
-    e = mpf(eta)
-    if mode_b:
-        return mp.sqrt(math.comb(i, n) * (1 - e) ** n * e ** (i - n))
-    mag = mp.sqrt(math.comb(i, n) * e ** n * (1 - e) ** (i - n))
-    return -mag if (i - n) % 2 else mag
-
-
-def _bs_amplitude_convolution_mp(i: int, k: int, n: int, eta: float) -> float:
-    with mp.workdps(_MP_DPS):
-        total = mpf(0)
-        for t in range(max(0, n - k), min(i, n) + 1):
-            total += (
-                mp.sqrt(mpf(math.comb(n, t)) * math.comb(i + k - n, i - t))
-                * _mp_vacuum_pair(i, t, eta, False)
-                * _mp_vacuum_pair(k, n - t, eta, True)
-            )
-        return float(total)
-
-
 def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = None) -> float:
-    """Beam-splitter amplitude; picks the route automatically unless told."""
-    if method is None:
-        method = "direct" if c.i + c.k <= _DIRECT_DEFAULT_MAX_TOTAL else "convolution"
-    if method == "direct":
+    """Beam-splitter amplitude through the direct route unless told otherwise."""
+    if method is None or method == "direct":
         return bs_amplitude_direct(c, p)
     if method == "convolution":
         return bs_amplitude_convolution(c, p)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fockmix
 from fockmix.amplitudes import (
-    _bs_amplitude_convolution_mp,
-    _bs_amplitude_direct_mp,
+    _bs_amplitude_exact,
     bs_amplitude,
     bs_amplitude_convolution,
     bs_amplitude_direct,
@@ -140,10 +145,49 @@ def test_high_precision_escalation_seam():
     for i, k in ((16, 16), (17, 16)):
         for n in (7, i + k // 2):
             cfg = PhotonConfig(i, k, n)
-            mp_direct = _bs_amplitude_direct_mp(i, k, n, p.eta)
-            mp_conv = _bs_amplitude_convolution_mp(i, k, n, p.eta)
-            assert abs(bs_amplitude_direct(cfg, p) - mp_direct) <= 1e-11
-            assert abs(bs_amplitude_convolution(cfg, p) - mp_conv) <= 1e-11
+            exact = _bs_amplitude_exact(i, k, n, p)
+            assert abs(bs_amplitude_direct(cfg, p) - exact) <= 1e-11
+            assert abs(bs_amplitude_convolution(cfg, p) - exact) <= 1e-11
+
+
+def _bs_row(i: int, k: int, p: BeamSplitterParam) -> list[float]:
+    return [bs_amplitude(PhotonConfig(i, k, n), p) for n in range(i + k + 1)]
+
+
+# Rows of one shell i+k = N are rows of a unitary block: a wrong magnitude
+# breaks normalization and a wrong sign breaks orthogonality, whatever engine
+# produced the values. A float-only eta (2**-54 denominator) makes a row at
+# total 300 about ten times dearer than a p/q one, so the decimal runs once,
+# at a smaller total.
+@settings(max_examples=8, deadline=None)
+@given(
+    eta=st.sampled_from(["1/2", "3/10", "1/1000000000000", "999999999999/1000000000000"]),
+    total=st.integers(33, 300),
+    i=st.integers(0, 300),
+    j=st.integers(0, 299),
+)
+@example(eta="0.37", total=240, i=120, j=131)
+def test_high_total_rows_are_orthonormal(eta, total, i, j):
+    i %= total + 1
+    j %= total
+    j += j >= i
+    p = BeamSplitterParam.from_value(eta)
+    row, other = _bs_row(i, total - i, p), _bs_row(j, total - j, p)
+    assert abs(math.fsum(a * a for a in row) - 1.0) <= 1e-12
+    assert abs(math.fsum(a * b for a, b in zip(row, other))) <= 1e-12
+
+
+def test_package_import_leaves_mpmath_out():
+    src = str(Path(fockmix.__file__).resolve().parents[1])
+    code = "import sys, fockmix, fockmix.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_amplitude_level_reversal_relation():

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 import fockmix.verify
 from fockmix.cli import main
+from fockmix.params import Device, PhotonConfig
+from fockmix.probabilities import bs_prob_exact, tms_prob_exact
 
 
 def run(*args):
@@ -25,6 +29,40 @@ def test_amp_examples():
     r = run("amp", "--device", "bs", "--i", "2", "--k", "1", "--n", "2", "--eta", "0.4",
             "--method", "convolution")
     assert r.exit_code == 0
+
+
+def _direct_sum_sign(i: int, k: int, n: int, eta: Fraction) -> int:
+    """Sign of the direct amplitude sum with its positive common factor removed."""
+    ratio = eta / (1 - eta)
+    total = sum(
+        (-1) ** (i - m) * math.comb(i, m) * math.comb(k, n - m) * ratio**m
+        for m in range(max(0, n - k), min(i, n) + 1)
+    )
+    return (total > 0) - (total < 0)
+
+
+@pytest.mark.parametrize(
+    "args, exact, sign",
+    [
+        (
+            ("--device", "bs", "--i", "200", "--k", "200", "--n", "200", "--eta", "0.3"),
+            bs_prob_exact(PhotonConfig(200, 200, 200), Fraction(3, 10)),
+            _direct_sum_sign(200, 200, 200, Fraction(3, 10)),
+        ),
+        (
+            ("--device", "tms", "--i", "150", "--k", "150", "--n", "150", "--lambda", "0.6"),
+            tms_prob_exact(PhotonConfig(150, 150, 150, Device.TMS), Fraction(3, 5)),
+            _direct_sum_sign(150, 150, 150, Fraction(2, 5)),
+        ),
+    ],
+)
+def test_amp_at_high_total_is_root_of_exact_probability(args, exact, sign):
+    r = run("amp", *args)
+    assert r.exit_code == 0
+    v = float(r.output)
+    assert abs(v) <= 1.0
+    assert abs(v * v - exact) <= 1e-12
+    assert (v > 0) - (v < 0) == sign
 
 
 def test_amp_usage_errors():
