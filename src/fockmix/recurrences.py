@@ -17,8 +17,12 @@ two-term recurrence plus the reversal-derived n=0 boundary (squeezer). The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
-Tables fill by increasing total photon number, so every cell depends only on
-cells from smaller shells; a built table is immutable and safe to share.
+Both fills build one shell s = i+k at a time, as one 2-D array [row, n] from
+the two shells below it. Floats run on the coefficients (eta, 1-eta, 1);
+rational precision on the integers (p, q-p, q^2) for eta or lambda = p/q,
+every value held times a power of q, so no gcd runs inside the fill. Float
+rows are read-only views of their shell, rational rows lists of Fractions;
+a built table is immutable and safe to share.
 
 The last term of each five-term form is the interference correction. The
 distinguishable-photon model at the end of the module has no such term: its
@@ -27,8 +31,11 @@ general-j relation holds with a counting coefficient c(i,k,j) instead.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -66,9 +73,9 @@ class ProbabilityTable:
     """Triangular (beam splitter) or rectangular (squeezer) probability table.
 
     entries maps (i, k) to the row over the output count n: beam-splitter
-    rows hold exactly i+k+1 values (n = 0..i+k), squeezer rows hold nmax+1
-    values. Rows are numpy arrays in float precision and lists of Fractions
-    in rational precision.
+    rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are numpy
+    arrays in float precision (read-only shell views in recurrence tables)
+    and lists of Fractions in rational precision.
     """
 
     device: Device
@@ -116,27 +123,39 @@ class ProbabilityTable:
         return worst
 
 
-def _eta_of(p: BeamSplitterParam, precision: str):
-    if precision == "rational":
-        if p.eta_exact is None:
-            raise ValueError("rational precision needs an exact transmittance carrier")
-        return p.eta_exact
-    return p.eta
+def _param_of(p: Param, precision: str):
+    """eta or lambda: the float, or the exact Fraction in rational precision."""
+    bs = isinstance(p, BeamSplitterParam)
+    if precision != "rational":
+        return p.eta if bs else p.lam
+    exact = p.eta_exact if bs else p.lam_exact
+    if exact is None:
+        raise ValueError(f"rational precision needs an exact {'transmittance' if bs else 'squeezing'} carrier")
+    return exact
 
 
-def _lam_of(p: SqueezerParam, precision: str):
-    if precision == "rational":
-        if p.lam_exact is None:
-            raise ValueError("rational precision needs an exact squeezing carrier")
-        return p.lam_exact
-    return p.lam
+def _carrier(x) -> tuple:
+    """Fill coefficients (x, 1-x, one): floats, or (a, b-a, b) for x = a/b."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator - x.numerator, x.denominator
+    return x, 1.0 - x, 1.0
 
 
-def _bs_binomial_row(count: int, eta, mode_a: bool):
-    """Vacuum-seeded row: binomial distribution of `count` photons, each
-    landing in output a with probability eta (input a) or 1-eta (input b)."""
-    q = eta if mode_a else 1 - eta
-    return [binomial_exact(count, n) * q**n * (1 - q) ** (count - n) for n in range(count + 1)]
+def _weight(lead, count: int, x, u: int, y, v: int):
+    """lead * count * x**u * y**v, left to right; through logarithms where the
+    exact count overflows a float (then u, v >= 1 and the weight is small)."""
+    try:
+        return lead * count * x**u * y**v
+    except OverflowError:
+        logs = [math.log(f) if f else -math.inf for f in (lead, x, y)]
+        return math.exp(logs[0] + math.log(count) + u * logs[1] + v * logs[2])
+
+
+def _bs_binomial_row(counts: list, x, one=1) -> list:
+    """Vacuum-seeded row from counts = C(s, .): the chance that n of s photons
+    land in output a, each with probability x/one, times one**s."""
+    s = len(counts) - 1
+    return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
 def _shell_pairs(imax: int, kmax: int):
@@ -148,7 +167,7 @@ def _shell_pairs(imax: int, kmax: int):
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Direct-route table; float rows stay within ~1e-12 of the exact values."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    eta = _eta_of(p, precision)
+    eta = _param_of(p, precision)
     for i, k in _shell_pairs(imax, kmax):
         if precision == "rational":
             row = [bs_prob_exact(PhotonConfig(i, k, n), eta) for n in range(i + k + 1)]
@@ -162,7 +181,7 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     """Convolution-squared table: squared vacuum-row convolutions in float,
     or the paired double sum (square roots combined exactly) in rational."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
-    eta = _eta_of(p, precision)
+    eta = _param_of(p, precision)
     for i, k in _shell_pairs(imax, kmax):
         if precision == "rational":
             row = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
@@ -175,54 +194,38 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term dynamic-programming fill, seeded by the two binomial rows."""
+    """Five-term fill, one shell s = i+k at a time, seeded by the two binomial rows."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
-    eta = _eta_of(p, precision)
-    rational = precision == "rational"
-    rows = t.entries
-    for i, k in _shell_pairs(imax, kmax):
-        if k == 0:
-            row = _bs_binomial_row(i, eta, mode_a=True)
-            rows[(i, k)] = row if rational else np.array(row, dtype=float)
-            continue
-        if i == 0:
-            row = _bs_binomial_row(k, eta, mode_a=False)
-            rows[(i, k)] = row if rational else np.array(row, dtype=float)
-            continue
-        # Shell order guarantees these exist; fail loudly if it ever breaks.
-        for need in ((i - 1, k), (i, k - 1), (i - 1, k - 1)):
-            if need not in rows:
-                raise TableCoverageError(f"shell order violated, missing row {need}")
-        up, left, diag = rows[(i - 1, k)], rows[(i, k - 1)], rows[(i - 1, k - 1)]
-        size = i + k + 1
-        if rational:
-            om = 1 - eta
-            row = []
-            for n in range(size):
-                val = 0 * eta
-                if n <= i + k - 1:
-                    val += om * up[n] + eta * left[n]
-                if 1 <= n:
-                    val += eta * up[n - 1] + om * left[n - 1]
-                    if n - 1 <= i + k - 2:
-                        val -= diag[n - 1]
-                row.append(val)
-            rows[(i, k)] = row
-        else:
-            om = 1.0 - p.eta
-            new = np.zeros(size)
-            new[:-1] += om * up + p.eta * left
-            new[1:] += p.eta * up + om * left
-            new[1:-1] -= diag
-            np.clip(new, 0.0, 1.0, out=new)
-            rows[(i, k)] = new
+    eta, om, one = _carrier(_param_of(p, precision))
+    (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
+    for s in range(imax + kmax + 1):
+        lo, hi = max(0, s - kmax), min(imax, s)
+        shell = np.zeros((hi - lo + 1, s + 1), float if precision == "float" else object)
+        g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
+        if g0 <= g1:
+            up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
+            body = shell[g0 - lo : g1 + 1 - lo]
+            body[:, :-1] += om * up + eta * left
+            body[:, 1:] += eta * up + om * left
+            body[:, 1:-1] -= one * one * prev2[g0 - 1 - lo2 : g1 - lo2]
+        if lo == 0:
+            shell[0] = _bs_binomial_row(counts, om, one)
+        if hi == s:
+            shell[-1] = _bs_binomial_row(counts, eta, one)
+        if precision == "float":
+            np.clip(shell, 0.0, 1.0, out=shell)
+            shell.flags.writeable = False
+        for r, row in enumerate(shell):
+            t.entries[(lo + r, s - lo - r)] = row if precision == "float" else [Fraction(v, one**s) for v in row]
+        (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
+        counts = [1, *map(operator.add, counts, counts[1:]), 1]
     return t
 
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
     """Squeezer table through the reversal route, cell by cell."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
-    lam = _lam_of(p, precision)
+    lam = _param_of(p, precision)
     for i in range(imax + 1):
         for k in range(kmax + 1):
             if precision == "rational":
@@ -244,40 +247,38 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     for k >= i (zero otherwise), which is the reversed beam-splitter row.
     """
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
-    lam = _lam_of(p, precision)
-    one = Fraction(1) if precision == "rational" else 1.0
-    om = one - lam
-    rows = t.entries
-
-    def zeros():
-        return [lam * 0] * (nmax + 1)
-
-    for i, k in _shell_pairs(imax, kmax):
-        row = zeros()
-        if i == 0 and k == 0:
-            for n in range(nmax + 1):
-                row[n] = om * lam**n
-        elif k == 0:
-            prev = rows[(i - 1, 0)]
+    lam, om, one = _carrier(_param_of(p, precision))
+    scales = [one**e for e in range(1, kmax + nmax + 2)]  # A(i,k->n) is held times scales[k+n]
+    (lo2, prev2) = (lo1, prev) = (0, np.zeros((0, nmax + 1)))  # shells s-2, s-1
+    for s in range(imax + kmax + 1):
+        lo, hi = max(0, s - kmax), min(imax, s)
+        shell = np.zeros((hi - lo + 1, nmax + 1), float if precision == "float" else object)
+        top = min(hi, s - 1)  # the last row with k >= 1
+        if s == 0:
+            shell[0] = [om * lam**n for n in range(nmax + 1)]
+        elif lo <= top:
+            body = shell[: top + 1 - lo]
+            c = binomial_exact(s - lo, lo)  # C(k, i), walked down the n=0 seam while k >= i
+            for r, i in enumerate(range(lo, min(top, s // 2) + 1)):
+                body[r, 0] = _weight(om, c, om, s - 2 * i, lam, i)
+                c = c * (s - 2 * i) * (s - 2 * i - 1) // ((s - i) * (i + 1))
+            gain = om * prev[lo - lo1 : top + 1 - lo1]  # from the left rows (i, k-1)
+            first = max(1, lo) - lo  # body rows from here on have i >= 1
+            up, diag = prev[first + lo - 1 - lo1 : top - lo1], prev2[first + lo - 1 - lo2 : top - lo2]
+            rest = (om * up[:, :-1] + lam * diag[:, 1:]) - one * one * diag[:, :-1]
             for n in range(1, nmax + 1):
-                row[n] = om * prev[n - 1] + lam * row[n - 1]
-        else:
-            up = rows.get((i - 1, k))  # absent only when i == 0
-            left = rows[(i, k - 1)]
-            diag = rows.get((i - 1, k - 1))
-            if k >= i:
-                row[0] = om * binomial_exact(k, i) * om ** (k - i) * lam**i
-            for n in range(1, nmax + 1):
-                val = om * left[n] + lam * row[n - 1]
-                if up is not None:
-                    val += om * up[n - 1] + lam * diag[n] - diag[n - 1]
-                row[n] = val
+                col = gain[:, n] + lam * body[:, n - 1]
+                col[first:] += rest[:, n - 1]
+                body[:, n] = col
+        if 1 <= s == hi:  # k = 0: the amplifier two-term recurrence
+            shell[-1] = list(accumulate(prev[-1, :-1].tolist(), lambda a, b: om * b + lam * a, initial=0 * lam))
         if precision == "float":
-            arr = np.array(row, dtype=float)
-            np.clip(arr, 0.0, 1.0, out=arr)
-            rows[(i, k)] = arr
-        else:
-            rows[(i, k)] = row
+            np.clip(shell, 0.0, 1.0, out=shell)
+            shell.flags.writeable = False
+        for r, row in enumerate(shell):
+            k = s - lo - r
+            t.entries[(lo + r, k)] = row if precision == "float" else [Fraction(v, d) for v, d in zip(row, scales[k:])]
+        (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
     return t
 
 
@@ -334,7 +335,7 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
     """|(1-lam) A(i,k->n) - [tilde(i,k,n,j) - tilde(i-1,k-1,n-1,j-1)]|."""
     if j < 0 or j > n + k:
         raise ValueError(f"j must lie in [0, {n + k}], got {j}")
-    lam = _lam_of(table.param, table.precision)
+    lam = _param_of(table.param, table.precision)
     lhs = (1 - lam) * table.value(i, k, n)
     rhs = tms_tilde(i, k, n, j, table) - tms_tilde(i - 1, k - 1, n - 1, j - 1, table)
     return abs(lhs - rhs)
@@ -365,14 +366,14 @@ class ClassicalTable:
     def __init__(self, p: BeamSplitterParam, precision: str = "float"):
         self.param = p
         self.precision = precision
-        self._eta = _eta_of(p, precision)
+        self._eta = _param_of(p, precision)
         self._rows: dict = {}
 
     def row(self, i: int, k: int) -> list:
         key = (i, k)
         if key not in self._rows:
-            a = _bs_binomial_row(i, self._eta, mode_a=True)
-            b = _bs_binomial_row(k, self._eta, mode_a=False)
+            a = _bs_binomial_row([binomial_exact(i, n) for n in range(i + 1)], self._eta)
+            b = _bs_binomial_row([binomial_exact(k, n) for n in range(k + 1)], 1 - self._eta)
             self._rows[key] = _convolve_full(a, b)
         return self._rows[key]
 
@@ -410,6 +411,4 @@ def classical_recurrence_check(i: int, k: int, n: int, j: int, p: BeamSplitterPa
         hi = min(n, len(a) - 1)
         for t in range(lo, hi + 1):
             total += a[t] * b[n - t]
-    if precision == "rational":
-        return abs(table.prob(i, k, n) - Fraction(total, c))
     return abs(table.prob(i, k, n) - total / c)

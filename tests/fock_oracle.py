@@ -66,3 +66,56 @@ def prob_double_sum_literal(i: int, k: int, n: int, eta: Fraction) -> Fraction:
             term = coeff * eta ** (k - n + m + j) * (1 - eta) ** (i + n - m - j)
             total += -term if (m + j) % 2 else term
     return total
+
+
+def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
+    """Float five-term beam-splitter fill one row at a time, in the operation
+    order the library's shell fill must keep bit for bit."""
+    om = 1.0 - eta
+    rows = {}
+    for s in range(imax + kmax + 1):
+        for i in range(max(0, s - kmax), min(imax, s) + 1):
+            k = s - i
+            if i == 0 or k == 0:
+                count, q = (i, eta) if k == 0 else (k, 1 - eta)
+                seed = [math.comb(count, n) * q**n * (1 - q) ** (count - n) for n in range(count + 1)]
+                rows[(i, k)] = np.array(seed, dtype=float)
+                continue
+            up, left, diag = rows[(i - 1, k)], rows[(i, k - 1)], rows[(i - 1, k - 1)]
+            new = np.zeros(s + 1)
+            new[:-1] += om * up + eta * left
+            new[1:] += eta * up + om * left
+            new[1:-1] -= diag
+            np.clip(new, 0.0, 1.0, out=new)
+            rows[(i, k)] = new
+    return rows
+
+
+def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
+    """Float five-term squeezer fill one row and one n at a time, in the
+    operation order the library's shell fill must keep bit for bit."""
+    om = 1.0 - lam
+    rows = {}
+    for s in range(imax + kmax + 1):
+        for i in range(max(0, s - kmax), min(imax, s) + 1):
+            k = s - i
+            row = [0.0] * (nmax + 1)
+            if i == 0 and k == 0:
+                row = [om * lam**n for n in range(nmax + 1)]
+            elif k == 0:
+                prev = rows[(i - 1, 0)]
+                for n in range(1, nmax + 1):
+                    row[n] = om * prev[n - 1] + lam * row[n - 1]
+            else:
+                up, left, diag = rows.get((i - 1, k)), rows[(i, k - 1)], rows.get((i - 1, k - 1))
+                if k >= i:
+                    row[0] = om * math.comb(k, i) * om ** (k - i) * lam**i
+                for n in range(1, nmax + 1):
+                    val = om * left[n] + lam * row[n - 1]
+                    if up is not None:
+                        val += om * up[n - 1] + lam * diag[n] - diag[n - 1]
+                    row[n] = val
+            arr = np.array(row, dtype=float)
+            np.clip(arr, 0.0, 1.0, out=arr)
+            rows[(i, k)] = arr
+    return rows

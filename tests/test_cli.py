@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -164,6 +165,40 @@ def test_table_rational_bit_stable():
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
     assert "4/9" in first.output
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--device", "bs", "--imax", "40", "--kmax", "40", "--eta", "7/10", "--format", "csv"),
+         "18b70b82c09a8810f9a52dbe67f5130fe5ed7f41bb9eb0cee7664f37cf882b67"),
+        (("--device", "tms", "--imax", "20", "--kmax", "20", "--nmax", "80", "--lambda", "1/4", "--format", "json"),
+         "a6bb971d0995abd82c8c874c3d68a5125f15162cc7acceac1f4cb00db3933334"),
+        (("--device", "bs", "--imax", "10", "--kmax", "10", "--eta", "2/7", "--precision", "rational",
+          "--format", "csv"),
+         "81b0fb7f046c71c7c3b3bf0d18192a0240f2fde4202e7f8f2daacae391d55c4d"),
+    ],
+    ids=["bs-float-csv", "tms-float-json", "bs-rational-csv"],
+)
+def test_table_exports_keep_their_golden_bytes(tmp_path, args, digest):
+    # Digests of the exports of the row-by-row fills the shell fills replaced.
+    out = tmp_path / "table.out"
+    r = run("table", *args, "--out", str(out))
+    assert r.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_table_past_the_float_range_of_binomials(tmp_path):
+    out = tmp_path / "t.csv"
+    r = run("table", "--device", "bs", "--imax", "1100", "--kmax", "0", "--eta", "0.5", "--out", str(out))
+    assert r.exit_code == 0
+    checked = 0
+    for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+        i, k, n, m, value = line.split(",")
+        if int(i) in (1030, 1100):
+            assert abs(float(value) - Fraction(math.comb(int(i), int(n)), 2 ** int(i))) <= 1e-14
+            checked += 1
+    assert checked == 1031 + 1101
 
 
 def test_table_tms_needs_nmax():

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fock_oracle import bs_rows_rowwise, tms_rows_rowwise
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import bs_prob_exact, tms_prob, tms_prob_exact
@@ -259,3 +261,72 @@ def test_classical_gf_factorizes_and_sums_rows():
         for n in range(i + k + 1)
     )
     assert abs(series - classical_gf(x, y, z, p)) <= 1e-10
+
+
+# Shell-major fills against the row-by-row reference and the exact oracle.
+
+
+def _assert_bit_identical(table, reference):
+    assert list(table.entries) == list(reference)
+    for key, row in reference.items():
+        got = table.entries[key]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == row.tobytes(), key
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.3, 0.0, 1.0, 1e-12, 1 - 1e-12])
+@pytest.mark.parametrize("imax, kmax", [(0, 0), (0, 7), (7, 0), (12, 5), (5, 12), (40, 40)])
+def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
+    _assert_bit_identical(bs_table_recurrence(imax, kmax, BeamSplitterParam(eta)), bs_rows_rowwise(imax, kmax, eta))
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.6, 0.0, 1e-12, 0.999])
+@pytest.mark.parametrize("imax, kmax, nmax", [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80)])
+def test_float_tms_shell_fill_is_bit_identical_to_row_fill(imax, kmax, nmax, lam):
+    table = tms_table_recurrence(imax, kmax, nmax, SqueezerParam(lam))
+    _assert_bit_identical(table, tms_rows_rowwise(imax, kmax, nmax, lam))
+
+
+@pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "999/1000"])
+@pytest.mark.parametrize("imax, kmax", [(7, 3), (2, 9), (0, 5), (6, 0)])
+def test_rational_bs_rows_are_exact_fractions(imax, kmax, eta):
+    p = BeamSplitterParam.from_value(eta)
+    table = bs_table_recurrence(imax, kmax, p, "rational")
+    assert len(table.entries) == (imax + 1) * (kmax + 1)
+    for (i, k), row in table.entries.items():
+        assert type(row) is list and all(type(v) is Fraction for v in row)
+        assert row == [bs_prob_exact(PhotonConfig(i, k, n), p.eta_exact) for n in range(i + k + 1)]
+
+
+@pytest.mark.parametrize("lam", ["0/1", "2/5", "3/4"])
+@pytest.mark.parametrize("imax, kmax, nmax", [(4, 2, 7), (1, 5, 6), (0, 3, 4), (3, 0, 5)])
+def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
+    p = SqueezerParam.from_value(lam)
+    table = tms_table_recurrence(imax, kmax, nmax, p, "rational")
+    assert len(table.entries) == (imax + 1) * (kmax + 1)
+    for (i, k), row in table.entries.items():
+        assert type(row) is list and all(type(v) is Fraction for v in row)
+        assert row == [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), p.lam_exact) for n in range(nmax + 1)]
+
+
+def test_float_table_rows_are_read_only():
+    for table in (bs_table_recurrence(4, 4, BeamSplitterParam(0.3)),
+                  tms_table_recurrence(4, 4, 6, SqueezerParam(0.3))):
+        with pytest.raises(ValueError):
+            table.row(3, 2)[0] = 0.5
+
+
+def test_bs_fill_past_the_float_range_of_binomials():
+    # C(1030, 515) is the first binomial above the float range.
+    table = bs_table_recurrence(1100, 0, BeamSplitterParam(0.5))
+    for i in (1029, 1030, 1100):
+        row = table.row(i, 0)
+        assert max(abs(row[n] - Fraction(math.comb(i, n), 2**i)) for n in range(i + 1)) <= 1e-14
+
+
+def test_tms_fill_past_the_float_range_of_binomials():
+    table = tms_table_recurrence(520, 1030, 1, SqueezerParam(0.5))
+    for i in (0, 1, 514, 515, 516, 520):
+        for n in (0, 1):
+            exact = tms_prob_exact(PhotonConfig(i, 1030, n, Device.TMS), Fraction(1, 2))
+            assert abs(table.value(i, 1030, n) - exact) <= 1e-14
