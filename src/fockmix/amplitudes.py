@@ -27,11 +27,10 @@ sum there, so they cross-check each other only up to total 32.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .numerics import gamma_capital, sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _scaled_factor_sums
+from .probabilities import _exact_factor_sums
 
 __all__ = [
     "bs_vacuum_row",
@@ -98,10 +97,8 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
 
 def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
     """(-1)**i sgn(U) sqrt(U*V / q**(i+k)) from the exact factored sums."""
-    eta = p.eta_exact if p.eta_exact is not None else Fraction(p.eta)
-    u, v = _scaled_factor_sums(i, k, n, eta.numerator, eta.denominator)
-    # int / int is correctly rounded and skips the Fraction gcd.
-    mag = math.sqrt(u * v / eta.denominator ** (i + k))
+    u, v, q = _exact_factor_sums(i, k, n, p)
+    mag = math.sqrt(u * v / q)
     return -mag if mag and (u < 0) != (i % 2 == 1) else mag
 
 

@@ -51,8 +51,6 @@ class RunConfig:
     param_text: str
     precision: str = "float"
     method: str = "direct"
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         self.rational_literal = "/" in self.param_text
@@ -62,23 +60,16 @@ class RunConfig:
             raise click.UsageError("rational precision requires a p/q parameter literal")
 
     def bs_param(self) -> BeamSplitterParam:
-        try:
-            return BeamSplitterParam.from_value(_parse_number(self.param_text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise click.UsageError(str(exc)) from exc
+        return self._param(BeamSplitterParam)
 
     def tms_param(self) -> SqueezerParam:
+        return self._param(SqueezerParam)
+
+    def _param(self, cls):
         try:
-            return SqueezerParam.from_value(_parse_number(self.param_text))
+            return cls.from_value(self.param_text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise click.UsageError(str(exc)) from exc
-
-
-def _parse_number(text: str) -> float | Fraction:
-    try:
-        return Fraction(text) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"cannot parse parameter {text!r}") from exc
+            raise click.UsageError(f"bad parameter {self.param_text!r}: {exc}") from exc
 
 
 def _require_param(device: str, eta: str | None, lam: str | None) -> str:
@@ -258,7 +249,7 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     if imax < 0 or kmax < 0:
         raise click.UsageError("table sizes must be nonnegative")
     param_text = _require_param(device, eta, lam)
-    cfg = RunConfig(Device(device), param_text, precision=precision, method=method, fmt=fmt, out=out)
+    cfg = RunConfig(Device(device), param_text, precision=precision, method=method)
     route = "direct" if cfg.method == "exact" else cfg.method
     started = time.perf_counter()
     if cfg.device is Device.BS:

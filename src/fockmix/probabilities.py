@@ -7,9 +7,10 @@ double sum factors as (sum over m) * (sum over j) because its coefficient
 splits into an m-part and a j-part; the exact engine evaluates the two
 single sums over a common power-of-the-denominator scale.
 
-The float route tracks a running bound on its own cancellation error and
-silently re-evaluates through the exact engine when double precision cannot
-deliver ~1e-12 absolute accuracy. Squeezer probabilities go through partial
+The float route is the same exact sum rounded once: U*V / den**(i+k) is a
+quotient of two integers, which Python rounds correctly, so no cancellation
+error bound or fallback is needed at any total. A float-only transmittance is
+taken at its exact binary value. Squeezer probabilities go through partial
 time reversal: A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
 """
 
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConvergenceError
-from .numerics import gamma_small, log_binomial
+from .numerics import gamma_small
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 
 __all__ = [
@@ -31,38 +32,43 @@ __all__ = [
     "normalization_residual",
 ]
 
-# Plain float products are safe (no overflow, exactly representable binomials)
-# up to this total photon number; beyond it terms are built in log scale.
-_PLAIN_FLOAT_MAX_TOTAL = 24
-
-# Absolute accuracy the float route must deliver before it trusts itself.
-_FLOAT_ERROR_BUDGET = 2e-13
-
-_EPS = 2.0 ** -52
-
 
 def _term_range(i: int, k: int, n: int) -> tuple[int, int]:
     return max(0, n - k), min(i, n)
+
+
+def _powers(base: int, lo: int, hi: int) -> list[int]:
+    """[base**lo, base**(lo+1), ..., base**hi]."""
+    out = [base**lo]
+    for _ in range(lo, hi):
+        out.append(out[-1] * base)
+    return out
 
 
 def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
     """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den."""
     lo, hi = _term_range(i, k, n)
     r = den - num
-    npow = [1] * (i + k + 1)
-    rpow = [1] * (i + k + 1)
-    for e in range(1, i + k + 1):
-        npow[e] = npow[e - 1] * num
-        rpow[e] = rpow[e - 1] * r
+    # Only the exponents the two sums use: m, n-m for U and k-n+j, i-j for V.
+    u_num, u_r = _powers(num, lo, hi), _powers(r, n - hi, n - lo)
+    v_num, v_r = _powers(num, k - n + lo, k - n + hi), _powers(r, i - hi, i - lo)
     u = 0
     v = 0
     for m in range(lo, hi + 1):
-        t = math.comb(i, m) * math.comb(k, n - m) * npow[m] * rpow[n - m]
+        t = math.comb(i, m) * math.comb(k, n - m) * u_num[m - lo] * u_r[hi - m]
         u += -t if m & 1 else t
     for j in range(lo, hi + 1):
-        t = math.comb(n, j) * math.comb(i + k - n, i - j) * npow[k - n + j] * rpow[i - j]
+        t = math.comb(n, j) * math.comb(i + k - n, i - j) * v_num[j - lo] * v_r[hi - j]
         v += -t if j & 1 else t
     return u, v
+
+
+def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam) -> tuple[int, int, int]:
+    """(U, V, Q) with B = U*V / Q at the exact transmittance: the p/q carrier
+    when there is one, else the float's own binary fraction."""
+    num, den = (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
+    u, v = _scaled_factor_sums(i, k, n, num, den)
+    return u, v, den ** (i + k)
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
@@ -100,99 +106,18 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     return total
 
 
-def _float_factor_sums(i: int, k: int, n: int, eta: float):
-    """(U, V, error bound) for the factored sums in double precision."""
-    lo, hi = _term_range(i, k, n)
-    om = 1.0 - eta
-    if i + k <= _PLAIN_FLOAT_MAX_TOTAL:
-        u_terms = []
-        v_terms = []
-        for m in range(lo, hi + 1):
-            t = math.comb(i, m) * math.comb(k, n - m) * eta**m * om ** (n - m)
-            u_terms.append(-t if m & 1 else t)
-        for j in range(lo, hi + 1):
-            t = math.comb(n, j) * math.comb(i + k - n, i - j) * eta ** (k - n + j) * om ** (i - j)
-            v_terms.append(-t if j & 1 else t)
-        u = math.fsum(u_terms)
-        v = math.fsum(v_terms)
-        err_u = 4.0 * _EPS * math.fsum(map(abs, u_terms))
-        err_v = 4.0 * _EPS * math.fsum(map(abs, v_terms))
-    else:
-        # Log-scaled terms: binomials and powers can leave float range here.
-        # A term exp(lg) inherits the absolute error of lg itself, which grows
-        # with the magnitudes that were summed into it, so the per-term error
-        # bound carries that magnitude, not just a few ulp.
-        log_eta = math.log(eta) if eta > 0.0 else -math.inf
-        log_om = math.log(om) if om > 0.0 else -math.inf
-
-        def term_log(parts):
-            lg = math.fsum(parts)
-            return lg, math.fsum(abs(p) for p in parts)
-
-        u_logs = []
-        for m in range(lo, hi + 1):
-            parts = [log_binomial(i, m), log_binomial(k, n - m)]
-            if m:
-                parts.append(m * log_eta)
-            if n - m:
-                parts.append((n - m) * log_om)
-            lg, mag = term_log(parts)
-            u_logs.append((lg, -1.0 if m & 1 else 1.0, mag))
-        v_logs = []
-        for j in range(lo, hi + 1):
-            parts = [log_binomial(n, j), log_binomial(i + k - n, i - j)]
-            if k - n + j:
-                parts.append((k - n + j) * log_eta)
-            if i - j:
-                parts.append((i - j) * log_om)
-            lg, mag = term_log(parts)
-            v_logs.append((lg, -1.0 if j & 1 else 1.0, mag))
-
-        def run(logs_signs_full):
-            pairs = [(lg, s) for lg, s, _ in logs_signs_full]
-            if not pairs:
-                return 0.0, 0.0
-            top = max(lg for lg, _ in pairs)
-            if top == -math.inf:
-                return 0.0, 0.0
-            total = math.fsum(s * math.exp(lg - top) for lg, s in pairs)
-            abssum = math.fsum(math.exp(lg - top) for lg, _ in pairs)
-            magnitude = max(mag for _, _, mag in logs_signs_full)
-            scale = math.exp(top)
-            return total * scale, _EPS * (8.0 + 4.0 * magnitude) * abssum * scale
-
-        u, err_u = run(u_logs)
-        v, err_v = run(v_logs)
-    err = err_u * abs(v) + abs(u) * err_v + _EPS * abs(u * v)
-    return u, v, err
-
-
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
-    """Direct-route B(i,k->n) in floating point, accurate to ~1e-12 absolute.
-
-    Escalates to the exact engine whenever its own cancellation-error bound
-    exceeds the budget, so tables built from this route stay trustworthy at
-    sizes where the raw double sum would lose most of its digits.
-    """
+    """Direct-route B(i,k->n) in floating point: the exact factored sum at the
+    parameter's exact value, rounded once, within half an ulp at every total."""
     if c.device is not Device.BS:
         raise ValueError("bs_prob_direct expects a beam-splitter configuration")
     i, k, n = c.i, c.k, c.n
     lo, hi = _term_range(i, k, n)
     if n > i + k or lo > hi:
         return 0.0
-    if p.eta == 0.0:
-        return 1.0 if n == k else 0.0
-    if p.eta == 1.0:
-        return 1.0 if n == i else 0.0
-    u, v, err = _float_factor_sums(i, k, n, p.eta)
-    if err > _FLOAT_ERROR_BUDGET:
-        exact = p.eta_exact if p.eta_exact is not None else Fraction(p.eta)
-        return _clamp01(float(bs_prob_exact(c, exact)))
-    return _clamp01(u * v)
-
-
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
+    u, v, q = _exact_factor_sums(i, k, n, p)
+    # int / int is correctly rounded and skips the Fraction gcd.
+    return u * v / q
 
 
 def _bridge(c: PhotonConfig) -> PhotonConfig | None:

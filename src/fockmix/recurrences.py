@@ -117,7 +117,7 @@ class ProbabilityTable:
         excess above 1 counts there."""
         worst = 0.0
         for row in self.entries.values():
-            s = float(sum(row))
+            s = float(np.sum(row))
             defect = abs(s - 1.0) if self.device is Device.BS else max(s - 1.0, 0.0)
             worst = max(worst, defect)
         return worst

@@ -224,7 +224,7 @@ def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
     etas = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     _theorem1_exact(res, imax, etas)
 
-    # j=1 in float against the accuracy-guarded direct table
+    # j=1 in float against the direct table
     fmax = 20 if scale == "full" else 10
     p = BeamSplitterParam(0.7)
     table = bs_table_direct(fmax, fmax, p)
@@ -233,7 +233,7 @@ def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
         for k in range(fmax + 1):
             if i + k == 0:
                 continue
-            cur = bs_tilde_row(i, k, 1, table) if i + k >= 1 else []
+            cur = bs_tilde_row(i, k, 1, table)
             prev = bs_tilde_row(i - 1, k - 1, 0, table) if min(i, k) >= 1 else []
             row = table.row(i, k)
             for n in range(i + k + 1):

@@ -217,6 +217,16 @@ def test_table_bad_sizes():
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("literal", ["abc", "1/0", "1.5/2"])
+@pytest.mark.parametrize("param", [("bs", "--eta"), ("tms", "--lambda")])
+def test_malformed_parameter_literals_exit_2(literal, param):
+    device, flag = param
+    prob = run("prob", "--device", device, "--i", "1", "--k", "1", "--n", "1", flag, literal)
+    table = run("table", "--device", device, "--imax", "2", "--kmax", "2", "--nmax", "4",
+                flag, literal)
+    assert (prob.exit_code, table.exit_code) == (2, 2)
+
+
 def test_table_self_check_failure_exits_1(monkeypatch):
     from fockmix.recurrences import ProbabilityTable
 

@@ -78,6 +78,30 @@ def test_float_route_matches_exact_to_budget():
                     assert 0.0 <= got <= 1.0
 
 
+@st.composite
+def _cells_to_total_300(draw):
+    total = draw(st.integers(0, 300))
+    i = draw(st.integers(0, total))
+    return PhotonConfig(i, total - i, draw(st.integers(0, total)))
+
+
+# p/q literals, decimal literals, any float, and transmittances near 0 and 1.
+_TRANSMITTANCES = st.one_of(
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}")),
+    st.integers(0, 10**6).map(lambda d: str(d / 10**6)),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([1e-12, 1 - 1e-12, "1/1000000000000", "999999999999/1000000000000"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cells_to_total_300(), _TRANSMITTANCES)
+def test_direct_route_is_the_exact_probability_rounded_once(c, eta):
+    p = BeamSplitterParam.from_value(eta)
+    exact = p.eta_exact if p.eta_exact is not None else Fraction(p.eta)
+    assert bs_prob_direct(c, p) == float(bs_prob_exact(c, exact))
+
+
 def test_square_of_amplitude_invariant():
     from fockmix.amplitudes import bs_amplitude_direct
 
