@@ -97,7 +97,11 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
 
 def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
     """(-1)**i sgn(U) sqrt(U*V / q**(i+k)) from the exact factored sums."""
-    u, v, q = _exact_factor_sums(i, k, n, p)
+    return _signed_root(i, *_exact_factor_sums(i, k, n, p))
+
+
+def _signed_root(i: int, u: int, v: int, q: int) -> float:
+    """The amplitude of input i from its exact factored sums (U, V, Q)."""
     mag = math.sqrt(u * v / q)
     return -mag if mag and (u < 0) != (i % 2 == 1) else mag
 

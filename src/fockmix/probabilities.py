@@ -10,7 +10,11 @@ single sums over a common power-of-the-denominator scale.
 The float route is the same exact sum rounded once: U*V / den**(i+k) is a
 quotient of two integers, which Python rounds correctly, so no cancellation
 error bound or fallback is needed at any total. A float-only transmittance is
-taken at its exact binary value. Squeezer probabilities go through partial
+taken at its exact binary value. A call that evaluates many cells at one
+transmittance (a direct table, the exact cells of a convolution table, a
+normalization row or scan) builds one table of the powers of num, den-num
+and den and shares it across its cells; a single cell builds only the
+exponent ranges its two sums use. Squeezer probabilities go through partial
 time reversal: A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
 """
 
@@ -45,13 +49,33 @@ def _powers(base: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
-    """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den."""
+class _PowerTable:
+    """Power source of a batch call: [base**lo, ..., base**hi] sliced from one
+    list per base, grown from base**0 as needed and shared by every cell."""
+
+    def __init__(self):
+        self.lists: dict[int, list[int]] = {}
+
+    def __call__(self, base: int, lo: int, hi: int) -> list[int]:
+        pows = self.lists.get(base)
+        if pows is None:
+            pows = self.lists[base] = [1]
+        while len(pows) <= hi:
+            pows.append(pows[-1] * base)
+        return pows[lo : hi + 1]
+
+
+def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int, powers=_powers) -> tuple[int, int]:
+    """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den.
+
+    powers(base, lo, hi) gives [base**lo, ..., base**hi]: a single cell builds
+    only the ranges its sums use, a batch call passes its _PowerTable.
+    """
     lo, hi = _term_range(i, k, n)
     r = den - num
-    # Only the exponents the two sums use: m, n-m for U and k-n+j, i-j for V.
-    u_num, u_r = _powers(num, lo, hi), _powers(r, n - hi, n - lo)
-    v_num, v_r = _powers(num, k - n + lo, k - n + hi), _powers(r, i - hi, i - lo)
+    # The exponents the two sums use: m, n-m for U and k-n+j, i-j for V.
+    u_num, u_r = powers(num, lo, hi), powers(r, n - hi, n - lo)
+    v_num, v_r = powers(num, k - n + lo, k - n + hi), powers(r, i - hi, i - lo)
     u = 0
     v = 0
     for m in range(lo, hi + 1):
@@ -63,12 +87,31 @@ def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int
     return u, v
 
 
+def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
+    """(num, den) of the exact transmittance: the p/q carrier when there is
+    one, else the float's own binary fraction."""
+    return (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
+
+
 def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam) -> tuple[int, int, int]:
-    """(U, V, Q) with B = U*V / Q at the exact transmittance: the p/q carrier
-    when there is one, else the float's own binary fraction."""
-    num, den = (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
+    """(U, V, Q) with B = U*V / Q at the exact transmittance, for one cell."""
+    num, den = _exact_ratio(p)
     u, v = _scaled_factor_sums(i, k, n, num, den)
     return u, v, den ** (i + k)
+
+
+def _batch_factor_sums(p: BeamSplitterParam):
+    """A function (i, k, n) -> (U, V, Q) equal to ``_exact_factor_sums``, whose
+    powers of num, den-num and den are built once and shared by every cell it
+    is called for; the power table lives as long as the function."""
+    num, den = _exact_ratio(p)
+    powers = _PowerTable()
+
+    def sums(i: int, k: int, n: int) -> tuple[int, int, int]:
+        u, v = _scaled_factor_sums(i, k, n, num, den, powers)
+        return u, v, powers(den, i + k, i + k)[0]
+
+    return sums
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
@@ -156,15 +199,18 @@ _TAIL_TOLERANCE = 1e-14
 def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam) -> float:
     """|sum of the output distribution - 1| over all reachable n.
 
-    Beam splitter rows are finite. Squeezer rows are summed until a geometric
+    Each term equals bs_prob_direct or tms_prob bit for bit; one power table
+    of the exact transmittance serves the whole row or scan. Beam splitter
+    rows are finite. Squeezer rows are summed until a geometric
     tail estimate drops below 1e-14; if that never happens before the cutoff,
     a ConvergenceError is raised rather than silently truncating. The cutoff
     is 10*(i+k+1)/(1-lam), raised to a floor of 60/(1-lam) + i + k because
     the shorter form cannot reach the tail tolerance when i+k <= 2.
     """
     if isinstance(p, BeamSplitterParam):
-        cfg = [PhotonConfig(i, k, n, Device.BS) for n in range(i + k + 1)]
-        return abs(math.fsum(bs_prob_direct(c, p) for c in cfg) - 1.0)
+        sums = _batch_factor_sums(p)
+        cells = (sums(i, k, n) for n in range(i + k + 1))
+        return abs(math.fsum(u * v / q for u, v, q in cells) - 1.0)
     lam = p.lam
     n_cut = max(
         math.ceil(10 * (i + k + 1) / (1.0 - lam)),
@@ -174,8 +220,10 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     n0 = max(0, i - k)
     terms: list[float] = []
     settled = n0 + i + k + 2  # past the oscillatory head / structural zeros
+    sums = _batch_factor_sums(p.ptr_beamsplitter())
     for n in range(n0, n_cut + 1):
-        terms.append(tms_prob(PhotonConfig(i, k, n, Device.TMS), p))
+        u, v, q = sums(i, n + k - i, n)  # tms_prob's bridge cell, reachable from n0 on
+        terms.append((1.0 - lam) * (u * v / q))
         if n >= settled:
             recent = max(terms[-3:])
             tail = recent * ratio / (1.0 - ratio)

@@ -43,8 +43,8 @@ import numpy as np
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import bs_prob_direct, bs_prob_double_sum, bs_prob_exact, tms_prob, tms_prob_exact
-from .amplitudes import bs_amplitude_convolution
+from .probabilities import _batch_factor_sums, bs_prob_double_sum, tms_prob, tms_prob_exact
+from .amplitudes import _FLOAT_MAX_TOTAL, _signed_root, bs_amplitude_convolution
 
 __all__ = [
     "ProbabilityTable",
@@ -73,9 +73,9 @@ class ProbabilityTable:
     """Triangular (beam splitter) or rectangular (squeezer) probability table.
 
     entries maps (i, k) to the row over the output count n: beam-splitter
-    rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are numpy
-    arrays in float precision (read-only shell views in recurrence tables)
-    and lists of Fractions in rational precision.
+    rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
+    read-only float64 numpy arrays in float precision (shell views in
+    recurrence tables) and lists of Fractions in rational precision.
     """
 
     device: Device
@@ -158,6 +158,12 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
     return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
+def _read_only(values) -> np.ndarray:
+    row = np.array(values, dtype=float)
+    row.flags.writeable = False
+    return row
+
+
 def _shell_pairs(imax: int, kmax: int):
     for s in range(imax + kmax + 1):
         for i in range(max(0, s - kmax), min(imax, s) + 1):
@@ -165,30 +171,36 @@ def _shell_pairs(imax: int, kmax: int):
 
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Direct-route table; float rows stay within ~1e-12 of the exact values."""
+    """Direct-route table from the exact factored sums U*V/Q, with one power
+    table per call: float rows are the exact values rounded once, bit for bit
+    those of bs_prob_direct; rational rows equal bs_prob_exact."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    eta = _param_of(p, precision)
+    _param_of(p, precision)  # rational precision needs the p/q carrier
+    sums = _batch_factor_sums(p)
     for i, k in _shell_pairs(imax, kmax):
+        cells = [sums(i, k, n) for n in range(i + k + 1)]
         if precision == "rational":
-            row = [bs_prob_exact(PhotonConfig(i, k, n), eta) for n in range(i + k + 1)]
+            t.entries[(i, k)] = [Fraction(u * v, q) for u, v, q in cells]
         else:
-            row = np.array([bs_prob_direct(PhotonConfig(i, k, n), p) for n in range(i + k + 1)])
-        t.entries[(i, k)] = row
+            t.entries[(i, k)] = _read_only([u * v / q for u, v, q in cells])
     return t
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Convolution-squared table: squared vacuum-row convolutions in float,
-    or the paired double sum (square roots combined exactly) in rational."""
+    or the paired double sum (square roots combined exactly) in rational.
+    Above total 32 the float amplitudes come from the exact factored sums,
+    with one power table per call."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
+    sums = _batch_factor_sums(p)
     for i, k in _shell_pairs(imax, kmax):
         if precision == "rational":
             row = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
+        elif i + k > _FLOAT_MAX_TOTAL:
+            row = _read_only([_signed_root(i, *sums(i, k, n)) ** 2 for n in range(i + k + 1)])
         else:
-            row = np.array(
-                [bs_amplitude_convolution(PhotonConfig(i, k, n), p) ** 2 for n in range(i + k + 1)]
-            )
+            row = _read_only([bs_amplitude_convolution(PhotonConfig(i, k, n), p) ** 2 for n in range(i + k + 1)])
         t.entries[(i, k)] = row
     return t
 
@@ -231,9 +243,7 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
             if precision == "rational":
                 row = [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), lam) for n in range(nmax + 1)]
             else:
-                row = np.array(
-                    [tms_prob(PhotonConfig(i, k, n, Device.TMS), p) for n in range(nmax + 1)]
-                )
+                row = _read_only([tms_prob(PhotonConfig(i, k, n, Device.TMS), p) for n in range(nmax + 1)])
             t.entries[(i, k)] = row
     return t
 
@@ -290,16 +300,36 @@ def _convolve_full(a, b):
     return out
 
 
+def _lifted(row: list) -> tuple[int, list]:
+    """(D, [D*x for x in row]) as Python ints, D the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in row))
+    return d, [x.numerator * (d // x.denominator) for x in row]
+
+
 def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
-    """The j-indexed convolution combination as a full row over n = 0..i+k."""
-    zero = table.zero
-    out = [zero] * (i + k + 1)
-    for l in range(max(0, j - i), min(j, k) + 1):
-        a = table.row(j - l, l)
-        b = table.row(i - j + l, k - l)
-        for n, v in enumerate(_convolve_full(list(a), list(b))):
-            out[n] += v
-    return out
+    """The j-indexed convolution combination as a full row over n = 0..i+k.
+
+    Rational rows are convolved as integers: each row is lifted to the lcm of
+    its denominators, each product to the common multiple of all products, and
+    one Fraction is formed per output entry."""
+    pairs = [(table.row(j - l, l), table.row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
+    if table.precision != "rational":
+        out = [table.zero] * (i + k + 1)
+        for a, b in pairs:
+            for n, v in enumerate(_convolve_full(list(a), list(b))):
+                out[n] += v
+        return out
+    products = []
+    for a, b in pairs:
+        (da, ia), (db, ib) = _lifted(a), _lifted(b)
+        products.append((da * db, _convolve_full(ia, ib)))
+    den = math.lcm(*(d for d, _ in products))
+    out = [0] * (i + k + 1)
+    for d, conv in products:
+        scale = den // d
+        for n, v in enumerate(conv):
+            out[n] += v * scale
+    return [Fraction(v, den) for v in out]
 
 
 def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):

@@ -13,6 +13,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from fockmix.params import BeamSplitterParam, Device, PhotonConfig
+from fockmix.probabilities import _TAIL_TOLERANCE, bs_prob_direct, tms_prob
+
 
 def two_mode_unitary(dim: int, theta: float | None = None, r: float | None = None) -> np.ndarray:
     """exp(theta (a+b - a b+)) or exp(r (a+b+ - a b)) on a dim^2 Fock space."""
@@ -119,3 +122,36 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
             np.clip(arr, 0.0, 1.0, out=arr)
             rows[(i, k)] = arr
     return rows
+
+
+def bs_tilde_row_reference(i: int, k: int, j: int, table) -> list:
+    """The convolution combination formed in the table's own number type
+    (Fractions or floats): one convolution per l, added into the output row,
+    in the operation order the library's float rows must keep bit for bit."""
+    out = [table.zero] * (i + k + 1)
+    for l in range(max(0, j - i), min(j, k) + 1):
+        a, b = list(table.row(j - l, l)), list(table.row(i - j + l, k - l))
+        conv = [0 * (a[0] + b[0])] * (len(a) + len(b) - 1)
+        for s, x in enumerate(a):
+            for u, y in enumerate(b):
+                conv[s + u] += x * y
+        for n, v in enumerate(conv):
+            out[n] += v
+    return out
+
+
+def normalization_residual_per_cell(i: int, k: int, p) -> float:
+    """normalization_residual summed one bs_prob_direct or tms_prob call per
+    n, with the library's cutoff and geometric tail rule."""
+    if isinstance(p, BeamSplitterParam):
+        return abs(math.fsum(bs_prob_direct(PhotonConfig(i, k, n), p) for n in range(i + k + 1)) - 1.0)
+    lam = p.lam
+    n_cut = max(math.ceil(10 * (i + k + 1) / (1.0 - lam)), math.ceil(60 / (1.0 - lam)) + i + k)
+    ratio = 0.5 * (1.0 + lam)
+    n0 = max(0, i - k)
+    terms = []
+    for n in range(n0, n_cut + 1):
+        terms.append(tms_prob(PhotonConfig(i, k, n, Device.TMS), p))
+        if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
+            return abs(math.fsum(terms) - 1.0)
+    raise AssertionError("the reference scan did not settle")

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fockmix.probabilities as probabilities
+from fockmix.amplitudes import bs_amplitude_convolution
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import (
@@ -15,7 +17,8 @@ from fockmix.probabilities import (
     tms_prob,
     tms_prob_exact,
 )
-from fock_oracle import prob_double_sum_literal
+from fockmix.recurrences import bs_table_convolution, bs_table_direct
+from fock_oracle import normalization_residual_per_cell, prob_double_sum_literal
 
 
 def test_exact_engine_against_literal_double_sum():
@@ -85,13 +88,14 @@ def _cells_to_total_300(draw):
     return PhotonConfig(i, total - i, draw(st.integers(0, total)))
 
 
+_RATIOS = st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}"))
+_DECIMALS = st.integers(0, 10**6).map(lambda d: str(d / 10**6))
+_EDGES = st.sampled_from([1e-12, 1 - 1e-12, "1/1000000000000", "999999999999/1000000000000"])
 # p/q literals, decimal literals, any float, and transmittances near 0 and 1.
-_TRANSMITTANCES = st.one_of(
-    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}")),
-    st.integers(0, 10**6).map(lambda d: str(d / 10**6)),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.sampled_from([1e-12, 1 - 1e-12, "1/1000000000000", "999999999999/1000000000000"]),
-)
+_TRANSMITTANCES = st.one_of(_RATIOS, _DECIMALS, st.floats(min_value=0.0, max_value=1.0), _EDGES)
+# The same without arbitrary floats, whose denominators reach 2**1074: table
+# sized batches stay fast.
+_LITERALS = st.one_of(_RATIOS, _DECIMALS, _EDGES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,6 +104,48 @@ def test_direct_route_is_the_exact_probability_rounded_once(c, eta):
     p = BeamSplitterParam.from_value(eta)
     exact = p.eta_exact if p.eta_exact is not None else Fraction(p.eta)
     assert bs_prob_direct(c, p) == float(bs_prob_exact(c, exact))
+
+
+# Batch callers share one power table per call; every value they return must
+# equal the single-cell route's bit for bit.
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 12), _LITERALS)
+def test_direct_table_rows_are_the_single_cell_values(imax, kmax, eta):
+    p = BeamSplitterParam.from_value(eta)
+    table = bs_table_direct(imax, kmax, p)
+    rational = bs_table_direct(imax, kmax, p, "rational") if p.eta_exact is not None else None
+    for (i, k), row in table.entries.items():
+        cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
+        assert row.tobytes() == np.array([bs_prob_direct(c, p) for c in cells]).tobytes()
+        if rational is not None:
+            assert rational.row(i, k) == [bs_prob_exact(c, p.eta_exact) for c in cells]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(33, 50), st.integers(0, 3), st.booleans(), _LITERALS)
+def test_convolution_table_rows_above_total_32_are_the_single_cell_values(top, thin, swap, eta):
+    p = BeamSplitterParam.from_value(eta)
+    imax, kmax = (thin, top - thin) if swap else (top - thin, thin)
+    for (i, k), row in bs_table_convolution(imax, kmax, p).entries.items():
+        cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
+        assert row.tobytes() == np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells]).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 20), st.integers(0, 20), _LITERALS)
+def test_bs_normalization_row_is_the_per_cell_sum(i, k, eta):
+    p = BeamSplitterParam.from_value(eta)
+    assert normalization_residual(i, k, p) == normalization_residual_per_cell(i, k, p)
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.5, "2/5"])
+def test_tms_normalization_scan_is_the_per_cell_sum(lam):
+    sp = SqueezerParam.from_value(lam)
+    for i in range(5):
+        for k in range(5):
+            assert normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp)
 
 
 def test_square_of_amplitude_invariant():

@@ -1,20 +1,23 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fock_oracle import bs_rows_rowwise, tms_rows_rowwise
+from fock_oracle import bs_rows_rowwise, bs_tilde_row_reference, tms_rows_rowwise
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import bs_prob_exact, tms_prob, tms_prob_exact
 from fockmix.recurrences import (
     ClassicalTable,
+    ProbabilityTable,
     bs_recurrence_check,
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
     bs_tilde,
+    bs_tilde_row,
     c_coeff,
     classical_gf,
     classical_prob,
@@ -310,10 +313,51 @@ def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
 
 
 def test_float_table_rows_are_read_only():
-    for table in (bs_table_recurrence(4, 4, BeamSplitterParam(0.3)),
-                  tms_table_recurrence(4, 4, 6, SqueezerParam(0.3))):
+    bp, sp = BeamSplitterParam(0.3), SqueezerParam(0.3)
+    for table in (bs_table_recurrence(4, 4, bp), bs_table_direct(4, 4, bp), bs_table_convolution(4, 4, bp),
+                  tms_table_recurrence(4, 4, 6, sp), tms_table_direct(4, 4, 6, sp)):
         with pytest.raises(ValueError):
             table.row(3, 2)[0] = 0.5
+
+
+# Rational tilde rows are integer convolutions; the Fraction convolution is the reference.
+
+
+@pytest.mark.parametrize("eta", ["0/1", "1/4", "1/3", "1/2", "1/1"])
+def test_rational_tilde_rows_equal_fraction_convolutions(eta):
+    p = BeamSplitterParam.from_value(eta)
+    direct = bs_table_direct(8, 8, p, "rational")
+    recurrence = bs_table_recurrence(8, 8, p, "rational")
+    assert recurrence.entries == direct.entries  # so one reference row serves both
+    for i in range(9):
+        for k in range(9):
+            for j in range(i + k + 1):
+                want = bs_tilde_row_reference(i, k, j, direct)
+                for table in (direct, recurrence):
+                    got = bs_tilde_row(i, k, j, table)
+                    assert got == want and all(type(v) is Fraction for v in got)
+
+
+def test_rational_tilde_rows_without_a_shared_denominator():
+    rng = random.Random(2024)
+    entries = {
+        (i, k): [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 10, 12, 35])) for _ in range(i + k + 1)]
+        for i in range(4)
+        for k in range(4)
+    }
+    table = ProbabilityTable(Device.BS, THIRD, "direct", "rational", 3, 3, entries=entries)
+    for (i, k) in entries:
+        for j in range(i + k + 1):
+            assert bs_tilde_row(i, k, j, table) == bs_tilde_row_reference(i, k, j, table)
+
+
+def test_float_tilde_rows_keep_their_operation_order():
+    table = bs_table_direct(6, 6, BeamSplitterParam(0.7))
+    for i in range(7):
+        for k in range(7):
+            for j in range(i + k + 1):
+                got, want = bs_tilde_row(i, k, j, table), bs_tilde_row_reference(i, k, j, table)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_bs_fill_past_the_float_range_of_binomials():
