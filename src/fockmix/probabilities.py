@@ -10,12 +10,15 @@ single sums over a common power-of-the-denominator scale.
 The float route is the same exact sum rounded once: U*V / den**(i+k) is a
 quotient of two integers, which Python rounds correctly, so no cancellation
 error bound or fallback is needed at any total. A float-only transmittance is
-taken at its exact binary value. A call that evaluates many cells at one
-transmittance (a direct table, the exact cells of a convolution table, a
-normalization row or scan) builds one table of the powers of num, den-num
-and den and shares it across its cells; a single cell builds only the
-exponent ranges its two sums use. Squeezer probabilities go through partial
-time reversal: A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
+taken at its exact binary value. A single cell builds only the exponent
+ranges its two sums use. A whole table (the direct table, the exact cells of
+a convolution table) reads the sums of every cell of total N off one shell of
+integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) for a = 0..N and
+r = den - num, each shell the one below times a linear factor, with no
+binomial and no power table. A normalization row or scan runs the single-cell
+sums on one table of the powers of num, den-num and den, shared across its
+cells. Squeezer probabilities go through partial time reversal:
+A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
 """
 
 from __future__ import annotations
@@ -112,6 +115,46 @@ def _batch_factor_sums(p: BeamSplitterParam):
         return u, v, powers(den, i + k, i + k)[0]
 
     return sums
+
+
+def _times_linear(coeffs: list[int], c: int) -> list[int]:
+    """Coefficients of coeffs(x) * (1 + c*x), the top one kept even when 0."""
+    return [coeffs[0], *[a + c * b for a, b in zip(coeffs[1:], coeffs)], c * coeffs[-1]]
+
+
+def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0):
+    """Yield (i, k, cells, Q) in shell order for every table row with
+    i <= imax, k <= kmax and i+k >= smin, where cells lists the pairs (U, V)
+    of ``_exact_factor_sums`` over n = 0..i+k and Q = den**(i+k).
+
+    Shell s holds the s+1 polynomials M_s[a] = (1 - num*x)**a (1 + r*x)**(s-a)
+    for eta = num/den and r = den - num, each as its s+1 coefficients. The
+    two sums of cell (i, k, n), s = i+k, are U = M_s[i][n] and
+    V = num**(k-n) * M_s[n][i]. For n > k, M_s[n][i] is an exact multiple of
+    num**(n-k); at num = 0 those cells have U = 0, so their V is left at 0.
+    Shell s is shell s-1 with every polynomial times (1 + r*x), plus the last
+    one times (1 - num*x) as the new top polynomial: no binomial and no power
+    table. Shells below smin are built but yield nothing.
+    """
+    num, den = _exact_ratio(p)
+    r = den - num
+    shell, q, num_pows = [[1]], 1, [1]  # shell 0, den**0, [num**0]
+    for s in range(imax + kmax + 1):
+        if s:
+            shell = [_times_linear(row, r) for row in shell] + [_times_linear(shell[-1], -num)]
+            q *= den
+            num_pows.append(num_pows[-1] * num)
+        if s < smin:
+            continue
+        for i in range(max(0, s - kmax), min(imax, s) + 1):
+            k = s - i
+            column = [row[i] for row in shell]  # M_s[n][i] over n
+            vs = [m * num_pows[k - n] for n, m in enumerate(column[: k + 1])]
+            if num:
+                vs += [m // num_pows[n - k] for n, m in enumerate(column[k + 1 :], k + 1)]
+            else:
+                vs += [0] * (s - k)
+            yield i, k, list(zip(shell[i], vs)), q
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _batch_factor_sums, bs_prob_double_sum, tms_prob, tms_prob_exact
+from .probabilities import _shell_factor_rows, bs_prob_double_sum, tms_prob, tms_prob_exact
 from .amplitudes import _FLOAT_MAX_TOTAL, _signed_root, bs_amplitude_convolution
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "bs_tilde_row",
     "bs_recurrence_check",
     "tms_tilde",
+    "tms_tilde_row",
     "tms_recurrence_check",
     "c_coeff",
     "classical_prob",
@@ -171,37 +172,38 @@ def _shell_pairs(imax: int, kmax: int):
 
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Direct-route table from the exact factored sums U*V/Q, with one power
-    table per call: float rows are the exact values rounded once, bit for bit
-    those of bs_prob_direct; rational rows equal bs_prob_exact."""
+    """Direct-route table from the exact factored sums U*V/Q, read off one
+    shell of integer polynomials per total photon number: float rows are the
+    exact values rounded once, bit for bit those of bs_prob_direct; rational
+    rows equal bs_prob_exact."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
     _param_of(p, precision)  # rational precision needs the p/q carrier
-    sums = _batch_factor_sums(p)
-    for i, k in _shell_pairs(imax, kmax):
-        cells = [sums(i, k, n) for n in range(i + k + 1)]
+    for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
         if precision == "rational":
-            t.entries[(i, k)] = [Fraction(u * v, q) for u, v, q in cells]
+            t.entries[(i, k)] = [Fraction(u * v, q) for u, v in cells]
         else:
-            t.entries[(i, k)] = _read_only([u * v / q for u, v, q in cells])
+            t.entries[(i, k)] = _read_only([u * v / q for u, v in cells])
     return t
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Convolution-squared table: squared vacuum-row convolutions in float,
     or the paired double sum (square roots combined exactly) in rational.
-    Above total 32 the float amplitudes come from the exact factored sums,
-    with one power table per call."""
+    Above total 32 the float amplitudes are the signed roots of the exact
+    factored sums, read off the shells of bs_table_direct."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
-    sums = _batch_factor_sums(p)
     for i, k in _shell_pairs(imax, kmax):
         if precision == "rational":
             row = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
         elif i + k > _FLOAT_MAX_TOTAL:
-            row = _read_only([_signed_root(i, *sums(i, k, n)) ** 2 for n in range(i + k + 1)])
+            break  # shell order: every later row is above total 32 too
         else:
             row = _read_only([bs_amplitude_convolution(PhotonConfig(i, k, n), p) ** 2 for n in range(i + k + 1)])
         t.entries[(i, k)] = row
+    if precision == "float":
+        for i, k, cells, q in _shell_factor_rows(p, imax, kmax, _FLOAT_MAX_TOTAL + 1):
+            t.entries[(i, k)] = _read_only([_signed_root(i, u, v, q) ** 2 for u, v in cells])
     return t
 
 
@@ -306,30 +308,52 @@ def _lifted(row: list) -> tuple[int, list]:
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
+def _lifted_sum(terms, length: int) -> tuple[int, list]:
+    """(D, ints) with ints[n] / D = the sum of c * row[n - shift] over the
+    terms (c, shift, row) of Fractions, for n < length.
+
+    Each row is lifted to the lcm of its denominators once, however many terms
+    share it, and each product to the common multiple D of all of them; the
+    sum runs on integers and no gcd is taken."""
+    lifted, parts = {}, []
+    for c, shift, row in terms:
+        if c:
+            if id(row) not in lifted:
+                lifted[id(row)] = _lifted(row)
+            d, ints = lifted[id(row)]
+            parts.append((c.denominator * d, c.numerator, shift, ints))
+    den = math.lcm(*(d for d, *_ in parts))
+    out = [0] * length
+    for d, c, shift, ints in parts:
+        c *= den // d
+        for n, v in enumerate(ints[: length - shift], shift):
+            out[n] += c * v
+    return den, out
+
+
+def _bs_tilde_pairs(i: int, k: int, j: int, table: ProbabilityTable) -> list:
+    return [(table.row(j - l, l), table.row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
+
+
+def _bs_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable) -> tuple[int, list]:
+    """bs_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
+    terms = ((c, t, b) for a, b in _bs_tilde_pairs(i, k, j, table) for t, c in enumerate(a))
+    return _lifted_sum(terms, i + k + 1)
+
+
 def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     """The j-indexed convolution combination as a full row over n = 0..i+k.
 
-    Rational rows are convolved as integers: each row is lifted to the lcm of
-    its denominators, each product to the common multiple of all products, and
-    one Fraction is formed per output entry."""
-    pairs = [(table.row(j - l, l), table.row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
-    if table.precision != "rational":
-        out = [table.zero] * (i + k + 1)
-        for a, b in pairs:
-            for n, v in enumerate(_convolve_full(list(a), list(b))):
-                out[n] += v
-        return out
-    products = []
-    for a, b in pairs:
-        (da, ia), (db, ib) = _lifted(a), _lifted(b)
-        products.append((da * db, _convolve_full(ia, ib)))
-    den = math.lcm(*(d for d, _ in products))
-    out = [0] * (i + k + 1)
-    for d, conv in products:
-        scale = den // d
-        for n, v in enumerate(conv):
-            out[n] += v * scale
-    return [Fraction(v, den) for v in out]
+    Rational rows are convolved as integers at a common denominator, with one
+    Fraction formed per output entry."""
+    if table.precision == "rational":
+        den, out = _bs_tilde_lifted(i, k, j, table)
+        return [Fraction(v, den) for v in out]
+    out = [table.zero] * (i + k + 1)
+    for a, b in _bs_tilde_pairs(i, k, j, table):
+        for n, v in enumerate(_convolve_full(list(a), list(b))):
+            out[n] += v
+    return out
 
 
 def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):
@@ -350,15 +374,40 @@ def bs_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable)
     return abs(lhs - rhs)
 
 
+def _tms_tilde_terms(i: int, k: int, j: int, table: ProbabilityTable):
+    """(A(m, j-l -> l), l, row (i-m, k-j+l)) over l, then m: entry n of the
+    squeezer combination sums the first times the row at n - l."""
+    for l in range(max(0, j - k), min(j, table.nmax) + 1):
+        for m in range(i + 1):
+            yield table.row(m, j - l)[l], l, table.row(i - m, k - j + l)
+
+
+def _tms_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable) -> tuple[int, list]:
+    """tms_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
+    return _lifted_sum(_tms_tilde_terms(i, k, j, table), table.nmax + 1)
+
+
+def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
+    """Squeezer analog of bs_tilde_row, over n = 0..nmax; the convolution acts
+    on the input index i, and entries with j > n+k are 0. Float entries are
+    summed over l, then m, as tms_tilde always has."""
+    if table.precision == "rational":
+        den, out = _tms_tilde_lifted(i, k, j, table)
+        return [Fraction(v, den) for v in out]
+    out = [table.zero] * (table.nmax + 1)
+    for c, shift, row in _tms_tilde_terms(i, k, j, table):
+        for n in range(shift, len(out)):
+            out[n] += c * row[n - shift]
+    return out
+
+
 def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
-    """Squeezer analog; the convolution acts on the input index i."""
+    """Single value of the squeezer combination; 0 outside its support."""
     if min(i, k, n) < 0 or j < 0 or j > n + k:
         return table.zero
-    total = table.zero
-    for l in range(max(0, j - k), min(j, n) + 1):
-        for m in range(i + 1):
-            total += table.value(m, j - l, l) * table.value(i - m, k - j + l, n - l)
-    return total
+    if n > table.nmax:
+        raise TableCoverageError(f"squeezer table holds n <= {table.nmax}, asked for n={n}")
+    return tms_tilde_row(i, k, j, table)[n]
 
 
 def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -413,6 +462,19 @@ class ClassicalTable:
         row = self.row(i, k)
         return row[n] if n < len(row) else 0 * self._eta
 
+    def recurrence_residual(self, i: int, k: int, n: int, j: int):
+        """classical_recurrence_check at (i, k, n, j) on this table's rows."""
+        c = c_coeff(i, k, j)  # validates j
+        total = self.prob(i, k, n) * 0
+        for l in range(max(0, j - i), min(j, k) + 1):
+            a = self.row(j - l, l)
+            b = self.row(i - j + l, k - l)
+            lo = max(0, n - (len(b) - 1))
+            hi = min(n, len(a) - 1)
+            for t in range(lo, hi + 1):
+                total += a[t] * b[n - t]
+        return abs(self.prob(i, k, n) - total / c)
+
 
 def classical_prob(i: int, k: int, n: int, p: BeamSplitterParam, precision: str = "float"):
     """p(n | i, k): convolution of the two binomial rows."""
@@ -431,14 +493,4 @@ def classical_gf(x: float, y: float, z: float, p: BeamSplitterParam) -> float:
 def classical_recurrence_check(i: int, k: int, n: int, j: int, p: BeamSplitterParam, precision: str = "float"):
     """Residual of the classical general-j relation with its 1/c(i,k,j)
     normalization; the interference term of the quantum form is absent."""
-    c = c_coeff(i, k, j)  # validates j
-    table = ClassicalTable(p, precision)
-    total = table.prob(i, k, n) * 0
-    for l in range(max(0, j - i), min(j, k) + 1):
-        a = table.row(j - l, l)
-        b = table.row(i - j + l, k - l)
-        lo = max(0, n - (len(b) - 1))
-        hi = min(n, len(a) - 1)
-        for t in range(lo, hi + 1):
-            total += a[t] * b[n - t]
-    return abs(table.prob(i, k, n) - total / c)
+    return ClassicalTable(p, precision).recurrence_residual(i, k, n, j)

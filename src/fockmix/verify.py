@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import ConvergenceError
 from .asymptotics import bs_diag_asymptotic, convergence_report
@@ -41,13 +42,14 @@ from .probabilities import (
 )
 from .recurrences import (
     ClassicalTable,
+    _bs_tilde_lifted,
+    _lifted,
+    _tms_tilde_lifted,
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
     bs_tilde_row,
     c_coeff,
-    classical_recurrence_check,
-    tms_recurrence_check,
     tms_table_direct,
     tms_table_recurrence,
 )
@@ -184,37 +186,50 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
     res.check(r <= 1e-12, "tms row (0,0)", "lam=0.5", "geometric sum 1", f"residual {r:.3e}", 1e-12)
 
 
+def _tilde_rows(build, table):
+    """A function (i, k, j) -> the lifted row build(i, k, j, table), built once
+    per key; rows with a negative index are empty."""
+    cache: dict[tuple[int, int, int], tuple[int, list]] = {}
+
+    def tilde(i: int, k: int, j: int) -> tuple[int, list]:
+        if min(i, k, j) < 0:
+            return 1, []
+        key = (i, k, j)
+        if key not in cache:
+            cache[key] = build(i, k, j, table)
+        return cache[key]
+
+    return tilde
+
+
+def _residual_row(lhs: tuple[int, list], cur: tuple[int, list], prev: tuple[int, list]) -> tuple[int, list]:
+    """(D, [D * (lhs[n] - cur[n] + prev[n-1])]) over the n of lhs, for rows
+    lifted to (denominator, ints); prev[n-1] is 0 at n = 0 and past its end.
+    The three rows are cross-multiplied to one denominator, so an exact
+    identity check is an integer compare with no gcd."""
+    (dl, il), (dc, ic), (dp, ip) = lhs, cur, prev
+    den = math.lcm(dl, dc, dp)
+    sl, sc, sp = den // dl, den // dc, den // dp
+    return den, [a * sl - b * sc + c * sp for a, b, c in zip(il, ic, chain([0], ip, repeat(0)))]
+
+
 def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
     for eta in eta_values:
         p = BeamSplitterParam.from_value(eta)
         table = bs_table_direct(imax, imax, p, "rational")
-        cache: dict[tuple[int, int, int], list] = {}
-
-        def tilde(i: int, k: int, j: int) -> list:
-            if min(i, k) < 0 or j < 0 or j > i + k:
-                return []
-            key = (i, k, j)
-            if key not in cache:
-                cache[key] = bs_tilde_row(i, k, j, table)
-            return cache[key]
-
+        tilde = _tilde_rows(_bs_tilde_lifted, table)
         for i in range(imax + 1):
             for k in range(imax + 1):
-                row = table.row(i, k)
+                row = _lifted(table.row(i, k))
                 for j in range(i + k + 1):
-                    cur = tilde(i, k, j)
-                    prev = tilde(i - 1, k - 1, j - 1)
-                    for n in range(i + k + 1):
-                        rhs = cur[n]
-                        if prev and 1 <= n and n - 1 < len(prev):
-                            rhs -= prev[n - 1]
-                        residual = row[n] - rhs
+                    den, diffs = _residual_row(row, tilde(i, k, j), tilde(i - 1, k - 1, j - 1))
+                    for n, d in enumerate(diffs):
                         res.check(
-                            residual == 0,
+                            d == 0,
                             f"(i={i},k={k},n={n},j={j})",
                             f"eta={eta}",
                             "residual 0 (exact)",
-                            residual,
+                            Fraction(d, den) if d else 0,
                             "exact",
                         )
 
@@ -291,17 +306,22 @@ def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
     for lam in lams:
         sp = SqueezerParam.from_value(lam)
         table = tms_table_direct(nmax, 2 * nmax, nmax, sp, "rational")
+        tilde = _tilde_rows(_tms_tilde_lifted, table)
+        p, q = sp.lam_exact.as_integer_ratio()
         for i in range(nmax + 1):
             for k in range(nmax + 1):
+                d, ints = _lifted(table.row(i, k))
+                lhs = (q * d, [(q - p) * v for v in ints])  # (1-lam) A(i,k->n) over n
+                by_j = [_residual_row(lhs, tilde(i, k, j), tilde(i - 1, k - 1, j - 1)) for j in range(nmax + k + 1)]
                 for n in range(nmax + 1):
                     for j in range(n + k + 1):
-                        residual = tms_recurrence_check(i, k, n, j, table)
+                        den, diffs = by_j[j]
                         res.check(
-                            residual == 0,
+                            diffs[n] == 0,
                             f"(i={i},k={k},n={n},j={j})",
                             f"lam={lam}",
                             "residual 0 (exact)",
-                            residual,
+                            Fraction(diffs[n], den) if diffs[n] else 0,
                             "exact",
                         )
 
@@ -467,11 +487,12 @@ def _suite_genfun_series(res: VerificationResult, scale: str) -> None:
 def _suite_classical(res: VerificationResult, scale: str) -> None:
     kmax = 12 if scale == "full" else 6
     p = BeamSplitterParam(0.6)
+    ctf = ClassicalTable(p)
     worst = 0.0
     for i in range(1, kmax + 1):
         for k in range(1, kmax + 1):
             for n in range(i + k + 1):
-                worst = max(worst, classical_recurrence_check(i, k, n, 1, p))
+                worst = max(worst, ctf.recurrence_residual(i, k, n, 1))
     res.check(worst <= 1e-12, f"j=1 half-sum i,k<={kmax}", "eta=0.6", "<=1e-12", worst, 1e-12)
 
     jmax = 8 if scale == "full" else 5
@@ -480,7 +501,7 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
         for k in range(jmax + 1):
             for j in range(i + k + 1):
                 for n in range(i + k + 1):
-                    worst = max(worst, classical_recurrence_check(i, k, n, j, p))
+                    worst = max(worst, ctf.recurrence_residual(i, k, n, j))
     res.check(worst <= 1e-12, f"general-j i,k<={jmax}", "eta=0.6", "<=1e-12", worst, 1e-12)
 
     half = BeamSplitterParam.from_value("1/2")
@@ -493,7 +514,6 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
 
     # dropping the interference term and halving reproduces the classical row
     eta = p.eta
-    ctf = ClassicalTable(p)
     worst = 0.0
     for i in range(1, 9):
         for k in range(1, 9):

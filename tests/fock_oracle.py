@@ -15,6 +15,7 @@ from scipy.linalg import expm
 
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig
 from fockmix.probabilities import _TAIL_TOLERANCE, bs_prob_direct, tms_prob
+from fockmix.recurrences import ClassicalTable, c_coeff
 
 
 def two_mode_unitary(dim: int, theta: float | None = None, r: float | None = None) -> np.ndarray:
@@ -138,6 +139,30 @@ def bs_tilde_row_reference(i: int, k: int, j: int, table) -> list:
         for n, v in enumerate(conv):
             out[n] += v
     return out
+
+
+def tms_tilde_reference(i: int, k: int, n: int, j: int, table):
+    """The squeezer combination one value at a time, summed over l, then m,
+    through table.value in the table's own number type."""
+    if min(i, k, n) < 0 or j < 0 or j > n + k:
+        return table.zero
+    total = table.zero
+    for l in range(max(0, j - k), min(j, n) + 1):
+        for m in range(i + 1):
+            total += table.value(m, j - l, l) * table.value(i - m, k - j + l, n - l)
+    return total
+
+
+def classical_recurrence_per_call(i: int, k: int, n: int, j: int, p, precision: str = "float"):
+    """The classical general-j residual with a fresh ClassicalTable per call."""
+    table = ClassicalTable(p, precision)
+    total = table.prob(i, k, n) * 0
+    for l in range(max(0, j - i), min(j, k) + 1):
+        a = table.row(j - l, l)
+        b = table.row(i - j + l, k - l)
+        for t in range(max(0, n - (len(b) - 1)), min(n, len(a) - 1) + 1):
+            total += a[t] * b[n - t]
+    return abs(table.prob(i, k, n) - total / c_coeff(i, k, j))
 
 
 def normalization_residual_per_cell(i: int, k: int, p) -> float:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fockmix.probabilities as probabilities
 from fockmix.amplitudes import bs_amplitude_convolution
@@ -106,12 +106,21 @@ def test_direct_route_is_the_exact_probability_rounded_once(c, eta):
     assert bs_prob_direct(c, p) == float(bs_prob_exact(c, exact))
 
 
-# Batch callers share one power table per call; every value they return must
-# equal the single-cell route's bit for bit.
+# Tables read their cells off integer-polynomial shells and normalization
+# scans share one power table; every value they return must equal the
+# single-cell route's bit for bit. The edge examples pin eta = 0 and 1, where
+# the shells' division by num**(n-k) is singular or trivial; the strategies
+# draw them only by chance.
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 12), st.integers(0, 12), _LITERALS)
+@example(12, 9, "0/1")
+@example(12, 9, "1/1")
+@example(12, 9, "0")
+@example(12, 9, "1")
+@example(12, 9, "1/1000000000000")
+@example(40, 3, "2/7")  # rational rows past total 32
 def test_direct_table_rows_are_the_single_cell_values(imax, kmax, eta):
     p = BeamSplitterParam.from_value(eta)
     table = bs_table_direct(imax, kmax, p)
@@ -125,6 +134,11 @@ def test_direct_table_rows_are_the_single_cell_values(imax, kmax, eta):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(33, 50), st.integers(0, 3), st.booleans(), _LITERALS)
+@example(40, 3, False, "0/1")
+@example(40, 3, True, "1/1")
+@example(40, 3, False, "0")
+@example(40, 3, True, "1")
+@example(40, 3, True, "1/1000000000000")
 def test_convolution_table_rows_above_total_32_are_the_single_cell_values(top, thin, swap, eta):
     p = BeamSplitterParam.from_value(eta)
     imax, kmax = (thin, top - thin) if swap else (top - thin, thin)

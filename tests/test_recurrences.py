@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from fock_oracle import bs_rows_rowwise, bs_tilde_row_reference, tms_rows_rowwise
+from fock_oracle import (
+    bs_rows_rowwise,
+    bs_tilde_row_reference,
+    classical_recurrence_per_call,
+    tms_rows_rowwise,
+    tms_tilde_reference,
+)
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import bs_prob_exact, tms_prob, tms_prob_exact
@@ -26,6 +33,7 @@ from fockmix.recurrences import (
     tms_table_direct,
     tms_table_recurrence,
     tms_tilde,
+    tms_tilde_row,
 )
 
 
@@ -360,6 +368,23 @@ def test_float_tilde_rows_keep_their_operation_order():
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+# README's accuracy contract for float recurrence tables: within 2e-13 of the
+# exactly rounded values (the float direct table) at totals up to 200. The
+# worst literal measured, 1/941, reaches 6.8e-14 on the square shape.
+_SHORT_RATIOS = st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}"))
+
+
+@pytest.mark.parametrize("imax, kmax", [(200, 4), (4, 200), (60, 60)])
+@settings(max_examples=2, deadline=None)  # an exact build takes 0.3-1.1 s
+@given(eta=_SHORT_RATIOS)
+@example(eta="1/941")
+def test_float_bs_recurrence_rows_meet_the_absolute_bound(imax, kmax, eta):
+    p = BeamSplitterParam.from_value(eta)
+    exact = bs_table_direct(imax, kmax, p)
+    rows = bs_table_recurrence(imax, kmax, p).entries
+    assert max(np.max(np.abs(rows[key] - row)) for key, row in exact.entries.items()) <= 2e-13
+
+
 def test_bs_fill_past_the_float_range_of_binomials():
     # C(1030, 515) is the first binomial above the float range.
     table = bs_table_recurrence(1100, 0, BeamSplitterParam(0.5))
@@ -374,3 +399,46 @@ def test_tms_fill_past_the_float_range_of_binomials():
         for n in (0, 1):
             exact = tms_prob_exact(PhotonConfig(i, 1030, n, Device.TMS), Fraction(1, 2))
             assert abs(table.value(i, 1030, n) - exact) <= 1e-14
+
+
+# Squeezer tilde rows against the per-value sum, and the classical residual
+# on one shared table against a fresh table per call.
+
+
+@pytest.mark.parametrize("lam", ["0/1", "1/4", "1/2", "3/4"])
+def test_rational_tms_tilde_rows_equal_the_per_value_sums(lam):
+    sp = SqueezerParam.from_value(lam)
+    direct = tms_table_direct(5, 10, 5, sp, "rational")
+    recurrence = tms_table_recurrence(5, 10, 5, sp, "rational")
+    assert recurrence.entries == direct.entries  # so one reference value serves both
+    for i in range(6):
+        for k in range(6):
+            for j in range(5 + k + 2):  # past n+k for every n
+                want = [tms_tilde_reference(i, k, n, j, direct) for n in range(6)]
+                for table in (direct, recurrence):
+                    got = tms_tilde_row(i, k, j, table)
+                    assert got == want and all(type(v) is Fraction for v in got)
+
+
+def test_float_tms_tilde_rows_keep_their_operation_order():
+    table = tms_table_direct(4, 8, 5, SqueezerParam(0.3))
+    for i in range(5):
+        for k in range(5):
+            for j in range(5 + k + 1):
+                got = tms_tilde_row(i, k, j, table)
+                want = [tms_tilde_reference(i, k, n, j, table) for n in range(6)]
+                assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_classical_residual_on_a_shared_table_is_the_per_call_value():
+    p = BeamSplitterParam(0.6)
+    table = ClassicalTable(p)
+    for i in range(1, 13):
+        for k in range(1, 13):
+            for n in range(i + k + 1):
+                assert table.recurrence_residual(i, k, n, 1) == classical_recurrence_per_call(i, k, n, 1, p)
+    for i in range(9):
+        for k in range(9):
+            for j in range(i + k + 1):
+                for n in range(i + k + 1):
+                    assert table.recurrence_residual(i, k, n, j) == classical_recurrence_per_call(i, k, n, j, p)
