@@ -13,9 +13,10 @@ error bound or fallback is needed at any total. A float-only transmittance is
 taken at its exact binary value. A single cell builds only the exponent
 ranges its two sums use. A whole table (the direct table, the exact cells of
 a convolution table) reads the sums of every cell of total N off one shell of
-integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) for a = 0..N and
-r = den - num, each shell the one below times a linear factor, with no
-binomial and no power table. A normalization row or scan runs the single-cell
+integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
+(x - 1)**a (r + num*x)**(N-a) for r = den - num, each shell the one below
+times linear factors and cut to the rows the table holds, with no binomial,
+power table or division. A normalization row or scan runs the single-cell
 sums on one table of the powers of num, den-num and den, shared across its
 cells. Squeezer probabilities go through partial time reversal:
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
@@ -127,34 +128,40 @@ def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0
     i <= imax, k <= kmax and i+k >= smin, where cells lists the pairs (U, V)
     of ``_exact_factor_sums`` over n = 0..i+k and Q = den**(i+k).
 
-    Shell s holds the s+1 polynomials M_s[a] = (1 - num*x)**a (1 + r*x)**(s-a)
-    for eta = num/den and r = den - num, each as its s+1 coefficients. The
-    two sums of cell (i, k, n), s = i+k, are U = M_s[i][n] and
-    V = num**(k-n) * M_s[n][i]. For n > k, M_s[n][i] is an exact multiple of
-    num**(n-k); at num = 0 those cells have U = 0, so their V is left at 0.
-    Shell s is shell s-1 with every polynomial times (1 + r*x), plus the last
-    one times (1 - num*x) as the new top polynomial: no binomial and no power
-    table. Shells below smin are built but yield nothing.
+    For eta = num/den and r = den - num, shell s is two families of s+1
+    integer polynomials, M_s[a] = (1 - num*x)**a (1 + r*x)**(s-a) and
+    L_s[a] = (x - 1)**a (r + num*x)**(s-a). The two sums of cell (i, k, n),
+    s = i+k, are coefficients: U = M_s[i][n] and V = L_s[n][k]. Each family
+    of shell s is its family of shell s-1 times one linear factor, with the
+    last polynomial times the other factor as the new top one.
+
+    Of each shell only what the table's rows of that total read is kept: the
+    polynomials M_s[i] and the columns L_s[.][s-i], for i from
+    max(0, s-kmax) to min(imax, s). These are built from the same rows and
+    columns of shell s-1 alone, so a shell costs O(s) integer multiply-adds
+    per table row, thin tables included, with no binomial, power table or
+    division. Shells below smin are built but yield nothing.
     """
     num, den = _exact_ratio(p)
     r = den - num
-    shell, q, num_pows = [[1]], 1, [1]  # shell 0, den**0, [num**0]
+    polys, cols, q = {0: [1]}, {0: [1]}, 1  # M_0[0], L_0[.][0], den**0
     for s in range(imax + kmax + 1):
+        band = range(max(0, s - kmax), min(imax, s) + 1)
         if s:
-            shell = [_times_linear(row, r) for row in shell] + [_times_linear(shell[-1], -num)]
+            zeros = [0] * s  # a column of shell s-1 outside degrees 0..s-1
+            polys = {i: _times_linear(polys[i], r) if i < s else _times_linear(polys[i - 1], -num) for i in band}
+            cols = {s - i: _next_column(cols.get(s - i, zeros), cols.get(s - i - 1, zeros), r, num) for i in band}
             q *= den
-            num_pows.append(num_pows[-1] * num)
-        if s < smin:
-            continue
-        for i in range(max(0, s - kmax), min(imax, s) + 1):
-            k = s - i
-            column = [row[i] for row in shell]  # M_s[n][i] over n
-            vs = [m * num_pows[k - n] for n, m in enumerate(column[: k + 1])]
-            if num:
-                vs += [m // num_pows[n - k] for n, m in enumerate(column[k + 1 :], k + 1)]
-            else:
-                vs += [0] * (s - k)
-            yield i, k, list(zip(shell[i], vs)), q
+        if s >= smin:
+            for i in band:
+                yield i, s - i, list(zip(polys[i], cols[s - i])), q
+
+
+def _next_column(col: list[int], left: list[int], r: int, num: int) -> list[int]:
+    """Column k of L_s from columns k and k-1 of L_{s-1}, each over the
+    polynomials a = 0..s-1: (r + num*x) on every old polynomial, and (x - 1)
+    on the last one for the new top entry."""
+    return [r * c + num * b for c, b in zip(col, left)] + [left[-1] - col[-1]]
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:

@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Union
 
 import numpy as np
@@ -402,12 +402,15 @@ def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
 
 
 def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
-    """Single value of the squeezer combination; 0 outside its support."""
+    """Single value of the squeezer combination; 0 outside its support. It
+    reads only the entries it sums, so n may pass nmax where those are held."""
     if min(i, k, n) < 0 or j < 0 or j > n + k:
         return table.zero
-    if n > table.nmax:
-        raise TableCoverageError(f"squeezer table holds n <= {table.nmax}, asked for n={n}")
-    return tms_tilde_row(i, k, j, table)[n]
+    total = table.zero
+    for l in range(max(0, j - k), min(j, n) + 1):
+        for m in range(i + 1):
+            total += table.value(m, j - l, l) * table.value(i - m, k - j + l, n - l)
+    return total
 
 
 def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -418,6 +421,43 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
     lhs = (1 - lam) * table.value(i, k, n)
     rhs = tms_tilde(i, k, n, j, table) - tms_tilde(i - 1, k - 1, n - 1, j - 1, table)
     return abs(lhs - rhs)
+
+
+def _identity_residual_rows(table: ProbabilityTable):
+    """A function (i, k, j) -> (D, diffs) for a rational table, where
+    diffs[n] / D is the signed residual of the general-j identity at
+    (i, k, n, j) over the n of row (i, k): lhs[n] - tilde(i,k,j)[n]
+    + tilde(i-1,k-1,j-1)[n-1], with lhs B(i,k->n) for a beam splitter and
+    (1-lam) A(i,k->n) for a squeezer.
+
+    The three rows are lifted to integers and cross-multiplied to one
+    denominator, so an exact check is an integer compare with no gcd. Each
+    lifted row is built once and kept as long as the function, since
+    neighbouring (i, k, j) share them."""
+    if table.device is Device.BS:
+        build, scale = _bs_tilde_lifted, Fraction(1)
+    else:
+        build, scale = _tms_tilde_lifted, 1 - _param_of(table.param, table.precision)
+    tildes: dict[tuple[int, int, int], tuple[int, list]] = {}
+    lhs_rows: dict[tuple[int, int], tuple[int, list]] = {}
+
+    def tilde(i: int, k: int, j: int) -> tuple[int, list]:
+        if min(i, k, j) < 0:
+            return 1, []
+        if (i, k, j) not in tildes:
+            tildes[(i, k, j)] = build(i, k, j, table)
+        return tildes[(i, k, j)]
+
+    def residual(i: int, k: int, j: int) -> tuple[int, list]:
+        if (i, k) not in lhs_rows:
+            d, ints = _lifted(table.row(i, k))
+            lhs_rows[(i, k)] = (scale.denominator * d, [scale.numerator * v for v in ints])
+        (dl, il), (dc, ic), (dp, ip) = lhs_rows[(i, k)], tilde(i, k, j), tilde(i - 1, k - 1, j - 1)
+        den = math.lcm(dl, dc, dp)
+        sl, sc, sp = den // dl, den // dc, den // dp
+        return den, [a * sl - b * sc + c * sp for a, b, c in zip(il, ic, chain([0], ip, repeat(0)))]
+
+    return residual
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
 
 from .errors import ConvergenceError
 from .asymptotics import bs_diag_asymptotic, convergence_report
@@ -42,9 +41,7 @@ from .probabilities import (
 )
 from .recurrences import (
     ClassicalTable,
-    _bs_tilde_lifted,
-    _lifted,
-    _tms_tilde_lifted,
+    _identity_residual_rows,
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
@@ -186,43 +183,15 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
     res.check(r <= 1e-12, "tms row (0,0)", "lam=0.5", "geometric sum 1", f"residual {r:.3e}", 1e-12)
 
 
-def _tilde_rows(build, table):
-    """A function (i, k, j) -> the lifted row build(i, k, j, table), built once
-    per key; rows with a negative index are empty."""
-    cache: dict[tuple[int, int, int], tuple[int, list]] = {}
-
-    def tilde(i: int, k: int, j: int) -> tuple[int, list]:
-        if min(i, k, j) < 0:
-            return 1, []
-        key = (i, k, j)
-        if key not in cache:
-            cache[key] = build(i, k, j, table)
-        return cache[key]
-
-    return tilde
-
-
-def _residual_row(lhs: tuple[int, list], cur: tuple[int, list], prev: tuple[int, list]) -> tuple[int, list]:
-    """(D, [D * (lhs[n] - cur[n] + prev[n-1])]) over the n of lhs, for rows
-    lifted to (denominator, ints); prev[n-1] is 0 at n = 0 and past its end.
-    The three rows are cross-multiplied to one denominator, so an exact
-    identity check is an integer compare with no gcd."""
-    (dl, il), (dc, ic), (dp, ip) = lhs, cur, prev
-    den = math.lcm(dl, dc, dp)
-    sl, sc, sp = den // dl, den // dc, den // dp
-    return den, [a * sl - b * sc + c * sp for a, b, c in zip(il, ic, chain([0], ip, repeat(0)))]
-
-
 def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
     for eta in eta_values:
         p = BeamSplitterParam.from_value(eta)
         table = bs_table_direct(imax, imax, p, "rational")
-        tilde = _tilde_rows(_bs_tilde_lifted, table)
+        residual = _identity_residual_rows(table)
         for i in range(imax + 1):
             for k in range(imax + 1):
-                row = _lifted(table.row(i, k))
                 for j in range(i + k + 1):
-                    den, diffs = _residual_row(row, tilde(i, k, j), tilde(i - 1, k - 1, j - 1))
+                    den, diffs = residual(i, k, j)
                     for n, d in enumerate(diffs):
                         res.check(
                             d == 0,
@@ -306,13 +275,10 @@ def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
     for lam in lams:
         sp = SqueezerParam.from_value(lam)
         table = tms_table_direct(nmax, 2 * nmax, nmax, sp, "rational")
-        tilde = _tilde_rows(_tms_tilde_lifted, table)
-        p, q = sp.lam_exact.as_integer_ratio()
+        residual = _identity_residual_rows(table)
         for i in range(nmax + 1):
             for k in range(nmax + 1):
-                d, ints = _lifted(table.row(i, k))
-                lhs = (q * d, [(q - p) * v for v in ints])  # (1-lam) A(i,k->n) over n
-                by_j = [_residual_row(lhs, tilde(i, k, j), tilde(i - 1, k - 1, j - 1)) for j in range(nmax + k + 1)]
+                by_j = [residual(i, k, j) for j in range(nmax + k + 1)]
                 for n in range(nmax + 1):
                     for j in range(n + k + 1):
                         den, diffs = by_j[j]

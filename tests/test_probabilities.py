@@ -109,8 +109,8 @@ def test_direct_route_is_the_exact_probability_rounded_once(c, eta):
 # Tables read their cells off integer-polynomial shells and normalization
 # scans share one power table; every value they return must equal the
 # single-cell route's bit for bit. The edge examples pin eta = 0 and 1, where
-# the shells' division by num**(n-k) is singular or trivial; the strategies
-# draw them only by chance.
+# one linear factor of each shell family loses its x term or its constant;
+# the strategies draw them only by chance.
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,6 +145,19 @@ def test_convolution_table_rows_above_total_32_are_the_single_cell_values(top, t
     for (i, k), row in bs_table_convolution(imax, kmax, p).entries.items():
         cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
         assert row.tobytes() == np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells]).tobytes()
+
+
+@pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
+@pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "0.7"])
+def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax, kmax, eta):
+    # Each shell keeps only the band of rows the table reads; every (U, V, Q)
+    # must still be the single-cell triple, and every row must come once.
+    p = BeamSplitterParam.from_value(eta)
+    seen = []
+    for i, k, cells, q in probabilities._shell_factor_rows(p, imax, kmax):
+        seen.append((i, k))
+        assert [(u, v, q) for u, v in cells] == [probabilities._exact_factor_sums(i, k, n, p) for n in range(i + k + 1)]
+    assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
 
 
 @settings(max_examples=25, deadline=None)

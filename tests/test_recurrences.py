@@ -196,8 +196,12 @@ def test_tms_tilde_base_case_and_coverage():
                 )
                 assert tms_tilde(i, k, n, 0, table) == manual
     assert tms_tilde(2, 2, 2, 7, table) == 0  # j beyond n+k
+    small = tms_table_direct(2, 2, 2, sp, "rational")
     with pytest.raises(TableCoverageError):
-        tms_tilde(2, 2, 6, 1, tms_table_direct(2, 2, 2, sp, "rational"))
+        tms_tilde(2, 2, 6, 1, small)
+    # past nmax, a value whose summed entries the table holds is still given
+    for i in range(3):
+        assert tms_tilde(i, 0, 3, 1, small) == tms_tilde(i, 0, 3, 1, table)
 
 
 def test_tms_theorem_identity_exact():
