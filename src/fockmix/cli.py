@@ -18,6 +18,7 @@ import io
 import json
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,12 +90,14 @@ def _config(i: int, k: int, n: int, device: Device) -> PhotonConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks of text in turn to the --out file, or to stdout."""
     if out is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 @click.group()
@@ -109,10 +112,11 @@ def main(ctx: click.Context, verbose: bool) -> None:
     ctx.obj = {"verbose": verbose}
 
 
-def _note(message: str) -> None:
+def _note(record: dict) -> None:
+    """Print the record as one JSON line on stderr under -v."""
     ctx = click.get_current_context(silent=True)
     if ctx is not None and ctx.obj and ctx.obj.get("verbose"):
-        click.echo(message, err=True)
+        click.echo(json.dumps(record), err=True)
 
 
 @main.command()
@@ -191,46 +195,39 @@ def _prob_float(pc: PhotonConfig, cfg: RunConfig) -> float:
     return tms_prob(pc, param)
 
 
-def _format_value(v, precision: str) -> str:
-    return str(v) if precision == "rational" else repr(float(v))
+def _table_chunks(table: ProbabilityTable, fmt: str, param_text: str):
+    """The CSV or JSON export, one chunk of text per (i, k) row.
 
-
-def _table_rows(table: ProbabilityTable):
+    The text is byte for byte what csv.writer and json.dumps(indent=2) write
+    for the entries (i, k, n, m, value) with m >= 0: floats in shortest
+    round-trip form, rationals as canonical fractions (quoted in JSON). m is
+    read off the row layout: beam-splitter rows hold n = 0..i+k with
+    m = i+k-n, and squeezer rows start at n = max(0, i-k), the first n with
+    m = n+k-i >= 0.
+    """
+    rational = table.precision == "rational"
+    bs = table.device is Device.BS
+    if fmt == "csv":
+        yield "i,k,n,m,value\n"
+        line = "{},{},%d,%d,%s\n"
+    else:
+        param = param_text if rational else (table.param.eta if bs else table.param.lam)
+        header = (table.device.value, param, table.method)
+        yield '{\n  "device": %s,\n  "param": %s,\n  "method": %s,\n  "entries": [' % tuple(map(json.dumps, header))
+        value = '"%s"' if rational else "%s"
+        line = ',\n    {{\n      "i": {},\n      "k": {},\n      "n": %d,\n      "m": %d,\n      "value": ' + value + "\n    }}"
+    first = fmt == "json"  # the first JSON entry takes no leading comma
     for (i, k) in sorted(table.entries):
         row = table.entries[(i, k)]
-        for n, value in enumerate(row):
-            m = i + k - n if table.device is Device.BS else n + k - i
-            if m < 0:
-                continue
-            yield i, k, n, m, value
-
-
-def _render_table(table: ProbabilityTable, fmt: str, param_text: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i", "k", "n", "m", "value"])
-        for i, k, n, m, value in _table_rows(table):
-            writer.writerow([i, k, n, m, _format_value(value, table.precision)])
-        return buf.getvalue()
-    param: float | str
-    if table.precision == "rational":
-        param = param_text
-    else:
-        param = (
-            table.param.eta if isinstance(table.param, BeamSplitterParam) else table.param.lam
-        )
-    doc = {
-        "device": table.device.value,
-        "param": param,
-        "method": table.method,
-        "entries": [
-            {"i": i, "k": k, "n": n, "m": m, "value": _format_value(value, table.precision)
-             if table.precision == "rational" else float(value)}
-            for i, k, n, m, value in _table_rows(table)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        start = 0 if bs else max(0, i - k)
+        values = map(str, row[start:]) if rational else map(repr, row[start:].tolist())
+        m = range(i + k, -1, -1) if bs else range(start + k - i, len(row) + k - i)
+        chunk = "".join(map(line.format(i, k).__mod__, zip(range(start, len(row)), m, values)))
+        if first and chunk:
+            chunk, first = chunk[1:], False
+        yield chunk
+    if fmt == "json":
+        yield "\n  ]\n}\n"
 
 
 @main.command()
@@ -268,15 +265,18 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
             raise click.UsageError("squeezer tables support direct and recurrence methods")
         builder = tms_table_direct if route == "direct" else tms_table_recurrence
         t = builder(imax, kmax, nmax, cfg.tms_param(), cfg.precision)
+    built = time.perf_counter()
     residual = t.normalization_max_residual()
-    _note(
-        f"built {len(t.entries)} rows in {time.perf_counter() - started:.3f}s, "
-        f"normalization residual {residual:.3e}"
-    )
-    if residual > _NORMALIZATION_TOLERANCE:
+    checked = time.perf_counter()
+    record = {"route": route, "rows": len(t.entries), "build_s": built - started,
+              "check_s": checked - built, "emit_s": None, "normalization_residual": residual}
+    if not residual <= _NORMALIZATION_TOLERANCE:  # a nan residual fails too
+        _note(record)
         click.echo(f"normalization self-check failed: residual {residual:.3e}", err=True)
         sys.exit(1)
-    _emit(_render_table(t, fmt, param_text), out)
+    _emit(_table_chunks(t, fmt, param_text), out)
+    record["emit_s"] = time.perf_counter() - checked
+    _note(record)
 
 
 @main.command()
@@ -321,7 +321,7 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
 def verify(suite, scale, out) -> None:
     """Run a named invariant suite; exit 0 on all-pass, 1 on any failure."""
     result = run_suite(suite, scale)
-    _emit(json.dumps(result.to_dict(), indent=2) + "\n", out)
+    _emit([json.dumps(result.to_dict(), indent=2) + "\n"], out)
     if not result.ok:
         sys.exit(1)
 
@@ -371,7 +371,7 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
         writer.writerow(["n", "exact", "predicted"])
         for n, exact, pred in zip(detail["n"], detail["exact"], detail["predicted"]):
             writer.writerow([int(n), repr(exact), repr(pred)])
-    _emit(buf.getvalue(), out)
+    _emit([buf.getvalue()], out)
 
 
 if __name__ == "__main__":

@@ -115,10 +115,13 @@ class ProbabilityTable:
 
     def normalization_max_residual(self) -> float:
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
-        excess above 1 counts there."""
+        excess above 1 counts there. A row whose sum is not finite makes the
+        residual inf or nan, so no tolerance accepts it."""
         worst = 0.0
         for row in self.entries.values():
             s = float(np.sum(row))
+            if not math.isfinite(s):
+                return abs(s)
             defect = abs(s - 1.0) if self.device is Device.BS else max(s - 1.0, 0.0)
             worst = max(worst, defect)
         return worst

@@ -7,6 +7,9 @@ closed form in the package, so it checks values and signs alike.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -180,3 +183,37 @@ def normalization_residual_per_cell(i: int, k: int, p) -> float:
         if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
             return abs(math.fsum(terms) - 1.0)
     raise AssertionError("the reference scan did not settle")
+
+
+def render_table_reference(table, fmt: str, param_text: str) -> str:
+    """A table export written the textbook way: every entry as a dict or list
+    through csv.writer or json.dumps(indent=2), skipping the squeezer cells
+    with m < 0. The CLI's exports must match it byte for byte."""
+    rational = table.precision == "rational"
+    rows = [
+        (i, k, n, m, str(v) if rational else repr(float(v)))
+        for (i, k) in sorted(table.entries)
+        for n, v in enumerate(table.entries[(i, k)])
+        for m in [i + k - n if table.device is Device.BS else n + k - i]
+        if m >= 0
+    ]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["i", "k", "n", "m", "value"])
+        writer.writerows(rows)
+        return buf.getvalue()
+    if rational:
+        param = param_text
+    else:
+        param = table.param.eta if isinstance(table.param, BeamSplitterParam) else table.param.lam
+    doc = {
+        "device": table.device.value,
+        "param": param,
+        "method": table.method,
+        "entries": [
+            {"i": i, "k": k, "n": n, "m": m, "value": v if rational else float(v)}
+            for i, k, n, m, v in rows
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

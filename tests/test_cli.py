@@ -5,12 +5,16 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fockmix.cli
 import fockmix.verify
+from fock_oracle import render_table_reference
+from fockmix import recurrences
 from fockmix.cli import main
-from fockmix.params import Device, PhotonConfig
+from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import bs_prob_exact, tms_prob_exact
 
 
@@ -177,15 +181,76 @@ def test_table_rational_bit_stable():
         (("--device", "bs", "--imax", "10", "--kmax", "10", "--eta", "2/7", "--precision", "rational",
           "--format", "csv"),
          "81b0fb7f046c71c7c3b3bf0d18192a0240f2fde4202e7f8f2daacae391d55c4d"),
+        (("--device", "tms", "--imax", "6", "--kmax", "6", "--nmax", "12", "--lambda", "2/5",
+          "--precision", "rational", "--format", "json"),
+         "09846ae1f6c1ff10d06977fed8b36bc97b7cd33021c5980a6a74fa9fd8bd2be9"),
     ],
-    ids=["bs-float-csv", "tms-float-json", "bs-rational-csv"],
+    ids=["bs-float-csv", "tms-float-json", "bs-rational-csv", "tms-rational-json"],
 )
 def test_table_exports_keep_their_golden_bytes(tmp_path, args, digest):
-    # Digests of the exports of the row-by-row fills the shell fills replaced.
+    # Digests of the exports of the row-by-row fills the shell fills replaced;
+    # the rational JSON one was taken from the whole-document renderer that
+    # row-by-row streaming replaced.
     out = tmp_path / "table.out"
     r = run("table", *args, "--out", str(out))
     assert r.exit_code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_REFERENCE_SHAPES = [
+    # (device, sizes, parameter literal, precision, method); the squeezer
+    # rows with i - k > nmax, as in (6, 1, 2) and (7, 2, 3), have no entry.
+    ("bs", (0, 0), "0.3", "float", "recurrence"),
+    ("bs", (3, 2), "0.3", "float", "recurrence"),
+    ("bs", (8, 0), "0", "float", "recurrence"),
+    ("bs", (2, 3), "1", "float", "recurrence"),
+    ("bs", (4, 4), "1e-12", "float", "recurrence"),
+    ("bs", (20, 15), "7/10", "float", "direct"),
+    ("bs", (20, 15), "0.3", "float", "convolution"),
+    ("bs", (0, 0), "1/3", "rational", "recurrence"),
+    ("bs", (5, 4), "1/3", "rational", "recurrence"),
+    ("bs", (5, 4), "2/7", "rational", "direct"),
+    ("bs", (4, 3), "1/3", "rational", "convolution"),
+    ("tms", (0, 0, 0), "0.4", "float", "recurrence"),
+    ("tms", (8, 0, 0), "0.4", "float", "recurrence"),
+    ("tms", (6, 1, 2), "1/4", "float", "recurrence"),
+    ("tms", (3, 4, 6), "1e-12", "float", "recurrence"),
+    ("tms", (5, 2, 3), "0.25", "float", "direct"),
+    ("tms", (0, 0, 0), "2/5", "rational", "recurrence"),
+    ("tms", (7, 2, 3), "2/5", "rational", "recurrence"),
+    ("tms", (4, 3, 5), "1/4", "rational", "direct"),
+]
+
+_BUILDERS = {
+    ("bs", "direct"): recurrences.bs_table_direct,
+    ("bs", "convolution"): recurrences.bs_table_convolution,
+    ("bs", "recurrence"): recurrences.bs_table_recurrence,
+    ("tms", "direct"): recurrences.tms_table_direct,
+    ("tms", "recurrence"): recurrences.tms_table_recurrence,
+}
+
+
+def _table_argv(device, sizes, literal, precision, method, fmt):
+    argv = ["table", "--device", device, "--imax", str(sizes[0]), "--kmax", str(sizes[1]),
+            "--eta" if device == "bs" else "--lambda", literal,
+            "--precision", precision, "--method", method, "--format", fmt]
+    return argv + (["--nmax", str(sizes[2])] if device == "tms" else [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("device, sizes, literal, precision, method", _REFERENCE_SHAPES)
+def test_table_export_matches_the_reference_renderer(tmp_path, device, sizes, literal, precision, method, fmt):
+    param = (BeamSplitterParam if device == "bs" else SqueezerParam).from_value(literal)
+    expected = render_table_reference(
+        _BUILDERS[(device, method)](*sizes, param, precision), fmt, literal
+    ).encode("utf-8")
+    argv = _table_argv(device, sizes, literal, precision, method, fmt)
+    streamed = run(*argv)
+    assert streamed.exit_code == 0 and streamed.stdout_bytes == expected
+    out = tmp_path / f"table.{fmt}"
+    written = run(*argv, "--out", str(out))
+    assert written.exit_code == 0 and written.stdout_bytes == b""
+    assert out.read_bytes() == expected
 
 
 def test_table_past_the_float_range_of_binomials(tmp_path):
@@ -235,12 +300,44 @@ def test_table_self_check_failure_exits_1(monkeypatch):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("device, builder", [("bs", "bs_table_recurrence"), ("tms", "tms_table_recurrence")])
+def test_table_with_a_nan_row_exits_1_and_writes_nothing(monkeypatch, tmp_path, device, builder):
+    original = getattr(fockmix.cli, builder)
+
+    def with_nan_row(*args):
+        t = original(*args)
+        row = np.array(t.entries[(1, 1)], dtype=float)
+        row[1] = math.nan
+        t.entries[(1, 1)] = row
+        return t
+
+    monkeypatch.setattr(fockmix.cli, builder, with_nan_row)
+    argv = _table_argv(device, (2, 2, 4), "0.5", "float", "recurrence", "csv")
+    out = tmp_path / "t.csv"
+    r = run(*argv, "--out", str(out))
+    assert r.exit_code == 1
+    assert r.stdout_bytes == b""
+    assert not out.exists()
+    streamed = run("-v", *argv)
+    assert streamed.exit_code == 1 and streamed.stdout_bytes == b""
+    record = json.loads(streamed.stderr.splitlines()[0])
+    assert record["emit_s"] is None and math.isnan(record["normalization_residual"])
+
+
 def test_verbose_diagnostics_on_stderr():
     r = CliRunner().invoke(main, ["-v", "table", "--device", "bs", "--imax", "2",
                                   "--kmax", "2", "--eta", "0.5"])
     assert r.exit_code == 0
-    assert "normalization residual" in r.stderr
-    assert "i,k,n,m,value" in r.stdout
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"route", "rows", "build_s", "check_s", "emit_s", "normalization_residual"}
+    assert record["route"] == "recurrence"
+    assert record["rows"] == 9
+    assert all(record[key] >= 0.0 for key in ("build_s", "check_s", "emit_s"))
+    assert 0.0 <= record["normalization_residual"] <= 1e-10
+    assert r.stdout.startswith("i,k,n,m,value\n")
+    assert len(r.stdout.splitlines()) == 1 + sum(i + k + 1 for i in range(3) for k in range(3))
 
 
 def test_genfun_examples():

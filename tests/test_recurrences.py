@@ -143,6 +143,21 @@ def test_bs_table_normalization_self_check():
     assert t.normalization_max_residual() <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bs_table_recurrence(2, 2, BeamSplitterParam(0.5)),
+     lambda: tms_table_recurrence(2, 2, 4, SqueezerParam(0.5))],
+    ids=["bs", "tms"],
+)
+def test_normalization_residual_is_not_finite_on_a_non_finite_entry(build, bad):
+    t = build()
+    row = np.array(t.entries[(1, 1)])
+    row[1] = bad
+    t.entries[(1, 1)] = row
+    assert not math.isfinite(t.normalization_max_residual())
+
+
 def test_tms_recurrence_table_values():
     t = tms_table_recurrence(2, 2, 12, SqueezerParam(0.5))
     assert abs(float(t.value(1, 1, 1))) <= 1e-15
