@@ -51,6 +51,7 @@ from .recurrences import (
     tms_table_direct,
     tms_table_recurrence,
     tms_tilde,
+    tms_tilde_row,
 )
 from .genfun import (
     GenFunPoint,

@@ -29,7 +29,7 @@ from .errors import DomainError
 from .numerics import log_factorial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .amplitudes import bs_amplitude_direct, tms_amplitude
-from .recurrences import ProbabilityTable, bs_table_recurrence
+from .recurrences import bs_table_recurrence
 
 __all__ = [
     "GenFunPoint",
@@ -151,12 +151,15 @@ def diagonal_gf_bs(x: float, z: float, p: BeamSplitterParam) -> float:
     return 1.0 / math.sqrt(radicand)
 
 
-def _pick_order(tail_at, cap: int = _SERIES_MAX_ORDER) -> tuple[int, float, bool]:
-    for order in range(2, cap + 1):
-        bound = tail_at(order)
-        if bound < _SERIES_TOLERANCE:
-            return order, bound, True
-    return cap, tail_at(cap), False
+def _pick_order(tail, order: int | None) -> tuple[int, float, bool]:
+    """(order, tail bound, bound below tolerance) for the given order, or for
+    the least order from 2 up to the cap whose bound is below tolerance (the
+    cap if none is)."""
+    if order is None:
+        fits = (o for o in range(2, _SERIES_MAX_ORDER + 1) if tail(o) < _SERIES_TOLERANCE)
+        order = next(fits, _SERIES_MAX_ORDER)
+    bound = tail(order)
+    return order, bound, bound < _SERIES_TOLERANCE
 
 
 def g_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None) -> SeriesResult:
@@ -167,11 +170,7 @@ def g_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None)
     |amplitude| <= 1 gives the tail bound.
     """
     r = max(abs(c) for c in pt.coords())
-    if order is None:
-        order, bound, ok = _series_order_amp(r)
-    else:
-        bound = _g_tail(r, order)
-        ok = bound < _SERIES_TOLERANCE
+    order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
     x, y, z, w = pt.coords()
     total = []
     for i in range(order // 2 + 1):
@@ -195,19 +194,11 @@ def _g_tail(r: float, order: int) -> float:
     return 38.0 * r ** (order + 1) / (1.0 - r)
 
 
-def _series_order_amp(r: float) -> tuple[int, float, bool]:
-    return _pick_order(lambda o: _g_tail(r, o))
-
-
 def g_tms_series(pt: GenFunPoint, p: SqueezerParam, order: int | None = None) -> SeriesResult:
     """Truncated quadruple series of the squeezer amplitude generating
     function; m is pinned by conservation of the photon-number difference."""
     r = max(abs(c) for c in pt.coords())
-    if order is None:
-        order, bound, ok = _series_order_amp(r)
-    else:
-        bound = _g_tail(r, order)
-        ok = bound < _SERIES_TOLERANCE
+    order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
     x, y, z, w = pt.coords()
     total = []
     for n in range(order // 2 + 1):
@@ -223,12 +214,7 @@ def g_tms_series(pt: GenFunPoint, p: SqueezerParam, order: int | None = None) ->
     return SeriesResult(math.fsum(total), order, bound, ok)
 
 
-def f_bs_series(
-    pt: GenFunPoint,
-    p: BeamSplitterParam,
-    order: int | None = None,
-    table: ProbabilityTable | None = None,
-) -> SeriesResult:
+def f_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None) -> SeriesResult:
     """Truncated series sum B(i,k->n) x^i y^k z^n w^(i+k-n) from a table.
 
     Row sums are 1, so shells beyond the order contribute at most
@@ -238,13 +224,8 @@ def f_bs_series(
     r = max(abs(x), abs(y))
     if max(abs(z), abs(w)) > 1.0:
         raise DomainError("series tail bound needs |z|, |w| <= 1")
-    if order is None:
-        order, bound, ok = _pick_order(lambda o: _f_tail(r, o))
-    else:
-        bound = _f_tail(r, order)
-        ok = bound < _SERIES_TOLERANCE
-    if table is None:
-        table = bs_table_recurrence(order, order, p)
+    order, bound, ok = _pick_order(lambda o: _f_tail(r, o), order)
+    table = bs_table_recurrence(order, order, p)
     total = []
     for i in range(order + 1):
         for k in range(order + 1 - i):
@@ -261,13 +242,7 @@ def _f_tail(r: float, order: int) -> float:
     return r ** (n + 1) * ((n + 2) - (n + 1) * r) / (1.0 - r) ** 2
 
 
-def diagonal_series_bs(
-    x: float,
-    z: float,
-    p: BeamSplitterParam,
-    order: int | None = None,
-    table: ProbabilityTable | None = None,
-) -> SeriesResult:
+def diagonal_series_bs(x: float, z: float, p: BeamSplitterParam, order: int | None = None) -> SeriesResult:
     """Truncated series sum_i x^i sum_n B(i,i->n) z^n from a table."""
     if abs(z) > 1.0:
         raise DomainError("series tail bound needs |z| <= 1")
@@ -276,13 +251,8 @@ def diagonal_series_bs(
     def tail(o: int) -> float:
         return r ** (o + 1) / (1.0 - r) if r < 1.0 else math.inf
 
-    if order is None:
-        order, bound, ok = _pick_order(tail)
-    else:
-        bound = tail(order)
-        ok = bound < _SERIES_TOLERANCE
-    if table is None:
-        table = bs_table_recurrence(order, order, p)
+    order, bound, ok = _pick_order(tail, order)
+    table = bs_table_recurrence(order, order, p)
     total = []
     for i in range(order + 1):
         row = table.row(i, i)

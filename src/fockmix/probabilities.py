@@ -3,21 +3,25 @@
 The direct probability of a beam splitter is an integer-coefficient
 polynomial in the transmittance, so an exact rational evaluation is always
 available and serves as ground truth for each floating-point route. The
-double sum factors as (sum over m) * (sum over j) because its coefficient
-splits into an m-part and a j-part; the exact engine evaluates the two
-single sums over a common power-of-the-denominator scale.
+double sum factors as U * V because its coefficient splits into an m-part
+and a j-part. With eta = num/den, r = den - num and the alternating sum
+S(a, b, c) = sum_t (-1)**t C(a,t) C(b,c-t) num**t r**(c-t) (a Krawtchouk
+polynomial, as in the SU(2) picture of the beam splitter), U = S(i, k, n)
+and V = num**(k-n) S(n, i+k-n, i): one sum at a cell and at its transpose.
+Each is evaluated by Horner in integers over the terms the cell reaches,
+every coefficient the one before it times an exact ratio, so a sum takes
+two binomials.
 
 The float route is the same exact sum rounded once: U*V / den**(i+k) is a
 quotient of two integers, which Python rounds correctly, so no cancellation
 error bound or fallback is needed at any total. A float-only transmittance is
-taken at its exact binary value. A single cell builds only the exponent
-ranges its two sums use. A whole table (the direct table, the exact cells of
-a convolution table) reads the sums of every cell of total N off one shell of
-integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
-(x - 1)**a (r + num*x)**(N-a) for r = den - num, each shell the one below
-times linear factors and cut to the rows the table holds, with no binomial,
-power table or division. A normalization row or scan runs the single-cell
-sums on one table of the powers of num, den-num and den, shared across its
+taken at its exact binary value. A whole table (the direct table, the exact
+cells of a convolution table) reads the sums of every cell of total N off one
+shell of integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
+(x - 1)**a (r + num*x)**(N-a), each shell the one below times linear factors
+and cut to the rows the table holds, with no binomial, power table or
+division. A normalization row or scan runs the single-cell sums with their
+boundary powers of num, r and den read off one table shared across its
 cells. Squeezer probabilities go through partial time reversal:
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
 """
@@ -45,49 +49,51 @@ def _term_range(i: int, k: int, n: int) -> tuple[int, int]:
     return max(0, n - k), min(i, n)
 
 
-def _powers(base: int, lo: int, hi: int) -> list[int]:
-    """[base**lo, base**(lo+1), ..., base**hi]."""
-    out = [base**lo]
-    for _ in range(lo, hi):
-        out.append(out[-1] * base)
-    return out
-
-
 class _PowerTable:
-    """Power source of a batch call: [base**lo, ..., base**hi] sliced from one
-    list per base, grown from base**0 as needed and shared by every cell."""
+    """Power source of a batch call: base**e read off one list per base,
+    grown from base**0 as needed and shared by every cell."""
 
     def __init__(self):
         self.lists: dict[int, list[int]] = {}
 
-    def __call__(self, base: int, lo: int, hi: int) -> list[int]:
-        pows = self.lists.get(base)
-        if pows is None:
-            pows = self.lists[base] = [1]
-        while len(pows) <= hi:
+    def __call__(self, base: int, e: int) -> int:
+        pows = self.lists.setdefault(base, [1])
+        while len(pows) <= e:
             pows.append(pows[-1] * base)
-        return pows[lo : hi + 1]
+        return pows[e]
 
 
-def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int, powers=_powers) -> tuple[int, int]:
-    """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den.
+def _alternating_sum(a: int, b: int, c: int, lo: int, hi: int, num: int, r: int) -> int:
+    """sum_{t=lo..hi} (-1)**t C(a,t) C(b,c-t) num**(t-lo) r**(hi-t), for
+    max(0, c-b) <= lo <= hi <= min(a, c).
 
-    powers(base, lo, hi) gives [base**lo, ..., base**hi]: a single cell builds
-    only the ranges its sums use, a batch call passes its _PowerTable.
+    Horner in num from t = hi down. The coefficient of step t,
+    (-1)**t C(a,t) C(b,c-t) r**(hi-t), is the one above it times the exact
+    integer ratio -(t+1)(b-c+t+1) r / ((a-t)(c-t)), so only the first one
+    takes binomials.
+    """
+    coef = math.comb(a, hi) * math.comb(b, c - hi)
+    acc = coef = -coef if hi & 1 else coef
+    for t in range(hi - 1, lo - 1, -1):
+        coef = -coef * ((t + 1) * (b - c + t + 1) * r) // ((a - t) * (c - t))
+        acc = acc * num + coef
+    return acc
+
+
+def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int, pw=pow) -> tuple[int, int]:
+    """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den, for a
+    reachable cell (n <= i+k).
+
+    U = sum_m (-1)**m C(i,m) C(k,n-m) num**m r**(n-m) and
+    V = sum_j (-1)**j C(n,j) C(i+k-n,i-j) num**(k-n+j) r**(i-j), r = den - num:
+    one alternating sum at (i, k, n) and at the transposed (n, i+k-n, i), over
+    the same range of terms. pw(base, e) gives the four boundary powers: the
+    built-in pow for a single cell, a _PowerTable for a batch.
     """
     lo, hi = _term_range(i, k, n)
     r = den - num
-    # The exponents the two sums use: m, n-m for U and k-n+j, i-j for V.
-    u_num, u_r = powers(num, lo, hi), powers(r, n - hi, n - lo)
-    v_num, v_r = powers(num, k - n + lo, k - n + hi), powers(r, i - hi, i - lo)
-    u = 0
-    v = 0
-    for m in range(lo, hi + 1):
-        t = math.comb(i, m) * math.comb(k, n - m) * u_num[m - lo] * u_r[hi - m]
-        u += -t if m & 1 else t
-    for j in range(lo, hi + 1):
-        t = math.comb(n, j) * math.comb(i + k - n, i - j) * v_num[j - lo] * v_r[hi - j]
-        v += -t if j & 1 else t
+    u = _alternating_sum(i, k, n, lo, hi, num, r) * pw(num, lo) * pw(r, n - hi)
+    v = _alternating_sum(n, i + k - n, i, lo, hi, num, r) * pw(num, k - n + lo) * pw(r, i - hi)
     return u, v
 
 
@@ -97,25 +103,11 @@ def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
     return (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
 
 
-def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam) -> tuple[int, int, int]:
+def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam, pw=pow) -> tuple[int, int, int]:
     """(U, V, Q) with B = U*V / Q at the exact transmittance, for one cell."""
     num, den = _exact_ratio(p)
-    u, v = _scaled_factor_sums(i, k, n, num, den)
-    return u, v, den ** (i + k)
-
-
-def _batch_factor_sums(p: BeamSplitterParam):
-    """A function (i, k, n) -> (U, V, Q) equal to ``_exact_factor_sums``, whose
-    powers of num, den-num and den are built once and shared by every cell it
-    is called for; the power table lives as long as the function."""
-    num, den = _exact_ratio(p)
-    powers = _PowerTable()
-
-    def sums(i: int, k: int, n: int) -> tuple[int, int, int]:
-        u, v = _scaled_factor_sums(i, k, n, num, den, powers)
-        return u, v, powers(den, i + k, i + k)[0]
-
-    return sums
+    u, v = _scaled_factor_sums(i, k, n, num, den, pw)
+    return u, v, pw(den, i + k)
 
 
 def _times_linear(coeffs: list[int], c: int) -> list[int]:
@@ -258,8 +250,8 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     the shorter form cannot reach the tail tolerance when i+k <= 2.
     """
     if isinstance(p, BeamSplitterParam):
-        sums = _batch_factor_sums(p)
-        cells = (sums(i, k, n) for n in range(i + k + 1))
+        pw = _PowerTable()
+        cells = (_exact_factor_sums(i, k, n, p, pw) for n in range(i + k + 1))
         return abs(math.fsum(u * v / q for u, v, q in cells) - 1.0)
     lam = p.lam
     n_cut = max(
@@ -270,9 +262,9 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     n0 = max(0, i - k)
     terms: list[float] = []
     settled = n0 + i + k + 2  # past the oscillatory head / structural zeros
-    sums = _batch_factor_sums(p.ptr_beamsplitter())
+    bs, pw = p.ptr_beamsplitter(), _PowerTable()
     for n in range(n0, n_cut + 1):
-        u, v, q = sums(i, n + k - i, n)  # tms_prob's bridge cell, reachable from n0 on
+        u, v, q = _exact_factor_sums(i, n + k - i, n, bs, pw)  # tms_prob's bridge cell, reachable from n0 on
         terms.append((1.0 - lam) * (u * v / q))
         if n >= settled:
             recent = max(terms[-3:])

@@ -118,8 +118,9 @@ class ProbabilityTable:
         excess above 1 counts there. A row whose sum is not finite makes the
         residual inf or nan, so no tolerance accepts it."""
         worst = 0.0
+        rational = self.precision == "rational"
         for row in self.entries.values():
-            s = float(np.sum(row))
+            s = float(sum(row) if rational else row.sum())
             if not math.isfinite(s):
                 return abs(s)
             defect = abs(s - 1.0) if self.device is Device.BS else max(s - 1.0, 0.0)

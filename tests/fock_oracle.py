@@ -168,6 +168,22 @@ def classical_recurrence_per_call(i: int, k: int, n: int, j: int, p, precision: 
     return abs(table.prob(i, k, n) - total / c_coeff(i, k, j))
 
 
+def factor_sums_reference(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
+    """The factored sums (U, V) of B = U*V / den**(i+k) for eta = num/den,
+    written term by term with four binomials each."""
+    lo, hi = max(0, n - k), min(i, n)
+    r = den - num
+    u = 0
+    v = 0
+    for m in range(lo, hi + 1):
+        t = math.comb(i, m) * math.comb(k, n - m) * num**m * r ** (n - m)
+        u += -t if m & 1 else t
+    for j in range(lo, hi + 1):
+        t = math.comb(n, j) * math.comb(i + k - n, i - j) * num ** (k - n + j) * r ** (i - j)
+        v += -t if j & 1 else t
+    return u, v
+
+
 def normalization_residual_per_cell(i: int, k: int, p) -> float:
     """normalization_residual summed one bs_prob_direct or tms_prob call per
     n, with the library's cutoff and geometric tail rule."""

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -175,6 +176,12 @@ def test_high_total_rows_are_orthonormal(eta, total, i, j):
     row, other = _bs_row(i, total - i, p), _bs_row(j, total - j, p)
     assert abs(math.fsum(a * a for a in row) - 1.0) <= 1e-12
     assert abs(math.fsum(a * b for a, b in zip(row, other))) <= 1e-12
+
+
+@pytest.mark.parametrize("module", ["amplitudes", "probabilities", "recurrences", "genfun", "asymptotics"])
+def test_package_exports_every_public_name_of_the_module(module):
+    mod = importlib.import_module(f"fockmix.{module}")
+    assert [name for name in mod.__all__ if getattr(fockmix, name, None) is not getattr(mod, name)] == []
 
 
 def test_package_import_leaves_mpmath_out():

@@ -18,7 +18,7 @@ from fockmix.probabilities import (
     tms_prob_exact,
 )
 from fockmix.recurrences import bs_table_convolution, bs_table_direct
-from fock_oracle import normalization_residual_per_cell, prob_double_sum_literal
+from fock_oracle import factor_sums_reference, normalization_residual_per_cell, prob_double_sum_literal
 
 
 def test_exact_engine_against_literal_double_sum():
@@ -173,6 +173,40 @@ def test_tms_normalization_scan_is_the_per_cell_sum(lam):
     for i in range(5):
         for k in range(5):
             assert normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp)
+
+
+# The engine's Horner sums against the term-by-term reference over the
+# amplitude range of totals and every n of a row: p/q literals, float-only
+# values (54-bit numerators and denominators), and eta = 0 and 1, where num
+# or r = den - num vanishes.
+_ENGINE_PARAMS = st.one_of(_RATIOS, st.sampled_from([0.7, 0.37, 1e-12, 1 - 1e-12, 0.0, 1.0, "0/1", "1/1"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 260).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s))), _ENGINE_PARAMS)
+@example((260, 130), 0.37)
+@example((260, 3), 1 - 1e-12)
+@example((200, 200), "0/1")
+@example((200, 0), "1/1")
+@example((1, 1), 0.0)
+@example((1, 0), 1.0)
+def test_factor_sums_are_the_term_by_term_reference(row, eta):
+    total, i = row
+    num, den = probabilities._exact_ratio(BeamSplitterParam.from_value(eta))
+    for n in range(total + 1):
+        got = probabilities._scaled_factor_sums(i, total - i, n, num, den)
+        assert got == factor_sums_reference(i, total - i, n, num, den), n
+
+
+def test_power_table_gives_each_power_in_any_order():
+    pw = probabilities._PowerTable()
+    for base, e in [(3, 7), (3, 2), (0, 0), (0, 5), (3, 0), (10, 40), (3, 11), (10, 1), (1, 9), (0, 0)]:
+        assert pw(base, e) == base**e
+    # Cells read through one shared table are the single-cell triples.
+    p = BeamSplitterParam.from_value(0.37)
+    for i, k in [(9, 4), (2, 30), (9, 0), (40, 40)]:
+        for n in range(i + k + 1):
+            assert probabilities._exact_factor_sums(i, k, n, p, pw) == probabilities._exact_factor_sums(i, k, n, p)
 
 
 def test_square_of_amplitude_invariant():

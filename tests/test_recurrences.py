@@ -143,6 +143,24 @@ def test_bs_table_normalization_self_check():
     assert t.normalization_max_residual() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: bs_table_recurrence(30, 30, BeamSplitterParam(0.77)),
+     lambda: bs_table_direct(12, 9, BeamSplitterParam.from_value("7/10")),
+     lambda: bs_table_recurrence(8, 8, BeamSplitterParam.from_value("2/7"), "rational"),
+     lambda: tms_table_recurrence(6, 6, 40, SqueezerParam(0.3)),
+     lambda: tms_table_recurrence(4, 4, 12, SqueezerParam.from_value("2/5"), "rational")],
+    ids=["bs-float", "bs-direct", "bs-rational", "tms-float", "tms-rational"],
+)
+def test_normalization_self_check_is_the_np_sum_value(build):
+    t = build()
+    worst = 0.0
+    for row in t.entries.values():
+        s = float(np.sum(row))
+        worst = max(worst, abs(s - 1.0) if t.device is Device.BS else max(s - 1.0, 0.0))
+    assert t.normalization_max_residual() == worst
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "build",
