@@ -44,6 +44,10 @@ __all__ = [
 # Above this total photon number the 53-bit error can exceed ~1e-11 absolute.
 _FLOAT_MAX_TOTAL = 32
 
+# sqrt(C(n, t)) for every n <= _FLOAT_MAX_TOTAL (561 floats): the float
+# convolution sums take no other binomials.
+_SQRT_BINOMIALS = [[sqrt_binomial(n, t) for t in range(n + 1)] for n in range(_FLOAT_MAX_TOTAL + 1)]
+
 
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
     """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input."""
@@ -112,17 +116,30 @@ def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
     i, k, n = c.i, c.k, c.n
     if n > i + k:
         return 0.0
-    lo, hi = max(0, n - k), min(i, n)
     if i + k > _FLOAT_MAX_TOTAL:
         return _bs_amplitude_exact(i, k, n, p)
-    terms = [
-        sqrt_binomial(n, t)
-        * sqrt_binomial(i + k - n, i - t)
-        * bs_vacuum_row(i, t, p)
-        * _bs_vacuum_row_b(k, n - t, p)
-        for t in range(lo, hi + 1)
-    ]
-    return math.fsum(terms)
+    return _convolution_sum(i, k, n, *_vacuum_rows(i, k, p))
+
+
+def _vacuum_rows(i: int, k: int, p: BeamSplitterParam) -> tuple[list[float], list[float]]:
+    """The two vacuum-seeded rows convolved for input (i, k): bs_vacuum_row(i, .)
+    and _bs_vacuum_row_b(k, .)."""
+    return [bs_vacuum_row(i, t, p) for t in range(i + 1)], [_bs_vacuum_row_b(k, u, p) for u in range(k + 1)]
+
+
+def _convolution_sum(i: int, k: int, n: int, va: list[float], vb: list[float]) -> float:
+    """The convolution amplitude at (i, k, n), total at most 32, from the
+    vacuum rows va and vb of its input: the compensated sum over t of
+    sqrt(C(n,t)) sqrt(C(i+k-n,i-t)) va[t] vb[n-t], multiplied left to right."""
+    left, right = _SQRT_BINOMIALS[n], _SQRT_BINOMIALS[i + k - n]
+    return math.fsum([left[t] * right[i - t] * va[t] * vb[n - t] for t in range(max(0, n - k), min(i, n) + 1)])
+
+
+def _bs_convolution_row(i: int, k: int, p: BeamSplitterParam) -> list[float]:
+    """Convolution amplitudes over n = 0..i+k for total i+k <= 32, each
+    bs_amplitude_convolution's value, with the vacuum rows built once."""
+    va, vb = _vacuum_rows(i, k, p)
+    return [_convolution_sum(i, k, n, va, vb) for n in range(i + k + 1)]
 
 
 def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = None) -> float:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure or
 a failed internal self-check, 2 usage errors (bad flags, out-of-range
-parameters, points outside a convergence domain).
+parameters, points outside a convergence domain, tables above the entry
+limit).
 
 Parameters accept decimal literals ("0.3") or exact ratios ("1/3"); rational
 precision requires the ratio form so the exact routes are never silently fed
@@ -42,6 +43,10 @@ from .amplitudes import bs_amplitude, tms_amplitude
 from .verify import SUITE_NAMES, hom_sweep, run_suite, tms_sweep
 
 _NORMALIZATION_TOLERANCE = 1e-10
+
+# Largest table `table` builds, in entries (80 MB as float64), checked before
+# any allocation.
+_MAX_TABLE_ENTRIES = 10_000_000
 
 
 @dataclass
@@ -248,6 +253,18 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     param_text = _require_param(device, eta, lam)
     cfg = RunConfig(Device(device), param_text, precision=precision, method=method)
     route = "direct" if cfg.method == "exact" else cfg.method
+    if cfg.device is Device.BS:
+        entries = (imax + 1) * (kmax + 1) * (imax + kmax + 2) // 2  # rows (i, k) hold i+k+1 values
+    else:
+        if nmax is None:
+            raise click.UsageError("--nmax is required for squeezer tables")
+        if nmax < 0:
+            raise click.UsageError("table sizes must be nonnegative")
+        if route == "convolution":
+            raise click.UsageError("squeezer tables support direct and recurrence methods")
+        entries = (imax + 1) * (kmax + 1) * (nmax + 1)
+    if entries > _MAX_TABLE_ENTRIES:
+        raise click.UsageError(f"the table would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
     started = time.perf_counter()
     if cfg.device is Device.BS:
         builder = {
@@ -257,12 +274,6 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
         }[route]
         t = builder(imax, kmax, cfg.bs_param(), cfg.precision)
     else:
-        if nmax is None:
-            raise click.UsageError("--nmax is required for squeezer tables")
-        if nmax < 0:
-            raise click.UsageError("table sizes must be nonnegative")
-        if route == "convolution":
-            raise click.UsageError("squeezer tables support direct and recurrence methods")
         builder = tms_table_direct if route == "direct" else tms_table_recurrence
         t = builder(imax, kmax, nmax, cfg.tms_param(), cfg.precision)
     built = time.perf_counter()

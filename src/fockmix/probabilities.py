@@ -178,10 +178,25 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     convolution-squared route written out (amplitude times amplitude with the
     square roots paired into exact integers), kept separate from the factored
     engine so the two can cross-check each other.
+
+    A Fraction eta = a/b runs the same double sum in integers: every term is
+    gamma_small(i,k,n,m,j) * a**e * (b-a)**(i+k-e) with e = k-n+m+j, the
+    term's value times b**(i+k), and the cell is one Fraction(total,
+    b**(i+k)), so no Fraction arithmetic runs inside the sum. Any other eta
+    is summed in its own arithmetic, term by term.
     """
     lo, hi = _term_range(i, k, n)
     if n > i + k or lo > hi:
         return 0 * eta
+    if isinstance(eta, Fraction):
+        a, b = eta.numerator, eta.denominator
+        total = 0
+        for m in range(lo, hi + 1):
+            for j in range(lo, hi + 1):
+                e = k - n + m + j
+                term = gamma_small(i, k, n, m, j) * a**e * (b - a) ** (i + k - e)
+                total += -term if (m + j) & 1 else term
+        return Fraction(total, b ** (i + k))
     om = 1 - eta
     total = 0 * eta
     for m in range(lo, hi + 1):

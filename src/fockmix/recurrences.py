@@ -44,7 +44,7 @@ from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import _shell_factor_rows, bs_prob_double_sum, tms_prob, tms_prob_exact
-from .amplitudes import _FLOAT_MAX_TOTAL, _signed_root, bs_amplitude_convolution
+from .amplitudes import _FLOAT_MAX_TOTAL, _bs_convolution_row, _signed_root
 
 __all__ = [
     "ProbabilityTable",
@@ -193,8 +193,10 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Convolution-squared table: squared vacuum-row convolutions in float,
     or the paired double sum (square roots combined exactly) in rational.
-    Above total 32 the float amplitudes are the signed roots of the exact
-    factored sums, read off the shells of bs_table_direct."""
+    A float row at total 32 or less builds its two vacuum rows once and
+    squares each bs_amplitude_convolution value, bit for bit. Above total 32
+    the float amplitudes are the signed roots of the exact factored sums,
+    read off the shells of bs_table_direct."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
     for i, k in _shell_pairs(imax, kmax):
@@ -203,9 +205,9 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
         elif i + k > _FLOAT_MAX_TOTAL:
             break  # shell order: every later row is above total 32 too
         else:
-            row = _read_only([bs_amplitude_convolution(PhotonConfig(i, k, n), p) ** 2 for n in range(i + k + 1)])
+            row = _read_only([a ** 2 for a in _bs_convolution_row(i, k, p)])
         t.entries[(i, k)] = row
-    if precision == "float":
+    if precision == "float" and imax + kmax > _FLOAT_MAX_TOTAL:
         for i, k, cells, q in _shell_factor_rows(p, imax, kmax, _FLOAT_MAX_TOTAL + 1):
             t.entries[(i, k)] = _read_only([_signed_root(i, u, v, q) ** 2 for u, v in cells])
     return t
@@ -312,14 +314,15 @@ def _lifted(row: list) -> tuple[int, list]:
     return d, [x.numerator * (d // x.denominator) for x in row]
 
 
-def _lifted_sum(terms, length: int) -> tuple[int, list]:
+def _lifted_sum(terms, length: int, lifted: dict) -> tuple[int, list]:
     """(D, ints) with ints[n] / D = the sum of c * row[n - shift] over the
     terms (c, shift, row) of Fractions, for n < length.
 
     Each row is lifted to the lcm of its denominators once, however many terms
-    share it, and each product to the common multiple D of all of them; the
-    sum runs on integers and no gcd is taken."""
-    lifted, parts = {}, []
+    or calls share the cache lifted (keyed by id(row), so the caller keeps the
+    rows alive as long as the cache), and each product to the common multiple
+    D of all of them; the sum runs on integers and no gcd is taken."""
+    parts = []
     for c, shift, row in terms:
         if c:
             if id(row) not in lifted:
@@ -339,10 +342,10 @@ def _bs_tilde_pairs(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     return [(table.row(j - l, l), table.row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
 
 
-def _bs_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable) -> tuple[int, list]:
+def _bs_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable, lifted: dict) -> tuple[int, list]:
     """bs_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
     terms = ((c, t, b) for a, b in _bs_tilde_pairs(i, k, j, table) for t, c in enumerate(a))
-    return _lifted_sum(terms, i + k + 1)
+    return _lifted_sum(terms, i + k + 1, lifted)
 
 
 def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
@@ -351,7 +354,7 @@ def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     Rational rows are convolved as integers at a common denominator, with one
     Fraction formed per output entry."""
     if table.precision == "rational":
-        den, out = _bs_tilde_lifted(i, k, j, table)
+        den, out = _bs_tilde_lifted(i, k, j, table, {})
         return [Fraction(v, den) for v in out]
     out = [table.zero] * (i + k + 1)
     for a, b in _bs_tilde_pairs(i, k, j, table):
@@ -386,9 +389,9 @@ def _tms_tilde_terms(i: int, k: int, j: int, table: ProbabilityTable):
             yield table.row(m, j - l)[l], l, table.row(i - m, k - j + l)
 
 
-def _tms_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable) -> tuple[int, list]:
+def _tms_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable, lifted: dict) -> tuple[int, list]:
     """tms_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
-    return _lifted_sum(_tms_tilde_terms(i, k, j, table), table.nmax + 1)
+    return _lifted_sum(_tms_tilde_terms(i, k, j, table), table.nmax + 1, lifted)
 
 
 def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
@@ -396,7 +399,7 @@ def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     on the input index i, and entries with j > n+k are 0. Float entries are
     summed over l, then m, as tms_tilde always has."""
     if table.precision == "rational":
-        den, out = _tms_tilde_lifted(i, k, j, table)
+        den, out = _tms_tilde_lifted(i, k, j, table, {})
         return [Fraction(v, den) for v in out]
     out = [table.zero] * (table.nmax + 1)
     for c, shift, row in _tms_tilde_terms(i, k, j, table):
@@ -436,25 +439,30 @@ def _identity_residual_rows(table: ProbabilityTable):
 
     The three rows are lifted to integers and cross-multiplied to one
     denominator, so an exact check is an integer compare with no gcd. Each
-    lifted row is built once and kept as long as the function, since
-    neighbouring (i, k, j) share them."""
+    table row is lifted once, into one cache that every tilde and lhs row of
+    the function reads, and each tilde is built once; both are kept as long
+    as the function, since neighbouring (i, k, j) share them."""
     if table.device is Device.BS:
         build, scale = _bs_tilde_lifted, Fraction(1)
     else:
         build, scale = _tms_tilde_lifted, 1 - _param_of(table.param, table.precision)
     tildes: dict[tuple[int, int, int], tuple[int, list]] = {}
     lhs_rows: dict[tuple[int, int], tuple[int, list]] = {}
+    lifted: dict[int, tuple[int, list]] = {}  # keyed by id(row); the table holds the rows
 
     def tilde(i: int, k: int, j: int) -> tuple[int, list]:
         if min(i, k, j) < 0:
             return 1, []
         if (i, k, j) not in tildes:
-            tildes[(i, k, j)] = build(i, k, j, table)
+            tildes[(i, k, j)] = build(i, k, j, table, lifted)
         return tildes[(i, k, j)]
 
     def residual(i: int, k: int, j: int) -> tuple[int, list]:
         if (i, k) not in lhs_rows:
-            d, ints = _lifted(table.row(i, k))
+            row = table.row(i, k)
+            if id(row) not in lifted:
+                lifted[id(row)] = _lifted(row)
+            d, ints = lifted[id(row)]
             lhs_rows[(i, k)] = (scale.denominator * d, [scale.numerator * v for v in ints])
         (dl, il), (dc, ic), (dp, ip) = lhs_rows[(i, k)], tilde(i, k, j), tilde(i - 1, k - 1, j - 1)
         den = math.lcm(dl, dc, dp)

@@ -92,6 +92,16 @@ def test_prob_rational_outputs():
     assert float(r.output) == 1.0
 
 
+@pytest.mark.parametrize("n", [0, 7, 20, 33, 40])
+def test_prob_rational_convolution_is_the_exact_value_at_total_40(n):
+    args = ("prob", "--device", "bs", "--i", "20", "--k", "20", "--n", str(n), "--eta", "1/3")
+    conv = run(*args, "--precision", "rational", "--method", "convolution")
+    exact = run(*args, "--method", "exact")
+    assert conv.exit_code == exact.exit_code == 0
+    assert conv.output == exact.output
+    assert Fraction(conv.output.strip()) == bs_prob_exact(PhotonConfig(20, 20, n), Fraction(1, 3))
+
+
 def test_prob_rational_tms_rejects_convolution():
     r = run("prob", "--device", "tms", "--i", "1", "--k", "1", "--n", "1",
             "--lambda", "1/2", "--precision", "rational", "--method", "convolution")
@@ -290,6 +300,33 @@ def test_malformed_parameter_literals_exit_2(literal, param):
     table = run("table", "--device", device, "--imax", "2", "--kmax", "2", "--nmax", "4",
                 flag, literal)
     assert (prob.exit_code, table.exit_code) == (2, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--device", "bs", "--imax", "1000", "--kmax", "1000", "--eta", "0.5"),
+    ("--device", "bs", "--imax", "1000", "--kmax", "1000", "--eta", "1/2", "--precision", "rational"),
+    ("--device", "tms", "--imax", "300", "--kmax", "300", "--nmax", "300", "--lambda", "0.5"),
+])
+def test_table_above_the_entry_limit_exits_2_before_any_build(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder ran for an oversize table")
+
+    for builder in _BUILDERS.values():
+        monkeypatch.setattr(fockmix.cli, builder.__name__, refuse)
+    r = run("table", *argv)
+    assert r.exit_code == 2
+    assert "above the limit of 10000000" in r.output
+
+
+@pytest.mark.parametrize("device, sizes", [("bs", (5, 3)), ("tms", (3, 4, 6))])
+def test_table_entry_limit_counts_every_entry_of_the_table(monkeypatch, device, sizes):
+    param = (BeamSplitterParam if device == "bs" else SqueezerParam)(0.3)
+    entries = sum(len(row) for row in _BUILDERS[(device, "recurrence")](*sizes, param).entries.values())
+    argv = _table_argv(device, sizes, "0.3", "float", "recurrence", "csv")[1:]
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
+    assert run("table", *argv).exit_code == 0
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries - 1)
+    assert run("table", *argv).exit_code == 2
 
 
 def test_table_self_check_failure_exits_1(monkeypatch):

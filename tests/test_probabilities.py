@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fockmix.probabilities as probabilities
+import fockmix.recurrences as recurrences
 from fockmix.amplitudes import bs_amplitude_convolution
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -145,6 +146,43 @@ def test_convolution_table_rows_above_total_32_are_the_single_cell_values(top, t
     for (i, k), row in bs_table_convolution(imax, kmax, p).entries.items():
         cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
         assert row.tobytes() == np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells]).tobytes()
+
+
+@pytest.mark.parametrize("eta", ["0.37", "1e-12", "0.999999999999", "0.0", "1.0"])
+def test_convolution_table_rows_up_to_total_32_are_the_single_cell_values(eta):
+    # Rows at totals up to 32 share their vacuum rows; each entry must still
+    # be the single-cell amplitude squared with ** 2, bit for bit.
+    p = BeamSplitterParam.from_value(eta)
+    table = bs_table_convolution(32, 32, p)
+    for i in range(33):
+        for k in range(33 - i):
+            cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
+            want = np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells])
+            assert table.row(i, k).tobytes() == want.tobytes()
+
+
+def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the convolution route reached the factored engine")
+
+    monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
+    monkeypatch.setattr(probabilities, "_shell_factor_rows", refuse)
+    monkeypatch.setattr(recurrences, "_shell_factor_rows", refuse)
+    floats = bs_table_convolution(16, 16, BeamSplitterParam(0.7))
+    exact = bs_table_convolution(10, 10, BeamSplitterParam.from_value("1/3"), "rational")
+    assert len(floats.entries) == 17 * 17 and len(exact.entries) == 11 * 11
+    assert floats.normalization_max_residual() <= 1e-12 and exact.normalization_max_residual() == 0
+
+
+@pytest.mark.parametrize("eta", ["0/1", "1/1", "1/1000000000000"])
+@pytest.mark.parametrize("imax, kmax", [(7, 7), (40, 2)])
+def test_rational_convolution_rows_at_edge_transmittances(imax, kmax, eta):
+    exact = Fraction(eta)
+    table = bs_table_convolution(imax, kmax, BeamSplitterParam.from_value(eta), "rational")
+    for (i, k), row in table.entries.items():
+        cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
+        assert row == [prob_double_sum_literal(i, k, c.n, exact) for c in cells]
+        assert row == [bs_prob_exact(c, exact) for c in cells]
 
 
 @pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
