@@ -30,7 +30,7 @@ import math
 
 from .numerics import gamma_capital, sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _exact_factor_sums
+from .probabilities import _exact_factor_sums, _rounded_quotient
 
 __all__ = [
     "bs_vacuum_row",
@@ -106,7 +106,7 @@ def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
 
 def _signed_root(i: int, u: int, v: int, q: int) -> float:
     """The amplitude of input i from its exact factored sums (U, V, Q)."""
-    mag = math.sqrt(u * v / q)
+    mag = math.sqrt(_rounded_quotient(u, v, q))
     return -mag if mag and (u < 0) != (i % 2 == 1) else mag
 
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .numerics import nan_max
 from .params import BeamSplitterParam, Device
 from .recurrences import ProbabilityTable, bs_table_recurrence
 
@@ -118,12 +119,12 @@ def convergence_report(i_values: list[int], device: Device) -> AsymptoticReport:
             exacts.append(exact)
             preds.append(pred)
             if n % 2:
-                parity = max(parity, abs(exact))
+                parity = nan_max(parity, abs(exact))
                 errs.append(math.nan)
                 continue
             rel = abs(exact - pred) / exact
             errs.append(rel)
-            worst = max(worst, rel)
+            worst = nan_max(worst, rel)
         report.max_rel_error.append(worst)
         report.parity_zero_max.append(parity)
         report.detail[probe] = {"n": ns, "exact": exacts, "predicted": preds, "rel_error": errs}

@@ -13,16 +13,26 @@ every coefficient the one before it times an exact ratio, so a sum takes
 two binomials.
 
 The float route is the same exact sum rounded once: U*V / den**(i+k) is a
-quotient of two integers, which Python rounds correctly, so no cancellation
-error bound or fallback is needed at any total. A float-only transmittance is
-taken at its exact binary value. A whole table (the direct table, the exact
-cells of a convolution table) reads the sums of every cell of total N off one
-shell of integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
+quotient of two integers, rounded correctly, so no cancellation error bound
+or fallback is needed at any total. A float-only transmittance is taken at
+its exact binary value, whose 54-bit numerator and denominator make U, V and
+Q long, so the quotient is rounded from leading bits instead of forming U*V:
+with each of |U|, |V| and Q cut to its top 128 bits, u' = |U| >> a,
+v' = |V| >> b and q' = Q >> c, the exact value lies between
+u'v' 2**(a+b-c) / (q'+1) and (u'+1)(v'+1) 2**(a+b-c) / q'. Both ends are
+quotients of short integers, which Python rounds correctly, and rounding is
+monotone, so when the two round to the same float that float is the
+correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
+is taken. Either way the float is bit for bit the same.
+
+A whole table (the direct table, the exact cells of a convolution table, the
+rows of a normalization check) reads the sums of every cell of total N off
+one shell of integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
 (x - 1)**a (r + num*x)**(N-a), each shell the one below times linear factors
 and cut to the rows the table holds, with no binomial, power table or
-division. A normalization row or scan runs the single-cell sums with their
-boundary powers of num, r and den read off one table shared across its
-cells. Squeezer probabilities go through partial time reversal:
+division. A single normalization row runs the single-cell sums; a squeezer
+scan runs them at the bridge cells with their boundary powers of r and den
+grown as n advances. Squeezer probabilities go through partial time reversal:
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
 """
 
@@ -49,20 +59,6 @@ def _term_range(i: int, k: int, n: int) -> tuple[int, int]:
     return max(0, n - k), min(i, n)
 
 
-class _PowerTable:
-    """Power source of a batch call: base**e read off one list per base,
-    grown from base**0 as needed and shared by every cell."""
-
-    def __init__(self):
-        self.lists: dict[int, list[int]] = {}
-
-    def __call__(self, base: int, e: int) -> int:
-        pows = self.lists.setdefault(base, [1])
-        while len(pows) <= e:
-            pows.append(pows[-1] * base)
-        return pows[e]
-
-
 def _alternating_sum(a: int, b: int, c: int, lo: int, hi: int, num: int, r: int) -> int:
     """sum_{t=lo..hi} (-1)**t C(a,t) C(b,c-t) num**(t-lo) r**(hi-t), for
     max(0, c-b) <= lo <= hi <= min(a, c).
@@ -80,20 +76,19 @@ def _alternating_sum(a: int, b: int, c: int, lo: int, hi: int, num: int, r: int)
     return acc
 
 
-def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int, pw=pow) -> tuple[int, int]:
+def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
     """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den, for a
     reachable cell (n <= i+k).
 
     U = sum_m (-1)**m C(i,m) C(k,n-m) num**m r**(n-m) and
     V = sum_j (-1)**j C(n,j) C(i+k-n,i-j) num**(k-n+j) r**(i-j), r = den - num:
     one alternating sum at (i, k, n) and at the transposed (n, i+k-n, i), over
-    the same range of terms. pw(base, e) gives the four boundary powers: the
-    built-in pow for a single cell, a _PowerTable for a batch.
+    the same range of terms.
     """
     lo, hi = _term_range(i, k, n)
     r = den - num
-    u = _alternating_sum(i, k, n, lo, hi, num, r) * pw(num, lo) * pw(r, n - hi)
-    v = _alternating_sum(n, i + k - n, i, lo, hi, num, r) * pw(num, k - n + lo) * pw(r, i - hi)
+    u = _alternating_sum(i, k, n, lo, hi, num, r) * num**lo * r ** (n - hi)
+    v = _alternating_sum(n, i + k - n, i, lo, hi, num, r) * num ** (k - n + lo) * r ** (i - hi)
     return u, v
 
 
@@ -103,11 +98,39 @@ def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
     return (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
 
 
-def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam, pw=pow) -> tuple[int, int, int]:
+def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam) -> tuple[int, int, int]:
     """(U, V, Q) with B = U*V / Q at the exact transmittance, for one cell."""
     num, den = _exact_ratio(p)
-    u, v = _scaled_factor_sums(i, k, n, num, den, pw)
-    return u, v, pw(den, i + k)
+    return (*_scaled_factor_sums(i, k, n, num, den), den ** (i + k))
+
+
+# Denominators shorter than this many bits take the plain quotient in
+# _rounded_quotient, which is as fast as the bracket there: the two cost the
+# same near 2000 bits on a 2-vCPU x86_64 Xeon VM (Python 3.11).
+_SHORT_QUOTIENT_BITS = 2000
+_LEAD_BITS = 128
+
+
+def _rounded_quotient(u: int, v: int, q: int) -> float:
+    """u*v / q correctly rounded, for q > 0, bit for bit the plain quotient.
+
+    A long q takes the leading-bit bracket of the module docstring and falls
+    back to the plain quotient only when its two ends round apart."""
+    qbits = q.bit_length()
+    if qbits < _SHORT_QUOTIENT_BITS or not (u and v):
+        return u * v / q
+    a, b = abs(u), abs(v)
+    sa, sb = max(a.bit_length() - _LEAD_BITS, 0), max(b.bit_length() - _LEAD_BITS, 0)
+    ut, vt, qt = a >> sa, b >> sb, q >> (qbits - _LEAD_BITS)
+    e = sa + sb + _LEAD_BITS - qbits
+    lo, hi = ut * vt, (ut + 1) * (vt + 1)  # |u*v/q| lies in (lo / (qt+1), hi / qt) * 2**e
+    if e >= 0:
+        lo, hi = (lo << e) / (qt + 1), (hi << e) / qt
+    else:
+        lo, hi = lo / ((qt + 1) << -e), hi / (qt << -e)
+    if lo != hi:
+        return u * v / q
+    return -lo if (u < 0) != (v < 0) else lo
 
 
 def _times_linear(coeffs: list[int], c: int) -> list[int]:
@@ -115,10 +138,11 @@ def _times_linear(coeffs: list[int], c: int) -> list[int]:
     return [coeffs[0], *[a + c * b for a, b in zip(coeffs[1:], coeffs)], c * coeffs[-1]]
 
 
-def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0):
+def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0, smax: int | None = None):
     """Yield (i, k, cells, Q) in shell order for every table row with
-    i <= imax, k <= kmax and i+k >= smin, where cells lists the pairs (U, V)
-    of ``_exact_factor_sums`` over n = 0..i+k and Q = den**(i+k).
+    i <= imax, k <= kmax and smin <= i+k <= smax (by default imax+kmax),
+    where cells lists the pairs (U, V) of ``_exact_factor_sums`` over
+    n = 0..i+k and Q = den**(i+k).
 
     For eta = num/den and r = den - num, shell s is two families of s+1
     integer polynomials, M_s[a] = (1 - num*x)**a (1 + r*x)**(s-a) and
@@ -132,12 +156,13 @@ def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0
     max(0, s-kmax) to min(imax, s). These are built from the same rows and
     columns of shell s-1 alone, so a shell costs O(s) integer multiply-adds
     per table row, thin tables included, with no binomial, power table or
-    division. Shells below smin are built but yield nothing.
+    division. Shells below smin are built but yield nothing; none above smax
+    is built.
     """
     num, den = _exact_ratio(p)
     r = den - num
     polys, cols, q = {0: [1]}, {0: [1]}, 1  # M_0[0], L_0[.][0], den**0
-    for s in range(imax + kmax + 1):
+    for s in range(imax + kmax + 1 if smax is None else smax + 1):
         band = range(max(0, s - kmax), min(imax, s) + 1)
         if s:
             zeros = [0] * s  # a column of shell s-1 outside degrees 0..s-1
@@ -215,9 +240,7 @@ def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     lo, hi = _term_range(i, k, n)
     if n > i + k or lo > hi:
         return 0.0
-    u, v, q = _exact_factor_sums(i, k, n, p)
-    # int / int is correctly rounded and skips the Fraction gcd.
-    return u * v / q
+    return _rounded_quotient(*_exact_factor_sums(i, k, n, p))
 
 
 def _bridge(c: PhotonConfig) -> PhotonConfig | None:
@@ -256,8 +279,7 @@ _TAIL_TOLERANCE = 1e-14
 def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam) -> float:
     """|sum of the output distribution - 1| over all reachable n.
 
-    Each term equals bs_prob_direct or tms_prob bit for bit; one power table
-    of the exact transmittance serves the whole row or scan. Beam splitter
+    Each term equals bs_prob_direct or tms_prob bit for bit. Beam splitter
     rows are finite. Squeezer rows are summed until a geometric
     tail estimate drops below 1e-14; if that never happens before the cutoff,
     a ConvergenceError is raised rather than silently truncating. The cutoff
@@ -265,9 +287,8 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     the shorter form cannot reach the tail tolerance when i+k <= 2.
     """
     if isinstance(p, BeamSplitterParam):
-        pw = _PowerTable()
-        cells = (_exact_factor_sums(i, k, n, p, pw) for n in range(i + k + 1))
-        return abs(math.fsum(u * v / q for u, v, q in cells) - 1.0)
+        num, den = _exact_ratio(p)
+        return _row_residual([_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1)], den ** (i + k))
     lam = p.lam
     n_cut = max(
         math.ceil(10 * (i + k + 1) / (1.0 - lam)),
@@ -277,10 +298,20 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     n0 = max(0, i - k)
     terms: list[float] = []
     settled = n0 + i + k + 2  # past the oscillatory head / structural zeros
-    bs, pw = p.ptr_beamsplitter(), _PowerTable()
+    # tms_prob's bridge cell (i, n+k-i, n), reachable from n0 on, has U*V =
+    # X * r**e with X = S(i,n+k-i,n) S(n,k,i) num**|i-k| and e = n+i-2*hi
+    # (the Horner sums of _scaled_factor_sums over terms n0..hi).
+    num, den = _exact_ratio(p.ptr_beamsplitter())
+    r = den - num
+    lead, r_pows, q = num ** abs(i - k), [1], den ** (n0 + k)
     for n in range(n0, n_cut + 1):
-        u, v, q = _exact_factor_sums(i, n + k - i, n, bs, pw)  # tms_prob's bridge cell, reachable from n0 on
-        terms.append((1.0 - lam) * (u * v / q))
+        hi = min(i, n)
+        e = n + i - 2 * hi
+        while len(r_pows) <= e:
+            r_pows.append(r_pows[-1] * r)
+        x = _alternating_sum(i, n + k - i, n, n0, hi, num, r) * _alternating_sum(n, k, i, n0, hi, num, r) * lead
+        terms.append((1.0 - lam) * _rounded_quotient(x, r_pows[e], q))
+        q *= den
         if n >= settled:
             recent = max(terms[-3:])
             tail = recent * ratio / (1.0 - ratio)
@@ -290,3 +321,15 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
         f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the "
         f"{_TAIL_TOLERANCE} tail bound by n={n_cut}"
     )
+
+
+def _row_residual(cells: list[tuple[int, int]], q: int) -> float:
+    """|sum of the beam-splitter row - 1| from the (U, V) pairs of its cells."""
+    return abs(math.fsum(_rounded_quotient(u, v, q) for u, v in cells) - 1.0)
+
+
+def _bs_residual_rows(p: BeamSplitterParam, smax: int):
+    """Yield (i, k, normalization_residual(i, k, p)) for every row with
+    i + k <= smax, in shell order, from one pass over the shells."""
+    for i, k, cells, q in _shell_factor_rows(p, smax, smax, smax=smax):
+        yield i, k, _row_residual(cells, q)

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _shell_factor_rows, bs_prob_double_sum, tms_prob, tms_prob_exact
+from .probabilities import _rounded_quotient, _shell_factor_rows, bs_prob_double_sum, tms_prob, tms_prob_exact
 from .amplitudes import _FLOAT_MAX_TOTAL, _bs_convolution_row, _signed_root
 
 __all__ = [
@@ -186,7 +186,7 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
         if precision == "rational":
             t.entries[(i, k)] = [Fraction(u * v, q) for u, v in cells]
         else:
-            t.entries[(i, k)] = _read_only([u * v / q for u, v in cells])
+            t.entries[(i, k)] = _read_only([_rounded_quotient(u, v, q) for u, v in cells])
     return t
 
 

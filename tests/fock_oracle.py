@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from fockmix.params import BeamSplitterParam, Device, PhotonConfig
-from fockmix.probabilities import _TAIL_TOLERANCE, bs_prob_direct, tms_prob
+from fockmix.params import BeamSplitterParam, Device
+from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio
 from fockmix.recurrences import ClassicalTable, c_coeff
 
 
@@ -184,18 +184,28 @@ def factor_sums_reference(i: int, k: int, n: int, num: int, den: int) -> tuple[i
     return u, v
 
 
+def prob_plain_quotient(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
+    """B(i,k->n) as the term-by-term factored sums at the exact transmittance,
+    multiplied out and divided once: u * v / den**(i+k), correctly rounded by
+    Python's int / int."""
+    num, den = _exact_ratio(p)
+    u, v = factor_sums_reference(i, k, n, num, den)
+    return u * v / den ** (i + k)
+
+
 def normalization_residual_per_cell(i: int, k: int, p) -> float:
-    """normalization_residual summed one bs_prob_direct or tms_prob call per
-    n, with the library's cutoff and geometric tail rule."""
+    """normalization_residual summed one prob_plain_quotient per n (times
+    1-lam at the squeezer's bridge cell (i, n+k-i, n)), with the library's
+    cutoff and geometric tail rule."""
     if isinstance(p, BeamSplitterParam):
-        return abs(math.fsum(bs_prob_direct(PhotonConfig(i, k, n), p) for n in range(i + k + 1)) - 1.0)
-    lam = p.lam
+        return abs(math.fsum(prob_plain_quotient(i, k, n, p) for n in range(i + k + 1)) - 1.0)
+    lam, bs = p.lam, p.ptr_beamsplitter()
     n_cut = max(math.ceil(10 * (i + k + 1) / (1.0 - lam)), math.ceil(60 / (1.0 - lam)) + i + k)
     ratio = 0.5 * (1.0 + lam)
     n0 = max(0, i - k)
     terms = []
     for n in range(n0, n_cut + 1):
-        terms.append(tms_prob(PhotonConfig(i, k, n, Device.TMS), p))
+        terms.append((1.0 - lam) * prob_plain_quotient(i, n + k - i, n, bs))
         if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
             return abs(math.fsum(terms) - 1.0)
     raise AssertionError("the reference scan did not settle")

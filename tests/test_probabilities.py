@@ -108,7 +108,7 @@ def test_direct_route_is_the_exact_probability_rounded_once(c, eta):
 
 
 # Tables read their cells off integer-polynomial shells and normalization
-# scans share one power table; every value they return must equal the
+# scans grow their own powers; every value they return must equal the
 # single-cell route's bit for bit. The edge examples pin eta = 0 and 1, where
 # one linear factor of each shell family loses its x term or its constant;
 # the strategies draw them only by chance.
@@ -205,12 +205,94 @@ def test_bs_normalization_row_is_the_per_cell_sum(i, k, eta):
     assert normalization_residual(i, k, p) == normalization_residual_per_cell(i, k, p)
 
 
-@pytest.mark.parametrize("lam", [0.8, 0.5, "2/5"])
+@pytest.mark.parametrize("eta", ["0.7", "1/3", "1e-12"])
+def test_bs_normalization_rows_either_side_of_the_short_quotient_bound(eta):
+    # At 0.7 the denominator passes 2000 bits from total 39 on, at 1e-12 from
+    # total 22; the rows must still be the plain per-cell quotients.
+    p = BeamSplitterParam.from_value(eta)
+    for i, k in [(0, 0), (3, 2), (10, 11), (20, 18), (19, 21), (30, 14), (0, 45), (45, 0)]:
+        assert normalization_residual(i, k, p) == normalization_residual_per_cell(i, k, p), (i, k)
+
+
+@pytest.mark.parametrize("lam", [0.8, 0.5, 0.95, "2/5"])
 def test_tms_normalization_scan_is_the_per_cell_sum(lam):
     sp = SqueezerParam.from_value(lam)
     for i in range(5):
         for k in range(5):
             assert normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp)
+
+
+@pytest.mark.parametrize("eta, smax", [("0.7", 30), ("1e-12", 26), ("2/7", 12)])
+def test_batched_residual_rows_are_the_per_row_residuals(eta, smax):
+    p = BeamSplitterParam.from_value(eta)
+    rows = {(i, k): r for i, k, r in probabilities._bs_residual_rows(p, smax)}
+    assert sorted(rows) == [(i, k) for i in range(smax + 1) for k in range(smax + 1 - i)]
+    assert rows == {(i, k): normalization_residual(i, k, p) for i, k in rows}
+
+
+def _signed(magnitude, sign):
+    return -magnitude if sign else magnitude
+
+
+@st.composite
+def _quotient_operands(draw):
+    """(u, v, q) with q on either side of the short-quotient bound and |u*v/q|
+    near 2**scale: normal, subnormal or below the subnormal range."""
+    bound = probabilities._SHORT_QUOTIENT_BITS
+    qbits = draw(st.sampled_from([1, 60, bound - 1, bound, bound + 1, 3 * bound]) | st.integers(1, 4 * bound))
+    q = draw(st.integers(2 ** (qbits - 1), 2**qbits - 1))
+    scale = draw(st.sampled_from([0, -1030, -1060, -1074, -1100]) | st.integers(-1100, 900))
+    ubits = draw(st.integers(0, max(0, qbits + scale)))
+    vbits = max(0, qbits + scale - ubits)
+    u = _signed(draw(st.integers(0, 2**ubits)), draw(st.booleans()))
+    v = _signed(draw(st.integers(0, 2**vbits)), draw(st.booleans()))
+    return u, v, q
+
+
+@settings(max_examples=400, deadline=None)
+@given(_quotient_operands())
+@example((3 << 3000, -(5 << 2000), 7 << 4000))
+@example((-1, 1, 1 << 5000))
+@example((-(1 << 1500), -(1 << 1500), 3 << 4100))
+@example((0, -(1 << 3000), 1 << 2500))
+def test_rounded_quotient_is_the_plain_quotient(operands):
+    u, v, q = operands
+    got, want = probabilities._rounded_quotient(u, v, q), u * v / q
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class _CountingInt(int):
+    """An int that counts the products formed with it on the left."""
+
+    products = 0
+
+    def __mul__(self, other):
+        type(self).products += 1
+        return int(self) * other
+
+
+@pytest.mark.parametrize(
+    "u, want",
+    [
+        (2**53 + 1, 1.0),  # 1 + 2**-53: halfway, to even
+        (2**53 + 3, 1.0 + 2**-51),  # 1 + 3 * 2**-53: halfway, to even
+        (2**1000 + 2**947 + 1, 1.0 + 2**-52),  # just above halfway
+    ],
+)
+def test_halfway_quotients_fall_back_to_the_exact_division(u, want):
+    # The leading-bit bracket straddles a rounding boundary, so only the exact
+    # quotient u*v/q can round it; the fallback forms u*v once.
+    q = 1 << 2100
+    v = q >> (u.bit_length() - 1)
+    _CountingInt.products = 0
+    assert probabilities._rounded_quotient(_CountingInt(u), v, q) == want == u * v / q
+    assert _CountingInt.products == 1
+
+
+def test_long_quotients_off_a_boundary_do_not_form_the_product():
+    _CountingInt.products = 0
+    assert probabilities._rounded_quotient(_CountingInt(3 << 3000), 5 << 2000, 7 << 4000) == (15 << 5000) / (7 << 4000)
+    assert _CountingInt.products == 0
 
 
 # The engine's Horner sums against the term-by-term reference over the
@@ -234,17 +316,6 @@ def test_factor_sums_are_the_term_by_term_reference(row, eta):
     for n in range(total + 1):
         got = probabilities._scaled_factor_sums(i, total - i, n, num, den)
         assert got == factor_sums_reference(i, total - i, n, num, den), n
-
-
-def test_power_table_gives_each_power_in_any_order():
-    pw = probabilities._PowerTable()
-    for base, e in [(3, 7), (3, 2), (0, 0), (0, 5), (3, 0), (10, 40), (3, 11), (10, 1), (1, 9), (0, 0)]:
-        assert pw(base, e) == base**e
-    # Cells read through one shared table are the single-cell triples.
-    p = BeamSplitterParam.from_value(0.37)
-    for i, k in [(9, 4), (2, 30), (9, 0), (40, 40)]:
-        for n in range(i + k + 1):
-            assert probabilities._exact_factor_sums(i, k, n, p, pw) == probabilities._exact_factor_sums(i, k, n, p)
 
 
 def test_square_of_amplitude_invariant():
