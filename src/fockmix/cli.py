@@ -44,8 +44,8 @@ from .verify import SUITE_NAMES, hom_sweep, run_suite, tms_sweep
 
 _NORMALIZATION_TOLERANCE = 1e-10
 
-# Largest table `table` builds, in entries (80 MB as float64), checked before
-# any allocation.
+# Largest table a command builds, in entries (80 MB as float64), checked
+# before any allocation.
 _MAX_TABLE_ENTRIES = 10_000_000
 
 
@@ -93,6 +93,17 @@ def _config(i: int, k: int, n: int, device: Device) -> PhotonConfig:
         return PhotonConfig(i, k, n, device)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None) -> None:
+    """Refuse (exit 2) a table above _MAX_TABLE_ENTRIES before it is built:
+    beam-splitter rows (i, k) hold i+k+1 values, squeezer rows nmax+1."""
+    if device is Device.BS:
+        entries = (imax + 1) * (kmax + 1) * (imax + kmax + 2) // 2
+    else:
+        entries = (imax + 1) * (kmax + 1) * (nmax + 1)
+    if entries > _MAX_TABLE_ENTRIES:
+        raise click.UsageError(f"the table would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -155,6 +166,8 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
     """Print one transition probability."""
     cfg = RunConfig(Device(device), _require_param(device, eta, lam), precision=precision, method=method)
     pc = _config(i, k, n, cfg.device)
+    if cfg.method == "recurrence":
+        _check_table_size(pc.device, i, k, n)
     if cfg.precision == "rational":
         value = _prob_rational(pc, cfg)
         click.echo(str(value))
@@ -253,18 +266,14 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     param_text = _require_param(device, eta, lam)
     cfg = RunConfig(Device(device), param_text, precision=precision, method=method)
     route = "direct" if cfg.method == "exact" else cfg.method
-    if cfg.device is Device.BS:
-        entries = (imax + 1) * (kmax + 1) * (imax + kmax + 2) // 2  # rows (i, k) hold i+k+1 values
-    else:
+    if cfg.device is Device.TMS:
         if nmax is None:
             raise click.UsageError("--nmax is required for squeezer tables")
         if nmax < 0:
             raise click.UsageError("table sizes must be nonnegative")
         if route == "convolution":
             raise click.UsageError("squeezer tables support direct and recurrence methods")
-        entries = (imax + 1) * (kmax + 1) * (nmax + 1)
-    if entries > _MAX_TABLE_ENTRIES:
-        raise click.UsageError(f"the table would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
+    _check_table_size(cfg.device, imax, kmax, nmax)
     started = time.perf_counter()
     if cfg.device is Device.BS:
         builder = {
@@ -377,6 +386,7 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     else:
         if i < 1:
             raise click.UsageError("--i must be positive")
+        _check_table_size(Device.BS, i, i)  # the recurrence table convergence_report fills
         report = convergence_report([i], Device.BS)
         detail = report.detail[i]
         writer.writerow(["n", "exact", "predicted"])

@@ -25,21 +25,23 @@ monotone, so when the two round to the same float that float is the
 correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
 is taken. Either way the float is bit for bit the same.
 
-A whole table (the direct table, the exact cells of a convolution table, the
-rows of a normalization check) reads the sums of every cell of total N off
-one shell of integer polynomials, (1 - num*x)**a (1 + r*x)**(N-a) and
-(x - 1)**a (r + num*x)**(N-a), each shell the one below times linear factors
-and cut to the rows the table holds, with no binomial, power table or
-division. A single normalization row runs the single-cell sums; a squeezer
-scan runs them at the bridge cells with their boundary powers of r and den
-grown as n advances. Squeezer probabilities go through partial time reversal:
-A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam).
+A whole beam-splitter table (the direct table, the exact cells of a
+convolution table, the rows of a normalization check) reads the sums of every
+cell of total N off one shell of integer polynomials, (1 - num*x)**a
+(1 + r*x)**(N-a) and (x - 1)**a (r + num*x)**(N-a), each shell the one below
+times linear factors and cut to the rows the table holds, with no binomial,
+power table or division. A single normalization row runs the single-cell
+sums. Squeezer probabilities go through partial time reversal,
+A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam); the direct squeezer
+table and the normalization scan walk a squeezer row along n over these
+bridge cells, one generator for both.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from .errors import ConvergenceError
 from .numerics import gamma_small
@@ -271,6 +273,25 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     return (1 - lam) * bs_prob_exact(bridge, 1 - lam)
 
 
+def _bridge_cells(i: int, k: int, num: int, den: int):
+    """Yield (X, Y, Q) with X*Y/Q = B(i, n+k-i -> n) at eta = num/den for
+    n = n0, n0+1, ... without end, n0 = max(0, i-k). X = S(i,n+k-i,n) S(n,k,i)
+    num**|i-k| holds the Horner sums of _scaled_factor_sums over terms
+    n0..min(i, n), Y = r**|n-i| and Q = den**(n+k); Y is read back from
+    r**0..r**(i-n0) while n < i and then grown by r per step, as Q is by den."""
+    r = den - num
+    n0 = max(0, i - k)
+    lead, q = num ** abs(i - k), den ** (n0 + k)
+    head, y = [r**e for e in range(i - n0 + 1)], 1
+    for n in count(n0):
+        hi = min(i, n)
+        x = _alternating_sum(i, n + k - i, n, n0, hi, num, r) * _alternating_sum(n, k, i, n0, hi, num, r) * lead
+        yield x, head[i - n] if n < i else y, q
+        if n >= i:
+            y *= r
+        q *= den
+
+
 # Tail control for the squeezer normalization sum. The term ratio tends to
 # lam from above at large n; (1+lam)/2 is a safe geometric majorant there.
 _TAIL_TOLERANCE = 1e-14
@@ -298,25 +319,11 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     n0 = max(0, i - k)
     terms: list[float] = []
     settled = n0 + i + k + 2  # past the oscillatory head / structural zeros
-    # tms_prob's bridge cell (i, n+k-i, n), reachable from n0 on, has U*V =
-    # X * r**e with X = S(i,n+k-i,n) S(n,k,i) num**|i-k| and e = n+i-2*hi
-    # (the Horner sums of _scaled_factor_sums over terms n0..hi).
-    num, den = _exact_ratio(p.ptr_beamsplitter())
-    r = den - num
-    lead, r_pows, q = num ** abs(i - k), [1], den ** (n0 + k)
-    for n in range(n0, n_cut + 1):
-        hi = min(i, n)
-        e = n + i - 2 * hi
-        while len(r_pows) <= e:
-            r_pows.append(r_pows[-1] * r)
-        x = _alternating_sum(i, n + k - i, n, n0, hi, num, r) * _alternating_sum(n, k, i, n0, hi, num, r) * lead
-        terms.append((1.0 - lam) * _rounded_quotient(x, r_pows[e], q))
-        q *= den
-        if n >= settled:
-            recent = max(terms[-3:])
-            tail = recent * ratio / (1.0 - ratio)
-            if tail < _TAIL_TOLERANCE:
-                return abs(math.fsum(terms) - 1.0)
+    cells = _bridge_cells(i, k, *_exact_ratio(p.ptr_beamsplitter()))
+    for n, (x, y, q) in zip(range(n0, n_cut + 1), cells):
+        terms.append((1.0 - lam) * _rounded_quotient(x, y, q))
+        if n >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
+            return abs(math.fsum(terms) - 1.0)
     raise ConvergenceError(
         f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the "
         f"{_TAIL_TOLERANCE} tail bound by n={n_cut}"

@@ -35,15 +35,15 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Union
 
 import numpy as np
 
 from .errors import TableCoverageError
 from .numerics import binomial_exact
-from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _rounded_quotient, _shell_factor_rows, bs_prob_double_sum, tms_prob, tms_prob_exact
+from .params import BeamSplitterParam, Device, SqueezerParam
+from .probabilities import _bridge_cells, _exact_ratio, _rounded_quotient, _shell_factor_rows, bs_prob_double_sum
 from .amplitudes import _FLOAT_MAX_TOTAL, _bs_convolution_row, _signed_root
 
 __all__ = [
@@ -243,16 +243,21 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
 
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Squeezer table through the reversal route, cell by cell."""
+    """Squeezer table through the reversal route, one walk along n per row:
+    row (i, k) is zero below n = max(0, i-k) and then (1-lam) times the
+    bridge cells of _bridge_cells, float rows rounded once, bit for bit those
+    of tms_prob, and rational rows equal to tms_prob_exact."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     lam = _param_of(p, precision)
+    num, den = _exact_ratio(p.ptr_beamsplitter())
     for i in range(imax + 1):
         for k in range(kmax + 1):
+            n0 = min(max(0, i - k), nmax + 1)  # the first reachable n, or past the row
+            cells = islice(_bridge_cells(i, k, num, den), nmax + 1 - n0)
             if precision == "rational":
-                row = [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), lam) for n in range(nmax + 1)]
+                t.entries[(i, k)] = [Fraction(0)] * n0 + [(1 - lam) * Fraction(x * y, q) for x, y, q in cells]
             else:
-                row = _read_only([tms_prob(PhotonConfig(i, k, n, Device.TMS), p) for n in range(nmax + 1)])
-            t.entries[(i, k)] = row
+                t.entries[(i, k)] = _read_only([0.0] * n0 + [(1 - lam) * _rounded_quotient(x, y, q) for x, y, q in cells])
     return t
 
 

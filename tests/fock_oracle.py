@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from fockmix.params import BeamSplitterParam, Device
-from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio
+from fockmix.params import BeamSplitterParam, Device, PhotonConfig
+from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio, tms_prob, tms_prob_exact
 from fockmix.recurrences import ClassicalTable, c_coeff
 
 
@@ -209,6 +209,20 @@ def normalization_residual_per_cell(i: int, k: int, p) -> float:
         if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
             return abs(math.fsum(terms) - 1.0)
     raise AssertionError("the reference scan did not settle")
+
+
+def tms_rows_per_cell(imax: int, kmax: int, nmax: int, p, precision: str = "float") -> dict:
+    """Squeezer table entries from one tms_prob (float) or tms_prob_exact
+    (rational) call per cell: the reference for tms_table_direct's rows."""
+    entries = {}
+    for i in range(imax + 1):
+        for k in range(kmax + 1):
+            cells = [PhotonConfig(i, k, n, Device.TMS) for n in range(nmax + 1)]
+            if precision == "rational":
+                entries[(i, k)] = [tms_prob_exact(c, p.lam_exact) for c in cells]
+            else:
+                entries[(i, k)] = np.array([tms_prob(c, p) for c in cells])
+    return entries
 
 
 def render_table_reference(table, fmt: str, param_text: str) -> str:

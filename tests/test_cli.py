@@ -329,6 +329,42 @@ def test_table_entry_limit_counts_every_entry_of_the_table(monkeypatch, device, 
     assert run("table", *argv).exit_code == 2
 
 
+_TABLE_BUILDING_COMMANDS = [
+    ("prob", "--device", "bs", "--i", "6", "--k", "6", "--n", "3", "--eta", "0.5", "--method", "recurrence"),
+    ("prob", "--device", "bs", "--i", "6", "--k", "6", "--n", "3", "--eta", "1/2", "--precision", "rational",
+     "--method", "recurrence"),
+    ("prob", "--device", "tms", "--i", "6", "--k", "6", "--n", "3", "--lambda", "0.5", "--method", "recurrence"),
+    ("prob", "--device", "tms", "--i", "6", "--k", "6", "--n", "3", "--lambda", "1/2", "--precision", "rational",
+     "--method", "recurrence"),
+    ("plotdata", "--kind", "diag-asymptotic", "--i", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", _TABLE_BUILDING_COMMANDS)
+def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder ran for an oversize table")
+
+    for name in ("bs_table_recurrence", "tms_table_recurrence", "convergence_report"):
+        monkeypatch.setattr(fockmix.cli, name, refuse)
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 100)  # each table above holds 196 or 343
+    r = run(*argv)
+    assert r.exit_code == 2
+    assert "above the limit of 100" in r.output
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (_TABLE_BUILDING_COMMANDS[0], 343),  # the 7x7 beam-splitter table, rows of i+k+1
+    (_TABLE_BUILDING_COMMANDS[2], 196),  # the 7x7x4 squeezer table
+    (_TABLE_BUILDING_COMMANDS[4], 343),  # convergence_report's 7x7 beam-splitter table
+])
+def test_commands_that_build_tables_run_at_the_entry_limit(monkeypatch, argv, entries):
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
+    assert run(*argv).exit_code == 0
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries - 1)
+    assert run(*argv).exit_code == 2
+
+
 def test_table_self_check_failure_exits_1(monkeypatch):
     from fockmix.recurrences import ProbabilityTable
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,18 @@ def test_tms_normalization_scan_is_the_per_cell_sum(lam):
     for i in range(5):
         for k in range(5):
             assert normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp)
+
+
+def test_tms_normalization_scan_holds_no_power_table():
+    # The scan at 0.99 runs to n near 3300; a table of every power of r up
+    # to there held 37 MB.
+    tracemalloc.start()
+    try:
+        normalization_residual(0, 0, SqueezerParam(0.99))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("eta, smax", [("0.7", 30), ("1e-12", 26), ("2/7", 12)])

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fockmix.probabilities as probabilities
+import fockmix.recurrences as recurrences
 from fock_oracle import (
     bs_rows_rowwise,
     bs_tilde_row_reference,
     classical_recurrence_per_call,
+    tms_rows_per_cell,
     tms_rows_rowwise,
     tms_tilde_reference,
 )
@@ -355,6 +358,48 @@ def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
     for (i, k), row in table.entries.items():
         assert type(row) is list and all(type(v) is Fraction for v in row)
         assert row == [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), p.lam_exact) for n in range(nmax + 1)]
+
+
+# Squeezer direct rows walk their bridge cells along n, and must equal one
+# tms_prob or tms_prob_exact call per cell (tms_rows_per_cell).
+_TMS_LITERALS = st.one_of(
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
+    st.sampled_from(["0.37", "0.8", "1e-12", "0.999"]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 24), _TMS_LITERALS)
+@example(8, 8, 24, "0/1")
+@example(8, 8, 24, "0.999")
+@example(8, 2, 3, "0.37")  # rows with n0 = i - k past nmax
+@example(3, 8, 0, "1e-12")
+def test_tms_direct_rows_are_the_per_cell_values(imax, kmax, nmax, lam):
+    p = SqueezerParam.from_value(lam)
+    for precision in ["float", "rational"] if "/" in lam else ["float"]:
+        got = tms_table_direct(imax, kmax, nmax, p, precision).entries
+        want = tms_rows_per_cell(imax, kmax, nmax, p, precision)
+        assert got.keys() == want.keys()
+        for key, row in want.items():
+            if precision == "rational":
+                assert got[key] == row and all(type(v) is Fraction for v in got[key]), key
+            else:
+                assert got[key].tobytes() == row.tobytes(), key
+
+
+def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
+    p = SqueezerParam.from_value("1/4")
+    want = {precision: tms_rows_per_cell(4, 5, 9, p, precision) for precision in ("float", "rational")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-cell route ran")
+
+    for name in ("tms_prob", "tms_prob_exact", "bs_prob_direct", "bs_prob_exact", "_scaled_factor_sums"):
+        monkeypatch.setattr(probabilities, name, refuse)
+        monkeypatch.setattr(recurrences, name, refuse, raising=False)
+    for precision, rows in want.items():
+        got = tms_table_direct(4, 5, 9, p, precision).entries
+        assert all(np.array_equal(got[key], row) for key, row in rows.items())
 
 
 def test_float_table_rows_are_read_only():
