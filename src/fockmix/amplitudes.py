@@ -1,10 +1,11 @@
 """Fock-basis transition amplitudes of the beam splitter and two-mode squeezer.
 
-Two routes are provided for the beam splitter: the direct alternating sum and
-the convolution of the two vacuum-seeded rows. They are algebraically equal
-term by term; keeping both exercises two evaluation orders of a violently
-cancelling sum. Squeezer amplitudes go through the partial-time-reversal
-bridge (one code path, one sign convention):
+Two routes are provided for the beam splitter: the direct alternating sum,
+evaluated exactly in integers, and the convolution of the two vacuum-seeded
+rows. They are algebraically equal term by term; keeping both checks a float
+evaluation order of a violently cancelling sum against the exact one.
+Squeezer amplitudes go through the partial-time-reversal bridge (one code
+path, one sign convention):
 
     <n,m|TMS(lam)|i,k> = sqrt(1-lam) * <n,k|BS(1-lam)|i,m>,   m = n+k-i.
 
@@ -13,22 +14,23 @@ the convention consistent with the closed-form amplitude generating function
 (its exponent contains -x*w), which the test suite checks by series expansion.
 Probabilities are insensitive to the choice.
 
-Accuracy policy: plain floats with compensated summation up to total photon
-number 32. Above that the alternating sums lose more than ~1e-11 absolute in
-double precision, so both routes take the exact factored sums U and V of the
-probability engine instead: sqrt(i! k! n! (N-n)!) factors out of every term of
-the direct sum, which leaves a positive constant times (-1)**i * U, and
-A**2 = B = U*V / q**N for eta = p/q. The amplitude is the root of that exact
-probability, rounded once to a float (within one ulp), with the sign of the
-direct sum, at every total. In exact arithmetic the two routes are the same
-sum there, so they cross-check each other only up to total 32.
+Accuracy policy: the direct route takes the exact factored sums U and V of
+the probability engine at every total: sqrt(i! k! n! (N-n)!) factors out of
+every term of the direct sum, which leaves a positive constant times
+(-1)**i * U, and A**2 = B = U*V / q**N for eta = p/q. The amplitude is the
+root of that exact probability, rounded once to a float (within one ulp),
+with the sign of the direct sum. The convolution route sums plain floats with
+compensated summation up to total photon number 32; above that the float sum
+loses more than ~1e-11 absolute in double precision, so it returns the direct
+route's exact value instead. The two routes cross-check each other only up to
+total 32.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import gamma_capital, sqrt_binomial
+from .numerics import sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import _exact_factor_sums, _rounded_quotient
 
@@ -41,7 +43,8 @@ __all__ = [
     "tms_amplitude",
 ]
 
-# Above this total photon number the 53-bit error can exceed ~1e-11 absolute.
+# Above this total photon number the float convolution sum's 53-bit error can
+# exceed ~1e-11 absolute.
 _FLOAT_MAX_TOTAL = 32
 
 # sqrt(C(n, t)) for every n <= _FLOAT_MAX_TOTAL (561 floats): the float
@@ -81,22 +84,12 @@ def _require(c: PhotonConfig, device: Device) -> None:
 
 
 def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
-    """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>."""
+    """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>, from its exact
+    factored sums at every total (within one ulp)."""
     _require(c, Device.BS)
-    i, k, n = c.i, c.k, c.n
-    if n > i + k:
+    if c.n > c.i + c.k:
         return 0.0
-    lo, hi = max(0, n - k), min(i, n)
-    if i + k > _FLOAT_MAX_TOTAL:
-        return _bs_amplitude_exact(i, k, n, p)
-    eta, om = p.eta, 1.0 - p.eta
-    terms = []
-    for m in range(lo, hi + 1):
-        mag = math.sqrt(
-            gamma_capital(i, k, m, n - m) * eta ** (2 * m + k - n) * om ** (i - 2 * m + n)
-        )
-        terms.append(-mag if (i - m) % 2 else mag)
-    return math.fsum(terms)
+    return _bs_amplitude_exact(c.i, c.k, c.n, p)
 
 
 def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:

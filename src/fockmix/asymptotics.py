@@ -11,6 +11,9 @@ and the half-gain squeezer analog, reached through partial time reversal,
 Odd-parity outcomes vanish exactly, not just asymptotically; the formulas are
 singular at the endpoints, so those are excluded from the comparisons and the
 reports restrict to the central half-range where the laws are meant to hold.
+Each exact value is one correctly rounded cell of the direct route
+(`bs_prob_direct`, or `tms_prob` through its bridge), so the odd-parity cells
+read exactly zero.
 The comparison tolerance (monotone error decay plus 10% at the largest probe)
 is a diagnostic choice, not a proven rate.
 """
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .numerics import nan_max
-from .params import BeamSplitterParam, Device
-from .recurrences import ProbabilityTable, bs_table_recurrence
+from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
+from .probabilities import bs_prob_direct, tms_prob
 
 __all__ = [
     "AsymptoticReport",
@@ -78,33 +81,22 @@ def _central_range(probe: int) -> range:
     return range(lo, hi + 1)
 
 
-def _bs_exact_diag(table: ProbabilityTable, i: int, n: int) -> float:
-    return float(table.value(i, i, n))
-
-
-def _tms_exact_diag(table: ProbabilityTable, i: int, k: int) -> float:
-    # A(i,k->k) = (1/2) B(i, 2k-i -> k) at eta = 1/2.
-    return 0.5 * float(table.value(i, 2 * k - i, k))
-
-
 def convergence_report(i_values: list[int], device: Device) -> AsymptoticReport:
-    """Compare recurrence tables against the asymptotic law at each probe.
+    """Compare the exact diagonal cells against the asymptotic law at each probe.
 
-    Probes must be increasing; the needed table is built once at the largest
-    probe (float recurrence fill; the rational cross-checks that bound its
-    error live in the test suite).
+    Probes must be strictly increasing. The beam-splitter report reads
+    B(probe, probe -> n) and the squeezer report A(n, probe -> probe), each
+    one correctly rounded cell of the direct route at eta = lam = 1/2.
     """
     if list(i_values) != sorted(set(i_values)):
         raise ValueError("probe indices must be strictly increasing")
     if device is Device.BS:
-        size = max(i_values)
-        table = bs_table_recurrence(size, size, BeamSplitterParam(0.5))
-        exact_of = lambda probe, n: _bs_exact_diag(table, probe, n)
+        bp = BeamSplitterParam(0.5)
+        exact_of = lambda probe, n: bs_prob_direct(PhotonConfig(probe, probe, n), bp)
         predict = bs_diag_asymptotic
     else:
-        size = (3 * max(i_values)) // 2
-        table = bs_table_recurrence(size, size, BeamSplitterParam(0.5))
-        exact_of = lambda probe, n: _tms_exact_diag(table, n, probe)
+        sp = SqueezerParam(0.5)
+        exact_of = lambda probe, n: tms_prob(PhotonConfig(n, probe, probe, Device.TMS), sp)
         predict = lambda probe, n: tms_asymptotic(n, probe)
 
     report = AsymptoticReport(device, list(i_values), [], [])

@@ -386,7 +386,9 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     else:
         if i < 1:
             raise click.UsageError("--i must be positive")
-        _check_table_size(Device.BS, i, i)  # the recurrence table convergence_report fills
+        # convergence_report builds no table; its exact-cell work grows with
+        # --i, which is bounded like an i x i beam-splitter table
+        _check_table_size(Device.BS, i, i)
         report = convergence_report([i], Device.BS)
         detail = report.detail[i]
         writer.writerow(["n", "exact", "predicted"])

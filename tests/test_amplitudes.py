@@ -142,13 +142,37 @@ def test_tms_pair_annihilation_sign():
 
 
 def test_high_precision_escalation_seam():
+    # The direct route is exact on both sides of total 32; only the
+    # convolution route switches from its float sum there.
     p = BeamSplitterParam(0.44)
     for i, k in ((16, 16), (17, 16)):
         for n in (7, i + k // 2):
             cfg = PhotonConfig(i, k, n)
             exact = _bs_amplitude_exact(i, k, n, p)
-            assert abs(bs_amplitude_direct(cfg, p) - exact) <= 1e-11
+            assert bs_amplitude_direct(cfg, p) == exact
             assert abs(bs_amplitude_convolution(cfg, p) - exact) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    value=st.sampled_from(["3/10", "0.37", "1e-12", "0.999999999999"]),
+    total=st.integers(0, 32),
+    i=st.integers(0, 32),
+    n=st.integers(0, 32),
+)
+def test_direct_amplitudes_up_to_total_32_are_the_exact_ones(value, total, i, n):
+    i %= total + 1
+    n %= total + 1
+    bp = BeamSplitterParam.from_value(value)
+    exact = _bs_amplitude_exact(i, total - i, n, bp)
+    assert bs_amplitude_direct(PhotonConfig(i, total - i, n), bp) == exact
+    assert abs(bs_amplitude_convolution(PhotonConfig(i, total - i, n), bp) - exact) <= 1e-11
+    # the squeezer amplitude whose bridge is this beam-splitter cell
+    sp = SqueezerParam.from_value(value)
+    bridge = _bs_amplitude_exact(i, total - i, n, sp.ptr_beamsplitter())
+    k = total - n
+    got = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), sp)
+    assert got == math.sqrt(1.0 - sp.lam) * bridge
 
 
 def _bs_row(i: int, k: int, p: BeamSplitterParam) -> list[float]:

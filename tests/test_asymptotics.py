@@ -4,8 +4,9 @@ import pytest
 
 from fockmix.asymptotics import bs_diag_asymptotic, convergence_report, tms_asymptotic
 from fockmix.errors import DomainError
-from fockmix.params import BeamSplitterParam, Device
-from fockmix.recurrences import bs_table_recurrence
+from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
+from fockmix.probabilities import bs_prob_direct, tms_prob
+from fockmix.recurrences import ProbabilityTable, bs_table_recurrence
 
 
 def test_bs_diag_formula():
@@ -40,12 +41,17 @@ def test_parity_zeros_exact_small():
             assert row[n] == row[2 * i - n]
 
 
-def test_convergence_report_small_scale():
+def test_convergence_report_small_scale(monkeypatch):
+    # The reports read single exact cells; building any table is an error.
+    def no_table(*args, **kwargs):
+        raise AssertionError("convergence_report built a ProbabilityTable")
+
+    monkeypatch.setattr(ProbabilityTable, "__init__", no_table)
     report = convergence_report([20, 40], Device.BS)
     assert report.monotone
     assert report.index_list == [20, 40]
     assert all(err < 0.05 for err in report.max_rel_error)
-    assert all(p <= 1e-14 for p in report.parity_zero_max)
+    assert report.parity_zero_max == [0.0, 0.0]
     detail = report.detail[40]
     assert set(detail) == {"n", "exact", "predicted", "rel_error"}
     assert len(detail["n"]) == len(detail["exact"]) == len(detail["predicted"])
@@ -53,6 +59,15 @@ def test_convergence_report_small_scale():
     tms_report = convergence_report([20, 40], Device.TMS)
     assert tms_report.monotone
     assert tms_report.device is Device.TMS
+    assert tms_report.parity_zero_max == [0.0, 0.0]
+
+    bp, sp = BeamSplitterParam(0.5), SqueezerParam(0.5)
+    for probe in (20, 40):
+        ns = [int(n) for n in report.detail[probe]["n"]]
+        assert report.detail[probe]["exact"] == [bs_prob_direct(PhotonConfig(probe, probe, n), bp) for n in ns]
+        ns = [int(n) for n in tms_report.detail[probe]["n"]]
+        want = [tms_prob(PhotonConfig(n, probe, probe, Device.TMS), sp) for n in ns]
+        assert tms_report.detail[probe]["exact"] == want
 
 
 def test_convergence_report_rejects_unsorted_probes():

@@ -356,7 +356,7 @@ def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeyp
 @pytest.mark.parametrize("argv, entries", [
     (_TABLE_BUILDING_COMMANDS[0], 343),  # the 7x7 beam-splitter table, rows of i+k+1
     (_TABLE_BUILDING_COMMANDS[2], 196),  # the 7x7x4 squeezer table
-    (_TABLE_BUILDING_COMMANDS[4], 343),  # convergence_report's 7x7 beam-splitter table
+    (_TABLE_BUILDING_COMMANDS[4], 343),  # bounded as a 7x7 beam-splitter table
 ])
 def test_commands_that_build_tables_run_at_the_entry_limit(monkeypatch, argv, entries):
     monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
