@@ -17,6 +17,12 @@ two-term recurrence plus the reversal-derived n=0 boundary (squeezer). The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
+The exact identity checks of the verify suites build no table. They read
+the exact engine's integer rows, each a probability row times a fixed power
+of den (eta or 1-lam = num/den), so a residual is an integer row, with no
+lcm or gcd (_identity_residual_rows). The public tilde rows of a rational
+table lift the rows one call reads to one common denominator instead.
+
 Both fills build one shell s = i+k at a time, as one 2-D array [row, n] from
 the two shells below it. Floats run on the coefficients (eta, 1-eta, 1);
 rational precision on the integers (p, q-p, q^2) for eta or lambda = p/q,
@@ -35,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from typing import Union
 
 import numpy as np
@@ -305,64 +311,52 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     return t
 
 
-def _convolve_full(a, b):
-    out = [0 * (a[0] + b[0])] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        for u, y in enumerate(b):
-            out[s + u] += x * y
+def _term_sum(terms, length: int, zero=0) -> list:
+    """Entry n < length sums c * row[n - shift] over the terms (c, shift,
+    row), one term after the other and each one taken, zero or not."""
+    out = [zero] * length
+    for c, shift, row in terms:
+        for n, v in enumerate(row[: length - shift], shift):
+            out[n] += c * v
     return out
 
 
-def _lifted(row: list) -> tuple[int, list]:
-    """(D, [D*x for x in row]) as Python ints, D the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for x in row))
-    return d, [x.numerator * (d // x.denominator) for x in row]
+def _convolve_full(a, b):
+    return _term_sum(zip(a, count(), repeat(b)), len(a) + len(b) - 1, 0 * (a[0] + b[0]))
 
 
-def _lifted_sum(terms, length: int, lifted: dict) -> tuple[int, list]:
-    """(D, ints) with ints[n] / D = the sum of c * row[n - shift] over the
-    terms (c, shift, row) of Fractions, for n < length.
-
-    Each row is lifted to the lcm of its denominators once, however many terms
-    or calls share the cache lifted (keyed by id(row), so the caller keeps the
-    rows alive as long as the cache), and each product to the common multiple
-    D of all of them; the sum runs on integers and no gcd is taken."""
-    parts = []
-    for c, shift, row in terms:
-        if c:
-            if id(row) not in lifted:
-                lifted[id(row)] = _lifted(row)
-            d, ints = lifted[id(row)]
-            parts.append((c.denominator * d, c.numerator, shift, ints))
-    den = math.lcm(*(d for d, *_ in parts))
-    out = [0] * length
-    for d, c, shift, ints in parts:
-        c *= den // d
-        for n, v in enumerate(ints[: length - shift], shift):
-            out[n] += c * v
-    return den, out
+def _lifted_term_sum(terms_of, table: ProbabilityTable, length: int) -> list:
+    """_term_sum of terms_of(row), row(i, k) a row accessor, on a rational
+    table, as Fractions. The rows one call reads are lifted to integers at
+    the lcm d of all their denominators, so every product lands at d**2 and
+    the sum runs on integers."""
+    read = {}
+    for _ in terms_of(lambda i, k: read.setdefault((i, k), table.row(i, k))):
+        pass
+    d = math.lcm(*(x.denominator for row in read.values() for x in row))
+    lifted = {key: [x.numerator * (d // x.denominator) for x in row] for key, row in read.items()}
+    return [Fraction(v, d * d) for v in _term_sum(terms_of(lambda i, k: lifted[(i, k)]), length)]
 
 
-def _bs_tilde_pairs(i: int, k: int, j: int, table: ProbabilityTable) -> list:
-    return [(table.row(j - l, l), table.row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
+def _bs_tilde_pairs(i: int, k: int, j: int, row) -> list:
+    return [(row(j - l, l), row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
 
 
-def _bs_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable, lifted: dict) -> tuple[int, list]:
-    """bs_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
-    terms = ((c, t, b) for a, b in _bs_tilde_pairs(i, k, j, table) for t, c in enumerate(a))
-    return _lifted_sum(terms, i + k + 1, lifted)
+def _bs_tilde_terms(i: int, k: int, j: int, row):
+    """(a[t], t, b) over the pairs (a, b) of _bs_tilde_pairs, then t."""
+    return ((c, t, b) for a, b in _bs_tilde_pairs(i, k, j, row) for t, c in enumerate(a))
 
 
 def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     """The j-indexed convolution combination as a full row over n = 0..i+k.
 
     Rational rows are convolved as integers at a common denominator, with one
-    Fraction formed per output entry."""
+    Fraction formed per output entry; float rows add up one full convolution
+    per pair of rows."""
     if table.precision == "rational":
-        den, out = _bs_tilde_lifted(i, k, j, table, {})
-        return [Fraction(v, den) for v in out]
+        return _lifted_term_sum(lambda row: _bs_tilde_terms(i, k, j, row), table, i + k + 1)
     out = [table.zero] * (i + k + 1)
-    for a, b in _bs_tilde_pairs(i, k, j, table):
+    for a, b in _bs_tilde_pairs(i, k, j, table.row):
         for n, v in enumerate(_convolve_full(list(a), list(b))):
             out[n] += v
     return out
@@ -386,17 +380,12 @@ def bs_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable)
     return abs(lhs - rhs)
 
 
-def _tms_tilde_terms(i: int, k: int, j: int, table: ProbabilityTable):
+def _tms_tilde_terms(i: int, k: int, j: int, nmax: int, row):
     """(A(m, j-l -> l), l, row (i-m, k-j+l)) over l, then m: entry n of the
     squeezer combination sums the first times the row at n - l."""
-    for l in range(max(0, j - k), min(j, table.nmax) + 1):
+    for l in range(max(0, j - k), min(j, nmax) + 1):
         for m in range(i + 1):
-            yield table.row(m, j - l)[l], l, table.row(i - m, k - j + l)
-
-
-def _tms_tilde_lifted(i: int, k: int, j: int, table: ProbabilityTable, lifted: dict) -> tuple[int, list]:
-    """tms_tilde_row of a rational table as (D, ints): entry n is ints[n] / D."""
-    return _lifted_sum(_tms_tilde_terms(i, k, j, table), table.nmax + 1, lifted)
+            yield row(m, j - l)[l], l, row(i - m, k - j + l)
 
 
 def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
@@ -404,13 +393,8 @@ def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     on the input index i, and entries with j > n+k are 0. Float entries are
     summed over l, then m, as tms_tilde always has."""
     if table.precision == "rational":
-        den, out = _tms_tilde_lifted(i, k, j, table, {})
-        return [Fraction(v, den) for v in out]
-    out = [table.zero] * (table.nmax + 1)
-    for c, shift, row in _tms_tilde_terms(i, k, j, table):
-        for n in range(shift, len(out)):
-            out[n] += c * row[n - shift]
-    return out
+        return _lifted_term_sum(lambda row: _tms_tilde_terms(i, k, j, table.nmax, row), table, table.nmax + 1)
+    return _term_sum(_tms_tilde_terms(i, k, j, table.nmax, table.row), table.nmax + 1, table.zero)
 
 
 def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -435,46 +419,55 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
     return abs(lhs - rhs)
 
 
-def _identity_residual_rows(table: ProbabilityTable):
-    """A function (i, k, j) -> (D, diffs) for a rational table, where
-    diffs[n] / D is the signed residual of the general-j identity at
-    (i, k, n, j) over the n of row (i, k): lhs[n] - tilde(i,k,j)[n]
-    + tilde(i-1,k-1,j-1)[n-1], with lhs B(i,k->n) for a beam splitter and
-    (1-lam) A(i,k->n) for a squeezer.
+def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):
+    """(den, residual): the general-j identities on the exact engine's
+    integer rows of i <= imax, k <= kmax (and n <= nmax for a squeezer),
+    with eta or 1-lam = num/den.
 
-    The three rows are lifted to integers and cross-multiplied to one
-    denominator, so an exact check is an integer compare with no gcd. Each
-    table row is lifted once, into one cache that every tilde and lhs row of
-    the function reads, and each tilde is built once; both are kept as long
-    as the function, since neighbouring (i, k, j) share them."""
-    if table.device is Device.BS:
-        build, scale = _bs_tilde_lifted, Fraction(1)
+    residual(i, k, j) is the integer row over the n of row (i, k),
+    lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
+    the tildes sum products of engine rows. A beam-splitter row is U*V of
+    _shell_factor_rows, B(i,k->n) times den**(i+k), and lead is 1; a
+    squeezer row is num*X*Y of _bridge_cells, A(i,k->n) times
+    den**(k+n+1), zero below n0 = max(0, i-k), and lead is num. So every
+    product in a tilde row lands on the power of den of its left-hand side,
+    and the den-power rule holds: entry n of a residual row is the exact
+    signed residual times den**(i+k) for a beam splitter and den**(k+n+2)
+    for a squeezer. Each tilde row is built once and kept as long as the
+    function, since (i, k, j) and (i+1, k+1, j+1) share one."""
+    bs = isinstance(p, BeamSplitterParam)
+    if bs:
+        lead, den = 1, _exact_ratio(p)[1]
+        rows = {(i, k): [u * v for u, v in cells] for i, k, cells, _ in _shell_factor_rows(p, imax, kmax)}
     else:
-        build, scale = _tms_tilde_lifted, 1 - _param_of(table.param, table.precision)
-    tildes: dict[tuple[int, int, int], tuple[int, list]] = {}
-    lhs_rows: dict[tuple[int, int], tuple[int, list]] = {}
-    lifted: dict[int, tuple[int, list]] = {}  # keyed by id(row); the table holds the rows
+        lead, den = _exact_ratio(p.ptr_beamsplitter())
+        rows = {}
+        for i in range(imax + 1):
+            for k in range(kmax + 1):
+                n0 = min(max(0, i - k), nmax + 1)  # as in tms_table_direct
+                cells = islice(_bridge_cells(i, k, lead, den), nmax + 1 - n0)
+                rows[(i, k)] = [0] * n0 + [lead * x * y for x, y, _ in cells]
+    tildes: dict[tuple[int, int, int], list] = {}
+    step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)
 
-    def tilde(i: int, k: int, j: int) -> tuple[int, list]:
+    def row(i: int, k: int) -> list:
+        return rows[(i, k)]
+
+    def tilde(i: int, k: int, j: int) -> list:
         if min(i, k, j) < 0:
-            return 1, []
+            return []
         if (i, k, j) not in tildes:
-            tildes[(i, k, j)] = build(i, k, j, table, lifted)
+            if bs:
+                tildes[(i, k, j)] = _term_sum(_bs_tilde_terms(i, k, j, row), i + k + 1)
+            else:
+                tildes[(i, k, j)] = _term_sum(_tms_tilde_terms(i, k, j, nmax, row), nmax + 1)
         return tildes[(i, k, j)]
 
-    def residual(i: int, k: int, j: int) -> tuple[int, list]:
-        if (i, k) not in lhs_rows:
-            row = table.row(i, k)
-            if id(row) not in lifted:
-                lifted[id(row)] = _lifted(row)
-            d, ints = lifted[id(row)]
-            lhs_rows[(i, k)] = (scale.denominator * d, [scale.numerator * v for v in ints])
-        (dl, il), (dc, ic), (dp, ip) = lhs_rows[(i, k)], tilde(i, k, j), tilde(i - 1, k - 1, j - 1)
-        den = math.lcm(dl, dc, dp)
-        sl, sc, sp = den // dl, den // dc, den // dp
-        return den, [a * sl - b * sc + c * sp for a, b, c in zip(il, ic, chain([0], ip, repeat(0)))]
+    def residual(i: int, k: int, j: int) -> list:
+        prev = chain([0], tilde(i - 1, k - 1, j - 1), repeat(0))
+        return [lead * a - b + step * c for a, b, c in zip(rows[(i, k)], tilde(i, k, j), prev)]
 
-    return residual
+    return den, residual
 
 
 # ---------------------------------------------------------------------------

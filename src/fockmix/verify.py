@@ -191,13 +191,11 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
 
 def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
     for eta in eta_values:
-        p = BeamSplitterParam.from_value(eta)
-        table = bs_table_direct(imax, imax, p, "rational")
-        residual = _identity_residual_rows(table)
+        den, residual = _identity_residual_rows(BeamSplitterParam.from_value(eta), imax, imax)
         for i in range(imax + 1):
             for k in range(imax + 1):
                 for j in range(i + k + 1):
-                    den, diffs = residual(i, k, j)
+                    diffs = residual(i, k, j)
                     res.cases += len(diffs)  # failure text is built for failing cases only
                     for n, d in enumerate(diffs):
                         if d:
@@ -205,7 +203,26 @@ def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
                                 f"(i={i},k={k},n={n},j={j})",
                                 f"eta={eta}",
                                 "residual 0 (exact)",
-                                Fraction(d, den),
+                                Fraction(d, den ** (i + k)),
+                                "exact",
+                            )
+
+
+def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
+    for lam in lam_values:
+        den, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, 2 * nmax, nmax)
+        for i in range(nmax + 1):
+            for k in range(nmax + 1):
+                by_j = [residual(i, k, j) for j in range(nmax + k + 1)]
+                for n in range(nmax + 1):
+                    res.cases += n + k + 1
+                    for j in range(n + k + 1):
+                        if by_j[j][n]:
+                            res.fail(
+                                f"(i={i},k={k},n={n},j={j})",
+                                f"lam={lam}",
+                                "residual 0 (exact)",
+                                Fraction(by_j[j][n], den ** (k + n + 2)),
                                 "exact",
                             )
 
@@ -278,25 +295,7 @@ def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
 def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
     nmax = 6 if scale == "full" else 4
     lams = ["1/4", "1/2", "3/4"] if scale == "full" else ["1/2"]
-    for lam in lams:
-        sp = SqueezerParam.from_value(lam)
-        table = tms_table_direct(nmax, 2 * nmax, nmax, sp, "rational")
-        residual = _identity_residual_rows(table)
-        for i in range(nmax + 1):
-            for k in range(nmax + 1):
-                by_j = [residual(i, k, j) for j in range(nmax + k + 1)]
-                for n in range(nmax + 1):
-                    res.cases += n + k + 1
-                    for j in range(n + k + 1):
-                        den, diffs = by_j[j]
-                        if diffs[n]:
-                            res.fail(
-                                f"(i={i},k={k},n={n},j={j})",
-                                f"lam={lam}",
-                                "residual 0 (exact)",
-                                Fraction(diffs[n], den),
-                                "exact",
-                            )
+    _theorem2_exact(res, nmax, lams)
 
     # recurrence table against the reversal-route values, float
     sp = SqueezerParam(0.2)

@@ -1,6 +1,6 @@
-"""The exact identity suites compare cross-multiplied integers; a wrong table
-entry must fail exactly the cases whose Fraction residual is non-zero, and
-report that residual."""
+"""The exact identity suites compare integer rows of the exact engine; a
+wrong engine cell must fail exactly the cases whose Fraction residual is
+non-zero, and report that residual."""
 
 import math
 import re
@@ -8,26 +8,45 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import fockmix.recurrences as recurrences
 import fockmix.verify as verify
+from fock_oracle import bs_tilde_row_reference, tms_tilde_reference
 from fockmix.params import BeamSplitterParam, SqueezerParam
-from fockmix.recurrences import bs_recurrence_check, bs_tilde, tms_recurrence_check
+from fockmix.recurrences import bs_recurrence_check, bs_table_direct, bs_tilde, tms_recurrence_check, tms_table_direct
 
 _CELL = re.compile(r"\(i=(\d+),k=(\d+),n=(\d+),j=(\d+)\)")
 
 
-def _with_wrong_entry(builder, key, n):
-    """builder, with entry n of row key moved by 1/7 in rational tables."""
+def _with_moved_shell_cell(eta, key, n):
+    """_shell_factor_rows, with the integer numerator U*V of cell n of row key
+    moved up by one at transmittance eta (a Fraction)."""
+    shell_rows = recurrences._shell_factor_rows
 
-    def build(*args, **kwargs):
-        table = builder(*args, **kwargs)
-        if table.precision == "rational":
-            row = list(table.entries[key])
-            row[n] += Fraction(1, 7)
-            table.entries[key] = row
-        return table
+    def rows(p, *args, **kwargs):
+        for i, k, cells, q in shell_rows(p, *args, **kwargs):
+            if (i, k) == key and p.eta_exact == eta:
+                cells = list(cells)
+                u, v = cells[n]
+                cells[n] = (u * v + 1, 1)
+            yield i, k, cells, q
 
-    return build
+    return rows
+
+
+def _with_moved_bridge_cell(ratio, key, step):
+    """_bridge_cells, with the integer numerator X*Y of cell `step` of
+    squeezer row key moved up by one at 1-lam = num/den, ratio = (num, den)."""
+    bridge_cells = recurrences._bridge_cells
+
+    def cells(i, k, num, den):
+        for s, (x, y, q) in enumerate(bridge_cells(i, k, num, den)):
+            if (i, k) == key and (num, den) == ratio and s == step:
+                x, y = x * y + 1, 1
+            yield x, y, q
+
+    return cells
 
 
 def _identity_failures(result, parameter):
@@ -45,10 +64,9 @@ def test_exact_identity_suites_pass():
 
 
 def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    build = _with_wrong_entry(verify.bs_table_direct, (3, 2), 2)
-    monkeypatch.setattr(verify, "bs_table_direct", build)
+    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
     failures = _identity_failures(verify.run_suite("recurrence-bs", "quick"), "eta=1/4")
-    table = build(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
+    table = bs_table_direct(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
     want = {}
     for i in range(7):
         for k in range(7):
@@ -61,10 +79,9 @@ def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatc
 
 
 def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    build = _with_wrong_entry(verify.tms_table_direct, (2, 3), 1)
-    monkeypatch.setattr(verify, "tms_table_direct", build)
+    monkeypatch.setattr(recurrences, "_bridge_cells", _with_moved_bridge_cell((1, 2), (2, 3), 1))
     failures = _identity_failures(verify.run_suite("recurrence-tms", "quick"), "lam=1/2")
-    table = build(4, 8, 4, SqueezerParam.from_value("1/2"), "rational")
+    table = tms_table_direct(4, 8, 4, SqueezerParam.from_value("1/2"), "rational")
     want = {}
     for i in range(5):
         for k in range(5):
@@ -80,8 +97,7 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
     # Passing cases are counted without building their text; a failing one
     # still reports the signed Fraction residual in loop order (eta, i, k, j, n).
     cases = verify.run_suite("recurrence-bs", "quick").cases
-    build = _with_wrong_entry(verify.bs_table_direct, (3, 2), 2)
-    monkeypatch.setattr(verify, "bs_table_direct", build)
+    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
     result = verify.run_suite("recurrence-bs", "quick")
     assert result.cases == cases
     identity = [f for f in result.failures if _CELL.fullmatch(f.indices)]
@@ -90,10 +106,78 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
         i, k, n, j = map(int, _CELL.fullmatch(f.indices).groups())
         by_eta.setdefault(f.parameter, []).append((i, k, j, n))
     assert all(cells == sorted(cells) for cells in by_eta.values())
-    table = build(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
+    table = bs_table_direct(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
     signed = table.value(3, 2, 2) - (bs_tilde(3, 2, 1, 2, table) - bs_tilde(2, 1, 0, 1, table))
     want = verify.Failure("(i=3,k=2,n=2,j=1)", "eta=1/4", "residual 0 (exact)", str(signed), "exact")
     assert signed != 0 and want in identity
+
+
+def test_exact_identity_blocks_build_no_table(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an exact identity block built a ProbabilityTable")
+
+    monkeypatch.setattr(recurrences.ProbabilityTable, "__init__", refuse)
+    res = verify.VerificationResult("exact identities")
+    verify._theorem1_exact(res, 8, [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    assert res.ok and res.cases == 5 * sum((i + k + 1) ** 2 for i in range(9) for k in range(9)) == 38205
+    res = verify.VerificationResult("exact identities")
+    verify._theorem2_exact(res, 6, ["1/4", "1/2", "3/4"])
+    assert res.ok and res.cases == 3 * sum(n + k + 1 for i in range(7) for k in range(7) for n in range(7)) == 7203
+
+
+# Residual rows against the signed Fraction residuals of a rational direct
+# table built from the same engine rows, with one engine cell moved so that
+# the residuals are not all zero and the powers of den show.
+_RATIOS = st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}"))
+_BS_CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda ik: st.tuples(st.just(ik), st.integers(0, sum(ik)))
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(eta=_RATIOS, cell=_BS_CELLS)
+@example(eta="0/1", cell=((3, 2), 2))
+@example(eta="1/1", cell=((2, 3), 4))
+def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
+    p = BeamSplitterParam.from_value(eta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(p.eta_exact, *cell))
+        table = bs_table_direct(5, 5, p, "rational")
+        den, residual = recurrences._identity_residual_rows(p, 5, 5)
+    for i in range(6):
+        for k in range(6):
+            for j in range(i + k + 1):
+                cur = bs_tilde_row_reference(i, k, j, table)
+                prev = bs_tilde_row_reference(i - 1, k - 1, j - 1, table) if min(i, k, j) >= 1 else []
+                want = [table.value(i, k, n) - cur[n] + (prev[n - 1] if 1 <= n <= len(prev) else 0)
+                        for n in range(i + k + 1)]
+                assert [Fraction(d, den ** (i + k)) for d in residual(i, k, j)] == want
+
+
+_TMS_CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda ik: st.tuples(st.just(ik), st.integers(0, 5 - max(0, ik[0] - ik[1])))
+)
+
+
+@settings(max_examples=4, deadline=None)
+@given(lam=_RATIOS.filter(lambda r: Fraction(r) < 1), cell=_TMS_CELLS)
+@example(lam="0/1", cell=((2, 3), 1))
+def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
+    sp = SqueezerParam.from_value(lam)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recurrences, "_bridge_cells", _with_moved_bridge_cell((1 - sp.lam_exact).as_integer_ratio(), *cell))
+        table = tms_table_direct(5, 10, 5, sp, "rational")
+        den, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
+    for i in range(6):
+        for k in range(6):
+            for j in range(5 + k + 1):
+                want = [
+                    (1 - sp.lam_exact) * table.value(i, k, n)
+                    - tms_tilde_reference(i, k, n, j, table)
+                    + tms_tilde_reference(i - 1, k - 1, n - 1, j - 1, table)
+                    for n in range(6)
+                ]
+                assert [Fraction(d, den ** (k + n + 2)) for n, d in enumerate(residual(i, k, j))] == want
 
 
 def _with_nan_row(builder, key):
