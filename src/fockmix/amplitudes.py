@@ -32,7 +32,7 @@ import math
 
 from .numerics import sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _exact_factor_sums, _rounded_quotient
+from .probabilities import _bridge, _exact_factor_sums, _require, _rounded_quotient
 
 __all__ = [
     "bs_vacuum_row",
@@ -76,11 +76,6 @@ def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
         * (1.0 - p.lam) ** (0.5 * (1 + i))
         * p.lam ** (0.5 * (n - i))
     )
-
-
-def _require(c: PhotonConfig, device: Device) -> None:
-    if c.device is not device:
-        raise ValueError(f"expected a {device.value} configuration, got {c.device.value}")
 
 
 def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -147,8 +142,7 @@ def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = Non
 def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str | None = None) -> float:
     """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal."""
     _require(c, Device.TMS)
-    m = c.m
-    if m < 0:
+    bridge = _bridge(c)
+    if bridge is None:
         return 0.0
-    bridge = PhotonConfig(c.i, m, c.n, Device.BS)
     return math.sqrt(1.0 - p.lam) * bs_amplitude(bridge, p.ptr_beamsplitter(), method=method)

@@ -9,7 +9,9 @@ Parameters accept decimal literals ("0.3") or exact ratios ("1/3"); rational
 precision requires the ratio form so the exact routes are never silently fed
 a rounded decimal. Floats print in shortest round-trip form; rationals print
 as canonical lowest-term fractions, which makes rational CSV output
-bit-stable across runs.
+bit-stable across runs. The "param" of a JSON table is the table's own
+parameter, a float or, in rational precision, its canonical fraction, so
+"2/4" and "1/2" export the same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -49,43 +50,20 @@ _NORMALIZATION_TOLERANCE = 1e-10
 _MAX_TABLE_ENTRIES = 10_000_000
 
 
-@dataclass
-class RunConfig:
-    """Parsed command options shared by the computational subcommands."""
-
-    device: Device
-    param_text: str
-    precision: str = "float"
-    method: str = "direct"
-
-    def __post_init__(self) -> None:
-        self.rational_literal = "/" in self.param_text
-        if self.method == "exact":
-            self.precision = "rational"
-        if self.precision == "rational" and not self.rational_literal:
-            raise click.UsageError("rational precision requires a p/q parameter literal")
-
-    def bs_param(self) -> BeamSplitterParam:
-        return self._param(BeamSplitterParam)
-
-    def tms_param(self) -> SqueezerParam:
-        return self._param(SqueezerParam)
-
-    def _param(self, cls):
-        try:
-            return cls.from_value(self.param_text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise click.UsageError(f"bad parameter {self.param_text!r}: {exc}") from exc
-
-
-def _require_param(device: str, eta: str | None, lam: str | None) -> str:
-    if device == "bs":
-        if eta is None:
-            raise click.UsageError("--eta is required for the beam splitter")
-        return eta
-    if lam is None:
-        raise click.UsageError("--lambda is required for the squeezer")
-    return lam
+def _param(device: str, eta: str | None, lam: str | None, rational: bool = False) -> BeamSplitterParam | SqueezerParam:
+    """The BeamSplitterParam or SqueezerParam of the --eta or --lambda
+    literal; rational precision takes only p/q literals."""
+    bs = device == "bs"
+    text = eta if bs else lam
+    if text is None:
+        raise click.UsageError("--eta is required for the beam splitter" if bs else
+                               "--lambda is required for the squeezer")
+    if rational and "/" not in text:
+        raise click.UsageError("rational precision requires a p/q parameter literal")
+    try:
+        return (BeamSplitterParam if bs else SqueezerParam).from_value(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"bad parameter {text!r}: {exc}") from exc
 
 
 def _config(i: int, k: int, n: int, device: Device) -> PhotonConfig:
@@ -145,12 +123,9 @@ def _note(record: dict) -> None:
 @click.option("--method", type=click.Choice(["direct", "convolution"]), default="direct")
 def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, method: str) -> None:
     """Print one transition amplitude."""
-    cfg = RunConfig(Device(device), _require_param(device, eta, lam), method=method)
-    if cfg.device is Device.BS:
-        value = bs_amplitude(_config(i, k, n, Device.BS), cfg.bs_param(), method=method)
-    else:
-        value = tms_amplitude(_config(i, k, n, Device.TMS), cfg.tms_param(), method=method)
-    click.echo(repr(value))
+    param = _param(device, eta, lam)
+    amplitude = bs_amplitude if device == "bs" else tms_amplitude
+    click.echo(repr(amplitude(_config(i, k, n, Device(device)), param, method=method)))
 
 
 @main.command()
@@ -164,64 +139,58 @@ def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, m
 @click.option("--method", type=click.Choice(["direct", "convolution", "recurrence", "exact"]), default="direct")
 def prob(device, i, k, n, eta, lam, precision, method) -> None:
     """Print one transition probability."""
-    cfg = RunConfig(Device(device), _require_param(device, eta, lam), precision=precision, method=method)
-    pc = _config(i, k, n, cfg.device)
-    if cfg.method == "recurrence":
+    if method == "exact":
+        precision, method = "rational", "direct"
+    param = _param(device, eta, lam, precision == "rational")
+    pc = _config(i, k, n, Device(device))
+    if method == "recurrence":
         _check_table_size(pc.device, i, k, n)
-    if cfg.precision == "rational":
-        value = _prob_rational(pc, cfg)
-        click.echo(str(value))
-        return
-    value = _prob_float(pc, cfg)
-    click.echo(repr(value))
+    if precision == "rational":
+        click.echo(str(_prob_rational(pc, param, method)))
+    else:
+        click.echo(repr(_prob_float(pc, param, method)))
 
 
-def _prob_rational(pc: PhotonConfig, cfg: RunConfig) -> Fraction:
+def _prob_rational(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> Fraction:
     if pc.device is Device.BS:
-        param = cfg.bs_param()
-        exact = param.eta_exact
-        if cfg.method == "convolution":
-            return bs_prob_double_sum(pc.i, pc.k, pc.n, exact)
-        if cfg.method == "recurrence":
+        if method == "convolution":
+            return bs_prob_double_sum(pc.i, pc.k, pc.n, param.eta_exact)
+        if method == "recurrence":
             return bs_table_recurrence(pc.i, pc.k, param, "rational").value(pc.i, pc.k, pc.n)
-        return bs_prob_exact(pc, exact)
-    param = cfg.tms_param()
-    exact = param.lam_exact
-    if cfg.method == "convolution":
+        return bs_prob_exact(pc, param.eta_exact)
+    if method == "convolution":
         raise click.UsageError(
             "squeezer amplitudes are irrational; rational precision supports "
             "direct, exact and recurrence methods"
         )
-    if cfg.method == "recurrence":
+    if method == "recurrence":
         return tms_table_recurrence(pc.i, pc.k, pc.n, param, "rational").value(pc.i, pc.k, pc.n)
-    return tms_prob_exact(pc, exact)
+    return tms_prob_exact(pc, param.lam_exact)
 
 
-def _prob_float(pc: PhotonConfig, cfg: RunConfig) -> float:
+def _prob_float(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> float:
     if pc.device is Device.BS:
-        param = cfg.bs_param()
-        if cfg.method == "convolution":
+        if method == "convolution":
             return bs_amplitude(pc, param, method="convolution") ** 2
-        if cfg.method == "recurrence":
+        if method == "recurrence":
             return float(bs_table_recurrence(pc.i, pc.k, param).value(pc.i, pc.k, pc.n))
         return bs_prob_direct(pc, param)
-    param = cfg.tms_param()
-    if cfg.method == "convolution":
+    if method == "convolution":
         return tms_amplitude(pc, param, method="convolution") ** 2
-    if cfg.method == "recurrence":
+    if method == "recurrence":
         return float(tms_table_recurrence(pc.i, pc.k, pc.n, param).value(pc.i, pc.k, pc.n))
     return tms_prob(pc, param)
 
 
-def _table_chunks(table: ProbabilityTable, fmt: str, param_text: str):
+def _table_chunks(table: ProbabilityTable, fmt: str):
     """The CSV or JSON export, one chunk of text per (i, k) row.
 
     The text is byte for byte what csv.writer and json.dumps(indent=2) write
     for the entries (i, k, n, m, value) with m >= 0: floats in shortest
-    round-trip form, rationals as canonical fractions (quoted in JSON). m is
-    read off the row layout: beam-splitter rows hold n = 0..i+k with
-    m = i+k-n, and squeezer rows start at n = max(0, i-k), the first n with
-    m = n+k-i >= 0.
+    round-trip form, rationals as canonical fractions (quoted in JSON), the
+    JSON "param" too. m is read off the row layout: beam-splitter rows hold
+    n = 0..i+k with m = i+k-n, and squeezer rows start at n = max(0, i-k),
+    the first n with m = n+k-i >= 0.
     """
     rational = table.precision == "rational"
     bs = table.device is Device.BS
@@ -229,7 +198,8 @@ def _table_chunks(table: ProbabilityTable, fmt: str, param_text: str):
         yield "i,k,n,m,value\n"
         line = "{},{},%d,%d,%s\n"
     else:
-        param = param_text if rational else (table.param.eta if bs else table.param.lam)
+        exact = table.param.eta_exact if bs else table.param.lam_exact
+        param = str(exact) if rational else (table.param.eta if bs else table.param.lam)
         header = (table.device.value, param, table.method)
         yield '{\n  "device": %s,\n  "param": %s,\n  "method": %s,\n  "entries": [' % tuple(map(json.dumps, header))
         value = '"%s"' if rational else "%s"
@@ -263,38 +233,38 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     """Build a probability table and write it as CSV or JSON."""
     if imax < 0 or kmax < 0:
         raise click.UsageError("table sizes must be nonnegative")
-    param_text = _require_param(device, eta, lam)
-    cfg = RunConfig(Device(device), param_text, precision=precision, method=method)
-    route = "direct" if cfg.method == "exact" else cfg.method
-    if cfg.device is Device.TMS:
+    if method == "exact":
+        precision, method = "rational", "direct"
+    param = _param(device, eta, lam, precision == "rational")
+    if device == "tms":
         if nmax is None:
             raise click.UsageError("--nmax is required for squeezer tables")
         if nmax < 0:
             raise click.UsageError("table sizes must be nonnegative")
-        if route == "convolution":
+        if method == "convolution":
             raise click.UsageError("squeezer tables support direct and recurrence methods")
-    _check_table_size(cfg.device, imax, kmax, nmax)
+    _check_table_size(Device(device), imax, kmax, nmax)
     started = time.perf_counter()
-    if cfg.device is Device.BS:
+    if device == "bs":
         builder = {
             "direct": bs_table_direct,
             "convolution": bs_table_convolution,
             "recurrence": bs_table_recurrence,
-        }[route]
-        t = builder(imax, kmax, cfg.bs_param(), cfg.precision)
+        }[method]
+        t = builder(imax, kmax, param, precision)
     else:
-        builder = tms_table_direct if route == "direct" else tms_table_recurrence
-        t = builder(imax, kmax, nmax, cfg.tms_param(), cfg.precision)
+        builder = tms_table_direct if method == "direct" else tms_table_recurrence
+        t = builder(imax, kmax, nmax, param, precision)
     built = time.perf_counter()
     residual = t.normalization_max_residual()
     checked = time.perf_counter()
-    record = {"route": route, "rows": len(t.entries), "build_s": built - started,
+    record = {"route": method, "rows": len(t.entries), "build_s": built - started,
               "check_s": checked - built, "emit_s": None, "normalization_residual": residual}
     if not residual <= _NORMALIZATION_TOLERANCE:  # a nan residual fails too
         _note(record)
         click.echo(f"normalization self-check failed: residual {residual:.3e}", err=True)
         sys.exit(1)
-    _emit(_table_chunks(t, fmt, param_text), out)
+    _emit(_table_chunks(t, fmt), out)
     record["emit_s"] = time.perf_counter() - checked
     _note(record)
 
@@ -312,23 +282,15 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
     """Evaluate a closed-form generating function at a real point."""
     if which == "diag" and device != "bs":
         raise click.UsageError("the diagonal generating function is a beam-splitter object")
-    cfg = RunConfig(Device(device), _require_param(device, eta, lam))
+    param = _param(device, eta, lam)
     pt = GenFunPoint(x, y, z, w)
     try:
         if which == "diag":
-            value = diagonal_gf_bs(x, z, cfg.bs_param())
-        elif which == "g":
-            value = (
-                eval_g_bs(pt, cfg.bs_param())
-                if cfg.device is Device.BS
-                else eval_g_tms(pt, cfg.tms_param())
-            )
+            value = diagonal_gf_bs(x, z, param)
+        elif device == "bs":
+            value = (eval_g_bs if which == "g" else eval_f_bs)(pt, param)
         else:
-            value = (
-                eval_f_bs(pt, cfg.bs_param())
-                if cfg.device is Device.BS
-                else eval_f_tms(pt, cfg.tms_param())
-            )
+            value = (eval_g_tms if which == "g" else eval_f_tms)(pt, param)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(repr(value))
@@ -377,7 +339,7 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
         if i < 0 or (k is not None and k < 0):
             raise click.UsageError("photon counts must be nonnegative")
         k = i if k is None else k
-        p = RunConfig(Device.BS, eta).bs_param()
+        p = _param("bs", eta, None)
         table = ClassicalTable(p)
         writer.writerow(["n", "quantum", "classical"])
         for n in range(i + k + 1):

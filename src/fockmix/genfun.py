@@ -169,20 +169,43 @@ def g_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None)
     conservation, summed through total order i+k+n+m <= order;
     |amplitude| <= 1 gives the tail bound.
     """
+
+    def cell(a: int, b: int, c: int) -> tuple[PhotonConfig, float]:
+        pc = PhotonConfig(a, b, c)
+        return pc, bs_amplitude_direct(pc, p)
+
+    return _amplitude_series(pt, order, cell)
+
+
+def g_tms_series(pt: GenFunPoint, p: SqueezerParam, order: int | None = None) -> SeriesResult:
+    """Truncated quadruple series of the squeezer amplitude generating
+    function; m is pinned by conservation of the photon-number difference."""
+
+    def cell(a: int, b: int, c: int) -> tuple[PhotonConfig, float]:
+        pc = PhotonConfig(c, b, a, Device.TMS)
+        return pc, tms_amplitude(pc, p)
+
+    return _amplitude_series(pt, order, cell)
+
+
+def _amplitude_series(pt: GenFunPoint, order: int | None, cell) -> SeriesResult:
+    """The amplitude series of either device. cell(a, b, c) gives the
+    configuration and amplitude of (i, k, n) = (a, b, c) for the beam
+    splitter or (c, b, a) for the squeezer, so m = a+b-c for both and the
+    total order is 2(a+b); zero amplitudes are skipped."""
     r = max(abs(c) for c in pt.coords())
     order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
     x, y, z, w = pt.coords()
     total = []
-    for i in range(order // 2 + 1):
-        for k in range(order // 2 + 1 - i):
-            # total order is 2(i+k) since m = i+k-n
-            for n in range(i + k + 1):
-                m = i + k - n
-                b = bs_amplitude_direct(PhotonConfig(i, k, n), p)
-                if b == 0.0:
+    for a in range(order // 2 + 1):
+        for b in range(order // 2 + 1 - a):
+            for c in range(a + b + 1):
+                pc, amp = cell(a, b, c)
+                if amp == 0.0:
                     continue
+                i, k, n, m = pc.i, pc.k, pc.n, a + b - c
                 lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
-                total.append(b * math.exp(lg) * x**i * y**k * z**n * w**m)
+                total.append(amp * math.exp(lg) * x**i * y**k * z**n * w**m)
     return SeriesResult(math.fsum(total), order, bound, ok)
 
 
@@ -192,26 +215,6 @@ def _g_tail(r: float, order: int) -> float:
     if r >= 1.0:
         return math.inf
     return 38.0 * r ** (order + 1) / (1.0 - r)
-
-
-def g_tms_series(pt: GenFunPoint, p: SqueezerParam, order: int | None = None) -> SeriesResult:
-    """Truncated quadruple series of the squeezer amplitude generating
-    function; m is pinned by conservation of the photon-number difference."""
-    r = max(abs(c) for c in pt.coords())
-    order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
-    x, y, z, w = pt.coords()
-    total = []
-    for n in range(order // 2 + 1):
-        for k in range(order // 2 + 1 - n):
-            # total order is 2(n+k) since m = n+k-i
-            for i in range(n + k + 1):
-                m = n + k - i
-                a = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), p)
-                if a == 0.0:
-                    continue
-                lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
-                total.append(a * math.exp(lg) * x**i * y**k * z**n * w**m)
-    return SeriesResult(math.fsum(total), order, bound, ok)
 
 
 def f_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None) -> SeriesResult:

@@ -27,6 +27,17 @@ def _parse_literal(value: str) -> float | Fraction:
     return float(value)
 
 
+def _from_value(cls, value: float | str | Fraction):
+    """The parameter of class cls from a number or a literal: a Fraction, or
+    a p/q string, keeps the exact carrier beside its float; any other value
+    is a float alone."""
+    if isinstance(value, str):
+        value = _parse_literal(value)
+    if isinstance(value, Fraction):
+        return cls(float(value), value)
+    return cls(float(value))
+
+
 @dataclass(frozen=True)
 class PhotonConfig:
     """Fock indices (i, k) in, n out; the second output index is redundant.
@@ -72,13 +83,7 @@ class BeamSplitterParam:
             if abs(float(self.eta_exact) - self.eta) > math.ulp(max(self.eta, 1e-300)):
                 raise ValueError("exact and float transmittance disagree beyond 1 ulp")
 
-    @classmethod
-    def from_value(cls, value: float | str | Fraction) -> "BeamSplitterParam":
-        if isinstance(value, str):
-            value = _parse_literal(value)
-        if isinstance(value, Fraction):
-            return cls(float(value), value)
-        return cls(float(value))
+    from_value = classmethod(_from_value)
 
     @property
     def theta(self) -> float:
@@ -102,13 +107,7 @@ class SqueezerParam:
             if abs(float(self.lam_exact) - self.lam) > math.ulp(max(self.lam, 1e-300)):
                 raise ValueError("exact and float squeezing parameter disagree beyond 1 ulp")
 
-    @classmethod
-    def from_value(cls, value: float | str | Fraction) -> "SqueezerParam":
-        if isinstance(value, str):
-            value = _parse_literal(value)
-        if isinstance(value, Fraction):
-            return cls(float(value), value)
-        return cls(float(value))
+    from_value = classmethod(_from_value)
 
     @property
     def r(self) -> float:

@@ -57,6 +57,11 @@ __all__ = [
 ]
 
 
+def _require(c: PhotonConfig, device: Device) -> None:
+    if c.device is not device:
+        raise ValueError(f"expected a {device.value} configuration, got {c.device.value}")
+
+
 def _term_range(i: int, k: int, n: int) -> tuple[int, int]:
     return max(0, n - k), min(i, n)
 
@@ -185,8 +190,7 @@ def _next_column(col: list[int], left: list[int], r: int, num: int) -> list[int]
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
     """Exact rational B(i,k->n) for rational transmittance."""
-    if c.device is not Device.BS:
-        raise ValueError("bs_prob_exact expects a beam-splitter configuration")
+    _require(c, Device.BS)
     if not 0 <= eta <= 1:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
     i, k, n = c.i, c.k, c.n
@@ -236,8 +240,7 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """Direct-route B(i,k->n) in floating point: the exact factored sum at the
     parameter's exact value, rounded once, within half an ulp at every total."""
-    if c.device is not Device.BS:
-        raise ValueError("bs_prob_direct expects a beam-splitter configuration")
+    _require(c, Device.BS)
     i, k, n = c.i, c.k, c.n
     lo, hi = _term_range(i, k, n)
     if n > i + k or lo > hi:
@@ -246,14 +249,14 @@ def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
 
 
 def _bridge(c: PhotonConfig) -> PhotonConfig | None:
-    m = c.n + c.k - c.i
-    return None if m < 0 else PhotonConfig(c.i, m, c.n, Device.BS)
+    """The beam-splitter cell (i, m -> n), m = n+k-i, that partial time
+    reversal maps the squeezer cell (i, k -> n) to; None if m < 0."""
+    return None if c.m < 0 else PhotonConfig(c.i, c.m, c.n, Device.BS)
 
 
 def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
     """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable."""
-    if c.device is not Device.TMS:
-        raise ValueError("tms_prob expects a squeezer configuration")
+    _require(c, Device.TMS)
     bridge = _bridge(c)
     if bridge is None:
         return 0.0
@@ -262,8 +265,7 @@ def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     """Exact rational A(i,k->n) for rational squeezing parameter."""
-    if c.device is not Device.TMS:
-        raise ValueError("tms_prob_exact expects a squeezer configuration")
+    _require(c, Device.TMS)
     if not 0 <= lam < 1:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
     bridge = _bridge(c)

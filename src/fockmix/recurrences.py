@@ -490,13 +490,15 @@ def c_coeff(i: int, k: int, j: int) -> int:
 
 class ClassicalTable:
     """Distribution of distinguishable photons: each routes independently, so
-    every row is a convolution of the two binomial rows. Rows are memoized."""
+    every row is a convolution of the two binomial rows. Rows are memoized,
+    and so is the l-sum of the general-j relation at each (i, k, j)."""
 
     def __init__(self, p: BeamSplitterParam, precision: str = "float"):
         self.param = p
         self.precision = precision
         self._eta = _param_of(p, precision)
         self._rows: dict = {}
+        self._sums: dict = {}
 
     def row(self, i: int, k: int) -> list:
         key = (i, k)
@@ -515,14 +517,10 @@ class ClassicalTable:
     def recurrence_residual(self, i: int, k: int, n: int, j: int):
         """classical_recurrence_check at (i, k, n, j) on this table's rows."""
         c = c_coeff(i, k, j)  # validates j
-        total = self.prob(i, k, n) * 0
-        for l in range(max(0, j - i), min(j, k) + 1):
-            a = self.row(j - l, l)
-            b = self.row(i - j + l, k - l)
-            lo = max(0, n - (len(b) - 1))
-            hi = min(n, len(a) - 1)
-            for t in range(lo, hi + 1):
-                total += a[t] * b[n - t]
+        if (i, k, j) not in self._sums:
+            self._sums[(i, k, j)] = _term_sum(_bs_tilde_terms(i, k, j, self.row), i + k + 1, 0 * self._eta)
+        sums = self._sums[(i, k, j)]
+        total = sums[n] if 0 <= n < len(sums) else 0 * self._eta
         return abs(self.prob(i, k, n) - total / c)
 
 

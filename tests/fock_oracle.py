@@ -16,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
+from fockmix.amplitudes import bs_amplitude_direct, tms_amplitude
+from fockmix.numerics import log_factorial
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig
 from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio, tms_prob, tms_prob_exact
 from fockmix.recurrences import ClassicalTable, c_coeff
@@ -225,10 +227,12 @@ def tms_rows_per_cell(imax: int, kmax: int, nmax: int, p, precision: str = "floa
     return entries
 
 
-def render_table_reference(table, fmt: str, param_text: str) -> str:
+def render_table_reference(table, fmt: str) -> str:
     """A table export written the textbook way: every entry as a dict or list
     through csv.writer or json.dumps(indent=2), skipping the squeezer cells
-    with m < 0. The CLI's exports must match it byte for byte."""
+    with m < 0, with the table's own parameter in the JSON header (its
+    canonical fraction in rational precision). The CLI's exports must match
+    it byte for byte."""
     rational = table.precision == "rational"
     rows = [
         (i, k, n, m, str(v) if rational else repr(float(v)))
@@ -243,10 +247,10 @@ def render_table_reference(table, fmt: str, param_text: str) -> str:
         writer.writerow(["i", "k", "n", "m", "value"])
         writer.writerows(rows)
         return buf.getvalue()
-    if rational:
-        param = param_text
+    if isinstance(table.param, BeamSplitterParam):
+        param = str(table.param.eta_exact) if rational else table.param.eta
     else:
-        param = table.param.eta if isinstance(table.param, BeamSplitterParam) else table.param.lam
+        param = str(table.param.lam_exact) if rational else table.param.lam
     doc = {
         "device": table.device.value,
         "param": param,
@@ -257,3 +261,38 @@ def render_table_reference(table, fmt: str, param_text: str) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def g_bs_series_reference(pt, p, order: int) -> float:
+    """The beam-splitter amplitude series through total order `order` as a
+    loop of its own: over i, k, then n, with m = i+k-n and zero amplitudes
+    skipped, each term amplitude / sqrt(i! k! n! m!) times the monomial."""
+    x, y, z, w = pt.coords()
+    total = []
+    for i in range(order // 2 + 1):
+        for k in range(order // 2 + 1 - i):
+            for n in range(i + k + 1):
+                m = i + k - n
+                b = bs_amplitude_direct(PhotonConfig(i, k, n), p)
+                if b == 0.0:
+                    continue
+                lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
+                total.append(b * math.exp(lg) * x**i * y**k * z**n * w**m)
+    return math.fsum(total)
+
+
+def g_tms_series_reference(pt, p, order: int) -> float:
+    """The squeezer amplitude series as a loop of its own: over n, k, then i,
+    with m = n+k-i, terms as in g_bs_series_reference."""
+    x, y, z, w = pt.coords()
+    total = []
+    for n in range(order // 2 + 1):
+        for k in range(order // 2 + 1 - n):
+            for i in range(n + k + 1):
+                m = n + k - i
+                a = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), p)
+                if a == 0.0:
+                    continue
+                lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
+                total.append(a * math.exp(lg) * x**i * y**k * z**n * w**m)
+    return math.fsum(total)

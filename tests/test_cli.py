@@ -251,9 +251,7 @@ def _table_argv(device, sizes, literal, precision, method, fmt):
 @pytest.mark.parametrize("device, sizes, literal, precision, method", _REFERENCE_SHAPES)
 def test_table_export_matches_the_reference_renderer(tmp_path, device, sizes, literal, precision, method, fmt):
     param = (BeamSplitterParam if device == "bs" else SqueezerParam).from_value(literal)
-    expected = render_table_reference(
-        _BUILDERS[(device, method)](*sizes, param, precision), fmt, literal
-    ).encode("utf-8")
+    expected = render_table_reference(_BUILDERS[(device, method)](*sizes, param, precision), fmt).encode("utf-8")
     argv = _table_argv(device, sizes, literal, precision, method, fmt)
     streamed = run(*argv)
     assert streamed.exit_code == 0 and streamed.stdout_bytes == expected
@@ -261,6 +259,18 @@ def test_table_export_matches_the_reference_renderer(tmp_path, device, sizes, li
     written = run(*argv, "--out", str(out))
     assert written.exit_code == 0 and written.stdout_bytes == b""
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("argv, spelled, canonical", [
+    (("--device", "bs", "--imax", "3", "--kmax", "2"), ("--eta", "2/4"), ("--eta", "1/2")),
+    (("--device", "tms", "--imax", "3", "--kmax", "2", "--nmax", "5"), ("--lambda", "4/10"), ("--lambda", "2/5")),
+], ids=["bs", "tms"])
+def test_rational_json_export_is_the_same_for_every_spelling_of_the_parameter(argv, spelled, canonical):
+    tail = ("--precision", "rational", "--format", "json")
+    exports = [run("table", *argv, *literal, *tail) for literal in (spelled, canonical)]
+    assert [r.exit_code for r in exports] == [0, 0]
+    assert exports[0].stdout_bytes == exports[1].stdout_bytes
+    assert json.loads(exports[0].output)["param"] == canonical[1]
 
 
 def test_table_past_the_float_range_of_binomials(tmp_path):
@@ -503,3 +513,38 @@ def test_plotdata_usage_errors():
     assert run("plotdata", "--kind", "nonsense").exit_code == 2
     assert run("plotdata", "--kind", "hom-sweep", "--steps", "1").exit_code == 2
     assert run("plotdata", "--kind", "quantum-classical", "--i", "-1").exit_code == 2
+
+
+_PARAM_COMMANDS = {
+    "amp": ["amp", "--i", "1", "--k", "1", "--n", "1"],
+    "prob": ["prob", "--i", "1", "--k", "1", "--n", "1"],
+    "table": ["table", "--imax", "2", "--kmax", "2", "--nmax", "4"],
+    "genfun": ["genfun", "--which", "g", "--x", "0.1", "--y", "0.2", "--z", "0.3"],
+}
+_FLAGS = {"bs": "--eta", "tms": "--lambda"}
+
+
+def _single_param_errors():
+    """(argv, message) for every input with one parameter error and no other."""
+    for name, argv in _PARAM_COMMANDS.items():
+        for device, flag in _FLAGS.items():
+            base = argv + ["--device", device]
+            yield base, f"{flag} is required for the {'beam splitter' if device == 'bs' else 'squeezer'}"
+            yield base + [flag, "abc"], "bad parameter 'abc': could not convert string to float: 'abc'"
+            yield base + [flag, "1/0"], "bad parameter '1/0': Fraction(1, 0)"
+            if name in ("prob", "table"):
+                for option in (["--precision", "rational"], ["--method", "exact"]):
+                    yield base + [flag, "0.5", *option], "rational precision requires a p/q parameter literal"
+        base = argv + ["--device", "tms", "--lambda", "1.5"]
+        yield base, "bad parameter '1.5': squeezing parameter must lie in [0, 1), got 1.5"
+    base = ["plotdata", "--kind", "quantum-classical", "--i", "2", "--eta"]
+    yield base + ["abc"], "bad parameter 'abc': could not convert string to float: 'abc'"
+    yield base + ["1/0"], "bad parameter '1/0': Fraction(1, 0)"
+    yield base + ["1.5"], "bad parameter '1.5': transmittance must lie in [0, 1], got 1.5"
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0])) for case in _single_param_errors()])
+def test_each_single_parameter_error_exits_2_with_its_message(argv, message):
+    r = run(*argv)
+    assert r.exit_code == 2
+    assert r.output.endswith(f"Error: {message}\n")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from fockmix.genfun import (
     g_tms_series,
 )
 from fockmix.params import BeamSplitterParam, SqueezerParam
+from fock_oracle import g_bs_series_reference, g_tms_series_reference
 
 BS = BeamSplitterParam(0.7)
 TMS = SqueezerParam(0.36)
@@ -118,6 +120,17 @@ def test_g_series_matches_closed_form():
         assert abs(res.value - eval_g_bs(pt, BS)) <= 1e-8
     res = g_tms_series(GenFunPoint(0.2, 0.2, 0.2, 0.2), TMS, order=24)
     assert abs(res.value - eval_g_tms(GenFunPoint(0.2, 0.2, 0.2, 0.2), TMS)) <= 1e-8
+
+
+@pytest.mark.parametrize("order", [None, 5, 12])
+def test_g_series_are_the_per_device_loops_bit_for_bit(order):
+    rng = random.Random(14)
+    for p_bs, p_tms in [(BS, TMS), (BeamSplitterParam.from_value("2/7"), SqueezerParam.from_value("1/5"))]:
+        for _ in range(3):
+            pt = GenFunPoint(*(rng.uniform(-0.45, 0.45) for _ in range(4)))
+            bs, tms = g_bs_series(pt, p_bs, order), g_tms_series(pt, p_tms, order)
+            assert bs.value.hex() == g_bs_series_reference(pt, p_bs, bs.order).hex()
+            assert tms.value.hex() == g_tms_series_reference(pt, p_tms, tms.order).hex()
 
 
 def test_f_series_matches_closed_form():

@@ -517,10 +517,24 @@ def test_classical_residual_on_a_shared_table_is_the_per_call_value():
     table = ClassicalTable(p)
     for i in range(1, 13):
         for k in range(1, 13):
-            for n in range(i + k + 1):
+            for n in range(-1, i + k + 2):
                 assert table.recurrence_residual(i, k, n, 1) == classical_recurrence_per_call(i, k, n, 1, p)
     for i in range(9):
         for k in range(9):
             for j in range(i + k + 1):
-                for n in range(i + k + 1):
+                for n in range(-1, i + k + 2):
                     assert table.recurrence_residual(i, k, n, j) == classical_recurrence_per_call(i, k, n, j, p)
+
+
+def test_classical_l_sum_is_built_once_per_i_k_j(monkeypatch):
+    table = ClassicalTable(BeamSplitterParam(0.35))
+    for i in range(7):
+        for k in range(7):
+            table.row(i, k)  # rows are memoized; their convolutions run here
+    term_sum, calls = recurrences._term_sum, []
+    monkeypatch.setattr(recurrences, "_term_sum", lambda *args: calls.append(args) or term_sum(*args))
+    keys = [(3, 2, 1), (3, 2, 4), (5, 5, 5), (0, 4, 2), (6, 1, 0)]
+    for i, k, j in keys:
+        for n in range(-1, i + k + 2):
+            table.recurrence_residual(i, k, n, j)
+    assert len(calls) == len(keys)
