@@ -94,6 +94,14 @@ class ProbabilityTable:
     nmax: int | None = None
     entries: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.device is Device.TMS and self.nmax is None:
+            raise ValueError("a squeezer table needs nmax")
+        for name in ("imax", "kmax", "nmax"):
+            size = getattr(self, name)
+            if size is not None and size < 0:
+                raise ValueError(f"{name} must be non-negative, got {size}")
+
     @property
     def zero(self):
         return Fraction(0) if self.precision == "rational" else 0.0
@@ -136,8 +144,10 @@ class ProbabilityTable:
 
 def _param_of(p: Param, precision: str):
     """eta or lambda: the float, or the exact Fraction in rational precision."""
+    if precision not in ("float", "rational"):
+        raise ValueError(f"precision must be 'float' or 'rational', got {precision!r}")
     bs = isinstance(p, BeamSplitterParam)
-    if precision != "rational":
+    if precision == "float":
         return p.eta if bs else p.lam
     exact = p.eta_exact if bs else p.lam_exact
     if exact is None:

@@ -9,6 +9,7 @@ runs; `scale="full"` uses the ranges the package promises.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -57,19 +58,6 @@ from .recurrences import (
 
 __all__ = ["Failure", "VerificationResult", "SUITE_NAMES", "run_suite", "hom_sweep", "tms_sweep"]
 
-SUITE_NAMES = [
-    "normalization",
-    "recurrence-bs",
-    "recurrence-tms",
-    "ptr",
-    "hom",
-    "energy",
-    "genfun-series",
-    "classical",
-    "asymptotics",
-]
-
-
 @dataclass
 class Failure:
     indices: str
@@ -103,6 +91,14 @@ class VerificationResult:
         if not ok:
             self.fail(indices, parameter, expected, got, tolerance)
 
+    def within(self, residual, tol, indices: str, parameter, expected) -> None:
+        """One case: residual <= tol, reporting both; a NaN residual fails."""
+        self.check(residual <= tol, indices, parameter, expected, residual, tol)
+
+    def near(self, got, want, tol, indices: str, parameter) -> None:
+        """One case: |got - want| <= tol, reporting want as expected."""
+        self.check(abs(got - want) <= tol, indices, parameter, want, got, tol)
+
     def fail(self, indices: str, parameter, expected, got, tolerance) -> None:
         """Record a failure of a case already counted in cases."""
         self.failures.append(Failure(indices, str(parameter), str(expected), str(got), str(tolerance)))
@@ -132,6 +128,23 @@ def tms_sweep(steps: int = 101) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # Suites
 
+_AGREE_TOL = 1e-10  # every route-agreement pair in float
+
+
+def _agree(res: VerificationResult, tables, label: str, parameter, expected="exact equality") -> None:
+    """One case per pair of tables built by different routes over the same
+    rows: float tables agree to _AGREE_TOL entrywise, rational ones exactly."""
+    for a, b in itertools.combinations(tables, 2):
+        indices = f"{a.method} vs {b.method} {label}"
+        if a.precision == "rational":
+            equal = a.entries == b.entries
+            res.check(equal, indices, parameter, expected, equal, "exact")
+            continue
+        worst = 0.0
+        for key, row in a.entries.items():
+            worst = nan_max(worst, float(np.abs(row - b.entries[key]).max()))
+        res.within(worst, _AGREE_TOL, indices, parameter, expected)
+
 
 def _suite_hom(res: VerificationResult, scale: str) -> None:
     half = Fraction(1, 2)
@@ -147,20 +160,12 @@ def _suite_hom(res: VerificationResult, scale: str) -> None:
         ("convolution", float(bs_table_convolution(1, 1, p).value(1, 1, 1))),
         ("recurrence", float(bs_table_recurrence(1, 1, p).value(1, 1, 1))),
     ]:
-        res.check(abs(value) <= 1e-15, f"(1,1,1) float {name}", "eta=0.5", 0.0, value, 1e-15)
+        res.near(value, 0.0, 1e-15, f"(1,1,1) float {name}", "eta=0.5")
     tms_float = tms_prob(PhotonConfig(1, 1, 1, Device.TMS), SqueezerParam(0.5))
-    res.check(abs(tms_float) <= 1e-15, "(1,1,1) float tms", "lam=0.5", 0.0, tms_float, 1e-15)
+    res.near(tms_float, 0.0, 1e-15, "(1,1,1) float tms", "lam=0.5")
 
     for lam, value in tms_sweep(101):
-        closed = (1.0 - lam) * (1.0 - 2.0 * lam) ** 2
-        res.check(
-            abs(value - closed) <= 1e-12,
-            f"sweep lam={lam:.2f}",
-            "lam grid [0,1]",
-            closed,
-            value,
-            1e-12,
-        )
+        res.near(value, (1.0 - lam) * (1.0 - 2.0 * lam) ** 2, 1e-12, f"sweep lam={lam:.2f}", "lam grid [0,1]")
 
 
 def _suite_normalization(res: VerificationResult, scale: str) -> None:
@@ -189,6 +194,10 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
     res.check(r <= 1e-12, "tms row (0,0)", "lam=0.5", "geometric sum 1", f"residual {r:.3e}", 1e-12)
 
 
+def _identity_failure(res: VerificationResult, i: int, k: int, n: int, j: int, parameter: str, residual) -> None:
+    res.fail(f"(i={i},k={k},n={n},j={j})", parameter, "residual 0 (exact)", residual, "exact")
+
+
 def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
     for eta in eta_values:
         den, residual = _identity_residual_rows(BeamSplitterParam.from_value(eta), imax, imax)
@@ -199,13 +208,7 @@ def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
                     res.cases += len(diffs)  # failure text is built for failing cases only
                     for n, d in enumerate(diffs):
                         if d:
-                            res.fail(
-                                f"(i={i},k={k},n={n},j={j})",
-                                f"eta={eta}",
-                                "residual 0 (exact)",
-                                Fraction(d, den ** (i + k)),
-                                "exact",
-                            )
+                            _identity_failure(res, i, k, n, j, f"eta={eta}", Fraction(d, den ** (i + k)))
 
 
 def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
@@ -218,13 +221,7 @@ def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
                     res.cases += n + k + 1
                     for j in range(n + k + 1):
                         if by_j[j][n]:
-                            res.fail(
-                                f"(i={i},k={k},n={n},j={j})",
-                                f"lam={lam}",
-                                "residual 0 (exact)",
-                                Fraction(by_j[j][n], den ** (k + n + 2)),
-                                "exact",
-                            )
+                            _identity_failure(res, i, k, n, j, f"lam={lam}", Fraction(by_j[j][n], den ** (k + n + 2)))
 
 
 def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
@@ -250,46 +247,16 @@ def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
                 if prev and 1 <= n and n - 1 < len(prev):
                     rhs -= prev[n - 1]
                 worst = nan_max(worst, abs(float(row[n]) - float(rhs)))
-    res.check(worst <= 1e-10, f"j=1 float i,k<={fmax}", "eta=0.7", "residual<=1e-10", worst, 1e-10)
+    res.within(worst, 1e-10, f"j=1 float i,k<={fmax}", "eta=0.7", "residual<=1e-10")
 
-    # route agreement: float tables pairwise
-    tables = {
-        "direct": table,
-        "convolution": bs_table_convolution(rmax, rmax, p),
-        "recurrence": bs_table_recurrence(rmax, rmax, p),
-    }
-    names = list(tables)
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            worst = 0.0
-            for key in tables[a].entries:
-                worst = nan_max(worst, float(np.abs(tables[a].entries[key] - tables[b].entries[key]).max()))
-            res.check(
-                worst <= 1e-10,
-                f"{a} vs {b} i,k<={rmax}",
-                "eta=0.7",
-                "pairwise<=1e-10",
-                worst,
-                1e-10,
-            )
+    # route agreement: float tables pairwise, then exact tables pairwise equal
+    routes = (table, bs_table_convolution(rmax, rmax, p), bs_table_recurrence(rmax, rmax, p))
+    _agree(res, routes, f"i,k<={rmax}", "eta=0.7", "pairwise<=1e-10")
 
-    # route agreement: exact tables pairwise equal
     emax = 10 if scale == "full" else 6
     ep = BeamSplitterParam.from_value("1/3")
-    exact_tables = {
-        "direct": bs_table_direct(emax, emax, ep, "rational"),
-        "convolution": bs_table_convolution(emax, emax, ep, "rational"),
-        "recurrence": bs_table_recurrence(emax, emax, ep, "rational"),
-    }
-    for a_idx in range(3):
-        for b_idx in range(a_idx + 1, 3):
-            a, b = list(exact_tables)[a_idx], list(exact_tables)[b_idx]
-            equal = all(
-                exact_tables[a].entries[key] == exact_tables[b].entries[key]
-                for key in exact_tables[a].entries
-            )
-            res.check(equal, f"{a} vs {b} i,k<={emax}", "eta=1/3", "exact equality", equal, "exact")
+    builders = (bs_table_direct, bs_table_convolution, bs_table_recurrence)
+    _agree(res, [build(emax, emax, ep, "rational") for build in builders], f"i,k<={emax}", "eta=1/3")
 
 
 def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
@@ -300,13 +267,8 @@ def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
     # recurrence table against the reversal-route values, float
     sp = SqueezerParam(0.2)
     rec = tms_table_recurrence(8, 8, 16, sp)
-    direct = tms_table_direct(8, 8, 16, sp)
-    worst = 0.0
-    for key in rec.entries:
-        worst = nan_max(worst, float(np.abs(rec.entries[key] - direct.entries[key]).max()))
-    res.check(worst <= 1e-10, "recurrence vs direct i,k<=8,n<=16", "lam=0.2", "<=1e-10", worst, 1e-10)
-    got = float(rec.value(1, 1, 1))
-    res.check(abs(got - 0.288) <= 1e-12, "(1,1,1)", "lam=0.2", 0.288, got, 1e-12)
+    _agree(res, (rec, tms_table_direct(8, 8, 16, sp)), "i,k<=8,n<=16", "lam=0.2", "<=1e-10")
+    res.near(float(rec.value(1, 1, 1)), 0.288, 1e-12, "(1,1,1)", "lam=0.2")
 
 
 def _suite_ptr(res: VerificationResult, scale: str) -> None:
@@ -321,14 +283,14 @@ def _suite_ptr(res: VerificationResult, scale: str) -> None:
             lhs = eval_g_tms(GenFunPoint(x, y, z, w), sp)
             rhs = math.sqrt(1.0 - lam) * eval_g_bs(GenFunPoint(x, w, z, y), bp)
             worst_g = nan_max(worst_g, abs(lhs - rhs))
-        res.check(worst_g <= 1e-12, "amplitude-gf grid", f"lam={lam}", "<=1e-12", worst_g, 1e-12)
+        res.within(worst_g, 1e-12, "amplitude-gf grid", f"lam={lam}", "<=1e-12")
         worst_f = 0.0
         for _ in range(points):
             x, y, z, w = (rng.uniform(0.0, 0.6) for _ in range(4))
             lhs = eval_f_tms(GenFunPoint(x, y, z, w), sp)
             rhs = (1.0 - lam) * eval_f_bs(GenFunPoint(x, w, z, y), bp)
             worst_f = nan_max(worst_f, abs(lhs - rhs))
-        res.check(worst_f <= 1e-12, "probability-gf grid", f"lam={lam}", "<=1e-12", worst_f, 1e-12)
+        res.within(worst_f, 1e-12, "probability-gf grid", f"lam={lam}", "<=1e-12")
 
     # exact probability-level relation against the squeezer-side recurrence fill
     nmax = 10 if scale == "full" else 5
@@ -349,8 +311,8 @@ def _suite_energy(res: VerificationResult, scale: str) -> None:
         t = rng.uniform(0.7, 1.4)
         worst_bs = nan_max(worst_bs, check_energy_scaling(pt, t, bp))
         worst_tms = nan_max(worst_tms, check_energy_scaling(pt, t, sp))
-    res.check(worst_bs <= 1e-12, f"{pairs} random (point,t)", "eta=0.35", "<=1e-12", worst_bs, 1e-12)
-    res.check(worst_tms <= 1e-12, f"{pairs} random (point,t)", "lam=0.45", "<=1e-12", worst_tms, 1e-12)
+    res.within(worst_bs, 1e-12, f"{pairs} random (point,t)", "eta=0.35", "<=1e-12")
+    res.within(worst_tms, 1e-12, f"{pairs} random (point,t)", "lam=0.45", "<=1e-12")
     pt = GenFunPoint(0.2, 0.3, 0.4, 0.5)
     res.check(check_energy_scaling(pt, 1.0, bp) == 0.0, "t=1", "eta=0.35", 0.0, "residual", "exact")
 
@@ -361,74 +323,30 @@ def _suite_genfun_series(res: VerificationResult, scale: str) -> None:
 
     pt = GenFunPoint(0.3, 0.3, 0.3, 1.0)
     series = f_bs_series(pt, p, order=40 if scale == "full" else 24)
-    closed = eval_f_bs(pt, p)
-    res.check(
-        abs(series.value - closed) <= 1e-8,
-        "triple series (0.3,0.3,0.3,w=1)",
-        "eta=0.7",
-        closed,
-        series.value,
-        1e-8,
-    )
+    res.near(series.value, eval_f_bs(pt, p), 1e-8, "triple series (0.3,0.3,0.3,w=1)", "eta=0.7")
 
     order = 60 if scale == "full" else 30
     diag = diagonal_series_bs(0.3, 0.5, half, order=order)
     closed = diagonal_gf_bs(0.3, 0.5, half)
-    res.check(
-        abs(diag.value - closed) <= 1e-8, "diagonal series (0.3,0.5)", "eta=1/2", closed, diag.value, 1e-8
-    )
+    res.near(diag.value, closed, 1e-8, "diagonal series (0.3,0.5)", "eta=1/2")
     reduced = 1.0 / math.sqrt((1.0 - 0.3) * (1.0 - 0.5**2 * 0.3))
-    res.check(
-        abs(closed - reduced) <= 1e-14, "diagonal closed form factorization", "eta=1/2", reduced, closed, 1e-14
-    )
+    res.near(closed, reduced, 1e-14, "diagonal closed form factorization", "eta=1/2")
 
     for coords in [(0.2, 0.2, 0.2, 0.2), (0.25, -0.25, 0.25, -0.25)]:
         gpt = GenFunPoint(*coords)
-        g_series = g_bs_series(gpt, p, order=24)
-        g_closed = eval_g_bs(gpt, p)
-        res.check(
-            abs(g_series.value - g_closed) <= 1e-8,
-            f"amplitude series {coords}",
-            "eta=0.7",
-            g_closed,
-            g_series.value,
-            1e-8,
-        )
+        res.near(g_bs_series(gpt, p, order=24).value, eval_g_bs(gpt, p), 1e-8, f"amplitude series {coords}", "eta=0.7")
     sp = SqueezerParam(0.36)
     gpt = GenFunPoint(0.2, 0.2, 0.2, 0.2)
     g_series = g_tms_series(gpt, sp, order=24)
-    g_closed = eval_g_tms(gpt, sp)
-    res.check(
-        abs(g_series.value - g_closed) <= 1e-8,
-        "squeezer amplitude series (0.2,...)",
-        "lam=0.36",
-        g_closed,
-        g_series.value,
-        1e-8,
-    )
+    res.near(g_series.value, eval_g_tms(gpt, sp), 1e-8, "squeezer amplitude series (0.2,...)", "lam=0.36")
 
     sp_slice = SqueezerParam(0.36)
     for x in (0.0, 0.3, 0.7):
         for y in (0.0, 0.3, 0.7):
             want = 1.0 / ((1.0 - x) * (1.0 - y))
-            got_bs = eval_f_bs(GenFunPoint(x, y, 1.0, 1.0), p)
-            got_tms = eval_f_tms(GenFunPoint(x, y, 1.0, 1.0), sp_slice)
-            res.check(
-                abs(got_bs - want) <= 1e-12,
-                f"bs normalization slice ({x},{y},1,1)",
-                "eta=0.7",
-                want,
-                got_bs,
-                1e-12,
-            )
-            res.check(
-                abs(got_tms - want) <= 1e-12,
-                f"tms normalization slice ({x},{y},1,1)",
-                "lam=0.36",
-                want,
-                got_tms,
-                1e-12,
-            )
+            slice_pt = GenFunPoint(x, y, 1.0, 1.0)
+            res.near(eval_f_bs(slice_pt, p), want, 1e-12, f"bs normalization slice ({x},{y},1,1)", "eta=0.7")
+            res.near(eval_f_tms(slice_pt, sp_slice), want, 1e-12, f"tms normalization slice ({x},{y},1,1)", "lam=0.36")
 
     # swapping (x,y) with (z,w) leaves the beam-splitter closed form fixed
     rng = random.Random(7)
@@ -438,7 +356,7 @@ def _suite_genfun_series(res: VerificationResult, scale: str) -> None:
         worst = nan_max(
             worst, abs(eval_f_bs(GenFunPoint(x, y, z, w), p) - eval_f_bs(GenFunPoint(y, x, w, z), p))
         )
-    res.check(worst <= 1e-14, "input-swap symmetry grid", "eta=0.7", "<=1e-14", worst, 1e-14)
+    res.within(worst, 1e-14, "input-swap symmetry grid", "eta=0.7", "<=1e-14")
 
 
 def _suite_classical(res: VerificationResult, scale: str) -> None:
@@ -450,7 +368,7 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
         for k in range(1, kmax + 1):
             for n in range(i + k + 1):
                 worst = nan_max(worst, ctf.recurrence_residual(i, k, n, 1))
-    res.check(worst <= 1e-12, f"j=1 half-sum i,k<={kmax}", "eta=0.6", "<=1e-12", worst, 1e-12)
+    res.within(worst, 1e-12, f"j=1 half-sum i,k<={kmax}", "eta=0.6", "<=1e-12")
 
     jmax = 8 if scale == "full" else 5
     worst = 0.0
@@ -459,7 +377,7 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
             for j in range(i + k + 1):
                 for n in range(i + k + 1):
                     worst = nan_max(worst, ctf.recurrence_residual(i, k, n, j))
-    res.check(worst <= 1e-12, f"general-j i,k<={jmax}", "eta=0.6", "<=1e-12", worst, 1e-12)
+    res.within(worst, 1e-12, f"general-j i,k<={jmax}", "eta=0.6", "<=1e-12")
 
     half = BeamSplitterParam.from_value("1/2")
     ct = ClassicalTable(half, "rational")
@@ -482,7 +400,7 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
                     + (1.0 - eta) * ctf.prob(i, k - 1, n - 1)
                 )
                 worst = nan_max(worst, abs(four - 2.0 * ctf.prob(i, k, n)))
-    res.check(worst <= 1e-12, "four-term doubling i,k<=8", "eta=0.6", "<=1e-12", worst, 1e-12)
+    res.within(worst, 1e-12, "four-term doubling i,k<=8", "eta=0.6", "<=1e-12")
 
     ok = True
     for i in range(11):
@@ -508,8 +426,7 @@ def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
     if scale == "full":
         exact = report.detail[200]
         idx = exact["n"].index(200.0)
-        rel = exact["rel_error"][idx]
-        res.check(rel <= 0.10, "(i=200,n=200)", "eta=1/2", "rel err<=10%", rel, 0.10)
+        res.within(exact["rel_error"][idx], 0.10, "(i=200,n=200)", "eta=1/2", "rel err<=10%")
 
     tms_probes = [50, 100] if scale == "full" else [30, 60]
     tms_report = convergence_report(tms_probes, Device.TMS)
@@ -533,7 +450,8 @@ def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
                 ok = False
     res.check(ok, f"odd-n diagonal zeros i<={pmax}", "eta=1/2", "exact zeros", ok, "exact")
     mid = bs_diag_asymptotic(100, 100)
-    res.check(abs(mid - 2.0 / (math.pi * 100.0)) < 1e-15, "(i=100,n=100) formula", "-", 2.0 / (math.pi * 100), mid, 1e-15)
+    want = 2.0 / (math.pi * 100.0)
+    res.check(abs(mid - want) < 1e-15, "(i=100,n=100) formula", "-", want, mid, 1e-15)
 
 
 _SUITES = {
@@ -547,6 +465,7 @@ _SUITES = {
     "classical": _suite_classical,
     "asymptotics": _suite_asymptotics,
 }
+SUITE_NAMES = list(_SUITES)
 
 
 def run_suite(name: str, scale: str = "full") -> VerificationResult:

@@ -198,18 +198,40 @@ def prob_plain_quotient(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
 def normalization_residual_per_cell(i: int, k: int, p) -> float:
     """normalization_residual summed one prob_plain_quotient per n (times
     1-lam at the squeezer's bridge cell (i, n+k-i, n)), with the library's
-    cutoff and geometric tail rule."""
+    cutoff and geometric tail rule.
+
+    The squeezer cells write out factor_sums_reference term by term, with
+    r**(n - hi) and den**(n + k) carried as running products, one factor per
+    step in n, and the small powers of num and r read from short lists."""
     if isinstance(p, BeamSplitterParam):
         return abs(math.fsum(prob_plain_quotient(i, k, n, p) for n in range(i + k + 1)) - 1.0)
-    lam, bs = p.lam, p.ptr_beamsplitter()
+    lam = p.lam
+    num, den = _exact_ratio(p.ptr_beamsplitter())
+    r = den - num
+    num_pow = [num**e for e in range(max(i, k) + 1)]
+    r_pow = [r**e for e in range(i + 1)]
     n_cut = max(math.ceil(10 * (i + k + 1) / (1.0 - lam)), math.ceil(60 / (1.0 - lam)) + i + k)
     ratio = 0.5 * (1.0 + lam)
     n0 = max(0, i - k)
+    r_run, q = 1, den ** (n0 + k)  # r**(n - hi) and den**(n + k) at n = n0, where hi = n0
     terms = []
     for n in range(n0, n_cut + 1):
-        terms.append((1.0 - lam) * prob_plain_quotient(i, n + k - i, n, bs))
+        kb = n + k - i  # the bridge cell's second input count
+        lo, hi = max(0, n - kb), min(i, n)
+        u = 0
+        v = 0
+        for m in range(lo, hi + 1):
+            t = math.comb(i, m) * math.comb(kb, n - m) * num_pow[m] * r_pow[hi - m]
+            u += -t if m & 1 else t
+        for j in range(lo, hi + 1):
+            t = math.comb(n, j) * math.comb(i + kb - n, i - j) * num_pow[kb - n + j] * r_pow[i - j]
+            v += -t if j & 1 else t
+        terms.append((1.0 - lam) * (u * r_run * v / q))
         if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
             return abs(math.fsum(terms) - 1.0)
+        if n >= i:  # hi stays at i from here on
+            r_run *= r
+        q *= den
     raise AssertionError("the reference scan did not settle")
 
 

@@ -538,3 +538,40 @@ def test_classical_l_sum_is_built_once_per_i_k_j(monkeypatch):
         for n in range(-1, i + k + 2):
             table.recurrence_residual(i, k, n, j)
     assert len(calls) == len(keys)
+
+
+_SEVEN_TENTHS = BeamSplitterParam.from_value("7/10")
+_TWO_FIFTHS = SqueezerParam.from_value("2/5")
+_BS_BUILDERS = (bs_table_direct, bs_table_convolution, bs_table_recurrence)
+_TMS_BUILDERS = (tms_table_direct, tms_table_recurrence)
+_BAD_INPUTS = (
+    [(b, (40, 0, _SEVEN_TENTHS, prec)) for b in _BS_BUILDERS for prec in ("Float", "exact", "")]
+    + [(b, (2, 2, 2, _TWO_FIFTHS, prec)) for b in _TMS_BUILDERS for prec in ("Rational", "exact")]
+    + [(b, (*size, _SEVEN_TENTHS)) for b in _BS_BUILDERS for size in [(-1, 2), (2, -1)]]
+    + [(b, (*size, _TWO_FIFTHS)) for b in _TMS_BUILDERS for size in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]]
+    + [(ClassicalTable, (_SEVEN_TENTHS, "Rational")), (classical_prob, (1, 1, 1, _SEVEN_TENTHS, "exact"))]
+)
+
+
+def _bad_input_id(v):
+    if callable(v):
+        return v.__name__
+    return ",".join(repr(a) for a in v if not isinstance(a, (BeamSplitterParam, SqueezerParam)))
+
+
+@pytest.mark.parametrize("build, args", _BAD_INPUTS, ids=_bad_input_id)
+def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypatch, build, args):
+    # A string that one branch of a builder takes for float and another does
+    # not gives a table cut short at total 32 that passes its own self-check.
+    def engine(*args, **kwargs):
+        raise AssertionError("engine work began before the inputs were checked")
+
+    for name in ("_shell_factor_rows", "_bridge_cells", "bs_prob_double_sum", "_bs_convolution_row"):
+        monkeypatch.setattr(recurrences, name, engine)
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+def test_a_squeezer_table_needs_nmax():
+    with pytest.raises(ValueError, match="nmax"):
+        ProbabilityTable(Device.TMS, _TWO_FIFTHS, "direct", "float", 2, 2)

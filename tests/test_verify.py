@@ -2,6 +2,7 @@
 wrong engine cell must fail exactly the cases whose Fraction residual is
 non-zero, and report that residual."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -14,7 +15,15 @@ import fockmix.recurrences as recurrences
 import fockmix.verify as verify
 from fock_oracle import bs_tilde_row_reference, tms_tilde_reference
 from fockmix.params import BeamSplitterParam, SqueezerParam
-from fockmix.recurrences import bs_recurrence_check, bs_table_direct, bs_tilde, tms_recurrence_check, tms_table_direct
+from fockmix.recurrences import (
+    bs_recurrence_check,
+    bs_table_convolution,
+    bs_table_direct,
+    bs_table_recurrence,
+    bs_tilde,
+    tms_recurrence_check,
+    tms_table_direct,
+)
 
 _CELL = re.compile(r"\(i=(\d+),k=(\d+),n=(\d+),j=(\d+)\)")
 
@@ -209,3 +218,63 @@ def test_a_nan_entry_fails_its_float_check(monkeypatch, suite, builder, key, che
     result = verify.run_suite(suite, "quick")
     failed = {f.indices: f.got for f in result.failures}
     assert failed.get(check) == "nan"
+
+
+def _moved(table, key, n, by):
+    """A copy of table with entry n of row key moved by `by`."""
+    row = list(table.entries[key]) if table.precision == "rational" else np.array(table.entries[key])
+    row[n] += by
+    return dataclasses.replace(table, entries={**table.entries, key: row})
+
+
+def test_agree_reports_the_largest_float_difference_of_each_failing_pair():
+    p = BeamSplitterParam(0.7)
+    direct, conv = bs_table_direct(4, 4, p), bs_table_convolution(4, 4, p)
+    rec = _moved(bs_table_recurrence(4, 4, p), (2, 1), 1, 2e-10)
+    res = verify.VerificationResult("agree")
+    verify._agree(res, (direct, conv, rec), "i,k<=4", "eta=0.7", "pairwise<=1e-10")
+    worst = {
+        a.method: max(float(np.abs(a.entries[key] - rec.entries[key]).max()) for key in a.entries)
+        for a in (direct, conv)
+    }
+    assert res.cases == 3 and min(worst.values()) > 1e-10
+    assert res.failures == [
+        verify.Failure(f"{a} vs recurrence i,k<=4", "eta=0.7", "pairwise<=1e-10", str(worst[a]), "1e-10")
+        for a in ("direct", "convolution")
+    ]
+
+
+def test_agree_fails_a_float_pair_with_a_nan_entry():
+    p = BeamSplitterParam(0.7)
+    res = verify.VerificationResult("agree")
+    verify._agree(res, (bs_table_direct(3, 3, p), _moved(bs_table_recurrence(3, 3, p), (1, 2), 0, math.nan)), "x", "y")
+    assert res.cases == 1 and [(f.indices, f.got) for f in res.failures] == [("direct vs recurrence x", "nan")]
+
+
+def test_agree_compares_rational_tables_exactly():
+    third = BeamSplitterParam.from_value("1/3")
+    direct = bs_table_direct(3, 3, third, "rational")
+    rec = bs_table_recurrence(3, 3, third, "rational")
+    res = verify.VerificationResult("agree")
+    verify._agree(res, (direct, rec, _moved(rec, (3, 3), 6, Fraction(1, 10**30))), "i,k<=3", "eta=1/3")
+    assert res.cases == 3
+    assert res.failures == [
+        verify.Failure(f"{a} vs recurrence i,k<=3", "eta=1/3", "exact equality", "False", "exact")
+        for a in ("direct", "recurrence")
+    ]
+
+
+def test_within_and_near_count_one_case_each_and_fail_on_nan():
+    res = verify.VerificationResult("helpers")
+    res.within(1e-13, 1e-12, "a", "p", "<=1e-12")
+    res.near(1.0 + 1e-13, 1.0, 1e-12, "b", "p")
+    assert res.cases == 2 and res.ok
+    res.within(math.nan, 1e-12, "c", "p", "<=1e-12")
+    res.near(math.nan, 1.0, 1e-12, "d", "p")
+    res.near(1.0, 0.5, 1e-12, "e", "p")
+    assert res.cases == 5
+    assert res.failures == [
+        verify.Failure("c", "p", "<=1e-12", "nan", "1e-12"),
+        verify.Failure("d", "p", "1.0", "nan", "1e-12"),
+        verify.Failure("e", "p", "0.5", "1.0", "1e-12"),
+    ]
