@@ -20,8 +20,10 @@ checkable identities only; j=1 costs O(1) per cell, general j does not.
 The exact identity checks of the verify suites build no table. They read
 the exact engine's integer rows, each a probability row times a fixed power
 of den (eta or 1-lam = num/den), so a residual is an integer row, with no
-lcm or gcd (_identity_residual_rows). The public tilde rows of a rational
-table lift the rows one call reads to one common denominator instead.
+lcm or gcd, and pack each row into one integer, so that a check is one
+big-integer compare (_identity_residual_rows). The public tilde rows of a
+rational table lift the rows one call reads to one common denominator
+instead.
 
 Both fills build one shell s = i+k at a time, as one 2-D array [row, n] from
 the two shells below it. Floats run on the coefficients (eta, 1-eta, 1);
@@ -41,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from typing import Union
 
 import numpy as np
@@ -97,6 +99,8 @@ class ProbabilityTable:
     def __post_init__(self):
         if self.device is Device.TMS and self.nmax is None:
             raise ValueError("a squeezer table needs nmax")
+        if self.precision not in ("float", "rational"):
+            raise ValueError(f"precision must be 'float' or 'rational', got {self.precision!r}")
         for name in ("imax", "kmax", "nmax"):
             size = getattr(self, name)
             if size is not None and size < 0:
@@ -430,7 +434,7 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
 
 
 def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):
-    """(den, residual): the general-j identities on the exact engine's
+    """(den, holds, residual): the general-j identities on the exact engine's
     integer rows of i <= imax, k <= kmax (and n <= nmax for a squeezer),
     with eta or 1-lam = num/den.
 
@@ -443,12 +447,27 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
     product in a tilde row lands on the power of den of its left-hand side,
     and the den-power rule holds: entry n of a residual row is the exact
     signed residual times den**(i+k) for a beam splitter and den**(k+n+2)
-    for a squeezer. Each tilde row is built once and kept as long as the
-    function, since (i, k, j) and (i+1, k+1, j+1) share one."""
+    for a squeezer.
+
+    Every row is packed into one non-negative int by Kronecker substitution
+    (Harvey 2009), entry n in slot n of `size` bytes. A beam-splitter tilde
+    row is then one big-integer product per l, a squeezer tilde row a sum of
+    entry-times-row products shifted l slots and cut to nmax+1 slots, and
+    holds(i, k, j) is one compare: True when the residual row is zero at
+    every n the identity asserts (every n for a beam splitter, n >= j-k for
+    a squeezer, as j <= n+k there). A tilde slot sums at most `products`
+    products of two entries, and a left-hand slot is lead times an entry
+    plus den**2 times such a sum. The slot width is the bit length of that
+    bound at the widest entry, rounded up to whole bytes, so no slot carries
+    into the next and the packed compare is the entrywise one. A negative
+    entry cannot be packed and raises OverflowError. Only residual unpacks.
+    Each tilde row is built once and kept as long as the function, since
+    (i, k, j) and (i+1, k+1, j+1) share one."""
     bs = isinstance(p, BeamSplitterParam)
     if bs:
         lead, den = 1, _exact_ratio(p)[1]
         rows = {(i, k): [u * v for u, v in cells] for i, k, cells, _ in _shell_factor_rows(p, imax, kmax)}
+        products = (min(imax, kmax) + 1) * (imax + kmax + 1)  # pairs (l, t) per tilde entry
     else:
         lead, den = _exact_ratio(p.ptr_beamsplitter())
         rows = {}
@@ -457,27 +476,57 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
                 n0 = min(max(0, i - k), nmax + 1)  # as in tms_table_direct
                 cells = islice(_bridge_cells(i, k, lead, den), nmax + 1 - n0)
                 rows[(i, k)] = [0] * n0 + [lead * x * y for x, y, _ in cells]
-    tildes: dict[tuple[int, int, int], list] = {}
+        products = (imax + 1) * (nmax + 1)  # pairs (l, m) per tilde entry
     step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)
+    widest = max(map(max, rows.values()))
+    bits = 2 * widest.bit_length() + lead.bit_length() + step.bit_length() + products.bit_length() + 1
+    size = (bits + 7) // 8  # bytes per slot
+    width = 8 * size
+    packed = {
+        key: int.from_bytes(b"".join(v.to_bytes(size, "little", signed=False) for v in row), "little")
+        for key, row in rows.items()
+    }
+    mask = None if bs else (1 << width * (nmax + 1)) - 1  # a squeezer row's nmax+1 slots
+    tildes: dict[tuple[int, int, int], int] = {}
 
-    def row(i: int, k: int) -> list:
-        return rows[(i, k)]
-
-    def tilde(i: int, k: int, j: int) -> list:
+    def tilde(i: int, k: int, j: int) -> int:
         if min(i, k, j) < 0:
-            return []
-        if (i, k, j) not in tildes:
-            if bs:
-                tildes[(i, k, j)] = _term_sum(_bs_tilde_terms(i, k, j, row), i + k + 1)
-            else:
-                tildes[(i, k, j)] = _term_sum(_tms_tilde_terms(i, k, j, nmax, row), nmax + 1)
-        return tildes[(i, k, j)]
+            return 0
+        total = tildes.get((i, k, j))
+        if total is None:
+            if bs:  # as _bs_tilde_pairs, on packed rows
+                lo, hi = max(0, j - i), min(j, k)
+                total = sum(packed[(j - l, l)] * packed[(i - j + l, k - l)] for l in range(lo, hi + 1))
+            else:  # as _tms_tilde_terms, each entry times a packed row shifted l slots
+                total = 0
+                for l in range(max(0, j - k), min(j, nmax) + 1):
+                    a, b = j - l, k - j + l
+                    total += sum(rows[(m, a)][l] * packed[(i - m, b)] for m in range(i + 1)) << width * l
+                total &= mask
+            tildes[(i, k, j)] = total
+        return total
+
+    def sides(i: int, k: int, j: int) -> tuple[int, int]:
+        """(lead*lhs + den**2 * tilde(i-1,k-1,j-1) one slot up, tilde(i,k,j)), packed."""
+        left = lead * packed[(i, k)] + (step * tilde(i - 1, k - 1, j - 1) << width)
+        return left if bs else left & mask, tilde(i, k, j)
+
+    def holds(i: int, k: int, j: int) -> bool:
+        left, right = sides(i, k, j)
+        if bs:
+            return left == right
+        low = width * max(0, j - k)
+        return left >> low == right >> low
 
     def residual(i: int, k: int, j: int) -> list:
-        prev = chain([0], tilde(i - 1, k - 1, j - 1), repeat(0))
-        return [lead * a - b + step * c for a, b, c in zip(rows[(i, k)], tilde(i, k, j), prev)]
+        slots = i + k + 1 if bs else nmax + 1
+        left, right = (x.to_bytes(slots * size, "little") for x in sides(i, k, j))
+        return [
+            int.from_bytes(left[s : s + size], "little") - int.from_bytes(right[s : s + size], "little")
+            for s in range(0, slots * size, size)
+        ]
 
-    return den, residual
+    return den, holds, residual
 
 
 # ---------------------------------------------------------------------------

@@ -200,28 +200,29 @@ def _identity_failure(res: VerificationResult, i: int, k: int, n: int, j: int, p
 
 def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
     for eta in eta_values:
-        den, residual = _identity_residual_rows(BeamSplitterParam.from_value(eta), imax, imax)
+        den, holds, residual = _identity_residual_rows(BeamSplitterParam.from_value(eta), imax, imax)
         for i in range(imax + 1):
             for k in range(imax + 1):
                 for j in range(i + k + 1):
-                    diffs = residual(i, k, j)
-                    res.cases += len(diffs)  # failure text is built for failing cases only
-                    for n, d in enumerate(diffs):
+                    res.cases += i + k + 1  # rows are unpacked, and failure text built, for failing cases only
+                    if holds(i, k, j):
+                        continue
+                    for n, d in enumerate(residual(i, k, j)):
                         if d:
                             _identity_failure(res, i, k, n, j, f"eta={eta}", Fraction(d, den ** (i + k)))
 
 
 def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
     for lam in lam_values:
-        den, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, 2 * nmax, nmax)
+        den, holds, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, 2 * nmax, nmax)
         for i in range(nmax + 1):
             for k in range(nmax + 1):
-                by_j = [residual(i, k, j) for j in range(nmax + k + 1)]
+                by_j = {j: residual(i, k, j) for j in range(nmax + k + 1) if not holds(i, k, j)}
                 for n in range(nmax + 1):
                     res.cases += n + k + 1
-                    for j in range(n + k + 1):
-                        if by_j[j][n]:
-                            _identity_failure(res, i, k, n, j, f"lam={lam}", Fraction(by_j[j][n], den ** (k + n + 2)))
+                    for j, diffs in by_j.items():
+                        if j <= n + k and diffs[n]:
+                            _identity_failure(res, i, k, n, j, f"lam={lam}", Fraction(diffs[n], den ** (k + n + 2)))
 
 
 def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:

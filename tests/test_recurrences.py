@@ -575,3 +575,13 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
 def test_a_squeezer_table_needs_nmax():
     with pytest.raises(ValueError, match="nmax"):
         ProbabilityTable(Device.TMS, _TWO_FIFTHS, "direct", "float", 2, 2)
+
+
+@pytest.mark.parametrize("precision", ["Rational", "Float", "exact", ""])
+def test_a_hand_built_table_rejects_an_unknown_precision(precision):
+    # Built by hand, a "Rational" table of Fraction rows was once read as
+    # float: bs_tilde_row summed its Fractions as floats, and zero was 0.0.
+    third = BeamSplitterParam.from_value("1/3")
+    rows = bs_table_direct(2, 2, third, "rational").entries
+    with pytest.raises(ValueError, match="precision"):
+        ProbabilityTable(Device.BS, third, "direct", precision, 2, 2, entries=rows)

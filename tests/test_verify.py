@@ -3,6 +3,7 @@ wrong engine cell must fail exactly the cases whose Fraction residual is
 non-zero, and report that residual."""
 
 import dataclasses
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -28,9 +29,9 @@ from fockmix.recurrences import (
 _CELL = re.compile(r"\(i=(\d+),k=(\d+),n=(\d+),j=(\d+)\)")
 
 
-def _with_moved_shell_cell(eta, key, n):
+def _with_moved_shell_cell(eta, key, n, by=1):
     """_shell_factor_rows, with the integer numerator U*V of cell n of row key
-    moved up by one at transmittance eta (a Fraction)."""
+    moved by `by` at transmittance eta (a Fraction)."""
     shell_rows = recurrences._shell_factor_rows
 
     def rows(p, *args, **kwargs):
@@ -38,21 +39,21 @@ def _with_moved_shell_cell(eta, key, n):
             if (i, k) == key and p.eta_exact == eta:
                 cells = list(cells)
                 u, v = cells[n]
-                cells[n] = (u * v + 1, 1)
+                cells[n] = (u * v + by, 1)
             yield i, k, cells, q
 
     return rows
 
 
-def _with_moved_bridge_cell(ratio, key, step):
+def _with_moved_bridge_cell(ratio, key, step, by=1):
     """_bridge_cells, with the integer numerator X*Y of cell `step` of
-    squeezer row key moved up by one at 1-lam = num/den, ratio = (num, den)."""
+    squeezer row key moved by `by` at 1-lam = num/den, ratio = (num, den)."""
     bridge_cells = recurrences._bridge_cells
 
     def cells(i, k, num, den):
         for s, (x, y, q) in enumerate(bridge_cells(i, k, num, den)):
             if (i, k) == key and (num, den) == ratio and s == step:
-                x, y = x * y + 1, 1
+                x, y = x * y + by, 1
             yield x, y, q
 
     return cells
@@ -121,17 +122,44 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
     assert signed != 0 and want in identity
 
 
-def test_exact_identity_blocks_build_no_table(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("an exact identity block built a ProbabilityTable")
-
-    monkeypatch.setattr(recurrences.ProbabilityTable, "__init__", refuse)
+def _run_exact_identity_blocks():
+    """The full-scale theorem 1 and theorem 2 blocks; each must pass with
+    its full case count."""
     res = verify.VerificationResult("exact identities")
     verify._theorem1_exact(res, 8, [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
     assert res.ok and res.cases == 5 * sum((i + k + 1) ** 2 for i in range(9) for k in range(9)) == 38205
     res = verify.VerificationResult("exact identities")
     verify._theorem2_exact(res, 6, ["1/4", "1/2", "3/4"])
     assert res.ok and res.cases == 3 * sum(n + k + 1 for i in range(7) for k in range(7) for n in range(7)) == 7203
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"an exact identity block {what}")
+
+    return refuse
+
+
+def test_exact_identity_blocks_build_no_table(monkeypatch):
+    monkeypatch.setattr(recurrences.ProbabilityTable, "__init__", _refuse("built a ProbabilityTable"))
+    _run_exact_identity_blocks()
+
+
+def test_exact_identity_blocks_sum_no_unpacked_rows(monkeypatch):
+    # The identity rows are summed packed; _term_sum serves float and
+    # rational table rows only.
+    monkeypatch.setattr(recurrences, "_term_sum", _refuse("called _term_sum"))
+    _run_exact_identity_blocks()
+
+
+def test_a_negative_engine_entry_raises_instead_of_wrapping(monkeypatch):
+    # A negative entry would borrow from the slot above it in a packed row.
+    third = BeamSplitterParam.from_value("1/3")
+    cells = {(i, k): c for i, k, c, _ in recurrences._shell_factor_rows(third, 4, 4)}
+    u, v = cells[(3, 2)][2]
+    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(third.eta_exact, (3, 2), 2, -u * v - 1))
+    with pytest.raises(OverflowError):
+        recurrences._identity_residual_rows(third, 4, 4)
 
 
 # Residual rows against the signed Fraction residuals of a rational direct
@@ -152,7 +180,7 @@ def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(p.eta_exact, *cell))
         table = bs_table_direct(5, 5, p, "rational")
-        den, residual = recurrences._identity_residual_rows(p, 5, 5)
+        den, _, residual = recurrences._identity_residual_rows(p, 5, 5)
     for i in range(6):
         for k in range(6):
             for j in range(i + k + 1):
@@ -163,9 +191,16 @@ def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
                 assert [Fraction(d, den ** (i + k)) for d in residual(i, k, j)] == want
 
 
-_TMS_CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
-    lambda ik: st.tuples(st.just(ik), st.integers(0, 5 - max(0, ik[0] - ik[1])))
-)
+
+
+def _tms_cells(size):
+    """((i, k), step): a bridge cell of a squeezer row with i, k, n <= size."""
+    return st.tuples(st.integers(0, size), st.integers(0, size)).flatmap(
+        lambda ik: st.tuples(st.just(ik), st.integers(0, size - max(0, ik[0] - ik[1])))
+    )
+
+
+_TMS_CELLS = _tms_cells(5)
 
 
 @settings(max_examples=4, deadline=None)
@@ -176,7 +211,7 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrences, "_bridge_cells", _with_moved_bridge_cell((1 - sp.lam_exact).as_integer_ratio(), *cell))
         table = tms_table_direct(5, 10, 5, sp, "rational")
-        den, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
+        den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
     for i in range(6):
         for k in range(6):
             for j in range(5 + k + 1):
@@ -187,6 +222,78 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
                     for n in range(6)
                 ]
                 assert [Fraction(d, den ** (k + n + 2)) for n, d in enumerate(residual(i, k, j))] == want
+
+
+def _engine_rows(p, imax, kmax, nmax=None):
+    """(lead, den, rows): the engine's integer identity rows, as
+    _identity_residual_rows reads them, with no packing."""
+    if isinstance(p, BeamSplitterParam):
+        den = p.eta_exact.denominator
+        return 1, den, {(i, k): [u * v for u, v in c] for i, k, c, _ in recurrences._shell_factor_rows(p, imax, kmax)}
+    num, den = (1 - p.lam_exact).as_integer_ratio()
+    rows = {}
+    for i in range(imax + 1):
+        for k in range(kmax + 1):
+            n0 = min(max(0, i - k), nmax + 1)
+            cells = recurrences._bridge_cells(i, k, num, den)
+            rows[(i, k)] = [0] * n0 + [num * x * y for x, y, _ in itertools.islice(cells, nmax + 1 - n0)]
+    return num, den, rows
+
+
+def _unpacked_residual(lead, den, rows, i, k, j, nmax=None):
+    """lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1],
+    each tilde row summed entry by entry with _term_sum."""
+
+    def tilde(i, k, j):
+        if min(i, k, j) < 0:
+            return []
+        if nmax is None:
+            return recurrences._term_sum(recurrences._bs_tilde_terms(i, k, j, lambda *ik: rows[ik]), i + k + 1)
+        return recurrences._term_sum(recurrences._tms_tilde_terms(i, k, j, nmax, lambda *ik: rows[ik]), nmax + 1)
+
+    prev = [0, *tilde(i - 1, k - 1, j - 1)] + [0] * len(rows[(i, k)])
+    return [lead * a - b + den * den * c for a, b, c in zip(rows[(i, k)], tilde(i, k, j), prev)]
+
+
+# One engine cell moved by +1, then by as much as the widest engine entry:
+# a slot too narrow for the moved row would carry into its neighbour.
+_MOVED_CELLS = st.one_of(st.tuples(st.just("bs"), _BS_CELLS), st.tuples(st.just("tms"), _tms_cells(4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratio=_RATIOS.filter(lambda r: Fraction(r) < 1), moved=_MOVED_CELLS)
+@example(ratio="1/1000", moved=("bs", ((5, 5), 10)))
+@example(ratio="0/1", moved=("tms", ((0, 4), 4)))
+@example(ratio="999/1000", moved=("tms", ((4, 0), 0)))
+def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(ratio, moved):
+    device, (key, cell) = moved
+    if device == "bs":
+        p, sizes, mover = BeamSplitterParam.from_value(ratio), (5, 5), _with_moved_shell_cell
+        target = p.eta_exact
+    else:
+        p, sizes, mover = SqueezerParam.from_value(ratio), (4, 8, 4), _with_moved_bridge_cell
+        target = (1 - p.lam_exact).as_integer_ratio()
+    nmax = sizes[2] if device == "tms" else None
+    widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
+    masked = 0
+    for by in (1, widest):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrences, "_shell_factor_rows" if device == "bs" else "_bridge_cells", mover(target, key, cell, by))
+            den, holds, residual = recurrences._identity_residual_rows(p, *sizes)
+            lead, _, rows = _engine_rows(p, *sizes)
+        failing = 0
+        for i in range(sizes[0] + 1):
+            for k in range(sizes[0] + 1):
+                for j in range(sizes[0] + k + 1 if nmax else i + k + 1):
+                    row = _unpacked_residual(lead, den, rows, i, k, j, nmax)
+                    assert residual(i, k, j) == row
+                    low = max(0, j - k) if nmax else 0  # the squeezer asserts n >= j-k only
+                    assert holds(i, k, j) == (not any(row[low:]))
+                    failing += not holds(i, k, j)
+                    masked += holds(i, k, j) and any(row)
+        assert failing  # the moved cell shows
+    if nmax:  # some rows hold although non-zero below n = j-k, where j > n+k
+        assert masked
 
 
 def _with_nan_row(builder, key):
