@@ -20,7 +20,7 @@ checkable identities only; j=1 costs O(1) per cell, general j does not.
 The exact identity checks of the verify suites build no table. They read
 the exact engine's integer rows, each a probability row times a fixed power
 of den (eta or 1-lam = num/den), so a residual is an integer row, with no
-lcm or gcd, and pack each row into one integer, so that a check is one
+lcm or gcd. Each row is packed into one integer, so that a check is one
 big-integer compare (_identity_residual_rows). The public tilde rows of a
 rational table lift the rows one call reads to one common denominator
 instead.
@@ -512,10 +512,8 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
         return left if bs else left & mask, tilde(i, k, j)
 
     def holds(i: int, k: int, j: int) -> bool:
+        low = 0 if bs else width * max(0, j - k)  # the slots below n = j-k hold no squeezer claim
         left, right = sides(i, k, j)
-        if bs:
-            return left == right
-        low = width * max(0, j - k)
         return left >> low == right >> low
 
     def residual(i: int, k: int, j: int) -> list:

@@ -157,7 +157,8 @@ def test_a_negative_engine_entry_raises_instead_of_wrapping(monkeypatch):
     third = BeamSplitterParam.from_value("1/3")
     cells = {(i, k): c for i, k, c, _ in recurrences._shell_factor_rows(third, 4, 4)}
     u, v = cells[(3, 2)][2]
-    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(third.eta_exact, (3, 2), 2, -u * v - 1))
+    moved = _with_moved_shell_cell(third.eta_exact, (3, 2), 2, -u * v - 1)  # entry -1
+    monkeypatch.setattr(recurrences, "_shell_factor_rows", moved)
     with pytest.raises(OverflowError):
         recurrences._identity_residual_rows(third, 4, 4)
 
@@ -189,8 +190,6 @@ def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
                 want = [table.value(i, k, n) - cur[n] + (prev[n - 1] if 1 <= n <= len(prev) else 0)
                         for n in range(i + k + 1)]
                 assert [Fraction(d, den ** (i + k)) for d in residual(i, k, j)] == want
-
-
 
 
 def _tms_cells(size):
@@ -268,32 +267,33 @@ _MOVED_CELLS = st.one_of(st.tuples(st.just("bs"), _BS_CELLS), st.tuples(st.just(
 def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(ratio, moved):
     device, (key, cell) = moved
     if device == "bs":
-        p, sizes, mover = BeamSplitterParam.from_value(ratio), (5, 5), _with_moved_shell_cell
-        target = p.eta_exact
-    else:
-        p, sizes, mover = SqueezerParam.from_value(ratio), (4, 8, 4), _with_moved_bridge_cell
-        target = (1 - p.lam_exact).as_integer_ratio()
-    nmax = sizes[2] if device == "tms" else None
+        p = BeamSplitterParam.from_value(ratio)
+        top, nmax, sizes = 5, None, (5, 5)
+        engine, mover, target = "_shell_factor_rows", _with_moved_shell_cell, p.eta_exact
+    else:  # the shape of the verify block: i, k, n <= 4 over rows with k <= 8
+        p = SqueezerParam.from_value(ratio)
+        top, nmax, sizes = 4, 4, (4, 8, 4)
+        engine, mover, target = "_bridge_cells", _with_moved_bridge_cell, (1 - p.lam_exact).as_integer_ratio()
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
-    masked = 0
+    below = 0
     for by in (1, widest):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrences, "_shell_factor_rows" if device == "bs" else "_bridge_cells", mover(target, key, cell, by))
+            mp.setattr(recurrences, engine, mover(target, key, cell, by))
             den, holds, residual = recurrences._identity_residual_rows(p, *sizes)
             lead, _, rows = _engine_rows(p, *sizes)
         failing = 0
-        for i in range(sizes[0] + 1):
-            for k in range(sizes[0] + 1):
-                for j in range(sizes[0] + k + 1 if nmax else i + k + 1):
+        for i in range(top + 1):
+            for k in range(top + 1):
+                for j in range(nmax + k + 1 if nmax else i + k + 1):
                     row = _unpacked_residual(lead, den, rows, i, k, j, nmax)
                     assert residual(i, k, j) == row
                     low = max(0, j - k) if nmax else 0  # the squeezer asserts n >= j-k only
                     assert holds(i, k, j) == (not any(row[low:]))
                     failing += not holds(i, k, j)
-                    masked += holds(i, k, j) and any(row)
+                    below += any(row[:low])
         assert failing  # the moved cell shows
-    if nmax:  # some rows hold although non-zero below n = j-k, where j > n+k
-        assert masked
+    if nmax:  # rows with j > n+k, non-zero below n = j-k, where the compare must not look
+        assert below
 
 
 def _with_nan_row(builder, key):
