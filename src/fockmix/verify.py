@@ -214,7 +214,8 @@ def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
 
 def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
     for lam in lam_values:
-        den, holds, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, 2 * nmax, nmax)
+        # tilde(i, k, j) reads only rows (i', k') with k' <= k, so k <= nmax is all it needs
+        den, holds, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, nmax, nmax)
         for i in range(nmax + 1):
             for k in range(nmax + 1):
                 by_j = {j: residual(i, k, j) for j in range(nmax + k + 1) if not holds(i, k, j)}
