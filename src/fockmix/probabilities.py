@@ -32,14 +32,17 @@ cell of total N off one shell of integer polynomials, (1 - num*x)**a
 times linear factors and cut to the rows the table holds, with no binomial,
 power table or division. A single normalization row runs the single-cell
 sums. Squeezer probabilities go through partial time reversal,
-A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam); the direct squeezer
-table and the normalization scan walk a squeezer row along n over these
-bridge cells, one generator for both.
+A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam). On shell s = n+k
+both sums of that bridge cell are top coefficients of the same shell
+polynomials, so the direct squeezer table, the identity rows and the
+normalization scans read every squeezer row off one walk over those top
+coefficients (_top_coefficient_walk), with no Horner sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import count
 
@@ -275,28 +278,54 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     return (1 - lam) * bs_prob_exact(bridge, 1 - lam)
 
 
-def _bridge_cells(i: int, k: int, num: int, den: int):
-    """Yield (X, Y, Q) with X*Y/Q = B(i, n+k-i -> n) at eta = num/den for
-    n = n0, n0+1, ... without end, n0 = max(0, i-k). X = S(i,n+k-i,n) S(n,k,i)
-    num**|i-k| holds the Horner sums of _scaled_factor_sums over terms
-    n0..min(i, n), Y = r**|n-i| and Q = den**(n+k); Y is read back from
-    r**0..r**(i-n0) while n < i and then grown by r per step, as Q is by den."""
+def _top_coefficient_walk(num: int, den: int, rows, cols):
+    """Yield (cell, den**s) for the shells s = 0, 1, ... without end, where
+    cell(i, k) = (X, Y) has X*Y/den**s = B(i, s-i -> s-k) at eta = num/den,
+    the squeezer's bridge cell, for i in rows, k in cols and s >= max(i, k).
+
+    That cell is M_s[i][s-k] * L_s[s-k][s-i] of _shell_factor_rows: top
+    coefficient k of M_s[i] times top coefficient i of L_s[s-k]. With
+    r = den - num, each top vector steps alone: row i by
+    t'_j = t_{j-1} - num*t_j while s < i, then t'_j = r*t_j + t_{j-1};
+    column k by u'_j = num*u_j + r*u_{j-1} while s < k, then
+    u'_j = u_j - u_{j-1}. Each t_j is held over r**max(0, s-i-j), which keeps
+    it short, so X = t_k * u_i and Y = r**max(0, s-i-k), one power per i+k
+    read from a window that slides by one power of r per shell.
+    """
     r = den - num
-    n0 = max(0, i - k)
-    lead, q = num ** abs(i - k), den ** (n0 + k)
-    head, y = [r**e for e in range(i - n0 + 1)], 1
-    for n in count(n0):
-        hi = min(i, n)
-        x = _alternating_sum(i, n + k - i, n, n0, hi, num, r) * _alternating_sum(n, k, i, n0, hi, num, r) * lead
-        yield x, head[i - n] if n < i else y, q
-        if n >= i:
-            y *= r
+    imax, kmax = max(rows), max(cols)
+    tops = {i: [1] + [0] * kmax for i in rows}
+    lefts = {k: [1] + [0] * imax for k in cols}
+    window, q = [1] * (imax + kmax + 1), 1  # window[d] = r**max(0, s-d)
+    for s in count():
+        # cell is bound to this shell's vectors, which the next step replaces
+        yield (lambda i, k, t=tops, u=lefts, y=window: (t[i][k] * u[k][i], y[i + k])), q
+        tops = {i: _next_top(t, s - i, num, r) for i, t in tops.items()}
+        lefts = {
+            k: [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
+            for k, u in lefts.items()
+        }
+        window = [window[0] * r, *window[:-1]]
         q *= den
+
+
+def _next_top(t: list[int], c: int, num: int, r: int) -> list[int]:
+    """Top vector of M_s[i] at shell s+1, c = s-i: times (1 - num*x) while
+    c < 0, else times (1 + r*x) with entries j <= c held over r."""
+    prev = [0, *t]
+    if c >= len(t) - 1:
+        return [*map(operator.add, t, prev)]
+    if c < 0:
+        return [b - num * a for a, b in zip(t, prev)]
+    return [*map(operator.add, t[: c + 1], prev), *(r * a + b for a, b in zip(t[c + 1 :], prev[c + 1 :]))]
 
 
 # Tail control for the squeezer normalization sum. The term ratio tends to
 # lam from above at large n; (1+lam)/2 is a safe geometric majorant there.
 _TAIL_TOLERANCE = 1e-14
+# A squeezer scan with a cutoff past this n is refused before it walks: each
+# step costs time linear in n, and 1 - lam = 1e-6 asks for 6e7 steps.
+_STEP_BUDGET = 100_000
 
 
 def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam) -> float:
@@ -307,29 +336,53 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     tail estimate drops below 1e-14; if that never happens before the cutoff,
     a ConvergenceError is raised rather than silently truncating. The cutoff
     is 10*(i+k+1)/(1-lam), raised to a floor of 60/(1-lam) + i + k because
-    the shorter form cannot reach the tail tolerance when i+k <= 2.
+    the shorter form cannot reach the tail tolerance when i+k <= 2. A cutoff
+    past _STEP_BUDGET raises ConvergenceError before any term is summed.
     """
     if isinstance(p, BeamSplitterParam):
         num, den = _exact_ratio(p)
         return _row_residual([_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1)], den ** (i + k))
+    ((_, _, r),) = _tms_residual_rows(p, [i], [k])
+    if isinstance(r, ConvergenceError):
+        raise r
+    return r
+
+
+def _tms_residual_rows(p: SqueezerParam, rows, cols):
+    """Yield (i, k, r) for i in rows, then k in cols: r is
+    normalization_residual(i, k, p), or the ConvergenceError it raises, from
+    one pass of _top_coefficient_walk. Each row keeps its own cutoff and tail
+    rule and drops out once it has settled. A cutoff past _STEP_BUDGET
+    raises ConvergenceError before the walk."""
     lam = p.lam
-    n_cut = max(
-        math.ceil(10 * (i + k + 1) / (1.0 - lam)),
-        math.ceil(60 / (1.0 - lam)) + i + k,
-    )
-    ratio = 0.5 * (1.0 + lam)
-    n0 = max(0, i - k)
-    terms: list[float] = []
-    settled = n0 + i + k + 2  # past the oscillatory head / structural zeros
-    cells = _bridge_cells(i, k, *_exact_ratio(p.ptr_beamsplitter()))
-    for n, (x, y, q) in zip(range(n0, n_cut + 1), cells):
-        terms.append((1.0 - lam) * _rounded_quotient(x, y, q))
-        if n >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
-            return abs(math.fsum(terms) - 1.0)
-    raise ConvergenceError(
-        f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the "
-        f"{_TAIL_TOLERANCE} tail bound by n={n_cut}"
-    )
+    om, ratio = 1.0 - lam, 0.5 * (1.0 + lam)
+    cuts = {(i, k): max(math.ceil(10 * (i + k + 1) / om), math.ceil(60 / om) + i + k) for i in rows for k in cols}
+    (i, k), n_cut = max(cuts.items(), key=lambda item: item[1])
+    if n_cut > _STEP_BUDGET:
+        raise ConvergenceError(
+            f"squeezer row (i={i}, k={k}, lam={lam}) needs a cutoff n={n_cut}, past the {_STEP_BUDGET}-step budget"
+        )
+    live, done = {key: [] for key in cuts}, {}
+    for s, (cell, q) in enumerate(_top_coefficient_walk(*_exact_ratio(p.ptr_beamsplitter()), rows, cols)):
+        for (i, k), terms in list(live.items()):
+            n, n0 = s - k, max(0, i - k)
+            if n < n0:
+                continue
+            terms.append(om * _rounded_quotient(*cell(i, k), q))
+            # the tail rule starts past the oscillatory head and structural zeros
+            if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
+                done[(i, k)] = abs(math.fsum(terms) - 1.0)
+            elif n == cuts[(i, k)]:
+                done[(i, k)] = ConvergenceError(
+                    f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the {_TAIL_TOLERANCE} tail bound by n={n}"
+                )
+            else:
+                continue
+            del live[(i, k)]
+        if not live:
+            break
+    for i, k in cuts:
+        yield i, k, done[(i, k)]
 
 
 def _row_residual(cells: list[tuple[int, int]], q: int) -> float:

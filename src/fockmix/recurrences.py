@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from typing import Union
 
 import numpy as np
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam
-from .probabilities import _bridge_cells, _exact_ratio, _rounded_quotient, _shell_factor_rows, bs_prob_double_sum
+from .probabilities import _exact_ratio, _rounded_quotient, _shell_factor_rows, _top_coefficient_walk, bs_prob_double_sum
 from .amplitudes import _FLOAT_MAX_TOTAL, _bs_convolution_row, _signed_root
 
 __all__ = [
@@ -262,22 +262,33 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     return t
 
 
-def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Squeezer table through the reversal route, one walk along n per row:
-    row (i, k) is zero below n = max(0, i-k) and then (1-lam) times the
-    bridge cells of _bridge_cells, float rows rounded once, bit for bit those
-    of tms_prob, and rational rows equal to tms_prob_exact."""
-    t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
-    lam = _param_of(p, precision)
+def _squeezer_rows(p: SqueezerParam, imax: int, kmax: int, nmax: int, value, zero) -> dict:
+    """{(i, k): row} for i <= imax, k <= kmax: entry n <= nmax of row (i, k)
+    is value(X, Y, Q) of the squeezer cell (i, k -> n) from one pass of
+    _top_coefficient_walk, shell s = n+k, and zero below n = max(0, i-k)."""
     num, den = _exact_ratio(p.ptr_beamsplitter())
-    for i in range(imax + 1):
-        for k in range(kmax + 1):
-            n0 = min(max(0, i - k), nmax + 1)  # the first reachable n, or past the row
-            cells = islice(_bridge_cells(i, k, num, den), nmax + 1 - n0)
-            if precision == "rational":
-                t.entries[(i, k)] = [Fraction(0)] * n0 + [(1 - lam) * Fraction(x * y, q) for x, y, q in cells]
-            else:
-                t.entries[(i, k)] = _read_only([0.0] * n0 + [(1 - lam) * _rounded_quotient(x, y, q) for x, y, q in cells])
+    rows = {(i, k): [zero] * min(max(0, i - k), nmax + 1) for i in range(imax + 1) for k in range(kmax + 1)}
+    walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
+    for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
+        for k in range(max(0, s - nmax), min(kmax, s) + 1):
+            for i in range(min(imax, s) + 1):
+                rows[(i, k)].append(value(*cell(i, k), q))
+    return rows
+
+
+def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
+    """Squeezer table through the reversal route, every row read off one
+    shared walk over the top coefficients of the beam-splitter shells
+    (_squeezer_rows): row (i, k) is zero below n = max(0, i-k) and then
+    (1-lam) times the bridge cells, float rows rounded once, bit for bit
+    those of tms_prob, and rational rows equal to tms_prob_exact."""
+    t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
+    om = 1 - _param_of(p, precision)
+    if precision == "rational":
+        t.entries = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: om * Fraction(x * y, q), Fraction(0))
+    else:
+        rows = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: om * _rounded_quotient(x, y, q), 0.0)
+        t.entries = {key: _read_only(row) for key, row in rows.items()}
     return t
 
 
@@ -442,7 +453,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
     lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
     the tildes sum products of engine rows. A beam-splitter row is U*V of
     _shell_factor_rows, B(i,k->n) times den**(i+k), and lead is 1; a
-    squeezer row is num*X*Y of _bridge_cells, A(i,k->n) times
+    squeezer row is num*X*Y of _squeezer_rows, A(i,k->n) times
     den**(k+n+1), zero below n0 = max(0, i-k), and lead is num. So every
     product in a tilde row lands on the power of den of its left-hand side,
     and the den-power rule holds: entry n of a residual row is the exact
@@ -470,12 +481,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
         products = (min(imax, kmax) + 1) * (imax + kmax + 1)  # pairs (l, t) per tilde entry
     else:
         lead, den = _exact_ratio(p.ptr_beamsplitter())
-        rows = {}
-        for i in range(imax + 1):
-            for k in range(kmax + 1):
-                n0 = min(max(0, i - k), nmax + 1)  # as in tms_table_direct
-                cells = islice(_bridge_cells(i, k, lead, den), nmax + 1 - n0)
-                rows[(i, k)] = [0] * n0 + [lead * x * y for x, y, _ in cells]
+        rows = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: lead * x * y, 0)
         products = (imax + 1) * (nmax + 1)  # pairs (l, m) per tilde entry
     step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)
     widest = max(map(max, rows.values()))

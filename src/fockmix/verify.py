@@ -37,10 +37,10 @@ from .numerics import nan_max
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import (
     _bs_residual_rows,
+    _tms_residual_rows,
     bs_prob_direct,
     bs_prob_double_sum,
     bs_prob_exact,
-    normalization_residual,
     tms_prob,
     tms_prob_exact,
 )
@@ -178,20 +178,21 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
 
     kmax = 8 if scale == "full" else 4
     lams = (0.5, 0.8) if scale == "full" else (0.5,)
-    for lam in lams:
-        sp = SqueezerParam(lam)
-        for i in range(kmax + 1):
-            for k in range(kmax + 1):
-                try:
-                    r = normalization_residual(i, k, sp)
-                except ConvergenceError as exc:
-                    res.check(False, f"tms row (i={i},k={k})", f"lam={lam}", "sum=1", str(exc), 1e-10)
-                    continue
-                res.check(
-                    r <= 1e-10, f"tms row (i={i},k={k})", f"lam={lam}", "sum=1", f"residual {r:.3e}", 1e-10
-                )
-    r = normalization_residual(0, 0, SqueezerParam(0.5))
-    res.check(r <= 1e-12, "tms row (0,0)", "lam=0.5", "geometric sum 1", f"residual {r:.3e}", 1e-12)
+    span = range(kmax + 1)
+    scans = {lam: {(i, k): r for i, k, r in _tms_residual_rows(SqueezerParam(lam), span, span)} for lam in lams}
+    for lam, residuals in scans.items():
+        for (i, k), r in residuals.items():
+            _tms_row_case(res, r, f"tms row (i={i},k={k})", lam, "sum=1", 1e-10)
+    _tms_row_case(res, scans[0.5][(0, 0)], "tms row (0,0)", 0.5, "geometric sum 1", 1e-12)
+
+
+def _tms_row_case(res: VerificationResult, r, indices: str, lam: float, expected: str, tol: float) -> None:
+    """One case on a squeezer scan's residual r, or on the ConvergenceError
+    the scan gave in its place, reported by its text."""
+    if isinstance(r, ConvergenceError):
+        res.check(False, indices, f"lam={lam}", expected, str(r), tol)
+    else:
+        res.check(r <= tol, indices, f"lam={lam}", expected, f"residual {r:.3e}", tol)
 
 
 def _identity_failure(res: VerificationResult, i: int, k: int, n: int, j: int, parameter: str, residual) -> None:

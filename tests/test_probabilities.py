@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
+import fockmix.verify as verify
 from fockmix.amplitudes import bs_amplitude_convolution
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -224,15 +225,64 @@ def test_tms_normalization_scan_is_the_per_cell_sum(lam):
 
 
 def test_tms_normalization_scan_holds_no_power_table():
-    # The scan at 0.99 runs to n near 3300; a table of every power of r up
-    # to there held 37 MB.
+    # The batch of rows (0, 3) and (3, 3) at 0.99 runs to n near 3800 and
+    # holds the power window of every row up to (3, 3); a table of every
+    # power of r up to there would hold about 50 MB.
     tracemalloc.start()
     try:
-        normalization_residual(0, 0, SqueezerParam(0.99))
+        list(probabilities._tms_residual_rows(SqueezerParam(0.99), [0, 3], [3]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+# Rational lambdas stop at 19/20 so that no example walks past about 1400 steps.
+_SCAN_LAMBDAS = st.one_of(
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q * 19 // 20).map(lambda p: f"{p}/{q}")),
+    st.sampled_from(["0.37", "0.8", "0.95", "1e-12"]),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lam=_SCAN_LAMBDAS, rows=st.integers(0, 3), cols=st.integers(0, 3))
+@example(lam="0.37", rows=3, cols=3)
+@example(lam="0.8", rows=3, cols=3)
+@example(lam="0.95", rows=3, cols=3)
+@example(lam="1e-12", rows=3, cols=3)
+def test_batched_tms_rows_are_the_per_row_and_per_cell_residuals(lam, rows, cols):
+    sp = SqueezerParam.from_value(lam)
+    got = list(probabilities._tms_residual_rows(sp, range(rows + 1), range(cols + 1)))
+    assert [(i, k) for i, k, _ in got] == [(i, k) for i in range(rows + 1) for k in range(cols + 1)]
+    for i, k, r in got:
+        assert r == normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp), (i, k)
+
+
+def test_squeezer_scans_and_tables_run_no_horner_sum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a squeezer path ran a single-cell Horner sum")
+
+    monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
+    sp = SqueezerParam(0.8)
+    assert normalization_residual(3, 2, sp) <= 1e-10
+    assert all(r <= 1e-10 for _, _, r in probabilities._tms_residual_rows(sp, range(3), range(3)))
+    assert recurrences.tms_table_direct(4, 4, 8, SqueezerParam.from_value("1/4"), "rational").normalization_max_residual() == 0
+    res = verify.VerificationResult("theorem 2")
+    verify._theorem2_exact(res, 4, ["1/2"])
+    assert res.ok and res.cases
+
+
+def test_a_scan_past_the_step_budget_raises_before_it_walks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk began")
+
+    monkeypatch.setattr(probabilities, "_top_coefficient_walk", refuse)
+    with pytest.raises(ConvergenceError, match="budget"):
+        normalization_residual(0, 0, SqueezerParam(1 - 1e-6))
+    with pytest.raises(ConvergenceError, match=r"\(i=8, k=8, .*budget"):  # 10 * 17 / 0.001 steps
+        list(probabilities._tms_residual_rows(SqueezerParam(0.999), range(9), range(9)))
+    with pytest.raises(AssertionError, match="walk began"):  # 60 000 steps, within the budget
+        normalization_residual(0, 0, SqueezerParam(0.999))
 
 
 @pytest.mark.parametrize("eta, smax", [("0.7", 30), ("1e-12", 26), ("2/7", 12)])

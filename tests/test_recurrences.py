@@ -360,7 +360,7 @@ def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
         assert row == [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), p.lam_exact) for n in range(nmax + 1)]
 
 
-# Squeezer direct rows walk their bridge cells along n, and must equal one
+# Squeezer direct rows are read off one walk over shell top coefficients, and must equal one
 # tms_prob or tms_prob_exact call per cell (tms_rows_per_cell).
 _TMS_LITERALS = st.one_of(
     st.integers(1, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
@@ -566,7 +566,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_factor_rows", "_bridge_cells", "bs_prob_double_sum", "_bs_convolution_row"):
+    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_bs_convolution_row"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)

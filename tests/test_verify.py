@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
 import fockmix.verify as verify
 from fock_oracle import bs_tilde_row_reference, tms_tilde_reference
+from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, SqueezerParam
+from fockmix.probabilities import normalization_residual
 from fockmix.recurrences import (
     bs_recurrence_check,
     bs_table_convolution,
@@ -45,18 +48,27 @@ def _with_moved_shell_cell(eta, key, n, by=1):
     return rows
 
 
-def _with_moved_bridge_cell(ratio, key, step, by=1):
-    """_bridge_cells, with the integer numerator X*Y of cell `step` of
-    squeezer row key moved by `by` at 1-lam = num/den, ratio = (num, den)."""
-    bridge_cells = recurrences._bridge_cells
+def _with_moved_walk_cell(ratio, key, step, by=1):
+    """_top_coefficient_walk, with the integer numerator X*Y of cell `step`
+    (n = max(0, i-k) + step) of squeezer row key moved by `by` at
+    1-lam = num/den, ratio = (num, den)."""
+    walk = recurrences._top_coefficient_walk
 
-    def cells(i, k, num, den):
-        for s, (x, y, q) in enumerate(bridge_cells(i, k, num, den)):
-            if (i, k) == key and (num, den) == ratio and s == step:
-                x, y = x * y + by, 1
-            yield x, y, q
+    def moved(num, den, rows, cols):
+        for s, (cell, q) in enumerate(walk(num, den, rows, cols)):
+            if (num, den) == ratio and s == max(key) + step:
+                cell = _moved_cell(cell, key, by)
+            yield cell, q
 
-    return cells
+    return moved
+
+
+def _moved_cell(cell, key, by):
+    def moved(i, k):
+        x, y = cell(i, k)
+        return (x * y + by, 1) if (i, k) == key else (x, y)
+
+    return moved
 
 
 def _identity_failures(result, parameter):
@@ -66,6 +78,22 @@ def _identity_failures(result, parameter):
         if cell and f.parameter == parameter:
             out[tuple(map(int, cell.groups()))] = abs(Fraction(f.got))
     return out
+
+
+@pytest.mark.parametrize("scale, kmax, lams", [("quick", 4, [0.5]), ("full", 8, [0.5, 0.8])])
+def test_an_unsettled_squeezer_row_fails_its_own_case_with_its_error_text(monkeypatch, scale, kmax, lams):
+    cases = verify.run_suite("normalization", scale).cases
+    monkeypatch.setattr(probabilities, "_TAIL_TOLERANCE", 0.0)  # no row can settle, so each runs to its cutoff
+    result = verify.run_suite("normalization", scale)
+    want = []
+    for lam in lams:
+        for i in range(kmax + 1):
+            for k in range(kmax + 1):
+                with pytest.raises(ConvergenceError) as exc:
+                    normalization_residual(i, k, SqueezerParam(lam))
+                want.append(verify.Failure(f"tms row (i={i},k={k})", f"lam={lam}", "sum=1", str(exc.value), "1e-10"))
+    geometric = verify.Failure("tms row (0,0)", "lam=0.5", "geometric sum 1", want[0].got, "1e-12")
+    assert result.cases == cases and result.failures == [*want, geometric]
 
 
 def test_exact_identity_suites_pass():
@@ -89,7 +117,7 @@ def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatc
 
 
 def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    monkeypatch.setattr(recurrences, "_bridge_cells", _with_moved_bridge_cell((1, 2), (2, 3), 1))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell((1, 2), (2, 3), 1))
     failures = _identity_failures(verify.run_suite("recurrence-tms", "quick"), "lam=1/2")
     table = tms_table_direct(4, 8, 4, SqueezerParam.from_value("1/2"), "rational")
     want = {}
@@ -193,7 +221,7 @@ def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
 
 
 def _tms_cells(size):
-    """((i, k), step): a bridge cell of a squeezer row with i, k, n <= size."""
+    """((i, k), step): a walk cell of a squeezer row with i, k, n <= size."""
     return st.tuples(st.integers(0, size), st.integers(0, size)).flatmap(
         lambda ik: st.tuples(st.just(ik), st.integers(0, size - max(0, ik[0] - ik[1])))
     )
@@ -208,7 +236,7 @@ _TMS_CELLS = _tms_cells(5)
 def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
     sp = SqueezerParam.from_value(lam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recurrences, "_bridge_cells", _with_moved_bridge_cell((1 - sp.lam_exact).as_integer_ratio(), *cell))
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell((1 - sp.lam_exact).as_integer_ratio(), *cell))
         table = tms_table_direct(5, 10, 5, sp, "rational")
         den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
     for i in range(6):
@@ -230,12 +258,12 @@ def _engine_rows(p, imax, kmax, nmax=None):
         den = p.eta_exact.denominator
         return 1, den, {(i, k): [u * v for u, v in c] for i, k, c, _ in recurrences._shell_factor_rows(p, imax, kmax)}
     num, den = (1 - p.lam_exact).as_integer_ratio()
+    shells = list(itertools.islice(recurrences._top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1)), nmax + kmax + 1))
     rows = {}
     for i in range(imax + 1):
         for k in range(kmax + 1):
             n0 = min(max(0, i - k), nmax + 1)
-            cells = recurrences._bridge_cells(i, k, num, den)
-            rows[(i, k)] = [0] * n0 + [num * x * y for x, y, _ in itertools.islice(cells, nmax + 1 - n0)]
+            rows[(i, k)] = [0] * n0 + [num * x * y for x, y in (shells[n + k][0](i, k) for n in range(n0, nmax + 1))]
     return num, den, rows
 
 
@@ -273,7 +301,7 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     else:  # the shape of the verify block: i, k, n <= 4 over rows with k <= 8
         p = SqueezerParam.from_value(ratio)
         top, nmax, sizes = 4, 4, (4, 8, 4)
-        engine, mover, target = "_bridge_cells", _with_moved_bridge_cell, (1 - p.lam_exact).as_integer_ratio()
+        engine, mover, target = "_top_coefficient_walk", _with_moved_walk_cell, (1 - p.lam_exact).as_integer_ratio()
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
     below = 0
     for by in (1, widest):
