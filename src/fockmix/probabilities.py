@@ -282,6 +282,7 @@ def _top_coefficient_walk(num: int, den: int, rows, cols):
     """Yield (cell, den**s) for the shells s = 0, 1, ... without end, where
     cell(i, k) = (X, Y) has X*Y/den**s = B(i, s-i -> s-k) at eta = num/den,
     the squeezer's bridge cell, for i in rows, k in cols and s >= max(i, k).
+    cell reads the walk's current shell, so it is called before the next.
 
     That cell is M_s[i][s-k] * L_s[s-k][s-i] of _shell_factor_rows: top
     coefficient k of M_s[i] times top coefficient i of L_s[s-k]. With
@@ -297,14 +298,13 @@ def _top_coefficient_walk(num: int, den: int, rows, cols):
     tops = {i: [1] + [0] * kmax for i in rows}
     lefts = {k: [1] + [0] * imax for k in cols}
     window, q = [1] * (imax + kmax + 1), 1  # window[d] = r**max(0, s-d)
+    cell = lambda i, k: (tops[i][k] * lefts[k][i], window[i + k])  # noqa: E731
     for s in count():
-        # cell is bound to this shell's vectors, which the next step replaces
-        yield (lambda i, k, t=tops, u=lefts, y=window: (t[i][k] * u[k][i], y[i + k])), q
-        tops = {i: _next_top(t, s - i, num, r) for i, t in tops.items()}
-        lefts = {
-            k: [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
-            for k, u in lefts.items()
-        }
+        yield cell, q
+        for i, t in tops.items():
+            tops[i] = _next_top(t, s - i, num, r)
+        for k, u in lefts.items():
+            lefts[k] = [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
         window = [window[0] * r, *window[:-1]]
         q *= den
 
@@ -362,19 +362,22 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
         raise ConvergenceError(
             f"squeezer row (i={i}, k={k}, lam={lam}) needs a cutoff n={n_cut}, past the {_STEP_BUDGET}-step budget"
         )
-    live, done = {key: [] for key in cuts}, {}
+    # per row, the shells s = n+k of its first n, of the first n past the
+    # oscillatory head and structural zeros (where the tail rule starts), and
+    # of its cutoff
+    live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n_cut + k, []) for (i, k), n_cut in cuts.items()}
+    done = {}
     for s, (cell, q) in enumerate(_top_coefficient_walk(*_exact_ratio(p.ptr_beamsplitter()), rows, cols)):
-        for (i, k), terms in list(live.items()):
-            n, n0 = s - k, max(0, i - k)
-            if n < n0:
+        for (i, k), (first, settled, last, terms) in list(live.items()):
+            if s < first:
                 continue
             terms.append(om * _rounded_quotient(*cell(i, k), q))
-            # the tail rule starts past the oscillatory head and structural zeros
-            if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
+            if s >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
                 done[(i, k)] = abs(math.fsum(terms) - 1.0)
-            elif n == cuts[(i, k)]:
+            elif s == last:
                 done[(i, k)] = ConvergenceError(
-                    f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the {_TAIL_TOLERANCE} tail bound by n={n}"
+                    f"squeezer row (i={i}, k={k}, lam={lam}) did not reach the "
+                    f"{_TAIL_TOLERANCE} tail bound by n={s - k}"
                 )
             else:
                 continue

@@ -3,7 +3,6 @@ wrong engine cell must fail exactly the cases whose Fraction residual is
 non-zero, and report that residual."""
 
 import dataclasses
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -236,7 +235,8 @@ _TMS_CELLS = _tms_cells(5)
 def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
     sp = SqueezerParam.from_value(lam)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell((1 - sp.lam_exact).as_integer_ratio(), *cell))
+        ratio = (1 - sp.lam_exact).as_integer_ratio()
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell(ratio, *cell))
         table = tms_table_direct(5, 10, 5, sp, "rational")
         den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
     for i in range(6):
@@ -258,12 +258,13 @@ def _engine_rows(p, imax, kmax, nmax=None):
         den = p.eta_exact.denominator
         return 1, den, {(i, k): [u * v for u, v in c] for i, k, c, _ in recurrences._shell_factor_rows(p, imax, kmax)}
     num, den = (1 - p.lam_exact).as_integer_ratio()
-    shells = list(itertools.islice(recurrences._top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1)), nmax + kmax + 1))
-    rows = {}
-    for i in range(imax + 1):
-        for k in range(kmax + 1):
-            n0 = min(max(0, i - k), nmax + 1)
-            rows[(i, k)] = [0] * n0 + [num * x * y for x, y in (shells[n + k][0](i, k) for n in range(n0, nmax + 1))]
+    rows = {(i, k): [0] * min(max(0, i - k), nmax + 1) for i in range(imax + 1) for k in range(kmax + 1)}
+    walk = recurrences._top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
+    for s, (cell, _) in zip(range(nmax + kmax + 1), walk):
+        for (i, k), row in rows.items():
+            if max(i, k) <= s <= nmax + k:  # n = s-k, from max(0, i-k) to nmax
+                x, y = cell(i, k)
+                row.append(num * x * y)
     return num, den, rows
 
 
