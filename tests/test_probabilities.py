@@ -266,7 +266,8 @@ def test_squeezer_scans_and_tables_run_no_horner_sum(monkeypatch):
     sp = SqueezerParam(0.8)
     assert normalization_residual(3, 2, sp) <= 1e-10
     assert all(r <= 1e-10 for _, _, r in probabilities._tms_residual_rows(sp, range(3), range(3)))
-    assert recurrences.tms_table_direct(4, 4, 8, SqueezerParam.from_value("1/4"), "rational").normalization_max_residual() == 0
+    table = recurrences.tms_table_direct(4, 4, 8, SqueezerParam.from_value("1/4"), "rational")
+    assert table.normalization_max_residual() == 0
     res = verify.VerificationResult("theorem 2")
     verify._theorem2_exact(res, 4, ["1/2"])
     assert res.ok and res.cases

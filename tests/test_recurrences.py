@@ -360,8 +360,8 @@ def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
         assert row == [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), p.lam_exact) for n in range(nmax + 1)]
 
 
-# Squeezer direct rows are read off one walk over shell top coefficients, and must equal one
-# tms_prob or tms_prob_exact call per cell (tms_rows_per_cell).
+# Squeezer direct rows are read off one walk over shell top coefficients, and
+# must equal one tms_prob or tms_prob_exact call per cell (tms_rows_per_cell).
 _TMS_LITERALS = st.one_of(
     st.integers(1, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
     st.sampled_from(["0.37", "0.8", "1e-12", "0.999"]),
