@@ -25,12 +25,19 @@ big-integer compare (_identity_residual_rows). The public tilde rows of a
 rational table lift the rows one call reads to one common denominator
 instead.
 
-Both fills build one shell s = i+k at a time, as one 2-D array [row, n] from
-the two shells below it. Floats run on the coefficients (eta, 1-eta, 1);
-rational precision on the integers (p, q-p, q^2) for eta or lambda = p/q,
-every value held times a power of q, so no gcd runs inside the fill. Float
-rows are read-only views of their shell, rational rows lists of Fractions;
-a built table is immutable and safe to share.
+The beam-splitter fill builds one shell s = i+k at a time, as one 2-D array
+[row, n] from the two shells below it. The squeezer fill builds one bridge
+shell t = k+n at a time (partial time reversal takes (i, k -> n) to a
+beam-splitter cell of total t), as one band [i, k] of a single array
+[i, k*(nmax+1) + n], from the two bridge shells below it. Float cells are
+clipped to [0, 1] as their shell is stored; a squeezer cell reads its own
+row's A(i,k->n-1) from before that clip and its four other inputs from after
+theirs. Floats run on the coefficients (eta, 1-eta, 1); rational precision
+on the integers (p, q-p, q^2) for eta or lambda = p/q, every value held
+times a power of q, so no gcd runs inside the fill. Float rows are
+read-only views of their shell (beam splitter) or of the table's one array
+(squeezer), rational rows lists of Fractions; a built table is immutable
+and safe to share.
 
 The last term of each five-term form is the interference correction. The
 distinguishable-photon model at the end of the module has no such term: its
@@ -43,7 +50,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import count, repeat
 from typing import Union
 
 import numpy as np
@@ -83,8 +90,9 @@ class ProbabilityTable:
 
     entries maps (i, k) to the row over the output count n: beam-splitter
     rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
-    read-only float64 numpy arrays in float precision (shell views in
-    recurrence tables) and lists of Fractions in rational precision.
+    read-only float64 numpy arrays in float precision (views of one array
+    per shell or per table in recurrence tables) and lists of Fractions in
+    rational precision.
     """
 
     device: Device
@@ -183,6 +191,30 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
     return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
+def _seed_row(row: np.ndarray, counts: list, x, one, powers) -> None:
+    """Write _bs_binomial_row(counts, x, one) into row. Given powers =
+    _float_powers(x, one - x, m) with m >= s, a float row takes the same
+    products, float(count) * x**n * (one-x)**(s-n), in place, while the
+    counts convert to floats."""
+    if powers is not None:
+        try:
+            row[:] = counts
+        except OverflowError:  # s >= 1030: _weight goes through logarithms
+            pass
+        else:
+            s = len(counts) - 1
+            row *= powers[0][: s + 1]
+            row *= powers[1][s::-1]
+            return
+    row[:] = _bs_binomial_row(counts, x, one)
+
+
+def _float_powers(x: float, y: float, top: int) -> tuple:
+    """x**m and y**m for m <= top as two arrays, each a Python float power
+    (np.power may round differently in the last bit)."""
+    return np.array([x**m for m in range(top + 1)]), np.array([y**m for m in range(top + 1)])
+
+
 def _read_only(values) -> np.ndarray:
     row = np.array(values, dtype=float)
     row.flags.writeable = False
@@ -238,6 +270,9 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
     (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
+    first = last = None  # the powers of the seed rows (0, s) and (s, 0), taken once in float precision
+    if precision == "float":
+        first, last = _float_powers(om, one - om, kmax), _float_powers(eta, one - eta, imax)
     for s in range(imax + kmax + 1):
         lo, hi = max(0, s - kmax), min(imax, s)
         shell = np.zeros((hi - lo + 1, s + 1), float if precision == "float" else object)
@@ -249,9 +284,9 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
             body[:, 1:] += eta * up + om * left
             body[:, 1:-1] -= one * one * prev2[g0 - 1 - lo2 : g1 - lo2]
         if lo == 0:
-            shell[0] = _bs_binomial_row(counts, om, one)
+            _seed_row(shell[0], counts, om, one, first)
         if hi == s:
-            shell[-1] = _bs_binomial_row(counts, eta, one)
+            _seed_row(shell[-1], counts, eta, one, last)
         if precision == "float":
             np.clip(shell, 0.0, 1.0, out=shell)
             shell.flags.writeable = False
@@ -293,46 +328,59 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
 
 
 def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term fill over (i+k) shells, then n, with reversal-derived seams.
+    """Five-term fill over bridge shells s = k+n, one band of cells per shell.
 
-    Boundaries where the five-term form does not apply: k=0 rows follow the
-    amplifier two-term recurrence A(i,0->n) = (1-lam) A(i-1,0->n-1)
-    + lam A(i,0->n-1); the n=0 column is (1-lam) C(k,i) (1-lam)^(k-i) lam^i
-    for k >= i (zero otherwise), which is the reversed beam-splitter row.
+    Partial time reversal takes the squeezer cell (i, k -> n) to a
+    beam-splitter cell of total s = k+n, and the five inputs of A(i,k->n)
+    lie on the bridge shells s-1 and s-2, so no cell of a shell reads
+    another. Shell s holds every i and k in [max(0, s-nmax), min(kmax, s)],
+    n = s-k, at flat[i, k*(nmax+1) + n]: the five-term cells (k, n >= 1);
+    the k=0 column, from the amplifier two-term recurrence
+    A(i,0->n) = (1-lam) A(i-1,0->n-1) + lam A(i,0->n-1) with
+    A(0,0->n) = (1-lam) lam^n; and at k = s the n=0 column
+    (1-lam) C(k,i) (1-lam)^(k-i) lam^i for k >= i (zero otherwise), the
+    reversed beam-splitter row. Float cells are clipped to [0, 1] as their
+    shell is stored: a cell reads its own row's A(i,k->n-1) from before that
+    clip and its four other inputs from after theirs. Rows are complete only
+    once the last shell is stored, and are inserted in (i+k, i) order.
     """
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
     lam, om, one = _carrier(_param_of(p, precision))
+    rational = precision == "rational"
+    width, step = nmax + 1, max(nmax, 1)
+    flat = np.zeros((imax + 1, (kmax + 1) * width), object if rational else float)
+
+    def band(s: int, lo: int, hi: int) -> np.ndarray:
+        """The cells (k, n = s-k) of bridge shell s for lo <= k <= hi, a view."""
+        return flat[:, lo * nmax + s : hi * nmax + s + 1 : step]
+
+    pre, pre_lo, counts = None, 0, [1]  # bridge shell s-1 before its clip, from k = pre_lo; C(s, i <= imax)
+    for s in range(kmax + nmax + 1):
+        lo, hi = max(0, s - nmax), min(kmax, s)
+        shell = np.zeros_like(flat, shape=(imax + 1, hi - lo + 1))
+        a, b = max(1, lo), min(hi, s - 1)  # the five-term cells
+        if a <= b:
+            left = band(s - 1, a - 1, b - 1)  # A(i,k-1->n)
+            body = shell[:, a - lo : b + 1 - lo]
+            body[:] = om * left + lam * pre[:, a - pre_lo : b + 1 - pre_lo]
+            body[1:] += (om * band(s - 1, a, b)[:-1] + lam * left[:-1]) - one * one * band(s - 2, a - 1, b - 1)[:-1]
+        if lo == 0 < s:  # k = 0: the amplifier two-term recurrence
+            shell[0, 0] = om * lam**s
+            shell[1:, 0] = om * flat[:-1, s - 1] + lam * pre[1:, 0]
+        if hi == s:  # n = 0: the reversed beam-splitter row
+            for i, c in enumerate(counts):
+                shell[i, -1] = _weight(om, c, om, s - i, lam, i)
+            counts = [1, *map(operator.add, counts, counts[1:]), 1][: imax + 1]
+        if rational:
+            band(s, lo, hi)[:] = shell
+        else:
+            np.clip(shell, 0.0, 1.0, out=band(s, lo, hi))
+        pre, pre_lo = shell, lo
+    flat.flags.writeable = False
     scales = [one**e for e in range(1, kmax + nmax + 2)]  # A(i,k->n) is held times scales[k+n]
-    (lo2, prev2) = (lo1, prev) = (0, np.zeros((0, nmax + 1)))  # shells s-2, s-1
-    for s in range(imax + kmax + 1):
-        lo, hi = max(0, s - kmax), min(imax, s)
-        shell = np.zeros((hi - lo + 1, nmax + 1), float if precision == "float" else object)
-        top = min(hi, s - 1)  # the last row with k >= 1
-        if s == 0:
-            shell[0] = [om * lam**n for n in range(nmax + 1)]
-        elif lo <= top:
-            body = shell[: top + 1 - lo]
-            c = binomial_exact(s - lo, lo)  # C(k, i), walked down the n=0 seam while k >= i
-            for r, i in enumerate(range(lo, min(top, s // 2) + 1)):
-                body[r, 0] = _weight(om, c, om, s - 2 * i, lam, i)
-                c = c * (s - 2 * i) * (s - 2 * i - 1) // ((s - i) * (i + 1))
-            gain = om * prev[lo - lo1 : top + 1 - lo1]  # from the left rows (i, k-1)
-            first = max(1, lo) - lo  # body rows from here on have i >= 1
-            up, diag = prev[first + lo - 1 - lo1 : top - lo1], prev2[first + lo - 1 - lo2 : top - lo2]
-            rest = (om * up[:, :-1] + lam * diag[:, 1:]) - one * one * diag[:, :-1]
-            for n in range(1, nmax + 1):
-                col = gain[:, n] + lam * body[:, n - 1]
-                col[first:] += rest[:, n - 1]
-                body[:, n] = col
-        if 1 <= s == hi:  # k = 0: the amplifier two-term recurrence
-            shell[-1] = list(accumulate(prev[-1, :-1].tolist(), lambda a, b: om * b + lam * a, initial=0 * lam))
-        if precision == "float":
-            np.clip(shell, 0.0, 1.0, out=shell)
-            shell.flags.writeable = False
-        for r, row in enumerate(shell):
-            k = s - lo - r
-            t.entries[(lo + r, k)] = row if precision == "float" else [Fraction(v, d) for v, d in zip(row, scales[k:])]
-        (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
+    for i, k in _shell_pairs(imax, kmax):
+        row = flat[i, k * width : (k + 1) * width]
+        t.entries[(i, k)] = [Fraction(v, d) for v, d in zip(row, scales[k:])] if rational else row
     return t
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -332,10 +333,28 @@ def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
 
 
 @pytest.mark.parametrize("lam", [0.25, 0.6, 0.0, 1e-12, 0.999])
-@pytest.mark.parametrize("imax, kmax, nmax", [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80)])
+@pytest.mark.parametrize(
+    "imax, kmax, nmax",
+    [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80), (3, 12, 4), (2, 40, 1), (4, 7, 0), (0, 9, 2)],
+)
 def test_float_tms_shell_fill_is_bit_identical_to_row_fill(imax, kmax, nmax, lam):
+    # kmax > nmax or nmax = 0: bridge shells whose band starts above k = 0.
     table = tms_table_recurrence(imax, kmax, nmax, SqueezerParam(lam))
     _assert_bit_identical(table, tms_rows_rowwise(imax, kmax, nmax, lam))
+
+
+def test_float_tms_fill_holds_only_its_entries():
+    # A thin table: one grid padded to k+n would hold about 64 MB here.
+    tracemalloc.start()
+    try:
+        table = tms_table_recurrence(1, 2000, 2, SqueezerParam(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    bases = {id(row.base) for row in table.entries.values()}
+    assert len(bases) == 1 and table.entries[(0, 0)].base.size == 2 * 2001 * 3
+    assert not any(row.flags.writeable for row in table.entries.values())
 
 
 @pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "999/1000"])
@@ -350,7 +369,7 @@ def test_rational_bs_rows_are_exact_fractions(imax, kmax, eta):
 
 
 @pytest.mark.parametrize("lam", ["0/1", "2/5", "3/4"])
-@pytest.mark.parametrize("imax, kmax, nmax", [(4, 2, 7), (1, 5, 6), (0, 3, 4), (3, 0, 5)])
+@pytest.mark.parametrize("imax, kmax, nmax", [(4, 2, 7), (1, 5, 6), (0, 3, 4), (3, 0, 5), (2, 6, 1), (3, 4, 0)])
 def test_rational_tms_rows_are_exact_fractions(imax, kmax, nmax, lam):
     p = SqueezerParam.from_value(lam)
     table = tms_table_recurrence(imax, kmax, nmax, p, "rational")
