@@ -336,13 +336,15 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     another. Shell s holds every i and k in [max(0, s-nmax), min(kmax, s)],
     n = s-k, at flat[i, k*(nmax+1) + n]: the five-term cells (k, n >= 1);
     the k=0 column, from the amplifier two-term recurrence
-    A(i,0->n) = (1-lam) A(i-1,0->n-1) + lam A(i,0->n-1) with
-    A(0,0->n) = (1-lam) lam^n; and at k = s the n=0 column
-    (1-lam) C(k,i) (1-lam)^(k-i) lam^i for k >= i (zero otherwise), the
-    reversed beam-splitter row. Float cells are clipped to [0, 1] as their
-    shell is stored: a cell reads its own row's A(i,k->n-1) from before that
-    clip and its four other inputs from after theirs. Rows are complete only
-    once the last shell is stored, and are inserted in (i+k, i) order.
+    A(i,0->n) = (1-lam) A(i-1,0->n-1) + lam A(i,0->n-1) from
+    A(0,0->n) = (1-lam) lam^n and A(i,0->0) = 0 * lam (signed like lam);
+    and at k = s the n=0 column (1-lam) C(k,i) (1-lam)^(k-i) lam^i for
+    k >= i (zero otherwise), the reversed beam-splitter row.
+
+    Float cells are clipped to [0, 1] as their shell is stored: a cell
+    reads its own row's A(i,k->n-1) from before that clip and its four other
+    inputs from after theirs. Rows are complete only once the last shell is
+    stored, and are inserted in (i+k, i) order.
     """
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
     lam, om, one = _carrier(_param_of(p, precision))
@@ -357,16 +359,16 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     pre, pre_lo, counts = None, 0, [1]  # bridge shell s-1 before its clip, from k = pre_lo; C(s, i <= imax)
     for s in range(kmax + nmax + 1):
         lo, hi = max(0, s - nmax), min(kmax, s)
-        shell = np.zeros_like(flat, shape=(imax + 1, hi - lo + 1))
+        shell = np.zeros((imax + 1, hi - lo + 1), flat.dtype)
         a, b = max(1, lo), min(hi, s - 1)  # the five-term cells
         if a <= b:
             left = band(s - 1, a - 1, b - 1)  # A(i,k-1->n)
             body = shell[:, a - lo : b + 1 - lo]
             body[:] = om * left + lam * pre[:, a - pre_lo : b + 1 - pre_lo]
             body[1:] += (om * band(s - 1, a, b)[:-1] + lam * left[:-1]) - one * one * band(s - 2, a - 1, b - 1)[:-1]
-        if lo == 0 < s:  # k = 0: the amplifier two-term recurrence
+        if lo == 0:  # k = 0: the amplifier two-term recurrence
             shell[0, 0] = om * lam**s
-            shell[1:, 0] = om * flat[:-1, s - 1] + lam * pre[1:, 0]
+            shell[1:, 0] = om * flat[:-1, s - 1] + lam * pre[1:, 0] if s else 0 * lam
         if hi == s:  # n = 0: the reversed beam-splitter row
             for i, c in enumerate(counts):
                 shell[i, -1] = _weight(om, c, om, s - i, lam, i)
@@ -374,7 +376,7 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
         if rational:
             band(s, lo, hi)[:] = shell
         else:
-            np.clip(shell, 0.0, 1.0, out=band(s, lo, hi))
+            shell.clip(0.0, 1.0, out=band(s, lo, hi))
         pre, pre_lo = shell, lo
     flat.flags.writeable = False
     scales = [one**e for e in range(1, kmax + nmax + 2)]  # A(i,k->n) is held times scales[k+n]

@@ -113,6 +113,7 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
                 row = [om * lam**n for n in range(nmax + 1)]
             elif k == 0:
                 prev = rows[(i - 1, 0)]
+                row[0] = 0 * lam  # -0.0 at lam = -0.0
                 for n in range(1, nmax + 1):
                     row[n] = om * prev[n - 1] + lam * row[n - 1]
             else:

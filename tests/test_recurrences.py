@@ -332,7 +332,7 @@ def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
     _assert_bit_identical(bs_table_recurrence(imax, kmax, BeamSplitterParam(eta)), bs_rows_rowwise(imax, kmax, eta))
 
 
-@pytest.mark.parametrize("lam", [0.25, 0.6, 0.0, 1e-12, 0.999])
+@pytest.mark.parametrize("lam", [0.25, 0.6, 0.0, -0.0, 1e-12, 0.999])
 @pytest.mark.parametrize(
     "imax, kmax, nmax",
     [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80), (3, 12, 4), (2, 40, 1), (4, 7, 0), (0, 9, 2)],
