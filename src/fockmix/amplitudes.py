@@ -22,8 +22,11 @@ root of that exact probability, rounded once to a float (within one ulp),
 with the sign of the direct sum. The convolution route sums plain floats with
 compensated summation up to total photon number 32; above that the float sum
 loses more than ~1e-11 absolute in double precision, so it returns the direct
-route's exact value instead. The two routes cross-check each other only up to
-total 32.
+route's exact value instead. The two single-cell routes cross-check each
+other only up to total 32. The float convolution table
+(recurrences.bs_table_convolution) stays independent of the direct route at
+every total: above 32 its rows come from a stable photon-addition fill,
+within the absolute bound that README states.
 """
 
 from __future__ import annotations
@@ -121,13 +124,6 @@ def _convolution_sum(i: int, k: int, n: int, va: list[float], vb: list[float]) -
     sqrt(C(n,t)) sqrt(C(i+k-n,i-t)) va[t] vb[n-t], multiplied left to right."""
     left, right = _SQRT_BINOMIALS[n], _SQRT_BINOMIALS[i + k - n]
     return math.fsum([left[t] * right[i - t] * va[t] * vb[n - t] for t in range(max(0, n - k), min(i, n) + 1)])
-
-
-def _bs_convolution_row(i: int, k: int, p: BeamSplitterParam) -> list[float]:
-    """Convolution amplitudes over n = 0..i+k for total i+k <= 32, each
-    bs_amplitude_convolution's value, with the vacuum rows built once."""
-    va, vb = _vacuum_rows(i, k, p)
-    return [_convolution_sum(i, k, n, va, vb) for n in range(i + k + 1)]
 
 
 def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = None) -> float:

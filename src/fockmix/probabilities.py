@@ -148,9 +148,9 @@ def _times_linear(coeffs: list[int], c: int) -> list[int]:
     return [coeffs[0], *[a + c * b for a, b in zip(coeffs[1:], coeffs)], c * coeffs[-1]]
 
 
-def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0, smax: int | None = None):
+def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smax: int | None = None):
     """Yield (i, k, cells, Q) in shell order for every table row with
-    i <= imax, k <= kmax and smin <= i+k <= smax (by default imax+kmax),
+    i <= imax, k <= kmax and i+k <= smax (by default imax+kmax),
     where cells lists the pairs (U, V) of ``_exact_factor_sums`` over
     n = 0..i+k and Q = den**(i+k).
 
@@ -166,8 +166,7 @@ def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0
     max(0, s-kmax) to min(imax, s). These are built from the same rows and
     columns of shell s-1 alone, so a shell costs O(s) integer multiply-adds
     per table row, thin tables included, with no binomial, power table or
-    division. Shells below smin are built but yield nothing; none above smax
-    is built.
+    division. No shell above smax is built.
     """
     num, den = _exact_ratio(p)
     r = den - num
@@ -179,9 +178,8 @@ def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smin: int = 0
             polys = {i: _times_linear(polys[i], r) if i < s else _times_linear(polys[i - 1], -num) for i in band}
             cols = {s - i: _next_column(cols.get(s - i, zeros), cols.get(s - i - 1, zeros), r, num) for i in band}
             q *= den
-        if s >= smin:
-            for i in band:
-                yield i, s - i, list(zip(polys[i], cols[s - i])), q
+        for i in band:
+            yield i, s - i, list(zip(polys[i], cols[s - i])), q
 
 
 def _next_column(col: list[int], left: list[int], r: int, num: int) -> list[int]:

@@ -39,6 +39,12 @@ read-only views of their shell (beam splitter) or of the table's one array
 (squeezer), rational rows lists of Fractions; a built table is immutable
 and safe to share.
 
+The float convolution table is a third route, apart from the exact engine
+and the five-term fill. Up to total 32 a shell is the compensated sum of the
+vacuum-row convolution terms, cell by cell; above 32 it is the square of a
+photon-addition step on the amplitude rows of the shell below
+(_photon_addition_shells).
+
 The last term of each five-term form is the interference correction. The
 distinguishable-photon model at the end of the module has no such term: its
 general-j relation holds with a counting coefficient c(i,k,j) instead.
@@ -59,7 +65,7 @@ from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam
 from .probabilities import _exact_ratio, _rounded_quotient, _shell_factor_rows, _top_coefficient_walk, bs_prob_double_sum
-from .amplitudes import _FLOAT_MAX_TOTAL, _bs_convolution_row, _signed_root
+from .amplitudes import _FLOAT_MAX_TOTAL, _SQRT_BINOMIALS, _bs_vacuum_row_b, bs_vacuum_row
 
 __all__ = [
     "ProbabilityTable",
@@ -243,26 +249,112 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Convolution-squared table: squared vacuum-row convolutions in float,
-    or the paired double sum (square roots combined exactly) in rational.
-    A float row at total 32 or less builds its two vacuum rows once and
-    squares each bs_amplitude_convolution value, bit for bit. Above total 32
-    the float amplitudes are the signed roots of the exact factored sums,
-    read off the shells of bs_table_direct."""
+    """Convolution-squared table, one shell s = i+k at a time: squared
+    vacuum-row convolutions in float, or the paired double sum (square roots
+    combined exactly) in rational.
+
+    A float shell at total 32 or less is one array of the products of
+    bs_amplitude_convolution, from vacuum rows built once per input count,
+    with one math.fsum per cell squared by ** 2: each entry is bit for bit
+    the single-cell value. Above total 32 the float amplitudes come from the
+    photon-addition fill (_photon_addition_shells), which reads neither the
+    exact engine nor those sums, and the table holds their squares. Float
+    rows are read-only views of their shell; rows are inserted in shell
+    order."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
-    for i, k in _shell_pairs(imax, kmax):
-        if precision == "rational":
-            row = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
-        elif i + k > _FLOAT_MAX_TOTAL:
-            break  # shell order: every later row is above total 32 too
-        else:
-            row = _read_only([a ** 2 for a in _bs_convolution_row(i, k, p)])
-        t.entries[(i, k)] = row
-    if precision == "float" and imax + kmax > _FLOAT_MAX_TOTAL:
-        for i, k, cells, q in _shell_factor_rows(p, imax, kmax, _FLOAT_MAX_TOTAL + 1):
-            t.entries[(i, k)] = _read_only([_signed_root(i, u, v, q) ** 2 for u, v in cells])
+    if precision == "rational":
+        for i, k in _shell_pairs(imax, kmax):
+            t.entries[(i, k)] = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
+        return t
+    low = min(imax + kmax, _FLOAT_MAX_TOTAL)
+    va = _padded([[bs_vacuum_row(i, t, p) for t in range(i + 1)] for i in range(min(imax, low) + 1)])
+    vb = _padded([[_bs_vacuum_row_b(k, u, p) for u in range(k + 1)] for k in range(min(kmax, low) + 1)])
+    for s in range(low + 1):
+        _store_shell(t, s, _convolution_shell(s, max(0, s - kmax), min(imax, s), va, vb))
+    if imax + kmax > low:
+        for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
+            if s > low:
+                _store_shell(t, s, amplitudes * amplitudes)
     return t
+
+
+def _store_shell(t: ProbabilityTable, s: int, shell: np.ndarray) -> None:
+    """Insert the rows (i, s-i) of shell s, i from max(0, s-kmax) up, as
+    read-only views of shell."""
+    shell.flags.writeable = False
+    lo = max(0, s - t.kmax)
+    for r, row in enumerate(shell):
+        t.entries[(lo + r, s - lo - r)] = row
+
+
+def _padded(rows: list) -> np.ndarray:
+    """The rows, of at most 33 entries each, as one array [m, t], zero past
+    the end of each row: the 33 columns past 32 are all zero, so a negative
+    index t >= -32 reads a zero."""
+    grid = np.zeros((len(rows), 2 * _FLOAT_MAX_TOTAL + 2))
+    for m, row in enumerate(rows):
+        grid[m, : len(row)] = row
+    return grid
+
+
+_SQRT_BINOMIAL_GRID = _padded(_SQRT_BINOMIALS)  # sqrt(C(n, t)) at [n, t], n <= 32
+
+
+def _convolution_shell(s: int, lo: int, hi: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The squared convolution amplitudes of the rows (i, s-i), lo <= i <= hi,
+    of shell s <= 32, over n = 0..s: entry n of row i is the math.fsum over t
+    of sqrt(C(n,t)) sqrt(C(s-n,i-t)) va[t] vb[n-t], multiplied left to right,
+    squared by ** 2, as bs_amplitude_convolution ** 2. The terms of a shell
+    are one array [row, n, t] for t <= hi, zero outside each cell's range;
+    fsum takes the zeros exactly. va and vb are the _padded vacuum rows of
+    the inputs |i, 0> and |0, k>, by input count."""
+    i = np.arange(lo, hi + 1)[:, None, None]
+    n = np.arange(s + 1)[None, :, None]
+    tt = np.arange(hi + 1)[None, None, :]
+    terms = _SQRT_BINOMIAL_GRID[s - n, i - tt]  # right[i-t], zero for i-t > s-n; i-t < 0 reads a zero column
+    terms *= _SQRT_BINOMIAL_GRID[None, : s + 1, : hi + 1]  # left[t] * right[i-t]
+    terms *= va[lo : hi + 1, None, : hi + 1]
+    terms *= vb[s - i, n - tt]  # zero for n-t > k; n-t < 0 reads a zero column
+    shell = np.empty((hi - lo + 1, s + 1))
+    for r, cells in enumerate(terms):
+        shell[r] = [math.fsum(cell) ** 2 for cell in cells[:, : lo + r + 1].tolist()]
+    return shell
+
+
+def _photon_addition_shells(imax: int, kmax: int, eta: float):
+    """Yield the amplitude rows of shells s = 0..imax+kmax, each one array
+    [row, n] over the rows (i, s-i), i from max(0, s-kmax) to min(imax, s),
+    and n = 0..s, signed as bs_vacuum_row.
+
+    Adding a photon to an input is the coupling j x 1/2 -> j + 1/2 of the
+    Wigner d-matrix that each shell of the beam splitter is (Risbo 1996).
+    With t = sqrt(eta), r = sqrt(1-eta), R_a = R(i-1, k) and R_b = R(i, k-1):
+
+        i R(i,k)[n] = sqrt(i) (t sqrt(n) R_a[n-1] - r sqrt(s-n) R_a[n])
+        k R(i,k)[n] = sqrt(k) (r sqrt(n) R_b[n-1] + t sqrt(s-n) R_b[n])
+
+    Either step alone loses every digit within a few dozen shells; their sum
+    over s, the weighted mean of the two, is stable. A shell reads only the
+    rows of the shell below that the table holds."""
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    root = np.sqrt(np.arange(imax + kmax + 1))
+    shell, lo = np.ones((1, 1)), 0
+    yield shell
+    for s in range(1, imax + kmax + 1):
+        prev, lo1 = shell, lo
+        lo, hi = max(0, s - kmax), min(imax, s)
+        a, b = max(lo, 1), min(hi, s - 1)  # rows from R_a: i >= a; from R_b: i <= b
+        up, down = root[1 : s + 1], root[s:0:-1]  # sqrt(n) for n >= 1, sqrt(s-n) for n < s
+        shell = np.zeros((hi - lo + 1, s + 1))
+        ra, wa = prev[a - 1 - lo1 : hi - lo1], root[a : hi + 1, None]
+        shell[a - lo :, 1:] += t * wa * (ra * up)
+        shell[a - lo :, :-1] -= r * wa * (ra * down)
+        rb, wb = prev[lo - lo1 : b + 1 - lo1], root[s - lo : s - b - 1 : -1, None]  # sqrt(k), k >= 1
+        shell[: b + 1 - lo, 1:] += r * wb * (rb * up)
+        shell[: b + 1 - lo, :-1] += t * wb * (rb * down)
+        shell /= s
+        yield shell
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:

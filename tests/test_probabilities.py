@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
 import fockmix.verify as verify
-from fockmix.amplitudes import bs_amplitude_convolution
+from fockmix.amplitudes import bs_amplitude, bs_amplitude_convolution
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import (
@@ -135,19 +135,56 @@ def test_direct_table_rows_are_the_single_cell_values(imax, kmax, eta):
             assert rational.row(i, k) == [bs_prob_exact(c, p.eta_exact) for c in cells]
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(33, 50), st.integers(0, 3), st.booleans(), _LITERALS)
-@example(40, 3, False, "0/1")
-@example(40, 3, True, "1/1")
-@example(40, 3, False, "0")
-@example(40, 3, True, "1")
-@example(40, 3, True, "1/1000000000000")
-def test_convolution_table_rows_above_total_32_are_the_single_cell_values(top, thin, swap, eta):
+# README's bound for float convolution entries above total 32: each square
+# lies within this much per photon of its total of the exact probability at
+# the double value of eta. (A p/q literal adds the rounding of p/q to that
+# double, which is no error of the fill.)
+_ADDITION_BOUND_PER_PHOTON = 4e-16
+
+
+def _addition_cells(s: int, pick: int) -> list[int]:
+    """The n that the photon-addition test reads of a row of total s: both
+    ends, the middle, and about 24 more, offset by pick."""
+    step = max(1, s // 24)
+    return sorted({0, s // 2, s, *range(pick % step, s + 1, step)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(33, 120), st.integers(0, 120), _LITERALS, st.integers(0, 10**6))
+@example(1002, 2, "0.999999999999", 5)  # 1000x2, near 1: the largest error per photon seen
+@example(1002, 1000, "1e-12", 0)  # 2x1000
+@example(1000, 0, "940/941", 7)
+@example(80, 40, "999999999999/1000000000000", 11)
+@example(120, 60, "1/941", 3)  # 60x60
+@example(40, 3, "0", 0)
+@example(40, 37, "1", 0)
+@example(40, 20, "0/1", 1)
+@example(40, 20, "1/1", 1)
+@example(60, 30, "0.7", 2)
+def test_convolution_table_rows_above_total_32_hold_the_stated_bound(top, side, eta, pick):
+    # Above total 32 the float rows are the squares of the photon-addition
+    # fill: within the bound of the exact value, and signed as bs_amplitude.
+    # Read are the last three shells, where the error peaks, and one row
+    # drawn from all shells above 32.
     p = BeamSplitterParam.from_value(eta)
-    imax, kmax = (thin, top - thin) if swap else (top - thin, thin)
-    for (i, k), row in bs_table_convolution(imax, kmax, p).entries.items():
-        cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
-        assert row.tobytes() == np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells]).tobytes()
+    binary = BeamSplitterParam(p.eta)  # the double the fill runs on, as a float-only parameter
+    imax, kmax = top - min(side, top), min(side, top)
+    table = bs_table_convolution(imax, kmax, p)
+    rows = {}
+    for s, shell in enumerate(recurrences._photon_addition_shells(imax, kmax, p.eta)):
+        lo = max(0, s - kmax)
+        rows.update({(lo + r, s - lo - r): amplitudes for r, amplitudes in enumerate(shell) if s > 32})
+    above = sorted(rows, key=sum)
+    read = {key for key in above if sum(key) >= top - 2} | {above[pick % len(above)]}
+    for i, k in sorted(read):
+        got, amplitudes = table.row(i, k), rows[(i, k)]
+        assert got.tobytes() == (amplitudes * amplitudes).tobytes()
+        for n in _addition_cells(i + k, pick):
+            c = PhotonConfig(i, k, n)
+            want = bs_prob_direct(c, binary)  # the exact value rounded once
+            assert abs(got[n] - want) <= _ADDITION_BOUND_PER_PHOTON * (i + k), (c, got[n], want)
+            if want > 1e-10:
+                assert (amplitudes[n] < 0) == (bs_amplitude(c, binary) < 0), c
 
 
 @pytest.mark.parametrize("eta", ["0.37", "1e-12", "0.999999999999", "0.0", "1.0"])
@@ -170,9 +207,9 @@ def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):
     monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
     monkeypatch.setattr(probabilities, "_shell_factor_rows", refuse)
     monkeypatch.setattr(recurrences, "_shell_factor_rows", refuse)
-    floats = bs_table_convolution(16, 16, BeamSplitterParam(0.7))
+    floats = bs_table_convolution(25, 25, BeamSplitterParam(0.7))  # past total 32
     exact = bs_table_convolution(10, 10, BeamSplitterParam.from_value("1/3"), "rational")
-    assert len(floats.entries) == 17 * 17 and len(exact.entries) == 11 * 11
+    assert len(floats.entries) == 26 * 26 and len(exact.entries) == 11 * 11
     assert floats.normalization_max_residual() <= 1e-12 and exact.normalization_max_residual() == 0
 
 

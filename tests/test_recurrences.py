@@ -585,7 +585,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_bs_convolution_row"):
+    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_convolution_shell", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)
