@@ -268,8 +268,8 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
             t.entries[(i, k)] = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
         return t
     low = min(imax + kmax, _FLOAT_MAX_TOTAL)
-    va = _padded([[bs_vacuum_row(i, t, p) for t in range(i + 1)] for i in range(min(imax, low) + 1)])
-    vb = _padded([[_bs_vacuum_row_b(k, u, p) for u in range(k + 1)] for k in range(min(kmax, low) + 1)])
+    va = _padded([[bs_vacuum_row(i, n, p) for n in range(i + 1)] for i in range(min(imax, low) + 1)])
+    vb = _padded([[_bs_vacuum_row_b(k, n, p) for n in range(k + 1)] for k in range(min(kmax, low) + 1)])
     for s in range(low + 1):
         _store_shell(t, s, _convolution_shell(s, max(0, s - kmax), min(imax, s), va, vb))
     if imax + kmax > low:
@@ -334,9 +334,10 @@ def _photon_addition_shells(imax: int, kmax: int, eta: float):
         i R(i,k)[n] = sqrt(i) (t sqrt(n) R_a[n-1] - r sqrt(s-n) R_a[n])
         k R(i,k)[n] = sqrt(k) (r sqrt(n) R_b[n-1] + t sqrt(s-n) R_b[n])
 
-    Either step alone loses every digit within a few dozen shells; their sum
-    over s, the weighted mean of the two, is stable. A shell reads only the
-    rows of the shell below that the table holds."""
+    Either step alone is unstable (a fill by one of them is 0.12 off at
+    60x60, eta = 3/10); their sum over s, the weighted mean of the two, is
+    stable. A shell reads only the rows of the shell below that the table
+    holds."""
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
     root = np.sqrt(np.arange(imax + kmax + 1))
     shell, lo = np.ones((1, 1)), 0
