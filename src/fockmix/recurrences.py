@@ -97,7 +97,8 @@ class ProbabilityTable:
     entries maps (i, k) to the row over the output count n: beam-splitter
     rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
     read-only float64 numpy arrays in float precision (views of one array
-    per shell or per table in recurrence tables) and lists of Fractions in
+    per shell in beam-splitter recurrence and convolution tables, of one
+    array per table in squeezer recurrence tables) and lists of Fractions in
     rational precision.
     """
 
