@@ -280,10 +280,11 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     return t
 
 
-def _store_shell(t: ProbabilityTable, s: int, shell: np.ndarray) -> None:
-    """Insert the rows (i, s-i) of shell s, i from max(0, s-kmax) up, as
-    read-only views of shell."""
-    shell.flags.writeable = False
+def _store_shell(t: ProbabilityTable, s: int, shell) -> None:
+    """Insert the rows (i, s-i) of shell s, i from max(0, s-kmax) up. The
+    rows of a float shell array are stored as read-only views of it."""
+    if isinstance(shell, np.ndarray):
+        shell.flags.writeable = False
     lo = max(0, s - t.kmax)
     for r, row in enumerate(shell):
         t.entries[(lo + r, s - lo - r)] = row
@@ -383,9 +384,9 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
             _seed_row(shell[-1], counts, eta, one, last)
         if precision == "float":
             np.clip(shell, 0.0, 1.0, out=shell)
-            shell.flags.writeable = False
-        for r, row in enumerate(shell):
-            t.entries[(lo + r, s - lo - r)] = row if precision == "float" else [Fraction(v, one**s) for v in row]
+            _store_shell(t, s, shell)
+        else:
+            _store_shell(t, s, [[Fraction(v, one**s) for v in row] for row in shell])
         (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
         counts = [1, *map(operator.add, counts, counts[1:]), 1]
     return t
