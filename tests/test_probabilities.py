@@ -195,13 +195,16 @@ def test_convolution_table_rows_above_total_32_hold_the_stated_bound(shape, eta,
 
 
 @pytest.mark.parametrize("eta", ["0.37", "1e-12", "0.999999999999", "0.0", "1.0"])
-def test_convolution_table_rows_up_to_total_32_are_the_single_cell_values(eta):
+@pytest.mark.parametrize("imax, kmax", [(32, 32), (40, 2), (2, 40), (10, 30), (32, 0), (0, 40)])
+def test_convolution_table_rows_up_to_total_32_are_the_single_cell_values(imax, kmax, eta):
     # Rows at totals up to 32 share their vacuum rows; each entry must still
-    # be the single-cell amplitude squared with ** 2, bit for bit.
+    # be the single-cell amplitude squared with ** 2, bit for bit. The thin
+    # and clipped shapes hold shells whose rows start above i = 0 or stop
+    # below i = s.
     p = BeamSplitterParam.from_value(eta)
-    table = bs_table_convolution(32, 32, p)
-    for i in range(33):
-        for k in range(33 - i):
+    table = bs_table_convolution(imax, kmax, p)
+    for i in range(min(imax, 32) + 1):
+        for k in range(min(kmax, 32 - i) + 1):
             cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
             want = np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells])
             assert table.row(i, k).tobytes() == want.tobytes()
