@@ -35,7 +35,14 @@ import math
 
 from .numerics import sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import _bridge, _exact_factor_sums, _require, _rounded_quotient
+from .probabilities import (
+    _bridge,
+    _exact_factor_sums,
+    _exact_ratio,
+    _partner_ratio,
+    _require,
+    _rounded_quotient,
+)
 
 __all__ = [
     "bs_vacuum_row",
@@ -92,7 +99,7 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
 
 def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
     """(-1)**i sgn(U) sqrt(U*V / q**(i+k)) from the exact factored sums."""
-    return _signed_root(i, *_exact_factor_sums(i, k, n, p))
+    return _signed_root(i, *_exact_factor_sums(i, k, n, *_exact_ratio(p)))
 
 
 def _signed_root(i: int, u: int, v: int, q: int) -> float:
@@ -136,9 +143,16 @@ def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = Non
 
 
 def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str | None = None) -> float:
-    """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal."""
+    """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal:
+    sqrt(1-lam) times bs_amplitude of the bridge cell at eta = 1-lam, bit for
+    bit. The direct route reads the bridge cell's exact sums straight from
+    the partner ratio."""
     _require(c, Device.TMS)
-    bridge = _bridge(c)
-    if bridge is None:
+    m = c.m
+    if m < 0:
         return 0.0
-    return math.sqrt(1.0 - p.lam) * bs_amplitude(bridge, p.ptr_beamsplitter(), method=method)
+    if method is None or method == "direct":
+        root = _signed_root(c.i, *_exact_factor_sums(c.i, m, c.n, *_partner_ratio(p)))
+    else:
+        root = bs_amplitude(_bridge(c), p.ptr_beamsplitter(), method=method)
+    return math.sqrt(1.0 - p.lam) * root

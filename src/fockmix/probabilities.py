@@ -7,10 +7,15 @@ double sum factors as U * V because its coefficient splits into an m-part
 and a j-part. With eta = num/den, r = den - num and the alternating sum
 S(a, b, c) = sum_t (-1)**t C(a,t) C(b,c-t) num**t r**(c-t) (a Krawtchouk
 polynomial, as in the SU(2) picture of the beam splitter), U = S(i, k, n)
-and V = num**(k-n) S(n, i+k-n, i): one sum at a cell and at its transpose.
-Each is evaluated by Horner in integers over the terms the cell reaches,
-every coefficient the one before it times an exact ratio, so a sum takes
-two binomials.
+and V = num**(k-n) S(n, s-n, i) with s = i+k: one sum at a cell and at its
+transpose, over the same terms t. The transpose takes no sum of its own.
+Term by term C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) (the
+transpose symmetry of the Wigner d-matrix, the self-duality of Krawtchouk
+polynomials), and the powers of num and r differ by one factor common to
+every term, so V is the Horner sum of U times C(s,i)/C(s,n), an exact
+division, times powers of num and r. A single cell thus runs one Horner sum
+in integers over the terms it reaches, every coefficient the one before it
+times an exact ratio, and four binomials.
 
 The float route is the same exact sum rounded once: U*V / den**(i+k) is a
 quotient of two integers, rounded correctly, so no cancellation error bound
@@ -73,17 +78,23 @@ def _alternating_sum(a: int, b: int, c: int, lo: int, hi: int, num: int, r: int)
     """sum_{t=lo..hi} (-1)**t C(a,t) C(b,c-t) num**(t-lo) r**(hi-t), for
     max(0, c-b) <= lo <= hi <= min(a, c).
 
-    Horner in num from t = hi down. The coefficient of step t,
-    (-1)**t C(a,t) C(b,c-t) r**(hi-t), is the one above it times the exact
-    integer ratio -(t+1)(b-c+t+1) r / ((a-t)(c-t)), so only the first one
-    takes binomials.
+    Horner in num from t = hi down over the unsigned coefficients
+    C(a,t) C(b,c-t) r**(hi-t), each the one above it times the exact integer
+    ratio (t+1)(b-c+t+1) r / ((a-t)(c-t)), so only the first one takes
+    binomials. The sign is folded into the step, acc = coef - acc*num, which
+    leaves (-1)**lo times the sum; at num = 1 (eta = 1/2 among others) the
+    step takes no multiply.
     """
-    coef = math.comb(a, hi) * math.comb(b, c - hi)
-    acc = coef = -coef if hi & 1 else coef
-    for t in range(hi - 1, lo - 1, -1):
-        coef = -coef * ((t + 1) * (b - c + t + 1) * r) // ((a - t) * (c - t))
-        acc = acc * num + coef
-    return acc
+    coef = acc = math.comb(a, hi) * math.comb(b, c - hi)
+    if num == 1:
+        for t in range(hi - 1, lo - 1, -1):
+            coef = coef * ((t + 1) * (b - c + t + 1) * r) // ((a - t) * (c - t))
+            acc = coef - acc
+    else:
+        for t in range(hi - 1, lo - 1, -1):
+            coef = coef * ((t + 1) * (b - c + t + 1) * r) // ((a - t) * (c - t))
+            acc = coef - acc * num
+    return -acc if lo & 1 else acc
 
 
 def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
@@ -91,14 +102,20 @@ def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int
     reachable cell (n <= i+k).
 
     U = sum_m (-1)**m C(i,m) C(k,n-m) num**m r**(n-m) and
-    V = sum_j (-1)**j C(n,j) C(i+k-n,i-j) num**(k-n+j) r**(i-j), r = den - num:
-    one alternating sum at (i, k, n) and at the transposed (n, i+k-n, i), over
-    the same range of terms.
+    V = sum_j (-1)**j C(n,j) C(s-n,i-j) num**(k-n+j) r**(i-j), r = den - num
+    and s = i+k: one alternating sum at (i, k, n) and at the transposed
+    (n, s-n, i), over the same range of terms. Taken by _alternating_sum
+    over the same lo..hi, both carry the same powers of num and r term by
+    term, and C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) (the
+    transpose symmetry of the Wigner d-matrix, the self-duality of
+    Krawtchouk polynomials). So the transposed sum is the first times
+    C(s,i)/C(s,n), an exact division, and one Horner sum gives both.
     """
     lo, hi = _term_range(i, k, n)
     r = den - num
-    u = _alternating_sum(i, k, n, lo, hi, num, r) * num**lo * r ** (n - hi)
-    v = _alternating_sum(n, i + k - n, i, lo, hi, num, r) * num ** (k - n + lo) * r ** (i - hi)
+    a = _alternating_sum(i, k, n, lo, hi, num, r)
+    u = a * num**lo * r ** (n - hi)
+    v = a * math.comb(i + k, i) // math.comb(i + k, n) * num ** (k - n + lo) * r ** (i - hi)
     return u, v
 
 
@@ -108,9 +125,19 @@ def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
     return (p.eta if p.eta_exact is None else p.eta_exact).as_integer_ratio()
 
 
-def _exact_factor_sums(i: int, k: int, n: int, p: BeamSplitterParam) -> tuple[int, int, int]:
-    """(U, V, Q) with B = U*V / Q at the exact transmittance, for one cell."""
-    num, den = _exact_ratio(p)
+def _partner_ratio(p: SqueezerParam) -> tuple[int, int]:
+    """(num, den) of the partner transmittance 1 - lam, bit for bit
+    _exact_ratio(p.ptr_beamsplitter()) without building that parameter:
+    a p/q carrier a/b gives (b-a)/b, already in lowest terms, and a float
+    alone the binary fraction of the float 1.0 - lam."""
+    if p.lam_exact is None:
+        return (1.0 - p.lam).as_integer_ratio()
+    a, b = p.lam_exact.as_integer_ratio()
+    return b - a, b
+
+
+def _exact_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int, int]:
+    """(U, V, Q) with B = U*V / Q at eta = num/den, for one reachable cell."""
     return (*_scaled_factor_sums(i, k, n, num, den), den ** (i + k))
 
 
@@ -246,7 +273,7 @@ def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     lo, hi = _term_range(i, k, n)
     if n > i + k or lo > hi:
         return 0.0
-    return _rounded_quotient(*_exact_factor_sums(i, k, n, p))
+    return _rounded_quotient(*_exact_factor_sums(i, k, n, *_exact_ratio(p)))
 
 
 def _bridge(c: PhotonConfig) -> PhotonConfig | None:
@@ -256,12 +283,13 @@ def _bridge(c: PhotonConfig) -> PhotonConfig | None:
 
 
 def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
-    """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable."""
+    """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable.
+    Bit for bit (1.0 - lam) * bs_prob_direct(_bridge(c), p.ptr_beamsplitter())."""
     _require(c, Device.TMS)
-    bridge = _bridge(c)
-    if bridge is None:
+    m = c.m
+    if m < 0:
         return 0.0
-    return (1.0 - p.lam) * bs_prob_direct(bridge, p.ptr_beamsplitter())
+    return (1.0 - p.lam) * _rounded_quotient(*_exact_factor_sums(c.i, m, c.n, *_partner_ratio(p)))
 
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
@@ -365,7 +393,7 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     # of its cutoff
     live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n_cut + k, []) for (i, k), n_cut in cuts.items()}
     done = {}
-    for s, (cell, q) in enumerate(_top_coefficient_walk(*_exact_ratio(p.ptr_beamsplitter()), rows, cols)):
+    for s, (cell, q) in enumerate(_top_coefficient_walk(*_partner_ratio(p), rows, cols)):
         for (i, k), (first, settled, last, terms) in list(live.items()):
             if s < first:
                 continue

@@ -64,7 +64,14 @@ import numpy as np
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam
-from .probabilities import _exact_ratio, _rounded_quotient, _shell_factor_rows, _top_coefficient_walk, bs_prob_double_sum
+from .probabilities import (
+    _exact_ratio,
+    _partner_ratio,
+    _rounded_quotient,
+    _shell_factor_rows,
+    _top_coefficient_walk,
+    bs_prob_double_sum,
+)
 from .amplitudes import _FLOAT_MAX_TOTAL, _SQRT_BINOMIALS, _bs_vacuum_row_b, bs_vacuum_row
 
 __all__ = [
@@ -396,7 +403,7 @@ def _squeezer_rows(p: SqueezerParam, imax: int, kmax: int, nmax: int, value, zer
     """{(i, k): row} for i <= imax, k <= kmax: entry n <= nmax of row (i, k)
     is value(X, Y, Q) of the squeezer cell (i, k -> n) from one pass of
     _top_coefficient_walk, shell s = n+k, and zero below n = max(0, i-k)."""
-    num, den = _exact_ratio(p.ptr_beamsplitter())
+    num, den = _partner_ratio(p)
     rows = {(i, k): [zero] * min(max(0, i - k), nmax + 1) for i in range(imax + 1) for k in range(kmax + 1)}
     walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
     for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
@@ -625,7 +632,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
         rows = {(i, k): [u * v for u, v in cells] for i, k, cells, _ in _shell_factor_rows(p, imax, kmax)}
         products = (min(imax, kmax) + 1) * (imax + kmax + 1)  # pairs (l, t) per tilde entry
     else:
-        lead, den = _exact_ratio(p.ptr_beamsplitter())
+        lead, den = _partner_ratio(p)
         rows = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: lead * x * y, 0)
         products = (imax + 1) * (nmax + 1)  # pairs (l, m) per tilde entry
     step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)

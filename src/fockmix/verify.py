@@ -73,6 +73,9 @@ class VerificationResult:
     cases: int = 0
     failures: list[Failure] = field(default_factory=list)
     seconds: float = 0.0
+    # the case with the largest residual / tolerance, as {"margin",
+    # "indices", "parameter"}; None until a check with a margin has run
+    worst_margin: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -84,20 +87,32 @@ class VerificationResult:
             "cases": self.cases,
             "failures": [asdict(f) for f in self.failures],
             "seconds": self.seconds,
+            "worst_margin": self.worst_margin,
         }
 
-    def check(self, ok: bool, indices: str, parameter, expected, got, tolerance) -> None:
+    def check(self, ok: bool, indices: str, parameter, expected, got, tolerance, margin: float | None = None) -> None:
+        """One case; margin, when given, is its residual / tolerance."""
         self.cases += 1
+        if margin is not None:
+            self.note_margin(margin, indices, parameter)
         if not ok:
             self.fail(indices, parameter, expected, got, tolerance)
 
     def within(self, residual, tol, indices: str, parameter, expected) -> None:
         """One case: residual <= tol, reporting both; a NaN residual fails."""
-        self.check(residual <= tol, indices, parameter, expected, residual, tol)
+        self.check(residual <= tol, indices, parameter, expected, residual, tol, residual / tol)
 
     def near(self, got, want, tol, indices: str, parameter) -> None:
         """One case: |got - want| <= tol, reporting want as expected."""
-        self.check(abs(got - want) <= tol, indices, parameter, want, got, tol)
+        off = abs(got - want)
+        self.check(off <= tol, indices, parameter, want, got, tol, off / tol)
+
+    def note_margin(self, margin: float, indices: str, parameter) -> None:
+        """Keep the case as worst_margin if its margin is the largest so far;
+        a NaN margin, once seen, stays."""
+        worst = self.worst_margin
+        if worst is None or not (math.isnan(worst["margin"]) or margin <= worst["margin"]):
+            self.worst_margin = {"margin": float(margin), "indices": indices, "parameter": str(parameter)}
 
     def fail(self, indices: str, parameter, expected, got, tolerance) -> None:
         """Record a failure of a case already counted in cases."""
@@ -174,7 +189,7 @@ def _suite_normalization(res: VerificationResult, scale: str) -> None:
     for i in range(total_max + 1):
         for k in range(total_max + 1 - i):
             r = residuals[(i, k)]
-            res.check(r <= 1e-10, f"bs row (i={i},k={k})", "eta=0.7", "sum=1", f"residual {r:.3e}", 1e-10)
+            res.check(r <= 1e-10, f"bs row (i={i},k={k})", "eta=0.7", "sum=1", f"residual {r:.3e}", 1e-10, r / 1e-10)
 
     kmax = 8 if scale == "full" else 4
     lams = (0.5, 0.8) if scale == "full" else (0.5,)
@@ -192,7 +207,7 @@ def _tms_row_case(res: VerificationResult, r, indices: str, lam: float, expected
     if isinstance(r, ConvergenceError):
         res.check(False, indices, f"lam={lam}", expected, str(r), tol)
     else:
-        res.check(r <= tol, indices, f"lam={lam}", expected, f"residual {r:.3e}", tol)
+        res.check(r <= tol, indices, f"lam={lam}", expected, f"residual {r:.3e}", tol, r / tol)
 
 
 def _identity_failure(res: VerificationResult, i: int, k: int, n: int, j: int, parameter: str, residual) -> None:
@@ -454,7 +469,8 @@ def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
     res.check(ok, f"odd-n diagonal zeros i<={pmax}", "eta=1/2", "exact zeros", ok, "exact")
     mid = bs_diag_asymptotic(100, 100)
     want = 2.0 / (math.pi * 100.0)
-    res.check(abs(mid - want) < 1e-15, "(i=100,n=100) formula", "-", want, mid, 1e-15)
+    off = abs(mid - want)
+    res.check(off < 1e-15, "(i=100,n=100) formula", "-", want, mid, 1e-15, off / 1e-15)
 
 
 _SUITES = {
@@ -482,6 +498,8 @@ def run_suite(name: str, scale: str = "full") -> VerificationResult:
             part = run_suite(sub, scale)
             merged.cases += part.cases
             merged.failures.extend(part.failures)
+            if part.worst_margin is not None:
+                merged.note_margin(**part.worst_margin)
         merged.seconds = time.perf_counter() - start
         return merged
     if name not in _SUITES:

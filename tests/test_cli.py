@@ -449,8 +449,9 @@ def test_verify_contract(tmp_path):
     r = run("verify", "--suite", "hom")
     assert r.exit_code == 0
     doc = json.loads(r.output)
-    assert set(doc) == {"suite", "cases", "failures", "seconds"}
+    assert set(doc) == {"suite", "cases", "failures", "seconds", "worst_margin"}
     assert doc["suite"] == "hom" and doc["cases"] > 0 and doc["failures"] == []
+    assert set(doc["worst_margin"]) == {"margin", "indices", "parameter"} and 0 <= doc["worst_margin"]["margin"] <= 1
     assert run("verify", "--suite", "nonsense").exit_code == 2
     out = tmp_path / "report.json"
     r = run("verify", "--suite", "energy", "--scale", "quick", "--out", str(out))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
 import fockmix.verify as verify
-from fockmix.amplitudes import bs_amplitude, bs_amplitude_convolution
+from fockmix.amplitudes import bs_amplitude, bs_amplitude_convolution, tms_amplitude
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from fockmix.probabilities import (
@@ -240,10 +240,11 @@ def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax,
     # Each shell keeps only the band of rows the table reads; every (U, V, Q)
     # must still be the single-cell triple, and every row must come once.
     p = BeamSplitterParam.from_value(eta)
+    num, den = probabilities._exact_ratio(p)
     seen = []
     for i, k, cells, q in probabilities._shell_factor_rows(p, imax, kmax):
         seen.append((i, k))
-        assert [(u, v, q) for u, v in cells] == [probabilities._exact_factor_sums(i, k, n, p) for n in range(i + k + 1)]
+        assert [(u, v, q) for u, v in cells] == [probabilities._exact_factor_sums(i, k, n, num, den) for n in range(i + k + 1)]
     assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
 
 
@@ -427,6 +428,85 @@ def test_factor_sums_are_the_term_by_term_reference(row, eta):
     for n in range(total + 1):
         got = probabilities._scaled_factor_sums(i, total - i, n, num, den)
         assert got == factor_sums_reference(i, total - i, n, num, den), n
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 260).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s))), _ENGINE_PARAMS)
+@example((260, 130), 0.37)
+@example((200, 200), "0/1")
+@example((200, 0), "1/1")
+@example((1, 1), 0.0)
+@example((1, 0), 1.0)
+def test_transposed_sum_is_the_first_scaled_by_binomials(row, eta):
+    # C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) term by term, so the
+    # sum at the transposed cell (n, s-n, i) is the one at (i, k, n) times
+    # C(s,i)/C(s,n) (Krawtchouk self-duality).
+    total, i = row
+    num, den = probabilities._exact_ratio(BeamSplitterParam.from_value(eta))
+    r = den - num
+    for n in range(total + 1):
+        lo, hi = probabilities._term_range(i, total - i, n)
+        first = probabilities._alternating_sum(i, total - i, n, lo, hi, num, r)
+        transposed = probabilities._alternating_sum(n, total - n, i, lo, hi, num, r)
+        assert math.comb(total, n) * transposed == math.comb(total, i) * first, n
+
+
+@pytest.mark.parametrize("eta", ["3/10", "1/2", "0.37"])
+def test_each_exact_single_cell_runs_one_alternating_sum(monkeypatch, eta):
+    calls = []
+    horner = probabilities._alternating_sum
+    monkeypatch.setattr(probabilities, "_alternating_sum", lambda *args: calls.append(args) or horner(*args))
+    bp, sp = BeamSplitterParam.from_value(eta), SqueezerParam.from_value(eta)
+    exact = Fraction(bp.eta) if bp.eta_exact is None else bp.eta_exact
+    bs, tms = PhotonConfig(20, 17, 19), PhotonConfig(20, 17, 19, Device.TMS)  # totals 37 and 36 (bridge)
+    cells = {
+        "bs_prob_direct": lambda: bs_prob_direct(bs, bp),
+        "bs_prob_exact": lambda: bs_prob_exact(bs, exact),
+        "tms_prob": lambda: tms_prob(tms, sp),
+        "tms_prob_exact": lambda: tms_prob_exact(tms, exact),
+        "bs_amplitude": lambda: bs_amplitude(bs, bp),
+        "bs_amplitude convolution": lambda: bs_amplitude(bs, bp, "convolution"),
+        "tms_amplitude": lambda: tms_amplitude(tms, sp),
+        "tms_amplitude convolution": lambda: tms_amplitude(tms, sp, "convolution"),
+    }
+    for name, cell in cells.items():
+        calls.clear()
+        cell()
+        assert len(calls) == 1, name
+    calls.clear()
+    normalization_residual(6, 5, bp)
+    assert len(calls) == 12  # one per cell of the row
+
+
+_SQUEEZINGS = st.one_of(
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
+    st.integers(0, 10**6 - 1).map(lambda d: str(d / 10**6)),
+    st.sampled_from([0.0, -0.0, 1 - 1e-12]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 260).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s), st.integers(0, s))), _SQUEEZINGS)
+@example((260, 130, 131), "999/1000")
+@example((260, 3, 257), 1 - 1e-12)
+@example((30, 12, 17), -0.0)
+@example((33, 33, 0), 0.0)
+@example((32, 5, 20), "0.37")
+def test_squeezer_cells_are_the_reversal_route_bit_for_bit(bridge_cell, lam):
+    # The squeezer cell (i, total-n -> n) reads its bridge cell
+    # (i, total-i -> n) at 1 - lam from the partner ratio, with no
+    # BeamSplitterParam built; every value must be that of the bridge route.
+    total, i, n = bridge_cell
+    c, bridge = PhotonConfig(i, total - n, n, Device.TMS), PhotonConfig(i, total - i, n)
+    sp = SqueezerParam.from_value(lam)
+    bp = sp.ptr_beamsplitter()
+    assert probabilities._partner_ratio(sp) == probabilities._exact_ratio(bp)
+    assert repr(tms_prob(c, sp)) == repr((1.0 - sp.lam) * bs_prob_direct(bridge, bp))
+    for method in ("direct", "convolution"):
+        want = math.sqrt(1.0 - sp.lam) * bs_amplitude(bridge, bp, method)
+        assert repr(tms_amplitude(c, sp, method)) == repr(want), method
+    exact = Fraction(sp.lam) if sp.lam_exact is None else sp.lam_exact
+    assert tms_prob_exact(c, exact) == (1 - exact) * bs_prob_exact(bridge, 1 - exact)
 
 
 def test_square_of_amplitude_invariant():

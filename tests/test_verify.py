@@ -414,3 +414,38 @@ def test_within_and_near_count_one_case_each_and_fail_on_nan():
         verify.Failure("d", "p", "1.0", "nan", "1e-12"),
         verify.Failure("e", "p", "0.5", "1.0", "1e-12"),
     ]
+
+
+def test_worst_margin_is_the_largest_residual_over_tolerance():
+    res = verify.VerificationResult("helpers")
+    res.check(True, "exact", "p", "0", "0", "exact")  # an exact check has no margin
+    assert res.to_dict()["worst_margin"] is None
+    res.within(1e-13, 1e-12, "a", "p", "<=1e-12")
+    res.near(1.0 + 5e-13, 1.0, 1e-12, "b", 0.7)
+    res.within(2e-13, 1e-12, "c", "p", "<=1e-12")
+    assert res.worst_margin == {"margin": abs(1.0 + 5e-13 - 1.0) / 1e-12, "indices": "b", "parameter": "0.7"}
+    res.within(math.nan, 1e-12, "d", "p", "<=1e-12")
+    res.within(5.0, 1e-12, "e", "p", "<=1e-12")  # a NaN, once seen, stays the worst
+    assert res.worst_margin["indices"] == "d" and math.isnan(res.worst_margin["margin"])
+    assert [f.indices for f in res.failures] == ["d", "e"] and res.cases == 6
+
+
+def test_worst_margin_covers_normalization_rows_and_the_formula_check(monkeypatch):
+    rows = verify._bs_residual_rows
+    monkeypatch.setattr(
+        verify, "_bs_residual_rows", lambda p, smax: ((i, k, 7e-11 if (i, k) == (2, 3) else r) for i, k, r in rows(p, smax))
+    )
+    res = verify.run_suite("normalization", "quick")
+    assert res.ok and res.worst_margin == {"margin": 7e-11 / 1e-10, "indices": "bs row (i=2,k=3)", "parameter": "eta=0.7"}
+    want = 2.0 / (math.pi * 100.0)
+    monkeypatch.setattr(verify, "bs_diag_asymptotic", lambda i, n: want + 2 * math.ulp(want))
+    res = verify.run_suite("asymptotics", "quick")
+    assert res.ok and res.worst_margin["indices"] == "(i=100,n=100) formula"
+    assert res.worst_margin["margin"] == 2 * math.ulp(want) / 1e-15
+
+
+def test_each_suite_reports_a_worst_margin_and_all_reports_the_largest():
+    parts = [verify.run_suite(name, "quick") for name in verify.SUITE_NAMES]
+    assert all(part.ok and 0 <= part.worst_margin["margin"] <= 1 for part in parts)
+    merged = verify.run_suite("all", "quick")
+    assert merged.worst_margin == max((part.worst_margin for part in parts), key=lambda w: w["margin"])
