@@ -24,9 +24,11 @@ compensated summation up to total photon number 32; above that the float sum
 loses more than ~1e-11 absolute in double precision, so it returns the direct
 route's exact value instead. The two single-cell routes cross-check each
 other only up to total 32. The float convolution table
-(recurrences.bs_table_convolution) stays independent of the direct route at
-every total: above 32 its rows come from a stable photon-addition fill,
-within the absolute bound that README states.
+(recurrences.bs_table_convolution) does not read this sum: at every total
+its rows come from a stable photon-addition fill, independent of the direct
+route and within the absolute bound that README states. So up to total 32
+the table's entries are no longer the squares of this sum bit for bit; the
+two float evaluations agree to 1e-12 absolute.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ __all__ = [
 # Above this total photon number the float convolution sum's 53-bit error can
 # exceed ~1e-11 absolute.
 _FLOAT_MAX_TOTAL = 32
-
-# sqrt(C(n, t)) for every n <= _FLOAT_MAX_TOTAL (561 floats): the float
-# convolution sums take no other binomials.
-_SQRT_BINOMIALS = [[sqrt_binomial(n, t) for t in range(n + 1)] for n in range(_FLOAT_MAX_TOTAL + 1)]
 
 
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
@@ -109,28 +107,20 @@ def _signed_root(i: int, u: int, v: int, q: int) -> float:
 
 
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
-    """Convolution of the two vacuum rows for <n, i+k-n|BS(eta)|i, k>."""
+    """Convolution of the two vacuum rows for <n, i+k-n|BS(eta)|i, k>: up to
+    total 32 the compensated sum over t of sqrt(C(n,t)) sqrt(C(i+k-n,i-t))
+    bs_vacuum_row(i,t) _bs_vacuum_row_b(k,n-t), multiplied left to right;
+    above it the direct route's exact value."""
     _require(c, Device.BS)
     i, k, n = c.i, c.k, c.n
     if n > i + k:
         return 0.0
     if i + k > _FLOAT_MAX_TOTAL:
         return _bs_amplitude_exact(i, k, n, p)
-    return _convolution_sum(i, k, n, *_vacuum_rows(i, k, p))
-
-
-def _vacuum_rows(i: int, k: int, p: BeamSplitterParam) -> tuple[list[float], list[float]]:
-    """The two vacuum-seeded rows convolved for input (i, k): bs_vacuum_row(i, .)
-    and _bs_vacuum_row_b(k, .)."""
-    return [bs_vacuum_row(i, t, p) for t in range(i + 1)], [_bs_vacuum_row_b(k, u, p) for u in range(k + 1)]
-
-
-def _convolution_sum(i: int, k: int, n: int, va: list[float], vb: list[float]) -> float:
-    """The convolution amplitude at (i, k, n), total at most 32, from the
-    vacuum rows va and vb of its input: the compensated sum over t of
-    sqrt(C(n,t)) sqrt(C(i+k-n,i-t)) va[t] vb[n-t], multiplied left to right."""
-    left, right = _SQRT_BINOMIALS[n], _SQRT_BINOMIALS[i + k - n]
-    return math.fsum([left[t] * right[i - t] * va[t] * vb[n - t] for t in range(max(0, n - k), min(i, n) + 1)])
+    return math.fsum([
+        sqrt_binomial(n, t) * sqrt_binomial(i + k - n, i - t) * bs_vacuum_row(i, t, p) * _bs_vacuum_row_b(k, n - t, p)
+        for t in range(max(0, n - k), min(i, n) + 1)
+    ])
 
 
 def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = None) -> float:

@@ -40,10 +40,9 @@ read-only views of their shell (beam splitter) or of the table's one array
 and safe to share.
 
 The float convolution table is a third route, apart from the exact engine
-and the five-term fill. Up to total 32 a shell is the compensated sum of the
-vacuum-row convolution terms, cell by cell; above 32 it is the square of a
+and the five-term fill. At every total a shell is the square of a
 photon-addition step on the amplitude rows of the shell below
-(_photon_addition_shells).
+(_photon_addition_shells), clipped at 1.
 
 The last term of each five-term form is the interference correction. The
 distinguishable-photon model at the end of the module has no such term: its
@@ -72,7 +71,6 @@ from .probabilities import (
     _top_coefficient_walk,
     bs_prob_double_sum,
 )
-from .amplitudes import _FLOAT_MAX_TOTAL, _SQRT_BINOMIALS, _bs_vacuum_row_b, bs_vacuum_row
 
 __all__ = [
     "ProbabilityTable",
@@ -106,7 +104,9 @@ class ProbabilityTable:
     read-only float64 numpy arrays in float precision (views of one array
     per shell in beam-splitter recurrence and convolution tables, of one
     array per table in squeezer recurrence tables) and lists of Fractions in
-    rational precision.
+    rational precision. Every float entry lies in [0, 1]: direct rows are
+    exact values rounded once, and the recurrence and convolution fills clip
+    as they store a shell.
     """
 
     device: Device
@@ -257,33 +257,24 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Convolution-squared table, one shell s = i+k at a time: squared
-    vacuum-row convolutions in float, or the paired double sum (square roots
-    combined exactly) in rational.
+    """Convolution-squared table, one shell s = i+k at a time: the squared
+    amplitude rows of the photon-addition fill (_photon_addition_shells) in
+    float, or the paired double sum (square roots combined exactly) in
+    rational.
 
-    A float shell at total 32 or less is one array of the products of
-    bs_amplitude_convolution, from vacuum rows built once per input count,
-    with one math.fsum per cell squared by ** 2: each entry is bit for bit
-    the single-cell value. Above total 32 the float amplitudes come from the
-    photon-addition fill (_photon_addition_shells), which reads neither the
-    exact engine nor those sums, and the table holds their squares. Float
-    rows are read-only views of their shell; rows are inserted in shell
-    order."""
+    The float fill reads neither the exact engine nor the five-term fill.
+    Each square is clipped at 1 as its shell is stored; the next shell reads
+    the unclipped amplitudes. Float rows are read-only views of their shell;
+    rows are inserted in shell order."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
     if precision == "rational":
         for i, k in _shell_pairs(imax, kmax):
             t.entries[(i, k)] = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
         return t
-    low = min(imax + kmax, _FLOAT_MAX_TOTAL)
-    va = _padded([[bs_vacuum_row(i, n, p) for n in range(i + 1)] for i in range(min(imax, low) + 1)])
-    vb = _padded([[_bs_vacuum_row_b(k, n, p) for n in range(k + 1)] for k in range(min(kmax, low) + 1)])
-    for s in range(low + 1):
-        _store_shell(t, s, _convolution_shell(s, max(0, s - kmax), min(imax, s), va, vb))
-    if imax + kmax > low:
-        for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
-            if s > low:
-                _store_shell(t, s, amplitudes * amplitudes)
+    for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
+        sq = amplitudes * amplitudes
+        _store_shell(t, s, np.minimum(sq, 1.0, out=sq))
     return t
 
 
@@ -295,40 +286,6 @@ def _store_shell(t: ProbabilityTable, s: int, shell) -> None:
     lo = max(0, s - t.kmax)
     for r, row in enumerate(shell):
         t.entries[(lo + r, s - lo - r)] = row
-
-
-def _padded(rows: list) -> np.ndarray:
-    """The rows, of at most 33 entries each, as one array [m, t], zero past
-    the end of each row: the 33 columns past 32 are all zero, so a negative
-    index t >= -32 reads a zero."""
-    grid = np.zeros((len(rows), 2 * _FLOAT_MAX_TOTAL + 2))
-    for m, row in enumerate(rows):
-        grid[m, : len(row)] = row
-    return grid
-
-
-_SQRT_BINOMIAL_GRID = _padded(_SQRT_BINOMIALS)  # sqrt(C(n, t)) at [n, t], n <= 32
-
-
-def _convolution_shell(s: int, lo: int, hi: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """The squared convolution amplitudes of the rows (i, s-i), lo <= i <= hi,
-    of shell s <= 32, over n = 0..s: entry n of row i is the math.fsum over t
-    of sqrt(C(n,t)) sqrt(C(s-n,i-t)) va[t] vb[n-t], multiplied left to right,
-    squared by ** 2, as bs_amplitude_convolution ** 2. The terms of a shell
-    are one array [row, n, t] for t <= hi, zero outside each cell's range;
-    fsum takes the zeros exactly. va and vb are the _padded vacuum rows of
-    the inputs |i, 0> and |0, k>, by input count."""
-    i = np.arange(lo, hi + 1)[:, None, None]
-    n = np.arange(s + 1)[None, :, None]
-    tt = np.arange(hi + 1)[None, None, :]
-    terms = _SQRT_BINOMIAL_GRID[s - n, i - tt]  # right[i-t], zero for i-t > s-n; i-t < 0 reads a zero column
-    terms *= _SQRT_BINOMIAL_GRID[None, : s + 1, : hi + 1]  # left[t] * right[i-t]
-    terms *= va[lo : hi + 1, None, : hi + 1]
-    terms *= vb[s - i, n - tt]  # zero for n-t > k; n-t < 0 reads a zero column
-    shell = np.empty((hi - lo + 1, s + 1))
-    for r, cells in enumerate(terms):
-        shell[r] = [math.fsum(cell) ** 2 for cell in cells[:, : lo + r + 1].tolist()]
-    return shell
 
 
 def _photon_addition_shells(imax: int, kmax: int, eta: float):

@@ -135,10 +135,10 @@ def test_direct_table_rows_are_the_single_cell_values(imax, kmax, eta):
             assert rational.row(i, k) == [bs_prob_exact(c, p.eta_exact) for c in cells]
 
 
-# README's bound for float convolution entries above total 32: each square
-# lies within this much per photon of its total of the exact probability at
-# the double value of eta. (A p/q literal adds the rounding of p/q to that
-# double, which is no error of the fill.)
+# README's bound for float convolution entries: each square lies within this
+# much per photon of its total of the exact probability at the double value
+# of eta. (A p/q literal adds the rounding of p/q to that double, which is no
+# error of the fill.)
 _ADDITION_BOUND_PER_PHOTON = 4e-16
 
 
@@ -151,9 +151,23 @@ def _addition_cells(s: int, pick: int) -> list[int]:
 
 @st.composite
 def _shapes_to_total_120(draw):
-    total = draw(st.integers(33, 120))
+    total = draw(st.integers(0, 120))
     k = draw(st.integers(0, total))
     return total - k, k
+
+
+# Examples of the bound test and cases of the single-cell cross-check: thin
+# and clipped shapes hold shells whose rows start above i = 0 or stop below
+# i = s.
+_LOW_SHAPES = [(32, 32), (40, 2), (2, 40), (10, 30), (32, 0), (0, 40)]
+_LOW_ETAS = ["0.37", "1e-12", "0.999999999999", "0.0", "1.0"]
+
+
+def _with_low_examples(test):
+    for shape in _LOW_SHAPES:
+        for eta in _LOW_ETAS:
+            test = example(shape, eta, 250)(test)  # the drawn row lies at a middle total
+    return test
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,11 +182,12 @@ def _shapes_to_total_120(draw):
 @example((20, 20), "0/1", 1)
 @example((20, 20), "1/1", 1)
 @example((30, 30), "0.7", 2)
-def test_convolution_table_rows_above_total_32_hold_the_stated_bound(shape, eta, pick):
-    # Above total 32 the float rows are the squares of the photon-addition
-    # fill: within the bound of the exact value, and signed as bs_amplitude.
+@_with_low_examples
+def test_convolution_table_rows_hold_the_stated_bound(shape, eta, pick):
+    # The float rows are the squares of the photon-addition fill, clipped at
+    # 1: within the bound of the exact value, and signed as bs_amplitude.
     # Read are the last three shells, where the error peaks, and one row
-    # drawn from all shells above 32.
+    # drawn from all shells.
     p = BeamSplitterParam.from_value(eta)
     binary = BeamSplitterParam(p.eta)  # the double the fill runs on, as a float-only parameter
     imax, kmax = shape
@@ -180,12 +195,12 @@ def test_convolution_table_rows_above_total_32_hold_the_stated_bound(shape, eta,
     rows = {}
     for s, shell in enumerate(recurrences._photon_addition_shells(imax, kmax, p.eta)):
         lo = max(0, s - kmax)
-        rows.update({(lo + r, s - lo - r): amplitudes for r, amplitudes in enumerate(shell) if s > 32})
-    above = sorted(rows, key=sum)
-    read = {key for key in above if sum(key) >= imax + kmax - 2} | {above[pick % len(above)]}
+        rows.update({(lo + r, s - lo - r): amplitudes for r, amplitudes in enumerate(shell)})
+    ordered = sorted(rows, key=sum)
+    read = {key for key in ordered if sum(key) >= imax + kmax - 2} | {ordered[pick % len(ordered)]}
     for i, k in sorted(read):
         got, amplitudes = table.row(i, k), rows[(i, k)]
-        assert got.tobytes() == (amplitudes * amplitudes).tobytes()
+        assert got.tobytes() == np.minimum(amplitudes * amplitudes, 1.0).tobytes()
         for n in _addition_cells(i + k, pick):
             c = PhotonConfig(i, k, n)
             want = bs_prob_direct(c, binary)  # the exact value rounded once
@@ -194,20 +209,28 @@ def test_convolution_table_rows_above_total_32_hold_the_stated_bound(shape, eta,
                 assert (amplitudes[n] < 0) == (bs_amplitude(c, binary) < 0), c
 
 
-@pytest.mark.parametrize("eta", ["0.37", "1e-12", "0.999999999999", "0.0", "1.0"])
-@pytest.mark.parametrize("imax, kmax", [(32, 32), (40, 2), (2, 40), (10, 30), (32, 0), (0, 40)])
-def test_convolution_table_rows_up_to_total_32_are_the_single_cell_values(imax, kmax, eta):
-    # Rows at totals up to 32 share their vacuum rows; each entry must still
-    # be the single-cell amplitude squared with ** 2, bit for bit. The thin
-    # and clipped shapes hold shells whose rows start above i = 0 or stop
-    # below i = s.
+@pytest.mark.parametrize("eta", _LOW_ETAS)
+@pytest.mark.parametrize("imax, kmax", _LOW_SHAPES)
+def test_convolution_table_rows_up_to_total_32_agree_with_the_single_cell_sums(imax, kmax, eta):
+    # Up to total 32 the single-cell convolution route is a compensated float
+    # sum that shares nothing with the table's fill, so the two float
+    # evaluations check each other.
     p = BeamSplitterParam.from_value(eta)
     table = bs_table_convolution(imax, kmax, p)
     for i in range(min(imax, 32) + 1):
         for k in range(min(kmax, 32 - i) + 1):
-            cells = [PhotonConfig(i, k, n) for n in range(i + k + 1)]
-            want = np.array([bs_amplitude_convolution(c, p) ** 2 for c in cells])
-            assert table.row(i, k).tobytes() == want.tobytes()
+            want = np.array([bs_amplitude_convolution(PhotonConfig(i, k, n), p) ** 2 for n in range(i + k + 1)])
+            assert np.abs(table.row(i, k) - want).max() <= 1e-12, (i, k)
+
+
+@pytest.mark.parametrize("eta", ["0", "1", "1e-12", "0.999999999999"])
+@pytest.mark.parametrize("imax, kmax", [(32, 32), (60, 60), (1000, 2)])
+def test_convolution_table_entries_are_probabilities(imax, kmax, eta):
+    # At the edges of eta the squares of the fill reach 1 + a few ulps; the
+    # table clips them, as the recurrence fill does.
+    table = bs_table_convolution(imax, kmax, BeamSplitterParam.from_value(eta))
+    for row in table.entries.values():
+        assert row.min() >= 0.0 and row.max() <= 1.0
 
 
 def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):

@@ -581,11 +581,11 @@ def _bad_input_id(v):
 @pytest.mark.parametrize("build, args", _BAD_INPUTS, ids=_bad_input_id)
 def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypatch, build, args):
     # A string that one branch of a builder takes for float and another does
-    # not gives a table cut short at total 32 that passes its own self-check.
+    # not gives a table cut short that passes its own self-check.
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_convolution_shell", "_photon_addition_shells"):
+    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)
