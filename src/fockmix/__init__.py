@@ -9,8 +9,6 @@ model, and large-photon asymptotic laws cross-validate them.
 
 from .errors import ConvergenceError, DomainError, TableCoverageError
 from .numerics import (
-    BigCount,
-    ExactRational,
     binomial_exact,
     gamma_capital,
     gamma_small,

@@ -123,16 +123,16 @@ def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
     ])
 
 
-def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str | None = None) -> float:
+def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str = "direct") -> float:
     """Beam-splitter amplitude through the direct route unless told otherwise."""
-    if method is None or method == "direct":
+    if method == "direct":
         return bs_amplitude_direct(c, p)
     if method == "convolution":
         return bs_amplitude_convolution(c, p)
     raise ValueError(f"unknown amplitude method {method!r}")
 
 
-def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str | None = None) -> float:
+def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> float:
     """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal:
     sqrt(1-lam) times bs_amplitude of the bridge cell at eta = 1-lam, bit for
     bit. The direct route reads the bridge cell's exact sums straight from
@@ -141,7 +141,7 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str | None = None) 
     m = c.m
     if m < 0:
         return 0.0
-    if method is None or method == "direct":
+    if method == "direct":
         root = _signed_root(c.i, *_exact_factor_sums(c.i, m, c.n, *_partner_ratio(p)))
     else:
         root = bs_amplitude(_bridge(c), p.ptr_beamsplitter(), method=method)

@@ -1,23 +1,14 @@
 """Exact combinatorics and cancellation-aware floating-point helpers.
 
-Exact counts ride on Python's arbitrary-precision ``int`` and exact rationals
-on :class:`fractions.Fraction` (always lowest terms, positive denominator);
-they are re-exported here as :data:`BigCount` and :data:`ExactRational` so the
-rest of the package names the intent rather than the stdlib type.
-
-All functions are pure. The log-factorial table is built once, lazily, behind
-a lock, and is safe for concurrent readers afterwards.
+Exact counts ride on Python's arbitrary-precision ``int``. All functions are
+pure and hold no state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from fractions import Fraction
 
 __all__ = [
-    "BigCount",
-    "ExactRational",
     "binomial_exact",
     "gamma_capital",
     "gamma_small",
@@ -27,20 +18,11 @@ __all__ = [
     "nan_max",
 ]
 
-BigCount = int
-ExactRational = Fraction
-
-# Exact table below this size, lgamma above. The seam is tested to 1e-12.
-_LOG_TABLE_SIZE = 1 << 12
-
 # Largest n whose binomials stay well inside float range (C(1028,514) overflows).
 _SQRT_EXACT_MAX_N = 1000
 
-_log_fact_table: list[float] | None = None
-_table_lock = threading.Lock()
 
-
-def binomial_exact(n: int, k: int) -> BigCount:
+def binomial_exact(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) as an exact integer.
 
     Returns 0 whenever k < 0 or k > n, so sums whose bounds are enforced by
@@ -53,7 +35,7 @@ def binomial_exact(n: int, k: int) -> BigCount:
     return math.comb(n, k)
 
 
-def gamma_capital(i: int, k: int, n: int, m: int) -> BigCount:
+def gamma_capital(i: int, k: int, n: int, m: int) -> int:
     """Four-binomial weight C(i,n) C(k,m) C(n+m,n) C(i-n+k-m,i-n).
 
     This is the combinatorial factor of the direct amplitude sum; it vanishes
@@ -71,7 +53,7 @@ def gamma_capital(i: int, k: int, n: int, m: int) -> BigCount:
     )
 
 
-def gamma_small(i: int, k: int, n: int, m: int, j: int) -> BigCount:
+def gamma_small(i: int, k: int, n: int, m: int, j: int) -> int:
     """Four-binomial weight C(i,m) C(k,n-m) C(n,j) C(i+k-n,i-j).
 
     Symmetric under swapping m and j; this is the integer coefficient of the
@@ -89,30 +71,10 @@ def gamma_small(i: int, k: int, n: int, m: int, j: int) -> BigCount:
     )
 
 
-def _build_log_fact_table() -> list[float]:
-    table = [0.0] * _LOG_TABLE_SIZE
-    fact = 1
-    for n in range(2, _LOG_TABLE_SIZE):
-        fact *= n
-        table[n] = math.log(fact)
-    return table
-
-
-def _table() -> list[float]:
-    global _log_fact_table
-    if _log_fact_table is None:
-        with _table_lock:
-            if _log_fact_table is None:
-                _log_fact_table = _build_log_fact_table()
-    return _log_fact_table
-
-
 def log_factorial(n: int) -> float:
-    """ln(n!), from an exact-factorial table below 2**12 and lgamma above."""
+    """ln(n!) as lgamma(n + 1)."""
     if n < 0:
         raise ValueError(f"log_factorial requires n >= 0, got n={n}")
-    if n < _LOG_TABLE_SIZE:
-        return _table()[n]
     return math.lgamma(n + 1.0)
 
 

@@ -3,8 +3,8 @@
 Each suite runs a block of identity and tolerance checks and returns a
 machine-readable result; the CLI maps them onto `verify --suite NAME` and the
 acceptance tests drive the same functions, so a CI failure can cite the
-failing identity by suite name. `scale="quick"` trims index ranges for fast
-runs; `scale="full"` uses the ranges the package promises.
+failing identity by suite name. Every suite runs at one size, the index
+ranges the package promises: a full pass of the nine is 46 229 cases.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def _agree(res: VerificationResult, tables, label: str, parameter, expected="exa
         res.within(worst, _AGREE_TOL, indices, parameter, expected)
 
 
-def _suite_hom(res: VerificationResult, scale: str) -> None:
+def _suite_hom(res: VerificationResult) -> None:
     half = Fraction(1, 2)
     exact_bs = bs_prob_exact(PhotonConfig(1, 1, 1), half)
     res.check(exact_bs == 0, "(i=1,k=1,n=1)", "eta=1/2", "0 (exact)", exact_bs, "exact")
@@ -183,16 +183,16 @@ def _suite_hom(res: VerificationResult, scale: str) -> None:
         res.near(value, (1.0 - lam) * (1.0 - 2.0 * lam) ** 2, 1e-12, f"sweep lam={lam:.2f}", "lam grid [0,1]")
 
 
-def _suite_normalization(res: VerificationResult, scale: str) -> None:
-    total_max = 30 if scale == "full" else 12
+def _suite_normalization(res: VerificationResult) -> None:
+    total_max = 30
     residuals = {(i, k): r for i, k, r in _bs_residual_rows(BeamSplitterParam(0.7), total_max)}
     for i in range(total_max + 1):
         for k in range(total_max + 1 - i):
             r = residuals[(i, k)]
             res.check(r <= 1e-10, f"bs row (i={i},k={k})", "eta=0.7", "sum=1", f"residual {r:.3e}", 1e-10, r / 1e-10)
 
-    kmax = 8 if scale == "full" else 4
-    lams = (0.5, 0.8) if scale == "full" else (0.5,)
+    kmax = 8
+    lams = (0.5, 0.8)
     span = range(kmax + 1)
     scans = {lam: {(i, k): r for i, k, r in _tms_residual_rows(SqueezerParam(lam), span, span)} for lam in lams}
     for lam, residuals in scans.items():
@@ -242,14 +242,14 @@ def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
                             _identity_failure(res, i, k, n, j, f"lam={lam}", Fraction(diffs[n], den ** (k + n + 2)))
 
 
-def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
-    imax = 8 if scale == "full" else 6
+def _suite_recurrence_bs(res: VerificationResult) -> None:
+    imax = 8
     etas = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
     _theorem1_exact(res, imax, etas)
 
     # j=1 in float against the direct table of the route-agreement checks
-    fmax = 20 if scale == "full" else 10
-    rmax = 25 if scale == "full" else 12
+    fmax = 20
+    rmax = 25
     p = BeamSplitterParam(0.7)
     table = bs_table_direct(rmax, rmax, p)
     worst = 0.0
@@ -271,15 +271,15 @@ def _suite_recurrence_bs(res: VerificationResult, scale: str) -> None:
     routes = (table, bs_table_convolution(rmax, rmax, p), bs_table_recurrence(rmax, rmax, p))
     _agree(res, routes, f"i,k<={rmax}", "eta=0.7", "pairwise<=1e-10")
 
-    emax = 10 if scale == "full" else 6
+    emax = 10
     ep = BeamSplitterParam.from_value("1/3")
     builders = (bs_table_direct, bs_table_convolution, bs_table_recurrence)
     _agree(res, [build(emax, emax, ep, "rational") for build in builders], f"i,k<={emax}", "eta=1/3")
 
 
-def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
-    nmax = 6 if scale == "full" else 4
-    lams = ["1/4", "1/2", "3/4"] if scale == "full" else ["1/2"]
+def _suite_recurrence_tms(res: VerificationResult) -> None:
+    nmax = 6
+    lams = ["1/4", "1/2", "3/4"]
     _theorem2_exact(res, nmax, lams)
 
     # recurrence table against the reversal-route values, float
@@ -289,9 +289,9 @@ def _suite_recurrence_tms(res: VerificationResult, scale: str) -> None:
     res.near(float(rec.value(1, 1, 1)), 0.288, 1e-12, "(1,1,1)", "lam=0.2")
 
 
-def _suite_ptr(res: VerificationResult, scale: str) -> None:
+def _suite_ptr(res: VerificationResult) -> None:
     rng = random.Random(20260810)
-    points = 100 if scale == "full" else 25
+    points = 100
     for lam in (0.2, 0.5, 0.8):
         sp = SqueezerParam(lam)
         bp = sp.ptr_beamsplitter()
@@ -311,16 +311,16 @@ def _suite_ptr(res: VerificationResult, scale: str) -> None:
         res.within(worst_f, 1e-12, "probability-gf grid", f"lam={lam}", "<=1e-12")
 
     # exact probability-level relation against the squeezer-side recurrence fill
-    nmax = 10 if scale == "full" else 5
+    nmax = 10
     sp = SqueezerParam.from_value(Fraction(2, 5))
     rec = tms_table_recurrence(nmax, nmax, nmax, sp, "rational")
     ok = rec.entries == tms_table_direct(nmax, nmax, nmax, sp, "rational").entries
     res.check(ok, f"reversal relation i,k,n<={nmax}", "lam=2/5", "exact equality", ok, "exact")
 
 
-def _suite_energy(res: VerificationResult, scale: str) -> None:
+def _suite_energy(res: VerificationResult) -> None:
     rng = random.Random(42)
-    pairs = 50 if scale == "full" else 15
+    pairs = 50
     bp = BeamSplitterParam(0.35)
     sp = SqueezerParam(0.45)
     worst_bs = worst_tms = 0.0
@@ -335,15 +335,15 @@ def _suite_energy(res: VerificationResult, scale: str) -> None:
     res.check(check_energy_scaling(pt, 1.0, bp) == 0.0, "t=1", "eta=0.35", 0.0, "residual", "exact")
 
 
-def _suite_genfun_series(res: VerificationResult, scale: str) -> None:
+def _suite_genfun_series(res: VerificationResult) -> None:
     p = BeamSplitterParam(0.7)
     half = BeamSplitterParam(0.5)
 
     pt = GenFunPoint(0.3, 0.3, 0.3, 1.0)
-    series = f_bs_series(pt, p, order=40 if scale == "full" else 24)
+    series = f_bs_series(pt, p, order=40)
     res.near(series.value, eval_f_bs(pt, p), 1e-8, "triple series (0.3,0.3,0.3,w=1)", "eta=0.7")
 
-    order = 60 if scale == "full" else 30
+    order = 60
     diag = diagonal_series_bs(0.3, 0.5, half, order=order)
     closed = diagonal_gf_bs(0.3, 0.5, half)
     res.near(diag.value, closed, 1e-8, "diagonal series (0.3,0.5)", "eta=1/2")
@@ -377,8 +377,8 @@ def _suite_genfun_series(res: VerificationResult, scale: str) -> None:
     res.within(worst, 1e-14, "input-swap symmetry grid", "eta=0.7", "<=1e-14")
 
 
-def _suite_classical(res: VerificationResult, scale: str) -> None:
-    kmax = 12 if scale == "full" else 6
+def _suite_classical(res: VerificationResult) -> None:
+    kmax = 12
     p = BeamSplitterParam(0.6)
     ctf = ClassicalTable(p)
     worst = 0.0
@@ -388,7 +388,7 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
                 worst = nan_max(worst, ctf.recurrence_residual(i, k, n, 1))
     res.within(worst, 1e-12, f"j=1 half-sum i,k<={kmax}", "eta=0.6", "<=1e-12")
 
-    jmax = 8 if scale == "full" else 5
+    jmax = 8
     worst = 0.0
     for i in range(jmax + 1):
         for k in range(jmax + 1):
@@ -430,8 +430,8 @@ def _suite_classical(res: VerificationResult, scale: str) -> None:
     res.check(ok, "c(i,k,j) equals term count", "i,k<=10", True, ok, "exact")
 
 
-def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
-    probes = [50, 100, 200] if scale == "full" else [30, 60]
+def _suite_asymptotics(res: VerificationResult) -> None:
+    probes = [50, 100, 200]
     report = convergence_report(probes, Device.BS)
     res.check(
         report.monotone,
@@ -441,12 +441,11 @@ def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
         report.max_rel_error,
         "monotone",
     )
-    if scale == "full":
-        exact = report.detail[200]
-        idx = exact["n"].index(200.0)
-        res.within(exact["rel_error"][idx], 0.10, "(i=200,n=200)", "eta=1/2", "rel err<=10%")
+    exact = report.detail[200]
+    idx = exact["n"].index(200.0)
+    res.within(exact["rel_error"][idx], 0.10, "(i=200,n=200)", "eta=1/2", "rel err<=10%")
 
-    tms_probes = [50, 100] if scale == "full" else [30, 60]
+    tms_probes = [50, 100]
     tms_report = convergence_report(tms_probes, Device.TMS)
     res.check(
         tms_report.monotone,
@@ -458,7 +457,7 @@ def _suite_asymptotics(res: VerificationResult, scale: str) -> None:
     )
 
     # parity suppression is exact, checked in rational arithmetic
-    pmax = 20 if scale == "full" else 10
+    pmax = 20
     table = bs_table_recurrence(pmax, pmax, BeamSplitterParam.from_value("1/2"), "rational")
     ok = True
     for i in range(pmax + 1):
@@ -487,15 +486,13 @@ _SUITES = {
 SUITE_NAMES = list(_SUITES)
 
 
-def run_suite(name: str, scale: str = "full") -> VerificationResult:
+def run_suite(name: str) -> VerificationResult:
     """Run one named suite (or 'all') and return its result."""
-    if scale not in ("quick", "full"):
-        raise ValueError(f"unknown scale {scale!r}")
     if name == "all":
         merged = VerificationResult("all")
         start = time.perf_counter()
         for sub in SUITE_NAMES:
-            part = run_suite(sub, scale)
+            part = run_suite(sub)
             merged.cases += part.cases
             merged.failures.extend(part.failures)
             if part.worst_margin is not None:
@@ -506,6 +503,6 @@ def run_suite(name: str, scale: str = "full") -> VerificationResult:
         raise KeyError(f"unknown suite {name!r}")
     res = VerificationResult(name)
     start = time.perf_counter()
-    _SUITES[name](res, scale)
+    _SUITES[name](res)
     res.seconds = time.perf_counter() - start
     return res

@@ -454,13 +454,23 @@ def test_verify_contract(tmp_path):
     assert set(doc["worst_margin"]) == {"margin", "indices", "parameter"} and 0 <= doc["worst_margin"]["margin"] <= 1
     assert run("verify", "--suite", "nonsense").exit_code == 2
     out = tmp_path / "report.json"
-    r = run("verify", "--suite", "energy", "--scale", "quick", "--out", str(out))
+    r = run("verify", "--suite", "energy", "--out", str(out))
     assert r.exit_code == 0
     assert json.loads(out.read_text())["suite"] == "energy"
 
 
+def test_verify_scale_full_is_the_only_scale():
+    # --scale full parses, so that existing command lines run the same suite;
+    # any other scale is a usage error.
+    full = run("verify", "--suite", "hom", "--scale", "full")
+    default = run("verify", "--suite", "hom")
+    assert full.exit_code == default.exit_code == 0
+    assert json.loads(full.output)["cases"] == json.loads(default.output)["cases"] == 107
+    assert run("verify", "--suite", "hom", "--scale", "quick").exit_code == 2
+
+
 def test_verify_failure_exits_1(monkeypatch):
-    def broken(res, scale):
+    def broken(res):
         res.check(False, "forced", "-", "0", "1", "0")
 
     monkeypatch.setitem(fockmix.verify._SUITES, "energy", broken)

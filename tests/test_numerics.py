@@ -78,7 +78,7 @@ def test_log_factorial_matches_exact_logs():
 
 
 def test_log_factorial_seam():
-    # both branches agree where the exact table hands over to lgamma
+    # lgamma stays within 1e-12 relative of the exact log around 2**12
     for n in (4094, 4095, 4096, 4097, 5000):
         exact = math.log(math.factorial(n))
         assert abs(log_factorial(n) - exact) <= 1e-12 * exact
@@ -101,7 +101,7 @@ def test_sqrt_binomial_seam():
 
 
 def test_log_factorial_concurrent_cold_start():
-    # the lazy table must come up consistent under concurrent first use
+    # log_factorial holds no state: concurrent first calls after a reload agree
     import importlib
     from concurrent.futures import ThreadPoolExecutor
 

@@ -79,15 +79,14 @@ def _identity_failures(result, parameter):
     return out
 
 
-@pytest.mark.parametrize("scale, kmax, lams", [("quick", 4, [0.5]), ("full", 8, [0.5, 0.8])])
-def test_an_unsettled_squeezer_row_fails_its_own_case_with_its_error_text(monkeypatch, scale, kmax, lams):
-    cases = verify.run_suite("normalization", scale).cases
+def test_an_unsettled_squeezer_row_fails_its_own_case_with_its_error_text(monkeypatch):
+    cases = verify.run_suite("normalization").cases
     monkeypatch.setattr(probabilities, "_TAIL_TOLERANCE", 0.0)  # no row can settle, so each runs to its cutoff
-    result = verify.run_suite("normalization", scale)
+    result = verify.run_suite("normalization")
     want = []
-    for lam in lams:
-        for i in range(kmax + 1):
-            for k in range(kmax + 1):
+    for lam in (0.5, 0.8):
+        for i in range(9):
+            for k in range(9):
                 with pytest.raises(ConvergenceError) as exc:
                     normalization_residual(i, k, SqueezerParam(lam))
                 want.append(verify.Failure(f"tms row (i={i},k={k})", f"lam={lam}", "sum=1", str(exc.value), "1e-10"))
@@ -97,16 +96,16 @@ def test_an_unsettled_squeezer_row_fails_its_own_case_with_its_error_text(monkey
 
 def test_exact_identity_suites_pass():
     for name in ("recurrence-bs", "recurrence-tms"):
-        assert verify.run_suite(name, "quick").ok
+        assert verify.run_suite(name).ok
 
 
 def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
     monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
-    failures = _identity_failures(verify.run_suite("recurrence-bs", "quick"), "eta=1/4")
-    table = bs_table_direct(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
+    failures = _identity_failures(verify.run_suite("recurrence-bs"), "eta=1/4")
+    table = bs_table_direct(8, 8, BeamSplitterParam.from_value("1/4"), "rational")
     want = {}
-    for i in range(7):
-        for k in range(7):
+    for i in range(9):
+        for k in range(9):
             for j in range(i + k + 1):
                 for n in range(i + k + 1):
                     residual = bs_recurrence_check(i, k, n, j, table)
@@ -117,12 +116,12 @@ def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatc
 
 def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
     monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell((1, 2), (2, 3), 1))
-    failures = _identity_failures(verify.run_suite("recurrence-tms", "quick"), "lam=1/2")
-    table = tms_table_direct(4, 8, 4, SqueezerParam.from_value("1/2"), "rational")
+    failures = _identity_failures(verify.run_suite("recurrence-tms"), "lam=1/2")
+    table = tms_table_direct(6, 12, 6, SqueezerParam.from_value("1/2"), "rational")
     want = {}
-    for i in range(5):
-        for k in range(5):
-            for n in range(5):
+    for i in range(7):
+        for k in range(7):
+            for n in range(7):
                 for j in range(n + k + 1):
                     residual = tms_recurrence_check(i, k, n, j, table)
                     if residual:
@@ -133,9 +132,9 @@ def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypat
 def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
     # Passing cases are counted without building their text; a failing one
     # still reports the signed Fraction residual in loop order (eta, i, k, j, n).
-    cases = verify.run_suite("recurrence-bs", "quick").cases
+    cases = verify.run_suite("recurrence-bs").cases
     monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
-    result = verify.run_suite("recurrence-bs", "quick")
+    result = verify.run_suite("recurrence-bs")
     assert result.cases == cases
     identity = [f for f in result.failures if _CELL.fullmatch(f.indices)]
     by_eta = {}
@@ -342,8 +341,8 @@ def _with_nan_row(builder, key):
 @pytest.mark.parametrize(
     "suite, builder, key, check",
     [
-        ("recurrence-bs", "bs_table_recurrence", (4, 3), "direct vs recurrence i,k<=12"),
-        ("recurrence-bs", "bs_table_direct", (4, 3), "j=1 float i,k<=10"),
+        ("recurrence-bs", "bs_table_recurrence", (4, 3), "direct vs recurrence i,k<=25"),
+        ("recurrence-bs", "bs_table_direct", (4, 3), "j=1 float i,k<=20"),
         ("recurrence-tms", "tms_table_recurrence", (2, 5), "recurrence vs direct i,k<=8,n<=16"),
     ],
 )
@@ -351,7 +350,7 @@ def test_a_nan_entry_fails_its_float_check(monkeypatch, suite, builder, key, che
     # max(0.0, nan) is 0.0, so a worst-residual accumulator on the built-in
     # max would drop the NaN and pass.
     monkeypatch.setattr(verify, builder, _with_nan_row(getattr(verify, builder), key))
-    result = verify.run_suite(suite, "quick")
+    result = verify.run_suite(suite)
     failed = {f.indices: f.got for f in result.failures}
     assert failed.get(check) == "nan"
 
@@ -435,17 +434,33 @@ def test_worst_margin_covers_normalization_rows_and_the_formula_check(monkeypatc
     monkeypatch.setattr(
         verify, "_bs_residual_rows", lambda p, smax: ((i, k, 7e-11 if (i, k) == (2, 3) else r) for i, k, r in rows(p, smax))
     )
-    res = verify.run_suite("normalization", "quick")
+    res = verify.run_suite("normalization")
     assert res.ok and res.worst_margin == {"margin": 7e-11 / 1e-10, "indices": "bs row (i=2,k=3)", "parameter": "eta=0.7"}
+    # 100 ulp puts the formula check's margin (0.087) above that of the
+    # (i=200,n=200) check (0.025) and still under 1
     want = 2.0 / (math.pi * 100.0)
-    monkeypatch.setattr(verify, "bs_diag_asymptotic", lambda i, n: want + 2 * math.ulp(want))
-    res = verify.run_suite("asymptotics", "quick")
+    monkeypatch.setattr(verify, "bs_diag_asymptotic", lambda i, n: want + 100 * math.ulp(want))
+    res = verify.run_suite("asymptotics")
     assert res.ok and res.worst_margin["indices"] == "(i=100,n=100) formula"
-    assert res.worst_margin["margin"] == 2 * math.ulp(want) / 1e-15
+    assert res.worst_margin["margin"] == 100 * math.ulp(want) / 1e-15
 
 
 def test_each_suite_reports_a_worst_margin_and_all_reports_the_largest():
-    parts = [verify.run_suite(name, "quick") for name in verify.SUITE_NAMES]
+    parts = [verify.run_suite(name) for name in verify.SUITE_NAMES]
     assert all(part.ok and 0 <= part.worst_margin["margin"] <= 1 for part in parts)
-    merged = verify.run_suite("all", "quick")
+    merged = verify.run_suite("all")
     assert merged.worst_margin == max((part.worst_margin for part in parts), key=lambda w: w["margin"])
+
+
+_PINNED_CASES = {
+    "normalization": 659, "recurrence-bs": 38212, "recurrence-tms": 7205, "ptr": 7, "hom": 107,
+    "energy": 3, "genfun-series": 25, "classical": 6, "asymptotics": 5,
+}
+
+
+def test_each_suite_runs_its_pinned_case_count():
+    # A dropped or added check shows here by suite name.
+    assert list(_PINNED_CASES) == verify.SUITE_NAMES and sum(_PINNED_CASES.values()) == 46229
+    for name, cases in _PINNED_CASES.items():
+        res = verify.run_suite(name)
+        assert (name, res.cases, res.ok) == (name, cases, True)
