@@ -26,9 +26,9 @@ route's exact value instead. The two single-cell routes cross-check each
 other only up to total 32. The float convolution table
 (recurrences.bs_table_convolution) does not read this sum: at every total
 its rows come from a stable photon-addition fill, independent of the direct
-route and within the absolute bound that README states. So up to total 32
-the table's entries are no longer the squares of this sum bit for bit; the
-two float evaluations agree to 1e-12 absolute.
+route and within the absolute bound that README states. Its entries are
+not the squares of this sum bit for bit; up to total 32 the two float
+evaluations agree to 1e-12 absolute.
 """
 
 from __future__ import annotations

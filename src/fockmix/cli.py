@@ -85,13 +85,19 @@ def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = N
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks of text in turn to the --out file, or to stdout."""
+    """Write the chunks of text in turn to the --out file, or to stdout. An
+    --out that cannot be opened (a missing parent directory, a directory) is
+    a usage error."""
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        return
+    try:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
+    with fh:
+        fh.writelines(chunks)
 
 
 @click.group()

@@ -222,8 +222,7 @@ def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
     if not 0 <= eta <= 1:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
     i, k, n = c.i, c.k, c.n
-    lo, hi = _term_range(i, k, n)
-    if n > i + k or lo > hi:
+    if n > i + k:
         return Fraction(0)
     eta = Fraction(eta)
     u, v = _scaled_factor_sums(i, k, n, eta.numerator, eta.denominator)
@@ -233,36 +232,27 @@ def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
 def bs_prob_double_sum(i: int, k: int, n: int, eta):
     """Literal double sum over (m, j) with the four-binomial coefficients.
 
-    Works for float and Fraction transmittance alike; this is the
-    convolution-squared route written out (amplitude times amplitude with the
-    square roots paired into exact integers), kept separate from the factored
-    engine so the two can cross-check each other.
+    This is the convolution-squared route written out (amplitude times
+    amplitude with the square roots paired into exact integers), kept
+    separate from the factored engine so the two can cross-check each other.
 
-    A Fraction eta = a/b runs the same double sum in integers: every term is
-    gamma_small(i,k,n,m,j) * a**e * (b-a)**(i+k-e) with e = k-n+m+j, the
-    term's value times b**(i+k), and the cell is one Fraction(total,
-    b**(i+k)), so no Fraction arithmetic runs inside the sum. Any other eta
-    is summed in its own arithmetic, term by term.
+    Any eta is summed in integers at its exact value a/b, a float at its
+    binary value: every term is gamma_small(i,k,n,m,j) * a**e *
+    (b-a)**(i+k-e) with e = k-n+m+j, the term's value times b**(i+k), so the
+    alternating sum cancels exactly and no Fraction arithmetic runs inside
+    it. A Fraction eta gets the cell back as one Fraction(total, b**(i+k)),
+    any other eta that quotient rounded once, bit for bit bs_prob_direct.
     """
+    a, b = eta.as_integer_ratio()
     lo, hi = _term_range(i, k, n)
-    if n > i + k or lo > hi:
-        return 0 * eta
-    if isinstance(eta, Fraction):
-        a, b = eta.numerator, eta.denominator
-        total = 0
-        for m in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                e = k - n + m + j
-                term = gamma_small(i, k, n, m, j) * a**e * (b - a) ** (i + k - e)
-                total += -term if (m + j) & 1 else term
-        return Fraction(total, b ** (i + k))
-    om = 1 - eta
-    total = 0 * eta
+    total = 0
     for m in range(lo, hi + 1):
         for j in range(lo, hi + 1):
-            term = gamma_small(i, k, n, m, j) * eta ** (k - n + m + j) * om ** (i + n - m - j)
+            e = k - n + m + j
+            term = gamma_small(i, k, n, m, j) * a**e * (b - a) ** (i + k - e)
             total += -term if (m + j) & 1 else term
-    return total
+    q = b ** (i + k)
+    return Fraction(total, q) if isinstance(eta, Fraction) else total / q
 
 
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -270,8 +260,7 @@ def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     parameter's exact value, rounded once, within half an ulp at every total."""
     _require(c, Device.BS)
     i, k, n = c.i, c.k, c.n
-    lo, hi = _term_range(i, k, n)
-    if n > i + k or lo > hi:
+    if n > i + k:
         return 0.0
     return _rounded_quotient(*_exact_factor_sums(i, k, n, *_exact_ratio(p)))
 

@@ -206,27 +206,25 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
 
 
 def _seed_row(row: np.ndarray, counts: list, x, one, powers) -> None:
-    """Write _bs_binomial_row(counts, x, one) into row. Given powers =
-    _float_powers(x, one - x, m) with m >= s, a float row takes the same
-    products, float(count) * x**n * (one-x)**(s-n), in place, while the
-    counts convert to floats."""
-    if powers is not None:
-        try:
-            row[:] = counts
-        except OverflowError:  # s >= 1030: _weight goes through logarithms
-            pass
-        else:
-            s = len(counts) - 1
-            row *= powers[0][: s + 1]
-            row *= powers[1][s::-1]
-            return
-    row[:] = _bs_binomial_row(counts, x, one)
+    """Write _bs_binomial_row(counts, x, one) into row in place as the
+    products count * x**n * (one-x)**(s-n), given powers =
+    _powers(x, one - x, m, row.dtype) with m >= s: exact integers in an
+    object row; in a float row the counts converted first, then the same
+    products in the same order."""
+    try:
+        row[:] = counts
+    except OverflowError:  # a float row from s = 1030 on: _weight goes through logarithms
+        row[:] = _bs_binomial_row(counts, x, one)
+        return
+    s = len(counts) - 1
+    row *= powers[0][: s + 1]
+    row *= powers[1][s::-1]
 
 
-def _float_powers(x: float, y: float, top: int) -> tuple:
-    """x**m and y**m for m <= top as two arrays, each a Python float power
-    (np.power may round differently in the last bit)."""
-    return np.array([x**m for m in range(top + 1)]), np.array([y**m for m in range(top + 1)])
+def _powers(x, y, top: int, dtype) -> tuple:
+    """x**m and y**m for m <= top as two arrays of dtype, each a Python power
+    (np.power may round a float differently in the last bit)."""
+    return np.array([x**m for m in range(top + 1)], dtype), np.array([y**m for m in range(top + 1)], dtype)
 
 
 def _read_only(values) -> np.ndarray:
@@ -329,12 +327,11 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
     (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
-    first = last = None  # the powers of the seed rows (0, s) and (s, 0), taken once in float precision
-    if precision == "float":
-        first, last = _float_powers(om, one - om, kmax), _float_powers(eta, one - eta, imax)
+    dtype = float if precision == "float" else object
+    first, last = _powers(om, one - om, kmax, dtype), _powers(eta, one - eta, imax, dtype)  # of the seed rows
     for s in range(imax + kmax + 1):
         lo, hi = max(0, s - kmax), min(imax, s)
-        shell = np.zeros((hi - lo + 1, s + 1), float if precision == "float" else object)
+        shell = np.zeros((hi - lo + 1, s + 1), dtype)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
         if g0 <= g1:
             up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
@@ -648,22 +645,17 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
 
 def c_coeff(i: int, k: int, j: int) -> int:
     """Counting coefficient of the classical general-j relation: the number
-    of terms in the l sum. The branches agree on their overlaps."""
+    of terms in the l sum, l from max(0, j-i) to min(j, k)."""
     if j < 0 or j > i + k:
         raise ValueError(f"j must lie in [0, {i + k}], got {j}")
-    if j <= i and j <= k:
-        return 1 + j
-    if j >= i and j <= k:
-        return 1 + i
-    if j <= i and j >= k:
-        return 1 + k
-    return 1 - j + i + k
+    return 1 + min(i, j, k, i + k - j)
 
 
 class ClassicalTable:
     """Distribution of distinguishable photons: each routes independently, so
     every row is a convolution of the two binomial rows. Rows are memoized,
-    and so is the l-sum of the general-j relation at each (i, k, j)."""
+    and so are the l-sum of the general-j relation at each (i, k, j) and its
+    term count c(i, k, j)."""
 
     def __init__(self, p: BeamSplitterParam, precision: str = "float"):
         self.param = p
@@ -688,10 +680,10 @@ class ClassicalTable:
 
     def recurrence_residual(self, i: int, k: int, n: int, j: int):
         """classical_recurrence_check at (i, k, n, j) on this table's rows."""
-        c = c_coeff(i, k, j)  # validates j
         if (i, k, j) not in self._sums:
-            self._sums[(i, k, j)] = _term_sum(_bs_tilde_terms(i, k, j, self.row), i + k + 1, 0 * self._eta)
-        sums = self._sums[(i, k, j)]
+            c = c_coeff(i, k, j)  # validates j
+            self._sums[(i, k, j)] = c, _term_sum(_bs_tilde_terms(i, k, j, self.row), i + k + 1, 0 * self._eta)
+        c, sums = self._sums[(i, k, j)]
         total = sums[n] if 0 <= n < len(sums) else 0 * self._eta
         return abs(self.prob(i, k, n) - total / c)
 

@@ -117,6 +117,24 @@ def test_prob_rational_requires_ratio_literal():
     assert r.exit_code == 2
 
 
+_UNWRITABLE_OUT = [
+    ("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3"),
+    ("verify", "--suite", "energy"),
+    ("plotdata", "--kind", "hom-sweep", "--steps", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", _UNWRITABLE_OUT, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, argv, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing-parent" else tmp_path
+    r = run(*argv, "--out", str(out))
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    (line,) = [x for x in r.output.splitlines() if x.startswith("Error:")]
+    assert f"cannot write --out {out}" in line
+
+
 def test_prob_methods_agree():
     base = None
     for method in ("direct", "convolution", "recurrence"):

@@ -47,6 +47,37 @@ def test_factored_engine_property(i, k, n, eta):
     assert 0 <= factored <= 1
 
 
+@st.composite
+def _cells_to_total(draw, top: int = 80):
+    """(i, k, n) with i + k <= top and n <= i + k."""
+    total = draw(st.integers(0, top))
+    i = draw(st.integers(0, total))
+    return i, total - i, draw(st.integers(0, total))
+
+
+# Float transmittances: any double in [0, 1], and the ends and near-ends.
+_FLOAT_ETAS = st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0, 1e-12, 1 - 1e-12]))
+
+
+# Summed in floats, this alternating sum cancels: -0.0171 at (30,30,30) and
+# -3.8e16 at (60,60,60) for eta = 0.37. Summed in integers at the float's
+# exact value and rounded once, it is the direct route's float.
+@settings(max_examples=60, deadline=None)
+@given(_cells_to_total(), _FLOAT_ETAS)
+@example((30, 30, 30), 0.37)
+@example((40, 40, 40), 0.37)
+@example((60, 60, 60), 0.37)
+@example((30, 30, 30), 0.5)
+@example((40, 40, 40), 0.5)
+@example((60, 60, 60), 0.5)
+def test_float_double_sum_is_the_direct_float(cell, eta):
+    i, k, n = cell
+    got = bs_prob_double_sum(i, k, n, eta)
+    assert type(got) is float
+    assert got == bs_prob_direct(PhotonConfig(i, k, n), BeamSplitterParam(eta))
+    assert 0.0 <= got <= 1.0
+
+
 def test_exact_examples():
     assert bs_prob_exact(PhotonConfig(1, 1, 1), Fraction(1, 2)) == 0
     assert bs_prob_exact(PhotonConfig(1, 1, 0), Fraction(1, 2)) == Fraction(1, 2)

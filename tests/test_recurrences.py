@@ -48,7 +48,7 @@ def test_c_coeff_piecewise():
     assert c_coeff(2, 3, 1) == 2
     assert c_coeff(0, 0, 0) == 1
     assert c_coeff(2, 2, 3) == 1 - 3 + 2 + 2
-    assert c_coeff(4, 2, 2) == 3  # j >= k branch
+    assert c_coeff(4, 2, 2) == 3  # j >= k: 1 + k
     with pytest.raises(ValueError):
         c_coeff(2, 2, 5)
     with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ import fockmix.recurrences as recurrences
 import fockmix.verify as verify
 from fock_oracle import bs_tilde_row_reference, tms_tilde_reference
 from fockmix.errors import ConvergenceError
-from fockmix.params import BeamSplitterParam, SqueezerParam
-from fockmix.probabilities import normalization_residual
+from fockmix.params import BeamSplitterParam, PhotonConfig, SqueezerParam
+from fockmix.probabilities import bs_prob_direct, normalization_residual
 from fockmix.recurrences import (
     bs_recurrence_check,
     bs_table_convolution,
@@ -92,6 +92,16 @@ def test_an_unsettled_squeezer_row_fails_its_own_case_with_its_error_text(monkey
                 want.append(verify.Failure(f"tms row (i={i},k={k})", f"lam={lam}", "sum=1", str(exc.value), "1e-10"))
     geometric = verify.Failure("tms row (0,0)", "lam=0.5", "geometric sum 1", want[0].got, "1e-12")
     assert result.cases == cases and result.failures == [*want, geometric]
+
+
+def test_hom_sweep_is_the_direct_route_bit_for_bit():
+    # Summed in floats, the cell is 0.06760000000000002 at 0.37; the exact
+    # value rounds to 0.06760000000000001.
+    cell = PhotonConfig(1, 1, 1)
+    sweep = verify.hom_sweep(101)
+    assert len(sweep) == 101
+    for eta, value in sweep:
+        assert value == bs_prob_direct(cell, BeamSplitterParam(eta)), eta
 
 
 def test_exact_identity_suites_pass():
