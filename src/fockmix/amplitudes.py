@@ -1,11 +1,11 @@
 """Fock-basis transition amplitudes of the beam splitter and two-mode squeezer.
 
-Two routes are provided for the beam splitter: the direct alternating sum,
-evaluated exactly in integers, and the convolution of the two vacuum-seeded
-rows. They are algebraically equal term by term; keeping both checks a float
-evaluation order of a violently cancelling sum against the exact one.
-Squeezer amplitudes go through the partial-time-reversal bridge (one code
-path, one sign convention):
+Two independent routes are provided for the beam splitter: the direct
+alternating sum, evaluated exactly in integers, and the convolution route,
+which builds the amplitude from vacuum by adding one photon at a time
+(_photon_addition_shells). Keeping both checks a float fill against the
+exact value of a violently cancelling sum. Squeezer amplitudes go through the
+partial-time-reversal bridge (one code path, one sign convention):
 
     <n,m|TMS(lam)|i,k> = sqrt(1-lam) * <n,k|BS(1-lam)|i,m>,   m = n+k-i.
 
@@ -19,21 +19,21 @@ the probability engine at every total: sqrt(i! k! n! (N-n)!) factors out of
 every term of the direct sum, which leaves a positive constant times
 (-1)**i * U, and A**2 = B = U*V / q**N for eta = p/q. The amplitude is the
 root of that exact probability, rounded once to a float (within one ulp),
-with the sign of the direct sum. The convolution route sums plain floats with
-compensated summation up to total photon number 32; above that the float sum
-loses more than ~1e-11 absolute in double precision, so it returns the direct
-route's exact value instead. The two single-cell routes cross-check each
-other only up to total 32. The float convolution table
-(recurrences.bs_table_convolution) does not read this sum: at every total
-its rows come from a stable photon-addition fill, independent of the direct
-route and within the absolute bound that README states. Its entries are
-not the squares of this sum bit for bit; up to total 32 the two float
-evaluations agree to 1e-12 absolute.
+with the sign of the direct sum. The convolution route reads neither the
+exact engine nor the direct route, at any total: it runs the stable
+photon-addition fill of the block i' <= i, k' <= k in floats and returns
+entry n of row (i, k), clipped to [-1, 1]. That row is bit for bit row
+(i, k) of every float convolution table that holds it
+(recurrences.bs_table_convolution), so the square of the amplitude is the
+table's entry. A call costs O(i*k*(i+k)) flops, against the direct route's
+one exact sum; up to total 32 the two routes agree to 3e-15 (README).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .numerics import sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -55,24 +55,12 @@ __all__ = [
     "tms_amplitude",
 ]
 
-# Above this total photon number the float convolution sum's 53-bit error can
-# exceed ~1e-11 absolute.
-_FLOAT_MAX_TOTAL = 32
-
-
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
     """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input."""
     if n < 0 or n > i:
         return 0.0
     value = sqrt_binomial(i, n) * p.eta ** (0.5 * n) * (1.0 - p.eta) ** (0.5 * (i - n))
     return -value if (i - n) % 2 else value
-
-
-def _bs_vacuum_row_b(k: int, n: int, p: BeamSplitterParam) -> float:
-    """Amplitude sqrt(C(k,n) (1-eta)^n eta^(k-n)) for |0, k> input (no phase)."""
-    if n < 0 or n > k:
-        return 0.0
-    return sqrt_binomial(k, n) * (1.0 - p.eta) ** (0.5 * n) * p.eta ** (0.5 * (k - n))
 
 
 def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
@@ -87,17 +75,13 @@ def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
 
 
 def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
-    """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>, from its exact
-    factored sums at every total (within one ulp)."""
+    """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>: (-1)**i sgn(U)
+    sqrt(U*V / q**(i+k)) from its exact factored sums at every total (within
+    one ulp)."""
     _require(c, Device.BS)
     if c.n > c.i + c.k:
         return 0.0
-    return _bs_amplitude_exact(c.i, c.k, c.n, p)
-
-
-def _bs_amplitude_exact(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
-    """(-1)**i sgn(U) sqrt(U*V / q**(i+k)) from the exact factored sums."""
-    return _signed_root(i, *_exact_factor_sums(i, k, n, *_exact_ratio(p)))
+    return _signed_root(c.i, *_exact_factor_sums(c.i, c.k, c.n, *_exact_ratio(p)))
 
 
 def _signed_root(i: int, u: int, v: int, q: int) -> float:
@@ -107,20 +91,51 @@ def _signed_root(i: int, u: int, v: int, q: int) -> float:
 
 
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
-    """Convolution of the two vacuum rows for <n, i+k-n|BS(eta)|i, k>: up to
-    total 32 the compensated sum over t of sqrt(C(n,t)) sqrt(C(i+k-n,i-t))
-    bs_vacuum_row(i,t) _bs_vacuum_row_b(k,n-t), multiplied left to right;
-    above it the direct route's exact value."""
+    """<n, i+k-n|BS(eta)|i, k> as entry n of the last shell of
+    _photon_addition_shells(i, k, eta), the single row (i, k), clipped to
+    [-1, 1]; its square is the entry of any float convolution table."""
     _require(c, Device.BS)
-    i, k, n = c.i, c.k, c.n
-    if n > i + k:
+    if c.n > c.i + c.k:
         return 0.0
-    if i + k > _FLOAT_MAX_TOTAL:
-        return _bs_amplitude_exact(i, k, n, p)
-    return math.fsum([
-        sqrt_binomial(n, t) * sqrt_binomial(i + k - n, i - t) * bs_vacuum_row(i, t, p) * _bs_vacuum_row_b(k, n - t, p)
-        for t in range(max(0, n - k), min(i, n) + 1)
-    ])
+    for shell in _photon_addition_shells(c.i, c.k, p.eta):
+        pass
+    return min(max(float(shell[0, c.n]), -1.0), 1.0)
+
+
+def _photon_addition_shells(imax: int, kmax: int, eta: float):
+    """Yield the amplitude rows of shells s = 0..imax+kmax, each one array
+    [row, n] over the rows (i, s-i), i from max(0, s-kmax) to min(imax, s),
+    and n = 0..s, signed as bs_vacuum_row.
+
+    Adding a photon to an input is the coupling j x 1/2 -> j + 1/2 of the
+    Wigner d-matrix that each shell of the beam splitter is (Risbo 1996).
+    With t = sqrt(eta), r = sqrt(1-eta), R_a = R(i-1, k) and R_b = R(i, k-1):
+
+        i R(i,k)[n] = sqrt(i) (t sqrt(n) R_a[n-1] - r sqrt(s-n) R_a[n])
+        k R(i,k)[n] = sqrt(k) (r sqrt(n) R_b[n-1] + t sqrt(s-n) R_b[n])
+
+    Either step alone is unstable (a fill by one of them is 0.12 off at
+    60x60, eta = 3/10); their sum over s, the weighted mean of the two, is
+    stable. A shell reads only the rows of the shell below that the table
+    holds."""
+    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    root = np.sqrt(np.arange(imax + kmax + 1))
+    shell, lo = np.ones((1, 1)), 0
+    yield shell
+    for s in range(1, imax + kmax + 1):
+        prev, lo1 = shell, lo
+        lo, hi = max(0, s - kmax), min(imax, s)
+        a, b = max(lo, 1), min(hi, s - 1)  # rows from R_a: i >= a; from R_b: i <= b
+        up, down = root[1 : s + 1], root[s:0:-1]  # sqrt(n) for n >= 1, sqrt(s-n) for n < s
+        shell = np.zeros((hi - lo + 1, s + 1))
+        ra, wa = prev[a - 1 - lo1 : hi - lo1], root[a : hi + 1, None]
+        shell[a - lo :, 1:] += t * wa * (ra * up)
+        shell[a - lo :, :-1] -= r * wa * (ra * down)
+        rb, wb = prev[lo - lo1 : b + 1 - lo1], root[s - lo : s - b - 1 : -1, None]  # sqrt(k), k >= 1
+        shell[: b + 1 - lo, 1:] += r * wb * (rb * up)
+        shell[: b + 1 - lo, :-1] += t * wb * (rb * down)
+        shell /= s
+        yield shell
 
 
 def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str = "direct") -> float:

@@ -17,8 +17,10 @@ parameter, a float or, in rational precision, its canonical fraction, so
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -84,6 +86,15 @@ def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = N
         raise click.UsageError(f"the table would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse (exit 2) before any work, with _emit's error, an --out that is a
+    directory or lies in no directory. Nothing is opened, so a command that
+    fails later leaves no file."""
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+        raise click.UsageError(f"cannot write --out {out}: {os.strerror(code)}")
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     """Write the chunks of text in turn to the --out file, or to stdout. An
     --out that cannot be opened (a missing parent directory, a directory) is
@@ -130,8 +141,11 @@ def _note(record: dict) -> None:
 def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, method: str) -> None:
     """Print one transition amplitude."""
     param = _param(device, eta, lam)
+    pc = _config(i, k, n, Device(device))
+    if method == "convolution":  # the fill of block (i, k), or of the squeezer's bridge block (i, n+k-i)
+        _check_table_size(Device.BS, i, k if device == "bs" else pc.m)
     amplitude = bs_amplitude if device == "bs" else tms_amplitude
-    click.echo(repr(amplitude(_config(i, k, n, Device(device)), param, method=method)))
+    click.echo(repr(amplitude(pc, param, method=method)))
 
 
 @main.command()
@@ -151,6 +165,8 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
     pc = _config(i, k, n, Device(device))
     if method == "recurrence":
         _check_table_size(pc.device, i, k, n)
+    elif method == "convolution" and precision == "float":  # as amp
+        _check_table_size(Device.BS, i, k if device == "bs" else pc.m)
     if precision == "rational":
         click.echo(str(_prob_rational(pc, param, method)))
     else:
@@ -175,14 +191,13 @@ def _prob_rational(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, m
 
 
 def _prob_float(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> float:
+    if method == "convolution":  # a * a is the table's entry bit for bit; a ** 2 may not be
+        a = (bs_amplitude if pc.device is Device.BS else tms_amplitude)(pc, param, method="convolution")
+        return a * a
     if pc.device is Device.BS:
-        if method == "convolution":
-            return bs_amplitude(pc, param, method="convolution") ** 2
         if method == "recurrence":
             return float(bs_table_recurrence(pc.i, pc.k, param).value(pc.i, pc.k, pc.n))
         return bs_prob_direct(pc, param)
-    if method == "convolution":
-        return tms_amplitude(pc, param, method="convolution") ** 2
     if method == "recurrence":
         return float(tms_table_recurrence(pc.i, pc.k, pc.n, param).value(pc.i, pc.k, pc.n))
     return tms_prob(pc, param)
@@ -237,6 +252,7 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
 @click.option("--out", type=click.Path(), default=None)
 def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> None:
     """Build a probability table and write it as CSV or JSON."""
+    _check_out(out)
     if imax < 0 or kmax < 0:
         raise click.UsageError("table sizes must be nonnegative")
     if method == "exact":
@@ -309,6 +325,7 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
 @click.option("--out", type=click.Path(), default=None)
 def verify(suite, out) -> None:
     """Run a named invariant suite; exit 0 on all-pass, 1 on any failure."""
+    _check_out(out)
     result = run_suite(suite)
     _emit([json.dumps(result.to_dict(), indent=2) + "\n"], out)
     if not result.ok:
@@ -332,6 +349,7 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     quantum versus distinguishable-photon output distributions)."""
     if steps < 2:
         raise click.UsageError("--steps must be at least 2")
+    _check_out(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if kind == "hom-sweep":

@@ -30,8 +30,8 @@ monotone, so when the two round to the same float that float is the
 correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
 is taken. Either way the float is bit for bit the same.
 
-A whole beam-splitter table (the direct table, the exact cells of a
-convolution table, the rows of a normalization check) reads the sums of every
+A whole beam-splitter table (the direct table, the exact identity rows,
+the rows of a normalization check) reads the sums of every
 cell of total N off one shell of integer polynomials, (1 - num*x)**a
 (1 + r*x)**(N-a) and (x - 1)**a (r + num*x)**(N-a), each shell the one below
 times linear factors and cut to the rows the table holds, with no binomial,
@@ -242,8 +242,11 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     alternating sum cancels exactly and no Fraction arithmetic runs inside
     it. A Fraction eta gets the cell back as one Fraction(total, b**(i+k)),
     any other eta that quotient rounded once, bit for bit bs_prob_direct.
+    An eta outside [0, 1] raises ValueError, as in bs_prob_exact.
     """
     a, b = eta.as_integer_ratio()
+    if not 0 <= a <= b:
+        raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
     lo, hi = _term_range(i, k, n)
     total = 0
     for m in range(lo, hi + 1):

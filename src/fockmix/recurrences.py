@@ -42,7 +42,9 @@ and safe to share.
 The float convolution table is a third route, apart from the exact engine
 and the five-term fill. At every total a shell is the square of a
 photon-addition step on the amplitude rows of the shell below
-(_photon_addition_shells), clipped at 1.
+(amplitudes._photon_addition_shells), clipped at 1. The single-cell
+convolution amplitude runs the same fill on its own block, so its square is
+the table's entry bit for bit.
 
 The last term of each five-term form is the interference correction. The
 distinguishable-photon model at the end of the module has no such term: its
@@ -60,6 +62,7 @@ from typing import Union
 
 import numpy as np
 
+from .amplitudes import _photon_addition_shells
 from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam
@@ -284,42 +287,6 @@ def _store_shell(t: ProbabilityTable, s: int, shell) -> None:
     lo = max(0, s - t.kmax)
     for r, row in enumerate(shell):
         t.entries[(lo + r, s - lo - r)] = row
-
-
-def _photon_addition_shells(imax: int, kmax: int, eta: float):
-    """Yield the amplitude rows of shells s = 0..imax+kmax, each one array
-    [row, n] over the rows (i, s-i), i from max(0, s-kmax) to min(imax, s),
-    and n = 0..s, signed as bs_vacuum_row.
-
-    Adding a photon to an input is the coupling j x 1/2 -> j + 1/2 of the
-    Wigner d-matrix that each shell of the beam splitter is (Risbo 1996).
-    With t = sqrt(eta), r = sqrt(1-eta), R_a = R(i-1, k) and R_b = R(i, k-1):
-
-        i R(i,k)[n] = sqrt(i) (t sqrt(n) R_a[n-1] - r sqrt(s-n) R_a[n])
-        k R(i,k)[n] = sqrt(k) (r sqrt(n) R_b[n-1] + t sqrt(s-n) R_b[n])
-
-    Either step alone is unstable (a fill by one of them is 0.12 off at
-    60x60, eta = 3/10); their sum over s, the weighted mean of the two, is
-    stable. A shell reads only the rows of the shell below that the table
-    holds."""
-    t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
-    root = np.sqrt(np.arange(imax + kmax + 1))
-    shell, lo = np.ones((1, 1)), 0
-    yield shell
-    for s in range(1, imax + kmax + 1):
-        prev, lo1 = shell, lo
-        lo, hi = max(0, s - kmax), min(imax, s)
-        a, b = max(lo, 1), min(hi, s - 1)  # rows from R_a: i >= a; from R_b: i <= b
-        up, down = root[1 : s + 1], root[s:0:-1]  # sqrt(n) for n >= 1, sqrt(s-n) for n < s
-        shell = np.zeros((hi - lo + 1, s + 1))
-        ra, wa = prev[a - 1 - lo1 : hi - lo1], root[a : hi + 1, None]
-        shell[a - lo :, 1:] += t * wa * (ra * up)
-        shell[a - lo :, :-1] -= r * wa * (ra * down)
-        rb, wb = prev[lo - lo1 : b + 1 - lo1], root[s - lo : s - b - 1 : -1, None]  # sqrt(k), k >= 1
-        shell[: b + 1 - lo, 1:] += r * wb * (rb * up)
-        shell[: b + 1 - lo, :-1] += t * wb * (rb * down)
-        shell /= s
-        yield shell
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:

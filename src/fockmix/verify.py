@@ -133,11 +133,10 @@ def tms_sweep(steps: int = 101) -> list[tuple[float, float]]:
     The lam=1 endpoint is taken as the continuous limit through the reversed
     beam splitter at eta=0 (the parameter type itself keeps lam < 1).
     """
-    out = []
-    for idx in range(steps):
-        lam = idx / (steps - 1)
-        out.append((lam, (1.0 - lam) * bs_prob_double_sum(1, 1, 1, 1.0 - lam)))
-    return out
+    return [
+        (lam, (1.0 - lam) * bs_prob_double_sum(1, 1, 1, 1.0 - lam))
+        for lam in (idx / (steps - 1) for idx in range(steps))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +419,10 @@ def _suite_classical(res: VerificationResult) -> None:
                 worst = nan_max(worst, abs(four - 2.0 * ctf.prob(i, k, n)))
     res.within(worst, 1e-12, "four-term doubling i,k<=8", "eta=0.6", "<=1e-12")
 
-    ok = True
-    for i in range(11):
-        for k in range(11):
-            for j in range(i + k + 1):
-                count = min(j, k) - max(0, j - i) + 1
-                if count != c_coeff(i, k, j):
-                    ok = False
+    ok = all(
+        c_coeff(i, k, j) == min(j, k) - max(0, j - i) + 1
+        for i in range(11) for k in range(11) for j in range(i + k + 1)
+    )
     res.check(ok, "c(i,k,j) equals term count", "i,k<=10", True, ok, "exact")
 
 
@@ -459,12 +455,7 @@ def _suite_asymptotics(res: VerificationResult) -> None:
     # parity suppression is exact, checked in rational arithmetic
     pmax = 20
     table = bs_table_recurrence(pmax, pmax, BeamSplitterParam.from_value("1/2"), "rational")
-    ok = True
-    for i in range(pmax + 1):
-        row = table.row(i, i)
-        for n in range(1, 2 * i + 1, 2):
-            if row[n] != 0:
-                ok = False
+    ok = all(table.value(i, i, n) == 0 for i in range(pmax + 1) for n in range(1, 2 * i + 1, 2))
     res.check(ok, f"odd-n diagonal zeros i<={pmax}", "eta=1/2", "exact zeros", ok, "exact")
     mid = bs_diag_asymptotic(100, 100)
     want = 2.0 / (math.pi * 100.0)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import fockmix
 from fockmix.amplitudes import (
-    _bs_amplitude_exact,
     bs_amplitude,
     bs_amplitude_convolution,
     bs_amplitude_direct,
@@ -19,6 +18,8 @@ from fockmix.amplitudes import (
     tms_vacuum_row,
 )
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
+from fockmix.probabilities import bs_prob_direct
+from fockmix.recurrences import bs_table_convolution
 from fock_oracle import bs_unitary, element, tms_unitary
 
 
@@ -142,15 +143,16 @@ def test_tms_pair_annihilation_sign():
 
 
 def test_high_precision_escalation_seam():
-    # The direct route is exact on both sides of total 32; only the
-    # convolution route switches from its float sum there.
+    # Each route runs one code path at every total: the direct amplitude is
+    # the root of the correctly rounded probability, and the convolution
+    # route, the photon-addition fill, stays near it.
     p = BeamSplitterParam(0.44)
     for i, k in ((16, 16), (17, 16)):
         for n in (7, i + k // 2):
             cfg = PhotonConfig(i, k, n)
-            exact = _bs_amplitude_exact(i, k, n, p)
-            assert bs_amplitude_direct(cfg, p) == exact
-            assert abs(bs_amplitude_convolution(cfg, p) - exact) <= 1e-11
+            exact = bs_amplitude_direct(cfg, p)
+            assert abs(exact) == math.sqrt(bs_prob_direct(cfg, p))
+            assert abs(bs_amplitude_convolution(cfg, p) - exact) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,15 +166,37 @@ def test_direct_amplitudes_up_to_total_32_are_the_exact_ones(value, total, i, n)
     i %= total + 1
     n %= total + 1
     bp = BeamSplitterParam.from_value(value)
-    exact = _bs_amplitude_exact(i, total - i, n, bp)
-    assert bs_amplitude_direct(PhotonConfig(i, total - i, n), bp) == exact
-    assert abs(bs_amplitude_convolution(PhotonConfig(i, total - i, n), bp) - exact) <= 1e-11
+    exact = bs_amplitude_direct(PhotonConfig(i, total - i, n), bp)
+    assert abs(exact) == math.sqrt(bs_prob_direct(PhotonConfig(i, total - i, n), bp))
+    assert abs(bs_amplitude_convolution(PhotonConfig(i, total - i, n), bp) - exact) <= 1e-14
     # the squeezer amplitude whose bridge is this beam-splitter cell
     sp = SqueezerParam.from_value(value)
-    bridge = _bs_amplitude_exact(i, total - i, n, sp.ptr_beamsplitter())
+    bridge = bs_amplitude_direct(PhotonConfig(i, total - i, n), sp.ptr_beamsplitter())
     k = total - n
     got = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), sp)
     assert got == math.sqrt(1.0 - sp.lam) * bridge
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    value=st.sampled_from(["0", "1", "1e-12", "0.999999999999", "0.37"])
+    | st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}")),
+    total=st.integers(0, 60),
+    i=st.integers(0, 60),
+    n=st.integers(0, 60),
+)
+@example(value="0", total=2, i=0, n=2)  # unclipped, the square is 1.0000000000000004
+def test_convolution_amplitude_is_the_table_entry_root(value, total, i, n):
+    # The single cell runs the photon-addition fill of its own block, so its
+    # square is the convolution table's entry bit for bit, at every total.
+    i %= total + 1
+    n %= total + 1
+    p = BeamSplitterParam.from_value(value)
+    cfg = PhotonConfig(i, total - i, n)
+    a = bs_amplitude_convolution(cfg, p)
+    assert abs(a) <= 1.0
+    assert a * a == bs_table_convolution(i, total - i, p).value(i, total - i, n)
+    assert abs(a - bs_amplitude_direct(cfg, p)) <= 1e-13
 
 
 def _bs_row(i: int, k: int, p: BeamSplitterParam) -> list[float]:

@@ -126,13 +126,26 @@ _UNWRITABLE_OUT = [
 
 @pytest.mark.parametrize("argv", _UNWRITABLE_OUT, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])
-def test_an_unwritable_out_is_a_usage_error(tmp_path, argv, where):
+def test_an_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, argv, where):
+    # refused before any work: no table is built, no suite or sweep runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for name in ("bs_table_recurrence", "run_suite", "hom_sweep"):
+        monkeypatch.setattr(fockmix.cli, name, refuse)
     out = tmp_path / "missing" / "x.csv" if where == "missing-parent" else tmp_path
     r = run(*argv, "--out", str(out))
     assert r.exit_code == 2
     assert r.exception is None or isinstance(r.exception, SystemExit)
     (line,) = [x for x in r.output.splitlines() if x.startswith("Error:")]
     assert f"cannot write --out {out}" in line
+
+
+def test_prob_convolution_is_the_table_entry_near_the_direct_route():
+    argv = ("prob", "--device", "bs", "--i", "20", "--k", "20", "--n", "20", "--eta", "0.37")
+    conv = float(run(*argv, "--method", "convolution").output)
+    assert conv == recurrences.bs_table_convolution(20, 20, BeamSplitterParam(0.37)).value(20, 20, 20)
+    assert abs(conv - float(run(*argv).output)) <= 1e-15
 
 
 def test_prob_methods_agree():
@@ -365,6 +378,11 @@ _TABLE_BUILDING_COMMANDS = [
     ("prob", "--device", "tms", "--i", "6", "--k", "6", "--n", "3", "--lambda", "1/2", "--precision", "rational",
      "--method", "recurrence"),
     ("plotdata", "--kind", "diag-asymptotic", "--i", "6"),
+    # the convolution route fills the block (i, k), or the squeezer's bridge block (i, n+k-i)
+    ("amp", "--device", "bs", "--i", "6", "--k", "6", "--n", "3", "--eta", "0.5", "--method", "convolution"),
+    ("amp", "--device", "tms", "--i", "6", "--k", "6", "--n", "3", "--lambda", "0.5", "--method", "convolution"),
+    ("prob", "--device", "bs", "--i", "6", "--k", "6", "--n", "3", "--eta", "0.5", "--method", "convolution"),
+    ("prob", "--device", "tms", "--i", "6", "--k", "6", "--n", "3", "--lambda", "0.5", "--method", "convolution"),
 ]
 
 
@@ -373,9 +391,9 @@ def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("a builder ran for an oversize table")
 
-    for name in ("bs_table_recurrence", "tms_table_recurrence", "convergence_report"):
+    for name in ("bs_table_recurrence", "tms_table_recurrence", "convergence_report", "bs_amplitude", "tms_amplitude"):
         monkeypatch.setattr(fockmix.cli, name, refuse)
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 100)  # each table above holds 196 or 343
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 100)  # each table above holds 154, 196 or 343
     r = run(*argv)
     assert r.exit_code == 2
     assert "above the limit of 100" in r.output
@@ -385,6 +403,9 @@ def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeyp
     (_TABLE_BUILDING_COMMANDS[0], 343),  # the 7x7 beam-splitter table, rows of i+k+1
     (_TABLE_BUILDING_COMMANDS[2], 196),  # the 7x7x4 squeezer table
     (_TABLE_BUILDING_COMMANDS[4], 343),  # bounded as a 7x7 beam-splitter table
+    (_TABLE_BUILDING_COMMANDS[5], 343),  # the 7x7 block of the fill
+    (_TABLE_BUILDING_COMMANDS[6], 154),  # the 7x4 bridge block, m = 3
+    (_TABLE_BUILDING_COMMANDS[8], 154),
 ])
 def test_commands_that_build_tables_run_at_the_entry_limit(monkeypatch, argv, entries):
     monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
