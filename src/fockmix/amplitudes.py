@@ -18,10 +18,11 @@ Accuracy policy: the direct route takes the exact factored sums U and V of
 the probability engine at every total: sqrt(i! k! n! (N-n)!) factors out of
 every term of the direct sum, which leaves a positive constant times
 (-1)**i * U, and A**2 = B = U*V / q**N for eta = p/q. The amplitude is the
-root of that exact probability, rounded once to a float (within one ulp),
-with the sign of the direct sum. The convolution route reads neither the
-exact engine nor the direct route, at any total: it runs the stable
-photon-addition fill of the block i' <= i, k' <= k in floats and returns
+root of that exact probability, scaled by a power of 4 into the normal
+floats and rounded there (within one ulp, also where the probability
+underflows: _signed_root), with the sign of the direct sum. The convolution
+route reads neither the exact engine nor the direct route, at any total: it
+runs the stable photon-addition fill of the block i' <= i, k' <= k in floats and returns
 entry n of row (i, k), clipped to [-1, 1]. That row is bit for bit row
 (i, k) of every float convolution table that holds it
 (recurrences.bs_table_convolution), so the square of the amplitude is the
@@ -35,7 +36,6 @@ import math
 
 import numpy as np
 
-from .numerics import sqrt_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import (
     _bridge,
@@ -56,22 +56,29 @@ __all__ = [
 ]
 
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
-    """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input."""
+    """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input
+    at the floats eta and 1.0 - eta; measured within 2.7e-13 relative of the
+    direct route up to i = 6000 (most at p/q values, which that takes exactly)."""
     if n < 0 or n > i:
         return 0.0
-    value = sqrt_binomial(i, n) * p.eta ** (0.5 * n) * (1.0 - p.eta) ** (0.5 * (i - n))
-    return -value if (i - n) % 2 else value
+    return _signed_root(i - n, *_binary_product(i, n, p.eta, n, 1.0 - p.eta, i - n))
 
 
 def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
-    """Amplitude sqrt(C(n,i)) (1-lam)^((1+i)/2) lam^((n-i)/2) for |i, 0> input."""
+    """Amplitude sqrt(C(n,i)) (1-lam)^((1+i)/2) lam^((n-i)/2) for |i, 0> input
+    at the floats lam and 1.0 - lam; measured within 2.2e-13 relative of the
+    direct route up to n = 3000, except at float lam whose 1.0 - lam rounds
+    (the direct route runs at 1 - (1.0 - lam): 2.3e-10 off at 1e-5)."""
     if n < i:
         return 0.0
-    return (
-        sqrt_binomial(n, i)
-        * (1.0 - p.lam) ** (0.5 * (1 + i))
-        * p.lam ** (0.5 * (n - i))
-    )
+    return _signed_root(0, *_binary_product(n, i, 1.0 - p.lam, 1 + i, p.lam, n - i))
+
+
+def _binary_product(top: int, j: int, x: float, a: int, y: float, b: int) -> tuple[int, int, int]:
+    """C(top, j) x**a y**b as exact sums (U, V, Q), U*V / Q, for _signed_root: the
+    floats x, y in [0, 1] are binary fractions, so nothing overflows or underflows."""
+    (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
+    return math.comb(top, j) * px**a, py**b, qx**a * qy**b
 
 
 def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -85,8 +92,12 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
 
 
 def _signed_root(i: int, u: int, v: int, q: int) -> float:
-    """The amplitude of input i from its exact factored sums (U, V, Q)."""
-    mag = math.sqrt(_rounded_quotient(u, v, q))
+    """The amplitude of input i from its exact factored sums (U, V, Q): the
+    root of U*V*4**e / Q, a float near 1 or above, times 2**-e (within one
+    ulp at every magnitude). Scaling by a power of 4 is exact, so where U*V / Q
+    is a normal float this is bit for bit the root of its rounded value."""
+    e = max(0, (q.bit_length() - u.bit_length() - v.bit_length()) // 2)  # bit_length ignores the sign
+    mag = math.ldexp(math.sqrt(_rounded_quotient(u << 2 * e, v, q)), -e)
     return -mag if mag and (u < 0) != (i % 2 == 1) else mag
 
 
@@ -152,6 +163,8 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> 
     sqrt(1-lam) times bs_amplitude of the bridge cell at eta = 1-lam, bit for
     bit. The direct route reads the bridge cell's exact sums straight from
     the partner ratio."""
+    if method not in ("direct", "convolution"):
+        raise ValueError(f"unknown amplitude method {method!r}")
     _require(c, Device.TMS)
     m = c.m
     if m < 0:

@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable
-from fractions import Fraction
 
 import click
 
@@ -75,15 +74,40 @@ def _config(i: int, k: int, n: int, device: Device) -> PhotonConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None) -> None:
-    """Refuse (exit 2) a table above _MAX_TABLE_ENTRIES before it is built:
-    beam-splitter rows (i, k) hold i+k+1 values, squeezer rows nmax+1."""
+def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None, what: str = "the table") -> None:
+    """Refuse (exit 2) `what`, a table above _MAX_TABLE_ENTRIES, before it is
+    built: beam-splitter rows (i, k) hold i+k+1 values, squeezer rows nmax+1."""
     if device is Device.BS:
         entries = (imax + 1) * (kmax + 1) * (imax + kmax + 2) // 2
     else:
         entries = (imax + 1) * (kmax + 1) * (nmax + 1)
     if entries > _MAX_TABLE_ENTRIES:
-        raise click.UsageError(f"the table would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
+        raise click.UsageError(f"{what} would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
+
+
+def _amplitude(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> float:
+    """The amplitude of pc by the route `method`, after refusing (exit 2) a
+    convolution whose photon-addition fill of block (i, k), or of the
+    squeezer's bridge block (i, n+k-i), is above the entry limit."""
+    if method == "convolution":
+        k = pc.k if pc.device is Device.BS else pc.m
+        _check_table_size(Device.BS, pc.i, k, what=f"the photon-addition fill of block (i={pc.i}, k={k})")
+    return (bs_amplitude if pc.device is Device.BS else tms_amplitude)(pc, param, method=method)
+
+
+def _build_table(device: str, method: str, imax: int, kmax: int, nmax: int | None,
+                 param: BeamSplitterParam | SqueezerParam, precision: str) -> ProbabilityTable:
+    """The --device --method table, after refusing a squeezer convolution table
+    and one above the entry limit; the builders are looked up when called."""
+    if device == "tms" and method == "convolution":
+        raise click.UsageError("squeezer tables support direct and recurrence methods")
+    _check_table_size(Device(device), imax, kmax, nmax)
+    if device == "bs":
+        builder = {"direct": bs_table_direct, "convolution": bs_table_convolution,
+                   "recurrence": bs_table_recurrence}[method]
+        return builder(imax, kmax, param, precision)
+    builder = tms_table_direct if method == "direct" else tms_table_recurrence
+    return builder(imax, kmax, nmax, param, precision)
 
 
 def _check_out(out: str | None) -> None:
@@ -142,10 +166,7 @@ def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, m
     """Print one transition amplitude."""
     param = _param(device, eta, lam)
     pc = _config(i, k, n, Device(device))
-    if method == "convolution":  # the fill of block (i, k), or of the squeezer's bridge block (i, n+k-i)
-        _check_table_size(Device.BS, i, k if device == "bs" else pc.m)
-    amplitude = bs_amplitude if device == "bs" else tms_amplitude
-    click.echo(repr(amplitude(pc, param, method=method)))
+    click.echo(repr(_amplitude(pc, param, method)))
 
 
 @main.command()
@@ -161,46 +182,26 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
     """Print one transition probability."""
     if method == "exact":
         precision, method = "rational", "direct"
-    param = _param(device, eta, lam, precision == "rational")
+    rational, bs = precision == "rational", device == "bs"
+    param = _param(device, eta, lam, rational)
     pc = _config(i, k, n, Device(device))
     if method == "recurrence":
-        _check_table_size(pc.device, i, k, n)
-    elif method == "convolution" and precision == "float":  # as amp
-        _check_table_size(Device.BS, i, k if device == "bs" else pc.m)
-    if precision == "rational":
-        click.echo(str(_prob_rational(pc, param, method)))
+        value = _build_table(device, method, i, k, n, param, precision).value(i, k, n)
+    elif method == "convolution" and rational:
+        if not bs:
+            raise click.UsageError(
+                "squeezer amplitudes are irrational; rational precision supports "
+                "direct, exact and recurrence methods"
+            )
+        value = bs_prob_double_sum(i, k, n, param.eta_exact)
+    elif method == "convolution":
+        a = _amplitude(pc, param, method)
+        value = a * a  # the table's entry bit for bit; a ** 2 may not be
+    elif rational:
+        value = bs_prob_exact(pc, param.eta_exact) if bs else tms_prob_exact(pc, param.lam_exact)
     else:
-        click.echo(repr(_prob_float(pc, param, method)))
-
-
-def _prob_rational(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> Fraction:
-    if pc.device is Device.BS:
-        if method == "convolution":
-            return bs_prob_double_sum(pc.i, pc.k, pc.n, param.eta_exact)
-        if method == "recurrence":
-            return bs_table_recurrence(pc.i, pc.k, param, "rational").value(pc.i, pc.k, pc.n)
-        return bs_prob_exact(pc, param.eta_exact)
-    if method == "convolution":
-        raise click.UsageError(
-            "squeezer amplitudes are irrational; rational precision supports "
-            "direct, exact and recurrence methods"
-        )
-    if method == "recurrence":
-        return tms_table_recurrence(pc.i, pc.k, pc.n, param, "rational").value(pc.i, pc.k, pc.n)
-    return tms_prob_exact(pc, param.lam_exact)
-
-
-def _prob_float(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> float:
-    if method == "convolution":  # a * a is the table's entry bit for bit; a ** 2 may not be
-        a = (bs_amplitude if pc.device is Device.BS else tms_amplitude)(pc, param, method="convolution")
-        return a * a
-    if pc.device is Device.BS:
-        if method == "recurrence":
-            return float(bs_table_recurrence(pc.i, pc.k, param).value(pc.i, pc.k, pc.n))
-        return bs_prob_direct(pc, param)
-    if method == "recurrence":
-        return float(tms_table_recurrence(pc.i, pc.k, pc.n, param).value(pc.i, pc.k, pc.n))
-    return tms_prob(pc, param)
+        value = (bs_prob_direct if bs else tms_prob)(pc, param)
+    click.echo(str(value) if rational else repr(float(value)))
 
 
 def _table_chunks(table: ProbabilityTable, fmt: str):
@@ -263,20 +264,8 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
             raise click.UsageError("--nmax is required for squeezer tables")
         if nmax < 0:
             raise click.UsageError("table sizes must be nonnegative")
-        if method == "convolution":
-            raise click.UsageError("squeezer tables support direct and recurrence methods")
-    _check_table_size(Device(device), imax, kmax, nmax)
     started = time.perf_counter()
-    if device == "bs":
-        builder = {
-            "direct": bs_table_direct,
-            "convolution": bs_table_convolution,
-            "recurrence": bs_table_recurrence,
-        }[method]
-        t = builder(imax, kmax, param, precision)
-    else:
-        builder = tms_table_direct if method == "direct" else tms_table_recurrence
-        t = builder(imax, kmax, nmax, param, precision)
+    t = _build_table(device, method, imax, kmax, nmax, param, precision)
     built = time.perf_counter()
     residual = t.normalization_max_residual()
     checked = time.perf_counter()
@@ -352,13 +341,10 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     _check_out(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if kind == "hom-sweep":
-        writer.writerow(["eta", "prob"])
-        for x, v in hom_sweep(steps):
-            writer.writerow([repr(x), repr(v)])
-    elif kind == "tms-sweep":
-        writer.writerow(["lambda", "prob"])
-        for x, v in tms_sweep(steps):
+    if kind in ("hom-sweep", "tms-sweep"):
+        column, sweep = ("eta", hom_sweep) if kind == "hom-sweep" else ("lambda", tms_sweep)
+        writer.writerow([column, "prob"])
+        for x, v in sweep(steps):
             writer.writerow([repr(x), repr(v)])
     elif kind == "quantum-classical":
         if i < 0 or (k is not None and k < 0):

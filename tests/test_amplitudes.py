@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from fockmix.amplitudes import (
     tms_vacuum_row,
 )
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from fockmix.probabilities import bs_prob_direct
+from fockmix.probabilities import bs_prob_direct, bs_prob_exact
 from fockmix.recurrences import bs_table_convolution
 from fock_oracle import bs_unitary, element, tms_unitary
 
@@ -53,6 +54,17 @@ def test_tms_vacuum_row_values():
     assert math.isclose(tms_vacuum_row(0, 0, p), math.sqrt(0.5), rel_tol=1e-14)
     assert math.isclose(tms_vacuum_row(0, 2, p), math.sqrt(0.5) * 0.5, rel_tol=1e-14)
     assert tms_vacuum_row(2, 1, SqueezerParam(0.3)) == 0.0
+
+
+@pytest.mark.parametrize("value", ["1/2", "1/3", "0.37"])
+def test_vacuum_rows_past_the_float_range_of_the_binomial_match_the_direct_route(value):
+    # C(3000, 1500) is about 1e901, far past the largest float
+    bp, sp = BeamSplitterParam.from_value(value), SqueezerParam.from_value(value)
+    direct = bs_amplitude_direct(PhotonConfig(3000, 0, 1500), bp)
+    assert math.isclose(bs_vacuum_row(3000, 1500, bp), direct, rel_tol=2.7e-13)
+    direct = tms_amplitude(PhotonConfig(1500, 0, 3000, Device.TMS), sp)
+    assert math.isclose(tms_vacuum_row(1500, 3000, sp), direct, rel_tol=2.2e-13)
+    assert bs_vacuum_row(3000, 1500, BeamSplitterParam(0.5)) == 0.12069009286513847
 
 
 def test_bs_amplitude_direct_examples():
@@ -167,7 +179,11 @@ def test_direct_amplitudes_up_to_total_32_are_the_exact_ones(value, total, i, n)
     n %= total + 1
     bp = BeamSplitterParam.from_value(value)
     exact = bs_amplitude_direct(PhotonConfig(i, total - i, n), bp)
-    assert abs(exact) == math.sqrt(bs_prob_direct(PhotonConfig(i, total - i, n), bp))
+    prob = bs_prob_direct(PhotonConfig(i, total - i, n), bp)
+    if prob >= sys.float_info.min:
+        assert abs(exact) == math.sqrt(prob)
+    else:  # the root of an underflowing or subnormal float would lose bits
+        assert _within_ulps(exact, bs_prob_exact(PhotonConfig(i, total - i, n), _eta_exact(bp)), 1)
     assert abs(bs_amplitude_convolution(PhotonConfig(i, total - i, n), bp) - exact) <= 1e-14
     # the squeezer amplitude whose bridge is this beam-splitter cell
     sp = SqueezerParam.from_value(value)
@@ -175,6 +191,49 @@ def test_direct_amplitudes_up_to_total_32_are_the_exact_ones(value, total, i, n)
     k = total - n
     got = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), sp)
     assert got == math.sqrt(1.0 - sp.lam) * bridge
+
+
+def _within_ulps(a: float, prob: Fraction, ulps: int) -> bool:
+    """|a| lies within ulps ulps of sqrt(prob), checked exactly on squares."""
+    mag, step = Fraction(abs(a)), ulps * Fraction(math.ulp(abs(a)))
+    return max(mag - step, 0) ** 2 <= prob <= (mag + step) ** 2
+
+
+def _eta_exact(p: BeamSplitterParam) -> Fraction:
+    """The transmittance the exact engine runs at: the p/q carrier, else the float."""
+    return Fraction(p.eta) if p.eta_exact is None else p.eta_exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    value=st.sampled_from(["1e-12", "1e-5", "0.999999999999"])
+    | st.integers(2, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
+    total=st.integers(0, 200),
+    i=st.integers(0, 200),
+    n=st.integers(0, 200),
+)
+@example(value="1e-12", total=27, i=27, n=27)  # 1e-162; the probability 1e-324 underflows
+@example(value="1/3", total=700, i=0, n=0)  # 1.0176e-167
+@example(value="1/3", total=650, i=0, n=0)  # the probability is subnormal
+def test_direct_amplitudes_are_within_one_ulp_of_the_exact_root_at_every_magnitude(value, total, i, n):
+    i %= total + 1
+    n %= total + 1
+    bp = BeamSplitterParam.from_value(value)
+    cfg = PhotonConfig(i, total - i, n)
+    assert _within_ulps(bs_amplitude_direct(cfg, bp), bs_prob_exact(cfg, _eta_exact(bp)), 1)
+    # The squeezer cell whose bridge is cfg: the float sqrt(1.0 - lam) times
+    # the bridge's root, two roundings more than that root.
+    sp = SqueezerParam.from_value(value)
+    bridge = sp.ptr_beamsplitter()
+    got = tms_amplitude(PhotonConfig(i, total - n, n, Device.TMS), sp)
+    assert got == math.sqrt(1.0 - sp.lam) * bs_amplitude_direct(cfg, bridge)
+    assert _within_ulps(got, Fraction(1.0 - sp.lam) * bs_prob_exact(cfg, _eta_exact(bridge)), 2)
+
+
+def test_tms_amplitude_rejects_an_unknown_method_on_every_cell():
+    for cfg in (PhotonConfig(5, 0, 0, Device.TMS), PhotonConfig(1, 1, 1, Device.TMS)):  # m = -5 and m = 1
+        with pytest.raises(ValueError, match="unknown amplitude method"):
+            tms_amplitude(cfg, SqueezerParam(0.5), method="nonsense")
 
 
 @settings(max_examples=40, deadline=None)

@@ -414,6 +414,16 @@ def test_commands_that_build_tables_run_at_the_entry_limit(monkeypatch, argv, en
     assert run(*argv).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["amp", "prob"])
+@pytest.mark.parametrize("device, flag, k, n", [("bs", "--eta", "2000", "2000"), ("tms", "--lambda", "0", "4000")])
+def test_a_convolution_refusal_names_the_fill_block(command, device, flag, k, n):
+    # the squeezer cell (2000, 0 -> 4000) fills its bridge block (i, n+k-i) = (2000, 2000)
+    r = run(command, "--device", device, "--i", "2000", "--k", k, "--n", n, flag, "0.37", "--method", "convolution")
+    assert r.exit_code == 2
+    assert ("the photon-addition fill of block (i=2000, k=2000) would hold 8012006001 entries, "
+            "above the limit of 10000000") in r.output
+
+
 def test_table_self_check_failure_exits_1(monkeypatch):
     from fockmix.recurrences import ProbabilityTable
 
