@@ -20,6 +20,7 @@ import csv
 import errno
 import io
 import json
+import operator
 import os
 import sys
 import time
@@ -218,21 +219,27 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
     bs = table.device is Device.BS
     if fmt == "csv":
         yield "i,k,n,m,value\n"
-        line = "{},{},%d,%d,%s\n"
+        head, labels, tail = "{},{},", "{},{},", "\n"
     else:
         exact = table.param.eta_exact if bs else table.param.lam_exact
         param = str(exact) if rational else (table.param.eta if bs else table.param.lam)
         header = (table.device.value, param, table.method)
         yield '{\n  "device": %s,\n  "param": %s,\n  "method": %s,\n  "entries": [' % tuple(map(json.dumps, header))
-        value = '"%s"' if rational else "%s"
-        line = ',\n    {{\n      "i": {},\n      "k": {},\n      "n": %d,\n      "m": %d,\n      "value": ' + value + "\n    }}"
+        quote = '"' if rational else ""
+        head = ',\n    {{\n      "i": {},\n      "k": {},\n'
+        labels, tail = '      "n": {},\n      "m": {},\n      "value": ' + quote, quote + "\n    }"
     first = fmt == "json"  # the first JSON entry takes no leading comma
+    layouts = {}  # the "n, m" texts of a row, by i+k (beam splitter) or k-i (squeezer)
     for (i, k) in sorted(table.entries):
         row = table.entries[(i, k)]
         start = 0 if bs else max(0, i - k)
         values = map(str, row[start:]) if rational else map(repr, row[start:].tolist())
-        m = range(i + k, -1, -1) if bs else range(start + k - i, len(row) + k - i)
-        chunk = "".join(map(line.format(i, k).__mod__, zip(range(start, len(row)), m, values)))
+        layout = i + k if bs else k - i
+        if layout not in layouts:
+            m = range(i + k, -1, -1) if bs else range(start + k - i, len(row) + k - i)
+            layouts[layout] = [labels.format(n, m) for n, m in zip(range(start, len(row)), m)]
+        lead = head.format(i, k)
+        chunk = lead + (tail + lead).join(map(operator.add, layouts[layout], values)) + tail if start < len(row) else ""
         if first and chunk:
             chunk, first = chunk[1:], False
         yield chunk

@@ -26,17 +26,20 @@ rational table lift the rows one call reads to one common denominator
 instead.
 
 The beam-splitter fill builds one shell s = i+k at a time, as one 2-D array
-[row, n] from the two shells below it. The squeezer fill builds one bridge
-shell t = k+n at a time (partial time reversal takes (i, k -> n) to a
-beam-splitter cell of total t), as one band [i, k] of a single array
-[i, k*(nmax+1) + n], from the two bridge shells below it. Float cells are
-clipped to [0, 1] as their shell is stored; a squeezer cell reads its own
-row's A(i,k->n-1) from before that clip and its four other inputs from after
-theirs. Floats run on the coefficients (eta, 1-eta, 1); rational precision
-on the integers (p, q-p, q^2) for eta or lambda = p/q, every value held
-times a power of q, so no gcd runs inside the fill. Float rows are
-read-only views of their shell (beam splitter) or of the table's one array
-(squeezer), rational rows lists of Fractions; a built table is immutable
+[row, n] from the two shells below it. In float precision every shell is a
+block of one zeroed buffer per table (_ShellRows), and the five-term step
+writes its products into two scratch arrays made once per table, so a shell
+allocates nothing. The squeezer fill builds one bridge shell t = k+n at a
+time (partial time reversal takes (i, k -> n) to a beam-splitter cell of
+total t), as one band [i, k] of a single array [i, k*(nmax+1) + n], from the
+two bridge shells below it. Float cells are clipped to [0, 1] as their shell
+is stored; a squeezer cell reads its own row's A(i,k->n-1) from before that
+clip and its four other inputs from after theirs. Floats run on the
+coefficients (eta, 1-eta, 1); rational precision on the integers (p, q-p,
+q^2) for eta or lambda = p/q, every value held times a power of q, so no gcd
+runs inside the fill. Float rows are read-only views of the table's one
+buffer, made when a row is read (beam splitter), or of its one array
+(squeezer); rational rows are lists of Fractions. A built table is immutable
 and safe to share.
 
 The float convolution table is a third route, apart from the exact engine
@@ -55,9 +58,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import accumulate, count, repeat
 from typing import Union
 
 import numpy as np
@@ -104,12 +108,14 @@ class ProbabilityTable:
 
     entries maps (i, k) to the row over the output count n: beam-splitter
     rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
-    read-only float64 numpy arrays in float precision (views of one array
-    per shell in beam-splitter recurrence and convolution tables, of one
-    array per table in squeezer recurrence tables) and lists of Fractions in
-    rational precision. Every float entry lies in [0, 1]: direct rows are
-    exact values rounded once, and the recurrence and convolution fills clip
-    as they store a shell.
+    read-only float64 numpy arrays in float precision and lists of Fractions
+    in rational precision. A float beam-splitter table's entries is a
+    read-only _ShellRows over one buffer, which makes a row view when a row
+    is read; a squeezer recurrence table's rows are views of its one array.
+    Every other entries is a dict, and any mapping of rows may be passed in.
+    Every float entry lies in [0, 1]: direct rows are exact values rounded
+    once, and the recurrence and convolution fills clip as they store a
+    shell.
     """
 
     device: Device
@@ -119,7 +125,7 @@ class ProbabilityTable:
     imax: int
     kmax: int
     nmax: int | None = None
-    entries: dict = field(default_factory=dict)
+    entries: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.device is Device.TMS and self.nmax is None:
@@ -159,16 +165,19 @@ class ProbabilityTable:
     def normalization_max_residual(self) -> float:
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
         excess above 1 counts there. A row whose sum is not finite makes the
-        residual inf or nan, so no tolerance accepts it."""
-        worst = 0.0
-        rational = self.precision == "rational"
-        for row in self.entries.values():
-            s = float(sum(row) if rational else row.sum())
-            if not math.isfinite(s):
-                return abs(s)
-            defect = abs(s - 1.0) if self.device is Device.BS else max(s - 1.0, 0.0)
-            worst = max(worst, defect)
-        return worst
+        residual inf or nan, so no tolerance accepts it. The row sums of a
+        _ShellRows table are taken one shell at a time."""
+        rows = self.entries
+        if isinstance(rows, _ShellRows):
+            sums = np.concatenate([rows.shell(s).sum(axis=1) for s in range(rows.imax + rows.kmax + 1)])
+        else:
+            rational = self.precision == "rational"
+            sums = np.array([float(sum(row) if rational else row.sum()) for row in rows.values()])
+        bad = ~np.isfinite(sums)
+        if bad.any():
+            return abs(float(sums[bad][0]))
+        defects = np.abs(sums - 1.0) if self.device is Device.BS else sums - 1.0
+        return float(defects.max(initial=0.0))
 
 
 def _param_of(p: Param, precision: str):
@@ -208,18 +217,23 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
     return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
-def _seed_row(row: np.ndarray, counts: list, x, one, powers) -> None:
+_FLOAT_BINOMIALS = 1029  # the largest s with every C(s, n) in the float range
+
+
+def _seed_row(row: np.ndarray, counts: list, x, one, powers, below) -> None:
     """Write _bs_binomial_row(counts, x, one) into row in place as the
     products count * x**n * (one-x)**(s-n), given powers =
     _powers(x, one - x, m, row.dtype) with m >= s: exact integers in an
     object row; in a float row the counts converted first, then the same
-    products in the same order."""
-    try:
-        row[:] = counts
-    except OverflowError:  # a float row from s = 1030 on: _weight goes through logarithms
-        row[:] = _bs_binomial_row(counts, x, one)
+    products in the same order. Above _FLOAT_BINOMIALS photons a float row is
+    the two-term step (one-x) below[n] + x below[n-1] from the seed row below."""
+    s = len(row) - 1
+    if s > _FLOAT_BINOMIALS and row.dtype == float:
+        np.multiply(one - x, below, out=row[:-1])
+        row[-1] = 0.0
+        row[1:] += x * below
         return
-    s = len(counts) - 1
+    row[:] = counts
     row *= powers[0][: s + 1]
     row *= powers[1][s::-1]
 
@@ -242,6 +256,41 @@ def _shell_pairs(imax: int, kmax: int):
             yield i, s - i
 
 
+class _ShellRows(Mapping):
+    """The rows (i, k <= kmax) of a float beam-splitter table, in shell order,
+    in one zeroed float64 buffer: shell s = i+k is the block shell(s)[i - lo,
+    n], lo = max(0, s-kmax). A row is a view made when it is read. A builder
+    writes the shells; frozen() makes the buffer, and every view, read-only."""
+
+    def __init__(self, imax: int, kmax: int):
+        self.imax, self.kmax = imax, kmax
+        sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
+        self.offsets = list(accumulate(sizes, initial=0))
+        self.starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]  # of row (0, s)
+        self.buffer = np.zeros(self.offsets[-1])
+
+    def frozen(self) -> _ShellRows:
+        self.buffer.flags.writeable = False
+        return self
+
+    def shell(self, s: int) -> np.ndarray:
+        return self.buffer[self.offsets[s] : self.offsets[s + 1]].reshape(-1, s + 1)
+
+    def __getitem__(self, key) -> np.ndarray:
+        i, k = key
+        if not (0 <= i <= self.imax and 0 <= k <= self.kmax):
+            raise KeyError(key)
+        s = i + k
+        start = self.starts[s] + i * (s + 1)
+        return self.buffer[start : start + s + 1]
+
+    def __iter__(self):
+        return _shell_pairs(self.imax, self.kmax)
+
+    def __len__(self) -> int:
+        return (self.imax + 1) * (self.kmax + 1)
+
+
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Direct-route table from the exact factored sums U*V/Q, read off one
     shell of integer polynomials per total photon number: float rows are the
@@ -249,11 +298,13 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     rows equal bs_prob_exact."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
     _param_of(p, precision)  # rational precision needs the p/q carrier
+    rows = {} if precision == "rational" else _ShellRows(imax, kmax)
     for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
         if precision == "rational":
-            t.entries[(i, k)] = [Fraction(u * v, q) for u, v in cells]
+            rows[(i, k)] = [Fraction(u * v, q) for u, v in cells]
         else:
-            t.entries[(i, k)] = _read_only([_rounded_quotient(u, v, q) for u, v in cells])
+            rows[(i, k)][:] = [_rounded_quotient(u, v, q) for u, v in cells]
+    t.entries = rows if precision == "rational" else rows.frozen()
     return t
 
 
@@ -264,59 +315,63 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     rational.
 
     The float fill reads neither the exact engine nor the five-term fill.
-    Each square is clipped at 1 as its shell is stored; the next shell reads
-    the unclipped amplitudes. Float rows are read-only views of their shell;
-    rows are inserted in shell order."""
+    Each square is clipped at 1 as it is written into its shell of the
+    table's buffer; the next shell reads the unclipped amplitudes."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
     if precision == "rational":
         for i, k in _shell_pairs(imax, kmax):
             t.entries[(i, k)] = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
         return t
+    rows = _ShellRows(imax, kmax)
     for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
-        sq = amplitudes * amplitudes
-        _store_shell(t, s, np.minimum(sq, 1.0, out=sq))
+        sq = np.multiply(amplitudes, amplitudes, out=rows.shell(s))
+        np.minimum(sq, 1.0, out=sq)
+    t.entries = rows.frozen()
     return t
 
 
-def _store_shell(t: ProbabilityTable, s: int, shell) -> None:
-    """Insert the rows (i, s-i) of shell s, i from max(0, s-kmax) up. The
-    rows of a float shell array are stored as read-only views of it."""
-    if isinstance(shell, np.ndarray):
-        shell.flags.writeable = False
-    lo = max(0, s - t.kmax)
-    for r, row in enumerate(shell):
-        t.entries[(lo + r, s - lo - r)] = row
-
-
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term fill, one shell s = i+k at a time, seeded by the two binomial rows."""
+    """Five-term fill, one shell s = i+k at a time, seeded by the two binomial
+    rows. Float products go to two scratch arrays and the first sum straight
+    into the zeroed shell; that keeps the bytes of 0 + (om up + eta left) +
+    (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x and a -0.0 input never
+    meets a -0.0 partner in the first sum."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
+    rational = precision == "rational"
+    rows = {} if rational else _ShellRows(imax, kmax)
     (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
-    dtype = float if precision == "float" else object
+    dtype = object if rational else float
     first, last = _powers(om, one - om, kmax, dtype), _powers(eta, one - eta, imax, dtype)  # of the seed rows
+    size = max([(min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1)] + [0])
+    scratch = np.empty((2, size), dtype)  # the largest body [g0..g1, n < s], twice
     for s in range(imax + kmax + 1):
         lo, hi = max(0, s - kmax), min(imax, s)
-        shell = np.zeros((hi - lo + 1, s + 1), dtype)
+        shell = np.zeros((hi - lo + 1, s + 1), dtype) if rational else rows.shell(s)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
         if g0 <= g1:
             up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
             body = shell[g0 - lo : g1 + 1 - lo]
-            body[:, :-1] += om * up + eta * left
-            body[:, 1:] += eta * up + om * left
-            body[:, 1:-1] -= one * one * prev2[g0 - 1 - lo2 : g1 - lo2]
+            a, b = (x[: up.size].reshape(up.shape) for x in scratch)
+            np.add(np.multiply(om, up, out=a), np.multiply(eta, left, out=b), out=body[:, :-1])
+            np.add(np.multiply(eta, up, out=a), np.multiply(om, left, out=b), out=a)
+            body[:, 1:] += a
+            diag = prev2[g0 - 1 - lo2 : g1 - lo2]
+            body[:, 1:-1] -= np.multiply(one * one, diag, out=b[:, :-1]) if rational else diag
         if lo == 0:
-            _seed_row(shell[0], counts, om, one, first)
+            _seed_row(shell[0], counts, om, one, first, prev[0] if s else None)
         if hi == s:
-            _seed_row(shell[-1], counts, eta, one, last)
-        if precision == "float":
-            np.clip(shell, 0.0, 1.0, out=shell)
-            _store_shell(t, s, shell)
+            _seed_row(shell[-1], counts, eta, one, last, prev[-1] if s else None)
+        if rational:
+            scale = one**s
+            rows.update(((i, s - i), [Fraction(v, scale) for v in row]) for i, row in enumerate(shell, lo))
         else:
-            _store_shell(t, s, [[Fraction(v, one**s) for v in row] for row in shell])
+            np.clip(shell, 0.0, 1.0, out=shell)
         (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
-        counts = [1, *map(operator.add, counts, counts[1:]), 1]
+        if rational or s < _FLOAT_BINOMIALS:
+            counts = [1, *map(operator.add, counts, counts[1:]), 1]
+    t.entries = rows if rational else rows.frozen()
     return t
 
 

@@ -8,6 +8,7 @@ closed form in the package, so it checks values and signs alike.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from fockmix.amplitudes import bs_amplitude_direct, tms_amplitude
 from fockmix.numerics import log_factorial
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig
 from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio, tms_prob, tms_prob_exact
-from fockmix.recurrences import ClassicalTable, c_coeff
+from fockmix.recurrences import ClassicalTable, _ShellRows, c_coeff
 
 
 def two_mode_unitary(dim: int, theta: float | None = None, r: float | None = None) -> np.ndarray:
@@ -98,6 +99,21 @@ def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
             np.clip(new, 0.0, 1.0, out=new)
             rows[(i, k)] = new
     return rows
+
+
+def moved(table, key, n, by):
+    """A copy of table with entry n of row key moved by `by` (a nan or an
+    infinity makes it that). A float beam-splitter table's copy is its one
+    buffer copied, so the copy keeps the shell-wise row sums; every other
+    table's copy is a dict of its rows."""
+    if isinstance(table.entries, _ShellRows):
+        rows = _ShellRows(table.imax, table.kmax)
+        rows.buffer[:] = table.entries.buffer
+        rows[key][n] += by
+        return dataclasses.replace(table, entries=rows.frozen())
+    row = list(table.entries[key]) if table.precision == "rational" else np.array(table.entries[key])
+    row[n] += by
+    return dataclasses.replace(table, entries={**table.entries, key: row})
 
 
 def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:

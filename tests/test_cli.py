@@ -5,13 +5,12 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import fockmix.cli
 import fockmix.verify
-from fock_oracle import render_table_reference
+from fock_oracle import moved, render_table_reference
 from fockmix import recurrences
 from fockmix.cli import main
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -437,11 +436,7 @@ def test_table_with_a_nan_row_exits_1_and_writes_nothing(monkeypatch, tmp_path, 
     original = getattr(fockmix.cli, builder)
 
     def with_nan_row(*args):
-        t = original(*args)
-        row = np.array(t.entries[(1, 1)], dtype=float)
-        row[1] = math.nan
-        t.entries[(1, 1)] = row
-        return t
+        return moved(original(*args), (1, 1), 1, math.nan)
 
     monkeypatch.setattr(fockmix.cli, builder, with_nan_row)
     argv = _table_argv(device, (2, 2, 4), "0.5", "float", "recurrence", "csv")

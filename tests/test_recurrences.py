@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from fock_oracle import (
     bs_rows_rowwise,
     bs_tilde_row_reference,
     classical_recurrence_per_call,
+    moved,
     tms_rows_per_cell,
     tms_rows_rowwise,
     tms_tilde_reference,
@@ -173,10 +175,9 @@ def test_normalization_self_check_is_the_np_sum_value(build):
     ids=["bs", "tms"],
 )
 def test_normalization_residual_is_not_finite_on_a_non_finite_entry(build, bad):
-    t = build()
-    row = np.array(t.entries[(1, 1)])
-    row[1] = bad
-    t.entries[(1, 1)] = row
+    built = build()
+    t = moved(built, (1, 1), 1, bad)
+    assert type(t.entries) is type(built.entries)  # the shell-wise row sums of a beam-splitter table
     assert not math.isfinite(t.normalization_max_residual())
 
 
@@ -326,7 +327,7 @@ def _assert_bit_identical(table, reference):
         assert got.tobytes() == row.tobytes(), key
 
 
-@pytest.mark.parametrize("eta", [0.5, 0.3, 0.0, 1.0, 1e-12, 1 - 1e-12])
+@pytest.mark.parametrize("eta", [0.5, 0.3, 0.0, -0.0, 1.0, 1e-12, 1 - 1e-12])
 @pytest.mark.parametrize("imax, kmax", [(0, 0), (0, 7), (7, 0), (12, 5), (5, 12), (40, 40)])
 def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
     _assert_bit_identical(bs_table_recurrence(imax, kmax, BeamSplitterParam(eta)), bs_rows_rowwise(imax, kmax, eta))
@@ -355,6 +356,90 @@ def test_float_tms_fill_holds_only_its_entries():
     bases = {id(row.base) for row in table.entries.values()}
     assert len(bases) == 1 and table.entries[(0, 0)].base.size == 2 * 2001 * 3
     assert not any(row.flags.writeable for row in table.entries.values())
+
+
+@pytest.mark.parametrize("build", [bs_table_recurrence, bs_table_convolution, bs_table_direct])
+def test_float_bs_rows_are_read_only_views_of_one_buffer(build):
+    imax, kmax = 5, 3
+    table = build(imax, kmax, BeamSplitterParam(0.3))
+    keys = [(i, s - i) for s in range(imax + kmax + 1) for i in range(max(0, s - kmax), min(imax, s) + 1)]
+    assert list(table.entries) == keys and len(table.entries) == (imax + 1) * (kmax + 1)
+    assert sorted(table.entries) == sorted(keys) and all(key in table.entries for key in keys)
+    buffer = table.entries.buffer
+    assert buffer.size == sum(i + k + 1 for i, k in keys)
+    for key in keys:
+        row = table.entries[key]
+        assert row.base is buffer and not row.flags.writeable and row.size == sum(key) + 1
+    # Every row index left of 0 or past imax or kmax is missing; none wraps into the buffer.
+    for i, k in [(-1, 3), (imax + 1, 0), (0, kmax + 1), (-1, 0), (0, -1), (-2, 5), (6, -3)]:
+        assert (i, k) not in table.entries
+        with pytest.raises(TableCoverageError):
+            table.row(i, k)
+
+
+def test_a_table_built_from_a_dict_of_rows_reads_as_the_built_one():
+    p = BeamSplitterParam(0.3)
+    built = bs_table_recurrence(6, 4, p)
+    table = ProbabilityTable(Device.BS, p, "recurrence", "float", 6, 4, entries=dict(built.entries))
+    assert list(table.entries) == list(built.entries)
+    assert all(table.value(i, k, n) == built.value(i, k, n) for i, k in built.entries for n in range(i + k + 2))
+    assert table.normalization_max_residual() == built.normalization_max_residual()
+    with pytest.raises(TableCoverageError):
+        table.row(-1, 3)
+
+
+@pytest.mark.parametrize("build", [bs_table_recurrence, bs_table_convolution])
+def test_float_bs_fill_holds_its_buffer_and_scratch_only(build):
+    imax = kmax = 120
+    tracemalloc.start()
+    try:
+        table = build(imax, kmax, BeamSplitterParam(0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two arrays the size of the largest five-term body, [i, n < s] over i, k >= 1.
+    scratch = 2 * 8 * max((min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1))
+    assert peak < table.entries.buffer.nbytes + scratch + 1_000_000
+
+
+def _table_digest(table) -> str:
+    h = hashlib.sha256()
+    for key in sorted(table.entries):
+        h.update(repr(key).encode())
+        h.update(table.entries[key].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, size, eta, digest",
+    [
+        (bs_table_recurrence, 200, "1/2", "9964367d02927b9cc9e9bafc02bf98fc467bc77e6f062075f3adb309a2d60f56"),
+        (bs_table_recurrence, 200, "3/10", "7aad31845313dcdbfadaf92ff7438a3d15c88d426ee5d466495bf0442c41a657"),
+        (bs_table_convolution, 30, "0.7", "b74dda24f7e0beb84c6c048adce44b3dedd3bb3b346d2e81979ee840d6835bef"),
+    ],
+)
+def test_benchmark_size_tables_keep_their_bytes(build, size, eta, digest):
+    # The sha256 over sorted keys, each key's repr and its row's bytes.
+    assert _table_digest(build(size, size, BeamSplitterParam.from_value(eta))) == digest
+
+
+@pytest.mark.parametrize("eta", ["1/2", "3/10"])
+@pytest.mark.parametrize("imax, kmax", [(1200, 1), (1, 1200)])
+def test_seed_rows_past_the_float_range_of_binomials_are_two_term_steps(imax, kmax, eta):
+    p = BeamSplitterParam.from_value(eta)
+    rows = bs_table_recurrence(imax, kmax, p).entries
+    x = p.eta if kmax == 1 else 1.0 - p.eta  # of the seed rows (s, 0), or (0, s)
+    seed = (lambda s: (s, 0)) if kmax == 1 else (lambda s: (0, s))
+    below = [math.comb(1029, n) * x**n * (1 - x) ** (1029 - n) for n in range(1030)]
+    assert rows[seed(1029)].tobytes() == np.array(below).tobytes()  # the exact-count products
+    step = np.zeros(1031)
+    step[:-1] = (1 - x) * np.array(below)
+    step[1:] += x * np.array(below)
+    assert rows[seed(1030)].tobytes() == step.tobytes()
+    # Against the rows at the p/q value, which lie within 1e-16 of those at its binary value here.
+    x = p.eta_exact if kmax == 1 else 1 - p.eta_exact
+    exact = [math.comb(1200, n) * x**n * (1 - x) ** (1200 - n) for n in range(1201)]
+    assert max(abs(float(Fraction(v) - e)) for v, e in zip(rows[seed(1200)], exact)) <= 4e-15
 
 
 @pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "999/1000"])

@@ -2,7 +2,6 @@
 wrong engine cell must fail exactly the cases whose Fraction residual is
 non-zero, and report that residual."""
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
 import fockmix.verify as verify
-from fock_oracle import bs_tilde_row_reference, tms_tilde_reference
+from fock_oracle import bs_tilde_row_reference, moved, tms_tilde_reference
 from fockmix.errors import ConvergenceError
 from fockmix.params import BeamSplitterParam, PhotonConfig, SqueezerParam
 from fockmix.probabilities import bs_prob_direct, normalization_residual
@@ -339,11 +338,7 @@ def _with_nan_row(builder, key):
 
     def build(*args, **kwargs):
         table = builder(*args, **kwargs)
-        if table.precision == "float":
-            row = np.array(table.entries[key])
-            row[1] = math.nan
-            table.entries[key] = row
-        return table
+        return moved(table, key, 1, math.nan) if table.precision == "float" else table
 
     return build
 
@@ -365,17 +360,10 @@ def test_a_nan_entry_fails_its_float_check(monkeypatch, suite, builder, key, che
     assert failed.get(check) == "nan"
 
 
-def _moved(table, key, n, by):
-    """A copy of table with entry n of row key moved by `by`."""
-    row = list(table.entries[key]) if table.precision == "rational" else np.array(table.entries[key])
-    row[n] += by
-    return dataclasses.replace(table, entries={**table.entries, key: row})
-
-
 def test_agree_reports_the_largest_float_difference_of_each_failing_pair():
     p = BeamSplitterParam(0.7)
     direct, conv = bs_table_direct(4, 4, p), bs_table_convolution(4, 4, p)
-    rec = _moved(bs_table_recurrence(4, 4, p), (2, 1), 1, 2e-10)
+    rec = moved(bs_table_recurrence(4, 4, p), (2, 1), 1, 2e-10)
     res = verify.VerificationResult("agree")
     verify._agree(res, (direct, conv, rec), "i,k<=4", "eta=0.7", "pairwise<=1e-10")
     worst = {
@@ -392,7 +380,7 @@ def test_agree_reports_the_largest_float_difference_of_each_failing_pair():
 def test_agree_fails_a_float_pair_with_a_nan_entry():
     p = BeamSplitterParam(0.7)
     res = verify.VerificationResult("agree")
-    verify._agree(res, (bs_table_direct(3, 3, p), _moved(bs_table_recurrence(3, 3, p), (1, 2), 0, math.nan)), "x", "y")
+    verify._agree(res, (bs_table_direct(3, 3, p), moved(bs_table_recurrence(3, 3, p), (1, 2), 0, math.nan)), "x", "y")
     assert res.cases == 1 and [(f.indices, f.got) for f in res.failures] == [("direct vs recurrence x", "nan")]
 
 
@@ -401,7 +389,7 @@ def test_agree_compares_rational_tables_exactly():
     direct = bs_table_direct(3, 3, third, "rational")
     rec = bs_table_recurrence(3, 3, third, "rational")
     res = verify.VerificationResult("agree")
-    verify._agree(res, (direct, rec, _moved(rec, (3, 3), 6, Fraction(1, 10**30))), "i,k<=3", "eta=1/3")
+    verify._agree(res, (direct, rec, moved(rec, (3, 3), 6, Fraction(1, 10**30))), "i,k<=3", "eta=1/3")
     assert res.cases == 3
     assert res.failures == [
         verify.Failure(f"{a} vs recurrence i,k<=3", "eta=1/3", "exact equality", "False", "exact")
