@@ -257,16 +257,18 @@ def _shell_pairs(imax: int, kmax: int):
 
 
 class _ShellRows(Mapping):
-    """The rows (i, k <= kmax) of a float beam-splitter table, in shell order,
-    in one zeroed float64 buffer: shell s = i+k is the block shell(s)[i - lo,
-    n], lo = max(0, s-kmax). A row is a view made when it is read. A builder
-    writes the shells; frozen() makes the buffer, and every view, read-only."""
+    """The rows (i <= imax, k <= kmax) of a float beam-splitter table, in
+    shell order, in one zeroed float64 buffer: shell s = i+k is the block
+    shell(s)[i - lo, n], lo = max(0, s-kmax). A row is a view made when it is
+    read. A builder writes the shells; frozen() makes the buffer, and every
+    view, read-only."""
 
     def __init__(self, imax: int, kmax: int):
         self.imax, self.kmax = imax, kmax
         sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
         self.offsets = list(accumulate(sizes, initial=0))
-        self.starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]  # of row (0, s)
+        # row (i, s-i) starts at starts[s] + i*(s+1)
+        self.starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]
         self.buffer = np.zeros(self.offsets[-1])
 
     def frozen(self) -> _ShellRows:
