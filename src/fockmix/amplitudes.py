@@ -61,23 +61,24 @@ def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
     direct route up to i = 6000 (most at p/q values, which that takes exactly)."""
     if n < 0 or n > i:
         return 0.0
-    return _signed_root(i - n, *_binary_product(i, n, p.eta, n, 1.0 - p.eta, i - n))
+    return _signed_root(i - n, *_binary_product(i, n, p.eta.as_integer_ratio(), n, (1.0 - p.eta).as_integer_ratio(), i - n))
 
 
 def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
     """Amplitude sqrt(C(n,i)) (1-lam)^((1+i)/2) lam^((n-i)/2) for |i, 0> input
-    at the floats lam and 1.0 - lam; measured within 2.2e-13 relative of the
-    direct route up to n = 3000, except at float lam whose 1.0 - lam rounds
-    (the direct route runs at 1 - (1.0 - lam): 2.3e-10 off at 1e-5)."""
+    at the exact lam and 1 - lam of the direct route (_partner_ratio), so it
+    is that route's amplitude to within one ulp, bit for bit where the
+    probability is a normal float."""
     if n < i:
         return 0.0
-    return _signed_root(0, *_binary_product(n, i, 1.0 - p.lam, 1 + i, p.lam, n - i))
+    num, den = _partner_ratio(p)
+    return _signed_root(0, *_binary_product(n, i, (num, den), 1 + i, (den - num, den), n - i))
 
 
-def _binary_product(top: int, j: int, x: float, a: int, y: float, b: int) -> tuple[int, int, int]:
-    """C(top, j) x**a y**b as exact sums (U, V, Q), U*V / Q, for _signed_root: the
-    floats x, y in [0, 1] are binary fractions, so nothing overflows or underflows."""
-    (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
+def _binary_product(top: int, j: int, x: tuple, a: int, y: tuple, b: int) -> tuple[int, int, int]:
+    """C(top, j) x**a y**b as exact sums (U, V, Q), U*V / Q, for _signed_root: x
+    and y in [0, 1] come as integer ratios, so nothing overflows or underflows."""
+    (px, qx), (py, qy) = x, y
     return math.comb(top, j) * px**a, py**b, qx**a * qy**b
 
 
@@ -160,9 +161,9 @@ def bs_amplitude(c: PhotonConfig, p: BeamSplitterParam, method: str = "direct") 
 
 def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> float:
     """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal:
-    sqrt(1-lam) times bs_amplitude of the bridge cell at eta = 1-lam, bit for
-    bit. The direct route reads the bridge cell's exact sums straight from
-    the partner ratio."""
+    the direct route is the signed root of tms_prob's exact quotient (within
+    one ulp), the convolution route the float sqrt(1.0 - lam) times
+    bs_amplitude of the bridge cell at eta = 1-lam, bit for bit."""
     if method not in ("direct", "convolution"):
         raise ValueError(f"unknown amplitude method {method!r}")
     _require(c, Device.TMS)
@@ -170,7 +171,7 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> 
     if m < 0:
         return 0.0
     if method == "direct":
-        root = _signed_root(c.i, *_exact_factor_sums(c.i, m, c.n, *_partner_ratio(p)))
-    else:
-        root = bs_amplitude(_bridge(c), p.ptr_beamsplitter(), method=method)
-    return math.sqrt(1.0 - p.lam) * root
+        num, den = _partner_ratio(p)
+        u, v, q = _exact_factor_sums(c.i, m, c.n, num, den)
+        return _signed_root(c.i, num * u, v, den * q)
+    return math.sqrt(1.0 - p.lam) * bs_amplitude(_bridge(c), p.ptr_beamsplitter(), method=method)

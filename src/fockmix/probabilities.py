@@ -37,8 +37,9 @@ cell of total N off one shell of integer polynomials, (1 - num*x)**a
 times linear factors and cut to the rows the table holds, with no binomial,
 power table or division. A single normalization row runs the single-cell
 sums. Squeezer probabilities go through partial time reversal,
-A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam). On shell s = n+k
-both sums of that bridge cell are top coefficients of the same shell
+A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam), a float one the
+exact num*U*V / (den*Q) for 1 - lam = num/den, rounded once. On shell s =
+n+k both sums of that bridge cell are top coefficients of the same shell
 polynomials, so the direct squeezer table, the identity rows and the
 normalization scans read every squeezer row off one walk over those top
 coefficients (_top_coefficient_walk), with no Horner sum.
@@ -126,13 +127,9 @@ def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
 
 
 def _partner_ratio(p: SqueezerParam) -> tuple[int, int]:
-    """(num, den) of the partner transmittance 1 - lam, bit for bit
-    _exact_ratio(p.ptr_beamsplitter()) without building that parameter:
-    a p/q carrier a/b gives (b-a)/b, already in lowest terms, and a float
-    alone the binary fraction of the float 1.0 - lam."""
-    if p.lam_exact is None:
-        return (1.0 - p.lam).as_integer_ratio()
-    a, b = p.lam_exact.as_integer_ratio()
+    """(num, den) of the partner transmittance 1 - lam exactly: (b-a, b) for
+    lam = a/b, the p/q carrier when there is one, else the float's own."""
+    a, b = (p.lam if p.lam_exact is None else p.lam_exact).as_integer_ratio()
     return b - a, b
 
 
@@ -237,16 +234,21 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     separate from the factored engine so the two can cross-check each other.
 
     Any eta is summed in integers at its exact value a/b, a float at its
-    binary value: every term is gamma_small(i,k,n,m,j) * a**e *
-    (b-a)**(i+k-e) with e = k-n+m+j, the term's value times b**(i+k), so the
-    alternating sum cancels exactly and no Fraction arithmetic runs inside
-    it. A Fraction eta gets the cell back as one Fraction(total, b**(i+k)),
-    any other eta that quotient rounded once, bit for bit bs_prob_direct.
-    An eta outside [0, 1] raises ValueError, as in bs_prob_exact.
+    binary value (_double_sum). A Fraction eta gets the cell back as one
+    Fraction(total, b**(i+k)), any other eta that quotient rounded once, bit
+    for bit bs_prob_direct. An eta outside [0, 1] raises ValueError, as in
+    bs_prob_exact.
     """
     a, b = eta.as_integer_ratio()
     if not 0 <= a <= b:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
+    total, q = _double_sum(i, k, n, a, b), b ** (i + k)
+    return Fraction(total, q) if isinstance(eta, Fraction) else total / q
+
+
+def _double_sum(i: int, k: int, n: int, a: int, b: int) -> int:
+    """The double sum at eta = a/b times b**(i+k), in integers: its terms are
+    gamma_small(i,k,n,m,j) a**e (b-a)**(i+k-e), e = k-n+m+j."""
     lo, hi = _term_range(i, k, n)
     total = 0
     for m in range(lo, hi + 1):
@@ -254,8 +256,7 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
             e = k - n + m + j
             term = gamma_small(i, k, n, m, j) * a**e * (b - a) ** (i + k - e)
             total += -term if (m + j) & 1 else term
-    q = b ** (i + k)
-    return Fraction(total, q) if isinstance(eta, Fraction) else total / q
+    return total
 
 
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -276,12 +277,15 @@ def _bridge(c: PhotonConfig) -> PhotonConfig | None:
 
 def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
     """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable.
-    Bit for bit (1.0 - lam) * bs_prob_direct(_bridge(c), p.ptr_beamsplitter())."""
+    The exact num*U*V / (den*Q), 1 - lam = num/den (_partner_ratio), rounded
+    once: bit for bit float(tms_prob_exact(c, lam)) at the exact lam."""
     _require(c, Device.TMS)
     m = c.m
     if m < 0:
         return 0.0
-    return (1.0 - p.lam) * _rounded_quotient(*_exact_factor_sums(c.i, m, c.n, *_partner_ratio(p)))
+    num, den = _partner_ratio(p)
+    u, v, q = _exact_factor_sums(c.i, m, c.n, num, den)
+    return _rounded_quotient(num * u, v, den * q)
 
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
@@ -374,6 +378,7 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     raises ConvergenceError before the walk."""
     lam = p.lam
     om, ratio = 1.0 - lam, 0.5 * (1.0 + lam)
+    num, den = _partner_ratio(p)
     cuts = {(i, k): max(math.ceil(10 * (i + k + 1) / om), math.ceil(60 / om) + i + k) for i in rows for k in cols}
     (i, k), n_cut = max(cuts.items(), key=lambda item: item[1])
     if n_cut > _STEP_BUDGET:
@@ -385,11 +390,12 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     # of its cutoff
     live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n_cut + k, []) for (i, k), n_cut in cuts.items()}
     done = {}
-    for s, (cell, q) in enumerate(_top_coefficient_walk(*_partner_ratio(p), rows, cols)):
+    for s, (cell, q) in enumerate(_top_coefficient_walk(num, den, rows, cols)):
         for (i, k), (first, settled, last, terms) in list(live.items()):
             if s < first:
                 continue
-            terms.append(om * _rounded_quotient(*cell(i, k), q))
+            x, y = cell(i, k)
+            terms.append(_rounded_quotient(num * x, y, den * q))
             if s >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
                 done[(i, k)] = abs(math.fsum(terms) - 1.0)
             elif s == last:

@@ -17,30 +17,26 @@ two-term recurrence plus the reversal-derived n=0 boundary (squeezer). The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
-The exact identity checks of the verify suites build no table. They read
-the exact engine's integer rows, each a probability row times a fixed power
-of den (eta or 1-lam = num/den), so a residual is an integer row, with no
-lcm or gcd. Each row is packed into one integer, so that a check is one
-big-integer compare (_identity_residual_rows). The public tilde rows of a
-rational table lift the rows one call reads to one common denominator
-instead.
+Every table a builder returns is one read-only buffer in its device's
+layout (_TableRows): a beam-splitter shell s = i+k is a block [row, n], and
+a squeezer bridge shell t = k+n (partial time reversal takes (i, k -> n) to
+a beam-splitter cell of total t) a band of the grid [i, k*(nmax+1) + n].
+Float buffers hold the entries. Rational buffers hold the integers the fills
+and the exact engine compute, each entry times a power of the denominator
+q of eta or lambda = p/q, and a rational row becomes Fractions when it is
+read. Each fill builds a shell from the two below it: floats on the
+coefficients (eta, 1-eta, 1), rational precision on the integers (p, q-p,
+q^2), so no gcd runs inside the fill. The beam-splitter step writes its
+float products into two scratch arrays made once per table. Float cells are
+clipped to [0, 1] as their shell is stored; a squeezer cell reads its own
+row's A(i,k->n-1) from before that clip and its four other inputs from
+after theirs. A built table is immutable and safe to share.
 
-The beam-splitter fill builds one shell s = i+k at a time, as one 2-D array
-[row, n] from the two shells below it. In float precision every shell is a
-block of one zeroed buffer per table (_ShellRows), and the five-term step
-writes its products into two scratch arrays made once per table, so a shell
-allocates nothing. The squeezer fill builds one bridge shell t = k+n at a
-time (partial time reversal takes (i, k -> n) to a beam-splitter cell of
-total t), as one band [i, k] of a single array [i, k*(nmax+1) + n], from the
-two bridge shells below it. Float cells are clipped to [0, 1] as their shell
-is stored; a squeezer cell reads its own row's A(i,k->n-1) from before that
-clip and its four other inputs from after theirs. Floats run on the
-coefficients (eta, 1-eta, 1); rational precision on the integers (p, q-p,
-q^2) for eta or lambda = p/q, every value held times a power of q, so no gcd
-runs inside the fill. Float rows are read-only views of the table's one
-buffer, made when a row is read (beam splitter), or of its one array
-(squeezer); rational rows are lists of Fractions. A built table is immutable
-and safe to share.
+The exact identity checks of the verify suites read the integer rows of the
+rational direct tables, so a residual is an integer row, with no lcm or gcd.
+Each row is packed into one integer, so that a check is one big-integer
+compare (_identity_residual_rows). The public tilde rows of a rational table
+lift the rows one call reads to one common denominator instead.
 
 The float convolution table is a third route, apart from the exact engine
 and the five-term fill. At every total a shell is the square of a
@@ -71,12 +67,11 @@ from .errors import TableCoverageError
 from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam
 from .probabilities import (
-    _exact_ratio,
+    _double_sum,
     _partner_ratio,
     _rounded_quotient,
     _shell_factor_rows,
     _top_coefficient_walk,
-    bs_prob_double_sum,
 )
 
 __all__ = [
@@ -109,10 +104,8 @@ class ProbabilityTable:
     entries maps (i, k) to the row over the output count n: beam-splitter
     rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
     read-only float64 numpy arrays in float precision and lists of Fractions
-    in rational precision. A float beam-splitter table's entries is a
-    read-only _ShellRows over one buffer, which makes a row view when a row
-    is read; a squeezer recurrence table's rows are views of its one array.
-    Every other entries is a dict, and any mapping of rows may be passed in.
+    in rational precision. A built table's entries is a _TableRows, one
+    buffer in the device's layout; any mapping of rows may be passed in.
     Every float entry lies in [0, 1]: direct rows are exact values rounded
     once, and the recurrence and convolution fills clip as they store a
     shell.
@@ -165,14 +158,13 @@ class ProbabilityTable:
     def normalization_max_residual(self) -> float:
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
         excess above 1 counts there. A row whose sum is not finite makes the
-        residual inf or nan, so no tolerance accepts it. The row sums of a
-        _ShellRows table are taken one shell at a time."""
+        residual inf or nan, so no tolerance accepts it. A built float
+        table's row sums are taken on its buffer (_TableRows.sums)."""
         rows = self.entries
-        if isinstance(rows, _ShellRows):
-            sums = np.concatenate([rows.shell(s).sum(axis=1) for s in range(rows.imax + rows.kmax + 1)])
-        else:
-            rational = self.precision == "rational"
-            sums = np.array([float(sum(row) if rational else row.sum()) for row in rows.values()])
+        if isinstance(rows, _TableRows) and rows.scales is None:
+            sums = rows.sums()
+        else:  # np.sum of a row of Fractions is their exact sum
+            sums = np.array([float(np.sum(row)) for row in rows.values()])
         bad = ~np.isfinite(sums)
         if bad.any():
             return abs(float(sums[bad][0]))
@@ -244,50 +236,71 @@ def _powers(x, y, top: int, dtype) -> tuple:
     return np.array([x**m for m in range(top + 1)], dtype), np.array([y**m for m in range(top + 1)], dtype)
 
 
-def _read_only(values) -> np.ndarray:
-    row = np.array(values, dtype=float)
-    row.flags.writeable = False
-    return row
+class _TableRows(Mapping):
+    """The rows (i <= imax, k <= kmax) of a built table, keys in shell order,
+    in one buffer: beam-splitter shells s = i+k are blocks [i - lo, n] of a
+    flat buffer, the squeezer a grid [i, k*(nmax+1) + n]. A float row is a
+    read-only view. A rational buffer holds the ints v = entry * den**e, den
+    the denominator of eta or lambda and e = i+k (beam splitter) or k+n+1
+    (squeezer), the same on every route; a row is a fresh Fraction list."""
 
+    def __init__(self, t: ProbabilityTable):
+        self.imax, self.kmax, self.nmax = t.imax, t.kmax, t.nmax
+        self.scales, dtype = None, float
+        if t.precision == "rational":
+            den = _param_of(t.param, "rational").denominator
+            top = t.imax + t.kmax if t.nmax is None else t.kmax + t.nmax + 1  # the largest e
+            self.scales, dtype = list(accumulate(repeat(den, top), operator.mul, initial=1)), object
+        if t.nmax is None:
+            sizes = ((min(t.imax, s) - max(0, s - t.kmax) + 1) * (s + 1) for s in range(t.imax + t.kmax + 1))
+            self.offsets = list(accumulate(sizes, initial=0))
+            # row (i, s-i) starts at starts[s] + i*(s+1)
+            self.starts = [o - max(0, s - t.kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]
+            self.buffer = np.zeros(self.offsets[-1], dtype)
+        else:
+            self.buffer = np.zeros((t.imax + 1, (t.kmax + 1) * (t.nmax + 1)), dtype)
 
-def _shell_pairs(imax: int, kmax: int):
-    for s in range(imax + kmax + 1):
-        for i in range(max(0, s - kmax), min(imax, s) + 1):
-            yield i, s - i
-
-
-class _ShellRows(Mapping):
-    """The rows (i <= imax, k <= kmax) of a float beam-splitter table, in
-    shell order, in one zeroed float64 buffer: shell s = i+k is the block
-    shell(s)[i - lo, n], lo = max(0, s-kmax). A row is a view made when it is
-    read. A builder writes the shells; frozen() makes the buffer, and every
-    view, read-only."""
-
-    def __init__(self, imax: int, kmax: int):
-        self.imax, self.kmax = imax, kmax
-        sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
-        self.offsets = list(accumulate(sizes, initial=0))
-        # row (i, s-i) starts at starts[s] + i*(s+1)
-        self.starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]
-        self.buffer = np.zeros(self.offsets[-1])
-
-    def frozen(self) -> _ShellRows:
+    def frozen(self) -> _TableRows:
         self.buffer.flags.writeable = False
         return self
 
     def shell(self, s: int) -> np.ndarray:
+        """Beam-splitter shell s as the block [i - lo, n] of the buffer."""
         return self.buffer[self.offsets[s] : self.offsets[s + 1]].reshape(-1, s + 1)
 
-    def __getitem__(self, key) -> np.ndarray:
+    def band(self, s: int, lo: int, hi: int) -> np.ndarray:
+        """Squeezer bridge shell s for lo <= k <= hi: the cells (i, k -> s-k) at [i, k - lo]."""
+        return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
+
+    def span(self, i: int, k: int) -> np.ndarray:
+        """Row (i, k) of the buffer, a view: floats, or the integers over their scales."""
+        if self.nmax is None:
+            s = i + k
+            start = self.starts[s] + i * (s + 1)
+            return self.buffer[start : start + s + 1]
+        width = self.nmax + 1
+        return self.buffer[i, k * width : (k + 1) * width]
+
+    def sums(self) -> np.ndarray:
+        """The float row sums: one sum per beam-splitter shell, or one over the squeezer grid."""
+        if self.nmax is None:
+            return np.concatenate([self.shell(s).sum(axis=1) for s in range(self.imax + self.kmax + 1)])
+        return self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1).sum(axis=2).ravel()
+
+    def __getitem__(self, key):
         i, k = key
         if not (0 <= i <= self.imax and 0 <= k <= self.kmax):
             raise KeyError(key)
-        s = i + k
-        start = self.starts[s] + i * (s + 1)
-        return self.buffer[start : start + s + 1]
+        row = self.span(i, k)
+        if self.scales is None:
+            return row
+        scales = repeat(self.scales[i + k]) if self.nmax is None else self.scales[k + 1 :]
+        return [Fraction(v, d) for v, d in zip(row.tolist(), scales)]
 
     def __iter__(self):
-        return _shell_pairs(self.imax, self.kmax)
+        for s in range(self.imax + self.kmax + 1):
+            for i in range(max(0, s - self.kmax), min(self.imax, s) + 1):
+                yield i, s - i
 
     def __len__(self) -> int:
         return (self.imax + 1) * (self.kmax + 1)
@@ -297,38 +310,38 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     """Direct-route table from the exact factored sums U*V/Q, read off one
     shell of integer polynomials per total photon number: float rows are the
     exact values rounded once, bit for bit those of bs_prob_direct; rational
-    rows equal bs_prob_exact."""
+    rows hold U*V and equal bs_prob_exact."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    _param_of(p, precision)  # rational precision needs the p/q carrier
-    rows = {} if precision == "rational" else _ShellRows(imax, kmax)
+    rows = _TableRows(t)  # rational precision needs the p/q carrier
     for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
-        if precision == "rational":
-            rows[(i, k)] = [Fraction(u * v, q) for u, v in cells]
+        if rows.scales is None:
+            rows.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
         else:
-            rows[(i, k)][:] = [_rounded_quotient(u, v, q) for u, v in cells]
-    t.entries = rows if precision == "rational" else rows.frozen()
+            rows.span(i, k)[:] = [u * v for u, v in cells]
+    t.entries = rows.frozen()
     return t
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Convolution-squared table, one shell s = i+k at a time: the squared
     amplitude rows of the photon-addition fill (_photon_addition_shells) in
-    float, or the paired double sum (square roots combined exactly) in
-    rational.
+    float, or the integer totals of the paired double sum (_double_sum,
+    square roots combined exactly) in rational.
 
     The float fill reads neither the exact engine nor the five-term fill.
     Each square is clipped at 1 as it is written into its shell of the
     table's buffer; the next shell reads the unclipped amplitudes."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
+    rows = _TableRows(t)
     if precision == "rational":
-        for i, k in _shell_pairs(imax, kmax):
-            t.entries[(i, k)] = [bs_prob_double_sum(i, k, n, eta) for n in range(i + k + 1)]
-        return t
-    rows = _ShellRows(imax, kmax)
-    for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
-        sq = np.multiply(amplitudes, amplitudes, out=rows.shell(s))
-        np.minimum(sq, 1.0, out=sq)
+        a, b = eta.as_integer_ratio()
+        for i, k in rows:
+            rows.span(i, k)[:] = [_double_sum(i, k, n, a, b) for n in range(i + k + 1)]
+    else:
+        for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
+            sq = np.multiply(amplitudes, amplitudes, out=rows.shell(s))
+            np.minimum(sq, 1.0, out=sq)
     t.entries = rows.frozen()
     return t
 
@@ -342,15 +355,15 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
     rational = precision == "rational"
-    rows = {} if rational else _ShellRows(imax, kmax)
+    rows = _TableRows(t)
     (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
-    dtype = object if rational else float
+    dtype = rows.buffer.dtype
     first, last = _powers(om, one - om, kmax, dtype), _powers(eta, one - eta, imax, dtype)  # of the seed rows
     size = max([(min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1)] + [0])
     scratch = np.empty((2, size), dtype)  # the largest body [g0..g1, n < s], twice
     for s in range(imax + kmax + 1):
         lo, hi = max(0, s - kmax), min(imax, s)
-        shell = np.zeros((hi - lo + 1, s + 1), dtype) if rational else rows.shell(s)
+        shell = rows.shell(s)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
         if g0 <= g1:
             up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
@@ -365,45 +378,34 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
             _seed_row(shell[0], counts, om, one, first, prev[0] if s else None)
         if hi == s:
             _seed_row(shell[-1], counts, eta, one, last, prev[-1] if s else None)
-        if rational:
-            scale = one**s
-            rows.update(((i, s - i), [Fraction(v, scale) for v in row]) for i, row in enumerate(shell, lo))
-        else:
+        if not rational:
             np.clip(shell, 0.0, 1.0, out=shell)
         (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
         if rational or s < _FLOAT_BINOMIALS:
             counts = [1, *map(operator.add, counts, counts[1:]), 1]
-    t.entries = rows if rational else rows.frozen()
+    t.entries = rows.frozen()
     return t
 
 
-def _squeezer_rows(p: SqueezerParam, imax: int, kmax: int, nmax: int, value, zero) -> dict:
-    """{(i, k): row} for i <= imax, k <= kmax: entry n <= nmax of row (i, k)
-    is value(X, Y, Q) of the squeezer cell (i, k -> n) from one pass of
-    _top_coefficient_walk, shell s = n+k, and zero below n = max(0, i-k)."""
+def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
+    """Squeezer table through the reversal route, every bridge shell s = k+n
+    read off one walk over the top coefficients of the beam-splitter shells
+    (_top_coefficient_walk): cell (i, k -> n) is num*X*Y / den**(s+1) for
+    1 - lam = num/den, zero below n = max(0, i-k). Rational rows equal
+    tms_prob_exact, float rows tms_prob bit for bit."""
+    t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
+    rows = _TableRows(t)  # rational precision needs the p/q carrier
     num, den = _partner_ratio(p)
-    rows = {(i, k): [zero] * min(max(0, i - k), nmax + 1) for i in range(imax + 1) for k in range(kmax + 1)}
     walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
     for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
-        for k in range(max(0, s - nmax), min(kmax, s) + 1):
-            for i in range(min(imax, s) + 1):
-                rows[(i, k)].append(value(*cell(i, k), q))
-    return rows
-
-
-def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Squeezer table through the reversal route, every row read off one
-    shared walk over the top coefficients of the beam-splitter shells
-    (_squeezer_rows): row (i, k) is zero below n = max(0, i-k) and then
-    (1-lam) times the bridge cells, float rows rounded once, bit for bit
-    those of tms_prob, and rational rows equal to tms_prob_exact."""
-    t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
-    om = 1 - _param_of(p, precision)
-    if precision == "rational":
-        t.entries = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: om * Fraction(x * y, q), Fraction(0))
-    else:
-        rows = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: om * _rounded_quotient(x, y, q), 0.0)
-        t.entries = {key: _read_only(row) for key, row in rows.items()}
+        lo, hi = max(0, s - nmax), min(kmax, s)
+        cells = [[cell(i, k) for k in range(lo, hi + 1)] for i in range(min(imax, s) + 1)]
+        if rows.scales is None:
+            values = [[_rounded_quotient(num * x, y, den * q) for x, y in row] for row in cells]
+        else:
+            values = [[num * x * y for x, y in row] for row in cells]
+        rows.band(s, lo, hi)[: len(cells)] = values
+    t.entries = rows.frozen()
     return t
 
 
@@ -424,18 +426,12 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     Float cells are clipped to [0, 1] as their shell is stored: a cell
     reads its own row's A(i,k->n-1) from before that clip and its four other
     inputs from after theirs. Rows are complete only once the last shell is
-    stored, and are inserted in (i+k, i) order.
+    stored.
     """
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
     lam, om, one = _carrier(_param_of(p, precision))
-    rational = precision == "rational"
-    width, step = nmax + 1, max(nmax, 1)
-    flat = np.zeros((imax + 1, (kmax + 1) * width), object if rational else float)
-
-    def band(s: int, lo: int, hi: int) -> np.ndarray:
-        """The cells (k, n = s-k) of bridge shell s for lo <= k <= hi, a view."""
-        return flat[:, lo * nmax + s : hi * nmax + s + 1 : step]
-
+    rows = _TableRows(t)
+    flat, band = rows.buffer, rows.band
     pre, pre_lo, counts = None, 0, [1]  # bridge shell s-1 before its clip, from k = pre_lo; C(s, i <= imax)
     for s in range(kmax + nmax + 1):
         lo, hi = max(0, s - nmax), min(kmax, s)
@@ -453,16 +449,12 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
             for i, c in enumerate(counts):
                 shell[i, -1] = _weight(om, c, om, s - i, lam, i)
             counts = [1, *map(operator.add, counts, counts[1:]), 1][: imax + 1]
-        if rational:
-            band(s, lo, hi)[:] = shell
-        else:
+        if rows.scales is None:
             shell.clip(0.0, 1.0, out=band(s, lo, hi))
+        else:
+            band(s, lo, hi)[:] = shell
         pre, pre_lo = shell, lo
-    flat.flags.writeable = False
-    scales = [one**e for e in range(1, kmax + nmax + 2)]  # A(i,k->n) is held times scales[k+n]
-    for i, k in _shell_pairs(imax, kmax):
-        row = flat[i, k * width : (k + 1) * width]
-        t.entries[(i, k)] = [Fraction(v, d) for v, d in zip(row, scales[k:])] if rational else row
+    t.entries = rows.frozen()
     return t
 
 
@@ -575,15 +567,15 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
 
 
 def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):
-    """(den, holds, residual): the general-j identities on the exact engine's
-    integer rows of i <= imax, k <= kmax (and n <= nmax for a squeezer),
-    with eta or 1-lam = num/den.
+    """(den, holds, residual): the general-j identities on the integer rows
+    of the rational direct table of i <= imax, k <= kmax (and n <= nmax for
+    a squeezer), with eta or 1-lam = num/den (the p/q carrier).
 
     residual(i, k, j) is the integer row over the n of row (i, k),
     lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
-    the tildes sum products of engine rows. A beam-splitter row is U*V of
+    the tildes sum products of table rows. A beam-splitter row holds U*V of
     _shell_factor_rows, B(i,k->n) times den**(i+k), and lead is 1; a
-    squeezer row is num*X*Y of _squeezer_rows, A(i,k->n) times
+    squeezer row holds num*X*Y from _top_coefficient_walk, A(i,k->n) times
     den**(k+n+1), zero below n0 = max(0, i-k), and lead is num. So every
     product in a tilde row lands on the power of den of its left-hand side,
     and the den-power rule holds: entry n of a residual row is the exact
@@ -606,13 +598,14 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
     (i, k, j) and (i+1, k+1, j+1) share one."""
     bs = isinstance(p, BeamSplitterParam)
     if bs:
-        lead, den = 1, _exact_ratio(p)[1]
-        rows = {(i, k): [u * v for u, v in cells] for i, k, cells, _ in _shell_factor_rows(p, imax, kmax)}
+        table = bs_table_direct(imax, kmax, p, "rational")
+        lead, den = 1, p.eta_exact.denominator
         products = (min(imax, kmax) + 1) * (imax + kmax + 1)  # pairs (l, t) per tilde entry
     else:
+        table = tms_table_direct(imax, kmax, nmax, p, "rational")
         lead, den = _partner_ratio(p)
-        rows = _squeezer_rows(p, imax, kmax, nmax, lambda x, y, q: lead * x * y, 0)
         products = (imax + 1) * (nmax + 1)  # pairs (l, m) per tilde entry
+    rows = {key: table.entries.span(*key).tolist() for key in table.entries}
     step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)
     widest = max(map(max, rows.values()))
     bits = 2 * widest.bit_length() + lead.bit_length() + step.bit_length() + products.bit_length() + 1

@@ -7,6 +7,7 @@ closed form in the package, so it checks values and signs alike.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import io
@@ -21,7 +22,7 @@ from fockmix.amplitudes import bs_amplitude_direct, tms_amplitude
 from fockmix.numerics import log_factorial
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig
 from fockmix.probabilities import _TAIL_TOLERANCE, _exact_ratio, tms_prob, tms_prob_exact
-from fockmix.recurrences import ClassicalTable, _ShellRows, c_coeff
+from fockmix.recurrences import ClassicalTable, c_coeff
 
 
 def two_mode_unitary(dim: int, theta: float | None = None, r: float | None = None) -> np.ndarray:
@@ -101,19 +102,27 @@ def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
     return rows
 
 
+def within_ulps(a: float, prob: Fraction, ulps: int) -> bool:
+    """|a| lies within ulps ulps of sqrt(prob), checked exactly on squares."""
+    mag, step = Fraction(abs(a)), ulps * Fraction(math.ulp(abs(a)))
+    return max(mag - step, 0) ** 2 <= prob <= (mag + step) ** 2
+
+
 def moved(table, key, n, by):
-    """A copy of table with entry n of row key moved by `by` (a nan or an
-    infinity makes it that). A float beam-splitter table's copy is its one
-    buffer copied, so the copy keeps the shell-wise row sums; every other
-    table's copy is a dict of its rows."""
-    if isinstance(table.entries, _ShellRows):
-        rows = _ShellRows(table.imax, table.kmax)
-        rows.buffer[:] = table.entries.buffer
-        rows[key][n] += by
-        return dataclasses.replace(table, entries=rows.frozen())
-    row = list(table.entries[key]) if table.precision == "rational" else np.array(table.entries[key])
-    row[n] += by
-    return dataclasses.replace(table, entries={**table.entries, key: row})
+    """A copy of a built table with entry n of row key moved by `by` (a nan
+    or an infinity makes it that): the table's one buffer copied, with the
+    entry's buffer value shifted by `by`, times the entry's scale in
+    rational precision (den**(i+k), or den**(k+n+1) for a squeezer, which
+    must make it a whole number)."""
+    rows = copy.copy(table.entries)
+    rows.buffer = table.entries.buffer.copy()
+    if rows.scales is not None:
+        i, k = key
+        shift = by * rows.scales[i + k if table.device is Device.BS else k + n + 1]
+        assert shift.denominator == 1, "the shift is not a whole number of the entry's units"
+        by = int(shift)
+    rows.span(*key)[n] += by
+    return dataclasses.replace(table, entries=rows.frozen())
 
 
 def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
@@ -213,9 +222,9 @@ def prob_plain_quotient(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
 
 
 def normalization_residual_per_cell(i: int, k: int, p) -> float:
-    """normalization_residual summed one prob_plain_quotient per n (times
-    1-lam at the squeezer's bridge cell (i, n+k-i, n)), with the library's
-    cutoff and geometric tail rule.
+    """normalization_residual summed one prob_plain_quotient per n (for the
+    squeezer, num*U*V / (den*Q) at its bridge cell (i, n+k-i, n) with
+    1-lam = num/den exact), with the library's cutoff and geometric tail rule.
 
     The squeezer cells write out factor_sums_reference term by term, with
     r**(n - hi) and den**(n + k) carried as running products, one factor per
@@ -223,7 +232,8 @@ def normalization_residual_per_cell(i: int, k: int, p) -> float:
     if isinstance(p, BeamSplitterParam):
         return abs(math.fsum(prob_plain_quotient(i, k, n, p) for n in range(i + k + 1)) - 1.0)
     lam = p.lam
-    num, den = _exact_ratio(p.ptr_beamsplitter())
+    a, b = (Fraction(lam) if p.lam_exact is None else p.lam_exact).as_integer_ratio()
+    num, den = b - a, b  # 1 - lam, exact
     r = den - num
     num_pow = [num**e for e in range(max(i, k) + 1)]
     r_pow = [r**e for e in range(i + 1)]
@@ -243,7 +253,7 @@ def normalization_residual_per_cell(i: int, k: int, p) -> float:
         for j in range(lo, hi + 1):
             t = math.comb(n, j) * math.comb(i + kb - n, i - j) * num_pow[kb - n + j] * r_pow[i - j]
             v += -t if j & 1 else t
-        terms.append((1.0 - lam) * (u * r_run * v / q))
+        terms.append(num * u * r_run * v / (den * q))
         if n >= n0 + i + k + 2 and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
             return abs(math.fsum(terms) - 1.0)
         if n >= i:  # hi stays at i from here on

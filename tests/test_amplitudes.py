@@ -19,9 +19,9 @@ from fockmix.amplitudes import (
     tms_vacuum_row,
 )
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from fockmix.probabilities import bs_prob_direct, bs_prob_exact
+from fockmix.probabilities import bs_prob_direct, bs_prob_exact, tms_prob, tms_prob_exact
 from fockmix.recurrences import bs_table_convolution
-from fock_oracle import bs_unitary, element, tms_unitary
+from fock_oracle import bs_unitary, element, tms_unitary, within_ulps
 
 
 def test_bs_vacuum_row_values():
@@ -63,7 +63,7 @@ def test_vacuum_rows_past_the_float_range_of_the_binomial_match_the_direct_route
     direct = bs_amplitude_direct(PhotonConfig(3000, 0, 1500), bp)
     assert math.isclose(bs_vacuum_row(3000, 1500, bp), direct, rel_tol=2.7e-13)
     direct = tms_amplitude(PhotonConfig(1500, 0, 3000, Device.TMS), sp)
-    assert math.isclose(tms_vacuum_row(1500, 3000, sp), direct, rel_tol=2.2e-13)
+    assert tms_vacuum_row(1500, 3000, sp) == direct  # the same exact lambda, a normal float
     assert bs_vacuum_row(3000, 1500, BeamSplitterParam(0.5)) == 0.12069009286513847
 
 
@@ -183,25 +183,29 @@ def test_direct_amplitudes_up_to_total_32_are_the_exact_ones(value, total, i, n)
     if prob >= sys.float_info.min:
         assert abs(exact) == math.sqrt(prob)
     else:  # the root of an underflowing or subnormal float would lose bits
-        assert _within_ulps(exact, bs_prob_exact(PhotonConfig(i, total - i, n), _eta_exact(bp)), 1)
+        assert within_ulps(exact, bs_prob_exact(PhotonConfig(i, total - i, n), _eta_exact(bp)), 1)
     assert abs(bs_amplitude_convolution(PhotonConfig(i, total - i, n), bp) - exact) <= 1e-14
-    # the squeezer amplitude whose bridge is this beam-splitter cell
+    # the squeezer amplitude whose bridge is this beam-splitter cell: the
+    # root of tms_prob, signed as the bridge's amplitude
     sp = SqueezerParam.from_value(value)
     bridge = bs_amplitude_direct(PhotonConfig(i, total - i, n), sp.ptr_beamsplitter())
-    k = total - n
-    got = tms_amplitude(PhotonConfig(i, k, n, Device.TMS), sp)
-    assert got == math.sqrt(1.0 - sp.lam) * bridge
-
-
-def _within_ulps(a: float, prob: Fraction, ulps: int) -> bool:
-    """|a| lies within ulps ulps of sqrt(prob), checked exactly on squares."""
-    mag, step = Fraction(abs(a)), ulps * Fraction(math.ulp(abs(a)))
-    return max(mag - step, 0) ** 2 <= prob <= (mag + step) ** 2
+    c = PhotonConfig(i, total - n, n, Device.TMS)
+    got, prob = tms_amplitude(c, sp), tms_prob(c, sp)
+    if prob >= sys.float_info.min:
+        assert abs(got) == math.sqrt(prob)
+    else:
+        assert within_ulps(got, tms_prob_exact(c, _lam_exact(sp)), 1)
+    assert got * bridge >= 0
 
 
 def _eta_exact(p: BeamSplitterParam) -> Fraction:
     """The transmittance the exact engine runs at: the p/q carrier, else the float."""
     return Fraction(p.eta) if p.eta_exact is None else p.eta_exact
+
+
+def _lam_exact(p: SqueezerParam) -> Fraction:
+    """The squeezing parameter the exact engine runs at: the p/q carrier, else the float."""
+    return Fraction(p.lam) if p.lam_exact is None else p.lam_exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,14 +224,11 @@ def test_direct_amplitudes_are_within_one_ulp_of_the_exact_root_at_every_magnitu
     n %= total + 1
     bp = BeamSplitterParam.from_value(value)
     cfg = PhotonConfig(i, total - i, n)
-    assert _within_ulps(bs_amplitude_direct(cfg, bp), bs_prob_exact(cfg, _eta_exact(bp)), 1)
-    # The squeezer cell whose bridge is cfg: the float sqrt(1.0 - lam) times
-    # the bridge's root, two roundings more than that root.
+    assert within_ulps(bs_amplitude_direct(cfg, bp), bs_prob_exact(cfg, _eta_exact(bp)), 1)
+    # The squeezer cell whose bridge is cfg, at the exact lambda.
     sp = SqueezerParam.from_value(value)
-    bridge = sp.ptr_beamsplitter()
-    got = tms_amplitude(PhotonConfig(i, total - n, n, Device.TMS), sp)
-    assert got == math.sqrt(1.0 - sp.lam) * bs_amplitude_direct(cfg, bridge)
-    assert _within_ulps(got, Fraction(1.0 - sp.lam) * bs_prob_exact(cfg, _eta_exact(bridge)), 2)
+    c = PhotonConfig(i, total - n, n, Device.TMS)
+    assert within_ulps(tms_amplitude(c, sp), tms_prob_exact(c, _lam_exact(sp)), 1)
 
 
 def test_tms_amplitude_rejects_an_unknown_method_on_every_cell():

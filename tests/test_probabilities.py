@@ -22,7 +22,7 @@ from fockmix.probabilities import (
     tms_prob_exact,
 )
 from fockmix.recurrences import bs_table_convolution, bs_table_direct
-from fock_oracle import factor_sums_reference, normalization_residual_per_cell, prob_double_sum_literal
+from fock_oracle import factor_sums_reference, normalization_residual_per_cell, prob_double_sum_literal, within_ulps
 
 
 def test_exact_engine_against_literal_double_sum():
@@ -562,19 +562,45 @@ _SQUEEZINGS = st.one_of(
 @example((32, 5, 20), "0.37")
 def test_squeezer_cells_are_the_reversal_route_bit_for_bit(bridge_cell, lam):
     # The squeezer cell (i, total-n -> n) reads its bridge cell
-    # (i, total-i -> n) at 1 - lam from the partner ratio, with no
-    # BeamSplitterParam built; every value must be that of the bridge route.
+    # (i, total-i -> n) at 1 - lam from the partner ratio, the exact 1 - lam,
+    # with no BeamSplitterParam built; the convolution route takes the
+    # float sqrt(1.0 - lam) times the bridge's amplitude.
     total, i, n = bridge_cell
     c, bridge = PhotonConfig(i, total - n, n, Device.TMS), PhotonConfig(i, total - i, n)
     sp = SqueezerParam.from_value(lam)
-    bp = sp.ptr_beamsplitter()
-    assert probabilities._partner_ratio(sp) == probabilities._exact_ratio(bp)
-    assert repr(tms_prob(c, sp)) == repr((1.0 - sp.lam) * bs_prob_direct(bridge, bp))
-    for method in ("direct", "convolution"):
-        want = math.sqrt(1.0 - sp.lam) * bs_amplitude(bridge, bp, method)
-        assert repr(tms_amplitude(c, sp, method)) == repr(want), method
     exact = Fraction(sp.lam) if sp.lam_exact is None else sp.lam_exact
+    assert probabilities._partner_ratio(sp) == (1 - exact).as_integer_ratio()
+    assert repr(tms_prob(c, sp)) == repr(float((1 - exact) * bs_prob_exact(bridge, 1 - exact)))
+    want = math.sqrt(1.0 - sp.lam) * bs_amplitude(bridge, sp.ptr_beamsplitter(), "convolution")
+    assert repr(tms_amplitude(c, sp, "convolution")) == repr(want)
     assert tms_prob_exact(c, exact) == (1 - exact) * bs_prob_exact(bridge, 1 - exact)
+
+
+_EXACT_SQUEEZINGS = st.one_of(
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: f"{p}/{q}")),
+    st.integers(0, 10**6 - 1).map(lambda d: str(d / 10**6)),
+    st.sampled_from(["1e-12", 1 - 1e-12]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 260).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s), st.integers(0, s))),
+       _EXACT_SQUEEZINGS)
+@example((27, 0, 27), "1e-12")  # A(0, 0 -> 27), once 6e-4 off at the float 1.0 - lam
+@example((0, 0, 0), "999999/1000000")
+@example((6, 3, 5), "999999/1000000")  # A(3, 1 -> 5)
+@example((60, 21, 44), "36/37")
+@example((260, 130, 131), 1 - 1e-12)
+@example((103, 0, 0), "999/1000")  # A(0, 103 -> 0) = 1e-312 is subnormal
+def test_squeezer_values_are_the_exact_ones_rounded_once(bridge_cell, lam):
+    # With 1 - lam taken exactly, every squeezer value is one quotient of
+    # exact integers: the probability rounded once, its root within one ulp.
+    total, i, n = bridge_cell
+    c = PhotonConfig(i, total - n, n, Device.TMS)
+    sp = SqueezerParam.from_value(lam)
+    exact = tms_prob_exact(c, Fraction(sp.lam) if sp.lam_exact is None else sp.lam_exact)
+    assert repr(tms_prob(c, sp)) == repr(float(exact))
+    assert within_ulps(tms_amplitude(c, sp), exact, 1)
 
 
 def test_square_of_amplitude_invariant():

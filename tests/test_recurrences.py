@@ -358,23 +358,45 @@ def test_float_tms_fill_holds_only_its_entries():
     assert not any(row.flags.writeable for row in table.entries.values())
 
 
-@pytest.mark.parametrize("build", [bs_table_recurrence, bs_table_convolution, bs_table_direct])
-def test_float_bs_rows_are_read_only_views_of_one_buffer(build):
-    imax, kmax = 5, 3
-    table = build(imax, kmax, BeamSplitterParam(0.3))
+_ALL_BUILDERS = [bs_table_direct, bs_table_convolution, bs_table_recurrence, tms_table_direct, tms_table_recurrence]
+
+
+@pytest.mark.parametrize("precision", ["float", "rational"])
+@pytest.mark.parametrize("build", _ALL_BUILDERS, ids=lambda b: b.__name__)
+def test_built_table_rows_live_in_one_buffer(build, precision):
+    bs = build.__name__.startswith("bs")
+    imax, kmax, nmax = 5, 3, 4
+    p = (BeamSplitterParam if bs else SqueezerParam).from_value("2/7")
+    sizes = (imax, kmax) if bs else (imax, kmax, nmax)
+    table = build(*sizes, p, precision)
+    rows = table.entries
     keys = [(i, s - i) for s in range(imax + kmax + 1) for i in range(max(0, s - kmax), min(imax, s) + 1)]
-    assert list(table.entries) == keys and len(table.entries) == (imax + 1) * (kmax + 1)
-    assert sorted(table.entries) == sorted(keys) and all(key in table.entries for key in keys)
-    buffer = table.entries.buffer
-    assert buffer.size == sum(i + k + 1 for i, k in keys)
-    for key in keys:
-        row = table.entries[key]
-        assert row.base is buffer and not row.flags.writeable and row.size == sum(key) + 1
+    assert type(rows) is recurrences._TableRows and not rows.buffer.flags.writeable
+    assert list(rows) == keys and len(rows) == (imax + 1) * (kmax + 1)
+    assert sorted(rows) == sorted(keys) and all(key in rows for key in keys)
+    assert rows.buffer.size == (sum(i + k + 1 for i, k in keys) if bs else len(keys) * (nmax + 1))
     # Every row index left of 0 or past imax or kmax is missing; none wraps into the buffer.
     for i, k in [(-1, 3), (imax + 1, 0), (0, kmax + 1), (-1, 0), (0, -1), (-2, 5), (6, -3)]:
-        assert (i, k) not in table.entries
+        assert (i, k) not in rows
         with pytest.raises(TableCoverageError):
             table.row(i, k)
+    for i, k in keys:
+        row = table.row(i, k)
+        if precision == "float":
+            assert row.base is rows.buffer and not row.flags.writeable and row.size == (i + k + 1 if bs else nmax + 1)
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+            continue
+        if bs:
+            want = [bs_prob_exact(PhotonConfig(i, k, n), p.eta_exact) for n in range(i + k + 1)]
+        else:
+            want = [tms_prob_exact(PhotonConfig(i, k, n, Device.TMS), p.lam_exact) for n in range(nmax + 1)]
+        assert type(row) is list and all(type(v) is Fraction for v in row) and row == want
+        row[0] += 1  # a fresh list: the table keeps its value
+        assert table.row(i, k) == want
+    if precision == "rational":  # every route of a device holds the same integers
+        for other in _ALL_BUILDERS[:3] if bs else _ALL_BUILDERS[3:]:
+            assert np.array_equal(other(*sizes, p, "rational").entries.buffer, rows.buffer)
 
 
 def test_a_table_built_from_a_dict_of_rows_reads_as_the_built_one():
@@ -405,8 +427,9 @@ def test_float_bs_fill_holds_its_buffer_and_scratch_only(build):
 def _table_digest(table) -> str:
     h = hashlib.sha256()
     for key in sorted(table.entries):
+        row = table.entries[key]
         h.update(repr(key).encode())
-        h.update(table.entries[key].tobytes())
+        h.update(row.tobytes() if hasattr(row, "tobytes") else repr(row).encode())
     return h.hexdigest()
 
 
@@ -421,6 +444,26 @@ def _table_digest(table) -> str:
 def test_benchmark_size_tables_keep_their_bytes(build, size, eta, digest):
     # The sha256 over sorted keys, each key's repr and its row's bytes.
     assert _table_digest(build(size, size, BeamSplitterParam.from_value(eta))) == digest
+
+
+@pytest.mark.parametrize(
+    "build, sizes, param, precision, digest",
+    [
+        (bs_table_recurrence, (25, 25), "1/2", "rational",
+         "a3b53b077cc3e6e1b8735fb1a42cbb32452f4087f13c70e63a1c5889f2a50f93"),
+        (tms_table_recurrence, (10, 10, 30), "1/4", "rational",
+         "256fff48594e43013a9026249f592a8ca6d50a32f50052e5744d63c0e3fe4ad1"),
+        (tms_table_direct, (10, 10, 30), "1/4", "rational",
+         "256fff48594e43013a9026249f592a8ca6d50a32f50052e5744d63c0e3fe4ad1"),
+        (tms_table_recurrence, (60, 60, 200), "1/4", "float",
+         "e60f92205ea0057a9f32bf7a523e0d32451fd75bccdf0795dc5af6a63a357099"),
+    ],
+    ids=["bs-recurrence-rational", "tms-recurrence-rational", "tms-direct-rational", "tms-recurrence-float"],
+)
+def test_benchmark_size_rational_and_squeezer_tables_keep_their_bytes(build, sizes, param, precision, digest):
+    # Rational rows enter the digest as the repr of their Fraction lists.
+    p = (BeamSplitterParam if build is bs_table_recurrence else SqueezerParam).from_value(param)
+    assert _table_digest(build(*sizes, p, precision)) == digest
 
 
 @pytest.mark.parametrize("eta", ["1/2", "3/10"])
@@ -504,14 +547,6 @@ def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
     for precision, rows in want.items():
         got = tms_table_direct(4, 5, 9, p, precision).entries
         assert all(np.array_equal(got[key], row) for key, row in rows.items())
-
-
-def test_float_table_rows_are_read_only():
-    bp, sp = BeamSplitterParam(0.3), SqueezerParam(0.3)
-    for table in (bs_table_recurrence(4, 4, bp), bs_table_direct(4, 4, bp), bs_table_convolution(4, 4, bp),
-                  tms_table_recurrence(4, 4, 6, sp), tms_table_direct(4, 4, 6, sp)):
-        with pytest.raises(ValueError):
-            table.row(3, 2)[0] = 0.5
 
 
 # Rational tilde rows are integer convolutions; the Fraction convolution is the reference.
@@ -670,7 +705,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_factor_rows", "_top_coefficient_walk", "bs_prob_double_sum", "_photon_addition_shells"):
+    for name in ("_shell_factor_rows", "_top_coefficient_walk", "_double_sum", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)

@@ -175,9 +175,18 @@ def _refuse(what):
     return refuse
 
 
-def test_exact_identity_blocks_build_no_table(monkeypatch):
-    monkeypatch.setattr(recurrences.ProbabilityTable, "__init__", _refuse("built a ProbabilityTable"))
+def test_exact_identity_blocks_build_only_rational_direct_tables(monkeypatch):
+    # The identity rows are the integer buffers of the rational direct
+    # tables, one table per parameter; no fill runs.
+    built, init = [], recurrences.ProbabilityTable.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.device.value, self.method, self.precision))
+
+    monkeypatch.setattr(recurrences.ProbabilityTable, "__init__", record)
     _run_exact_identity_blocks()
+    assert built == [("bs", "direct", "rational")] * 5 + [("tms", "direct", "rational")] * 3
 
 
 def test_exact_identity_blocks_sum_no_unpacked_rows(monkeypatch):
@@ -389,7 +398,7 @@ def test_agree_compares_rational_tables_exactly():
     direct = bs_table_direct(3, 3, third, "rational")
     rec = bs_table_recurrence(3, 3, third, "rational")
     res = verify.VerificationResult("agree")
-    verify._agree(res, (direct, rec, moved(rec, (3, 3), 6, Fraction(1, 10**30))), "i,k<=3", "eta=1/3")
+    verify._agree(res, (direct, rec, moved(rec, (3, 3), 6, Fraction(1, 3**6))), "i,k<=3", "eta=1/3")
     assert res.cases == 3
     assert res.failures == [
         verify.Failure(f"{a} vs recurrence i,k<=3", "eta=1/3", "exact equality", "False", "exact")
