@@ -32,11 +32,11 @@ clipped to [0, 1] as their shell is stored; a squeezer cell reads its own
 row's A(i,k->n-1) from before that clip and its four other inputs from
 after theirs. A built table is immutable and safe to share.
 
-The exact identity checks of the verify suites read the integer rows of the
-rational direct tables, so a residual is an integer row, with no lcm or gcd.
-Each row is packed into one integer, so that a check is one big-integer
-compare (_identity_residual_rows). The public tilde rows of a rational table
-lift the rows one call reads to one common denominator instead.
+A value or tilde row reads the buffer through ProbabilityTable.span at both
+precisions: every product lies on a known power of den (the den-power rule
+of _identity_residual_rows), so a rational result is one Fraction per entry.
+The exact identity checks of the verify suites pack each integer row into
+one integer, so that a check is one big-integer compare.
 
 The float convolution table is a third route, apart from the exact engine
 and the five-term fill. At every total a shell is the square of a
@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Union
@@ -101,14 +101,13 @@ Param = Union[BeamSplitterParam, SqueezerParam]
 class ProbabilityTable:
     """Triangular (beam splitter) or rectangular (squeezer) probability table.
 
-    entries maps (i, k) to the row over the output count n: beam-splitter
-    rows hold i+k+1 values (n = 0..i+k), squeezer rows nmax+1. Rows are
-    read-only float64 numpy arrays in float precision and lists of Fractions
-    in rational precision. A built table's entries is a _TableRows, one
-    buffer in the device's layout; any mapping of rows may be passed in.
-    Every float entry lies in [0, 1]: direct rows are exact values rounded
-    once, and the recurrence and convolution fills clip as they store a
-    shell.
+    entries, a _TableRows (one buffer in the device's layout), maps (i, k)
+    to the row over the output count n: beam-splitter rows hold i+k+1 values
+    (n = 0..i+k), squeezer rows nmax+1. A row is a read-only float64 view,
+    or in rational precision a fresh list of Fractions; span is the buffer
+    row itself. Every float entry lies in [0, 1]: direct rows are exact
+    values rounded once, and the recurrence and convolution fills clip as
+    they store a shell.
     """
 
     device: Device
@@ -118,7 +117,7 @@ class ProbabilityTable:
     imax: int
     kmax: int
     nmax: int | None = None
-    entries: Mapping = field(default_factory=dict)
+    entries: _TableRows | None = None  # set by the builder
 
     def __post_init__(self):
         if self.device is Device.TMS and self.nmax is None:
@@ -134,37 +133,36 @@ class ProbabilityTable:
     def zero(self):
         return Fraction(0) if self.precision == "rational" else 0.0
 
+    def span(self, i: int, k: int) -> np.ndarray:
+        """Row (i, k) of the buffer (_TableRows.span), checked: a row the
+        table does not hold raises TableCoverageError."""
+        if 0 <= i <= self.imax and 0 <= k <= self.kmax:
+            return self.entries.span(i, k)
+        raise TableCoverageError(
+            f"table ({self.device.value}, imax={self.imax}, kmax={self.kmax}) "
+            f"has no row (i={i}, k={k})"
+        )
+
     def row(self, i: int, k: int):
-        try:
-            return self.entries[(i, k)]
-        except KeyError:
-            raise TableCoverageError(
-                f"table ({self.device.value}, imax={self.imax}, kmax={self.kmax}) "
-                f"has no row (i={i}, k={k})"
-            ) from None
+        span = self.span(i, k)
+        return span if self.entries.den is None else self.entries[(i, k)]
 
     def value(self, i: int, k: int, n: int):
+        """Entry (i, k -> n), a rational one over its scale den**e; zero at
+        n < 0 and past a beam-splitter row."""
         if n < 0:
             return self.zero
-        row = self.row(i, k)
+        row = self.span(i, k)
         if self.device is Device.BS:
-            return row[n] if n < len(row) else self.zero
-        if n >= len(row):
-            raise TableCoverageError(
-                f"squeezer table holds n <= {len(row) - 1}, asked for n={n}"
-            )
-        return row[n]
+            return self.entries.exact([row[n]], i + k)[0] if n < len(row) else self.zero
+        return self.entries.exact([_entry(row, n)], k + n + 1)[0]
 
     def normalization_max_residual(self) -> float:
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
         excess above 1 counts there. A row whose sum is not finite makes the
-        residual inf or nan, so no tolerance accepts it. A built float
-        table's row sums are taken on its buffer (_TableRows.sums)."""
-        rows = self.entries
-        if isinstance(rows, _TableRows) and rows.scales is None:
-            sums = rows.sums()
-        else:  # np.sum of a row of Fractions is their exact sum
-            sums = np.array([float(np.sum(row)) for row in rows.values()])
+        residual inf or nan, so no tolerance accepts it. The row sums are
+        taken on the buffer (_TableRows.sums)."""
+        sums = self.entries.sums()
         bad = ~np.isfinite(sums)
         if bad.any():
             return abs(float(sums[bad][0]))
@@ -242,15 +240,14 @@ class _TableRows(Mapping):
     flat buffer, the squeezer a grid [i, k*(nmax+1) + n]. A float row is a
     read-only view. A rational buffer holds the ints v = entry * den**e, den
     the denominator of eta or lambda and e = i+k (beam splitter) or k+n+1
-    (squeezer), the same on every route; a row is a fresh Fraction list."""
+    (squeezer), the same on every route; a row is a fresh Fraction list.
+    zero starts a sum of buffer values: 0.0, or 0 (den is None in float)."""
 
     def __init__(self, t: ProbabilityTable):
         self.imax, self.kmax, self.nmax = t.imax, t.kmax, t.nmax
-        self.scales, dtype = None, float
+        self.den, self.zero, dtype = None, 0.0, float
         if t.precision == "rational":
-            den = _param_of(t.param, "rational").denominator
-            top = t.imax + t.kmax if t.nmax is None else t.kmax + t.nmax + 1  # the largest e
-            self.scales, dtype = list(accumulate(repeat(den, top), operator.mul, initial=1)), object
+            self.den, self.zero, dtype = _param_of(t.param, "rational").denominator, 0, object
         if t.nmax is None:
             sizes = ((min(t.imax, s) - max(0, s - t.kmax) + 1) * (s + 1) for s in range(t.imax + t.kmax + 1))
             self.offsets = list(accumulate(sizes, initial=0))
@@ -273,7 +270,7 @@ class _TableRows(Mapping):
         return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
 
     def span(self, i: int, k: int) -> np.ndarray:
-        """Row (i, k) of the buffer, a view: floats, or the integers over their scales."""
+        """Row (i, k) of the buffer, a view; unchecked, so a negative i reads the shell below."""
         if self.nmax is None:
             s = i + k
             start = self.starts[s] + i * (s + 1)
@@ -281,21 +278,31 @@ class _TableRows(Mapping):
         width = self.nmax + 1
         return self.buffer[i, k * width : (k + 1) * width]
 
+    def exact(self, sums, e: int, per_n: bool = False):
+        """Buffer values, or sums of their products, as the table's numbers:
+        floats as they are, else Fractions sums[n] / den**e (den**(e+n) per_n)."""
+        if self.den is None:
+            return sums
+        scales = accumulate(repeat(self.den), operator.mul, initial=self.den**e) if per_n else repeat(self.den**e)
+        return [Fraction(v, d) for v, d in zip(sums, scales)]
+
     def sums(self) -> np.ndarray:
-        """The float row sums: one sum per beam-splitter shell, or one over the squeezer grid."""
+        """The float row sums, by beam-splitter shell or over the squeezer
+        grid. A rational row is lifted to one power of den, summed exactly and
+        divided once; a float row is over den = 1, and x * 1.0 and x / 1.0 are x."""
+        top = self.imax + self.kmax if self.nmax is None else self.kmax + self.nmax + 1
+        powers = np.array([(self.den or 1) ** e for e in range(top + 1)], self.buffer.dtype)
         if self.nmax is None:
-            return np.concatenate([self.shell(s).sum(axis=1) for s in range(self.imax + self.kmax + 1)])
-        return self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1).sum(axis=2).ravel()
+            return np.concatenate([self.shell(s).sum(axis=1) / powers[s] for s in range(top + 1)]).astype(float)
+        grid = self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1)
+        return ((grid * powers[self.nmax :: -1]).sum(axis=2) / powers[self.nmax + 1 :]).astype(float).ravel()
 
     def __getitem__(self, key):
         i, k = key
         if not (0 <= i <= self.imax and 0 <= k <= self.kmax):
             raise KeyError(key)
-        row = self.span(i, k)
-        if self.scales is None:
-            return row
-        scales = repeat(self.scales[i + k]) if self.nmax is None else self.scales[k + 1 :]
-        return [Fraction(v, d) for v, d in zip(row.tolist(), scales)]
+        row, (e, per_n) = self.span(i, k), (i + k, False) if self.nmax is None else (k + 1, True)
+        return row if self.den is None else self.exact(row.tolist(), e, per_n)
 
     def __iter__(self):
         for s in range(self.imax + self.kmax + 1):
@@ -314,7 +321,7 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
     rows = _TableRows(t)  # rational precision needs the p/q carrier
     for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
-        if rows.scales is None:
+        if rows.den is None:
             rows.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
         else:
             rows.span(i, k)[:] = [u * v for u, v in cells]
@@ -400,7 +407,7 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
     for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
         lo, hi = max(0, s - nmax), min(kmax, s)
         cells = [[cell(i, k) for k in range(lo, hi + 1)] for i in range(min(imax, s) + 1)]
-        if rows.scales is None:
+        if rows.den is None:
             values = [[_rounded_quotient(num * x, y, den * q) for x, y in row] for row in cells]
         else:
             values = [[num * x * y for x, y in row] for row in cells]
@@ -449,13 +456,20 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
             for i, c in enumerate(counts):
                 shell[i, -1] = _weight(om, c, om, s - i, lam, i)
             counts = [1, *map(operator.add, counts, counts[1:]), 1][: imax + 1]
-        if rows.scales is None:
+        if rows.den is None:
             shell.clip(0.0, 1.0, out=band(s, lo, hi))
         else:
             band(s, lo, hi)[:] = shell
         pre, pre_lo = shell, lo
     t.entries = rows.frozen()
     return t
+
+
+def _entry(row: np.ndarray, n: int):
+    """row[n] of a buffer row; an n past a squeezer row (past nmax) raises TableCoverageError."""
+    if n >= len(row):
+        raise TableCoverageError(f"squeezer table holds n <= {len(row) - 1}, asked for n={n}")
+    return row[n]
 
 
 def _term_sum(terms, length: int, zero=0) -> list:
@@ -472,19 +486,6 @@ def _convolve_full(a, b):
     return _term_sum(zip(a, count(), repeat(b)), len(a) + len(b) - 1, 0 * (a[0] + b[0]))
 
 
-def _lifted_term_sum(terms_of, table: ProbabilityTable, length: int) -> list:
-    """_term_sum of terms_of(row), row(i, k) a row accessor, on a rational
-    table, as Fractions. The rows one call reads are lifted to integers at
-    the lcm d of all their denominators, so every product lands at d**2 and
-    the sum runs on integers."""
-    read = {}
-    for _ in terms_of(lambda i, k: read.setdefault((i, k), table.row(i, k))):
-        pass
-    d = math.lcm(*(x.denominator for row in read.values() for x in row))
-    lifted = {key: [x.numerator * (d // x.denominator) for x in row] for key, row in read.items()}
-    return [Fraction(v, d * d) for v in _term_sum(terms_of(lambda i, k: lifted[(i, k)]), length)]
-
-
 def _bs_tilde_pairs(i: int, k: int, j: int, row) -> list:
     return [(row(j - l, l), row(i - j + l, k - l)) for l in range(max(0, j - i), min(j, k) + 1)]
 
@@ -495,18 +496,14 @@ def _bs_tilde_terms(i: int, k: int, j: int, row):
 
 
 def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
-    """The j-indexed convolution combination as a full row over n = 0..i+k.
-
-    Rational rows are convolved as integers at a common denominator, with one
-    Fraction formed per output entry; float rows add up one full convolution
-    per pair of rows."""
-    if table.precision == "rational":
-        return _lifted_term_sum(lambda row: _bs_tilde_terms(i, k, j, row), table, i + k + 1)
-    out = [table.zero] * (i + k + 1)
-    for a, b in _bs_tilde_pairs(i, k, j, table.row):
-        for n, v in enumerate(_convolve_full(list(a), list(b))):
+    """The j-indexed convolution combination as a full row over n = 0..i+k:
+    one full convolution per pair of buffer rows, added pair by pair; every
+    product lies on den**(i+k) in rational precision."""
+    out = [table.entries.zero] * (i + k + 1)
+    for a, b in _bs_tilde_pairs(i, k, j, lambda i, k: table.span(i, k).tolist()):
+        for n, v in enumerate(_convolve_full(a, b)):
             out[n] += v
-    return out
+    return table.entries.exact(out, i + k)
 
 
 def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):
@@ -537,11 +534,10 @@ def _tms_tilde_terms(i: int, k: int, j: int, nmax: int, row):
 
 def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     """Squeezer analog of bs_tilde_row, over n = 0..nmax; the convolution acts
-    on the input index i, and entries with j > n+k are 0. Float entries are
-    summed over l, then m, as tms_tilde always has."""
-    if table.precision == "rational":
-        return _lifted_term_sum(lambda row: _tms_tilde_terms(i, k, j, table.nmax, row), table, table.nmax + 1)
-    return _term_sum(_tms_tilde_terms(i, k, j, table.nmax, table.row), table.nmax + 1, table.zero)
+    on the input index i, and entries with j > n+k are 0. Summed over l, then
+    m, as tms_tilde is; a product in entry n lies on den**(k+n+2)."""
+    terms = _tms_tilde_terms(i, k, j, table.nmax, lambda i, k: table.span(i, k).tolist())
+    return table.entries.exact(_term_sum(terms, table.nmax + 1, table.entries.zero), k + 2, per_n=True)
 
 
 def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -549,11 +545,11 @@ def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
     reads only the entries it sums, so n may pass nmax where those are held."""
     if min(i, k, n) < 0 or j < 0 or j > n + k:
         return table.zero
-    total = table.zero
+    total = table.entries.zero
     for l in range(max(0, j - k), min(j, n) + 1):
         for m in range(i + 1):
-            total += table.value(m, j - l, l) * table.value(i - m, k - j + l, n - l)
-    return total
+            total += _entry(table.span(m, j - l), l) * _entry(table.span(i - m, k - j + l), n - l)
+    return table.entries.exact([total], k + n + 2)[0]
 
 
 def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):

@@ -255,14 +255,12 @@ def _suite_recurrence_bs(res: VerificationResult) -> None:
         for k in range(fmax + 1):
             if i + k == 0:
                 continue
-            cur = bs_tilde_row(i, k, 1, table)
-            prev = bs_tilde_row(i - 1, k - 1, 0, table) if min(i, k) >= 1 else []
-            row = table.row(i, k)
-            for n in range(i + k + 1):
-                rhs = cur[n]
-                if prev and 1 <= n and n - 1 < len(prev):
-                    rhs -= prev[n - 1]
-                worst = nan_max(worst, abs(float(row[n]) - float(rhs)))
+            rhs = bs_tilde_row(i, k, 1, table)
+            if min(i, k) >= 1:
+                for n, v in enumerate(bs_tilde_row(i - 1, k - 1, 0, table), 1):
+                    rhs[n] -= v
+            for lhs, v in zip(table.span(i, k).tolist(), rhs):
+                worst = nan_max(worst, abs(lhs - v))
     res.within(worst, 1e-10, f"j=1 float i,k<={fmax}", "eta=0.7", "residual<=1e-10")
 
     # route agreement: float tables pairwise, then exact tables pairwise equal

@@ -116,9 +116,9 @@ def moved(table, key, n, by):
     must make it a whole number)."""
     rows = copy.copy(table.entries)
     rows.buffer = table.entries.buffer.copy()
-    if rows.scales is not None:
+    if rows.den is not None:
         i, k = key
-        shift = by * rows.scales[i + k if table.device is Device.BS else k + n + 1]
+        shift = by * rows.den ** (i + k if table.device is Device.BS else k + n + 1)
         assert shift.denominator == 1, "the shift is not a whole number of the entry's units"
         by = int(shift)
     rows.span(*key)[n] += by

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from fock_oracle import (
 )
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from fockmix.probabilities import bs_prob_exact, tms_prob, tms_prob_exact
+from fockmix.probabilities import bs_prob_direct, bs_prob_exact, tms_prob, tms_prob_exact
 from fockmix.recurrences import (
     ClassicalTable,
     ProbabilityTable,
@@ -399,17 +398,6 @@ def test_built_table_rows_live_in_one_buffer(build, precision):
             assert np.array_equal(other(*sizes, p, "rational").entries.buffer, rows.buffer)
 
 
-def test_a_table_built_from_a_dict_of_rows_reads_as_the_built_one():
-    p = BeamSplitterParam(0.3)
-    built = bs_table_recurrence(6, 4, p)
-    table = ProbabilityTable(Device.BS, p, "recurrence", "float", 6, 4, entries=dict(built.entries))
-    assert list(table.entries) == list(built.entries)
-    assert all(table.value(i, k, n) == built.value(i, k, n) for i, k in built.entries for n in range(i + k + 2))
-    assert table.normalization_max_residual() == built.normalization_max_residual()
-    with pytest.raises(TableCoverageError):
-        table.row(-1, 3)
-
-
 @pytest.mark.parametrize("build", [bs_table_recurrence, bs_table_convolution])
 def test_float_bs_fill_holds_its_buffer_and_scratch_only(build):
     imax = kmax = 120
@@ -555,29 +543,16 @@ def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
 @pytest.mark.parametrize("eta", ["0/1", "1/4", "1/3", "1/2", "1/1"])
 def test_rational_tilde_rows_equal_fraction_convolutions(eta):
     p = BeamSplitterParam.from_value(eta)
-    direct = bs_table_direct(8, 8, p, "rational")
-    recurrence = bs_table_recurrence(8, 8, p, "rational")
-    assert recurrence.entries == direct.entries  # so one reference row serves both
+    tables = [build(8, 8, p, "rational") for build in (bs_table_direct, bs_table_convolution, bs_table_recurrence)]
+    direct = tables[0]
+    assert all(t.entries == direct.entries for t in tables[1:])  # so one reference row serves them all
     for i in range(9):
         for k in range(9):
             for j in range(i + k + 1):
                 want = bs_tilde_row_reference(i, k, j, direct)
-                for table in (direct, recurrence):
+                for table in tables:
                     got = bs_tilde_row(i, k, j, table)
                     assert got == want and all(type(v) is Fraction for v in got)
-
-
-def test_rational_tilde_rows_without_a_shared_denominator():
-    rng = random.Random(2024)
-    entries = {
-        (i, k): [Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 10, 12, 35])) for _ in range(i + k + 1)]
-        for i in range(4)
-        for k in range(4)
-    }
-    table = ProbabilityTable(Device.BS, THIRD, "direct", "rational", 3, 3, entries=entries)
-    for (i, k) in entries:
-        for j in range(i + k + 1):
-            assert bs_tilde_row(i, k, j, table) == bs_tilde_row_reference(i, k, j, table)
 
 
 def test_float_tilde_rows_keep_their_operation_order():
@@ -649,6 +624,85 @@ def test_float_tms_tilde_rows_keep_their_operation_order():
                 got = tms_tilde_row(i, k, j, table)
                 want = [tms_tilde_reference(i, k, n, j, table) for n in range(6)]
                 assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def test_exact_reads_make_no_fraction_row(monkeypatch):
+    # value, the tilde rows and the identity checks read the buffer through
+    # ProbabilityTable.span and make one Fraction per result, never a row.
+    bs = bs_table_direct(5, 5, THIRD, "rational")
+    tms = tms_table_direct(3, 6, 3, _TWO_FIFTHS, "rational")
+    bs_cells = [(i, k, n) for i in range(6) for k in range(6) for n in range(-1, i + k + 2)]
+    tms_cells = [(i, k, n) for i in range(4) for k in range(4) for n in range(4)]
+    reads = {
+        "bs value": lambda: [bs.value(i, k, n) for i, k, n in bs_cells],
+        "tms value": lambda: [tms.value(i, k, n) for i, k, n in tms_cells],
+        "bs_tilde_row": lambda: [bs_tilde_row(i, k, j, bs) for i, k, _ in bs_cells for j in range(i + k + 1)],
+        "tms_tilde_row": lambda: [tms_tilde_row(i, k, j, tms) for i, k, _ in tms_cells for j in range(3 + k + 1)],
+        "tms_tilde": lambda: [tms_tilde(i, k, n, j, tms) for i, k, n in tms_cells for j in range(n + k + 1)],
+        "bs_recurrence_check": lambda: [
+            bs_recurrence_check(i, k, n, j, bs) for i, k, n in bs_cells for j in range(i + k + 1)
+        ],
+        "tms_recurrence_check": lambda: [
+            tms_recurrence_check(i, k, n, j, tms) for i, k, n in tms_cells for j in range(n + k + 1)
+        ],
+    }
+    want = {name: read() for name, read in reads.items()}
+
+    def refuse(self, key):
+        raise AssertionError("a Fraction row was made")
+
+    monkeypatch.setattr(recurrences._TableRows, "__getitem__", refuse)
+    for name, read in reads.items():
+        assert read() == want[name], name
+    assert all(v == 0 for v in want["bs_recurrence_check"] + want["tms_recurrence_check"])
+    # An index the table does not hold raises, a negative one included: none
+    # reads the shell below or wraps into the buffer.
+    for table in (bs, tms):
+        for i, k in [(-1, 0), (0, -1), (-1, 3), (table.imax + 1, 0), (0, table.kmax + 1)]:
+            with pytest.raises(TableCoverageError):
+                table.value(i, k, 0)
+            with pytest.raises(TableCoverageError):
+                table.span(i, k)
+    with pytest.raises(TableCoverageError):
+        bs_tilde_row(6, 0, 0, bs)
+    with pytest.raises(TableCoverageError):
+        tms_tilde_row(4, 0, 0, tms)
+    with pytest.raises(TableCoverageError):
+        tms.value(0, 0, 4)  # past nmax
+    with pytest.raises(TableCoverageError):
+        tms_tilde(0, 0, 4, 0, tms)
+
+
+# The paper's interference term vanishes exactly beyond the Hong-Ou-Mandel
+# cell: (i, k -> n, eta) with B = 0, and the squeezer's gain-2 cell.
+_BS_ZEROS = [(1, 2, 2, "1/3"), (1, 3, 3, "1/4"), (1, 4, 3, "2/5"), (1, 9, 7, "3/10")]
+
+
+@pytest.mark.parametrize("i, k, n, eta", _BS_ZEROS)
+def test_bs_suppression_zeros_beyond_hom(i, k, n, eta):
+    p = BeamSplitterParam.from_value(eta)
+    tables = [build(i, k, p, "rational") for build in (bs_table_direct, bs_table_convolution, bs_table_recurrence)]
+    for table in tables:
+        got = table.value(i, k, n)
+        assert type(got) is Fraction and got == 0, table.method
+    direct = bs_prob_direct(PhotonConfig(i, k, n), p)
+    assert type(direct) is float and direct == 0.0
+    for j in range(i + k + 1):
+        residual = bs_recurrence_check(i, k, n, j, tables[0])
+        assert type(residual) is Fraction and residual == 0, j
+
+
+def test_tms_gain_two_suppression_zero():
+    sp = SqueezerParam.from_value("1/2")
+    for build in (tms_table_direct, tms_table_recurrence):
+        table = build(1, 1, 1, sp, "rational")
+        got = table.value(1, 1, 1)
+        assert type(got) is Fraction and got == 0, table.method
+        for j in range(3):
+            residual = tms_recurrence_check(1, 1, 1, j, table)
+            assert type(residual) is Fraction and residual == 0, (table.method, j)
+    direct = tms_prob(PhotonConfig(1, 1, 1, Device.TMS), sp)
+    assert type(direct) is float and direct == 0.0
 
 
 def test_classical_residual_on_a_shared_table_is_the_per_call_value():
