@@ -230,8 +230,8 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
         labels, tail = '      "n": {},\n      "m": {},\n      "value": ' + quote, quote + "\n    }"
     first = fmt == "json"  # the first JSON entry takes no leading comma
     layouts = {}  # the "n, m" texts of a row, by i+k (beam splitter) or k-i (squeezer)
-    for (i, k) in sorted(table.entries):
-        row = table.entries[(i, k)]
+    for (i, k) in sorted(table):
+        row = table[(i, k)]
         start = 0 if bs else max(0, i - k)
         values = map(str, row[start:]) if rational else map(repr, row[start:].tolist())
         layout = i + k if bs else k - i
@@ -266,6 +266,8 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     if method == "exact":
         precision, method = "rational", "direct"
     param = _param(device, eta, lam, precision == "rational")
+    if device == "bs" and nmax is not None:
+        raise click.UsageError("--nmax applies to squeezer tables only")
     if device == "tms":
         if nmax is None:
             raise click.UsageError("--nmax is required for squeezer tables")
@@ -276,7 +278,7 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
     built = time.perf_counter()
     residual = t.normalization_max_residual()
     checked = time.perf_counter()
-    record = {"route": method, "rows": len(t.entries), "build_s": built - started,
+    record = {"route": method, "rows": len(t), "build_s": built - started,
               "check_s": checked - built, "emit_s": None, "normalization_residual": residual}
     if not residual <= _NORMALIZATION_TOLERANCE:  # a nan residual fails too
         _note(record)

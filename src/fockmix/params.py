@@ -38,6 +38,13 @@ def _from_value(cls, value: float | str | Fraction):
     return cls(float(value))
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise ValueError naming the first negative photon count."""
+    for name, c in counts.items():
+        if c < 0:
+            raise ValueError(f"photon counts must be nonnegative, got {name}={c}")
+
+
 @dataclass(frozen=True)
 class PhotonConfig:
     """Fock indices (i, k) in, n out; the second output index is redundant.
@@ -53,8 +60,7 @@ class PhotonConfig:
     device: Device = Device.BS
 
     def __post_init__(self) -> None:
-        if min(self.i, self.k, self.n) < 0:
-            raise ValueError(f"photon counts must be nonnegative, got {self}")
+        _check_counts(i=self.i, k=self.k, n=self.n)
 
     @property
     def m(self) -> int:

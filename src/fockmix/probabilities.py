@@ -54,7 +54,7 @@ from itertools import count
 
 from .errors import ConvergenceError
 from .numerics import gamma_small
-from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
+from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
 
 __all__ = [
     "bs_prob_direct",
@@ -236,9 +236,10 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     Any eta is summed in integers at its exact value a/b, a float at its
     binary value (_double_sum). A Fraction eta gets the cell back as one
     Fraction(total, b**(i+k)), any other eta that quotient rounded once, bit
-    for bit bs_prob_direct. An eta outside [0, 1] raises ValueError, as in
-    bs_prob_exact.
+    for bit bs_prob_direct. A negative count or an eta outside [0, 1]
+    raises ValueError, as in bs_prob_exact.
     """
+    _check_counts(i=i, k=k, n=n)
     a, b = eta.as_integer_ratio()
     if not 0 <= a <= b:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
@@ -359,8 +360,10 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     a ConvergenceError is raised rather than silently truncating. The cutoff
     is 10*(i+k+1)/(1-lam), raised to a floor of 60/(1-lam) + i + k because
     the shorter form cannot reach the tail tolerance when i+k <= 2. A cutoff
-    past _STEP_BUDGET raises ConvergenceError before any term is summed.
+    past _STEP_BUDGET raises ConvergenceError before any term is summed, and
+    a negative i or k ValueError.
     """
+    _check_counts(i=i, k=k)
     if isinstance(p, BeamSplitterParam):
         num, den = _exact_ratio(p)
         return _row_residual([_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1)], den ** (i + k))

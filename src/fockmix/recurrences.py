@@ -17,10 +17,11 @@ two-term recurrence plus the reversal-derived n=0 boundary (squeezer). The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
-Every table a builder returns is one read-only buffer in its device's
-layout (_TableRows): a beam-splitter shell s = i+k is a block [row, n], and
-a squeezer bridge shell t = k+n (partial time reversal takes (i, k -> n) to
-a beam-splitter cell of total t) a band of the grid [i, k*(nmax+1) + n].
+Every table a builder returns is one ProbabilityTable, which owns one
+read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
+block [row, n], and a squeezer bridge shell t = k+n (partial time reversal
+takes (i, k -> n) to a beam-splitter cell of total t) a band of the grid
+[i, k*(nmax+1) + n].
 Float buffers hold the entries. Rational buffers hold the integers the fills
 and the exact engine compute, each entry times a power of the denominator
 q of eta or lambda = p/q, and a rational row becomes Fractions when it is
@@ -65,7 +66,7 @@ import numpy as np
 from .amplitudes import _photon_addition_shells
 from .errors import TableCoverageError
 from .numerics import binomial_exact
-from .params import BeamSplitterParam, Device, SqueezerParam
+from .params import BeamSplitterParam, Device, SqueezerParam, _check_counts
 from .probabilities import (
     _double_sum,
     _partner_ratio,
@@ -97,17 +98,20 @@ __all__ = [
 Param = Union[BeamSplitterParam, SqueezerParam]
 
 
-@dataclass
-class ProbabilityTable:
-    """Triangular (beam splitter) or rectangular (squeezer) probability table.
-
-    entries, a _TableRows (one buffer in the device's layout), maps (i, k)
-    to the row over the output count n: beam-splitter rows hold i+k+1 values
-    (n = 0..i+k), squeezer rows nmax+1. A row is a read-only float64 view,
-    or in rational precision a fresh list of Fractions; span is the buffer
-    row itself. Every float entry lies in [0, 1]: direct rows are exact
-    values rounded once, and the recurrence and convolution fills clip as
-    they store a shell.
+@dataclass(eq=False)
+class ProbabilityTable(Mapping):
+    """Triangular (beam splitter) or rectangular (squeezer) probability table:
+    one buffer in the device's layout, and the read-only Mapping of its rows
+    (i <= imax, k <= kmax) in shell order. Beam-splitter shells s = i+k are
+    blocks [i - lo, n] of a flat buffer, the squeezer a grid
+    [i, k*(nmax+1) + n]. A row over n holds i+k+1 values (beam splitter) or
+    nmax+1 (squeezer): a read-only float64 view, or in rational precision a
+    fresh list of Fractions. A rational buffer holds the ints entry * den**e,
+    den the denominator of eta or lambda and e = i+k (beam splitter) or
+    k+n+1 (squeezer), the same on every route. Every float entry lies in
+    [0, 1]: direct rows are exact values rounded once, and the fills clip as
+    they store a shell. A table reads as zeros until a builder fills and
+    freezes it. Tables are equal when device, sizes, den and buffer are.
     """
 
     device: Device
@@ -117,35 +121,66 @@ class ProbabilityTable:
     imax: int
     kmax: int
     nmax: int | None = None
-    entries: _TableRows | None = None  # set by the builder
 
     def __post_init__(self):
-        if self.device is Device.TMS and self.nmax is None:
-            raise ValueError("a squeezer table needs nmax")
-        if self.precision not in ("float", "rational"):
-            raise ValueError(f"precision must be 'float' or 'rational', got {self.precision!r}")
+        if (self.device is Device.TMS) != (self.nmax is not None):
+            raise ValueError("a squeezer table needs nmax, and a beam-splitter table takes none")
         for name in ("imax", "kmax", "nmax"):
             size = getattr(self, name)
             if size is not None and size < 0:
                 raise ValueError(f"{name} must be non-negative, got {size}")
+        exact = _param_of(self.param, self.precision)  # checks the precision, and a rational one's p/q carrier
+        self.den, self._zero, dtype = None, 0.0, float  # _zero starts a sum of buffer values
+        if self.precision == "rational":
+            self.den, self._zero, dtype = exact.denominator, 0, object
+        imax, kmax = self.imax, self.kmax
+        if self.nmax is None:
+            sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
+            self._offsets = list(accumulate(sizes, initial=0))
+            # row (i, s-i) starts at _starts[s] + i*(s+1)
+            self._starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self._offsets[:-1])]
+            self.buffer = np.zeros(self._offsets[-1], dtype)
+        else:
+            self.buffer = np.zeros((imax + 1, (kmax + 1) * (self.nmax + 1)), dtype)
+
+    def frozen(self) -> ProbabilityTable:
+        self.buffer.flags.writeable = False
+        return self
+
+    @property
+    def entries(self) -> ProbabilityTable:
+        """The table itself, the Mapping of its rows."""
+        return self
 
     @property
     def zero(self):
         return Fraction(0) if self.precision == "rational" else 0.0
 
+    def shell(self, s: int) -> np.ndarray:
+        """Beam-splitter shell s as the block [i - lo, n] of the buffer."""
+        return self.buffer[self._offsets[s] : self._offsets[s + 1]].reshape(-1, s + 1)
+
+    def band(self, s: int, lo: int, hi: int) -> np.ndarray:
+        """Squeezer bridge shell s for lo <= k <= hi: the cells (i, k -> s-k) at [i, k - lo]."""
+        return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
+
     def span(self, i: int, k: int) -> np.ndarray:
-        """Row (i, k) of the buffer (_TableRows.span), checked: a row the
-        table does not hold raises TableCoverageError."""
-        if 0 <= i <= self.imax and 0 <= k <= self.kmax:
-            return self.entries.span(i, k)
-        raise TableCoverageError(
-            f"table ({self.device.value}, imax={self.imax}, kmax={self.kmax}) "
-            f"has no row (i={i}, k={k})"
-        )
+        """Row (i, k) of the buffer, a view; a row the table does not hold
+        raises TableCoverageError."""
+        if not (0 <= i <= self.imax and 0 <= k <= self.kmax):  # as __contains__, without its call
+            raise TableCoverageError(
+                f"table ({self.device.value}, imax={self.imax}, kmax={self.kmax}) has no row (i={i}, k={k})"
+            )
+        if self.nmax is None:
+            s = i + k
+            start = self._starts[s] + i * (s + 1)
+            return self.buffer[start : start + s + 1]
+        width = self.nmax + 1
+        return self.buffer[i, k * width : (k + 1) * width]
 
     def row(self, i: int, k: int):
         span = self.span(i, k)
-        return span if self.entries.den is None else self.entries[(i, k)]
+        return span if self.den is None else self[(i, k)]
 
     def value(self, i: int, k: int, n: int):
         """Entry (i, k -> n), a rational one over its scale den**e; zero at
@@ -154,20 +189,62 @@ class ProbabilityTable:
             return self.zero
         row = self.span(i, k)
         if self.device is Device.BS:
-            return self.entries.exact([row[n]], i + k)[0] if n < len(row) else self.zero
-        return self.entries.exact([_entry(row, n)], k + n + 1)[0]
+            return self.exact([row[n]], i + k)[0] if n < len(row) else self.zero
+        return self.exact([_entry(row, n)], k + n + 1)[0]
+
+    def exact(self, sums, e: int, per_n: bool = False):
+        """Buffer values, or sums of their products, as the table's numbers:
+        floats as they are, else Fractions sums[n] / den**e (den**(e+n) per_n)."""
+        if self.den is None:
+            return sums
+        scales = accumulate(repeat(self.den), operator.mul, initial=self.den**e) if per_n else repeat(self.den**e)
+        return [Fraction(v, d) for v, d in zip(sums, scales)]
 
     def normalization_max_residual(self) -> float:
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
         excess above 1 counts there. A row whose sum is not finite makes the
         residual inf or nan, so no tolerance accepts it. The row sums are
-        taken on the buffer (_TableRows.sums)."""
-        sums = self.entries.sums()
+        taken on the buffer, by beam-splitter shell or over the squeezer grid:
+        a rational row is lifted to one power of den, summed exactly and
+        divided once; a float row is over den = 1, and x * 1.0 and x / 1.0
+        are x."""
+        top = self.imax + self.kmax if self.nmax is None else self.kmax + self.nmax + 1
+        powers = np.array([(self.den or 1) ** e for e in range(top + 1)], self.buffer.dtype)
+        if self.nmax is None:
+            sums = np.concatenate([self.shell(s).sum(axis=1) / powers[s] for s in range(top + 1)]).astype(float)
+        else:
+            grid = self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1)
+            sums = ((grid * powers[self.nmax :: -1]).sum(axis=2) / powers[self.nmax + 1 :]).astype(float).ravel()
         bad = ~np.isfinite(sums)
         if bad.any():
             return abs(float(sums[bad][0]))
         defects = np.abs(sums - 1.0) if self.device is Device.BS else sums - 1.0
         return float(defects.max(initial=0.0))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProbabilityTable):
+            return NotImplemented
+        layout = operator.attrgetter("device", "imax", "kmax", "nmax", "den")
+        return layout(self) == layout(other) and bool(np.array_equal(self.buffer, other.buffer))
+
+    def __contains__(self, key) -> bool:
+        i, k = key
+        return 0 <= i <= self.imax and 0 <= k <= self.kmax
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        i, k = key
+        row, (e, per_n) = self.span(i, k), (i + k, False) if self.nmax is None else (k + 1, True)
+        return row if self.den is None else self.exact(row.tolist(), e, per_n)
+
+    def __iter__(self):
+        for s in range(self.imax + self.kmax + 1):
+            for i in range(max(0, s - self.kmax), min(self.imax, s) + 1):
+                yield i, s - i
+
+    def __len__(self) -> int:
+        return (self.imax + 1) * (self.kmax + 1)
 
 
 def _param_of(p: Param, precision: str):
@@ -234,99 +311,18 @@ def _powers(x, y, top: int, dtype) -> tuple:
     return np.array([x**m for m in range(top + 1)], dtype), np.array([y**m for m in range(top + 1)], dtype)
 
 
-class _TableRows(Mapping):
-    """The rows (i <= imax, k <= kmax) of a built table, keys in shell order,
-    in one buffer: beam-splitter shells s = i+k are blocks [i - lo, n] of a
-    flat buffer, the squeezer a grid [i, k*(nmax+1) + n]. A float row is a
-    read-only view. A rational buffer holds the ints v = entry * den**e, den
-    the denominator of eta or lambda and e = i+k (beam splitter) or k+n+1
-    (squeezer), the same on every route; a row is a fresh Fraction list.
-    zero starts a sum of buffer values: 0.0, or 0 (den is None in float)."""
-
-    def __init__(self, t: ProbabilityTable):
-        self.imax, self.kmax, self.nmax = t.imax, t.kmax, t.nmax
-        self.den, self.zero, dtype = None, 0.0, float
-        if t.precision == "rational":
-            self.den, self.zero, dtype = _param_of(t.param, "rational").denominator, 0, object
-        if t.nmax is None:
-            sizes = ((min(t.imax, s) - max(0, s - t.kmax) + 1) * (s + 1) for s in range(t.imax + t.kmax + 1))
-            self.offsets = list(accumulate(sizes, initial=0))
-            # row (i, s-i) starts at starts[s] + i*(s+1)
-            self.starts = [o - max(0, s - t.kmax) * (s + 1) for s, o in enumerate(self.offsets[:-1])]
-            self.buffer = np.zeros(self.offsets[-1], dtype)
-        else:
-            self.buffer = np.zeros((t.imax + 1, (t.kmax + 1) * (t.nmax + 1)), dtype)
-
-    def frozen(self) -> _TableRows:
-        self.buffer.flags.writeable = False
-        return self
-
-    def shell(self, s: int) -> np.ndarray:
-        """Beam-splitter shell s as the block [i - lo, n] of the buffer."""
-        return self.buffer[self.offsets[s] : self.offsets[s + 1]].reshape(-1, s + 1)
-
-    def band(self, s: int, lo: int, hi: int) -> np.ndarray:
-        """Squeezer bridge shell s for lo <= k <= hi: the cells (i, k -> s-k) at [i, k - lo]."""
-        return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
-
-    def span(self, i: int, k: int) -> np.ndarray:
-        """Row (i, k) of the buffer, a view; unchecked, so a negative i reads the shell below."""
-        if self.nmax is None:
-            s = i + k
-            start = self.starts[s] + i * (s + 1)
-            return self.buffer[start : start + s + 1]
-        width = self.nmax + 1
-        return self.buffer[i, k * width : (k + 1) * width]
-
-    def exact(self, sums, e: int, per_n: bool = False):
-        """Buffer values, or sums of their products, as the table's numbers:
-        floats as they are, else Fractions sums[n] / den**e (den**(e+n) per_n)."""
-        if self.den is None:
-            return sums
-        scales = accumulate(repeat(self.den), operator.mul, initial=self.den**e) if per_n else repeat(self.den**e)
-        return [Fraction(v, d) for v, d in zip(sums, scales)]
-
-    def sums(self) -> np.ndarray:
-        """The float row sums, by beam-splitter shell or over the squeezer
-        grid. A rational row is lifted to one power of den, summed exactly and
-        divided once; a float row is over den = 1, and x * 1.0 and x / 1.0 are x."""
-        top = self.imax + self.kmax if self.nmax is None else self.kmax + self.nmax + 1
-        powers = np.array([(self.den or 1) ** e for e in range(top + 1)], self.buffer.dtype)
-        if self.nmax is None:
-            return np.concatenate([self.shell(s).sum(axis=1) / powers[s] for s in range(top + 1)]).astype(float)
-        grid = self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1)
-        return ((grid * powers[self.nmax :: -1]).sum(axis=2) / powers[self.nmax + 1 :]).astype(float).ravel()
-
-    def __getitem__(self, key):
-        i, k = key
-        if not (0 <= i <= self.imax and 0 <= k <= self.kmax):
-            raise KeyError(key)
-        row, (e, per_n) = self.span(i, k), (i + k, False) if self.nmax is None else (k + 1, True)
-        return row if self.den is None else self.exact(row.tolist(), e, per_n)
-
-    def __iter__(self):
-        for s in range(self.imax + self.kmax + 1):
-            for i in range(max(0, s - self.kmax), min(self.imax, s) + 1):
-                yield i, s - i
-
-    def __len__(self) -> int:
-        return (self.imax + 1) * (self.kmax + 1)
-
-
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Direct-route table from the exact factored sums U*V/Q, read off one
     shell of integer polynomials per total photon number: float rows are the
     exact values rounded once, bit for bit those of bs_prob_direct; rational
     rows hold U*V and equal bs_prob_exact."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    rows = _TableRows(t)  # rational precision needs the p/q carrier
     for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
-        if rows.den is None:
-            rows.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
+        if t.den is None:
+            t.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
         else:
-            rows.span(i, k)[:] = [u * v for u, v in cells]
-    t.entries = rows.frozen()
-    return t
+            t.span(i, k)[:] = [u * v for u, v in cells]
+    return t.frozen()
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
@@ -340,17 +336,15 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     table's buffer; the next shell reads the unclipped amplitudes."""
     t = ProbabilityTable(Device.BS, p, "convolution", precision, imax, kmax)
     eta = _param_of(p, precision)
-    rows = _TableRows(t)
     if precision == "rational":
         a, b = eta.as_integer_ratio()
-        for i, k in rows:
-            rows.span(i, k)[:] = [_double_sum(i, k, n, a, b) for n in range(i + k + 1)]
+        for i, k in t:
+            t.span(i, k)[:] = [_double_sum(i, k, n, a, b) for n in range(i + k + 1)]
     else:
         for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
-            sq = np.multiply(amplitudes, amplitudes, out=rows.shell(s))
+            sq = np.multiply(amplitudes, amplitudes, out=t.shell(s))
             np.minimum(sq, 1.0, out=sq)
-    t.entries = rows.frozen()
-    return t
+    return t.frozen()
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
@@ -362,15 +356,14 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
     rational = precision == "rational"
-    rows = _TableRows(t)
     (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
-    dtype = rows.buffer.dtype
+    dtype = t.buffer.dtype
     first, last = _powers(om, one - om, kmax, dtype), _powers(eta, one - eta, imax, dtype)  # of the seed rows
     size = max([(min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1)] + [0])
     scratch = np.empty((2, size), dtype)  # the largest body [g0..g1, n < s], twice
     for s in range(imax + kmax + 1):
         lo, hi = max(0, s - kmax), min(imax, s)
-        shell = rows.shell(s)
+        shell = t.shell(s)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
         if g0 <= g1:
             up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
@@ -390,8 +383,7 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
         (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
         if rational or s < _FLOAT_BINOMIALS:
             counts = [1, *map(operator.add, counts, counts[1:]), 1]
-    t.entries = rows.frozen()
-    return t
+    return t.frozen()
 
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
@@ -401,19 +393,17 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
     1 - lam = num/den, zero below n = max(0, i-k). Rational rows equal
     tms_prob_exact, float rows tms_prob bit for bit."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
-    rows = _TableRows(t)  # rational precision needs the p/q carrier
     num, den = _partner_ratio(p)
     walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
     for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
         lo, hi = max(0, s - nmax), min(kmax, s)
         cells = [[cell(i, k) for k in range(lo, hi + 1)] for i in range(min(imax, s) + 1)]
-        if rows.den is None:
+        if t.den is None:
             values = [[_rounded_quotient(num * x, y, den * q) for x, y in row] for row in cells]
         else:
             values = [[num * x * y for x, y in row] for row in cells]
-        rows.band(s, lo, hi)[: len(cells)] = values
-    t.entries = rows.frozen()
-    return t
+        t.band(s, lo, hi)[: len(cells)] = values
+    return t.frozen()
 
 
 def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
@@ -437,8 +427,7 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     """
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
     lam, om, one = _carrier(_param_of(p, precision))
-    rows = _TableRows(t)
-    flat, band = rows.buffer, rows.band
+    flat, band = t.buffer, t.band
     pre, pre_lo, counts = None, 0, [1]  # bridge shell s-1 before its clip, from k = pre_lo; C(s, i <= imax)
     for s in range(kmax + nmax + 1):
         lo, hi = max(0, s - nmax), min(kmax, s)
@@ -456,13 +445,12 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
             for i, c in enumerate(counts):
                 shell[i, -1] = _weight(om, c, om, s - i, lam, i)
             counts = [1, *map(operator.add, counts, counts[1:]), 1][: imax + 1]
-        if rows.den is None:
+        if t.den is None:
             shell.clip(0.0, 1.0, out=band(s, lo, hi))
         else:
             band(s, lo, hi)[:] = shell
         pre, pre_lo = shell, lo
-    t.entries = rows.frozen()
-    return t
+    return t.frozen()
 
 
 def _entry(row: np.ndarray, n: int):
@@ -499,11 +487,11 @@ def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     """The j-indexed convolution combination as a full row over n = 0..i+k:
     one full convolution per pair of buffer rows, added pair by pair; every
     product lies on den**(i+k) in rational precision."""
-    out = [table.entries.zero] * (i + k + 1)
+    out = [table._zero] * (i + k + 1)
     for a, b in _bs_tilde_pairs(i, k, j, lambda i, k: table.span(i, k).tolist()):
         for n, v in enumerate(_convolve_full(a, b)):
             out[n] += v
-    return table.entries.exact(out, i + k)
+    return table.exact(out, i + k)
 
 
 def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):
@@ -537,7 +525,7 @@ def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     on the input index i, and entries with j > n+k are 0. Summed over l, then
     m, as tms_tilde is; a product in entry n lies on den**(k+n+2)."""
     terms = _tms_tilde_terms(i, k, j, table.nmax, lambda i, k: table.span(i, k).tolist())
-    return table.entries.exact(_term_sum(terms, table.nmax + 1, table.entries.zero), k + 2, per_n=True)
+    return table.exact(_term_sum(terms, table.nmax + 1, table._zero), k + 2, per_n=True)
 
 
 def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -545,11 +533,11 @@ def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
     reads only the entries it sums, so n may pass nmax where those are held."""
     if min(i, k, n) < 0 or j < 0 or j > n + k:
         return table.zero
-    total = table.entries.zero
+    total = table._zero
     for l in range(max(0, j - k), min(j, n) + 1):
         for m in range(i + 1):
             total += _entry(table.span(m, j - l), l) * _entry(table.span(i - m, k - j + l), n - l)
-    return table.entries.exact([total], k + n + 2)[0]
+    return table.exact([total], k + n + 2)[0]
 
 
 def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):
@@ -601,7 +589,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
         table = tms_table_direct(imax, kmax, nmax, p, "rational")
         lead, den = _partner_ratio(p)
         products = (imax + 1) * (nmax + 1)  # pairs (l, m) per tilde entry
-    rows = {key: table.entries.span(*key).tolist() for key in table.entries}
+    rows = {key: table.span(*key).tolist() for key in table}
     step = den * den  # tilde(i-1,k-1,j-1) lies two powers of den below tilde(i,k,j)
     widest = max(map(max, rows.values()))
     bits = 2 * widest.bit_length() + lead.bit_length() + step.bit_length() + products.bit_length() + 1
@@ -659,6 +647,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
 def c_coeff(i: int, k: int, j: int) -> int:
     """Counting coefficient of the classical general-j relation: the number
     of terms in the l sum, l from max(0, j-i) to min(j, k)."""
+    _check_counts(i=i, k=k)
     if j < 0 or j > i + k:
         raise ValueError(f"j must lie in [0, {i + k}], got {j}")
     return 1 + min(i, j, k, i + k - j)
@@ -668,7 +657,8 @@ class ClassicalTable:
     """Distribution of distinguishable photons: each routes independently, so
     every row is a convolution of the two binomial rows. Rows are memoized,
     and so are the l-sum of the general-j relation at each (i, k, j) and its
-    term count c(i, k, j)."""
+    term count c(i, k, j). A negative i or k raises ValueError; an n
+    outside a row reads zero."""
 
     def __init__(self, p: BeamSplitterParam, precision: str = "float"):
         self.param = p
@@ -680,16 +670,15 @@ class ClassicalTable:
     def row(self, i: int, k: int) -> list:
         key = (i, k)
         if key not in self._rows:
+            _check_counts(i=i, k=k)
             a = _bs_binomial_row([binomial_exact(i, n) for n in range(i + 1)], self._eta)
             b = _bs_binomial_row([binomial_exact(k, n) for n in range(k + 1)], 1 - self._eta)
             self._rows[key] = _convolve_full(a, b)
         return self._rows[key]
 
     def prob(self, i: int, k: int, n: int):
-        if n < 0:
-            return 0 * self._eta
         row = self.row(i, k)
-        return row[n] if n < len(row) else 0 * self._eta
+        return row[n] if 0 <= n < len(row) else 0 * self._eta
 
     def recurrence_residual(self, i: int, k: int, n: int, j: int):
         """classical_recurrence_check at (i, k, n, j) on this table's rows."""

@@ -151,12 +151,11 @@ def _agree(res: VerificationResult, tables, label: str, parameter, expected="exa
     rational ones exactly, as every route holds the same integers."""
     for a, b in itertools.combinations(tables, 2):
         indices = f"{a.method} vs {b.method} {label}"
-        x, y = a.entries.buffer, b.entries.buffer
         if a.precision == "rational":
-            equal = bool(np.array_equal(x, y))
+            equal = a == b
             res.check(equal, indices, parameter, expected, equal, "exact")
         else:
-            res.within(float(np.abs(x - y).max()), _AGREE_TOL, indices, parameter, expected)
+            res.within(float(np.abs(a.buffer - b.buffer).max()), _AGREE_TOL, indices, parameter, expected)
 
 
 def _suite_hom(res: VerificationResult) -> None:

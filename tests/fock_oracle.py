@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -114,15 +113,15 @@ def moved(table, key, n, by):
     entry's buffer value shifted by `by`, times the entry's scale in
     rational precision (den**(i+k), or den**(k+n+1) for a squeezer, which
     must make it a whole number)."""
-    rows = copy.copy(table.entries)
-    rows.buffer = table.entries.buffer.copy()
-    if rows.den is not None:
+    copied = copy.copy(table)
+    copied.buffer = table.buffer.copy()
+    if copied.den is not None:
         i, k = key
-        shift = by * rows.den ** (i + k if table.device is Device.BS else k + n + 1)
+        shift = by * copied.den ** (i + k if table.device is Device.BS else k + n + 1)
         assert shift.denominator == 1, "the shift is not a whole number of the entry's units"
         by = int(shift)
-    rows.span(*key)[n] += by
-    return dataclasses.replace(table, entries=rows.frozen())
+    copied.span(*key)[n] += by
+    return copied.frozen()
 
 
 def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:

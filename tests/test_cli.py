@@ -327,6 +327,13 @@ def test_table_tms_needs_nmax():
     assert all(int(x["m"]) == int(x["n"]) + int(x["k"]) - int(x["i"]) for x in rows)
 
 
+@pytest.mark.parametrize("nmax", ["0", "1", "40"])
+def test_table_refuses_an_nmax_for_the_beam_splitter(nmax):
+    r = run("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--nmax", nmax, "--eta", "0.3")
+    assert r.exit_code == 2
+    assert r.output.endswith("Error: --nmax applies to squeezer tables only\n")
+
+
 def test_table_bad_sizes():
     r = run("table", "--device", "bs", "--imax", "-2", "--kmax", "1", "--eta", "0.5")
     assert r.exit_code == 2

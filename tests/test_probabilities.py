@@ -316,6 +316,37 @@ def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax,
     assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
 
 
+_HALF_BS = BeamSplitterParam.from_value("1/2")
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda: normalization_residual(2, -1, SqueezerParam(0.3)), "k=-1"),
+    (lambda: normalization_residual(-2, 1, SqueezerParam(0.3)), "i=-2"),
+    (lambda: normalization_residual(0, -1, BeamSplitterParam(0.3)), "k=-1"),
+    (lambda: bs_prob_double_sum(-1, 2, 1, 0.3), "i=-1"),
+    (lambda: bs_prob_double_sum(1, -2, 1, Fraction(1, 3)), "k=-2"),
+    (lambda: bs_prob_double_sum(1, 2, -1, 0.3), "n=-1"),
+    (lambda: recurrences.classical_prob(-1, 2, 1, _HALF_BS), "i=-1"),
+    (lambda: recurrences.classical_prob(1, -2, -1, _HALF_BS), "k=-2"),
+    (lambda: recurrences.classical_recurrence_check(-1, 2, 1, 0, _HALF_BS), "i=-1"),
+    (lambda: recurrences.classical_recurrence_check(1, -2, -1, 0, _HALF_BS, "rational"), "k=-2"),
+])
+def test_a_negative_photon_count_raises_before_any_work(monkeypatch, call, count):
+    def engine(*args, **kwargs):
+        raise AssertionError("work began before the counts were checked")
+
+    for module, name in [(probabilities, "_scaled_factor_sums"), (probabilities, "_tms_residual_rows"),
+                         (probabilities, "_double_sum"), (recurrences, "_bs_binomial_row")]:
+        monkeypatch.setattr(module, name, engine)
+    with pytest.raises(ValueError, match=f"photon counts must be nonnegative, got {count}$"):
+        call()
+
+
+def test_a_negative_output_count_reads_zero_in_the_classical_model():
+    assert recurrences.classical_prob(1, 2, -1, _HALF_BS) == 0
+    assert recurrences.classical_recurrence_check(1, 2, -1, 0, _HALF_BS, "rational") == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 20), st.integers(0, 20), _LITERALS)
 def test_bs_normalization_row_is_the_per_cell_sum(i, k, eta):

@@ -362,7 +362,7 @@ _ALL_BUILDERS = [bs_table_direct, bs_table_convolution, bs_table_recurrence, tms
 
 @pytest.mark.parametrize("precision", ["float", "rational"])
 @pytest.mark.parametrize("build", _ALL_BUILDERS, ids=lambda b: b.__name__)
-def test_built_table_rows_live_in_one_buffer(build, precision):
+def test_built_table_rows_live_in_one_buffer(monkeypatch, build, precision):
     bs = build.__name__.startswith("bs")
     imax, kmax, nmax = 5, 3, 4
     p = (BeamSplitterParam if bs else SqueezerParam).from_value("2/7")
@@ -370,13 +370,12 @@ def test_built_table_rows_live_in_one_buffer(build, precision):
     table = build(*sizes, p, precision)
     rows = table.entries
     keys = [(i, s - i) for s in range(imax + kmax + 1) for i in range(max(0, s - kmax), min(imax, s) + 1)]
-    assert type(rows) is recurrences._TableRows and not rows.buffer.flags.writeable
-    assert list(rows) == keys and len(rows) == (imax + 1) * (kmax + 1)
-    assert sorted(rows) == sorted(keys) and all(key in rows for key in keys)
+    assert rows is table and not rows.buffer.flags.writeable
+    assert list(rows) == keys and len(rows) == (imax + 1) * (kmax + 1) and sorted(rows) == sorted(keys)
     assert rows.buffer.size == (sum(i + k + 1 for i, k in keys) if bs else len(keys) * (nmax + 1))
     # Every row index left of 0 or past imax or kmax is missing; none wraps into the buffer.
-    for i, k in [(-1, 3), (imax + 1, 0), (0, kmax + 1), (-1, 0), (0, -1), (-2, 5), (6, -3)]:
-        assert (i, k) not in rows
+    outside = [(-1, 3), (imax + 1, 0), (0, kmax + 1), (-1, 0), (0, -1), (-2, 5), (6, -3)]
+    for i, k in outside:
         with pytest.raises(TableCoverageError):
             table.row(i, k)
     for i, k in keys:
@@ -393,9 +392,39 @@ def test_built_table_rows_live_in_one_buffer(build, precision):
         assert type(row) is list and all(type(v) is Fraction for v in row) and row == want
         row[0] += 1  # a fresh list: the table keeps its value
         assert table.row(i, k) == want
+    routes = [other(*sizes, p, precision) for other in (_ALL_BUILDERS[:3] if bs else _ALL_BUILDERS[3:])]
+    shifted = moved(table, (2, 1), 1, Fraction(1, 7**3) if precision == "rational" else 1e-3)
+    other_device = (tms_table_direct(imax, kmax, nmax, SqueezerParam.from_value("2/7"), precision) if bs
+                    else bs_table_direct(imax, kmax, BeamSplitterParam.from_value("2/7"), precision))
+
+    def refuse(self, key):
+        raise AssertionError("a row was made")
+
+    # == is one compare of the buffers, and `in` the bounds check: neither makes a row.
+    monkeypatch.setattr(ProbabilityTable, "__getitem__", refuse)
+    assert table == build(*sizes, p, precision) and not table != build(*sizes, p, precision)
     if precision == "rational":  # every route of a device holds the same integers
-        for other in _ALL_BUILDERS[:3] if bs else _ALL_BUILDERS[3:]:
-            assert np.array_equal(other(*sizes, p, "rational").entries.buffer, rows.buffer)
+        assert all(route == table for route in routes)
+    else:  # the float routes round differently, and compare without raising
+        assert all(type(route == table) is bool for route in routes)
+        assert moved(table, (2, 1), 1, math.nan) != table
+    assert shifted != table and table != shifted and other_device != table and table != dict.fromkeys(table)
+    assert all(key in rows for key in keys) and not any(key in rows for key in outside)
+
+
+@pytest.mark.parametrize("precision", ["float", "rational"])
+@pytest.mark.parametrize("device, nmax, residual", [(Device.BS, None, 1.0), (Device.TMS, 3, 0.0)])
+def test_a_hand_built_table_reads_as_zeros(device, nmax, residual, precision):
+    # A squeezer row is a partial sum, so only its excess above 1 is a defect.
+    p = (BeamSplitterParam if device is Device.BS else SqueezerParam).from_value("1/3")
+    table = ProbabilityTable(device, p, "direct", precision, 2, 1, nmax)
+    assert len(table) == 6 and table.normalization_max_residual() == residual
+    for i, k in table:
+        assert list(table.row(i, k)) == [table.zero] * (i + k + 1 if nmax is None else nmax + 1)
+        assert table.value(i, k, 1) == 0
+    assert table == ProbabilityTable(device, p, "recurrence", precision, 2, 1, nmax)
+    other = "float" if precision == "rational" else "rational"  # zeros too, but over another den
+    assert table != ProbabilityTable(device, p, "direct", other, 2, 1, nmax)
 
 
 @pytest.mark.parametrize("build", [bs_table_recurrence, bs_table_convolution])
@@ -651,7 +680,7 @@ def test_exact_reads_make_no_fraction_row(monkeypatch):
     def refuse(self, key):
         raise AssertionError("a Fraction row was made")
 
-    monkeypatch.setattr(recurrences._TableRows, "__getitem__", refuse)
+    monkeypatch.setattr(ProbabilityTable, "__getitem__", refuse)
     for name, read in reads.items():
         assert read() == want[name], name
     assert all(v == 0 for v in want["bs_recurrence_check"] + want["tms_recurrence_check"])
@@ -775,6 +804,5 @@ def test_a_hand_built_table_rejects_an_unknown_precision(precision):
     # Built by hand, a "Rational" table of Fraction rows was once read as
     # float: bs_tilde_row summed its Fractions as floats, and zero was 0.0.
     third = BeamSplitterParam.from_value("1/3")
-    rows = bs_table_direct(2, 2, third, "rational").entries
     with pytest.raises(ValueError, match="precision"):
-        ProbabilityTable(Device.BS, third, "direct", precision, 2, 2, entries=rows)
+        ProbabilityTable(Device.BS, third, "direct", precision, 2, 2)
