@@ -15,12 +15,13 @@ the convention consistent with the closed-form amplitude generating function
 Probabilities are insensitive to the choice.
 
 Accuracy policy: the direct route takes the exact factored sums U and V of
-the probability engine at every total: sqrt(i! k! n! (N-n)!) factors out of
-every term of the direct sum, which leaves a positive constant times
+the probability engine (_cell_sums) at every total: sqrt(i! k! n! (N-n)!)
+factors out of every term of the direct sum, which leaves a positive constant times
 (-1)**i * U, and A**2 = B = U*V / q**N for eta = p/q. The amplitude is the
 root of that exact probability, scaled by a power of 4 into the normal
 floats and rounded there (within one ulp, also where the probability
-underflows: _signed_root), with the sign of the direct sum. The convolution
+underflows: _signed_root), with the sign of the direct sum. The vacuum
+rows are the direct amplitudes of (i, 0 -> n). The convolution
 route reads neither the exact engine nor the direct route, at any total: it
 runs the stable photon-addition fill of the block i' <= i, k' <= k in floats and returns
 entry n of row (i, k), clipped to [-1, 1]. That row is bit for bit row
@@ -36,15 +37,8 @@ import math
 
 import numpy as np
 
-from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import (
-    _bridge,
-    _exact_factor_sums,
-    _exact_ratio,
-    _partner_ratio,
-    _require,
-    _rounded_quotient,
-)
+from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
+from .probabilities import _cell_sums, _exact_ratio, _partner_ratio, _require, _rounded_quotient
 
 __all__ = [
     "bs_vacuum_row",
@@ -56,40 +50,27 @@ __all__ = [
 ]
 
 def bs_vacuum_row(i: int, n: int, p: BeamSplitterParam) -> float:
-    """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input
-    at the floats eta and 1.0 - eta; measured within 2.7e-13 relative of the
-    direct route up to i = 6000 (most at p/q values, which that takes exactly)."""
-    if n < 0 or n > i:
-        return 0.0
-    return _signed_root(i - n, *_binary_product(i, n, p.eta.as_integer_ratio(), n, (1.0 - p.eta).as_integer_ratio(), i - n))
+    """Amplitude (-1)**(i-n) sqrt(C(i,n) eta^n (1-eta)^(i-n)) for |i, 0> input:
+    the direct amplitude of (i, 0 -> n), within one ulp at the exact eta;
+    0.0 for an n outside 0..i, and a negative i raises ValueError."""
+    _check_counts(i=i)
+    return bs_amplitude_direct(PhotonConfig(i, 0, n), p) if n >= 0 else 0.0
 
 
 def tms_vacuum_row(i: int, n: int, p: SqueezerParam) -> float:
-    """Amplitude sqrt(C(n,i)) (1-lam)^((1+i)/2) lam^((n-i)/2) for |i, 0> input
-    at the exact lam and 1 - lam of the direct route (_partner_ratio), so it
-    is that route's amplitude to within one ulp, bit for bit where the
-    probability is a normal float."""
-    if n < i:
-        return 0.0
-    num, den = _partner_ratio(p)
-    return _signed_root(0, *_binary_product(n, i, (num, den), 1 + i, (den - num, den), n - i))
-
-
-def _binary_product(top: int, j: int, x: tuple, a: int, y: tuple, b: int) -> tuple[int, int, int]:
-    """C(top, j) x**a y**b as exact sums (U, V, Q), U*V / Q, for _signed_root: x
-    and y in [0, 1] come as integer ratios, so nothing overflows or underflows."""
-    (px, qx), (py, qy) = x, y
-    return math.comb(top, j) * px**a, py**b, qx**a * qy**b
+    """Amplitude sqrt(C(n,i)) (1-lam)^((1+i)/2) lam^((n-i)/2) for |i, 0> input:
+    the direct amplitude of (i, 0 -> n), within one ulp at the exact lam;
+    0.0 for n < i, and a negative i raises ValueError."""
+    _check_counts(i=i)
+    return tms_amplitude(PhotonConfig(i, 0, n, Device.TMS), p) if n >= 0 else 0.0
 
 
 def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>: (-1)**i sgn(U)
     sqrt(U*V / q**(i+k)) from its exact factored sums at every total (within
     one ulp)."""
-    _require(c, Device.BS)
-    if c.n > c.i + c.k:
-        return 0.0
-    return _signed_root(c.i, *_exact_factor_sums(c.i, c.k, c.n, *_exact_ratio(p)))
+    sums = _cell_sums(c, Device.BS, *_exact_ratio(p))
+    return 0.0 if sums is None else _signed_root(c.i, *sums)
 
 
 def _signed_root(i: int, u: int, v: int, q: int) -> float:
@@ -164,14 +145,12 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> 
     the direct route is the signed root of tms_prob's exact quotient (within
     one ulp), the convolution route the float sqrt(1.0 - lam) times
     bs_amplitude of the bridge cell at eta = 1-lam, bit for bit."""
-    if method not in ("direct", "convolution"):
+    if method == "direct":
+        sums = _cell_sums(c, Device.TMS, *_partner_ratio(p))
+        return 0.0 if sums is None else _signed_root(c.i, *sums)
+    if method != "convolution":
         raise ValueError(f"unknown amplitude method {method!r}")
     _require(c, Device.TMS)
-    m = c.m
-    if m < 0:
+    if c.m < 0:
         return 0.0
-    if method == "direct":
-        num, den = _partner_ratio(p)
-        u, v, q = _exact_factor_sums(c.i, m, c.n, num, den)
-        return _signed_root(c.i, num * u, v, den * q)
-    return math.sqrt(1.0 - p.lam) * bs_amplitude(_bridge(c), p.ptr_beamsplitter(), method=method)
+    return math.sqrt(1.0 - p.lam) * bs_amplitude(PhotonConfig(c.i, c.m, c.n), p.ptr_beamsplitter(), method=method)

@@ -38,10 +38,13 @@ times linear factors and cut to the rows the table holds, with no binomial,
 power table or division. A single normalization row runs the single-cell
 sums. Squeezer probabilities go through partial time reversal,
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam), a float one the
-exact num*U*V / (den*Q) for 1 - lam = num/den, rounded once. On shell s =
-n+k both sums of that bridge cell are top coefficients of the same shell
-polynomials, so the direct squeezer table, the identity rows and the
-normalization scans read every squeezer row off one walk over those top
+exact num*U*V / (den*Q) for 1 - lam = num/den, rounded once. Every single
+cell of either device takes its (U, V, Q) from _cell_sums: the float
+probabilities round the quotient once, the exact ones make one Fraction,
+and the direct amplitudes (vacuum rows included) take its signed root. On
+shell s = n+k both sums of that bridge cell are top coefficients of the
+same shell polynomials, so the direct squeezer table, the identity rows and
+the normalization scans read every squeezer row off one walk over those top
 coefficients (_top_coefficient_walk), with no Horner sum.
 """
 
@@ -133,9 +136,22 @@ def _partner_ratio(p: SqueezerParam) -> tuple[int, int]:
     return b - a, b
 
 
-def _exact_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int, int]:
-    """(U, V, Q) with B = U*V / Q at eta = num/den, for one reachable cell."""
-    return (*_scaled_factor_sums(i, k, n, num, den), den ** (i + k))
+def _cell_sums(c: PhotonConfig, device: Device, num: int, den: int) -> tuple[int, int, int] | None:
+    """(U, V, Q) with the cell c equal to U*V / Q, or None if it is
+    unreachable, at eta = num/den (beam splitter) or 1 - lam = num/den
+    (squeezer); a configuration of the other device raises ValueError.
+
+    A squeezer cell (i, k -> n) is (num/den) B(i, m -> n) at eta = num/den,
+    m = n+k-i (partial time reversal), so its sums are those of that bridge
+    cell with one more factor num on U and den on Q."""
+    _require(c, device)
+    i, m, n = c.i, c.m, c.n
+    if m < 0:
+        return None
+    if device is Device.BS:
+        return (*_scaled_factor_sums(i, c.k, n, num, den), den ** (i + c.k))
+    u, v = _scaled_factor_sums(i, m, n, num, den)
+    return num * u, v, den ** (i + m + 1)
 
 
 # Denominators shorter than this many bits take the plain quotient in
@@ -175,7 +191,7 @@ def _times_linear(coeffs: list[int], c: int) -> list[int]:
 def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smax: int | None = None):
     """Yield (i, k, cells, Q) in shell order for every table row with
     i <= imax, k <= kmax and i+k <= smax (by default imax+kmax),
-    where cells lists the pairs (U, V) of ``_exact_factor_sums`` over
+    where cells lists the pairs (U, V) of ``_cell_sums`` over
     n = 0..i+k and Q = den**(i+k).
 
     For eta = num/den and r = den - num, shell s is two families of s+1
@@ -218,12 +234,13 @@ def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
     _require(c, Device.BS)
     if not 0 <= eta <= 1:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
-    i, k, n = c.i, c.k, c.n
-    if n > i + k:
-        return Fraction(0)
-    eta = Fraction(eta)
-    u, v = _scaled_factor_sums(i, k, n, eta.numerator, eta.denominator)
-    return Fraction(u * v, eta.denominator ** (i + k))
+    return _exact_cell(c, Device.BS, Fraction(eta))
+
+
+def _exact_cell(c: PhotonConfig, device: Device, x: Fraction) -> Fraction:
+    """The cell c as one Fraction U*V / Q at num/den = x."""
+    sums = _cell_sums(c, device, *x.as_integer_ratio())
+    return Fraction(0) if sums is None else Fraction(sums[0] * sums[1], sums[2])
 
 
 def bs_prob_double_sum(i: int, k: int, n: int, eta):
@@ -263,30 +280,16 @@ def _double_sum(i: int, k: int, n: int, a: int, b: int) -> int:
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """Direct-route B(i,k->n) in floating point: the exact factored sum at the
     parameter's exact value, rounded once, within half an ulp at every total."""
-    _require(c, Device.BS)
-    i, k, n = c.i, c.k, c.n
-    if n > i + k:
-        return 0.0
-    return _rounded_quotient(*_exact_factor_sums(i, k, n, *_exact_ratio(p)))
-
-
-def _bridge(c: PhotonConfig) -> PhotonConfig | None:
-    """The beam-splitter cell (i, m -> n), m = n+k-i, that partial time
-    reversal maps the squeezer cell (i, k -> n) to; None if m < 0."""
-    return None if c.m < 0 else PhotonConfig(c.i, c.m, c.n, Device.BS)
+    sums = _cell_sums(c, Device.BS, *_exact_ratio(p))
+    return 0.0 if sums is None else _rounded_quotient(*sums)
 
 
 def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
     """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable.
     The exact num*U*V / (den*Q), 1 - lam = num/den (_partner_ratio), rounded
     once: bit for bit float(tms_prob_exact(c, lam)) at the exact lam."""
-    _require(c, Device.TMS)
-    m = c.m
-    if m < 0:
-        return 0.0
-    num, den = _partner_ratio(p)
-    u, v, q = _exact_factor_sums(c.i, m, c.n, num, den)
-    return _rounded_quotient(num * u, v, den * q)
+    sums = _cell_sums(c, Device.TMS, *_partner_ratio(p))
+    return 0.0 if sums is None else _rounded_quotient(*sums)
 
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
@@ -294,11 +297,7 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     _require(c, Device.TMS)
     if not 0 <= lam < 1:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    bridge = _bridge(c)
-    if bridge is None:
-        return Fraction(0)
-    lam = Fraction(lam)
-    return (1 - lam) * bs_prob_exact(bridge, 1 - lam)
+    return _exact_cell(c, Device.TMS, 1 - Fraction(lam))
 
 
 def _top_coefficient_walk(num: int, den: int, rows, cols):

@@ -98,7 +98,7 @@ __all__ = [
 Param = Union[BeamSplitterParam, SqueezerParam]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ProbabilityTable(Mapping):
     """Triangular (beam splitter) or rectangular (squeezer) probability table:
     one buffer in the device's layout, and the read-only Mapping of its rows
@@ -112,6 +112,7 @@ class ProbabilityTable(Mapping):
     [0, 1]: direct rows are exact values rounded once, and the fills clip as
     they store a shell. A table reads as zeros until a builder fills and
     freezes it. Tables are equal when device, sizes, den and buffer are.
+    No field or layout attribute can be rebound once the table is made.
     """
 
     device: Device
@@ -130,18 +131,20 @@ class ProbabilityTable(Mapping):
             if size is not None and size < 0:
                 raise ValueError(f"{name} must be non-negative, got {size}")
         exact = _param_of(self.param, self.precision)  # checks the precision, and a rational one's p/q carrier
-        self.den, self._zero, dtype = None, 0.0, float  # _zero starts a sum of buffer values
+        derived, dtype = {"den": None, "_zero": 0.0}, float  # _zero starts a sum of buffer values
         if self.precision == "rational":
-            self.den, self._zero, dtype = exact.denominator, 0, object
+            derived, dtype = {"den": exact.denominator, "_zero": 0}, object
         imax, kmax = self.imax, self.kmax
         if self.nmax is None:
             sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
-            self._offsets = list(accumulate(sizes, initial=0))
+            offsets = derived["_offsets"] = list(accumulate(sizes, initial=0))
             # row (i, s-i) starts at _starts[s] + i*(s+1)
-            self._starts = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(self._offsets[:-1])]
-            self.buffer = np.zeros(self._offsets[-1], dtype)
+            derived["_starts"] = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(offsets[:-1])]
+            derived["buffer"] = np.zeros(offsets[-1], dtype)
         else:
-            self.buffer = np.zeros((imax + 1, (kmax + 1) * (self.nmax + 1)), dtype)
+            derived["buffer"] = np.zeros((imax + 1, (kmax + 1) * (self.nmax + 1)), dtype)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def frozen(self) -> ProbabilityTable:
         self.buffer.flags.writeable = False
@@ -183,14 +186,19 @@ class ProbabilityTable(Mapping):
         return span if self.den is None else self[(i, k)]
 
     def value(self, i: int, k: int, n: int):
-        """Entry (i, k -> n), a rational one over its scale den**e; zero at
-        n < 0 and past a beam-splitter row."""
+        """Entry (i, k -> n): a Python float, or in rational precision a
+        Fraction over its scale den**e; zero at n < 0 and past a
+        beam-splitter row."""
         if n < 0:
             return self.zero
         row = self.span(i, k)
         if self.device is Device.BS:
-            return self.exact([row[n]], i + k)[0] if n < len(row) else self.zero
-        return self.exact([_entry(row, n)], k + n + 1)[0]
+            if n >= len(row):
+                return self.zero
+            v, e = row[n], i + k
+        else:
+            v, e = _entry(row, n), k + n + 1
+        return float(v) if self.den is None else Fraction(v, self.den**e)
 
     def exact(self, sums, e: int, per_n: bool = False):
         """Buffer values, or sums of their products, as the table's numbers:
@@ -228,8 +236,12 @@ class ProbabilityTable(Mapping):
         return layout(self) == layout(other) and bool(np.array_equal(self.buffer, other.buffer))
 
     def __contains__(self, key) -> bool:
-        i, k = key
-        return 0 <= i <= self.imax and 0 <= k <= self.kmax
+        """Whether key is a row (i, k) of the table; any other key is absent, as in a dict."""
+        try:
+            i, k = key
+            return 0 <= i <= self.imax and 0 <= k <= self.kmax
+        except (TypeError, ValueError):
+            return False
 
     def __getitem__(self, key):
         if key not in self:

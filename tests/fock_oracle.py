@@ -114,7 +114,7 @@ def moved(table, key, n, by):
     rational precision (den**(i+k), or den**(k+n+1) for a squeezer, which
     must make it a whole number)."""
     copied = copy.copy(table)
-    copied.buffer = table.buffer.copy()
+    object.__setattr__(copied, "buffer", table.buffer.copy())  # a table's fields are frozen
     if copied.den is not None:
         i, k = key
         shift = by * copied.den ** (i + k if table.device is Device.BS else k + n + 1)

@@ -1,6 +1,8 @@
+import hashlib
 import importlib
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -61,10 +63,75 @@ def test_vacuum_rows_past_the_float_range_of_the_binomial_match_the_direct_route
     # C(3000, 1500) is about 1e901, far past the largest float
     bp, sp = BeamSplitterParam.from_value(value), SqueezerParam.from_value(value)
     direct = bs_amplitude_direct(PhotonConfig(3000, 0, 1500), bp)
-    assert math.isclose(bs_vacuum_row(3000, 1500, bp), direct, rel_tol=2.7e-13)
+    assert bs_vacuum_row(3000, 1500, bp) == direct
     direct = tms_amplitude(PhotonConfig(1500, 0, 3000, Device.TMS), sp)
     assert tms_vacuum_row(1500, 3000, sp) == direct  # the same exact lambda, a normal float
     assert bs_vacuum_row(3000, 1500, BeamSplitterParam(0.5)) == 0.12069009286513847
+
+
+
+def _within_one_ulp_of_root(a: float, num: int, den: int) -> bool:
+    """|a| lies within one ulp of sqrt(num/den), compared on squares in integers."""
+    ulp = math.ulp(a)
+    (x, y), (u, w) = max(abs(a) - ulp, 0.0).as_integer_ratio(), (abs(a) + ulp).as_integer_ratio()
+    return x * x * den <= num * y * y and num * w * w <= u * u * den
+
+
+def _exact_ratio_of(value: float, carrier: Fraction | None) -> tuple[int, int]:
+    return (value if carrier is None else carrier).as_integer_ratio()
+
+
+def test_vacuum_rows_are_within_one_ulp_of_the_exact_root():
+    # The beam-splitter row at the exact eta = a/b, C(i,n) a**n (b-a)**(i-n) / b**i,
+    # and the squeezer row at the exact lam = c/d, C(n,i) (d-c)**(1+i) c**(n-i) / d**(1+n),
+    # both far past the float range of the binomial.
+    rng = random.Random(3000)
+    for value in ["1/2", "1/3", "2/7", "0.37", "0.7", "1e-12", "0.999999999999"]:
+        bp, sp = BeamSplitterParam.from_value(value), SqueezerParam.from_value(value)
+        (a, b), (c, d) = _exact_ratio_of(bp.eta, bp.eta_exact), _exact_ratio_of(sp.lam, sp.lam_exact)
+        for _ in range(30):
+            i = rng.randint(0, 3000)
+            n = rng.randint(0, i)
+            amp = bs_vacuum_row(i, n, bp)
+            assert amp == bs_amplitude_direct(PhotonConfig(i, 0, n), bp), (value, i, n)
+            assert _within_one_ulp_of_root(amp, math.comb(i, n) * a**n * (b - a) ** (i - n), b**i), (value, i, n)
+            assert amp == 0.0 or (amp < 0) == ((i - n) % 2 == 1)
+            i, gap = rng.randint(0, 1500), rng.randint(0, 1500)
+            amp = tms_vacuum_row(i, i + gap, sp)
+            assert _within_one_ulp_of_root(amp, math.comb(i + gap, i) * (d - c) ** (1 + i) * c**gap, d ** (1 + i + gap))
+            assert amp >= 0.0, (value, i, gap)
+
+
+_CELL_LITERALS = ["1/2", "1/3", "2/7", "9/10", "0.37", "0.7", "1e-12", "0.999999999999", "0/1"]
+
+
+def _single_cell_outputs(seed: int, count: int, top: int):
+    """Yield (cell, outputs) for seeded cells (i, k -> n), i and k <= top: every
+    single-cell route of both devices, the exact ones at the literal's exact value."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        value = rng.choice(_CELL_LITERALS)
+        exact = Fraction(value)
+        bp, sp = BeamSplitterParam.from_value(value), SqueezerParam.from_value(value)
+        i, k = rng.randint(0, top), rng.randint(0, top)
+        n = rng.randint(0, i + k + 2)
+        bc, tc = PhotonConfig(i, k, n), PhotonConfig(i, k, n, Device.TMS)
+        yield (value, i, k, n), [
+            bs_prob_direct(bc, bp), bs_prob_exact(bc, exact),
+            bs_amplitude(bc, bp), bs_amplitude(bc, bp, "convolution"),
+            tms_prob(tc, sp), tms_prob_exact(tc, exact),
+            tms_amplitude(tc, sp), tms_amplitude(tc, sp, "convolution"),
+            tms_vacuum_row(i, n, sp),
+        ]
+
+
+def test_single_cell_outputs_keep_their_bytes():
+    # The sha256 over the repr of each cell and its outputs: floats by their
+    # shortest round-trip repr, Fractions in lowest terms.
+    h = hashlib.sha256()
+    for cell, outputs in _single_cell_outputs(30, 400, 60):
+        h.update(repr((cell, outputs)).encode())
+    assert h.hexdigest() == "551f0ec8f392bda6f96c20e7f224adebde4e68bd531987f6c03f8861bb8555d4"
 
 
 def test_bs_amplitude_direct_examples():

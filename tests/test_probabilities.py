@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fockmix.amplitudes as amplitudes
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
 import fockmix.verify as verify
@@ -312,7 +313,8 @@ def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax,
     seen = []
     for i, k, cells, q in probabilities._shell_factor_rows(p, imax, kmax):
         seen.append((i, k))
-        assert [(u, v, q) for u, v in cells] == [probabilities._exact_factor_sums(i, k, n, num, den) for n in range(i + k + 1)]
+        want = [probabilities._cell_sums(PhotonConfig(i, k, n), Device.BS, num, den) for n in range(i + k + 1)]
+        assert [(u, v, q) for u, v in cells] == want
     assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
 
 
@@ -330,6 +332,8 @@ _HALF_BS = BeamSplitterParam.from_value("1/2")
     (lambda: recurrences.classical_prob(1, -2, -1, _HALF_BS), "k=-2"),
     (lambda: recurrences.classical_recurrence_check(-1, 2, 1, 0, _HALF_BS), "i=-1"),
     (lambda: recurrences.classical_recurrence_check(1, -2, -1, 0, _HALF_BS, "rational"), "k=-2"),
+    (lambda: amplitudes.bs_vacuum_row(-1, 0, _HALF_BS), "i=-1"),
+    (lambda: amplitudes.tms_vacuum_row(-1, 0, SqueezerParam(0.3)), "i=-1"),
 ])
 def test_a_negative_photon_count_raises_before_any_work(monkeypatch, call, count):
     def engine(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -410,6 +411,28 @@ def test_built_table_rows_live_in_one_buffer(monkeypatch, build, precision):
         assert moved(table, (2, 1), 1, math.nan) != table
     assert shifted != table and table != shifted and other_device != table and table != dict.fromkeys(table)
     assert all(key in rows for key in keys) and not any(key in rows for key in outside)
+
+
+@pytest.mark.parametrize("precision", ["float", "rational"])
+@pytest.mark.parametrize("build", _ALL_BUILDERS, ids=lambda b: b.__name__)
+def test_a_built_table_reads_python_numbers_and_cannot_be_rebound(build, precision):
+    bs = build.__name__.startswith("bs")
+    p = (BeamSplitterParam if bs else SqueezerParam).from_value("2/7")
+    table = build(*((2, 2) if bs else (2, 2, 3)), p, precision)
+    # A held entry, n < 0 and (beam splitter) a position past the row: one type.
+    reads = [table.value(1, 1, 1), table.value(1, 1, -1)] + ([table.value(1, 1, 9)] if bs else [])
+    assert [type(v) for v in reads] == [float if precision == "float" else Fraction] * len(reads)
+    assert reads[0] == table.row(1, 1)[1] and reads[1:] == [0] * len(reads[1:])
+    # Any key that is not a row (i, k) is absent, as in a dict.
+    for key in (3, (1, 2, 3), "ab", None, (0, 3)):
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    for name in ("imax", "kmax", "nmax", "den", "buffer", "_zero"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, 3)
+    with pytest.raises(TableCoverageError):
+        table.span(0, 3)
 
 
 @pytest.mark.parametrize("precision", ["float", "rational"])
