@@ -12,26 +12,25 @@ The production recurrences are the five-term forms (the j=1 special case):
                   + lam A(i,k->n-1)    + (1-lam) A(i-1,k->n-1)
                   - A(i-1,k-1->n-1)
 
-seeded by the binomial vacuum rows (beam splitter) and by the amplifier
-two-term recurrence plus the reversal-derived n=0 boundary (squeezer). The
+Partial time reversal, A(i,k->n) = (1-lam) B(i,k+n-i->n) at eta = 1-lam,
+makes the second form the first, term by term and weight by weight, so one
+fill (_five_term_fill) builds both tables from binomial vacuum rows. The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
 Every table a builder returns is one ProbabilityTable, which owns one
 read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
-block [row, n], and a squeezer bridge shell t = k+n (partial time reversal
-takes (i, k -> n) to a beam-splitter cell of total t) a band of the grid
+block [row, n], and a squeezer bridge shell t = k+n a band of the grid
 [i, k*(nmax+1) + n].
 Float buffers hold the entries. Rational buffers hold the integers the fills
 and the exact engine compute, each entry times a power of the denominator
 q of eta or lambda = p/q, and a rational row becomes Fractions when it is
-read. Each fill builds a shell from the two below it: floats on the
-coefficients (eta, 1-eta, 1), rational precision on the integers (p, q-p,
-q^2), so no gcd runs inside the fill. The beam-splitter step writes its
-float products into two scratch arrays made once per table. Float cells are
-clipped to [0, 1] as their shell is stored; a squeezer cell reads its own
-row's A(i,k->n-1) from before that clip and its four other inputs from
-after theirs. A built table is immutable and safe to share.
+read. The fill builds a shell from the two below it: floats on the
+coefficients (eta, 1-eta, 1), rational precision on the integers (a, b-a,
+b^2) for eta = a/b, so no gcd runs inside the fill. It writes its float
+products into two scratch arrays made once per table and clips float cells
+to [0, 1] before the next shell reads them. A built table is immutable and
+safe to share.
 
 A value or tilde row reads the buffer through ProbabilityTable.span at both
 precisions: every product lies on a known power of den (the den-power rule
@@ -167,13 +166,24 @@ class ProbabilityTable(Mapping):
         """Squeezer bridge shell s for lo <= k <= hi: the cells (i, k -> s-k) at [i, k - lo]."""
         return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
 
+    def _row(self, key):
+        """key as the ints (i, k) of a row the table holds, else None: a key
+        that is no pair, or a count operator.index rejects (1.0), is none."""
+        try:
+            i, k = key
+            i, k = operator.index(i), operator.index(k)
+        except (TypeError, ValueError):
+            return None
+        return (i, k) if 0 <= i <= self.imax and 0 <= k <= self.kmax else None
+
     def span(self, i: int, k: int) -> np.ndarray:
         """Row (i, k) of the buffer, a view; a row the table does not hold
         raises TableCoverageError."""
-        if not (0 <= i <= self.imax and 0 <= k <= self.kmax):  # as __contains__, without its call
+        if (held := self._row((i, k))) is None:
             raise TableCoverageError(
                 f"table ({self.device.value}, imax={self.imax}, kmax={self.kmax}) has no row (i={i}, k={k})"
             )
+        i, k = held
         if self.nmax is None:
             s = i + k
             start = self._starts[s] + i * (s + 1)
@@ -195,9 +205,9 @@ class ProbabilityTable(Mapping):
         if self.device is Device.BS:
             if n >= len(row):
                 return self.zero
-            v, e = row[n], i + k
+            v, e = row[n], len(row) - 1
         else:
-            v, e = _entry(row, n), k + n + 1
+            v, e = _entry(row, n), operator.index(k) + operator.index(n) + 1
         return float(v) if self.den is None else Fraction(v, self.den**e)
 
     def exact(self, sums, e: int, per_n: bool = False):
@@ -236,17 +246,13 @@ class ProbabilityTable(Mapping):
         return layout(self) == layout(other) and bool(np.array_equal(self.buffer, other.buffer))
 
     def __contains__(self, key) -> bool:
-        """Whether key is a row (i, k) of the table; any other key is absent, as in a dict."""
-        try:
-            i, k = key
-            return 0 <= i <= self.imax and 0 <= k <= self.kmax
-        except (TypeError, ValueError):
-            return False
+        """Whether key is a row (i, k) of the table; any other key is absent."""
+        return self._row(key) is not None
 
     def __getitem__(self, key):
-        if key not in self:
+        if (held := self._row(key)) is None:
             raise KeyError(key)
-        i, k = key
+        i, k = held
         row, (e, per_n) = self.span(i, k), (i + k, False) if self.nmax is None else (k + 1, True)
         return row if self.den is None else self.exact(row.tolist(), e, per_n)
 
@@ -299,28 +305,72 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
 _FLOAT_BINOMIALS = 1029  # the largest s with every C(s, n) in the float range
 
 
-def _seed_row(row: np.ndarray, counts: list, x, one, powers, below) -> None:
-    """Write _bs_binomial_row(counts, x, one) into row in place as the
-    products count * x**n * (one-x)**(s-n), given powers =
-    _powers(x, one - x, m, row.dtype) with m >= s: exact integers in an
-    object row; in a float row the counts converted first, then the same
-    products in the same order. Above _FLOAT_BINOMIALS photons a float row is
-    the two-term step (one-x) below[n] + x below[n-1] from the seed row below."""
-    s = len(row) - 1
-    if s > _FLOAT_BINOMIALS and row.dtype == float:
-        np.multiply(one - x, below, out=row[:-1])
-        row[-1] = 0.0
-        row[1:] += x * below
-        return
-    row[:] = counts
-    row *= powers[0][: s + 1]
-    row *= powers[1][s::-1]
+def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
+    """(target, source) slices of the n in [c, c+width) whose n - shift lies in [c_src, c_src+width_src)."""
+    lo, hi = max(c, c_src + shift), min(c + width, c_src + shift + width_src)
+    return slice(lo - c, max(lo, hi) - c), slice(lo - c_src - shift, max(lo, hi) - c_src - shift)
 
 
-def _powers(x, y, top: int, dtype) -> tuple:
-    """x**m and y**m for m <= top as two arrays of dtype, each a Python power
-    (np.power may round a float differently in the last bit)."""
-    return np.array([x**m for m in range(top + 1)], dtype), np.array([y**m for m in range(top + 1)], dtype)
+def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, shells: list) -> ProbabilityTable:
+    """Fill t by the beam splitter's five-term step, shell s after shell:
+    om up + eta left, + (eta up + om left) one n up, - one * one * diag, each
+    term over the n its source shell holds. shells[s] = (shell, r, c) views
+    t's buffer as lead times the cells (i, s-i -> n) at [i - r, n - c], at
+    the _carrier coefficients weights = (eta, om, one). Rows i = 0 and i = s
+    are the seeds C(s, n) x**n y**(s-n) lead for seeds = ((x, y) of row 0,
+    (x, y) of row s), past _FLOAT_BINOMIALS photons a float one the two-term
+    step y below[n] + x below[n-1]. A shell not contiguous in the buffer is
+    worked in an array of its own."""
+    eta, om, one = weights
+    dtype, rational = t.buffer.dtype, t.den is not None
+    # the seeds' x**m and y**m as Python powers: np.power may round a float differently in the last bit
+    powers = [[np.array([z**m for m in range(len(shells))], dtype) for z in pair] for pair in seeds]
+    scratch, views = np.empty((2, max(shell.size for shell, _, _ in shells)), dtype), {}
+
+    def spare(shape: tuple) -> list:  # two scratch arrays of that shape, the views made once per shape
+        return views.get(shape) or views.setdefault(shape, [x[: shape[0] * shape[1]].reshape(shape) for x in scratch])
+
+    below = below2 = None  # (shell as stored, r, c) of the shells s-1 and s-2
+    counts = [1]  # C(s, n) over the n of shell s
+    for s, (shell, r, c) in enumerate(shells):
+        work = shell if shell.flags.c_contiguous else np.zeros(shell.shape, dtype)
+        width, last = shell.shape[1], r + len(shell) - 1
+        if s and (r == 0 or last == s) and (rational or s <= _FLOAT_BINOMIALS):  # seeded shells come first
+            edges = [1] * (c == 0), [1] * (c + width > s)  # C(s, 0) and C(s, s), where the window holds them
+            counts = [*edges[0], *map(operator.add, counts, counts[1:]), *edges[1]]
+        g0, g1 = max(1, r), min(last, s - 1)  # the rows with i, s-i >= 1
+        if g0 <= g1:
+            (prev, r1, c1), (prev2, r2, c2) = below, below2
+            up, left, body = prev[g0 - 1 - r1 : g1 - r1], prev[g0 - r1 : g1 + 1 - r1], work[g0 - r : g1 + 1 - r]
+            to, at = _cover(c, width, c1, prev.shape[1], 0)
+            u, l, (a, b) = up[:, at], left[:, at], spare((len(body), at.stop - at.start))
+            np.add(np.multiply(om, u, out=a), np.multiply(eta, l, out=b), out=body[:, to])
+            to, at = _cover(c, width, c1, prev.shape[1], 1)
+            u, l, (a, b), dst = up[:, at], left[:, at], spare((len(body), at.stop - at.start)), body[:, to]
+            dst += np.add(np.multiply(eta, u, out=a), np.multiply(om, l, out=b), out=a)
+            to, at = _cover(c, width, c2, prev2.shape[1], 1)
+            d, dst = prev2[g0 - 1 - r2 : g1 - r2, at], body[:, to]
+            dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
+        for i, (x, y), (xs, ys) in zip((0, s), seeds, powers):
+            if not r <= i <= last:
+                continue
+            row = work[i - r]
+            if s > _FLOAT_BINOMIALS and not rational:  # past the float counts
+                src = below[0][min(i, s - 1) - below[1]]
+                (to, at), (to1, at1) = (_cover(c, width, below[2], len(src), shift) for shift in (0, 1))
+                np.multiply(y, src[at], out=row[to])
+                np.add(row[to1], x * src[at1], out=row[to1])
+                continue
+            row[:] = counts
+            row *= xs[c : c + width]
+            row *= ys[s - c - width + 1 : s - c + 1][::-1]
+            row *= lead
+        if not rational:
+            np.clip(work, 0.0, 1.0, out=work)
+        if work is not shell:
+            shell[...] = work
+        below2, below = below, (work, r, c)
+    return t.frozen()
 
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
@@ -360,42 +410,15 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term fill, one shell s = i+k at a time, seeded by the two binomial
-    rows. Float products go to two scratch arrays and the first sum straight
-    into the zeroed shell; that keeps the bytes of 0 + (om up + eta left) +
-    (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x and a -0.0 input never
-    meets a -0.0 partner in the first sum."""
+    """Five-term fill (_five_term_fill) on the whole shells s = i+k, seeded by
+    the two binomial rows. Float products go to two scratch arrays and the
+    first sum straight into the zeroed shell; that keeps the bytes of 0 +
+    (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x
+    and a -0.0 input never meets a -0.0 partner in the first sum."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
-    rational = precision == "rational"
-    (lo2, prev2), (lo1, prev), counts = (0, None), (0, None), [1]  # shells s-2, s-1; C(s, .)
-    dtype = t.buffer.dtype
-    first, last = _powers(om, one - om, kmax, dtype), _powers(eta, one - eta, imax, dtype)  # of the seed rows
-    size = max([(min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1)] + [0])
-    scratch = np.empty((2, size), dtype)  # the largest body [g0..g1, n < s], twice
-    for s in range(imax + kmax + 1):
-        lo, hi = max(0, s - kmax), min(imax, s)
-        shell = t.shell(s)
-        g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, k >= 1
-        if g0 <= g1:
-            up, left = prev[g0 - 1 - lo1 : g1 - lo1], prev[g0 - lo1 : g1 + 1 - lo1]
-            body = shell[g0 - lo : g1 + 1 - lo]
-            a, b = (x[: up.size].reshape(up.shape) for x in scratch)
-            np.add(np.multiply(om, up, out=a), np.multiply(eta, left, out=b), out=body[:, :-1])
-            np.add(np.multiply(eta, up, out=a), np.multiply(om, left, out=b), out=a)
-            body[:, 1:] += a
-            diag = prev2[g0 - 1 - lo2 : g1 - lo2]
-            body[:, 1:-1] -= np.multiply(one * one, diag, out=b[:, :-1]) if rational else diag
-        if lo == 0:
-            _seed_row(shell[0], counts, om, one, first, prev[0] if s else None)
-        if hi == s:
-            _seed_row(shell[-1], counts, eta, one, last, prev[-1] if s else None)
-        if not rational:
-            np.clip(shell, 0.0, 1.0, out=shell)
-        (lo2, prev2), (lo1, prev) = (lo1, prev), (lo, shell)
-        if rational or s < _FLOAT_BINOMIALS:
-            counts = [1, *map(operator.add, counts, counts[1:]), 1]
-    return t.frozen()
+    shells = [(t.shell(s), max(0, s - kmax), 0) for s in range(imax + kmax + 1)]
+    return _five_term_fill(t, (eta, om, one), 1, ((om, one - om), (eta, one - eta)), shells)
 
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
@@ -419,50 +442,18 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
 
 
 def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term fill over bridge shells s = k+n, one band of cells per shell.
-
-    Partial time reversal takes the squeezer cell (i, k -> n) to a
-    beam-splitter cell of total s = k+n, and the five inputs of A(i,k->n)
-    lie on the bridge shells s-1 and s-2, so no cell of a shell reads
-    another. Shell s holds every i and k in [max(0, s-nmax), min(kmax, s)],
-    n = s-k, at flat[i, k*(nmax+1) + n]: the five-term cells (k, n >= 1);
-    the k=0 column, from the amplifier two-term recurrence
-    A(i,0->n) = (1-lam) A(i-1,0->n-1) + lam A(i,0->n-1) from
-    A(0,0->n) = (1-lam) lam^n and A(i,0->0) = 0 * lam (signed like lam);
-    and at k = s the n=0 column (1-lam) C(k,i) (1-lam)^(k-i) lam^i for
-    k >= i (zero otherwise), the reversed beam-splitter row.
-
-    Float cells are clipped to [0, 1] as their shell is stored: a cell
-    reads its own row's A(i,k->n-1) from before that clip and its four other
-    inputs from after theirs. Rows are complete only once the last shell is
-    stored.
-    """
+    """The five-term fill (_five_term_fill) on a band of each bridge shell
+    s = k+n: cell (i, k -> n) is (1-lam) B(i, s-i -> n) at eta = 1-lam for
+    i <= min(imax, s) and n in [max(0, s-kmax), min(s, nmax)], t.band(s, ...)
+    read with k reversed, at the weights (1.0-lam, lam), or (q-p, p, q) for
+    lam = p/q. Rows are complete only once the last shell is stored."""
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
-    lam, om, one = _carrier(_param_of(p, precision))
-    flat, band = t.buffer, t.band
-    pre, pre_lo, counts = None, 0, [1]  # bridge shell s-1 before its clip, from k = pre_lo; C(s, i <= imax)
-    for s in range(kmax + nmax + 1):
-        lo, hi = max(0, s - nmax), min(kmax, s)
-        shell = np.zeros((imax + 1, hi - lo + 1), flat.dtype)
-        a, b = max(1, lo), min(hi, s - 1)  # the five-term cells
-        if a <= b:
-            left = band(s - 1, a - 1, b - 1)  # A(i,k-1->n)
-            body = shell[:, a - lo : b + 1 - lo]
-            body[:] = om * left + lam * pre[:, a - pre_lo : b + 1 - pre_lo]
-            body[1:] += (om * band(s - 1, a, b)[:-1] + lam * left[:-1]) - one * one * band(s - 2, a - 1, b - 1)[:-1]
-        if lo == 0:  # k = 0: the amplifier two-term recurrence
-            shell[0, 0] = om * lam**s
-            shell[1:, 0] = om * flat[:-1, s - 1] + lam * pre[1:, 0] if s else 0 * lam
-        if hi == s:  # n = 0: the reversed beam-splitter row
-            for i, c in enumerate(counts):
-                shell[i, -1] = _weight(om, c, om, s - i, lam, i)
-            counts = [1, *map(operator.add, counts, counts[1:]), 1][: imax + 1]
-        if t.den is None:
-            shell.clip(0.0, 1.0, out=band(s, lo, hi))
-        else:
-            band(s, lo, hi)[:] = shell
-        pre, pre_lo = shell, lo
-    return t.frozen()
+    lam, eta, one = _carrier(_param_of(p, precision))
+    shells = [
+        (t.band(s, max(0, s - nmax), min(kmax, s))[: min(imax, s) + 1, ::-1], 0, max(0, s - kmax))
+        for s in range(kmax + nmax + 1)
+    ]
+    return _five_term_fill(t, (eta, lam, one), eta, ((lam, eta), (eta, lam)), shells)
 
 
 def _entry(row: np.ndarray, n: int):
@@ -507,11 +498,19 @@ def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
 
 
 def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):
-    """Single value of the convolution combination; 0 outside its support."""
-    if min(i, k, n) < 0 or j < 0 or j > i + k:
+    """Single value of the convolution combination; 0 outside its support.
+    It sums only the entries it reads, in bs_tilde_row's order: entry n of
+    each pair's convolution from 0 * (a[0] + b[0]), then pair after pair."""
+    if min(i, k, n) < 0 or j < 0 or j > i + k or n > i + k:
         return table.zero
-    row = bs_tilde_row(i, k, j, table)
-    return row[n] if n < len(row) else table.zero
+    total = table._zero
+    for a, b in _bs_tilde_pairs(i, k, j, table.span):
+        lo, hi = max(0, n + 1 - len(b)), min(n, len(a) - 1)
+        conv = 0 * (a.item(0) + b.item(0))
+        for x, y in zip(a[lo : hi + 1].tolist(), b[n - hi : n - lo + 1][::-1].tolist()):
+            conv += x * y
+        total += conv
+    return table.exact([total], i + k)[0]
 
 
 def bs_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):

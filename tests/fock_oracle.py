@@ -125,33 +125,49 @@ def moved(table, key, n, by):
 
 
 def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
-    """Float five-term squeezer fill one row and one n at a time, in the
-    operation order the library's shell fill must keep bit for bit."""
-    om = 1.0 - lam
+    """Float squeezer fill one cell at a time, in the operation order the
+    library's banded fill must keep bit for bit. Over bridge shells s = k+n,
+    cell (i, k -> n) is 1-lam times the beam-splitter cell (i, s-i -> n) at
+    eta = 1-lam, and its five terms are the beam splitter's: om up + eta left,
+    then + (eta up + om left) one n up, then - diag, with om = lam, up(n) =
+    A(i-1,k-1->n), left(n) = A(i,k-1->n), up(n-1) = A(i-1,k->n-1), left(n-1) =
+    A(i,k->n-1) and diag = A(i-1,k-1->n-1). A term whose inputs lie outside
+    the table is left out, and a cell with no first term starts at 0.0. Rows
+    i = 0 and i = s are the binomial seeds times 1-lam, past 1029 photons
+    the two-term step from the seed cells of the shell below. Each shell is
+    clipped to [0, 1] before the next reads it."""
+    eta = 1.0 - lam
+    cells = {}  # (i, k, n) -> the stored value, for the cells of the shells filled so far
+    for s in range(kmax + nmax + 1):
+        shell = {}
+        for i in range(min(imax, s) + 1):
+            for n in range(max(0, s - kmax), min(s, nmax) + 1):
+                k = s - n
+                if i in (0, s):
+                    x, y = (lam, eta) if i == 0 else (eta, lam)
+                    if s <= 1029:
+                        val = float(math.comb(s, n)) * x**n * y ** (s - n) * eta
+                    else:  # the seed cells (i', k-1 -> n) and (i', k -> n-1) of row i' = min(i, s-1)
+                        b = min(i, s - 1)
+                        val = y * cells[(b, k - 1, n)] if (b, k - 1, n) in cells else 0.0
+                        if (b, k, n - 1) in cells:
+                            val += x * cells[(b, k, n - 1)]
+                else:
+                    val = 0.0
+                    if (i, k - 1, n) in cells:
+                        val = lam * cells[(i - 1, k - 1, n)] + eta * cells[(i, k - 1, n)]
+                    if (i, k, n - 1) in cells:
+                        val += eta * cells[(i - 1, k, n - 1)] + lam * cells[(i, k, n - 1)]
+                    if (i - 1, k - 1, n - 1) in cells:
+                        val -= cells[(i - 1, k - 1, n - 1)]
+                shell[(i, k, n)] = val
+        clipped = np.clip(np.array(list(shell.values()), dtype=float), 0.0, 1.0)
+        cells.update(zip(shell, clipped.tolist()))
     rows = {}
-    for s in range(imax + kmax + 1):
-        for i in range(max(0, s - kmax), min(imax, s) + 1):
-            k = s - i
-            row = [0.0] * (nmax + 1)
-            if i == 0 and k == 0:
-                row = [om * lam**n for n in range(nmax + 1)]
-            elif k == 0:
-                prev = rows[(i - 1, 0)]
-                row[0] = 0 * lam  # -0.0 at lam = -0.0
-                for n in range(1, nmax + 1):
-                    row[n] = om * prev[n - 1] + lam * row[n - 1]
-            else:
-                up, left, diag = rows.get((i - 1, k)), rows[(i, k - 1)], rows.get((i - 1, k - 1))
-                if k >= i:
-                    row[0] = om * math.comb(k, i) * om ** (k - i) * lam**i
-                for n in range(1, nmax + 1):
-                    val = om * left[n] + lam * row[n - 1]
-                    if up is not None:
-                        val += om * up[n - 1] + lam * diag[n] - diag[n - 1]
-                    row[n] = val
-            arr = np.array(row, dtype=float)
-            np.clip(arr, 0.0, 1.0, out=arr)
-            rows[(i, k)] = arr
+    for t in range(imax + kmax + 1):
+        for i in range(max(0, t - kmax), min(imax, t) + 1):
+            k = t - i
+            rows[(i, k)] = np.array([cells.get((i, k, n), 0.0) for n in range(nmax + 1)], dtype=float)
     return rows
 
 

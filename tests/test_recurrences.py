@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fockmix.probabilities as probabilities
 import fockmix.recurrences as recurrences
@@ -423,16 +423,33 @@ def test_a_built_table_reads_python_numbers_and_cannot_be_rebound(build, precisi
     reads = [table.value(1, 1, 1), table.value(1, 1, -1)] + ([table.value(1, 1, 9)] if bs else [])
     assert [type(v) for v in reads] == [float if precision == "float" else Fraction] * len(reads)
     assert reads[0] == table.row(1, 1)[1] and reads[1:] == [0] * len(reads[1:])
-    # Any key that is not a row (i, k) is absent, as in a dict.
-    for key in (3, (1, 2, 3), "ab", None, (0, 3)):
+    # Any key that is not a row (i, k) is absent, as in a dict, and so is a
+    # count that operator.index rejects, even where it equals a held one.
+    for key in (3, (1, 2, 3), "ab", None, (0, 3), (1.0, 1), (1.5, 1)):
         assert key not in table
         with pytest.raises(KeyError):
             table[key]
+    for i, k in ((1.0, 1), (1.5, 1)):
+        with pytest.raises(TableCoverageError):
+            table.span(i, k)
+        with pytest.raises(TableCoverageError):
+            table.value(i, k, 1)
+    held = (np.int64(1), np.int32(1))  # NumPy integers are counts
+    assert held in table and list(table[held]) == list(table.row(1, 1)) and table.value(*held, 1) == reads[0]
     for name in ("imax", "kmax", "nmax", "den", "buffer", "_zero"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(table, name, 3)
     with pytest.raises(TableCoverageError):
         table.span(0, 3)
+
+
+@pytest.mark.parametrize("build, sizes", [(bs_table_direct, (30, 30)), (tms_table_direct, (1, 2, 45))])
+def test_numpy_counts_read_the_values_of_ints(build, sizes):
+    # A rational entry's scale den**e passes 2**63 here, where a NumPy exponent would wrap.
+    p = (BeamSplitterParam if build is bs_table_direct else SqueezerParam).from_value("1/3")
+    table = build(*sizes, p, "rational")
+    i, k, n = sizes[0], sizes[1], sizes[-1] - 1
+    assert table.value(np.int64(i), np.int32(k), np.int64(n)) == table.value(i, k, n) != 0
 
 
 @pytest.mark.parametrize("precision", ["float", "rational"])
@@ -496,7 +513,7 @@ def test_benchmark_size_tables_keep_their_bytes(build, size, eta, digest):
         (tms_table_direct, (10, 10, 30), "1/4", "rational",
          "256fff48594e43013a9026249f592a8ca6d50a32f50052e5744d63c0e3fe4ad1"),
         (tms_table_recurrence, (60, 60, 200), "1/4", "float",
-         "e60f92205ea0057a9f32bf7a523e0d32451fd75bccdf0795dc5af6a63a357099"),
+         "a2b9f0ccc74d0669503c3477b14e55a24125d15c5272e5807321e94f98362a46"),
     ],
     ids=["bs-recurrence-rational", "tms-recurrence-rational", "tms-direct-rational", "tms-recurrence-float"],
 )
@@ -574,6 +591,25 @@ def test_tms_direct_rows_are_the_per_cell_values(imax, kmax, nmax, lam):
                 assert got[key].tobytes() == row.tobytes(), key
 
 
+# The squeezer fill is the beam-splitter fill on a band: in rational precision
+# it holds the direct table's integers at every shape, also where kmax > nmax,
+# nmax = 0 or imax > kmax + nmax, and at lambda near 0 and 1.
+_EDGE_RATIOS = st.integers(2, 10**6).flatmap(
+    lambda q: st.sampled_from([0, 1, q // 3, q - 2, q - 1]).map(lambda p: f"{p}/{q}")
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.one_of(_EDGE_RATIOS, _TMS_LITERALS))
+@example(2, 7, 1, "1/1000")
+@example(4, 3, 0, "999/1000")
+@example(7, 1, 2, "1/2")
+def test_rational_tms_recurrence_holds_the_direct_integers(imax, kmax, nmax, lam):
+    assume("/" in lam)
+    p = SqueezerParam.from_value(lam)
+    assert tms_table_recurrence(imax, kmax, nmax, p, "rational") == tms_table_direct(imax, kmax, nmax, p, "rational")
+
+
 def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
     p = SqueezerParam.from_value("1/4")
     want = {precision: tms_rows_per_cell(4, 5, 9, p, precision) for precision in ("float", "rational")}
@@ -605,6 +641,19 @@ def test_rational_tilde_rows_equal_fraction_convolutions(eta):
                 for table in tables:
                     got = bs_tilde_row(i, k, j, table)
                     assert got == want and all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("eta, precision", [("1/3", "float"), ("1/3", "rational"), ("0.3", "float")])
+def test_bs_tilde_is_its_tilde_row_entry_without_the_row(monkeypatch, eta, precision):
+    table = bs_table_recurrence(6, 6, BeamSplitterParam.from_value(eta), precision)
+    rows = {(i, k, j): bs_tilde_row(i, k, j, table) for i, k in table for j in range(i + k + 1)}
+    monkeypatch.setattr(recurrences, "_convolve_full", lambda a, b: pytest.fail("a tilde row was built"))
+    for (i, k, j), row in rows.items():
+        got = [bs_tilde(i, k, j, n, table) for n in range(i + k + 2)]
+        assert [type(v) for v in got] == [float if precision == "float" else Fraction] * len(got)
+        assert got[-1] == 0 and got[:-1] == row
+        if precision == "float":  # bit for bit, signed zeros too
+            assert np.array(got[:-1]).tobytes() == np.array(row).tobytes()
 
 
 def test_float_tilde_rows_keep_their_operation_order():
@@ -639,6 +688,14 @@ def test_bs_fill_past_the_float_range_of_binomials():
     for i in (1029, 1030, 1100):
         row = table.row(i, 0)
         assert max(abs(row[n] - Fraction(math.comb(i, n), 2**i)) for n in range(i + 1)) <= 1e-14
+
+
+def test_thin_tms_fill_past_the_float_range_of_binomials():
+    # Bridge shells above 1029 photons seed their row i = 0, over a window of
+    # three n, by the two-term step from the row below.
+    p = SqueezerParam.from_value("1/3")
+    table, direct = tms_table_recurrence(1, 1040, 2, p), tms_table_direct(1, 1040, 2, p)
+    assert np.max(np.abs(table.buffer - direct.buffer)) <= 1e-15
 
 
 def test_tms_fill_past_the_float_range_of_binomials():
