@@ -300,33 +300,39 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     return _exact_cell(c, Device.TMS, 1 - Fraction(lam))
 
 
-def _top_coefficient_walk(num: int, den: int, rows, cols):
+def _top_coefficient_walk(num: int, den: int, rows, cols, nmax: int | None = None):
     """Yield (cell, den**s) for the shells s = 0, 1, ... without end, where
     cell(i, k) = (X, Y) has X*Y/den**s = B(i, s-i -> s-k) at eta = num/den,
-    the squeezer's bridge cell, for i in rows, k in cols and s >= max(i, k).
+    the squeezer's bridge cell, for i in rows, k in cols and s >= max(i, k),
+    and s <= k + nmax when nmax is given (n = s-k <= nmax).
     cell reads the walk's current shell, so it is called before the next.
 
     That cell is M_s[i][s-k] * L_s[s-k][s-i] of _shell_factor_rows: top
     coefficient k of M_s[i] times top coefficient i of L_s[s-k]. With
     r = den - num, each top vector steps alone: row i by
     t'_j = t_{j-1} - num*t_j while s < i, then t'_j = r*t_j + t_{j-1};
-    column k by u'_j = num*u_j + r*u_{j-1} while s < k, then
-    u'_j = u_j - u_{j-1}. Each t_j is held over r**max(0, s-i-j), which keeps
+    column k starts at its first read shell s = k as the terms j <= max(rows)
+    of (num + r*x)**k, then steps by u'_j = u_j - u_{j-1}, and is dropped
+    after shell k + nmax. Each t_j is held over r**max(0, s-i-j), which keeps
     it short, so X = t_k * u_i and Y = r**max(0, s-i-k), one power per i+k
     read from a window that slides by one power of r per shell.
     """
     r = den - num
     imax, kmax = max(rows), max(cols)
     tops = {i: [1] + [0] * kmax for i in rows}
-    lefts = {k: [1] + [0] * imax for k in cols}
+    lefts, starts = {}, set(cols)
     window, q = [1] * (imax + kmax + 1), 1  # window[d] = r**max(0, s-d)
     cell = lambda i, k: (tops[i][k] * lefts[k][i], window[i + k])  # noqa: E731
     for s in count():
+        if s in starts:  # C(s, j) num**(s-j) r**j, and 0 past j = s: a negative power of num would be a float
+            lefts[s] = [math.comb(s, j) * num ** (s - j) * r**j if j <= s else 0 for j in range(imax + 1)]
         yield cell, q
         for i, t in tops.items():
             tops[i] = _next_top(t, s - i, num, r)
+        if nmax is not None:
+            lefts.pop(s - nmax, None)
         for k, u in lefts.items():
-            lefts[k] = [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
+            lefts[k] = [*map(operator.sub, u, [0, *u])]
         window = [window[0] * r, *window[:-1]]
         q *= den
 

@@ -18,6 +18,14 @@ fill (_five_term_fill) builds both tables from binomial vacuum rows. The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
+Swapping the two modes fixes the beam splitter's probabilities,
+B(i,k->n) = B(k,i->i+k-n), the d-matrix symmetry d^j_{m'm} = d^j_{-m,-m'}
+of its SU(2) blocks, so row (k, i) is row (i, k) reversed. Where a shell
+holds both rows of a pair over a window of n closed under n -> s-n (every
+beam-splitter shell, and a squeezer band that is a whole shell), the fill
+steps one row of each pair and copies the other reversed, and the float
+direct table rounds one; the rows of thin tables have no held mirror.
+
 Every table a builder returns is one ProbabilityTable, which owns one
 read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
 block [row, n], and a squeezer bridge shell t = k+n a band of the grid
@@ -311,6 +319,23 @@ def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
     return slice(lo - c, max(lo, hi) - c), slice(lo - c_src - shift, max(lo, hi) - c_src - shift)
 
 
+def _halves(s: int, r: int, last: int) -> tuple:
+    """(lo, hi, mirrored) for shell s holding rows r..last over an n window
+    closed under n -> s-n, where row i is row s-i reversed (B(i, k -> n) =
+    B(k, i -> i+k-n)). The rows whose mirror is held reach row r or row
+    last, and the half of them at that end is mirrored: i < s-i from row r,
+    else i > s-i up to row last. So the stepped rows lo..hi are one run."""
+    if s - last <= r:
+        mirrored = range(r, min(last, s - r, (s - 1) // 2) + 1)
+        return max(r, mirrored.stop), last, mirrored
+    return r, min(last, s // 2), range(s // 2 + 1, last + 1)
+
+
+def _mirror(work: np.ndarray, s: int, r: int, rows: range) -> None:
+    """Write rows i in rows of shell s (held from row r on) as row s-i reversed."""
+    work[rows.start - r : rows.stop - r] = work[s - rows.stop + 1 - r : s - rows.start + 1 - r][::-1, ::-1]
+
+
 def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, shells: list) -> ProbabilityTable:
     """Fill t by the beam splitter's five-term step, shell s after shell:
     om up + eta left, + (eta up + om left) one n up, - one * one * diag, each
@@ -320,7 +345,14 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
     are the seeds C(s, n) x**n y**(s-n) lead for seeds = ((x, y) of row 0,
     (x, y) of row s), past _FLOAT_BINOMIALS photons a float one the two-term
     step y below[n] + x below[n-1]. A shell not contiguous in the buffer is
-    worked in an array of its own."""
+    worked in an array of its own.
+
+    The step is symmetric under swapping the modes: in a shell whose n window
+    is closed under n -> s-n (c + c+width-1 = s), half of the rows whose
+    mirror row s-i is held are not stepped (_halves). The other rows are
+    stepped, seeded and clipped, and each mirrored row is then row s-i
+    reversed, one slice copy (_mirror). Elsewhere (the shells of thin
+    tables, squeezer bands cut by kmax or nmax) every row is stepped."""
     eta, om, one = weights
     dtype, rational = t.buffer.dtype, t.den is not None
     # the seeds' x**m and y**m as Python powers: np.power may round a float differently in the last bit
@@ -338,7 +370,10 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
         if s and (r == 0 or last == s) and (rational or s <= _FLOAT_BINOMIALS):  # seeded shells come first
             edges = [1] * (c == 0), [1] * (c + width > s)  # C(s, 0) and C(s, s), where the window holds them
             counts = [*edges[0], *map(operator.add, counts, counts[1:]), *edges[1]]
-        g0, g1 = max(1, r), min(last, s - 1)  # the rows with i, s-i >= 1
+        lo, hi, mirrored = r, last, None
+        if 2 * r < s < 2 * last and 2 * c + width - 1 == s:  # a held pair i < s-i, and n -> s-n in the window
+            lo, hi, mirrored = _halves(s, r, last)
+        g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, s-i >= 1
         if g0 <= g1:
             (prev, r1, c1), (prev2, r2, c2) = below, below2
             up, left, body = prev[g0 - 1 - r1 : g1 - r1], prev[g0 - r1 : g1 + 1 - r1], work[g0 - r : g1 + 1 - r]
@@ -352,7 +387,7 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
             d, dst = prev2[g0 - 1 - r2 : g1 - r2, at], body[:, to]
             dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
         for i, (x, y), (xs, ys) in zip((0, s), seeds, powers):
-            if not r <= i <= last:
+            if not lo <= i <= hi:
                 continue
             row = work[i - r]
             if s > _FLOAT_BINOMIALS and not rational:  # past the float counts
@@ -366,7 +401,10 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
             row *= ys[s - c - width + 1 : s - c + 1][::-1]
             row *= lead
         if not rational:
-            np.clip(work, 0.0, 1.0, out=work)
+            stepped = work[lo - r : hi + 1 - r]
+            np.clip(stepped, 0.0, 1.0, out=stepped)
+        if mirrored:
+            _mirror(work, s, r, mirrored)
         if work is not shell:
             shell[...] = work
         below2, below = below, (work, r, c)
@@ -377,13 +415,21 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     """Direct-route table from the exact factored sums U*V/Q, read off one
     shell of integer polynomials per total photon number: float rows are the
     exact values rounded once, bit for bit those of bs_prob_direct; rational
-    rows hold U*V and equal bs_prob_exact."""
+    rows hold U*V and equal bs_prob_exact. A float row that _halves mirrors
+    is not rounded but copied, reversed, from row (k, i): both hold the same
+    exact values, so the copy is its rounding bit for bit. Rounding is what
+    the copy saves; every rational row keeps its own products."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
+    held = [(max(0, s - kmax), min(imax, s)) for s in range(imax + kmax + 1)]
+    mirrored = [_halves(s, r, last)[2] if t.den is None else range(0) for s, (r, last) in enumerate(held)]
     for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
-        if t.den is None:
-            t.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
-        else:
+        if t.den is not None:
             t.span(i, k)[:] = [u * v for u, v in cells]
+        elif i not in mirrored[i + k]:
+            t.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
+    for s, ((r, _), rows) in enumerate(zip(held, mirrored)):
+        if rows:
+            _mirror(t.shell(s), s, r, rows)
     return t.frozen()
 
 
@@ -411,10 +457,10 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Five-term fill (_five_term_fill) on the whole shells s = i+k, seeded by
-    the two binomial rows. Float products go to two scratch arrays and the
-    first sum straight into the zeroed shell; that keeps the bytes of 0 +
-    (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x
-    and a -0.0 input never meets a -0.0 partner in the first sum."""
+    the two binomial rows, half of each pair of mirror rows (i, k), (k, i)
+    stepped and the other copied. Float products go to two scratch arrays
+    and the first sum straight into the zeroed shell; that keeps the bytes of
+    (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
     shells = [(t.shell(s), max(0, s - kmax), 0) for s in range(imax + kmax + 1)]
@@ -429,7 +475,7 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
     tms_prob_exact, float rows tms_prob bit for bit."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     num, den = _partner_ratio(p)
-    walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
+    walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1), nmax)
     for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
         lo, hi = max(0, s - nmax), min(kmax, s)
         cells = [[cell(i, k) for k in range(lo, hi + 1)] for i in range(min(imax, s) + 1)]

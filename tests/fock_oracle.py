@@ -10,8 +10,10 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -80,24 +82,35 @@ def prob_double_sum_literal(i: int, k: int, n: int, eta: Fraction) -> Fraction:
 
 def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
     """Float five-term beam-splitter fill one row at a time, in the operation
-    order the library's shell fill must keep bit for bit."""
+    order the library's shell fill must keep bit for bit. Row (i, k) is row
+    (k, i) reversed, B(i, k -> n) = B(k, i -> i+k-n), wherever the table
+    holds both: for i < k, or past total imax when imax < kmax for i > k.
+    Those rows are copied once the other rows of their total are stepped,
+    seeded and clipped."""
     om = 1.0 - eta
     rows = {}
     for s in range(imax + kmax + 1):
-        for i in range(max(0, s - kmax), min(imax, s) + 1):
-            k = s - i
+        keys = [(i, s - i) for i in range(max(0, s - kmax), min(imax, s) + 1)]
+        upper = s > imax and imax < kmax
+        copies = {(i, k) for i, k in keys if k <= imax and i <= kmax and (i > k if upper else i < k)}
+        shell = {}
+        for i, k in keys:
+            if (i, k) in copies:
+                continue
             if i == 0 or k == 0:
                 count, q = (i, eta) if k == 0 else (k, 1 - eta)
                 seed = [math.comb(count, n) * q**n * (1 - q) ** (count - n) for n in range(count + 1)]
-                rows[(i, k)] = np.array(seed, dtype=float)
+                shell[(i, k)] = np.array(seed, dtype=float)
                 continue
             up, left, diag = rows[(i - 1, k)], rows[(i, k - 1)], rows[(i - 1, k - 1)]
             new = np.zeros(s + 1)
-            new[:-1] += om * up + eta * left
+            new[:-1] = om * up + eta * left
             new[1:] += eta * up + om * left
             new[1:-1] -= diag
-            np.clip(new, 0.0, 1.0, out=new)
-            rows[(i, k)] = new
+            shell[(i, k)] = np.clip(new, 0.0, 1.0)
+        for i, k in copies:
+            shell[(i, k)] = shell[(k, i)][::-1].copy()
+        rows.update((key, shell[key]) for key in keys)
     return rows
 
 
@@ -135,13 +148,24 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
     the table is left out, and a cell with no first term starts at 0.0. Rows
     i = 0 and i = s are the binomial seeds times 1-lam, past 1029 photons
     the two-term step from the seed cells of the shell below. Each shell is
-    clipped to [0, 1] before the next reads it."""
+    clipped to [0, 1] before the next reads it.
+
+    Where shell s holds every n' = s-n of its n (n from max(0, s-kmax) to
+    min(s, nmax)), cell (i, k -> n) is cell (s-i, n -> k), the mode swap of
+    the beam-splitter cell, wherever the shell holds row s-i: for i < s-i, or
+    for i > s-i when s > imax. Those cells are copied after the shell's
+    other cells are clipped."""
     eta = 1.0 - lam
     cells = {}  # (i, k, n) -> the stored value, for the cells of the shells filled so far
     for s in range(kmax + nmax + 1):
+        lo, hi = max(0, s - kmax), min(s, nmax)
+        held = range(min(imax, s) + 1) if lo + hi == s else range(0)
+        copied = [i for i in held if s - i <= imax and (i > s - i if s > imax else i < s - i)]
         shell = {}
         for i in range(min(imax, s) + 1):
-            for n in range(max(0, s - kmax), min(s, nmax) + 1):
+            if i in copied:
+                continue
+            for n in range(lo, hi + 1):
                 k = s - n
                 if i in (0, s):
                     x, y = (lam, eta) if i == 0 else (eta, lam)
@@ -163,12 +187,40 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
                 shell[(i, k, n)] = val
         clipped = np.clip(np.array(list(shell.values()), dtype=float), 0.0, 1.0)
         cells.update(zip(shell, clipped.tolist()))
+        cells.update(((i, s - n, n), cells[(s - i, n, s - n)]) for i in copied for n in range(lo, hi + 1))
     rows = {}
     for t in range(imax + kmax + 1):
         for i in range(max(0, t - kmax), min(imax, t) + 1):
             k = t - i
             rows[(i, k)] = np.array([cells.get((i, k, n), 0.0) for n in range(nmax + 1)], dtype=float)
     return rows
+
+
+def top_coefficient_walk_stepped(num: int, den: int, rows, cols):
+    """probabilities._top_coefficient_walk as it was before its columns
+    started at their first read shell: every row and every column steps on
+    every shell from s = 0, column k by u'_j = num*u_j + r*u_{j-1} while
+    s < k, and no column is dropped."""
+    r = den - num
+    imax, kmax = max(rows), max(cols)
+    tops = {i: [1] + [0] * kmax for i in rows}
+    lefts = {k: [1] + [0] * imax for k in cols}
+    window, q = [1] * (imax + kmax + 1), 1  # window[d] = r**max(0, s-d)
+    cell = lambda i, k: (tops[i][k] * lefts[k][i], window[i + k])  # noqa: E731
+    for s in itertools.count():
+        yield cell, q
+        for i, t in tops.items():
+            c, prev = s - i, [0, *t]  # times (1 - num*x) while c < 0, else (1 + r*x), entries j <= c held over r
+            if c >= len(t) - 1:
+                tops[i] = [*map(operator.add, t, prev)]
+            elif c < 0:
+                tops[i] = [b - num * a for a, b in zip(t, prev)]
+            else:
+                tops[i] = [*map(operator.add, t[: c + 1], prev), *(r * a + b for a, b in zip(t[c + 1 :], prev[c + 1 :]))]
+        for k, u in lefts.items():
+            lefts[k] = [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
+        window = [window[0] * r, *window[:-1]]
+        q *= den
 
 
 def bs_tilde_row_reference(i: int, k: int, j: int, table) -> list:

@@ -18,6 +18,7 @@ from fock_oracle import (
     tms_rows_per_cell,
     tms_rows_rowwise,
     tms_tilde_reference,
+    top_coefficient_walk_stepped,
 )
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -494,7 +495,7 @@ def _table_digest(table) -> str:
     "build, size, eta, digest",
     [
         (bs_table_recurrence, 200, "1/2", "9964367d02927b9cc9e9bafc02bf98fc467bc77e6f062075f3adb309a2d60f56"),
-        (bs_table_recurrence, 200, "3/10", "7aad31845313dcdbfadaf92ff7438a3d15c88d426ee5d466495bf0442c41a657"),
+        (bs_table_recurrence, 200, "3/10", "4e35da9a4b51f2a99d19f946d25fc54e0b05b8b3731295d259a2ffc01aed6107"),
         (bs_table_convolution, 30, "0.7", "b74dda24f7e0beb84c6c048adce44b3dedd3bb3b346d2e81979ee840d6835bef"),
     ],
 )
@@ -608,6 +609,91 @@ def test_rational_tms_recurrence_holds_the_direct_integers(imax, kmax, nmax, lam
     assume("/" in lam)
     p = SqueezerParam.from_value(lam)
     assert tms_table_recurrence(imax, kmax, nmax, p, "rational") == tms_table_direct(imax, kmax, nmax, p, "rational")
+
+
+# The mode swap B(i, k -> n) = B(k, i -> i+k-n): row (k, i) is row (i, k)
+# reversed, bit for bit in float (the fill copies one row of each pair, and
+# the direct table holds exact values rounded once) and exactly in rational.
+# A squeezer band is a whole shell when kmax = nmax, and there the swap reads
+# A(i, k -> n) = A(k+n-i, n -> k).
+_NEAR_EDGES = ["1e-12", "0.999999999999", "-0.0", "1/1000000000000", "999999999999/1000000000000"]
+_MIRROR_ETAS = st.one_of(
+    st.just("1/2"),
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: f"{p}/{q}")),
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from(_NEAR_EDGES),
+)
+_MIRROR_SHAPES = st.one_of(
+    st.integers(0, 12).map(lambda n: (n, n)),
+    st.tuples(st.integers(0, 12), st.integers(0, 12)),
+    st.tuples(st.integers(0, 1), st.integers(0, 60)).flatmap(lambda t: st.sampled_from([t, t[::-1]])),
+)
+
+
+def _assert_swapped(a, b, precision, copied, where):
+    """Entries equal exactly in rational precision, and bit for bit in float
+    where one side is a copy. Neither side is a copy in the row i = s-i of a
+    shell s: both are stepped, from the same terms in swapped groups, and
+    only the sign of a zero may differ (0.0 + -0.0 is 0.0 at the last n)."""
+    if precision == "rational":
+        assert list(a) == list(b), where
+    elif copied:
+        assert a.tobytes() == b.tobytes(), where
+    else:
+        assert np.array_equal(a, b), where
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_MIRROR_SHAPES, eta=_MIRROR_ETAS)
+@example(shape=(40, 40), eta="3/10")
+@example(shape=(5, 12), eta="-0.0")
+@example(shape=(12, 5), eta="0.7")
+@example(shape=(1, 60), eta="1e-12")
+def test_bs_rows_are_their_mode_swaps_reversed(shape, eta):
+    p = BeamSplitterParam.from_value(eta)
+    for build in (bs_table_recurrence, bs_table_direct):
+        for precision in ["float", "rational"] if "/" in eta else ["float"]:
+            table = build(*shape, p, precision)
+            for i, k in table:
+                if (k, i) in table:
+                    _assert_swapped(table.span(i, k), table.span(k, i)[::-1], precision, i != k, (build, i, k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.one_of(_TMS_LITERALS, st.sampled_from(_NEAR_EDGES)))
+@example(6, 6, "1/4")
+@example(8, 3, "-0.0")
+@example(2, 8, "0.999")
+def test_squeezer_cells_are_their_mode_swaps_when_kmax_is_nmax(imax, kmax, lam):
+    p = SqueezerParam.from_value(lam)
+    for build in (tms_table_recurrence, tms_table_direct):
+        for precision in ["float", "rational"] if "/" in lam else ["float"]:
+            table = build(imax, kmax, kmax, p, precision)
+            for i, k in table:
+                for copied in (True, False):
+                    held = [n for n in range(kmax + 1) if 0 <= k + n - i <= imax and (k + n != 2 * i) == copied]
+                    swaps = [(n, k + n - i) for n in held]
+                    got = np.array([table.span(i, k)[n] for n, _ in swaps], table.buffer.dtype)
+                    want = np.array([table.span(j, n)[k] for n, j in swaps], table.buffer.dtype)
+                    _assert_swapped(got, want, precision, copied, (build, i, k))
+
+
+# Squeezer direct tables walk each column from its first read shell and drop
+# it after its last: every cell they read is the cell of the walk that steps
+# every column from s = 0, also where k > imax and on thin shapes.
+@pytest.mark.parametrize("imax, kmax, nmax", [(1, 60, 2), (0, 30, 0), (2, 25, 3), (3, 12, 4), (6, 6, 12), (8, 2, 20)])
+@pytest.mark.parametrize("lam", ["1/3", "2/5", "0.8"])
+def test_top_coefficient_walk_reads_the_cells_of_the_stepped_walk(imax, kmax, nmax, lam):
+    num, den = probabilities._partner_ratio(SqueezerParam.from_value(lam))
+    rows, cols = range(imax + 1), range(kmax + 1)
+    for reach in (nmax, None):
+        walk = probabilities._top_coefficient_walk(num, den, rows, cols, reach)
+        stepped = top_coefficient_walk_stepped(num, den, rows, cols)
+        for s, (cell, q), (want, q_want) in zip(range(kmax + nmax + 1), walk, stepped):
+            assert q == q_want
+            for k in range(max(0, s - nmax) if reach is not None else 0, min(kmax, s) + 1):
+                for i in range(min(imax, s) + 1):
+                    assert cell(i, k) == want(i, k), (s, i, k)
 
 
 def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):

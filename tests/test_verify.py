@@ -52,8 +52,8 @@ def _with_moved_walk_cell(ratio, key, step, by=1):
     1-lam = num/den, ratio = (num, den)."""
     walk = recurrences._top_coefficient_walk
 
-    def moved(num, den, rows, cols):
-        for s, (cell, q) in enumerate(walk(num, den, rows, cols)):
+    def moved(num, den, *args):
+        for s, (cell, q) in enumerate(walk(num, den, *args)):
             if (num, den) == ratio and s == max(key) + step:
                 cell = _moved_cell(cell, key, by)
             yield cell, q
