@@ -216,7 +216,8 @@ def top_coefficient_walk_stepped(num: int, den: int, rows, cols):
             elif c < 0:
                 tops[i] = [b - num * a for a, b in zip(t, prev)]
             else:
-                tops[i] = [*map(operator.add, t[: c + 1], prev), *(r * a + b for a, b in zip(t[c + 1 :], prev[c + 1 :]))]
+                held = (r * a + b for a, b in zip(t[c + 1 :], prev[c + 1 :]))
+                tops[i] = [*map(operator.add, t[: c + 1], prev), *held]
         for k, u in lefts.items():
             lefts[k] = [num * a + r * b for a, b in zip(u, [0, *u])] if s < k else [*map(operator.sub, u, [0, *u])]
         window = [window[0] * r, *window[:-1]]
