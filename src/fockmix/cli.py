@@ -359,6 +359,10 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
         if i < 0 or (k is not None and k < 0):
             raise click.UsageError("photon counts must be nonnegative")
         k = i if k is None else k
+        products = (i + 1) * (k + 1)  # the classical row's convolution of two binomial rows
+        if products > _MAX_TABLE_ENTRIES:
+            raise click.UsageError(f"the classical row of (i={i}, k={k}) would take {products} convolution "
+                                   f"products, above the limit of {_MAX_TABLE_ENTRIES}")
         p = _param("bs", eta, None)
         table = ClassicalTable(p)
         writer.writerow(["n", "quantum", "classical"])

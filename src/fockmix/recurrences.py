@@ -14,7 +14,10 @@ The production recurrences are the five-term forms (the j=1 special case):
 
 Partial time reversal, A(i,k->n) = (1-lam) B(i,k+n-i->n) at eta = 1-lam,
 makes the second form the first, term by term and weight by weight, so one
-fill (_five_term_fill) builds both tables from binomial vacuum rows. The
+fill (_five_term_fill) builds both tables from the vacuum cell. At k = 0 the
+first form drops its k-1 terms, B(i,0->n) = eta B(i-1,0->n-1) + (1-eta)
+B(i-1,0->n), and so does its mirror at i = 0: the fill steps the vacuum
+rows by that two-term rule at every total and in both precisions. The
 general-j forms, built from convolutions of smaller rows, are kept as
 checkable identities only; j=1 costs O(1) per cell, general j does not.
 
@@ -206,7 +209,12 @@ class ProbabilityTable(Mapping):
     def value(self, i: int, k: int, n: int):
         """Entry (i, k -> n): a Python float, or in rational precision a
         Fraction over its scale den**e; zero at n < 0 and past a
-        beam-splitter row."""
+        beam-splitter row. n is a count as i and k are: one operator.index
+        rejects (1.0) raises TableCoverageError."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise TableCoverageError(f"table entries are read at int n, got n={n!r}") from None
         if n < 0:
             return self.zero
         row = self.span(i, k)
@@ -215,7 +223,7 @@ class ProbabilityTable(Mapping):
                 return self.zero
             v, e = row[n], len(row) - 1
         else:
-            v, e = _entry(row, n), operator.index(k) + operator.index(n) + 1
+            v, e = _entry(row, n), operator.index(k) + n + 1
         return float(v) if self.den is None else Fraction(v, self.den**e)
 
     def exact(self, sums, e: int, per_n: bool = False):
@@ -310,9 +318,6 @@ def _bs_binomial_row(counts: list, x, one=1) -> list:
     return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
-_FLOAT_BINOMIALS = 1029  # the largest s with every C(s, n) in the float range
-
-
 def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
     """(target, source) slices of the n in [c, c+width) whose n - shift lies in [c_src, c_src+width_src)."""
     lo, hi = max(c, c_src + shift), min(c + width, c_src + shift + width_src)
@@ -341,11 +346,12 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
     om up + eta left, + (eta up + om left) one n up, - one * one * diag, each
     term over the n its source shell holds. shells[s] = (shell, r, c) views
     t's buffer as lead times the cells (i, s-i -> n) at [i - r, n - c], at
-    the _carrier coefficients weights = (eta, om, one). Rows i = 0 and i = s
-    are the seeds C(s, n) x**n y**(s-n) lead for seeds = ((x, y) of row 0,
-    (x, y) of row s), past _FLOAT_BINOMIALS photons a float one the two-term
-    step y below[n] + x below[n-1]. A shell not contiguous in the buffer is
-    worked in an array of its own.
+    the _carrier coefficients weights = (eta, om, one). Shell 0 holds lead,
+    the vacuum cell. At the vacuum edge the step drops its k-1 terms: rows
+    i = 0 and i = s are y below[n] + x below[n-1] from row min(i, s-1) of
+    shell s-1, for seeds = ((x, y) of row 0, (x, y) of row s), so lead
+    C(s, n) x**n y**(s-n) by Pascal's rule. A shell not contiguous in the
+    buffer is worked in an array of its own.
 
     The step is symmetric under swapping the modes: in a shell whose n window
     is closed under n -> s-n (c + c+width-1 = s), half of the rows whose
@@ -355,21 +361,16 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
     tables, squeezer bands cut by kmax or nmax) every row is stepped."""
     eta, om, one = weights
     dtype, rational = t.buffer.dtype, t.den is not None
-    # the seeds' x**m and y**m as Python powers: np.power may round a float differently in the last bit
-    powers = [[np.array([z**m for m in range(len(shells))], dtype) for z in pair] for pair in seeds]
     scratch, views = np.empty((2, max(shell.size for shell, _, _ in shells)), dtype), {}
 
     def spare(shape: tuple) -> list:  # two scratch arrays of that shape, the views made once per shape
         return views.get(shape) or views.setdefault(shape, [x[: shape[0] * shape[1]].reshape(shape) for x in scratch])
 
-    below = below2 = None  # (shell as stored, r, c) of the shells s-1 and s-2
-    counts = [1]  # C(s, n) over the n of shell s
-    for s, (shell, r, c) in enumerate(shells):
+    below2, below = None, shells[0]  # (shell as stored, r, c) of the shells s-2 and s-1
+    below[0][...] = lead
+    for s, (shell, r, c) in enumerate(shells[1:], 1):
         work = shell if shell.flags.c_contiguous else np.zeros(shell.shape, dtype)
         width, last = shell.shape[1], r + len(shell) - 1
-        if s and (r == 0 or last == s) and (rational or s <= _FLOAT_BINOMIALS):  # seeded shells come first
-            edges = [1] * (c == 0), [1] * (c + width > s)  # C(s, 0) and C(s, s), where the window holds them
-            counts = [*edges[0], *map(operator.add, counts, counts[1:]), *edges[1]]
         lo, hi, mirrored = r, last, None
         if 2 * r < s < 2 * last and 2 * c + width - 1 == s:  # a held pair i < s-i, and n -> s-n in the window
             lo, hi, mirrored = _halves(s, r, last)
@@ -386,20 +387,12 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
             to, at = _cover(c, width, c2, prev2.shape[1], 1)
             d, dst = prev2[g0 - 1 - r2 : g1 - r2, at], body[:, to]
             dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
-        for i, (x, y), (xs, ys) in zip((0, s), seeds, powers):
-            if not lo <= i <= hi:
-                continue
-            row = work[i - r]
-            if s > _FLOAT_BINOMIALS and not rational:  # past the float counts
-                src = below[0][min(i, s - 1) - below[1]]
+        for i, (x, y) in zip((0, s), seeds):
+            if lo <= i <= hi:
+                row, src = work[i - r], below[0][min(i, s - 1) - below[1]]
                 (to, at), (to1, at1) = (_cover(c, width, below[2], len(src), shift) for shift in (0, 1))
                 np.multiply(y, src[at], out=row[to])
-                np.add(row[to1], x * src[at1], out=row[to1])
-                continue
-            row[:] = counts
-            row *= xs[c : c + width]
-            row *= ys[s - c - width + 1 : s - c + 1][::-1]
-            row *= lead
+                row[to1] += x * src[at1]
         if not rational:
             stepped = work[lo - r : hi + 1 - r]
             np.clip(stepped, 0.0, 1.0, out=stepped)
@@ -456,9 +449,9 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Five-term fill (_five_term_fill) on the whole shells s = i+k, seeded by
-    the two binomial rows, half of each pair of mirror rows (i, k), (k, i)
-    stepped and the other copied. Float products go to two scratch arrays
+    """Five-term fill (_five_term_fill) on the whole shells s = i+k from the
+    vacuum cell 1, half of each pair of mirror rows (i, k), (k, i) stepped
+    and the other copied. Float products go to two scratch arrays
     and the first sum straight into the zeroed shell; that keeps the bytes of
     (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)

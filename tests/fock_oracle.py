@@ -82,7 +82,9 @@ def prob_double_sum_literal(i: int, k: int, n: int, eta: Fraction) -> Fraction:
 
 def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
     """Float five-term beam-splitter fill one row at a time, in the operation
-    order the library's shell fill must keep bit for bit. Row (i, k) is row
+    order the library's shell fill must keep bit for bit. From the vacuum
+    cell 1.0, rows (i, 0) and (0, k) are the two-term step from row (i-1, 0)
+    or (0, k-1), and every other row the five-term step. Row (i, k) is row
     (k, i) reversed, B(i, k -> n) = B(k, i -> i+k-n), wherever the table
     holds both: for i < k, or past total imax when imax < kmax for i > k.
     Those rows are copied once the other rows of their total are stepped,
@@ -97,16 +99,18 @@ def bs_rows_rowwise(imax: int, kmax: int, eta: float) -> dict:
         for i, k in keys:
             if (i, k) in copies:
                 continue
-            if i == 0 or k == 0:
-                count, q = (i, eta) if k == 0 else (k, 1 - eta)
-                seed = [math.comb(count, n) * q**n * (1 - q) ** (count - n) for n in range(count + 1)]
-                shell[(i, k)] = np.array(seed, dtype=float)
-                continue
-            up, left, diag = rows[(i - 1, k)], rows[(i, k - 1)], rows[(i - 1, k - 1)]
             new = np.zeros(s + 1)
-            new[:-1] = om * up + eta * left
-            new[1:] += eta * up + om * left
-            new[1:-1] -= diag
+            if s == 0:
+                new[0] = 1.0
+            elif i == 0 or k == 0:  # the step at the vacuum edge, from row (i-1, 0) or (0, k-1)
+                below, (x, y) = (rows[(i - 1, 0)], (eta, om)) if k == 0 else (rows[(0, k - 1)], (om, 1.0 - om))
+                new[:-1] = y * below
+                new[1:] += x * below
+            else:
+                up, left, diag = rows[(i - 1, k)], rows[(i, k - 1)], rows[(i - 1, k - 1)]
+                new[:-1] = om * up + eta * left
+                new[1:] += eta * up + om * left
+                new[1:-1] -= diag
             shell[(i, k)] = np.clip(new, 0.0, 1.0)
         for i, k in copies:
             shell[(i, k)] = shell[(k, i)][::-1].copy()
@@ -145,10 +149,10 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
     then + (eta up + om left) one n up, then - diag, with om = lam, up(n) =
     A(i-1,k-1->n), left(n) = A(i,k-1->n), up(n-1) = A(i-1,k->n-1), left(n-1) =
     A(i,k->n-1) and diag = A(i-1,k-1->n-1). A term whose inputs lie outside
-    the table is left out, and a cell with no first term starts at 0.0. Rows
-    i = 0 and i = s are the binomial seeds times 1-lam, past 1029 photons
-    the two-term step from the seed cells of the shell below. Each shell is
-    clipped to [0, 1] before the next reads it.
+    the table is left out, and a cell with no first term starts at 0.0. The
+    vacuum cell (0, 0 -> 0) is 1-lam, and rows i = 0 and i = s of a later
+    shell are the two-term step from row min(i, s-1) of the shell below.
+    Each shell is clipped to [0, 1] before the next reads it.
 
     Where shell s holds every n' = s-n of its n (n from max(0, s-kmax) to
     min(s, nmax)), cell (i, k -> n) is cell (s-i, n -> k), the mode swap of
@@ -167,15 +171,13 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
                 continue
             for n in range(lo, hi + 1):
                 k = s - n
-                if i in (0, s):
-                    x, y = (lam, eta) if i == 0 else (eta, lam)
-                    if s <= 1029:
-                        val = float(math.comb(s, n)) * x**n * y ** (s - n) * eta
-                    else:  # the seed cells (i', k-1 -> n) and (i', k -> n-1) of row i' = min(i, s-1)
-                        b = min(i, s - 1)
-                        val = y * cells[(b, k - 1, n)] if (b, k - 1, n) in cells else 0.0
-                        if (b, k, n - 1) in cells:
-                            val += x * cells[(b, k, n - 1)]
+                if s == 0:
+                    val = eta
+                elif i in (0, s):  # the cells (b, k-1 -> n) and (b, k -> n-1) of row b = min(i, s-1)
+                    (x, y), b = (lam, eta) if i == 0 else (eta, lam), min(i, s - 1)
+                    val = y * cells[(b, k - 1, n)] if (b, k - 1, n) in cells else 0.0
+                    if (b, k, n - 1) in cells:
+                        val += x * cells[(b, k, n - 1)]
                 else:
                     val = 0.0
                     if (i, k - 1, n) in cells:

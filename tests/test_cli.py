@@ -215,9 +215,9 @@ def test_table_rational_bit_stable():
     "args, digest",
     [
         (("--device", "bs", "--imax", "40", "--kmax", "40", "--eta", "7/10", "--format", "csv"),
-         "45ac29e953237910d40126a91f0a11d19e3e1587115605e45d0703506da992f4"),
+         "30e31cd22365faf56c714bb155b2fa4d5a8b75eb1db8a3527d8b4ae0680bffbe"),
         (("--device", "tms", "--imax", "20", "--kmax", "20", "--nmax", "80", "--lambda", "1/4", "--format", "json"),
-         "0993fe86db3a471edb95b1404c1cf1027f83d5e8d6f7562168389d21ec8753c6"),
+         "b6987264007c43c882f187402c81c5388ca45ffae92a0c0b092a5284fc84c18a"),
         (("--device", "bs", "--imax", "10", "--kmax", "10", "--eta", "2/7", "--precision", "rational",
           "--format", "csv"),
          "81b0fb7f046c71c7c3b3bf0d18192a0240f2fde4202e7f8f2daacae391d55c4d"),
@@ -229,10 +229,9 @@ def test_table_rational_bit_stable():
 )
 def test_table_exports_keep_their_golden_bytes(tmp_path, args, digest):
     # Digests of the exports of the row-by-row fills the shell fills replaced,
-    # except the float ones: the squeezer one was taken from the banded
-    # five-term fill, the beam-splitter one from the fill that copies mirror
-    # rows; the rational JSON one was taken from the whole-document renderer
-    # that row-by-row streaming replaced.
+    # except the float ones, taken from the fill whose vacuum rows are the
+    # two-term step from the vacuum cell; the rational JSON one was taken
+    # from the whole-document renderer that row-by-row streaming replaced.
     out = tmp_path / "table.out"
     r = run("table", *args, "--out", str(out))
     assert r.exit_code == 0
@@ -571,6 +570,25 @@ def test_plotdata_quantum_classical():
     assert float(rows[1]["classical"]) == 0.5
     assert math.isclose(sum(float(x["quantum"]) for x in rows.values()), 1.0, rel_tol=1e-12)
     assert math.isclose(sum(float(x["classical"]) for x in rows.values()), 1.0, rel_tol=1e-12)
+
+
+def test_plotdata_quantum_classical_refuses_a_row_above_the_entry_limit_before_any_work(monkeypatch):
+    # The classical row of (i, k) convolves two binomial rows, (i+1)(k+1) products.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran for an oversize row")
+
+    assert run("plotdata", "--kind", "quantum-classical").exit_code == 0  # i = k = 100
+    for name in ("ClassicalTable", "bs_prob_direct"):
+        monkeypatch.setattr(fockmix.cli, name, refuse)
+    r = run("plotdata", "--kind", "quantum-classical", "--i", "9999", "--k", "1000")
+    assert r.exit_code == 2
+    assert "would take 10010000 convolution products, above the limit of 10000000" in r.output
+    argv = ("plotdata", "--kind", "quantum-classical", "--i", "6", "--k", "3")
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 27)
+    assert run(*argv).exit_code == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 28)
+    assert run(*argv).exit_code == 0
 
 
 def test_plotdata_usage_errors():

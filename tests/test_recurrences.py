@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import hashlib
 import math
 import tracemalloc
@@ -451,6 +452,11 @@ def test_numpy_counts_read_the_values_of_ints(build, sizes):
     table = build(*sizes, p, "rational")
     i, k, n = sizes[0], sizes[1], sizes[-1] - 1
     assert table.value(np.int64(i), np.int32(k), np.int64(n)) == table.value(i, k, n) != 0
+    # n is read as i and k are: True is the count 1, and 1.0 is no count.
+    assert table.value(1, 1, True) == table.value(True, 1, 1) == table.value(1, 1, 1) != 0
+    for count in ([1.0, 1, 1], [1, 1, 1.0]):
+        with pytest.raises(TableCoverageError):
+            table.value(*count)
 
 
 @pytest.mark.parametrize("precision", ["float", "rational"])
@@ -494,8 +500,8 @@ def _table_digest(table) -> str:
 @pytest.mark.parametrize(
     "build, size, eta, digest",
     [
-        (bs_table_recurrence, 200, "1/2", "9964367d02927b9cc9e9bafc02bf98fc467bc77e6f062075f3adb309a2d60f56"),
-        (bs_table_recurrence, 200, "3/10", "4e35da9a4b51f2a99d19f946d25fc54e0b05b8b3731295d259a2ffc01aed6107"),
+        (bs_table_recurrence, 200, "1/2", "f22a22621ed935c6baae56535431a7e57833f1a902c4694d4db6a6c7b8fc0bde"),
+        (bs_table_recurrence, 200, "3/10", "c20ee80815037f273e099421085ef9b1f97f412fe3aa07377bb1a3bbe4bf74e2"),
         (bs_table_convolution, 30, "0.7", "b74dda24f7e0beb84c6c048adce44b3dedd3bb3b346d2e81979ee840d6835bef"),
     ],
 )
@@ -514,7 +520,7 @@ def test_benchmark_size_tables_keep_their_bytes(build, size, eta, digest):
         (tms_table_direct, (10, 10, 30), "1/4", "rational",
          "256fff48594e43013a9026249f592a8ca6d50a32f50052e5744d63c0e3fe4ad1"),
         (tms_table_recurrence, (60, 60, 200), "1/4", "float",
-         "a2b9f0ccc74d0669503c3477b14e55a24125d15c5272e5807321e94f98362a46"),
+         "13ae7136f22ddc5fb015badc766c519580784e1ab5d71eec78b9a9a9fb51cb0c"),
     ],
     ids=["bs-recurrence-rational", "tms-recurrence-rational", "tms-direct-rational", "tms-recurrence-float"],
 )
@@ -524,23 +530,103 @@ def test_benchmark_size_rational_and_squeezer_tables_keep_their_bytes(build, siz
     assert _table_digest(build(*sizes, p, precision)) == digest
 
 
-@pytest.mark.parametrize("eta", ["1/2", "3/10"])
-@pytest.mark.parametrize("imax, kmax", [(1200, 1), (1, 1200)])
-def test_seed_rows_past_the_float_range_of_binomials_are_two_term_steps(imax, kmax, eta):
+def _two_term_step(row: list, x: float, y: float) -> list:
+    """Entry n is y row[n] + x row[n-1] in plain Python floats, clipped to
+    [0, 1] as the fill clips a shell: the paper's recurrence at k = 0."""
+    out = [y * v for v in row] + [0.0]
+    for n in range(1, len(out)):
+        out[n] += x * row[n - 1]
+    return [min(max(v, 0.0), 1.0) for v in out]
+
+
+def _vacuum_cells(table, s: int, i: int) -> dict:
+    """{n: buffer value} of the vacuum row i (0 or s) of shell s over the n
+    the table holds: beam-splitter row (i, s-i), or the squeezer cells
+    (i, s-n -> n) of bridge shell s."""
+    if table.nmax is None:
+        return dict(enumerate(table.span(i, s - i).tolist()))
+    return {n: table.span(i, s - n)[n] for n in range(max(0, s - table.kmax), min(s, table.nmax) + 1)}
+
+
+@pytest.mark.parametrize("literal", ["1/2", "3/10", "2/7", "1/941", "0.7", "1e-12", "0.999999999999"])
+@pytest.mark.parametrize(
+    "sizes",
+    [(12, 12), (3, 30), (30, 3), (0, 9), (8, 8, 8), (6, 3, 12), (6, 12, 3), (20, 2, 30), (1, 40, 0)],
+    ids=lambda sizes: "x".join(map(str, sizes)),
+)
+def test_vacuum_rows_are_the_two_term_step_from_the_vacuum_cell(sizes, literal):
+    # Shell 0 holds the vacuum cell (lead), and at every later total the rows
+    # i = s and i = 0 are the two-term step from the shell below with their
+    # (x, y): floats bit for bit, rationals lead C(s, n) x**n y**(s-n) by
+    # Pascal's rule. A shell that holds both rows over all of its n (every
+    # beam-splitter shell, a squeezer shell s <= min(kmax, nmax)) copies row
+    # 0 reversed from row s. Squeezer windows are cut by kmax < nmax and by
+    # kmax > nmax.
+    bs = len(sizes) == 2
+    p = (BeamSplitterParam if bs else SqueezerParam).from_value(literal)
+    build = bs_table_recurrence if bs else tms_table_recurrence
+    imax, kmax, nmax = sizes if not bs else (*sizes, None)
+    last = kmax if bs else kmax + nmax  # the last shell that holds row 0
+    tops = imax if bs else min(imax, last)  # the last shell that holds row s
+    whole = imax if bs else min(imax, kmax, nmax)  # the last shell that copies row 0
+    x, y = (p.eta, 1.0 - p.eta) if bs else (1.0 - p.lam, p.lam)
+    lead, pairs = (1.0, ((x, y), (y, 1.0 - y))) if bs else (x, ((x, y), (y, x)))  # (x, y) of rows s and 0
+    table, top, bottom = build(*sizes, p), [lead], [lead]
+    for s in range(max(tops, last) + 1):
+        if s:
+            top = _two_term_step(top, *pairs[0]) if s <= tops else None
+            bottom = top[::-1] if s <= whole else _two_term_step(bottom, *pairs[1])
+        for i, row in ((s, top), (0, bottom)):
+            if s <= (tops if i else last):
+                got = _vacuum_cells(table, s, i)
+                assert [v.hex() for v in got.values()] == [row[n].hex() for n in got], (s, i)
+    if "/" not in literal:
+        return
+    a, b = (p.eta_exact if bs else p.lam_exact).as_integer_ratio()
+    x, y = (a, b - a) if bs else (b - a, a)
+    lead, table = 1 if bs else x, build(*sizes, p, "rational")
+    for s in range(max(tops, last) + 1):
+        for i, (u, v) in ((s, (x, y)), (0, (y, x))):
+            if s <= (tops if i else last):
+                got = _vacuum_cells(table, s, i)
+                assert list(got.values()) == [lead * math.comb(s, n) * u**n * v ** (s - n) for n in got], (s, i)
+
+
+def _worst_against_binomial(row, x: float, y: float | None) -> float:
+    """max over n of |row[n] - C(s, n) x**n y**(s-n)|, s = len(row) - 1, at
+    the exact values of the floats x and y (y = 1 - x exactly if None), the
+    binomial carried in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(x)
+        y = 1 - x if y is None else decimal.Decimal(y)
+        s, worst = len(row) - 1, 0.0
+        term, ratio = y**s, x / y
+        for n, v in enumerate(row.tolist()):
+            worst = max(worst, float(abs(decimal.Decimal(v) - term)))
+            term = term * ratio * (s - n) / (n + 1)
+    return worst
+
+
+@pytest.mark.parametrize("eta", ["1/2", "3/10", "1/941", "1e-12", "0.999999999999"])
+def test_vacuum_rows_keep_their_digits_to_3000_photons(eta):
+    # Rows (s, 0) step with (x, y) = (eta, 1.0-eta), rows (0, s) with
+    # (1.0-eta, 1.0-(1.0-eta)). Each lies within 4e-15 of the exact binomial
+    # at its own x and y, also past s = 1029, where some C(s, n) leave the
+    # float range. Against the binomial at x and 1-x exactly, the rounding of
+    # y adds at most s |y - (1-x)| to an entry.
     p = BeamSplitterParam.from_value(eta)
-    rows = bs_table_recurrence(imax, kmax, p).entries
-    x = p.eta if kmax == 1 else 1.0 - p.eta  # of the seed rows (s, 0), or (0, s)
-    seed = (lambda s: (s, 0)) if kmax == 1 else (lambda s: (0, s))
-    below = [math.comb(1029, n) * x**n * (1 - x) ** (1029 - n) for n in range(1030)]
-    assert rows[seed(1029)].tobytes() == np.array(below).tobytes()  # the exact-count products
-    step = np.zeros(1031)
-    step[:-1] = (1 - x) * np.array(below)
-    step[1:] += x * np.array(below)
-    assert rows[seed(1030)].tobytes() == step.tobytes()
-    # Against the rows at the p/q value, which lie within 1e-16 of those at its binary value here.
-    x = p.eta_exact if kmax == 1 else 1 - p.eta_exact
-    exact = [math.comb(1200, n) * x**n * (1 - x) ** (1200 - n) for n in range(1201)]
-    assert max(abs(float(Fraction(v) - e)) for v, e in zip(rows[seed(1200)], exact)) <= 4e-15
+    for sizes, key, x in [((3000, 1), lambda s: (s, 0), p.eta), ((1, 3000), lambda s: (0, s), 1.0 - p.eta)]:
+        rows, y = bs_table_recurrence(*sizes, p).entries, 1.0 - x
+        drift = float(abs(Fraction(y) - (1 - Fraction(x))))
+        for s in (1, 2, 1029, 1030, 1200, 3000):
+            assert _worst_against_binomial(rows[key(s)], x, y) <= 4e-15, (sizes, s)
+            assert _worst_against_binomial(rows[key(s)], x, None) <= 4e-15 + s * drift, (sizes, s)
+    if eta in ("1/2", "3/10"):  # row (1200, 0) lies within 4e-15 of the binomial at the p/q value too
+        x = p.eta_exact
+        exact = [math.comb(1200, n) * x**n * (1 - x) ** (1200 - n) for n in range(1201)]
+        rows = bs_table_recurrence(1200, 0, p).entries
+        assert max(abs(float(Fraction(v) - e)) for v, e in zip(rows[(1200, 0)].tolist(), exact)) <= 4e-15
 
 
 @pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "999/1000"])
