@@ -30,22 +30,22 @@ monotone, so when the two round to the same float that float is the
 correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
 is taken. Either way the float is bit for bit the same.
 
-A whole beam-splitter table (the direct table, the exact identity rows,
-the rows of a normalization check) reads the sums of every
-cell of total N off one shell of integer polynomials, (1 - num*x)**a
-(1 + r*x)**(N-a) and (x - 1)**a (r + num*x)**(N-a), each shell the one below
-times linear factors and cut to the rows the table holds, with no binomial,
-power table or division. A single normalization row runs the single-cell
-sums. Squeezer probabilities go through partial time reversal,
+Squeezer probabilities go through partial time reversal,
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam), a float one the
 exact num*U*V / (den*Q) for 1 - lam = num/den, rounded once. Every single
 cell of either device takes its (U, V, Q) from _cell_sums: the float
 probabilities round the quotient once, the exact ones make one Fraction,
-and the direct amplitudes (vacuum rows included) take its signed root. On
-shell s = n+k both sums of that bridge cell are top coefficients of the
-same shell polynomials, so the direct squeezer table, the identity rows and
-the normalization scans read every squeezer row off one walk over those top
-coefficients (_top_coefficient_walk), with no Horner sum.
+and the direct amplitudes (vacuum rows included) take its signed root.
+
+Every exact table of either device reads one engine instead. The cells of
+total s are coefficients of one shell of integer polynomials, (1 - num*x)**i
+(1 + r*x)**(s-i) and (x - 1)**n (r + num*x)**(s-n), and
+_top_coefficient_walk steps their top coefficients from shell to shell over
+only the rows and the k = s-n each reader holds, with no Horner sum,
+binomial, power table or division. Both direct tables (and through the
+rational ones the exact identity rows), the batched beam-splitter
+normalization rows and the squeezer normalization scans read it; a single
+beam-splitter normalization row runs the single-cell sums.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import count
+from itertools import chain, repeat
 
 from .errors import ConvergenceError
 from .numerics import gamma_small
@@ -183,52 +183,6 @@ def _rounded_quotient(u: int, v: int, q: int) -> float:
     return -lo if (u < 0) != (v < 0) else lo
 
 
-def _times_linear(coeffs: list[int], c: int) -> list[int]:
-    """Coefficients of coeffs(x) * (1 + c*x), the top one kept even when 0."""
-    return [coeffs[0], *[a + c * b for a, b in zip(coeffs[1:], coeffs)], c * coeffs[-1]]
-
-
-def _shell_factor_rows(p: BeamSplitterParam, imax: int, kmax: int, smax: int | None = None):
-    """Yield (i, k, cells, Q) in shell order for every table row with
-    i <= imax, k <= kmax and i+k <= smax (by default imax+kmax),
-    where cells lists the pairs (U, V) of ``_cell_sums`` over
-    n = 0..i+k and Q = den**(i+k).
-
-    For eta = num/den and r = den - num, shell s is two families of s+1
-    integer polynomials, M_s[a] = (1 - num*x)**a (1 + r*x)**(s-a) and
-    L_s[a] = (x - 1)**a (r + num*x)**(s-a). The two sums of cell (i, k, n),
-    s = i+k, are coefficients: U = M_s[i][n] and V = L_s[n][k]. Each family
-    of shell s is its family of shell s-1 times one linear factor, with the
-    last polynomial times the other factor as the new top one.
-
-    Of each shell only what the table's rows of that total read is kept: the
-    polynomials M_s[i] and the columns L_s[.][s-i], for i from
-    max(0, s-kmax) to min(imax, s). These are built from the same rows and
-    columns of shell s-1 alone, so a shell costs O(s) integer multiply-adds
-    per table row, thin tables included, with no binomial, power table or
-    division. No shell above smax is built.
-    """
-    num, den = _exact_ratio(p)
-    r = den - num
-    polys, cols, q = {0: [1]}, {0: [1]}, 1  # M_0[0], L_0[.][0], den**0
-    for s in range(imax + kmax + 1 if smax is None else smax + 1):
-        band = range(max(0, s - kmax), min(imax, s) + 1)
-        if s:
-            zeros = [0] * s  # a column of shell s-1 outside degrees 0..s-1
-            polys = {i: _times_linear(polys[i], r) if i < s else _times_linear(polys[i - 1], -num) for i in band}
-            cols = {s - i: _next_column(cols.get(s - i, zeros), cols.get(s - i - 1, zeros), r, num) for i in band}
-            q *= den
-        for i in band:
-            yield i, s - i, list(zip(polys[i], cols[s - i])), q
-
-
-def _next_column(col: list[int], left: list[int], r: int, num: int) -> list[int]:
-    """Column k of L_s from columns k and k-1 of L_{s-1}, each over the
-    polynomials a = 0..s-1: (r + num*x) on every old polynomial, and (x - 1)
-    on the last one for the new top entry."""
-    return [r * c + num * b for c, b in zip(col, left)] + [left[-1] - col[-1]]
-
-
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
     """Exact rational B(i,k->n) for rational transmittance."""
     _require(c, Device.BS)
@@ -300,52 +254,88 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     return _exact_cell(c, Device.TMS, 1 - Fraction(lam))
 
 
-def _top_coefficient_walk(num: int, den: int, rows, cols, nmax: int | None = None):
-    """Yield (cell, den**s) for the shells s = 0, 1, ... without end, where
-    cell(i, k) = (X, Y) has X*Y/den**s = B(i, s-i -> s-k) at eta = num/den,
-    the squeezer's bridge cell, for i in rows, k in cols and s >= max(i, k),
-    and s <= k + nmax when nmax is given (n = s-k <= nmax).
-    cell reads the walk's current shell, so it is called before the next.
+def _top_coefficient_walk(num: int, den: int, shells, own=None):
+    """Yield (tops, lefts, window, den**s) for the shells s = 0, 1, ... that
+    shells gives as (rows, ks): the runs of rows i and of k = s-n that shell
+    s holds. A yield is valid until the next step.
 
-    That cell is M_s[i][s-k] * L_s[s-k][s-i] of _shell_factor_rows: top
-    coefficient k of M_s[i] times top coefficient i of L_s[s-k]. With
-    r = den - num, each top vector steps alone: row i by
-    t'_j = t_{j-1} - num*t_j while s < i, then t'_j = r*t_j + t_{j-1};
-    column k starts at its first read shell s = k as the terms j <= max(rows)
-    of (num + r*x)**k, then steps by u'_j = u_j - u_{j-1}, and is dropped
-    after shell k + nmax. Each t_j is held over r**max(0, s-i-j), which keeps
-    it short, so X = t_k * u_i and Y = r**max(0, s-i-k), one power per i+k
-    read from a window that slides by one power of r per shell.
+    With r = den - num, the sums of the beam-splitter cell (i, s-i -> n) at
+    eta = num/den are U = M_s[i][n], top coefficient k = s-n of
+    M_s[i] = (1 - num*x)**i (1 + r*x)**(s-i), and V = L_s[n][s-i], top
+    coefficient i of L_s[s-k], L_s[n] = (x - 1)**n (r + num*x)**(s-n); the
+    squeezer's cell (i, k -> n) is that cell on its bridge shell s = k+n,
+    times num/den. For i in rows and k in ks, V is
+    lefts[(i - rows.start) * len(ks) + k - ks.start] and U is
+    tops[i][k - a] * window[i + k], a = ks.start. Given own (a scan's rows),
+    only those rows hold a top vector, over every k from a = 0: a scan has
+    no last shell.
+
+    Row i is born at shell i as the row born before it times (1 - num*x),
+    then steps by (1 + r*x), its t_j held over r**max(0, s-i-j) to stay
+    short: t'_j = t_{j-1} + t_j for j <= s-i, else t_{j-1} + r*t_j, and
+    window[d] = r**max(0, s-d) slides by one power a shell. Column k is born
+    at shell k as the column born before it times (r + num*x), then steps by
+    (x - 1), u'_i = u_i - u_{i-1}. No power or binomial is taken afresh, and
+    a vector steps only over the runs of its shell and is dropped after its
+    last. A step reads only held entries, or entries past degree s (0), when
+    each run's lower end stays at 0 or rises by one a shell and its upper
+    end rises only to s.
     """
     r = den - num
-    imax, kmax = max(rows), max(cols)
-    tops = {i: [1] + [0] * kmax for i in rows}
-    lefts, starts = {}, set(cols)
-    window, q = [1] * (imax + kmax + 1), 1  # window[d] = r**max(0, s-d)
-    cell = lambda i, k: (tops[i][k] * lefts[k][i], window[i + k])  # noqa: E731
-    for s in count():
-        if s in starts:  # C(s, j) num**(s-j) r**j, and 0 past j = s: a negative power of num would be a float
-            lefts[s] = [math.comb(s, j) * num ** (s - j) * r**j if j <= s else 0 for j in range(imax + 1)]
-        yield cell, q
+    tops, lefts, window, q = {}, [], [], 1
+    rows0 = ks0 = tw0 = range(0)  # the runs of the shell before
+    for s, (rows, ks) in enumerate(shells):
+        tw, reach = range(ks.stop) if own else ks, rows[-1] + ks.stop  # the top window, one past the widest i+k
+        if not s:  # (1 - num*x)**0 over the top window, (r + num*x)**0 over the rows
+            born_top, born_left = [int(j == 0) for j in tw], [int(i == 0) for i in rows]
+        else:
+            if s in rows:
+                born_top = _next_top(born_top, tw0.start, tw, -1, -num)
+            if s < ks.stop:  # column s is born here or read later
+                cur, prev = _pairs(born_left, rows0.start, rows)
+                born_left = [*map(operator.add, map(num.__mul__, cur), map(r.__mul__, prev))]
+            window, q = [window[0] * r, *window[: reach - 1]], q * den
+        if reach > len(window):  # r**0 at d >= s
+            window += [1] * (reach - len(window))
+        if rows.start > rows0.start:  # the row a band leaves
+            del tops[rows0.start]
         for i, t in tops.items():
-            tops[i] = _next_top(t, s - i, num, r)
-        if nmax is not None:
-            lefts.pop(s - nmax, None)
-        for k, u in lefts.items():
-            lefts[k] = [*map(operator.sub, u, [0, *u])]
-        window = [window[0] * r, *window[:-1]]
-        q *= den
+            tops[i] = _next_top(t, tw0.start, tw, s - 1 - i, r)
+        if s in (own or rows):
+            tops[s] = born_top
+        w0, held = len(ks0), lefts  # rows rows.start-1 .. rows.stop-1 of the shell before, 0 where it held none
+        if rows.start == rows0.start:
+            held = [0] * w0 + held
+        if rows.stop > rows0.stop:
+            held = held + [0] * w0 * (rows.stop - rows0.stop)
+        cut, born = ks.start - ks0.start, born_left if s in ks else []
+        if cut or born:  # a column dropped or born: row by row
+            lefts = []
+            for j in range(len(rows)):
+                lefts += map(operator.sub, held[(j + 1) * w0 + cut : (j + 2) * w0], held[j * w0 + cut : (j + 1) * w0])
+                lefts += born[j : j + 1]
+        else:
+            lefts = [*map(operator.sub, held[w0:], held)]
+        yield tops, lefts, window, q
+        rows0, ks0, tw0 = rows, ks, tw
 
 
-def _next_top(t: list[int], c: int, num: int, r: int) -> list[int]:
-    """Top vector of M_s[i] at shell s+1, c = s-i: times (1 - num*x) while
-    c < 0, else times (1 + r*x) with entries j <= c held over r."""
-    prev = [0, *t]
-    if c >= len(t) - 1:
-        return [*map(operator.add, t, prev)]
-    if c < 0:
-        return [b - num * a for a, b in zip(t, prev)]
-    return [*map(operator.add, t[: c + 1], prev), *(r * a + b for a, b in zip(t[c + 1 :], prev[c + 1 :]))]
+def _pairs(v: list[int], start: int, run: range) -> tuple[list[int], list[int]]:
+    """(entries j, entries j-1) for j in run of v, held from entry start on and 0
+    elsewhere (start <= run.start <= run.stop - 1 <= start + len(v)); the second may run one longer."""
+    cur, prev, cut = v + [0] if run.stop > start + len(v) else v, [0, *v], run.start - start
+    return (cur[cut:], prev[cut:]) if cut else (cur, prev)
+
+
+def _next_top(t: list[int], start: int, run: range, c: int, f: int) -> list[int]:
+    """Top vector over run of t times (1 + f*x), t held from entry start on
+    and its entries j <= c over f: row i steps from shell s with c = s-i and
+    f = r, a row is born with c = -1 and f = -num."""
+    cur, prev = _pairs(t, start, run)
+    cut = c + 1 - run.start
+    if cut >= len(cur):
+        return [*map(operator.add, cur, prev)]
+    return [b + a if j < cut else b + f * a for j, a, b in zip(range(len(cur)), cur, prev)]
 
 
 # Tail control for the squeezer normalization sum. The term ratio tends to
@@ -371,7 +361,8 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     _check_counts(i=i, k=k)
     if isinstance(p, BeamSplitterParam):
         num, den = _exact_ratio(p)
-        return _row_residual([_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1)], den ** (i + k))
+        q, cells = den ** (i + k), (_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1))
+        return abs(math.fsum(_rounded_quotient(u, v, q) for u, v in cells) - 1.0)
     ((_, _, r),) = _tms_residual_rows(p, [i], [k])
     if isinstance(r, ConvergenceError):
         raise r
@@ -398,12 +389,15 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     # of its cutoff
     live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n_cut + k, []) for (i, k), n_cut in cuts.items()}
     done = {}
-    for s, (cell, q) in enumerate(_top_coefficient_walk(num, den, rows, cols)):
+    low, high = min(cols), max(cols)
+    held = range(max(rows) + 1)  # the rows below a scan's own rows carry its columns up
+    shells = chain(((held, range(low, s + 1)) for s in range(high)), repeat((held, range(low, high + 1))))
+    for s, (tops, lefts, window, q) in enumerate(_top_coefficient_walk(num, den, shells, rows)):
+        width, q = min(high, s) + 1 - low, den * q
         for (i, k), (first, settled, last, terms) in list(live.items()):
             if s < first:
                 continue
-            x, y = cell(i, k)
-            terms.append(_rounded_quotient(num * x, y, den * q))
+            terms.append(_rounded_quotient(num * tops[i][k] * lefts[i * width + k - low], window[i + k], q))
             if s >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
                 done[(i, k)] = abs(math.fsum(terms) - 1.0)
             elif s == last:
@@ -420,13 +414,12 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
         yield i, k, done[(i, k)]
 
 
-def _row_residual(cells: list[tuple[int, int]], q: int) -> float:
-    """|sum of the beam-splitter row - 1| from the (U, V) pairs of its cells."""
-    return abs(math.fsum(_rounded_quotient(u, v, q) for u, v in cells) - 1.0)
-
-
 def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     """Yield (i, k, normalization_residual(i, k, p)) for every row with
-    i + k <= smax, in shell order, from one pass over the shells."""
-    for i, k, cells, q in _shell_factor_rows(p, smax, smax, smax=smax):
-        yield i, k, _row_residual(cells, q)
+    i + k <= smax, in shell order, from one pass of _top_coefficient_walk."""
+    num, den = _exact_ratio(p)
+    shells = [(range(s + 1), range(s + 1)) for s in range(smax + 1)]
+    for s, (tops, lefts, window, q) in enumerate(_top_coefficient_walk(num, den, shells)):
+        for i in range(s + 1):
+            cells = zip(tops[i], window[i:], lefts[i * (s + 1) : (i + 1) * (s + 1)])
+            yield i, s - i, abs(math.fsum(_rounded_quotient(a, y * u, q) for a, y, u in cells) - 1.0)

@@ -79,9 +79,9 @@ from .numerics import binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam, _check_counts
 from .probabilities import (
     _double_sum,
+    _exact_ratio,
     _partner_ratio,
     _rounded_quotient,
-    _shell_factor_rows,
     _top_coefficient_walk,
 )
 
@@ -405,24 +405,27 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
 
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Direct-route table from the exact factored sums U*V/Q, read off one
-    shell of integer polynomials per total photon number: float rows are the
-    exact values rounded once, bit for bit those of bs_prob_direct; rational
-    rows hold U*V and equal bs_prob_exact. A float row that _halves mirrors
-    is not rounded but copied, reversed, from row (k, i): both hold the same
-    exact values, so the copy is its rounding bit for bit. Rounding is what
-    the copy saves; every rational row keeps its own products."""
+    """Direct-route table from the exact factored sums U*V/Q, read off the
+    top-coefficient walk (_top_coefficient_walk) on every shell s = i+k:
+    float rows are the exact values rounded once, bit for bit those of
+    bs_prob_direct; rational rows hold U*V and equal bs_prob_exact. A float
+    row that _halves mirrors is not rounded but copied, reversed, from row
+    (k, i): both hold the same exact values, so the copy is its rounding bit
+    for bit. Rounding is what the copy saves; rational rows keep their own."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    held = [(max(0, s - kmax), min(imax, s)) for s in range(imax + kmax + 1)]
-    mirrored = [_halves(s, r, last)[2] if t.den is None else range(0) for s, (r, last) in enumerate(held)]
-    for i, k, cells, q in _shell_factor_rows(p, imax, kmax):
-        if t.den is not None:
-            t.span(i, k)[:] = [u * v for u, v in cells]
-        elif i not in mirrored[i + k]:
-            t.span(i, k)[:] = [_rounded_quotient(u, v, q) for u, v in cells]
-    for s, ((r, _), rows) in enumerate(zip(held, mirrored)):
-        if rows:
-            _mirror(t.shell(s), s, r, rows)
+    num, den = _exact_ratio(p)
+    held = [range(max(0, s - kmax), min(imax, s) + 1) for s in range(imax + kmax + 1)]
+    walk = _top_coefficient_walk(num, den, [(rows, range(s + 1)) for s, rows in enumerate(held)])
+    for s, (rows, (tops, lefts, window, q)) in enumerate(zip(held, walk)):
+        shell, mirrored = t.shell(s), _halves(s, rows.start, rows[-1])[2] if t.den is None else range(0)
+        for j, i in enumerate(rows):
+            cells = () if i in mirrored else zip(tops[i], window[i:], lefts[j * (s + 1) : (j + 1) * (s + 1)])
+            if t.den is not None:  # the cells over k = s-n, so n runs backwards
+                shell[j, ::-1] = [a * (y * u) for a, y, u in cells]
+            elif cells:
+                shell[j, ::-1] = [_rounded_quotient(a, y * u, q) for a, y, u in cells]
+        if mirrored:
+            _mirror(shell, s, rows.start, mirrored)
     return t.frozen()
 
 
@@ -462,21 +465,22 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
     """Squeezer table through the reversal route, every bridge shell s = k+n
-    read off one walk over the top coefficients of the beam-splitter shells
-    (_top_coefficient_walk): cell (i, k -> n) is num*X*Y / den**(s+1) for
-    1 - lam = num/den, zero below n = max(0, i-k). Rational rows equal
-    tms_prob_exact, float rows tms_prob bit for bit."""
+    read off the top-coefficient walk (_top_coefficient_walk) on its band:
+    cell (i, k -> n) is num*t*u*Y / den**(s+1) for 1 - lam = num/den, zero
+    below n = max(0, i-k). Rational rows equal tms_prob_exact, float rows
+    tms_prob bit for bit."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     num, den = _partner_ratio(p)
-    walk = _top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1), nmax)
-    for s, (cell, q) in zip(range(nmax + kmax + 1), walk):
-        lo, hi = max(0, s - nmax), min(kmax, s)
-        cells = [[cell(i, k) for k in range(lo, hi + 1)] for i in range(min(imax, s) + 1)]
+    shells = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in range(kmax + nmax + 1)]
+    for s, ((rows, ks), (tops, lefts, window, q)) in enumerate(zip(shells, _top_coefficient_walk(num, den, shells))):
+        w = len(ks)
+        cells = [zip(tops[i], lefts[i * w : (i + 1) * w], window[i + ks.start : i + ks.stop]) for i in rows]
         if t.den is None:
-            values = [[_rounded_quotient(num * x, y, den * q) for x, y in row] for row in cells]
+            q *= den
+            values = [[_rounded_quotient(num * a * u, y, q) for a, u, y in row] for row in cells]
         else:
-            values = [[num * x * y for x, y in row] for row in cells]
-        t.band(s, lo, hi)[: len(cells)] = values
+            values = [[num * a * u * y for a, u, y in row] for row in cells]
+        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = values
     return t.frozen()
 
 
@@ -607,10 +611,10 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
 
     residual(i, k, j) is the integer row over the n of row (i, k),
     lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
-    the tildes sum products of table rows. A beam-splitter row holds U*V of
-    _shell_factor_rows, B(i,k->n) times den**(i+k), and lead is 1; a
-    squeezer row holds num*X*Y from _top_coefficient_walk, A(i,k->n) times
-    den**(k+n+1), zero below n0 = max(0, i-k), and lead is num. So every
+    the tildes sum products of table rows. Off _top_coefficient_walk, a
+    beam-splitter row holds U*V, B(i,k->n) times den**(i+k), and lead is 1;
+    a squeezer row holds num*t*u*Y, A(i,k->n) times den**(k+n+1), zero below
+    n0 = max(0, i-k), and lead is num. So every
     product in a tilde row lands on the power of den of its left-hand side,
     and the den-power rule holds: entry n of a residual row is the exact
     signed residual times den**(i+k) for a beam splitter and den**(k+n+2)

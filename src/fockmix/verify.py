@@ -119,24 +119,25 @@ class VerificationResult:
         self.failures.append(Failure(indices, str(parameter), str(expected), str(got), str(tolerance)))
 
 
+def _grid(steps: int) -> list[float]:
+    """A uniform grid of steps points on [0, 1]; fewer than 2 raise ValueError."""
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    return [idx / (steps - 1) for idx in range(steps)]
+
+
 def hom_sweep(steps: int = 101) -> list[tuple[float, float]]:
-    """(eta, B(1,1->1)) over a uniform grid on [0, 1]."""
-    return [
-        (eta, bs_prob_double_sum(1, 1, 1, eta))
-        for eta in (idx / (steps - 1) for idx in range(steps))
-    ]
+    """(eta, B(1,1->1)) over a uniform grid of steps >= 2 points on [0, 1]."""
+    return [(eta, bs_prob_double_sum(1, 1, 1, eta)) for eta in _grid(steps)]
 
 
 def tms_sweep(steps: int = 101) -> list[tuple[float, float]]:
-    """(lam, A(1,1->1)) over a uniform grid on [0, 1].
+    """(lam, A(1,1->1)) over a uniform grid of steps >= 2 points on [0, 1].
 
     The lam=1 endpoint is taken as the continuous limit through the reversed
     beam splitter at eta=0 (the parameter type itself keeps lam < 1).
     """
-    return [
-        (lam, (1.0 - lam) * bs_prob_double_sum(1, 1, 1, 1.0 - lam))
-        for lam in (idx / (steps - 1) for idx in range(steps))
-    ]
+    return [(lam, (1.0 - lam) * bs_prob_double_sum(1, 1, 1, 1.0 - lam)) for lam in _grid(steps)]
 
 
 # ---------------------------------------------------------------------------

@@ -199,10 +199,12 @@ def tms_rows_rowwise(imax: int, kmax: int, nmax: int, lam: float) -> dict:
 
 
 def top_coefficient_walk_stepped(num: int, den: int, rows, cols):
-    """probabilities._top_coefficient_walk as it was before its columns
-    started at their first read shell: every row and every column steps on
-    every shell from s = 0, column k by u'_j = num*u_j + r*u_{j-1} while
-    s < k, and no column is dropped."""
+    """Yield (cell, den**s) per shell s, cell(i, k) = (t_k * u_i, Y) the
+    squeezer cell of the top-coefficient walk with every row and column of
+    the whole table stepped on every shell from s = 0 and none dropped:
+    column k by u'_j = num*u_j + r*u_{j-1} while s < k. The reference for
+    the runs of rows and windows of k that probabilities._top_coefficient_walk
+    steps."""
     r = den - num
     imax, kmax = max(rows), max(cols)
     tops = {i: [1] + [0] * kmax for i in rows}

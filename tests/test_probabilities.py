@@ -23,7 +23,13 @@ from fockmix.probabilities import (
     tms_prob_exact,
 )
 from fockmix.recurrences import bs_table_convolution, bs_table_direct
-from fock_oracle import factor_sums_reference, normalization_residual_per_cell, prob_double_sum_literal, within_ulps
+from fock_oracle import (
+    factor_sums_reference,
+    normalization_residual_per_cell,
+    prob_double_sum_literal,
+    top_coefficient_walk_stepped,
+    within_ulps,
+)
 
 
 def test_exact_engine_against_literal_double_sum():
@@ -284,8 +290,8 @@ def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):
         raise AssertionError("the convolution route reached the factored engine")
 
     monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
-    monkeypatch.setattr(probabilities, "_shell_factor_rows", refuse)
-    monkeypatch.setattr(recurrences, "_shell_factor_rows", refuse)
+    monkeypatch.setattr(probabilities, "_top_coefficient_walk", refuse)
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", refuse)
     floats = bs_table_convolution(25, 25, BeamSplitterParam(0.7))  # past total 32
     exact = bs_table_convolution(10, 10, BeamSplitterParam.from_value("1/3"), "rational")
     assert len(floats.entries) == 26 * 26 and len(exact.entries) == 11 * 11
@@ -303,19 +309,114 @@ def test_rational_convolution_rows_at_edge_transmittances(imax, kmax, eta):
         assert row == [bs_prob_exact(c, exact) for c in cells]
 
 
-@pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
-@pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "0.7"])
-def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax, kmax, eta):
-    # Each shell keeps only the band of rows the table reads; every (U, V, Q)
-    # must still be the single-cell triple, and every row must come once.
-    p = BeamSplitterParam.from_value(eta)
-    num, den = probabilities._exact_ratio(p)
-    seen = []
-    for i, k, cells, q in probabilities._shell_factor_rows(p, imax, kmax):
-        seen.append((i, k))
-        want = [probabilities._cell_sums(PhotonConfig(i, k, n), Device.BS, num, den) for n in range(i + k + 1)]
-        assert [(u, v, q) for u, v in cells] == want
-    assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
+class _CountedRows(dict):
+    """A shell's top vectors as the walk hands them over, counting the reads of each row."""
+
+    def __init__(self, tops):
+        super().__init__(tops)
+        self.reads = dict.fromkeys(tops, 0)
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+def _logged_walk(log):
+    """_top_coefficient_walk, logging every shell it hands over as
+    (num, den, s, rows, ks, own, tops, lefts, window, q), tops counted."""
+    walk = probabilities._top_coefficient_walk
+
+    def logged(num, den, shells, own=None):
+        runs = []
+
+        def noted():
+            for run in shells:
+                runs.append(run)
+                yield run
+
+        for tops, lefts, window, q in walk(num, den, noted(), own):
+            tops = _CountedRows(tops)
+            log.append((num, den, len(runs) - 1, *runs[-1], own, tops, lefts, window, q))
+            yield tops, lefts, window, q
+
+    return logged
+
+
+def _walk_cells(entry):
+    """((i, k), X, Y) for every cell of a logged shell with a top vector:
+    X*Y is B(i, s-i -> s-k) times den**s at eta = num/den."""
+    _, _, s, rows, ks, own, tops, lefts, window, _ = entry
+    for j, i in enumerate(rows):
+        if dict.__contains__(tops, i):
+            top = dict.__getitem__(tops, i)
+            for k in ks:
+                yield (i, k), top[k - (0 if own else ks.start)] * lefts[j * len(ks) + k - ks.start], window[i + k]
+
+
+# Shapes: beam splitter square, 60x0, 0x60, 40x2, 2x40; squeezer kmax > nmax,
+# nmax = 0, imax > kmax + nmax, and 1x60x2.
+_WALK_SHAPES = [(7, 7), (60, 0), (0, 60), (40, 2), (2, 40), (3, 6, 2), (4, 5, 0), (9, 2, 3), (1, 60, 2)]
+_WALK_VALUES = st.one_of(
+    _RATIOS,
+    _DECIMALS,
+    st.sampled_from(["0", "1", "-0.0", "1e-12", "0.999999999999", "1/1000000000000", "999999999999/1000000000000"]),
+)
+
+
+@pytest.mark.parametrize("shape", _WALK_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@settings(max_examples=4, deadline=None)
+@given(value=_WALK_VALUES)
+@example(value="1/3")
+@example(value="0.7")
+@example(value="-0.0")
+@example(value="0.999999999999")
+def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, value):
+    # Every (U*V, Q) the walk hands to a direct table or a scan is the single
+    # cell's, and a direct table reads each row it holds once: a float
+    # beam-splitter table reads no row that _halves mirrors.
+    bs = len(shape) == 2
+    if not bs and Fraction(value) >= 1:
+        return
+    p = BeamSplitterParam.from_value(value) if bs else SqueezerParam.from_value(value)
+    device = Device.BS if bs else Device.TMS
+    for precision in ["float", "rational"] if "/" in value else ["float"]:
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrences, "_top_coefficient_walk", _logged_walk(log))
+            build = recurrences.bs_table_direct if bs else recurrences.tms_table_direct
+            table = build(*shape, p, precision)
+        held = []
+        for entry in log:
+            num, den, s, rows, ks, _, tops, _, _, q = entry
+            mirrored = recurrences._halves(s, rows.start, rows[-1])[2] if bs and precision == "float" else ()
+            assert tops.reads == {i: int(i not in mirrored) for i in rows}, (s, precision)
+            for (i, k), x, y in _walk_cells(entry):
+                cell = PhotonConfig(i, s - i, s - k) if bs else PhotonConfig(i, k, s - k, Device.TMS)
+                u, v, want_q = probabilities._cell_sums(cell, device, num, den)
+                assert (x * y, q) == (u * v, want_q) if bs else (num * x * y, den * q) == (u * v, want_q)
+                held.append((cell.i, cell.k, cell.n))
+        if bs:
+            want = [(i, k, n) for i in range(shape[0] + 1) for k in range(shape[1] + 1) for n in range(i + k + 1)]
+        else:  # as the squeezer windows of the walk that steps every row and column from shell 0
+            want = [(i, k, n) for i in range(shape[0] + 1) for k in range(shape[1] + 1) for n in range(shape[2] + 1)]
+            stepped = top_coefficient_walk_stepped(num, den, range(shape[0] + 1), range(shape[1] + 1))
+            for entry, (cell, q) in zip(log, stepped):
+                assert entry[-1] == q and all(cell(i, k) == (x, y) for (i, k), x, y in _walk_cells(entry))
+        assert sorted(held) == sorted(c for c in want if PhotonConfig(*c, device).reachable)
+        assert table.den is None or table.normalization_max_residual() == 0
+    if not bs:  # a scan of two of the rows and one column, each of its cells as the table's
+        log = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probabilities, "_top_coefficient_walk", _logged_walk(log))
+            try:
+                list(probabilities._tms_residual_rows(p, [0, shape[0]], [shape[1]]))
+            except ConvergenceError:  # a cutoff past the step budget: the walk never starts
+                assert not log
+        for entry in log:
+            num, den, s, *_ = entry
+            for (i, k), x, y in _walk_cells(entry):
+                u, v, want_q = probabilities._cell_sums(PhotonConfig(i, k, s - k, Device.TMS), device, num, den)
+                assert (num * x * y, den * entry[-1]) == (u * v, want_q)
 
 
 _HALF_BS = BeamSplitterParam.from_value("1/2")

@@ -19,7 +19,6 @@ from fock_oracle import (
     tms_rows_per_cell,
     tms_rows_rowwise,
     tms_tilde_reference,
-    top_coefficient_walk_stepped,
 )
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -764,24 +763,6 @@ def test_squeezer_cells_are_their_mode_swaps_when_kmax_is_nmax(imax, kmax, lam):
                     _assert_swapped(got, want, precision, copied, (build, i, k))
 
 
-# Squeezer direct tables walk each column from its first read shell and drop
-# it after its last: every cell they read is the cell of the walk that steps
-# every column from s = 0, also where k > imax and on thin shapes.
-@pytest.mark.parametrize("imax, kmax, nmax", [(1, 60, 2), (0, 30, 0), (2, 25, 3), (3, 12, 4), (6, 6, 12), (8, 2, 20)])
-@pytest.mark.parametrize("lam", ["1/3", "2/5", "0.8"])
-def test_top_coefficient_walk_reads_the_cells_of_the_stepped_walk(imax, kmax, nmax, lam):
-    num, den = probabilities._partner_ratio(SqueezerParam.from_value(lam))
-    rows, cols = range(imax + 1), range(kmax + 1)
-    for reach in (nmax, None):
-        walk = probabilities._top_coefficient_walk(num, den, rows, cols, reach)
-        stepped = top_coefficient_walk_stepped(num, den, rows, cols)
-        for s, (cell, q), (want, q_want) in zip(range(kmax + nmax + 1), walk, stepped):
-            assert q == q_want
-            for k in range(max(0, s - nmax) if reach is not None else 0, min(kmax, s) + 1):
-                for i in range(min(imax, s) + 1):
-                    assert cell(i, k) == want(i, k), (s, i, k)
-
-
 def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
     p = SqueezerParam.from_value("1/4")
     want = {precision: tms_rows_per_cell(4, 5, 9, p, precision) for precision in ("float", "rational")}
@@ -1040,7 +1021,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_factor_rows", "_top_coefficient_walk", "_double_sum", "_photon_addition_shells"):
+    for name in ("_top_coefficient_walk", "_double_sum", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)

@@ -30,41 +30,48 @@ from fockmix.recurrences import (
 _CELL = re.compile(r"\(i=(\d+),k=(\d+),n=(\d+),j=(\d+)\)")
 
 
-def _with_moved_shell_cell(eta, key, n, by=1):
-    """_shell_factor_rows, with the integer numerator U*V of cell n of row key
-    moved by `by` at transmittance eta (a Fraction)."""
-    shell_rows = recurrences._shell_factor_rows
-
-    def rows(p, *args, **kwargs):
-        for i, k, cells, q in shell_rows(p, *args, **kwargs):
-            if (i, k) == key and p.eta_exact == eta:
-                cells = list(cells)
-                u, v = cells[n]
-                cells[n] = (u * v + by, 1)
-            yield i, k, cells, q
-
-    return rows
+def _bs_cell(key, n):
+    """Walk coordinates (s, i, k) of cell n of beam-splitter row key: shell
+    s = i+k, column k = s-n."""
+    i, k = key
+    return i + k, i, i + k - n
 
 
-def _with_moved_walk_cell(ratio, key, step, by=1):
-    """_top_coefficient_walk, with the integer numerator X*Y of cell `step`
-    (n = max(0, i-k) + step) of squeezer row key moved by `by` at
-    1-lam = num/den, ratio = (num, den)."""
+def _tms_cell(key, step):
+    """Walk coordinates (s, i, k) of cell n = max(0, i-k) + step of squeezer
+    row key: its bridge shell s = k+n, column k."""
+    i, k = key
+    return k + max(0, i - k) + step, i, k
+
+
+def _with_moved_cell(ratio, at, by=1):
+    """_top_coefficient_walk, with the exact numerator t*Y*u of its cell
+    at = (s, i, k) moved by `by` at num/den = ratio, and every other cell
+    as it was: the moved cell takes t = t*Y*u + by, Y = 1 and u = 1, and
+    the other cells on the same power window[i+k] fold it into t."""
     walk = recurrences._top_coefficient_walk
+    s, i, k = at
 
-    def moved(num, den, *args):
-        for s, (cell, q) in enumerate(walk(num, den, *args)):
-            if (num, den) == ratio and s == max(key) + step:
-                cell = _moved_cell(cell, key, by)
-            yield cell, q
+    def moved(num, den, shells, own=None):
+        runs = []
 
-    return moved
+        def noted():
+            for run in shells:
+                runs.append(run)
+                yield run
 
-
-def _moved_cell(cell, key, by):
-    def moved(i, k):
-        x, y = cell(i, k)
-        return (x * y + by, 1) if (i, k) == key else (x, y)
+        for shell, (tops, lefts, window, q) in enumerate(walk(num, den, noted(), own)):
+            if (num, den) == ratio and shell == s:
+                rows, ks = runs[-1]
+                a, d = 0 if own else ks.start, i + k
+                tops, lefts, window = {r: list(t) for r, t in tops.items()}, list(lefts), list(window)
+                for row, t in tops.items():
+                    if row != i and d - row in ks:
+                        t[d - row - a] *= window[d]
+                at_left = (i - rows.start) * len(ks) + k - ks.start
+                tops[i][k - a] = tops[i][k - a] * window[d] * lefts[at_left] + by
+                lefts[at_left] = window[d] = 1
+            yield tops, lefts, window, q
 
     return moved
 
@@ -103,13 +110,22 @@ def test_hom_sweep_is_the_direct_route_bit_for_bit():
         assert value == bs_prob_direct(cell, BeamSplitterParam(eta)), eta
 
 
+@pytest.mark.parametrize("sweep", [verify.hom_sweep, verify.tms_sweep])
+@pytest.mark.parametrize("steps", [1, 0, -3])
+def test_a_sweep_of_fewer_than_two_steps_raises_before_any_work(monkeypatch, sweep, steps):
+    # One step divided by zero, and no step or fewer gave an empty sweep.
+    monkeypatch.setattr(verify, "bs_prob_double_sum", _refuse("was summed"))
+    with pytest.raises(ValueError, match="^steps must be at least 2$"):
+        sweep(steps)
+
+
 def test_exact_identity_suites_pass():
     for name in ("recurrence-bs", "recurrence-tms"):
         assert verify.run_suite(name).ok
 
 
 def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
     failures = _identity_failures(verify.run_suite("recurrence-bs"), "eta=1/4")
     table = bs_table_direct(8, 8, BeamSplitterParam.from_value("1/4"), "rational")
     want = {}
@@ -124,7 +140,7 @@ def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatc
 
 
 def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell((1, 2), (2, 3), 1))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 2), _tms_cell((2, 3), 1)))
     failures = _identity_failures(verify.run_suite("recurrence-tms"), "lam=1/2")
     table = tms_table_direct(6, 12, 6, SqueezerParam.from_value("1/2"), "rational")
     want = {}
@@ -142,7 +158,7 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
     # Passing cases are counted without building their text; a failing one
     # still reports the signed Fraction residual in loop order (eta, i, k, j, n).
     cases = verify.run_suite("recurrence-bs").cases
-    monkeypatch.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(Fraction(1, 4), (3, 2), 2))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
     result = verify.run_suite("recurrence-bs")
     assert result.cases == cases
     identity = [f for f in result.failures if _CELL.fullmatch(f.indices)]
@@ -199,10 +215,9 @@ def test_exact_identity_blocks_sum_no_unpacked_rows(monkeypatch):
 def test_a_negative_engine_entry_raises_instead_of_wrapping(monkeypatch):
     # A negative entry would borrow from the slot above it in a packed row.
     third = BeamSplitterParam.from_value("1/3")
-    cells = {(i, k): c for i, k, c, _ in recurrences._shell_factor_rows(third, 4, 4)}
-    u, v = cells[(3, 2)][2]
-    moved = _with_moved_shell_cell(third.eta_exact, (3, 2), 2, -u * v - 1)  # entry -1
-    monkeypatch.setattr(recurrences, "_shell_factor_rows", moved)
+    uv = bs_table_direct(4, 4, third, "rational").span(3, 2)[2]
+    moved = _with_moved_cell((1, 3), _bs_cell((3, 2), 2), -uv - 1)  # entry -1
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", moved)
     with pytest.raises(OverflowError):
         recurrences._identity_residual_rows(third, 4, 4)
 
@@ -223,7 +238,7 @@ _BS_CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
     p = BeamSplitterParam.from_value(eta)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recurrences, "_shell_factor_rows", _with_moved_shell_cell(p.eta_exact, *cell))
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(p.eta_exact.as_integer_ratio(), _bs_cell(*cell)))
         table = bs_table_direct(5, 5, p, "rational")
         den, _, residual = recurrences._identity_residual_rows(p, 5, 5)
     for i in range(6):
@@ -253,7 +268,7 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
     sp = SqueezerParam.from_value(lam)
     with pytest.MonkeyPatch.context() as mp:
         ratio = (1 - sp.lam_exact).as_integer_ratio()
-        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_walk_cell(ratio, *cell))
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(ratio, _tms_cell(*cell)))
         table = tms_table_direct(5, 10, 5, sp, "rational")
         den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
     for i in range(6):
@@ -269,20 +284,13 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
 
 
 def _engine_rows(p, imax, kmax, nmax=None):
-    """(lead, den, rows): the engine's integer identity rows, as
+    """(lead, den, rows): the integer rows of the rational direct table, as
     _identity_residual_rows reads them, with no packing."""
-    if isinstance(p, BeamSplitterParam):
-        den = p.eta_exact.denominator
-        return 1, den, {(i, k): [u * v for u, v in c] for i, k, c, _ in recurrences._shell_factor_rows(p, imax, kmax)}
-    num, den = (1 - p.lam_exact).as_integer_ratio()
-    rows = {(i, k): [0] * min(max(0, i - k), nmax + 1) for i in range(imax + 1) for k in range(kmax + 1)}
-    walk = recurrences._top_coefficient_walk(num, den, range(imax + 1), range(kmax + 1))
-    for s, (cell, _) in zip(range(nmax + kmax + 1), walk):
-        for (i, k), row in rows.items():
-            if max(i, k) <= s <= nmax + k:  # n = s-k, from max(0, i-k) to nmax
-                x, y = cell(i, k)
-                row.append(num * x * y)
-    return num, den, rows
+    if nmax is None:
+        lead, den, table = 1, p.eta_exact.denominator, bs_table_direct(imax, kmax, p, "rational")
+    else:
+        (lead, den), table = (1 - p.lam_exact).as_integer_ratio(), tms_table_direct(imax, kmax, nmax, p, "rational")
+    return lead, den, {key: table.span(*key).tolist() for key in table}
 
 
 def _unpacked_residual(lead, den, rows, i, k, j, nmax=None):
@@ -314,17 +322,15 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     device, (key, cell) = moved
     if device == "bs":
         p = BeamSplitterParam.from_value(ratio)
-        top, nmax, sizes = 5, None, (5, 5)
-        engine, mover, target = "_shell_factor_rows", _with_moved_shell_cell, p.eta_exact
+        top, nmax, sizes, at, target = 5, None, (5, 5), _bs_cell(key, cell), p.eta_exact
     else:  # the shape of the verify block: i, k, n <= 4 over rows with k <= 8
         p = SqueezerParam.from_value(ratio)
-        top, nmax, sizes = 4, 4, (4, 8, 4)
-        engine, mover, target = "_top_coefficient_walk", _with_moved_walk_cell, (1 - p.lam_exact).as_integer_ratio()
+        top, nmax, sizes, at, target = 4, 4, (4, 8, 4), _tms_cell(key, cell), 1 - p.lam_exact
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
     below = 0
     for by in (1, widest):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrences, engine, mover(target, key, cell, by))
+            mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(target.as_integer_ratio(), at, by))
             den, holds, residual = recurrences._identity_residual_rows(p, *sizes)
             lead, _, rows = _engine_rows(p, *sizes)
         failing = 0
