@@ -419,6 +419,26 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
                 assert (num * x * y, den * entry[-1]) == (u * v, want_q)
 
 
+@pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
+@pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "0.7"])
+def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax, kmax, eta):
+    # On the band of rows a beam-splitter table reads, each shell of the walk
+    # must give the single-cell (U, V, Q) of every cell, U and V apart, and
+    # every row must come once.
+    p = BeamSplitterParam.from_value(eta)
+    num, den = probabilities._exact_ratio(p)
+    held = [range(max(0, s - kmax), min(imax, s) + 1) for s in range(imax + kmax + 1)]
+    walk = probabilities._top_coefficient_walk(num, den, [(rows, range(s + 1)) for s, rows in enumerate(held)])
+    seen = []
+    for s, (rows, (tops, lefts, window, q)) in enumerate(zip(held, walk)):
+        for j, i in enumerate(rows):
+            seen.append((i, s - i))
+            got = [(tops[i][k] * window[i + k], lefts[j * (s + 1) + k], q) for k in range(s + 1)]
+            want = [probabilities._cell_sums(PhotonConfig(i, s - i, s - k), Device.BS, num, den) for k in range(s + 1)]
+            assert got == want, (s, i)
+    assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
+
+
 _HALF_BS = BeamSplitterParam.from_value("1/2")
 
 

@@ -19,6 +19,7 @@ from fock_oracle import (
     tms_rows_per_cell,
     tms_rows_rowwise,
     tms_tilde_reference,
+    top_coefficient_walk_stepped,
 )
 from fockmix.errors import TableCoverageError
 from fockmix.params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -761,6 +762,28 @@ def test_squeezer_cells_are_their_mode_swaps_when_kmax_is_nmax(imax, kmax, lam):
                     got = np.array([table.span(i, k)[n] for n, _ in swaps], table.buffer.dtype)
                     want = np.array([table.span(j, n)[k] for n, j in swaps], table.buffer.dtype)
                     _assert_swapped(got, want, precision, copied, (build, i, k))
+
+
+# Squeezer direct tables walk each column from its first read shell and drop
+# it after its last, and a scan holds the top vectors of its own rows only:
+# every cell either reads is the cell of the walk that steps every row and
+# column from s = 0, also where k > imax and on thin shapes.
+@pytest.mark.parametrize("imax, kmax, nmax", [(1, 60, 2), (0, 30, 0), (2, 25, 3), (3, 12, 4), (6, 6, 12), (8, 2, 20)])
+@pytest.mark.parametrize("lam", ["1/3", "2/5", "0.8"])
+def test_top_coefficient_walk_reads_the_cells_of_the_stepped_walk(imax, kmax, nmax, lam):
+    num, den = probabilities._partner_ratio(SqueezerParam.from_value(lam))
+    rows, cols, totals = range(imax + 1), range(kmax + 1), range(kmax + nmax + 1)
+    band = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in totals]
+    scan = [(rows, range(min(kmax, s) + 1)) for s in totals]
+    for shells, own in ((band, None), (scan, rows)):
+        walk = probabilities._top_coefficient_walk(num, den, shells, own)
+        stepped = top_coefficient_walk_stepped(num, den, rows, cols)
+        for s, (held, ks), (tops, lefts, window, q), (want, q_want) in zip(totals, shells, walk, stepped):
+            assert q == q_want
+            for j, i in enumerate(held[: s + 1]):  # a scan's row holds a top vector from its birth shell i on
+                for k in ks:
+                    top = tops[i][k - (0 if own else ks.start)]
+                    assert (top * lefts[j * len(ks) + k - ks.start], window[i + k]) == want(i, k), (s, i, k)
 
 
 def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
