@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .numerics import log_factorial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
@@ -229,13 +231,18 @@ def f_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None)
         raise DomainError("series tail bound needs |z|, |w| <= 1")
     order, bound, ok = _pick_order(lambda o: _f_tail(r, o), order)
     table = bs_table_recurrence(order, order, p)
+    zp, wp = _powers(z, order), _powers(w, order)
     total = []
     for i in range(order + 1):
         for k in range(order + 1 - i):
-            row = table.row(i, k)
-            for n in range(i + k + 1):
-                total.append(row[n] * x**i * y**k * z**n * w ** (i + k - n))
+            s = i + k  # row[n] * x**i * y**k * z**n * w**(s-n), left to right
+            total += (table.span(i, k) * x**i * y**k * zp[: s + 1] * wp[s::-1]).tolist()
     return SeriesResult(math.fsum(total), order, bound, ok)
+
+
+def _powers(v: float, order: int) -> np.ndarray:
+    """[v**0, ..., v**order], each the Python power."""
+    return np.array([v**n for n in range(order + 1)], dtype=float)
 
 
 def _f_tail(r: float, order: int) -> float:
@@ -256,9 +263,8 @@ def diagonal_series_bs(x: float, z: float, p: BeamSplitterParam, order: int | No
 
     order, bound, ok = _pick_order(tail, order)
     table = bs_table_recurrence(order, order, p)
+    zp = _powers(z, 2 * order)
     total = []
     for i in range(order + 1):
-        row = table.row(i, i)
-        for n in range(2 * i + 1):
-            total.append(row[n] * x**i * z**n)
+        total += (table.span(i, i) * x**i * zp[: 2 * i + 1]).tolist()  # row[n] * x**i * z**n
     return SeriesResult(math.fsum(total), order, bound, ok)

@@ -56,7 +56,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import ConvergenceError
-from .numerics import gamma_small
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
 
 __all__ = [
@@ -207,27 +206,40 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     Any eta is summed in integers at its exact value a/b, a float at its
     binary value (_double_sum). A Fraction eta gets the cell back as one
     Fraction(total, b**(i+k)), any other eta that quotient rounded once, bit
-    for bit bs_prob_direct. A negative count or an eta outside [0, 1]
-    raises ValueError, as in bs_prob_exact.
+    for bit bs_prob_direct. The cell builds only the binomials and powers its
+    terms read. A negative count or an eta outside [0, 1] raises ValueError,
+    as in bs_prob_exact.
     """
     _check_counts(i=i, k=k, n=n)
     a, b = eta.as_integer_ratio()
     if not 0 <= a <= b:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
-    total, q = _double_sum(i, k, n, a, b), b ** (i + k)
-    return Fraction(total, q) if isinstance(eta, Fraction) else total / q
-
-
-def _double_sum(i: int, k: int, n: int, a: int, b: int) -> int:
-    """The double sum at eta = a/b times b**(i+k), in integers: its terms are
-    gamma_small(i,k,n,m,j) a**e (b-a)**(i+k-e), e = k-n+m+j."""
     lo, hi = _term_range(i, k, n)
-    total = 0
-    for m in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            e = k - n + m + j
-            term = gamma_small(i, k, n, m, j) * a**e * (b - a) ** (i + k - e)
-            total += -term if (m + j) & 1 else term
+    s, f, c = i + k, k - n, b - a
+    ts = range(lo, hi + 1)
+    left = [math.comb(i, t) * math.comb(k, f + t) for t in ts]
+    right = [math.comb(n, t) * math.comb(s - n, f + t) for t in ts]
+    es = range(f + 2 * lo, f + 2 * hi + 1)
+    powers = [-(a**e * c ** (s - e)) if d & 1 else a**e * c ** (s - e) for d, e in enumerate(es)]
+    total = _double_sum(left, right, powers)
+    return Fraction(total, b**s) if isinstance(eta, Fraction) else total / b**s
+
+
+def _double_sum(left, right, powers) -> int:
+    """The double sum at eta = a/b times b**(i+k), in integers, from the
+    windows of its terms, read by index. With lo, hi = _term_range(i, k, n)
+    and f = k-n, the term (m, j) = (lo+u, lo+v), m outer and j inner, is
+    left[u] * right[v] * powers[u+v], where left[u] = C(i,m) C(k,n-m) and
+    right[v] = C(n,j) C(i+k-n,i-j) (C(k,n-m) = C(k,f+m) and C(i+k-n,i-j) =
+    C(i+k-n,f+j)), and powers[d] = (-1)**d a**e (b-a)**(i+k-e) at
+    e = f+2*lo+d, the sign (-1)**(m+j) of the term. A table slices the
+    binomials from its Pascal rows and the powers from its shell's, built
+    once; a single cell builds only its own. The sum is neither factored nor
+    grouped by m+j, which keeps the route apart from the factored engine."""
+    total, w = 0, len(right)
+    for d, u in enumerate(left):
+        for r, p in zip(right, powers[d : d + w]):
+            total += u * r * p
     return total
 
 
@@ -416,10 +428,18 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
 
 def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     """Yield (i, k, normalization_residual(i, k, p)) for every row with
-    i + k <= smax, in shell order, from one pass of _top_coefficient_walk."""
+    i + k <= smax, in shell order, from one pass of _top_coefficient_walk.
+    Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
+    same correctly rounded floats, so math.fsum gives the same residual, and
+    the rows i > k take it from their mirror instead of rounding their own."""
     num, den = _exact_ratio(p)
     shells = [(range(s + 1), range(s + 1)) for s in range(smax + 1)]
     for s, (tops, lefts, window, q) in enumerate(_top_coefficient_walk(num, den, shells)):
+        residuals = []
         for i in range(s + 1):
-            cells = zip(tops[i], window[i:], lefts[i * (s + 1) : (i + 1) * (s + 1)])
-            yield i, s - i, abs(math.fsum(_rounded_quotient(a, y * u, q) for a, y, u in cells) - 1.0)
+            if i > s - i:
+                residuals.append(residuals[s - i])
+            else:
+                cells = zip(tops[i], window[i:], lefts[i * (s + 1) : (i + 1) * (s + 1)])
+                residuals.append(abs(math.fsum(_rounded_quotient(a, y * u, q) for a, y, u in cells) - 1.0))
+            yield i, s - i, residuals[i]

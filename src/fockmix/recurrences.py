@@ -82,6 +82,7 @@ from .probabilities import (
     _exact_ratio,
     _partner_ratio,
     _rounded_quotient,
+    _term_range,
     _top_coefficient_walk,
 )
 
@@ -433,7 +434,9 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     """Convolution-squared table, one shell s = i+k at a time: the squared
     amplitude rows of the photon-addition fill (_photon_addition_shells) in
     float, or the integer totals of the paired double sum (_double_sum,
-    square roots combined exactly) in rational.
+    square roots combined exactly) in rational, every term read off the
+    table's Pascal rows C(x, .), x <= imax+kmax, and its shell's powers
+    a**e (b-a)**(s-e), each built once.
 
     The float fill reads neither the exact engine nor the five-term fill.
     Each square is clipped at 1 as it is written into its shell of the
@@ -442,8 +445,18 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
     eta = _param_of(p, precision)
     if precision == "rational":
         a, b = eta.as_integer_ratio()
-        for i, k in t:
-            t.span(i, k)[:] = [_double_sum(i, k, n, a, b) for n in range(i + k + 1)]
+        pascal = [[math.comb(x, j) for j in range(x + 1)] for x in range(imax + kmax + 1)]
+        for s in range(imax + kmax + 1):
+            powers = [-(a**e * (b - a) ** (s - e)) if e & 1 else a**e * (b - a) ** (s - e) for e in range(s + 1)]
+            signed = powers, [-v for v in powers]  # (-1)**(e-f) a**e (b-a)**(s-e), by the parity of f
+            for i in range(max(0, s - kmax), min(imax, s) + 1):
+                k, row = s - i, []
+                for n in range(s + 1):
+                    (lo, hi), f = _term_range(i, k, n), k - n
+                    left = [*map(operator.mul, pascal[i][lo : hi + 1], pascal[k][f + lo : f + hi + 1])]
+                    right = [*map(operator.mul, pascal[n][lo : hi + 1], pascal[s - n][f + lo : f + hi + 1])]
+                    row.append(_double_sum(left, right, signed[f & 1][f + 2 * lo : f + 2 * hi + 1]))
+                t.span(i, k)[:] = row
     else:
         for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
             sq = np.multiply(amplitudes, amplitudes, out=t.shell(s))

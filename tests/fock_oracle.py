@@ -417,3 +417,22 @@ def g_tms_series_reference(pt, p, order: int) -> float:
                 lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
                 total.append(a * math.exp(lg) * x**i * y**k * z**n * w**m)
     return math.fsum(total)
+
+
+def f_bs_series_reference(pt, table, order: int) -> float:
+    """The probability series through total i+k <= order of a float table,
+    term by term: B(i,k->n) x**i y**k z**n w**(i+k-n), each power taken
+    apart and the product taken left to right."""
+    x, y, z, w = pt.coords()
+    total = []
+    for i in range(order + 1):
+        for k in range(order + 1 - i):
+            row = table.row(i, k)
+            for n in range(i + k + 1):
+                total.append(row[n] * x**i * y**k * z**n * w ** (i + k - n))
+    return math.fsum(total)
+
+
+def diagonal_series_reference(x: float, z: float, table, order: int) -> float:
+    """sum_i x**i sum_n B(i,i->n) z**n through i <= order, term by term."""
+    return math.fsum(table.row(i, i)[n] * x**i * z**n for i in range(order + 1) for n in range(2 * i + 1))

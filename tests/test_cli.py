@@ -591,6 +591,46 @@ def test_plotdata_quantum_classical_refuses_a_row_above_the_entry_limit_before_a
     assert run(*argv).exit_code == 0
 
 
+_DOUBLE_SUM_ARGS = ("prob", "--device", "bs", "--method", "convolution", "--precision", "rational")
+
+
+@pytest.mark.parametrize(
+    "i, k, n, eta, printed",
+    [
+        (3, 5, 4, "1/3", "1000/6561"),
+        (20, 17, 19, "3/10", "221610762767893243632462992032623/10000000000000000000000000000000000"),
+        (2, 1, 5, "2/7", "0"),  # n past i+k: no term
+        (0, 0, 2000, "1/3", "0"),
+    ],
+)
+def test_rational_double_sum_prints_its_fraction(i, k, n, eta, printed):
+    r = run(*_DOUBLE_SUM_ARGS, "--i", str(i), "--k", str(k), "--n", str(n), "--eta", eta)
+    assert r.exit_code == 0 and r.output == printed + "\n"
+
+
+def test_rational_double_sum_refuses_a_cell_above_the_term_limit_before_any_work(monkeypatch):
+    # The cell (i, k, n) sums (min(i, n) - max(0, n-k) + 1)**2 terms.
+    def summed(i, k, n, eta):
+        return Fraction(1, 7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran for an oversize double sum")
+
+    monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", summed)
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "999", "--k", "999", "--n", "999", "--eta", "1/3").output == "1/7\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "5000", "--k", "0", "--n", "5000", "--eta", "1/3").output == "1/7\n"
+    monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", refuse)
+    r = run(*_DOUBLE_SUM_ARGS, "--i", "1000", "--k", "1000", "--n", "1000", "--eta", "1/3")
+    assert r.exit_code == 2
+    assert "the double sum of (i=1000, k=1000, n=1000) would take 1002001 terms, above the limit of 1000000" in r.output
+    monkeypatch.undo()
+    argv = (*_DOUBLE_SUM_ARGS, "--i", "3", "--k", "5", "--n", "4", "--eta", "1/3")  # 16 terms
+    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_TERMS", 15)
+    assert run(*argv).exit_code == 2
+    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_TERMS", 16)
+    assert run(*argv).output == "1000/6561\n"
+
+
 def test_plotdata_usage_errors():
     assert run("plotdata", "--kind", "nonsense").exit_code == 2
     assert run("plotdata", "--kind", "hom-sweep", "--steps", "1").exit_code == 2

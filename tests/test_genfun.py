@@ -19,7 +19,13 @@ from fockmix.genfun import (
     g_tms_series,
 )
 from fockmix.params import BeamSplitterParam, SqueezerParam
-from fock_oracle import g_bs_series_reference, g_tms_series_reference
+from fockmix.recurrences import bs_table_recurrence
+from fock_oracle import (
+    diagonal_series_reference,
+    f_bs_series_reference,
+    g_bs_series_reference,
+    g_tms_series_reference,
+)
 
 BS = BeamSplitterParam(0.7)
 TMS = SqueezerParam(0.36)
@@ -142,6 +148,36 @@ def test_f_series_matches_closed_form():
     pt4 = GenFunPoint(0.25, 0.2, 0.3, 0.4)
     res4 = f_bs_series(pt4, BS)
     assert abs(res4.value - eval_f_bs(pt4, BS)) <= 1e-8
+
+
+@pytest.mark.parametrize("eta", ["0.7", "1/3", "1e-12"])
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (0.3, 0.3, 0.3, 1.0),
+        (-0.3, 0.2, -0.5, 1.0),
+        (0.4, -0.45, 0.7, 1.0),
+        (0.25, -0.25, 0.25, -0.25),
+        (-0.4, -0.1, -1.0, -1.0),
+    ],
+)
+def test_f_series_is_the_term_by_term_sum(coords, eta):
+    # Each row is one numpy product of the same left-to-right factors, so the
+    # series keeps the value of the scalar loop bit for bit.
+    p, pt = BeamSplitterParam.from_value(eta), GenFunPoint(*coords)
+    res = f_bs_series(pt, p, order=40)
+    assert res.value.hex() == f_bs_series_reference(pt, bs_table_recurrence(40, 40, p), 40).hex()
+
+
+@pytest.mark.parametrize("eta", ["0.3", "1/3"])
+def test_diagonal_series_is_the_term_by_term_sum(eta):
+    p = BeamSplitterParam.from_value(eta)
+    table = bs_table_recurrence(60, 60, p)
+    rng = random.Random(7)
+    points = [(0.3, 0.5), (-0.3, 0.5), (0.25, -1.0), (-0.4, 1.0)]
+    for x, z in points + [(rng.uniform(-0.7, 0.7), rng.uniform(-1.0, 1.0)) for _ in range(40)]:
+        got = diagonal_series_bs(x, z, p, order=60)
+        assert got.value.hex() == diagonal_series_reference(x, z, table, 60).hex()
 
 
 def test_diagonal_gf_and_series():

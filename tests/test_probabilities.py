@@ -97,6 +97,51 @@ def test_float_double_sum_is_the_direct_float(cell, eta):
     assert 0.0 <= got <= 1.0
 
 
+# Transmittances of the double-sum tests: p/q with q <= 1000, the ends, the
+# near-ends 1/941 and 940/941, and float-only values at their binary values.
+_DOUBLE_SUM_ETAS = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 941), Fraction(940, 941), Fraction(0.37), Fraction(1e-12)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cells_to_total(60), _DOUBLE_SUM_ETAS)
+@example((30, 30, 30), Fraction(0.37))
+@example((29, 31, 33), Fraction(1e-12))
+@example((25, 35, 40), Fraction(940, 941))
+@example((3, 1, 9), Fraction(1, 3))  # n past i+k: no term
+def test_single_cell_double_sum_is_the_literal_sum(cell, eta):
+    # Fraction(total, b**(i+k)) equals the literal sum exactly, so the
+    # integer total is the literal sum times b**(i+k).
+    assert bs_prob_double_sum(*cell, eta) == prob_double_sum_literal(*cell, eta)
+
+
+@st.composite
+def _convolution_shapes(draw):
+    """(imax, kmax): a thin table to total 60, or a square one to total 16."""
+    if draw(st.booleans()):
+        thin, long = draw(st.integers(0, 3)), draw(st.integers(0, 57))
+        return draw(st.sampled_from([(thin, long), (long, thin)]))
+    return draw(st.integers(0, 8)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_convolution_shapes(), _DOUBLE_SUM_ETAS, st.integers(0, 10**4))
+@example((3, 57), Fraction(1e-12), 100)
+@example((57, 3), Fraction(940, 941), 150)
+@example((8, 8), Fraction(0.37), 70)
+def test_rational_convolution_table_is_the_literal_sum(shape, eta, pick):
+    # The buffer of a rational table holds the totals of _double_sum, each
+    # read off the table's Pascal rows and its shell's powers: the last row
+    # and one picked row are the literal sums times b**(i+k).
+    table = bs_table_convolution(*shape, BeamSplitterParam(float(eta), eta), "rational")
+    rows = sorted(table)
+    for i, k in {shape, rows[pick % len(rows)]}:
+        want = [prob_double_sum_literal(i, k, n, eta) * eta.denominator ** (i + k) for n in range(i + k + 1)]
+        assert list(table.span(i, k)) == want
+
+
 def test_exact_examples():
     assert bs_prob_exact(PhotonConfig(1, 1, 1), Fraction(1, 2)) == 0
     assert bs_prob_exact(PhotonConfig(1, 1, 0), Fraction(1, 2)) == Fraction(1, 2)
@@ -558,8 +603,12 @@ def test_a_scan_past_the_step_budget_raises_before_it_walks(monkeypatch):
         normalization_residual(0, 0, SqueezerParam(0.999))
 
 
-@pytest.mark.parametrize("eta, smax", [("0.7", 30), ("1e-12", 26), ("2/7", 12)])
+@pytest.mark.parametrize(
+    "eta, smax", [("0.7", 30), ("1e-12", 26), ("2/7", 12), ("0.37", 30), ("1/3", 30), ("1/941", 30)]
+)
 def test_batched_residual_rows_are_the_per_row_residuals(eta, smax):
+    # Rows i > k take the residual of their mirror (k, i); each must still be
+    # the row's own residual bit for bit.
     p = BeamSplitterParam.from_value(eta)
     rows = {(i, k): r for i, k, r in probabilities._bs_residual_rows(p, smax)}
     assert sorted(rows) == [(i, k) for i in range(smax + 1) for k in range(smax + 1 - i)]

@@ -530,6 +530,23 @@ def test_benchmark_size_rational_and_squeezer_tables_keep_their_bytes(build, siz
     assert _table_digest(build(*sizes, p, precision)) == digest
 
 
+@pytest.mark.parametrize(
+    "sizes, eta, digest",
+    [
+        ((10, 10), "1/3", "3434ed023ece51f1f065d0c498ca3ead94234ec6d4a9b58724a2709045135be5"),
+        ((12, 4), "3/10", "1557037c63f69e32124df73a3e63517a0804bf72daa1ab354076c54c9999df1d"),
+        ((0, 9), "1/3", "bbb3a23dca64606e076a35a4dcd25b58a413e3f90b277eba66fcb0095ae179c5"),
+        ((9, 0), "1/3", "945e61fb1128733633d9321bc467189a7c7b5304f6986a8a73ab2e0fad1e1730"),
+    ],
+)
+def test_rational_convolution_buffers_keep_their_integers(sizes, eta, digest):
+    # The sha256 over the repr of the buffer's integers, the double-sum
+    # totals that each summed gamma_small(i,k,n,m,j) a**e (b-a)**(i+k-e) term
+    # by term before the sums read Pascal rows and shell powers.
+    table = bs_table_convolution(*sizes, BeamSplitterParam.from_value(eta), "rational")
+    assert hashlib.sha256(repr(table.buffer.tolist()).encode()).hexdigest() == digest
+
+
 def _two_term_step(row: list, x: float, y: float) -> list:
     """Entry n is y row[n] + x row[n-1] in plain Python floats, clipped to
     [0, 1] as the fill clips a shell: the paper's recurrence at k = 0."""
