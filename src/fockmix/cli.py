@@ -3,7 +3,8 @@
 Exit codes: 0 success (verify: all checks passed), 1 verification failure or
 a failed internal self-check, 2 usage errors (bad flags, out-of-range
 parameters, points outside a convergence domain, tables above the entry
-limit).
+limit, an --out that cannot be written, a rational value with more digits
+than sys.get_int_max_str_digits() allows as text).
 
 Parameters accept decimal literals ("0.3") or exact ratios ("1/3"); rational
 precision requires the ratio form so the exact routes are never silently fed
@@ -16,6 +17,7 @@ parameter, a float or, in rational precision, its canonical fraction, so
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import errno
 import io
@@ -23,6 +25,7 @@ import json
 import operator
 import os
 import sys
+import tempfile
 import time
 from collections.abc import Iterable
 
@@ -117,27 +120,58 @@ def _build_table(device: str, method: str, imax: int, kmax: int, nmax: int | Non
 
 def _check_out(out: str | None) -> None:
     """Refuse (exit 2) before any work, with _emit's error, an --out that is a
-    directory or lies in no directory. Nothing is opened, so a command that
-    fails later leaves no file."""
+    directory or lies in no directory. Nothing is opened here, and _emit
+    moves the file into place only once every chunk is written, so a command
+    that fails at any phase leaves no --out file."""
     if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
         raise click.UsageError(f"cannot write --out {out}: {os.strerror(code)}")
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks of text in turn to the --out file, or to stdout. An
-    --out that cannot be opened (a missing parent directory, a directory) is
-    a usage error."""
+    """Write the chunks of text in turn to stdout, or to a temporary file in
+    the --out file's directory that os.replace moves onto --out once the
+    last chunk is written. On any failure the temporary file is removed and
+    --out is left as it was; text on stdout cannot be taken back. An --out
+    that cannot be written (a missing parent directory, a directory) is a
+    usage error."""
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
         return
+    target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
     try:
-        fh = open(out, "w", encoding="utf-8", newline="")
+        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
     except OSError as exc:
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
-    with fh:
-        fh.writelines(chunks)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)  # the mode open(out, "w") gives a new file, not mkstemp's 0o600
+        os.replace(tmp, target)
+    except BaseException as exc:
+        os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise click.UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
+        raise
+
+
+@contextlib.contextmanager
+def _text_limit():
+    """Turn the ValueError of an int too long for text, raised as a rational
+    value is printed, into a usage error (exit 2) that names the limit,
+    sys.get_int_max_str_digits(); any other ValueError passes."""
+    try:
+        yield
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):
+            raise
+        raise click.UsageError(
+            f"a rational value has more digits than the {sys.get_int_max_str_digits()} that Python turns into "
+            "text (sys.get_int_max_str_digits); use float precision or smaller counts"
+        ) from exc
 
 
 @click.group()
@@ -210,7 +244,8 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
         value = bs_prob_exact(pc, param.eta_exact) if bs else tms_prob_exact(pc, param.lam_exact)
     else:
         value = (bs_prob_direct if bs else tms_prob)(pc, param)
-    click.echo(str(value) if rational else repr(float(value)))
+    with _text_limit():
+        click.echo(str(value) if rational else repr(float(value)))
 
 
 def _table_chunks(table: ProbabilityTable, fmt: str):
@@ -292,7 +327,8 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
         _note(record)
         click.echo(f"normalization self-check failed: residual {residual:.3e}", err=True)
         sys.exit(1)
-    _emit(_table_chunks(t, fmt), out)
+    with _text_limit():
+        _emit(_table_chunks(t, fmt), out)
     record["emit_s"] = time.perf_counter() - checked
     _note(record)
 

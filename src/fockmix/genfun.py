@@ -18,19 +18,23 @@ DomainError outside their convergence region rather than guessing.
 Series comparisons pick their truncation order at runtime from a geometric
 tail bound (largest coordinate against the device parameter), capped at total
 order 80; hitting the cap is reported on the result, never silently accepted.
+The amplitude series read whole shells of the exact walk (_shell_sums), not
+single cells; each amplitude is the direct one, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import log_factorial
-from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .amplitudes import bs_amplitude_direct, tms_amplitude
+from .params import BeamSplitterParam, SqueezerParam
+from .amplitudes import _signed_root
+from .probabilities import _exact_ratio, _partner_ratio, _shell_sums
 from .recurrences import bs_table_recurrence
 
 __all__ = [
@@ -171,43 +175,33 @@ def g_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None)
     conservation, summed through total order i+k+n+m <= order;
     |amplitude| <= 1 gives the tail bound.
     """
-
-    def cell(a: int, b: int, c: int) -> tuple[PhotonConfig, float]:
-        pc = PhotonConfig(a, b, c)
-        return pc, bs_amplitude_direct(pc, p)
-
-    return _amplitude_series(pt, order, cell)
+    return _amplitude_series(pt, order, *_exact_ratio(p), bridge=False)
 
 
 def g_tms_series(pt: GenFunPoint, p: SqueezerParam, order: int | None = None) -> SeriesResult:
     """Truncated quadruple series of the squeezer amplitude generating
     function; m is pinned by conservation of the photon-number difference."""
-
-    def cell(a: int, b: int, c: int) -> tuple[PhotonConfig, float]:
-        pc = PhotonConfig(c, b, a, Device.TMS)
-        return pc, tms_amplitude(pc, p)
-
-    return _amplitude_series(pt, order, cell)
+    return _amplitude_series(pt, order, *_partner_ratio(p), bridge=True)
 
 
-def _amplitude_series(pt: GenFunPoint, order: int | None, cell) -> SeriesResult:
-    """The amplitude series of either device. cell(a, b, c) gives the
-    configuration and amplitude of (i, k, n) = (a, b, c) for the beam
-    splitter or (c, b, a) for the squeezer, so m = a+b-c for both and the
-    total order is 2(a+b); zero amplitudes are skipped."""
+def _amplitude_series(pt: GenFunPoint, order: int | None, num: int, den: int, bridge: bool) -> SeriesResult:
+    """The amplitude series of either device over the shells s <= order/2
+    at num/den: row i, column k of shell s is the cell (i, s-i -> s-k), or
+    with bridge the squeezer's (i, k -> s-k). A shell's terms are numpy
+    products taken left to right, as per cell; zero amplitudes are skipped."""
     r = max(abs(c) for c in pt.coords())
     order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
-    x, y, z, w = pt.coords()
+    powers, lf = [_powers(v, order // 2) for v in pt.coords()], np.array([*map(log_factorial, range(order // 2 + 1))])
     total = []
-    for a in range(order // 2 + 1):
-        for b in range(order // 2 + 1 - a):
-            for c in range(a + b + 1):
-                pc, amp = cell(a, b, c)
-                if amp == 0.0:
-                    continue
-                i, k, n, m = pc.i, pc.k, pc.n, a + b - c
-                lg = -0.5 * (log_factorial(i) + log_factorial(k) + log_factorial(n) + log_factorial(m))
-                total.append(amp * math.exp(lg) * x**i * y**k * z**n * w**m)
+    for s, (q, sums) in enumerate(_shell_sums(num, den, [(range(s + 1),) * 2 for s in range(order // 2 + 1)], bridge)):
+        i, k = np.ogrid[: s + 1, : s + 1]
+        counts = (i, k, s - k, s - i) if bridge else (i, s - i, s - k, k)  # (i, k, n, m) of the device
+        amps = np.array([[*map(_signed_root, repeat(j), *sums(j), repeat(q))] for j in range(s + 1)])
+        lg = -0.5 * sum(lf[c] for c in counts)  # ln i! + ln k! + ln n! + ln m!, left to right
+        terms = amps * np.vectorize(math.exp)(lg)
+        for v, c in zip(powers, counts):  # times x**i * y**k * z**n * w**m
+            terms = terms * v[c]
+        total += terms[amps != 0.0].tolist()
     return SeriesResult(math.fsum(total), order, bound, ok)
 
 

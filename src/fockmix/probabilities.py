@@ -42,10 +42,11 @@ total s are coefficients of one shell of integer polynomials, (1 - num*x)**i
 (1 + r*x)**(s-i) and (x - 1)**n (r + num*x)**(s-n), and
 _top_coefficient_walk steps their top coefficients from shell to shell over
 only the rows and the k = s-n each reader holds, with no Horner sum,
-binomial, power table or division. Both direct tables (and through the
-rational ones the exact identity rows), the batched beam-splitter
-normalization rows and the squeezer normalization scans read it; a single
-beam-splitter normalization row runs the single-cell sums.
+binomial, power table or division. Its reader _shell_sums gives a shell's
+exact (U, V) row by row to both direct tables (and through the rational
+ones the exact identity rows), the batched beam-splitter normalization rows
+and the amplitude series; the squeezer normalization scans read the walk
+directly. A single beam-splitter normalization row runs the single-cell sums.
 """
 
 from __future__ import annotations
@@ -332,6 +333,23 @@ def _top_coefficient_walk(num: int, den: int, shells, own=None):
         rows0, ks0, tw0 = rows, ks, tw
 
 
+def _shell_sums(num: int, den: int, shells: list, bridge: bool = False):
+    """Yield (q, sums) per shell (rows, ks) of the list shells, read off
+    _top_coefficient_walk: q = den**s and sums(i) the lazy (U's, V's) of
+    _cell_sums over k in ks for row i, the cells (i, s-i -> s-k) at eta =
+    num/den, or with bridge the squeezer's (i, k -> s-k), U times num and q
+    times den. No row forms a cell before its call; sums lasts one step."""
+    for (rows, ks), (tops, lefts, window, q) in zip(shells, _top_coefficient_walk(num, den, shells)):
+        if bridge:  # num in U through the window, which a shell's rows share
+            window, q = [num * y for y in window], den * q
+
+        def sums(i: int):
+            j = (i - rows.start) * len(ks)
+            return map(operator.mul, tops[i], window[i + ks.start : i + ks.stop]), lefts[j : j + len(ks)]
+
+        yield q, sums
+
+
 def _pairs(v: list[int], start: int, run: range) -> tuple[list[int], list[int]]:
     """(entries j, entries j-1) for j in run of v, held from entry start on and 0
     elsewhere (start <= run.start <= run.stop - 1 <= start + len(v)); the second may run one longer."""
@@ -428,18 +446,11 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
 
 def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     """Yield (i, k, normalization_residual(i, k, p)) for every row with
-    i + k <= smax, in shell order, from one pass of _top_coefficient_walk.
+    i + k <= smax, in shell order, from one pass of _shell_sums.
     Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
     same correctly rounded floats, so math.fsum gives the same residual, and
     the rows i > k take it from their mirror instead of rounding their own."""
-    num, den = _exact_ratio(p)
-    shells = [(range(s + 1), range(s + 1)) for s in range(smax + 1)]
-    for s, (tops, lefts, window, q) in enumerate(_top_coefficient_walk(num, den, shells)):
-        residuals = []
+    for s, (q, sums) in enumerate(_shell_sums(*_exact_ratio(p), [(range(s + 1),) * 2 for s in range(smax + 1)])):
+        half = [abs(math.fsum(map(_rounded_quotient, *sums(i), repeat(q))) - 1.0) for i in range(s // 2 + 1)]
         for i in range(s + 1):
-            if i > s - i:
-                residuals.append(residuals[s - i])
-            else:
-                cells = zip(tops[i], window[i:], lefts[i * (s + 1) : (i + 1) * (s + 1)])
-                residuals.append(abs(math.fsum(_rounded_quotient(a, y * u, q) for a, y, u in cells) - 1.0))
-            yield i, s - i, residuals[i]
+            yield i, s - i, half[min(i, s - i)]

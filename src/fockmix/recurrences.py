@@ -82,8 +82,8 @@ from .probabilities import (
     _exact_ratio,
     _partner_ratio,
     _rounded_quotient,
+    _shell_sums,
     _term_range,
-    _top_coefficient_walk,
 )
 
 __all__ = [
@@ -407,24 +407,21 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Direct-route table from the exact factored sums U*V/Q, read off the
-    top-coefficient walk (_top_coefficient_walk) on every shell s = i+k:
-    float rows are the exact values rounded once, bit for bit those of
-    bs_prob_direct; rational rows hold U*V and equal bs_prob_exact. A float
-    row that _halves mirrors is not rounded but copied, reversed, from row
-    (k, i): both hold the same exact values, so the copy is its rounding bit
-    for bit. Rounding is what the copy saves; rational rows keep their own."""
+    top-coefficient walk (_shell_sums) on every shell s = i+k: float rows
+    are the exact values rounded once, bit for bit those of bs_prob_direct;
+    rational rows hold U*V and equal bs_prob_exact. A float row that _halves
+    mirrors is not rounded but copied, reversed, from row (k, i): both hold
+    the same exact values, so the copy is its rounding bit for bit. Rounding
+    is what the copy saves; rational rows keep their own."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    num, den = _exact_ratio(p)
-    held = [range(max(0, s - kmax), min(imax, s) + 1) for s in range(imax + kmax + 1)]
-    walk = _top_coefficient_walk(num, den, [(rows, range(s + 1)) for s, rows in enumerate(held)])
-    for s, (rows, (tops, lefts, window, q)) in enumerate(zip(held, walk)):
-        shell, mirrored = t.shell(s), _halves(s, rows.start, rows[-1])[2] if t.den is None else range(0)
+    (num, den), rational = _exact_ratio(p), t.den is not None
+    shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
+    for s, ((rows, _), (q, sums)) in enumerate(zip(shells, _shell_sums(num, den, shells))):
+        shell, mirrored = t.shell(s), range(0) if rational else _halves(s, rows.start, rows[-1])[2]
+        cell, qs = (operator.mul, []) if rational else (_rounded_quotient, [repeat(q)])
         for j, i in enumerate(rows):
-            cells = () if i in mirrored else zip(tops[i], window[i:], lefts[j * (s + 1) : (j + 1) * (s + 1)])
-            if t.den is not None:  # the cells over k = s-n, so n runs backwards
-                shell[j, ::-1] = [a * (y * u) for a, y, u in cells]
-            elif cells:
-                shell[j, ::-1] = [_rounded_quotient(a, y * u, q) for a, y, u in cells]
+            if i not in mirrored:  # the cells over k = s-n, so n runs backwards
+                shell[j, ::-1] = [*map(cell, *sums(i), *qs)]
         if mirrored:
             _mirror(shell, s, rows.start, mirrored)
     return t.frozen()
@@ -478,22 +475,16 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
     """Squeezer table through the reversal route, every bridge shell s = k+n
-    read off the top-coefficient walk (_top_coefficient_walk) on its band:
-    cell (i, k -> n) is num*t*u*Y / den**(s+1) for 1 - lam = num/den, zero
-    below n = max(0, i-k). Rational rows equal tms_prob_exact, float rows
-    tms_prob bit for bit."""
+    read off the top-coefficient walk (_shell_sums) on its band: cell
+    (i, k -> n) is num*U*V / den**(s+1) for 1 - lam = num/den, the sums of
+    _cell_sums, zero below n = max(0, i-k). Rational rows equal
+    tms_prob_exact, float rows tms_prob bit for bit."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     num, den = _partner_ratio(p)
     shells = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in range(kmax + nmax + 1)]
-    for s, ((rows, ks), (tops, lefts, window, q)) in enumerate(zip(shells, _top_coefficient_walk(num, den, shells))):
-        w = len(ks)
-        cells = [zip(tops[i], lefts[i * w : (i + 1) * w], window[i + ks.start : i + ks.stop]) for i in rows]
-        if t.den is None:
-            q *= den
-            values = [[_rounded_quotient(num * a * u, y, q) for a, u, y in row] for row in cells]
-        else:
-            values = [[num * a * u * y for a, u, y in row] for row in cells]
-        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = values
+    for s, ((rows, ks), (q, sums)) in enumerate(zip(shells, _shell_sums(num, den, shells, True))):
+        cell, qs = (_rounded_quotient, [repeat(q)]) if t.den is None else (operator.mul, [])
+        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = [[*map(cell, *sums(i), *qs)] for i in rows]
     return t.frozen()
 
 
@@ -624,9 +615,9 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
 
     residual(i, k, j) is the integer row over the n of row (i, k),
     lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
-    the tildes sum products of table rows. Off _top_coefficient_walk, a
+    the tildes sum products of table rows. Off _shell_sums, a
     beam-splitter row holds U*V, B(i,k->n) times den**(i+k), and lead is 1;
-    a squeezer row holds num*t*u*Y, A(i,k->n) times den**(k+n+1), zero below
+    a squeezer row holds num*U*V, A(i,k->n) times den**(k+n+1), zero below
     n0 = max(0, i-k), and lead is num. So every
     product in a tilde row lands on the power of den of its left-hand side,
     and the den-power rule holds: entry n of a residual row is the exact

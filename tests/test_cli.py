@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +141,65 @@ def test_an_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, argv, where):
     assert r.exception is None or isinstance(r.exception, SystemExit)
     (line,) = [x for x in r.output.splitlines() if x.startswith("Error:")]
     assert f"cannot write --out {out}" in line
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failure_mid_emit_leaves_no_out_file(monkeypatch, tmp_path, error, existing):
+    # The export goes to a temporary file in the --out directory and moves
+    # into place only once written: a failure after the first chunk leaves
+    # neither a cut --out nor the temporary file, and an earlier --out as it was.
+    chunks = fockmix.cli._table_chunks
+
+    def cut(*args):
+        yield next(chunks(*args))
+        raise error("emit failed")
+
+    monkeypatch.setattr(fockmix.cli, "_table_chunks", cut)
+    out = tmp_path / "t.csv"
+    if existing:
+        out.write_text("old")
+    r = run("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3", "--out", str(out))
+    assert r.exit_code not in (0, 2)
+    assert [p.name for p in tmp_path.iterdir()] == (["t.csv"] if existing else [])
+    assert not existing or out.read_text() == "old"
+
+
+def test_an_out_file_has_the_mode_of_a_new_file(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3", "--out", str(out)).exit_code == 0
+    mask = os.umask(0)
+    os.umask(mask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.fixture
+def short_text_limit():
+    """Python's limit on the digits of an int turned into text, lowered to its floor of 640 for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def test_a_rational_value_past_the_text_limit_exits_2_naming_it(short_text_limit, tmp_path):
+    # (700, 700, 700) at 1/3 lies over 3**1400, 668 digits, and the rational
+    # row of total 65 at 1/10**10 over 10**650; the table fails mid-emit and
+    # leaves no file. Just below the limit both print.
+    prob = ("prob", "--device", "bs", "--k", "700", "--n", "700", "--eta", "1/3", "--precision", "rational")
+    table = ("table", "--device", "bs", "--kmax", "0", "--eta", "1/10000000000", "--precision", "rational",
+             "--method", "recurrence")
+    out = tmp_path / "t.csv"
+    for argv in [(*prob, "--i", "700"), (*table, "--imax", "70", "--out", str(out))]:
+        r = run(*argv)
+        assert r.exit_code == 2 and isinstance(r.exception, SystemExit), argv
+        (line,) = [x for x in r.output.splitlines() if x.startswith("Error:")]
+        assert "640" in line and "sys.get_int_max_str_digits" in line
+    assert list(tmp_path.iterdir()) == []
+    below = run(*prob, "--i", "580")
+    assert below.exit_code == 0 and Fraction(below.output) == bs_prob_exact(PhotonConfig(580, 700, 700), Fraction(1, 3))
+    assert run(*table, "--imax", "60").exit_code == 0
 
 
 def test_prob_convolution_is_the_table_entry_near_the_direct_route():

@@ -128,12 +128,18 @@ def test_g_series_matches_closed_form():
     assert abs(res.value - eval_g_tms(GenFunPoint(0.2, 0.2, 0.2, 0.2), TMS)) <= 1e-8
 
 
-@pytest.mark.parametrize("order", [None, 5, 12])
+@pytest.mark.parametrize("order", [None, 5, 12, 24, 30])
 def test_g_series_are_the_per_device_loops_bit_for_bit(order):
+    # Each series reads the walk shell by shell, and each of its amplitudes
+    # must be the single cell's. At 1/10**40 and order 24 many U*V/Q lie
+    # below the normal floats, where _signed_root scales by powers of 4.
     rng = random.Random(14)
-    for p_bs, p_tms in [(BS, TMS), (BeamSplitterParam.from_value("2/7"), SqueezerParam.from_value("1/5"))]:
-        for _ in range(3):
-            pt = GenFunPoint(*(rng.uniform(-0.45, 0.45) for _ in range(4)))
+    values = [("2/7", "1/5"), ("0", "0"), ("0.37", "0.37")] + [("1/" + str(10**40),) * 2] * (order == 24)
+    params = [(BS, TMS)] + [(BeamSplitterParam.from_value(a), SqueezerParam.from_value(b)) for a, b in values]
+    for p_bs, p_tms in params:
+        points = [GenFunPoint(-0.45, -0.3, -0.2, -0.4)]
+        points += [GenFunPoint(*(rng.uniform(-0.45, 0.45) for _ in range(4))) for _ in range(3)]
+        for pt in points:
             bs, tms = g_bs_series(pt, p_bs, order), g_tms_series(pt, p_tms, order)
             assert bs.value.hex() == g_bs_series_reference(pt, p_bs, bs.order).hex()
             assert tms.value.hex() == g_tms_series_reference(pt, p_tms, tms.order).hex()

@@ -336,7 +336,7 @@ def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):
 
     monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
     monkeypatch.setattr(probabilities, "_top_coefficient_walk", refuse)
-    monkeypatch.setattr(recurrences, "_top_coefficient_walk", refuse)
+    monkeypatch.setattr(recurrences, "_shell_sums", refuse)
     floats = bs_table_convolution(25, 25, BeamSplitterParam(0.7))  # past total 32
     exact = bs_table_convolution(10, 10, BeamSplitterParam.from_value("1/3"), "rational")
     assert len(floats.entries) == 26 * 26 and len(exact.entries) == 11 * 11
@@ -427,7 +427,7 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
     for precision in ["float", "rational"] if "/" in value else ["float"]:
         log = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrences, "_top_coefficient_walk", _logged_walk(log))
+            mp.setattr(probabilities, "_top_coefficient_walk", _logged_walk(log))
             build = recurrences.bs_table_direct if bs else recurrences.tms_table_direct
             table = build(*shape, p, precision)
         held = []
@@ -467,21 +467,22 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
 @pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
 @pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "0.7"])
 def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax, kmax, eta):
-    # On the band of rows a beam-splitter table reads, each shell of the walk
-    # must give the single-cell (U, V, Q) of every cell, U and V apart, and
-    # every row must come once.
+    # On the band of rows a beam-splitter table reads, each shell of the
+    # walk's reader must give the single-cell (U, V, Q) of every cell, U and
+    # V apart, and every row must come once. With bridge the same shells give
+    # those of the squeezer cells (i, k -> s-k) at 1 - lam = num/den.
     p = BeamSplitterParam.from_value(eta)
     num, den = probabilities._exact_ratio(p)
-    held = [range(max(0, s - kmax), min(imax, s) + 1) for s in range(imax + kmax + 1)]
-    walk = probabilities._top_coefficient_walk(num, den, [(rows, range(s + 1)) for s, rows in enumerate(held)])
+    shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
     seen = []
-    for s, (rows, (tops, lefts, window, q)) in enumerate(zip(held, walk)):
-        for j, i in enumerate(rows):
-            seen.append((i, s - i))
-            got = [(tops[i][k] * window[i + k], lefts[j * (s + 1) + k], q) for k in range(s + 1)]
-            want = [probabilities._cell_sums(PhotonConfig(i, s - i, s - k), Device.BS, num, den) for k in range(s + 1)]
-            assert got == want, (s, i)
-    assert sorted(seen) == [(i, k) for i in range(imax + 1) for k in range(kmax + 1)]
+    for bridge, device in ((False, Device.BS), (True, Device.TMS)):
+        for s, ((rows, _), (q, sums)) in enumerate(zip(shells, probabilities._shell_sums(num, den, shells, bridge))):
+            for i in rows:
+                seen.append((i, s - i))
+                got = [(u, v, q) for u, v in zip(*sums(i))]
+                cells = [PhotonConfig(i, k if bridge else s - i, s - k, device) for k in range(s + 1)]
+                assert got == [probabilities._cell_sums(c, device, num, den) for c in cells], (bridge, s, i)
+    assert sorted(seen) == sorted(2 * [(i, k) for i in range(imax + 1) for k in range(kmax + 1)])
 
 
 _HALF_BS = BeamSplitterParam.from_value("1/2")

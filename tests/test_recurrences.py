@@ -1061,7 +1061,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_top_coefficient_walk", "_double_sum", "_photon_addition_shells"):
+    for name in ("_shell_sums", "_double_sum", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)
