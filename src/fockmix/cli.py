@@ -24,8 +24,8 @@ import io
 import json
 import operator
 import os
+import stat
 import sys
-import tempfile
 import time
 from collections.abc import Iterable
 
@@ -121,35 +121,47 @@ def _build_table(device: str, method: str, imax: int, kmax: int, nmax: int | Non
 def _check_out(out: str | None) -> None:
     """Refuse (exit 2) before any work, with _emit's error, an --out that is a
     directory or lies in no directory. Nothing is opened here, and _emit
-    moves the file into place only once every chunk is written, so a command
-    that fails at any phase leaves no --out file."""
+    moves a regular --out file into place only once every chunk is written,
+    so a command that fails at any phase leaves no new --out file and an
+    earlier one as it was."""
     if out is not None and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
         code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
         raise click.UsageError(f"cannot write --out {out}: {os.strerror(code)}")
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks of text in turn to stdout, or to a temporary file in
-    the --out file's directory that os.replace moves onto --out once the
-    last chunk is written. On any failure the temporary file is removed and
-    --out is left as it was; text on stdout cannot be taken back. An --out
-    that cannot be written (a missing parent directory, a directory) is a
-    usage error."""
+    """Write the chunks of text in turn to stdout or to --out. A new or
+    regular --out file is written to a temporary file in its directory and
+    moved onto --out with os.replace once the last chunk is written: a new
+    file with the mode of the one it replaces, or for a new --out 0o666 less
+    the umask, as open(out, "w") gives it. On any failure the temporary file
+    is removed and --out is left as it was. Any other --out (a device, a
+    FIFO) is written in place; text written there or on stdout cannot be
+    taken back. An --out that cannot be written (a missing parent directory,
+    a directory) is a usage error."""
     if out is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
         return
-    target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target))
+        try:
+            mode = os.stat(out).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+            return
+        target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
+        tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open(out, "w")
     except OSError as exc:
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             fh.writelines(chunks)
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)  # the mode open(out, "w") gives a new file, not mkstemp's 0o600
         os.replace(tmp, target)
     except BaseException as exc:
         os.unlink(tmp)

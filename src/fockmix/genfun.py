@@ -25,6 +25,7 @@ single cells; each amplitude is the direct one, bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -191,12 +192,18 @@ def _amplitude_series(pt: GenFunPoint, order: int | None, num: int, den: int, br
     products taken left to right, as per cell; zero amplitudes are skipped."""
     r = max(abs(c) for c in pt.coords())
     order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
-    powers, lf = [_powers(v, order // 2) for v in pt.coords()], np.array([*map(log_factorial, range(order // 2 + 1))])
+    powers = [_powers(v, order // 2) for v in pt.coords()]
+    lf = np.array([*map(log_factorial, range(order // 2 + 1))])
     total = []
-    for s, (q, sums) in enumerate(_shell_sums(num, den, [(range(s + 1),) * 2 for s in range(order // 2 + 1)], bridge)):
+    shells = [(range(s + 1),) * 2 for s in range(order // 2 + 1)]
+    for s, (rows, _, q, sums) in enumerate(_shell_sums(num, den, shells, bridge)):
         i, k = np.ogrid[: s + 1, : s + 1]
         counts = (i, k, s - k, s - i) if bridge else (i, s - i, s - k, k)  # (i, k, n, m) of the device
-        amps = np.array([[*map(_signed_root, repeat(j), *sums(j), repeat(q))] for j in range(s + 1)])
+        amps = []
+        for j in rows:  # U = t*Y and V, as _cell_sums gives them
+            t, y, v = sums(j)
+            amps.append([*map(_signed_root, repeat(j), map(operator.mul, t, y), v, repeat(q))])
+        amps = np.array(amps)
         lg = -0.5 * sum(lf[c] for c in counts)  # ln i! + ln k! + ln n! + ln m!, left to right
         terms = amps * np.vectorize(math.exp)(lg)
         for v, c in zip(powers, counts):  # times x**i * y**k * z**n * w**m

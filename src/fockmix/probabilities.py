@@ -42,11 +42,11 @@ total s are coefficients of one shell of integer polynomials, (1 - num*x)**i
 (1 + r*x)**(s-i) and (x - 1)**n (r + num*x)**(s-n), and
 _top_coefficient_walk steps their top coefficients from shell to shell over
 only the rows and the k = s-n each reader holds, with no Horner sum,
-binomial, power table or division. Its reader _shell_sums gives a shell's
-exact (U, V) row by row to both direct tables (and through the rational
-ones the exact identity rows), the batched beam-splitter normalization rows
-and the amplitude series; the squeezer normalization scans read the walk
-directly. A single beam-splitter normalization row runs the single-cell sums.
+binomial, power table or division. Its reader _shell_sums gives the
+factors of a shell's exact (U, V) row by row to both direct tables (and
+through the rational ones the exact identity rows), the batched
+beam-splitter normalization rows and the amplitude series; the squeezer
+normalization scans read the walk directly. A single beam-splitter normalization row runs the single-cell sums.
 """
 
 from __future__ import annotations
@@ -334,20 +334,31 @@ def _top_coefficient_walk(num: int, den: int, shells, own=None):
 
 
 def _shell_sums(num: int, den: int, shells: list, bridge: bool = False):
-    """Yield (q, sums) per shell (rows, ks) of the list shells, read off
-    _top_coefficient_walk: q = den**s and sums(i) the lazy (U's, V's) of
-    _cell_sums over k in ks for row i, the cells (i, s-i -> s-k) at eta =
-    num/den, or with bridge the squeezer's (i, k -> s-k), U times num and q
-    times den. No row forms a cell before its call; sums lasts one step."""
+    """Yield (rows, ks, q, sums) per shell (rows, ks) of the list shells,
+    read off _top_coefficient_walk: q = den**s and sums(i) the factors
+    (t's, Y's, V's) over k in ks of row i, U = t*Y and V the sums of
+    _cell_sums for the cells (i, s-i -> s-k) at eta = num/den, or with bridge
+    the squeezer's (i, k -> s-k), Y times num and q times den. A row's
+    factors are sliced only when asked for; sums lasts one step."""
     for (rows, ks), (tops, lefts, window, q) in zip(shells, _top_coefficient_walk(num, den, shells)):
         if bridge:  # num in U through the window, which a shell's rows share
-            window, q = [num * y for y in window], den * q
+            window = [num * y for y in window]
+            q *= den
 
         def sums(i: int):
             j = (i - rows.start) * len(ks)
-            return map(operator.mul, tops[i], window[i + ks.start : i + ks.stop]), lefts[j : j + len(ks)]
+            return tops[i], window[i + ks.start : i + ks.stop], lefts[j : j + len(ks)]
 
-        yield q, sums
+        yield rows, ks, q, sums
+
+
+def _row_values(tops: list[int], window: list[int], lefts: list[int], q: int | None) -> list:
+    """A row of _shell_sums's factors as its exact numerators t*(Y*V), or
+    given q as the quotients t*(Y*V) / q correctly rounded."""
+    products = map(operator.mul, window, lefts)
+    if q is None:
+        return [*map(operator.mul, tops, products)]
+    return [*map(_rounded_quotient, tops, products, repeat(q))]
 
 
 def _pairs(v: list[int], start: int, run: range) -> tuple[list[int], list[int]]:
@@ -450,7 +461,7 @@ def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
     same correctly rounded floats, so math.fsum gives the same residual, and
     the rows i > k take it from their mirror instead of rounding their own."""
-    for s, (q, sums) in enumerate(_shell_sums(*_exact_ratio(p), [(range(s + 1),) * 2 for s in range(smax + 1)])):
-        half = [abs(math.fsum(map(_rounded_quotient, *sums(i), repeat(q))) - 1.0) for i in range(s // 2 + 1)]
+    for s, (_, _, q, sums) in enumerate(_shell_sums(*_exact_ratio(p), [(range(s + 1),) * 2 for s in range(smax + 1)])):
+        half = [abs(math.fsum(_row_values(*sums(i), q)) - 1.0) for i in range(s // 2 + 1)]
         for i in range(s + 1):
             yield i, s - i, half[min(i, s - i)]

@@ -81,7 +81,7 @@ from .probabilities import (
     _double_sum,
     _exact_ratio,
     _partner_ratio,
-    _rounded_quotient,
+    _row_values,
     _shell_sums,
     _term_range,
 )
@@ -414,14 +414,14 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     the same exact values, so the copy is its rounding bit for bit. Rounding
     is what the copy saves; rational rows keep their own."""
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    (num, den), rational = _exact_ratio(p), t.den is not None
+    num, den = _exact_ratio(p)
     shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
-    for s, ((rows, _), (q, sums)) in enumerate(zip(shells, _shell_sums(num, den, shells))):
-        shell, mirrored = t.shell(s), range(0) if rational else _halves(s, rows.start, rows[-1])[2]
-        cell, qs = (operator.mul, []) if rational else (_rounded_quotient, [repeat(q)])
+    for s, (rows, _, q, sums) in enumerate(_shell_sums(num, den, shells)):
+        shell, mirrored = t.shell(s), _halves(s, rows.start, rows[-1])[2] if t.den is None else range(0)
+        q = q if t.den is None else None
         for j, i in enumerate(rows):
             if i not in mirrored:  # the cells over k = s-n, so n runs backwards
-                shell[j, ::-1] = [*map(cell, *sums(i), *qs)]
+                shell[j, ::-1] = _row_values(*sums(i), q)
         if mirrored:
             _mirror(shell, s, rows.start, mirrored)
     return t.frozen()
@@ -482,9 +482,9 @@ def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precisio
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     num, den = _partner_ratio(p)
     shells = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in range(kmax + nmax + 1)]
-    for s, ((rows, ks), (q, sums)) in enumerate(zip(shells, _shell_sums(num, den, shells, True))):
-        cell, qs = (_rounded_quotient, [repeat(q)]) if t.den is None else (operator.mul, [])
-        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = [[*map(cell, *sums(i), *qs)] for i in rows]
+    for s, (rows, ks, q, sums) in enumerate(_shell_sums(num, den, shells, True)):
+        q = q if t.den is None else None
+        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = [_row_values(*sums(i), q) for i in rows]
     return t.frozen()
 
 

@@ -165,13 +165,37 @@ def test_a_failure_mid_emit_leaves_no_out_file(monkeypatch, tmp_path, error, exi
     assert not existing or out.read_text() == "old"
 
 
-def test_an_out_file_has_the_mode_of_a_new_file(tmp_path):
+def test_an_out_file_keeps_the_mode_of_the_file_it_replaces(tmp_path):
+    # A new --out has the mode open(out, "w") gives a new file; a 0o600
+    # export written over stays 0o600, not the umask's mode.
+    argv = ("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3", "--out")
     out = tmp_path / "t.csv"
-    assert run("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3", "--out", str(out)).exit_code == 0
-    mask = os.umask(0)
-    os.umask(mask)
-    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~mask
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    reference = tmp_path / "reference"
+    reference.touch()
+    assert run(*argv, str(out)).exit_code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    out.chmod(0o600)
+    assert run(*argv, str(out)).exit_code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference", "t.csv"]
+
+
+def test_an_out_that_is_no_regular_file_takes_the_text_in_place(tmp_path):
+    # A FIFO, like a device such as /dev/null, is written as it is and stays
+    # what it was, not replaced by a regular file holding the table.
+    argv = ("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the few hundred bytes fit the pipe's buffer
+    try:
+        r = run(*argv, "--out", str(fifo))
+        text = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert r.exit_code == 0
+    assert text.decode() == run(*argv).output
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 @pytest.fixture

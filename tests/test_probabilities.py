@@ -468,18 +468,18 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
 @pytest.mark.parametrize("eta", ["0/1", "1/1", "2/7", "0.7"])
 def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax, kmax, eta):
     # On the band of rows a beam-splitter table reads, each shell of the
-    # walk's reader must give the single-cell (U, V, Q) of every cell, U and
-    # V apart, and every row must come once. With bridge the same shells give
-    # those of the squeezer cells (i, k -> s-k) at 1 - lam = num/den.
+    # walk's reader must give the single-cell (U, V, Q) of every cell, U =
+    # t*Y and V apart, and every row must come once. With bridge the same
+    # shells give those of the squeezer cells (i, k -> s-k) at 1 - lam = num/den.
     p = BeamSplitterParam.from_value(eta)
     num, den = probabilities._exact_ratio(p)
     shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
     seen = []
     for bridge, device in ((False, Device.BS), (True, Device.TMS)):
-        for s, ((rows, _), (q, sums)) in enumerate(zip(shells, probabilities._shell_sums(num, den, shells, bridge))):
+        for s, (rows, _, q, sums) in enumerate(probabilities._shell_sums(num, den, shells, bridge)):
             for i in rows:
                 seen.append((i, s - i))
-                got = [(u, v, q) for u, v in zip(*sums(i))]
+                got = [(t * y, v, q) for t, y, v in zip(*sums(i))]
                 cells = [PhotonConfig(i, k if bridge else s - i, s - k, device) for k in range(s + 1)]
                 assert got == [probabilities._cell_sums(c, device, num, den) for c in cells], (bridge, s, i)
     assert sorted(seen) == sorted(2 * [(i, k) for i in range(imax + 1) for k in range(kmax + 1)])
