@@ -22,7 +22,7 @@ root of that exact probability, scaled by a power of 4 into the normal
 floats and rounded there (within one ulp, also where the probability
 underflows: _signed_root), with the sign of the direct sum. The vacuum
 rows are the direct amplitudes of (i, 0 -> n), and the amplitude series of
-genfun take the same root of sums read shell by shell (_shell_sums). The convolution
+genfun take the same root of the exact walk's sums, row by row. The convolution
 route reads neither the exact engine nor the direct route, at any total: it
 runs the stable photon-addition fill of the block i' <= i, k' <= k in floats and returns
 entry n of row (i, k), clipped to [-1, 1]. That row is bit for bit row

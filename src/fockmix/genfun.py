@@ -18,7 +18,7 @@ DomainError outside their convergence region rather than guessing.
 Series comparisons pick their truncation order at runtime from a geometric
 tail bound (largest coordinate against the device parameter), capped at total
 order 80; hitting the cap is reported on the result, never silently accepted.
-The amplitude series read whole shells of the exact walk (_shell_sums), not
+The amplitude series read whole shells of the walk's factors (t, Y, V), not
 single cells; each amplitude is the direct one, bit for bit.
 """
 
@@ -35,7 +35,7 @@ from .errors import DomainError
 from .numerics import log_factorial
 from .params import BeamSplitterParam, SqueezerParam
 from .amplitudes import _signed_root
-from .probabilities import _exact_ratio, _partner_ratio, _shell_sums
+from .probabilities import _exact_ratio, _partner_ratio, _top_coefficient_walk
 from .recurrences import bs_table_recurrence
 
 __all__ = [
@@ -196,7 +196,7 @@ def _amplitude_series(pt: GenFunPoint, order: int | None, num: int, den: int, br
     lf = np.array([*map(log_factorial, range(order // 2 + 1))])
     total = []
     shells = [(range(s + 1),) * 2 for s in range(order // 2 + 1)]
-    for s, (rows, _, q, sums) in enumerate(_shell_sums(num, den, shells, bridge)):
+    for s, (rows, _, q, sums) in enumerate(_top_coefficient_walk(num, den, shells, bridge=bridge)):
         i, k = np.ogrid[: s + 1, : s + 1]
         counts = (i, k, s - k, s - i) if bridge else (i, s - i, s - k, k)  # (i, k, n, m) of the device
         amps = []

@@ -42,11 +42,12 @@ total s are coefficients of one shell of integer polynomials, (1 - num*x)**i
 (1 + r*x)**(s-i) and (x - 1)**n (r + num*x)**(s-n), and
 _top_coefficient_walk steps their top coefficients from shell to shell over
 only the rows and the k = s-n each reader holds, with no Horner sum,
-binomial, power table or division. Its reader _shell_sums gives the
-factors of a shell's exact (U, V) row by row to both direct tables (and
-through the rational ones the exact identity rows), the batched
-beam-splitter normalization rows and the amplitude series; the squeezer
-normalization scans read the walk directly. A single beam-splitter normalization row runs the single-cell sums.
+binomial, power table or division. It hands out the factors (t, Y, V) of
+a shell's exact (U, V) row by row, U = t*Y, and every reader takes only
+those: both direct tables (and through the rational ones the exact
+identity rows), the batched beam-splitter normalization rows, the squeezer
+normalization scans and the amplitude series. A single beam-splitter
+normalization row runs the single-cell sums.
 """
 
 from __future__ import annotations
@@ -267,98 +268,92 @@ def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
     return _exact_cell(c, Device.TMS, 1 - Fraction(lam))
 
 
-def _top_coefficient_walk(num: int, den: int, shells, own=None):
-    """Yield (tops, lefts, window, den**s) for the shells s = 0, 1, ... that
-    shells gives as (rows, ks): the runs of rows i and of k = s-n that shell
-    s holds. A yield is valid until the next step.
+def _top_coefficient_walk(num: int, den: int, shells, own=None, bridge=False):
+    """Yield (rows, ks, q, sums) for the shells s = 0, 1, ... that shells
+    gives as (rows, ks), the runs of rows i and of k = s-n that shell s
+    holds: q = den**s, and sums(i) the factors (t, Y, V) of row i over k in
+    ks, U = t*Y and V the sums of _cell_sums for the cells (i, s-i -> s-k)
+    at eta = num/den, or with bridge the squeezer's (i, k -> s-k), Y times
+    num and q times den. Given own (a scan's rows), only those rows are
+    read. sums reads the shell last yielded, so its factors hold until the
+    next step.
 
-    With r = den - num, the sums of the beam-splitter cell (i, s-i -> n) at
-    eta = num/den are U = M_s[i][n], top coefficient k = s-n of
+    With r = den - num, U = M_s[i][n], top coefficient k = s-n of
     M_s[i] = (1 - num*x)**i (1 + r*x)**(s-i), and V = L_s[n][s-i], top
     coefficient i of L_s[s-k], L_s[n] = (x - 1)**n (r + num*x)**(s-n); the
     squeezer's cell (i, k -> n) is that cell on its bridge shell s = k+n,
-    times num/den. For i in rows and k in ks, V is
-    lefts[(i - rows.start) * len(ks) + k - ks.start] and U is
-    tops[i][k - a] * window[i + k], a = ks.start. Given own (a scan's rows),
-    only those rows hold a top vector, over every k from a = 0: a scan has
-    no last shell.
+    times num/den.
 
     Row i is born at shell i as the row born before it times (1 - num*x),
-    then steps by (1 + r*x), its t_j held over r**max(0, s-i-j) to stay
-    short: t'_j = t_{j-1} + t_j for j <= s-i, else t_{j-1} + r*t_j, and
-    window[d] = r**max(0, s-d) slides by one power a shell. Column k is born
-    at shell k as the column born before it times (r + num*x), then steps by
-    (x - 1), u'_i = u_i - u_{i-1}. No power or binomial is taken afresh, and
-    a vector steps only over the runs of its shell and is dropped after its
-    last. A step reads only held entries, or entries past degree s (0), when
-    each run's lower end stays at 0 or rises by one a shell and its upper
-    end rises only to s.
+    then steps by (1 + r*x), its t_j held over Y = r**max(0, s-i-j) to stay
+    short: t'_j = t_{j-1} + t_j for j <= s-i, else t_{j-1} + r*t_j. The
+    cells of one d = i+k share Y, kept in a window over d from
+    lo = min(rows.start + ks.start, s) that slides by one power a shell (lo
+    stops at s: the power the slide adds at the old lo is r**(s-lo) only
+    below s). A scan's top vectors run over every k from 0, as a scan has no
+    last shell. Column k is born at shell k as the column born before it
+    times (r + num*x), then steps by (x - 1), u'_i = u_i - u_{i-1}. No power
+    or binomial is taken afresh, and a vector steps only over the runs of
+    its shell and is dropped after its last. A step reads only held entries,
+    or entries past degree s (0), when each run's lower end stays at 0 or
+    rises by one a shell and its upper end rises only to s. A shell with the
+    runs of the shell before and s > rows[-1] + ks.stop (most shells of a
+    scan) takes one steady step: nothing is born, dropped or first read, and
+    every t_j adds its neighbour.
     """
-    r = den - num
-    tops, lefts, window, q = {}, [], [], 1
+    r, seed = den - num, num if bridge else 1  # r**0 in the window, times num on a bridge shell
+    tops, lefts, window, q = {}, [], [seed], den if bridge else 1
     rows0 = ks0 = tw0 = range(0)  # the runs of the shell before
+    lo0 = -1  # as if shell -1 held the window [seed] at d = -1
+
+    def sums(i: int):
+        j, t = (i - rows.start) * len(ks), tops[i]
+        return t[ks.start :] if own else t, window[i + ks.start - lo : i + ks.stop - lo], lefts[j : j + len(ks)]
+
     for s, (rows, ks) in enumerate(shells):
-        tw, reach = range(ks.stop) if own else ks, rows[-1] + ks.stop  # the top window, one past the widest i+k
-        if not s:  # (1 - num*x)**0 over the top window, (r + num*x)**0 over the rows
-            born_top, born_left = [int(j == 0) for j in tw], [int(i == 0) for i in rows]
+        if rows == rows0 and ks == ks0 and s > reach:  # the steady step
+            window, lefts = [window[0] * r, *window[:-1]], [*map(operator.sub, lefts, [0] * len(ks) + lefts)]
+            tops = {i: [*map(operator.add, t, [0, *t])] for i, t in tops.items()}
         else:
-            if s in rows:
-                born_top = _next_top(born_top, tw0.start, tw, -1, -num)
-            if s < ks.stop:  # column s is born here or read later
-                cur, prev = _pairs(born_left, rows0.start, rows)
-                born_left = [*map(operator.add, map(num.__mul__, cur), map(r.__mul__, prev))]
-            window, q = [window[0] * r, *window[: reach - 1]], q * den
-        if reach > len(window):  # r**0 at d >= s
-            window += [1] * (reach - len(window))
-        if rows.start > rows0.start:  # the row a band leaves
-            del tops[rows0.start]
-        for i, t in tops.items():
-            tops[i] = _next_top(t, tw0.start, tw, s - 1 - i, r)
-        if s in (own or rows):
-            tops[s] = born_top
-        w0, held = len(ks0), lefts  # rows rows.start-1 .. rows.stop-1 of the shell before, 0 where it held none
-        if rows.start == rows0.start:
-            held = [0] * w0 + held
-        if rows.stop > rows0.stop:
-            held = held + [0] * w0 * (rows.stop - rows0.stop)
-        cut, born = ks.start - ks0.start, born_left if s in ks else []
-        if cut or born:  # a column dropped or born: row by row
-            lefts = []
-            for j in range(len(rows)):
-                lefts += map(operator.sub, held[(j + 1) * w0 + cut : (j + 2) * w0], held[j * w0 + cut : (j + 1) * w0])
+            tw, reach, lo = range(ks.stop) if own else ks, rows[-1] + ks.stop, min(rows.start + ks.start, s)
+            if not s:  # (1 - num*x)**0 over the top window, (r + num*x)**0 over the rows
+                born_top, born_left = [int(j == 0) for j in tw], [int(i == 0) for i in rows]
+            else:
+                if s in rows:
+                    born_top = _next_top(born_top, tw0.start, tw, -1, -num)
+                if s < ks.stop:  # column s is born here or read later
+                    cur, prev = _pairs(born_left, rows0.start, rows)
+                    born_left = [*map(operator.add, map(num.__mul__, cur), map(r.__mul__, prev))]
+            # Y at d = lo0 < s is r**(s-lo0), and at d > lo0 the Y of d-1 on the shell before
+            window = [window[0] * r, *window][lo - lo0 : reach - lo0]
+            window += [seed] * (reach - lo - len(window))  # r**0 at d >= s
+            if rows.start > rows0.start:  # the row a band leaves
+                del tops[rows0.start]
+            w0, held = len(ks0), lefts  # rows rows.start-1 .. rows.stop-1 of the shell before, 0 where it held none
+            if rows.start == rows0.start:
+                held = [0] * w0 + held
+            if rows.stop > rows0.stop:
+                held = held + [0] * w0 * (rows.stop - rows0.stop)
+            cut, born, lefts = ks.start - ks0.start, born_left if s in ks else [], []
+            steps = [*map(operator.sub, held[w0:], held)]  # each row less the row before it
+            for j in range(len(rows)):  # less the columns dropped, with the one born
+                lefts += steps[j * w0 + cut : (j + 1) * w0]
                 lefts += born[j : j + 1]
-        else:
-            lefts = [*map(operator.sub, held[w0:], held)]
-        yield tops, lefts, window, q
-        rows0, ks0, tw0 = rows, ks, tw
-
-
-def _shell_sums(num: int, den: int, shells: list, bridge: bool = False):
-    """Yield (rows, ks, q, sums) per shell (rows, ks) of the list shells,
-    read off _top_coefficient_walk: q = den**s and sums(i) the factors
-    (t's, Y's, V's) over k in ks of row i, U = t*Y and V the sums of
-    _cell_sums for the cells (i, s-i -> s-k) at eta = num/den, or with bridge
-    the squeezer's (i, k -> s-k), Y times num and q times den. A row's
-    factors are sliced only when asked for; sums lasts one step."""
-    for (rows, ks), (tops, lefts, window, q) in zip(shells, _top_coefficient_walk(num, den, shells)):
-        if bridge:  # num in U through the window, which a shell's rows share
-            window = [num * y for y in window]
-            q *= den
-
-        def sums(i: int):
-            j = (i - rows.start) * len(ks)
-            return tops[i], window[i + ks.start : i + ks.stop], lefts[j : j + len(ks)]
-
+            for i, t in tops.items():
+                tops[i] = _next_top(t, tw0.start, tw, s - 1 - i, r)
+            if s in (own or rows):
+                tops[s] = born_top
         yield rows, ks, q, sums
+        rows0, ks0, tw0, lo0, q = rows, ks, tw, lo, q * den
 
 
-def _row_values(tops: list[int], window: list[int], lefts: list[int], q: int | None) -> list:
-    """A row of _shell_sums's factors as its exact numerators t*(Y*V), or
-    given q as the quotients t*(Y*V) / q correctly rounded."""
-    products = map(operator.mul, window, lefts)
+def _row_values(t: list[int], y: list[int], v: list[int], q: int | None) -> list:
+    """A row of the walk's factors (t, Y, V) as its exact numerators
+    t*(Y*V), or given q as the quotients t*(Y*V) / q correctly rounded."""
+    products = map(operator.mul, y, v)
     if q is None:
-        return [*map(operator.mul, tops, products)]
-    return [*map(_rounded_quotient, tops, products, repeat(q))]
+        return [*map(operator.mul, t, products)]
+    return [*map(_rounded_quotient, t, products, repeat(q))]
 
 
 def _pairs(v: list[int], start: int, run: range) -> tuple[list[int], list[int]]:
@@ -413,8 +408,9 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
 def _tms_residual_rows(p: SqueezerParam, rows, cols):
     """Yield (i, k, r) for i in rows, then k in cols: r is
     normalization_residual(i, k, p), or the ConvergenceError it raises, from
-    one pass of _top_coefficient_walk. Each row keeps its own cutoff and tail
-    rule and drops out once it has settled. A cutoff past _STEP_BUDGET
+    one pass of _top_coefficient_walk, each term a cell of the factors its
+    sums gives once per row and shell. Each row keeps its own cutoff and
+    tail rule and drops out once it has settled. A cutoff past _STEP_BUDGET
     raises ConvergenceError before the walk."""
     lam = p.lam
     om, ratio = 1.0 - lam, 0.5 * (1.0 + lam)
@@ -426,19 +422,21 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
             f"squeezer row (i={i}, k={k}, lam={lam}) needs a cutoff n={n_cut}, past the {_STEP_BUDGET}-step budget"
         )
     # per row, the shells s = n+k of its first n, of the first n past the
-    # oscillatory head and structural zeros (where the tail rule starts), and
-    # of its cutoff
-    live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n_cut + k, []) for (i, k), n_cut in cuts.items()}
-    done = {}
+    # oscillatory head and structural zeros (where the tail rule starts) and
+    # of its cutoff, and the place of its column in the shell's columns
     low, high = min(cols), max(cols)
+    live = {(i, k): (max(i, k), max(0, i - k) + i + 2 * k + 2, n + k, k - low, []) for (i, k), n in cuts.items()}
+    done = {}
     held = range(max(rows) + 1)  # the rows below a scan's own rows carry its columns up
     shells = chain(((held, range(low, s + 1)) for s in range(high)), repeat((held, range(low, high + 1))))
-    for s, (tops, lefts, window, q) in enumerate(_top_coefficient_walk(num, den, shells, rows)):
-        width, q = min(high, s) + 1 - low, den * q
-        for (i, k), (first, settled, last, terms) in list(live.items()):
+    for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(num, den, shells, rows, bridge=True)):
+        row = None  # the row whose factors t, y, v were read last on this shell
+        for (i, k), (first, settled, last, c, terms) in list(live.items()):
             if s < first:
                 continue
-            terms.append(_rounded_quotient(num * tops[i][k] * lefts[i * width + k - low], window[i + k], q))
+            if i != row:
+                row, (t, y, v) = i, sums(i)
+            terms.append(_rounded_quotient(t[c] * v[c], y[c], q))
             if s >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
                 done[(i, k)] = abs(math.fsum(terms) - 1.0)
             elif s == last:
@@ -457,11 +455,12 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
 
 def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     """Yield (i, k, normalization_residual(i, k, p)) for every row with
-    i + k <= smax, in shell order, from one pass of _shell_sums.
+    i + k <= smax, in shell order, from one pass of _top_coefficient_walk.
     Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
     same correctly rounded floats, so math.fsum gives the same residual, and
     the rows i > k take it from their mirror instead of rounding their own."""
-    for s, (_, _, q, sums) in enumerate(_shell_sums(*_exact_ratio(p), [(range(s + 1),) * 2 for s in range(smax + 1)])):
+    shells = [(range(s + 1),) * 2 for s in range(smax + 1)]
+    for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(*_exact_ratio(p), shells)):
         half = [abs(math.fsum(_row_values(*sums(i), q)) - 1.0) for i in range(s // 2 + 1)]
         for i in range(s + 1):
             yield i, s - i, half[min(i, s - i)]

@@ -82,8 +82,8 @@ from .probabilities import (
     _exact_ratio,
     _partner_ratio,
     _row_values,
-    _shell_sums,
     _term_range,
+    _top_coefficient_walk,
 )
 
 __all__ = [
@@ -407,7 +407,7 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
 
 def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Direct-route table from the exact factored sums U*V/Q, read off the
-    top-coefficient walk (_shell_sums) on every shell s = i+k: float rows
+    walk's factors (t, Y, V), U = t*Y, on every shell s = i+k: float rows
     are the exact values rounded once, bit for bit those of bs_prob_direct;
     rational rows hold U*V and equal bs_prob_exact. A float row that _halves
     mirrors is not rounded but copied, reversed, from row (k, i): both hold
@@ -416,7 +416,7 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
     num, den = _exact_ratio(p)
     shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
-    for s, (rows, _, q, sums) in enumerate(_shell_sums(num, den, shells)):
+    for s, (rows, _, q, sums) in enumerate(_top_coefficient_walk(num, den, shells)):
         shell, mirrored = t.shell(s), _halves(s, rows.start, rows[-1])[2] if t.den is None else range(0)
         q = q if t.den is None else None
         for j, i in enumerate(rows):
@@ -475,14 +475,14 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
     """Squeezer table through the reversal route, every bridge shell s = k+n
-    read off the top-coefficient walk (_shell_sums) on its band: cell
+    read off the walk's factors on its band, with num in Y: cell
     (i, k -> n) is num*U*V / den**(s+1) for 1 - lam = num/den, the sums of
     _cell_sums, zero below n = max(0, i-k). Rational rows equal
     tms_prob_exact, float rows tms_prob bit for bit."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
     num, den = _partner_ratio(p)
     shells = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in range(kmax + nmax + 1)]
-    for s, (rows, ks, q, sums) in enumerate(_shell_sums(num, den, shells, True)):
+    for s, (rows, ks, q, sums) in enumerate(_top_coefficient_walk(num, den, shells, bridge=True)):
         q = q if t.den is None else None
         t.band(s, ks.start, ks.stop - 1)[: len(rows)] = [_row_values(*sums(i), q) for i in rows]
     return t.frozen()
@@ -615,7 +615,7 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
 
     residual(i, k, j) is the integer row over the n of row (i, k),
     lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
-    the tildes sum products of table rows. Off _shell_sums, a
+    the tildes sum products of table rows. Off the walk's factors, a
     beam-splitter row holds U*V, B(i,k->n) times den**(i+k), and lead is 1;
     a squeezer row holds num*U*V, A(i,k->n) times den**(k+n+1), zero below
     n0 = max(0, i-k), and lead is num. So every

@@ -336,7 +336,7 @@ def test_convolution_tables_build_apart_from_the_factored_engine(monkeypatch):
 
     monkeypatch.setattr(probabilities, "_alternating_sum", refuse)
     monkeypatch.setattr(probabilities, "_top_coefficient_walk", refuse)
-    monkeypatch.setattr(recurrences, "_shell_sums", refuse)
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", refuse)
     floats = bs_table_convolution(25, 25, BeamSplitterParam(0.7))  # past total 32
     exact = bs_table_convolution(10, 10, BeamSplitterParam.from_value("1/3"), "rational")
     assert len(floats.entries) == 26 * 26 and len(exact.entries) == 11 * 11
@@ -354,48 +354,28 @@ def test_rational_convolution_rows_at_edge_transmittances(imax, kmax, eta):
         assert row == [bs_prob_exact(c, exact) for c in cells]
 
 
-class _CountedRows(dict):
-    """A shell's top vectors as the walk hands them over, counting the reads of each row."""
-
-    def __init__(self, tops):
-        super().__init__(tops)
-        self.reads = dict.fromkeys(tops, 0)
-
-    def __getitem__(self, i):
-        self.reads[i] += 1
-        return super().__getitem__(i)
-
-
 def _logged_walk(log):
     """_top_coefficient_walk, logging every shell it hands over as
-    (num, den, s, rows, ks, own, tops, lefts, window, q), tops counted."""
+    (num, den, s, rows, ks, q, cells, reads): cells maps (i, k) to the
+    factors (t, Y, V) that sums(i) gives at yield time, for every row of the
+    shell with a top vector, and reads counts the reader's calls of sums
+    per row."""
     walk = probabilities._top_coefficient_walk
 
-    def logged(num, den, shells, own=None):
-        runs = []
+    def logged(num, den, shells, own=None, bridge=False):
+        for s, (rows, ks, q, sums) in enumerate(walk(num, den, shells, own, bridge)):
+            held = [i for i in rows if i <= s and (own is None or i in own)]
+            cells = {(i, k): (t, y, v) for i in held for k, t, y, v in zip(ks, *sums(i))}
+            reads = dict.fromkeys(rows, 0)
+            log.append((num, den, s, rows, ks, q, cells, reads))
 
-        def noted():
-            for run in shells:
-                runs.append(run)
-                yield run
+            def counted(i, sums=sums, reads=reads):
+                reads[i] += 1
+                return sums(i)
 
-        for tops, lefts, window, q in walk(num, den, noted(), own):
-            tops = _CountedRows(tops)
-            log.append((num, den, len(runs) - 1, *runs[-1], own, tops, lefts, window, q))
-            yield tops, lefts, window, q
+            yield rows, ks, q, counted
 
     return logged
-
-
-def _walk_cells(entry):
-    """((i, k), X, Y) for every cell of a logged shell with a top vector:
-    X*Y is B(i, s-i -> s-k) times den**s at eta = num/den."""
-    _, _, s, rows, ks, own, tops, lefts, window, _ = entry
-    for j, i in enumerate(rows):
-        if dict.__contains__(tops, i):
-            top = dict.__getitem__(tops, i)
-            for k in ks:
-                yield (i, k), top[k - (0 if own else ks.start)] * lefts[j * len(ks) + k - ks.start], window[i + k]
 
 
 # Shapes: beam splitter square, 60x0, 0x60, 40x2, 2x40; squeezer kmax > nmax,
@@ -416,9 +396,10 @@ _WALK_VALUES = st.one_of(
 @example(value="-0.0")
 @example(value="0.999999999999")
 def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, value):
-    # Every (U*V, Q) the walk hands to a direct table or a scan is the single
-    # cell's, and a direct table reads each row it holds once: a float
-    # beam-splitter table reads no row that _halves mirrors.
+    # Every (U, V, Q) the walk hands to a direct table or a scan, U = t*Y, is
+    # the single cell's, and a direct table reads each row it holds once: a
+    # float beam-splitter table reads no row that _halves mirrors. A scan
+    # reads each of its rows at most once a shell.
     bs = len(shape) == 2
     if not bs and Fraction(value) >= 1:
         return
@@ -427,26 +408,28 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
     for precision in ["float", "rational"] if "/" in value else ["float"]:
         log = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(probabilities, "_top_coefficient_walk", _logged_walk(log))
+            mp.setattr(recurrences, "_top_coefficient_walk", _logged_walk(log))
             build = recurrences.bs_table_direct if bs else recurrences.tms_table_direct
             table = build(*shape, p, precision)
         held = []
-        for entry in log:
-            num, den, s, rows, ks, _, tops, _, _, q = entry
+        for num, den, s, rows, ks, q, cells, reads in log:
             mirrored = recurrences._halves(s, rows.start, rows[-1])[2] if bs and precision == "float" else ()
-            assert tops.reads == {i: int(i not in mirrored) for i in rows}, (s, precision)
-            for (i, k), x, y in _walk_cells(entry):
+            assert reads == {i: int(i not in mirrored) for i in rows}, (s, precision)
+            for (i, k), (t, y, v) in cells.items():
                 cell = PhotonConfig(i, s - i, s - k) if bs else PhotonConfig(i, k, s - k, Device.TMS)
-                u, v, want_q = probabilities._cell_sums(cell, device, num, den)
-                assert (x * y, q) == (u * v, want_q) if bs else (num * x * y, den * q) == (u * v, want_q)
+                assert (t * y, v, q) == probabilities._cell_sums(cell, device, num, den), (s, i, k)
                 held.append((cell.i, cell.k, cell.n))
         if bs:
             want = [(i, k, n) for i in range(shape[0] + 1) for k in range(shape[1] + 1) for n in range(i + k + 1)]
         else:  # as the squeezer windows of the walk that steps every row and column from shell 0
             want = [(i, k, n) for i in range(shape[0] + 1) for k in range(shape[1] + 1) for n in range(shape[2] + 1)]
+            num, den = probabilities._partner_ratio(p)
             stepped = top_coefficient_walk_stepped(num, den, range(shape[0] + 1), range(shape[1] + 1))
-            for entry, (cell, q) in zip(log, stepped):
-                assert entry[-1] == q and all(cell(i, k) == (x, y) for (i, k), x, y in _walk_cells(entry))
+            for (*_, q, cells, _), (cell, q_want) in zip(log, stepped):
+                assert q == den * q_want  # the bridge's num is in Y, its den in q
+                for (i, k), (t, y, v) in cells.items():
+                    x, w = cell(i, k)
+                    assert (t * v, y) == (x, num * w), (i, k)
         assert sorted(held) == sorted(c for c in want if PhotonConfig(*c, device).reachable)
         assert table.den is None or table.normalization_max_residual() == 0
     if not bs:  # a scan of two of the rows and one column, each of its cells as the table's
@@ -457,11 +440,11 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
                 list(probabilities._tms_residual_rows(p, [0, shape[0]], [shape[1]]))
             except ConvergenceError:  # a cutoff past the step budget: the walk never starts
                 assert not log
-        for entry in log:
-            num, den, s, *_ = entry
-            for (i, k), x, y in _walk_cells(entry):
-                u, v, want_q = probabilities._cell_sums(PhotonConfig(i, k, s - k, Device.TMS), device, num, den)
-                assert (num * x * y, den * entry[-1]) == (u * v, want_q)
+        for num, den, s, rows, ks, q, cells, reads in log:
+            assert max(reads.values()) <= 1, s
+            for (i, k), (t, y, v) in cells.items():
+                cell = PhotonConfig(i, k, s - k, Device.TMS)
+                assert (t * y, v, q) == probabilities._cell_sums(cell, device, num, den), (s, i, k)
 
 
 @pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
@@ -476,7 +459,7 @@ def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax,
     shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
     seen = []
     for bridge, device in ((False, Device.BS), (True, Device.TMS)):
-        for s, (rows, _, q, sums) in enumerate(probabilities._shell_sums(num, den, shells, bridge)):
+        for s, (rows, _, q, sums) in enumerate(probabilities._top_coefficient_walk(num, den, shells, bridge=bridge)):
             for i in rows:
                 seen.append((i, s - i))
                 got = [(t * y, v, q) for t, y, v in zip(*sums(i))]
@@ -562,16 +545,26 @@ _SCAN_LAMBDAS = st.one_of(
 )
 
 
+# Sets of rows and columns with gaps, and lowest columns above 0: the scan's
+# columns start at min(cols), above s on its first shells, where the walk's
+# power window must start at s.
+_SCAN_RUNS = st.sets(st.integers(0, 7), min_size=1, max_size=3)
+
+
 @settings(max_examples=12, deadline=None)
-@given(lam=_SCAN_LAMBDAS, rows=st.integers(0, 3), cols=st.integers(0, 3))
-@example(lam="0.37", rows=3, cols=3)
-@example(lam="0.8", rows=3, cols=3)
-@example(lam="0.95", rows=3, cols=3)
-@example(lam="1e-12", rows=3, cols=3)
+@given(lam=_SCAN_LAMBDAS, rows=_SCAN_RUNS, cols=_SCAN_RUNS)
+@example(lam="0.37", rows=range(4), cols=range(4))
+@example(lam="0.8", rows=range(4), cols=range(4))
+@example(lam="0.95", rows=range(4), cols=range(4))
+@example(lam="1e-12", rows=range(4), cols=range(4))
+@example(lam="0.8", rows={0, 3}, cols={5})
+@example(lam="0.5", rows={2, 6}, cols={4, 7})
+@example(lam="4/5", rows={2, 6}, cols={4, 7})
+@example(lam="0.95", rows={0, 7}, cols={3, 6})
 def test_batched_tms_rows_are_the_per_row_and_per_cell_residuals(lam, rows, cols):
     sp = SqueezerParam.from_value(lam)
-    got = list(probabilities._tms_residual_rows(sp, range(rows + 1), range(cols + 1)))
-    assert [(i, k) for i, k, _ in got] == [(i, k) for i in range(rows + 1) for k in range(cols + 1)]
+    got = list(probabilities._tms_residual_rows(sp, rows, cols))
+    assert [(i, k) for i, k, _ in got] == [(i, k) for i in rows for k in cols]
     for i, k, r in got:
         assert r == normalization_residual(i, k, sp) == normalization_residual_per_cell(i, k, sp), (i, k)
 

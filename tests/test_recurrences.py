@@ -784,7 +784,8 @@ def test_squeezer_cells_are_their_mode_swaps_when_kmax_is_nmax(imax, kmax, lam):
 # Squeezer direct tables walk each column from its first read shell and drop
 # it after its last, and a scan holds the top vectors of its own rows only:
 # every cell either reads is the cell of the walk that steps every row and
-# column from s = 0, also where k > imax and on thin shapes.
+# column from s = 0, also where k > imax and on thin shapes, and with bridge
+# that cell with num in Y and den in q.
 @pytest.mark.parametrize("imax, kmax, nmax", [(1, 60, 2), (0, 30, 0), (2, 25, 3), (3, 12, 4), (6, 6, 12), (8, 2, 20)])
 @pytest.mark.parametrize("lam", ["1/3", "2/5", "0.8"])
 def test_top_coefficient_walk_reads_the_cells_of_the_stepped_walk(imax, kmax, nmax, lam):
@@ -793,14 +794,16 @@ def test_top_coefficient_walk_reads_the_cells_of_the_stepped_walk(imax, kmax, nm
     band = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in totals]
     scan = [(rows, range(min(kmax, s) + 1)) for s in totals]
     for shells, own in ((band, None), (scan, rows)):
-        walk = probabilities._top_coefficient_walk(num, den, shells, own)
-        stepped = top_coefficient_walk_stepped(num, den, rows, cols)
-        for s, (held, ks), (tops, lefts, window, q), (want, q_want) in zip(totals, shells, walk, stepped):
-            assert q == q_want
-            for j, i in enumerate(held[: s + 1]):  # a scan's row holds a top vector from its birth shell i on
-                for k in ks:
-                    top = tops[i][k - (0 if own else ks.start)]
-                    assert (top * lefts[j * len(ks) + k - ks.start], window[i + k]) == want(i, k), (s, i, k)
+        for bridge in (False, True):
+            walk = probabilities._top_coefficient_walk(num, den, shells, own, bridge)
+            stepped = top_coefficient_walk_stepped(num, den, rows, cols)
+            seed = num if bridge else 1
+            for s, (held, ks, q, sums), (want, q_want) in zip(totals, walk, stepped):
+                assert q == q_want * den**bridge
+                for i in held[: s + 1]:  # a scan's row holds a top vector from its birth shell i on
+                    t, y, v = sums(i)
+                    cells = [(x, seed * w) for x, w in (want(i, k) for k in ks)]
+                    assert [(a * c, b) for a, b, c in zip(t, y, v)] == cells, (s, i, bridge)
 
 
 def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
@@ -1061,7 +1064,7 @@ def test_table_builders_reject_an_unknown_precision_or_a_negative_size(monkeypat
     def engine(*args, **kwargs):
         raise AssertionError("engine work began before the inputs were checked")
 
-    for name in ("_shell_sums", "_double_sum", "_photon_addition_shells"):
+    for name in ("_top_coefficient_walk", "_double_sum", "_photon_addition_shells"):
         monkeypatch.setattr(recurrences, name, engine)
     with pytest.raises(ValueError):
         build(*args)

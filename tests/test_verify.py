@@ -45,33 +45,31 @@ def _tms_cell(key, step):
 
 
 def _with_moved_cell(ratio, at, by=1):
-    """_top_coefficient_walk, with the exact numerator t*Y*u of its cell
+    """_top_coefficient_walk, with the exact numerator t*Y*V of its cell
     at = (s, i, k) moved by `by` at num/den = ratio, and every other cell
-    as it was: the moved cell takes t = t*Y*u + by, Y = 1 and u = 1, and
-    the other cells on the same power window[i+k] fold it into t."""
+    as it was: on shell s, sums(i) gives the moved cell the factors
+    (t*Y*V + by, 1, 1)."""
     walk = probabilities._top_coefficient_walk
     s, i, k = at
 
-    def moved(num, den, shells, own=None):
-        runs = []
-
-        def noted():
-            for run in shells:
-                runs.append(run)
-                yield run
-
-        for shell, (tops, lefts, window, q) in enumerate(walk(num, den, noted(), own)):
+    def moved(num, den, shells, own=None, bridge=False):
+        for shell, (rows, ks, q, sums) in enumerate(walk(num, den, shells, own, bridge)):
             if (num, den) == ratio and shell == s:
-                rows, ks = runs[-1]
-                a, d = 0 if own else ks.start, i + k
-                tops, lefts, window = {r: list(t) for r, t in tops.items()}, list(lefts), list(window)
-                for row, t in tops.items():
-                    if row != i and d - row in ks:
-                        t[d - row - a] *= window[d]
-                at_left = (i - rows.start) * len(ks) + k - ks.start
-                tops[i][k - a] = tops[i][k - a] * window[d] * lefts[at_left] + by
-                lefts[at_left] = window[d] = 1
-            yield tops, lefts, window, q
+                sums = _moved_row(sums, i, k - ks.start, by)
+            yield rows, ks, q, sums
+
+    return moved
+
+
+def _moved_row(sums, i, c, by):
+    """sums, with the factors of entry c of row i made (t*Y*V + by, 1, 1);
+    every row comes as copies, as the walk's own lists must not change."""
+
+    def moved(row):
+        t, y, v = map(list, sums(row))
+        if row == i:
+            t[c], y[c], v[c] = t[c] * y[c] * v[c] + by, 1, 1
+        return t, y, v
 
     return moved
 
@@ -125,7 +123,7 @@ def test_exact_identity_suites_pass():
 
 
 def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    monkeypatch.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
     failures = _identity_failures(verify.run_suite("recurrence-bs"), "eta=1/4")
     table = bs_table_direct(8, 8, BeamSplitterParam.from_value("1/4"), "rational")
     want = {}
@@ -140,7 +138,7 @@ def test_recurrence_bs_reports_the_fraction_residual_of_a_wrong_entry(monkeypatc
 
 
 def test_recurrence_tms_reports_the_fraction_residual_of_a_wrong_entry(monkeypatch):
-    monkeypatch.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell((1, 2), _tms_cell((2, 3), 1)))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 2), _tms_cell((2, 3), 1)))
     failures = _identity_failures(verify.run_suite("recurrence-tms"), "lam=1/2")
     table = tms_table_direct(6, 12, 6, SqueezerParam.from_value("1/2"), "rational")
     want = {}
@@ -158,7 +156,7 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
     # Passing cases are counted without building their text; a failing one
     # still reports the signed Fraction residual in loop order (eta, i, k, j, n).
     cases = verify.run_suite("recurrence-bs").cases
-    monkeypatch.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell((1, 4), _bs_cell((3, 2), 2)))
     result = verify.run_suite("recurrence-bs")
     assert result.cases == cases
     identity = [f for f in result.failures if _CELL.fullmatch(f.indices)]
@@ -217,7 +215,7 @@ def test_a_negative_engine_entry_raises_instead_of_wrapping(monkeypatch):
     third = BeamSplitterParam.from_value("1/3")
     uv = bs_table_direct(4, 4, third, "rational").span(3, 2)[2]
     moved = _with_moved_cell((1, 3), _bs_cell((3, 2), 2), -uv - 1)  # entry -1
-    monkeypatch.setattr(probabilities, "_top_coefficient_walk", moved)
+    monkeypatch.setattr(recurrences, "_top_coefficient_walk", moved)
     with pytest.raises(OverflowError):
         recurrences._identity_residual_rows(third, 4, 4)
 
@@ -238,7 +236,7 @@ _BS_CELLS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
     p = BeamSplitterParam.from_value(eta)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell(p.eta_exact.as_integer_ratio(), _bs_cell(*cell)))
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(p.eta_exact.as_integer_ratio(), _bs_cell(*cell)))
         table = bs_table_direct(5, 5, p, "rational")
         den, _, residual = recurrences._identity_residual_rows(p, 5, 5)
     for i in range(6):
@@ -268,7 +266,7 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
     sp = SqueezerParam.from_value(lam)
     with pytest.MonkeyPatch.context() as mp:
         ratio = (1 - sp.lam_exact).as_integer_ratio()
-        mp.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell(ratio, _tms_cell(*cell)))
+        mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(ratio, _tms_cell(*cell)))
         table = tms_table_direct(5, 10, 5, sp, "rational")
         den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
     for i in range(6):
@@ -330,7 +328,7 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     below = 0
     for by in (1, widest):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(probabilities, "_top_coefficient_walk", _with_moved_cell(target.as_integer_ratio(), at, by))
+            mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(target.as_integer_ratio(), at, by))
             den, holds, residual = recurrences._identity_residual_rows(p, *sizes)
             lead, _, rows = _engine_rows(p, *sizes)
         failing = 0
