@@ -22,6 +22,7 @@ import csv
 import errno
 import io
 import json
+import math
 import operator
 import os
 import stat
@@ -34,6 +35,7 @@ import click
 from .asymptotics import convergence_report
 from .errors import DomainError
 from .genfun import GenFunPoint, diagonal_gf_bs, eval_f_bs, eval_f_tms, eval_g_bs, eval_g_tms
+from .numerics import log_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import bs_prob_direct, bs_prob_double_sum, bs_prob_exact, tms_prob, tms_prob_exact
 from .recurrences import (
@@ -53,10 +55,11 @@ _NORMALIZATION_TOLERANCE = 1e-10
 # Largest table a command builds, in entries (80 MB as float64), checked
 # before any allocation.
 _MAX_TABLE_ENTRIES = 10_000_000
-# Most terms a rational double sum (prob --method convolution --precision
-# rational) takes: (999, 999, 999) at 1/3 has 10**6 and takes about 7 s on a
-# 2-vCPU x86_64 Xeon VM (Python 3.11).
-_MAX_DOUBLE_SUM_TERMS = 1_000_000
+# Most work a rational double sum (prob --method convolution --precision
+# rational) takes, in terms times the bits of its largest term: (999, 999,
+# 999) at 1/3, 10**6 terms of at most 5983 bits, takes about 7 s on a 2-vCPU
+# x86_64 Xeon VM (Python 3.11).
+_MAX_DOUBLE_SUM_WORK = 5_982_383_802
 
 
 def _param(device: str, eta: str | None, lam: str | None, rational: bool = False) -> BeamSplitterParam | SqueezerParam:
@@ -73,13 +76,6 @@ def _param(device: str, eta: str | None, lam: str | None, rational: bool = False
         return (BeamSplitterParam if bs else SqueezerParam).from_value(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad parameter {text!r}: {exc}") from exc
-
-
-def _config(i: int, k: int, n: int, device: Device) -> PhotonConfig:
-    try:
-        return PhotonConfig(i, k, n, device)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
 
 
 def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None, what: str = "the table") -> None:
@@ -207,24 +203,23 @@ def _note(record: dict) -> None:
 
 @main.command()
 @click.option("--device", type=click.Choice(["bs", "tms"]), required=True)
-@click.option("--i", "i", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@click.option("--i", "i", type=click.IntRange(min=0), required=True)
+@click.option("--k", "k", type=click.IntRange(min=0), required=True)
+@click.option("--n", "n", type=click.IntRange(min=0), required=True)
 @click.option("--eta", default=None, help="transmittance, decimal or p/q")
 @click.option("--lambda", "lam", default=None, help="squeezing parameter, decimal or p/q")
 @click.option("--method", type=click.Choice(["direct", "convolution"]), default="direct")
 def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, method: str) -> None:
     """Print one transition amplitude."""
     param = _param(device, eta, lam)
-    pc = _config(i, k, n, Device(device))
-    click.echo(repr(_amplitude(pc, param, method)))
+    click.echo(repr(_amplitude(PhotonConfig(i, k, n, Device(device)), param, method)))
 
 
 @main.command()
 @click.option("--device", type=click.Choice(["bs", "tms"]), required=True)
-@click.option("--i", "i", type=int, required=True)
-@click.option("--k", "k", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
+@click.option("--i", "i", type=click.IntRange(min=0), required=True)
+@click.option("--k", "k", type=click.IntRange(min=0), required=True)
+@click.option("--n", "n", type=click.IntRange(min=0), required=True)
 @click.option("--eta", default=None)
 @click.option("--lambda", "lam", default=None)
 @click.option("--precision", type=click.Choice(["float", "rational"]), default="float")
@@ -235,7 +230,7 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
         precision, method = "rational", "direct"
     rational, bs = precision == "rational", device == "bs"
     param = _param(device, eta, lam, rational)
-    pc = _config(i, k, n, Device(device))
+    pc = PhotonConfig(i, k, n, Device(device))
     if method == "recurrence":
         value = _build_table(device, method, i, k, n, param, precision).value(i, k, n)
     elif method == "convolution" and rational:
@@ -244,10 +239,15 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
                 "squeezer amplitudes are irrational; rational precision supports "
                 "direct, exact and recurrence methods"
             )
-        terms = max(0, min(i, n) - max(0, n - k) + 1) ** 2
-        if terms > _MAX_DOUBLE_SUM_TERMS:
-            raise click.UsageError(f"the double sum of (i={i}, k={k}, n={n}) would take {terms} terms, "
-                                   f"above the limit of {_MAX_DOUBLE_SUM_TERMS}")
+        lo, hi = max(0, n - k), min(i, n)  # m and j run over lo..hi, so e = k-n+m+j
+        (a, b), terms, bits = param.eta_exact.as_integer_ratio(), max(0, hi - lo + 1) ** 2, 0.0
+        if terms:  # Vandermonde bounds the binomials; a**e (b-a)**(i+k-e) is largest at an end of e
+            logs = math.log2(max(a, 1)), math.log2(max(b - a, 1))  # a zero factor makes its terms 0
+            power = max(e * logs[0] + (i + k - e) * logs[1] for e in (k - n + 2 * lo, k - n + 2 * hi))
+            bits = (log_binomial(i + k, n) + log_binomial(i + k, i)) / math.log(2) + power
+        if terms * bits > _MAX_DOUBLE_SUM_WORK:
+            raise click.UsageError(f"the double sum of (i={i}, k={k}, n={n}) would take {terms} terms of up to "
+                                   f"{math.ceil(bits)} bits, above the limit of {_MAX_DOUBLE_SUM_WORK} term-bits")
         value = bs_prob_double_sum(i, k, n, param.eta_exact)
     elif method == "convolution":
         a = _amplitude(pc, param, method)
@@ -304,9 +304,9 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
 
 @main.command()
 @click.option("--device", type=click.Choice(["bs", "tms"]), required=True)
-@click.option("--imax", type=int, required=True)
-@click.option("--kmax", type=int, required=True)
-@click.option("--nmax", type=int, default=None, help="output cutoff, squeezer tables only")
+@click.option("--imax", type=click.IntRange(min=0), required=True)
+@click.option("--kmax", type=click.IntRange(min=0), required=True)
+@click.option("--nmax", type=click.IntRange(min=0), default=None, help="output cutoff, squeezer tables only")
 @click.option("--eta", default=None)
 @click.option("--lambda", "lam", default=None)
 @click.option("--precision", type=click.Choice(["float", "rational"]), default="float")
@@ -316,18 +316,13 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
 def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> None:
     """Build a probability table and write it as CSV or JSON."""
     _check_out(out)
-    if imax < 0 or kmax < 0:
-        raise click.UsageError("table sizes must be nonnegative")
     if method == "exact":
         precision, method = "rational", "direct"
     param = _param(device, eta, lam, precision == "rational")
     if device == "bs" and nmax is not None:
         raise click.UsageError("--nmax applies to squeezer tables only")
-    if device == "tms":
-        if nmax is None:
-            raise click.UsageError("--nmax is required for squeezer tables")
-        if nmax < 0:
-            raise click.UsageError("table sizes must be nonnegative")
+    if device == "tms" and nmax is None:
+        raise click.UsageError("--nmax is required for squeezer tables")
     started = time.perf_counter()
     t = _build_table(device, method, imax, kmax, nmax, param, precision)
     built = time.perf_counter()
@@ -392,17 +387,15 @@ def verify(suite, out) -> None:
     type=click.Choice(["hom-sweep", "tms-sweep", "diag-asymptotic", "quantum-classical"]),
     required=True,
 )
-@click.option("--steps", type=int, default=101)
-@click.option("--i", "i", type=int, default=100,
+@click.option("--steps", type=click.IntRange(min=2), default=101)
+@click.option("--i", "i", type=click.IntRange(min=0), default=100,
               help="equal input count (diag-asymptotic) or input a count (quantum-classical)")
-@click.option("--k", "k", type=int, default=None, help="input b count for quantum-classical")
+@click.option("--k", "k", type=click.IntRange(min=0), default=None, help="input b count for quantum-classical")
 @click.option("--eta", default="1/2", help="transmittance for quantum-classical")
 @click.option("--out", type=click.Path(), default=None)
 def plotdata(kind, steps, i, k, eta, out) -> None:
     """Emit plot-ready CSV curves (suppression sweeps, asymptotic overlays,
     quantum versus distinguishable-photon output distributions)."""
-    if steps < 2:
-        raise click.UsageError("--steps must be at least 2")
     _check_out(out)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -412,8 +405,6 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
         for x, v in sweep(steps):
             writer.writerow([repr(x), repr(v)])
     elif kind == "quantum-classical":
-        if i < 0 or (k is not None and k < 0):
-            raise click.UsageError("photon counts must be nonnegative")
         k = i if k is None else k
         products = (i + 1) * (k + 1)  # the classical row's convolution of two binomial rows
         if products > _MAX_TABLE_ENTRIES:

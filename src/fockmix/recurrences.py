@@ -23,11 +23,15 @@ checkable identities only; j=1 costs O(1) per cell, general j does not.
 
 Swapping the two modes fixes the beam splitter's probabilities,
 B(i,k->n) = B(k,i->i+k-n), the d-matrix symmetry d^j_{m'm} = d^j_{-m,-m'}
-of its SU(2) blocks, so row (k, i) is row (i, k) reversed. Where a shell
-holds both rows of a pair over a window of n closed under n -> s-n (every
-beam-splitter shell, and a squeezer band that is a whole shell), the fill
-steps one row of each pair and copies the other reversed, and the float
-direct table rounds one; the rows of thin tables have no held mirror.
+of its SU(2) blocks, so row (k, i) is row (i, k) reversed. The five-term
+and direct fills read their shells off ProbabilityTable._shells, and
+_halves alone decides the mirror: where a shell holds both rows of a pair
+over a window of n closed under n -> s-n (every beam-splitter shell, and a
+squeezer band that is a whole shell), they compute one row of each pair
+and copy the other reversed, in both precisions, bit for bit the row's own
+value. Thin tables hold no such pair. The convolution table computes every
+row, so verify's exact route checks test each copied row against its own
+double sum.
 
 Every table a builder returns is one ProbabilityTable, which owns one
 read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
@@ -174,9 +178,21 @@ class ProbabilityTable(Mapping):
         """Beam-splitter shell s as the block [i - lo, n] of the buffer."""
         return self.buffer[self._offsets[s] : self._offsets[s + 1]].reshape(-1, s + 1)
 
-    def band(self, s: int, lo: int, hi: int) -> np.ndarray:
-        """Squeezer bridge shell s for lo <= k <= hi: the cells (i, k -> s-k) at [i, k - lo]."""
-        return self.buffer[:, lo * self.nmax + s : hi * self.nmax + s + 1 : max(self.nmax, 1)]
+    def _shells(self) -> list:
+        """One (view, r, c) per shell s, the cell (i, s-i -> n) at
+        view[i - r, n - c]: the beam-splitter block shell(s), or the squeezer
+        bridge shell s = k+n, its cells (i, k -> s-k) for i <= min(imax, s)
+        and n from c = max(0, s-kmax) to min(s, nmax), as one strided slice
+        of the grid with k falling (cell (i, k, s-k) at column k*nmax + s)."""
+        imax, kmax, nmax = self.imax, self.kmax, self.nmax
+        if nmax is None:
+            return [(self.shell(s), max(0, s - kmax), 0) for s in range(imax + kmax + 1)]
+        views, step, grid = [], max(nmax, 1), self.buffer
+        for s in range(kmax + nmax + 1):  # conditionals, not min and max: this runs once a shell
+            top, stop = (kmax if s > kmax else s) * nmax + s, (s - nmax if s > nmax else 0) * nmax + s - step
+            view = grid[: (imax if s > imax else s) + 1, top : stop if stop >= 0 else None : -step]
+            views.append((view, 0, s - kmax if s > kmax else 0))
+        return views
 
     def _row(self, key):
         """key as the ints (i, k) of a row the table holds, else None: a key
@@ -325,12 +341,17 @@ def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
     return slice(lo - c, max(lo, hi) - c), slice(lo - c_src - shift, max(lo, hi) - c_src - shift)
 
 
-def _halves(s: int, r: int, last: int) -> tuple:
-    """(lo, hi, mirrored) for shell s holding rows r..last over an n window
-    closed under n -> s-n, where row i is row s-i reversed (B(i, k -> n) =
-    B(k, i -> i+k-n)). The rows whose mirror is held reach row r or row
-    last, and the half of them at that end is mirrored: i < s-i from row r,
-    else i > s-i up to row last. So the stepped rows lo..hi are one run."""
+def _halves(s: int, shell: np.ndarray, r: int, c: int) -> tuple:
+    """(lo, hi, mirrored) for shell s viewed as shell[i - r, n - c]: a fill
+    computes rows lo..hi, then writes each row i in mirrored as row s-i
+    reversed (B(i, k -> n) = B(k, i -> i+k-n)). mirrored is None, and
+    lo..hi every row, when the shell holds no pair i < s-i or its n window
+    is not closed under n -> s-n. Otherwise the rows whose mirror is held
+    reach row r or the last row, and the half of them at that end is
+    mirrored (i < s-i from row r, else i > s-i), so lo..hi is one run."""
+    last = r + len(shell) - 1
+    if 2 * c + shell.shape[1] - 1 != s or not 2 * r < s < 2 * last:
+        return r, last, None
     if s - last <= r:
         mirrored = range(r, min(last, s - r, (s - 1) // 2) + 1)
         return max(r, mirrored.stop), last, mirrored
@@ -342,26 +363,23 @@ def _mirror(work: np.ndarray, s: int, r: int, rows: range) -> None:
     work[rows.start - r : rows.stop - r] = work[s - rows.stop + 1 - r : s - rows.start + 1 - r][::-1, ::-1]
 
 
-def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, shells: list) -> ProbabilityTable:
+def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> ProbabilityTable:
     """Fill t by the beam splitter's five-term step, shell s after shell:
     om up + eta left, + (eta up + om left) one n up, - one * one * diag, each
-    term over the n its source shell holds. shells[s] = (shell, r, c) views
-    t's buffer as lead times the cells (i, s-i -> n) at [i - r, n - c], at
-    the _carrier coefficients weights = (eta, om, one). Shell 0 holds lead,
-    the vacuum cell. At the vacuum edge the step drops its k-1 terms: rows
-    i = 0 and i = s are y below[n] + x below[n-1] from row min(i, s-1) of
-    shell s-1, for seeds = ((x, y) of row 0, (x, y) of row s), so lead
-    C(s, n) x**n y**(s-n) by Pascal's rule. A shell not contiguous in the
-    buffer is worked in an array of its own.
+    term over the n its source shell holds. On t._shells(), the views
+    (shell, r, c) of lead times the cells (i, s-i -> n) at [i - r, n - c],
+    at the _carrier coefficients weights = (eta, om, one). Shell 0 holds
+    lead, the vacuum cell. At the vacuum edge the step drops its k-1 terms:
+    rows i = 0 and i = s are y below[n] + x below[n-1] from row
+    min(i, s-1) of shell s-1, for seeds = ((x, y) of row 0, (x, y) of row
+    s), so lead C(s, n) x**n y**(s-n) by Pascal's rule. A shell not
+    contiguous in the buffer is worked in an array of its own.
 
-    The step is symmetric under swapping the modes: in a shell whose n window
-    is closed under n -> s-n (c + c+width-1 = s), half of the rows whose
-    mirror row s-i is held are not stepped (_halves). The other rows are
-    stepped, seeded and clipped, and each mirrored row is then row s-i
-    reversed, one slice copy (_mirror). Elsewhere (the shells of thin
-    tables, squeezer bands cut by kmax or nmax) every row is stepped."""
+    The step is symmetric under swapping the modes: only the rows lo..hi
+    that _halves gives are stepped, seeded and clipped, and each mirrored
+    row is then row s-i reversed, one slice copy (_mirror)."""
     eta, om, one = weights
-    dtype, rational = t.buffer.dtype, t.den is not None
+    dtype, rational, shells = t.buffer.dtype, t.den is not None, t._shells()
     scratch, views = np.empty((2, max(shell.size for shell, _, _ in shells)), dtype), {}
 
     def spare(shape: tuple) -> list:  # two scratch arrays of that shape, the views made once per shape
@@ -371,10 +389,7 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
     below[0][...] = lead
     for s, (shell, r, c) in enumerate(shells[1:], 1):
         work = shell if shell.flags.c_contiguous else np.zeros(shell.shape, dtype)
-        width, last = shell.shape[1], r + len(shell) - 1
-        lo, hi, mirrored = r, last, None
-        if 2 * r < s < 2 * last and 2 * c + width - 1 == s:  # a held pair i < s-i, and n -> s-n in the window
-            lo, hi, mirrored = _halves(s, r, last)
+        width, (lo, hi, mirrored) = shell.shape[1], _halves(s, shell, r, c)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, s-i >= 1
         if g0 <= g1:
             (prev, r1, c1), (prev2, r2, c2) = below, below2
@@ -405,26 +420,33 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple, she
     return t.frozen()
 
 
-def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
-    """Direct-route table from the exact factored sums U*V/Q, read off the
-    walk's factors (t, Y, V), U = t*Y, on every shell s = i+k: float rows
-    are the exact values rounded once, bit for bit those of bs_prob_direct;
-    rational rows hold U*V and equal bs_prob_exact. A float row that _halves
-    mirrors is not rounded but copied, reversed, from row (k, i): both hold
-    the same exact values, so the copy is its rounding bit for bit. Rounding
-    is what the copy saves; rational rows keep their own."""
-    t = ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax)
-    num, den = _exact_ratio(p)
-    shells = [(range(max(0, s - kmax), min(imax, s) + 1), range(s + 1)) for s in range(imax + kmax + 1)]
-    for s, (rows, _, q, sums) in enumerate(_top_coefficient_walk(num, den, shells)):
-        shell, mirrored = t.shell(s), _halves(s, rows.start, rows[-1])[2] if t.den is None else range(0)
+def _direct_fill(t: ProbabilityTable, num: int, den: int, bridge: bool = False) -> ProbabilityTable:
+    """Fill the table t from _top_coefficient_walk at eta = num/den (with
+    bridge, the squeezer's cells) on t._shells(): shell s = (shell, r, c)
+    holds rows r..r+len-1 and k from s-c-width+1 to s-c, the walk's runs.
+    The rows lo..hi of _halves are one assignment over k rising (n falling)
+    of the row factors (t, Y, V) as numerators t*(Y*V) (rational) or their
+    quotients by q rounded once (float); each mirrored row is then row s-i
+    reversed, the same exact values, so the same bytes."""
+    shells = t._shells()
+    runs = [(range(r, r + len(v)), range(s - c + 1 - v.shape[1], s - c + 1)) for s, (v, r, c) in enumerate(shells)]
+    walk = _top_coefficient_walk(num, den, runs, bridge=bridge)
+    for s, ((shell, r, c), (_, _, q, sums)) in enumerate(zip(shells, walk)):
+        lo, hi, mirrored = _halves(s, shell, r, c)
         q = q if t.den is None else None
-        for j, i in enumerate(rows):
-            if i not in mirrored:  # the cells over k = s-n, so n runs backwards
-                shell[j, ::-1] = _row_values(*sums(i), q)
+        shell[lo - r : hi + 1 - r, ::-1] = [_row_values(*sums(i), q) for i in range(lo, hi + 1)]
         if mirrored:
-            _mirror(shell, s, rows.start, mirrored)
+            _mirror(shell, s, r, mirrored)
     return t.frozen()
+
+
+def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
+    """Direct-route table from the exact factored sums U*V/Q on every shell
+    s = i+k (_direct_fill): float rows are the exact values rounded once,
+    bit for bit those of bs_prob_direct; rational rows hold U*V and equal
+    bs_prob_exact. Row (k, i) of a shell that holds both is row (i, k)
+    reversed, copied in both precisions."""
+    return _direct_fill(ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax), *_exact_ratio(p))
 
 
 def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
@@ -469,38 +491,30 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
     (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))
-    shells = [(t.shell(s), max(0, s - kmax), 0) for s in range(imax + kmax + 1)]
-    return _five_term_fill(t, (eta, om, one), 1, ((om, one - om), (eta, one - eta)), shells)
+    return _five_term_fill(t, (eta, om, one), 1, ((om, one - om), (eta, one - eta)))
 
 
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """Squeezer table through the reversal route, every bridge shell s = k+n
-    read off the walk's factors on its band, with num in Y: cell
-    (i, k -> n) is num*U*V / den**(s+1) for 1 - lam = num/den, the sums of
-    _cell_sums, zero below n = max(0, i-k). Rational rows equal
-    tms_prob_exact, float rows tms_prob bit for bit."""
+    """Squeezer table through the reversal route (_direct_fill on the
+    bridge shells s = k+n, with num in Y): cell (i, k -> n) is
+    num*U*V / den**(s+1) for 1 - lam = num/den, the sums of _cell_sums,
+    zero below n = max(0, i-k). Rational rows equal tms_prob_exact, float
+    rows tms_prob bit for bit. A band that is a whole shell copies one row
+    of each mirror pair, in both precisions."""
     t = ProbabilityTable(Device.TMS, p, "direct", precision, imax, kmax, nmax)
-    num, den = _partner_ratio(p)
-    shells = [(range(min(imax, s) + 1), range(max(0, s - nmax), min(kmax, s) + 1)) for s in range(kmax + nmax + 1)]
-    for s, (rows, ks, q, sums) in enumerate(_top_coefficient_walk(num, den, shells, bridge=True)):
-        q = q if t.den is None else None
-        t.band(s, ks.start, ks.stop - 1)[: len(rows)] = [_row_values(*sums(i), q) for i in rows]
-    return t.frozen()
+    return _direct_fill(t, *_partner_ratio(p), bridge=True)
 
 
 def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
-    """The five-term fill (_five_term_fill) on a band of each bridge shell
-    s = k+n: cell (i, k -> n) is (1-lam) B(i, s-i -> n) at eta = 1-lam for
-    i <= min(imax, s) and n in [max(0, s-kmax), min(s, nmax)], t.band(s, ...)
-    read with k reversed, at the weights (1.0-lam, lam), or (q-p, p, q) for
-    lam = p/q. Rows are complete only once the last shell is stored."""
+    """The five-term fill (_five_term_fill) on the band of each bridge shell
+    s = k+n (ProbabilityTable._shells): cell (i, k -> n) is
+    (1-lam) B(i, s-i -> n) at eta = 1-lam for i <= min(imax, s) and n in
+    [max(0, s-kmax), min(s, nmax)], at the weights (1.0-lam, lam), or
+    (q-p, p, q) for lam = p/q. Rows are complete only once the last shell
+    is stored."""
     t = ProbabilityTable(Device.TMS, p, "recurrence", precision, imax, kmax, nmax)
     lam, eta, one = _carrier(_param_of(p, precision))
-    shells = [
-        (t.band(s, max(0, s - nmax), min(kmax, s))[: min(imax, s) + 1, ::-1], 0, max(0, s - kmax))
-        for s in range(kmax + nmax + 1)
-    ]
-    return _five_term_fill(t, (eta, lam, one), eta, ((lam, eta), (eta, lam)), shells)
+    return _five_term_fill(t, (eta, lam, one), eta, ((lam, eta), (eta, lam)))
 
 
 def _entry(row: np.ndarray, n: int):

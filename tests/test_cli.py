@@ -78,6 +78,8 @@ def test_amp_usage_errors():
                "--lambda", "1.5").exit_code == 2
     assert run("amp", "--device", "bs", "--i", "-1", "--k", "1", "--n", "1",
                "--eta", "0.5").exit_code == 2
+    assert run("prob", "--device", "bs", "--i", "1", "--k", "1", "--n", "-1",
+               "--eta", "0.5").exit_code == 2
 
 
 def test_prob_rational_outputs():
@@ -424,6 +426,8 @@ def test_table_refuses_an_nmax_for_the_beam_splitter(nmax):
 def test_table_bad_sizes():
     r = run("table", "--device", "bs", "--imax", "-2", "--kmax", "1", "--eta", "0.5")
     assert r.exit_code == 2
+    r = run("table", "--device", "tms", "--imax", "1", "--kmax", "1", "--nmax", "-1", "--lambda", "0.5")
+    assert r.exit_code == 2
 
 
 @pytest.mark.parametrize("literal", ["abc", "1/0", "1.5/2"])
@@ -694,8 +698,11 @@ def test_rational_double_sum_prints_its_fraction(i, k, n, eta, printed):
     assert r.exit_code == 0 and r.output == printed + "\n"
 
 
-def test_rational_double_sum_refuses_a_cell_above_the_term_limit_before_any_work(monkeypatch):
-    # The cell (i, k, n) sums (min(i, n) - max(0, n-k) + 1)**2 terms.
+def test_rational_double_sum_refuses_a_cell_above_the_work_limit_before_any_work(monkeypatch):
+    # The cell (i, k, n) sums (min(i, n) - max(0, n-k) + 1)**2 terms, each of
+    # at most log2 C(i+k, n) + log2 C(i+k, i) bits of binomials plus the bits
+    # of the largest power a**e (b-a)**(i+k-e) at eta = a/b. (999, 100000,
+    # 999) has as many terms as (999, 999, 999), but three times the bits.
     def summed(i, k, n, eta):
         return Fraction(1, 7)
 
@@ -705,15 +712,20 @@ def test_rational_double_sum_refuses_a_cell_above_the_term_limit_before_any_work
     monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", summed)
     assert run(*_DOUBLE_SUM_ARGS, "--i", "999", "--k", "999", "--n", "999", "--eta", "1/3").output == "1/7\n"
     assert run(*_DOUBLE_SUM_ARGS, "--i", "5000", "--k", "0", "--n", "5000", "--eta", "1/3").output == "1/7\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "50000", "--n", "500", "--eta", "1/3").output == "1/7\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "500", "--n", "500", "--eta", "1/999983").output == "1/7\n"
     monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", refuse)
-    r = run(*_DOUBLE_SUM_ARGS, "--i", "1000", "--k", "1000", "--n", "1000", "--eta", "1/3")
-    assert r.exit_code == 2
-    assert "the double sum of (i=1000, k=1000, n=1000) would take 1002001 terms, above the limit of 1000000" in r.output
+    for i, k, n, terms, bits in [(1000, 1000, 1000, 1002001, 5989), (999, 20000, 999, 10**6, 13577),
+                                 (999, 100000, 999, 10**6, 18160)]:
+        r = run(*_DOUBLE_SUM_ARGS, "--i", str(i), "--k", str(k), "--n", str(n), "--eta", "1/3")
+        assert r.exit_code == 2
+        assert (f"the double sum of (i={i}, k={k}, n={n}) would take {terms} terms of up to {bits} bits, "
+                "above the limit of 5982383802 term-bits") in r.output
     monkeypatch.undo()
-    argv = (*_DOUBLE_SUM_ARGS, "--i", "3", "--k", "5", "--n", "4", "--eta", "1/3")  # 16 terms
-    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_TERMS", 15)
+    argv = (*_DOUBLE_SUM_ARGS, "--i", "3", "--k", "5", "--n", "4", "--eta", "1/3")  # 16 terms of 18.9 bits
+    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_WORK", 302)
     assert run(*argv).exit_code == 2
-    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_TERMS", 16)
+    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_WORK", 303)
     assert run(*argv).output == "1000/6561\n"
 
 

@@ -397,9 +397,9 @@ _WALK_VALUES = st.one_of(
 @example(value="0.999999999999")
 def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, value):
     # Every (U, V, Q) the walk hands to a direct table or a scan, U = t*Y, is
-    # the single cell's, and a direct table reads each row it holds once: a
-    # float beam-splitter table reads no row that _halves mirrors. A scan
-    # reads each of its rows at most once a shell.
+    # the single cell's, and a direct table reads each row it computes once
+    # and no row that _halves mirrors, in every precision and for both
+    # devices. A scan reads each of its rows at most once a shell.
     bs = len(shape) == 2
     if not bs and Fraction(value) >= 1:
         return
@@ -413,8 +413,8 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
             table = build(*shape, p, precision)
         held = []
         for num, den, s, rows, ks, q, cells, reads in log:
-            mirrored = recurrences._halves(s, rows.start, rows[-1])[2] if bs and precision == "float" else ()
-            assert reads == {i: int(i not in mirrored) for i in rows}, (s, precision)
+            lo, hi, _ = recurrences._halves(s, np.empty((len(rows), len(ks))), rows.start, s - ks[-1])
+            assert reads == {i: int(lo <= i <= hi) for i in rows}, (s, precision)
             for (i, k), (t, y, v) in cells.items():
                 cell = PhotonConfig(i, s - i, s - k) if bs else PhotonConfig(i, k, s - k, Device.TMS)
                 assert (t * y, v, q) == probabilities._cell_sums(cell, device, num, den), (s, i, k)

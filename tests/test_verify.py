@@ -316,6 +316,7 @@ _MOVED_CELLS = st.one_of(st.tuples(st.just("bs"), _BS_CELLS), st.tuples(st.just(
 @example(ratio="1/1000", moved=("bs", ((5, 5), 10)))
 @example(ratio="0/1", moved=("tms", ((0, 4), 4)))
 @example(ratio="999/1000", moved=("tms", ((4, 0), 0)))
+@example(ratio="0/1", moved=("bs", ((0, 1), 0)))  # row (0, 1) is copied from row (1, 0)
 def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(ratio, moved):
     device, (key, cell) = moved
     if device == "bs":
@@ -324,6 +325,11 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     else:  # the shape of the verify block: i, k, n <= 4 over rows with k <= 8
         p = SqueezerParam.from_value(ratio)
         top, nmax, sizes, at, target = 4, 4, (4, 8, 4), _tms_cell(key, cell), 1 - p.lam_exact
+    s, i, k = at
+    build = bs_table_direct if nmax is None else tms_table_direct
+    mirrored = recurrences._halves(s, *build(*sizes, p, "rational")._shells()[s])[2]
+    if mirrored and i in mirrored:  # a copied row: move the cell it is copied from
+        at = s, s - i, s - k
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
     below = 0
     for by in (1, widest):
