@@ -452,15 +452,3 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     for i, k in cuts:
         yield i, k, done[(i, k)]
 
-
-def _bs_residual_rows(p: BeamSplitterParam, smax: int):
-    """Yield (i, k, normalization_residual(i, k, p)) for every row with
-    i + k <= smax, in shell order, from one pass of _top_coefficient_walk.
-    Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
-    same correctly rounded floats, so math.fsum gives the same residual, and
-    the rows i > k take it from their mirror instead of rounding their own."""
-    shells = [(range(s + 1),) * 2 for s in range(smax + 1)]
-    for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(*_exact_ratio(p), shells)):
-        half = [abs(math.fsum(_row_values(*sums(i), q)) - 1.0) for i in range(s // 2 + 1)]
-        for i in range(s + 1):
-            yield i, s - i, half[min(i, s - i)]

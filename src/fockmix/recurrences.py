@@ -29,9 +29,10 @@ _halves alone decides the mirror: where a shell holds both rows of a pair
 over a window of n closed under n -> s-n (every beam-splitter shell, and a
 squeezer band that is a whole shell), they compute one row of each pair
 and copy the other reversed, in both precisions, bit for bit the row's own
-value. Thin tables hold no such pair. The convolution table computes every
-row, so verify's exact route checks test each copied row against its own
-double sum.
+value, and the batched normalization rows (_bs_residual_rows) sum one row
+of each pair. Thin tables hold no such pair. The convolution table computes
+every row, so verify's exact route checks test each copied row against its
+own double sum.
 
 Every table a builder returns is one ProbabilityTable, which owns one
 read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
@@ -48,10 +49,12 @@ to [0, 1] before the next shell reads them. A built table is immutable and
 safe to share.
 
 A value or tilde row reads the buffer through ProbabilityTable.span at both
-precisions: every product lies on a known power of den (the den-power rule
-of _identity_residual_rows), so a rational result is one Fraction per entry.
-The exact identity checks of the verify suites pack each integer row into
-one integer, so that a check is one big-integer compare.
+precisions: every product lies on a known power of den, so a rational result
+is one Fraction per entry. The exact identity checks of the verify suites
+are one generator for both theorems, _identity_rows: it packs each integer
+row into one integer, decides each identity row with one big-integer
+compare, and divides a failing entry by its power of den (the den-power
+rule, which it states).
 
 The float convolution table is a third route, apart from the exact engine
 and the five-term fill. At every total a shell is the square of a
@@ -318,21 +321,21 @@ def _carrier(x) -> tuple:
     return x, 1.0 - x, 1.0
 
 
-def _weight(lead, count: int, x, u: int, y, v: int):
-    """lead * count * x**u * y**v, left to right; through logarithms where the
-    exact count overflows a float (then u, v >= 1 and the weight is small)."""
+def _weight(count: int, x, u: int, y, v: int):
+    """count * x**u * y**v, left to right; through logarithms where the exact
+    count overflows a float (then u, v >= 1 and the weight is small)."""
     try:
-        return lead * count * x**u * y**v
+        return count * x**u * y**v
     except OverflowError:
-        logs = [math.log(f) if f else -math.inf for f in (lead, x, y)]
-        return math.exp(logs[0] + math.log(count) + u * logs[1] + v * logs[2])
+        logs = [math.log(f) if f else -math.inf for f in (x, y)]
+        return math.exp(math.log(count) + u * logs[0] + v * logs[1])
 
 
 def _bs_binomial_row(counts: list, x, one=1) -> list:
     """Vacuum-seeded row from counts = C(s, .): the chance that n of s photons
     land in output a, each with probability x/one, times one**s."""
     s = len(counts) - 1
-    return [_weight(1, c, x, n, one - x, s - n) for n, c in enumerate(counts)]
+    return [_weight(c, x, n, one - x, s - n) for n, c in enumerate(counts)]
 
 
 def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
@@ -356,6 +359,21 @@ def _halves(s: int, shell: np.ndarray, r: int, c: int) -> tuple:
         mirrored = range(r, min(last, s - r, (s - 1) // 2) + 1)
         return max(r, mirrored.stop), last, mirrored
     return r, min(last, s // 2), range(s // 2 + 1, last + 1)
+
+
+def _bs_residual_rows(p: BeamSplitterParam, smax: int):
+    """Yield (i, k, normalization_residual(i, k, p)) for every row with
+    i + k <= smax, in shell order, from one pass of _top_coefficient_walk.
+    Row (k, i) is row (i, k) reversed, B(i, k -> n) = B(k, i -> i+k-n): the
+    same correctly rounded floats, so math.fsum gives the same residual.
+    Only the rows lo..hi that _halves gives for the whole shell are rounded
+    and summed, and each mirrored row i takes the residual of row s-i."""
+    shells = [(range(s + 1),) * 2 for s in range(smax + 1)]
+    for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(*_exact_ratio(p), shells)):
+        lo, hi, _ = _halves(s, np.empty((s + 1, s + 1)), 0, 0)
+        own = {i: abs(math.fsum(_row_values(*sums(i), q)) - 1.0) for i in range(lo, hi + 1)}
+        for i in range(s + 1):
+            yield i, s - i, own[i] if i in own else own[s - i]
 
 
 def _mirror(work: np.ndarray, s: int, r: int, rows: range) -> None:
@@ -622,36 +640,43 @@ def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable
     return abs(lhs - rhs)
 
 
-def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):
-    """(den, holds, residual): the general-j identities on the integer rows
-    of the rational direct table of i <= imax, k <= kmax (and n <= nmax for
-    a squeezer), with eta or 1-lam = num/den (the p/q carrier).
+def _identity_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):
+    """Yield (i, k, j, cells, failures) for i <= imax, then k <= kmax, then
+    j: the general-j identity of p's device (theorem 1 for a beam splitter,
+    theorem 2 for a squeezer) at row (i, k) and j, checked on the integer
+    rows of the rational direct table of i <= imax, k <= kmax (and n <= nmax
+    for a squeezer), with eta or 1-lam = num/den (the p/q carrier). j runs
+    to i+k for a beam splitter and to nmax+k for a squeezer; cells is the
+    number of n the identity asserts there, every n of the row for a beam
+    splitter and n >= j-k for a squeezer (it asserts j <= n+k), and failures
+    lists the (n, residual) of those n where it fails, the residual the
+    exact signed Fraction lhs - [tilde(i,k,j) - tilde(i-1,k-1,j-1)] at n,
+    lhs B(i,k->n) or (1-lam) A(i,k->n). The table is built when the first
+    row is asked for.
 
-    residual(i, k, j) is the integer row over the n of row (i, k),
-    lead*lhs[n] - tilde(i,k,j)[n] + den**2 * tilde(i-1,k-1,j-1)[n-1], where
-    the tildes sum products of table rows. Off the walk's factors, a
-    beam-splitter row holds U*V, B(i,k->n) times den**(i+k), and lead is 1;
-    a squeezer row holds num*U*V, A(i,k->n) times den**(k+n+1), zero below
-    n0 = max(0, i-k), and lead is num. So every
-    product in a tilde row lands on the power of den of its left-hand side,
-    and the den-power rule holds: entry n of a residual row is the exact
-    signed residual times den**(i+k) for a beam splitter and den**(k+n+2)
-    for a squeezer.
+    Off the walk's factors, a beam-splitter row holds U*V, B(i,k->n) times
+    den**(i+k), and lead is 1; a squeezer row holds num*U*V, A(i,k->n) times
+    den**(k+n+1), zero below n0 = max(0, i-k), and lead is num. So every
+    product in the integer residual row lead*lhs[n] - tilde(i,k,j)[n] +
+    den**2 * tilde(i-1,k-1,j-1)[n-1], whose tildes sum products of table
+    rows, lands on the power of den of its left-hand side (the den-power
+    rule): entry n is the signed residual times den**(i+k) for a beam
+    splitter and den**(k+n+2) for a squeezer, and failures divide it by
+    that power.
 
     Every row is packed into one non-negative int by Kronecker substitution
     (Harvey 2009), entry n in slot n of `size` bytes. A beam-splitter tilde
     row is then one big-integer product per l, a squeezer tilde row a sum of
     entry-times-row products shifted l slots and cut to nmax+1 slots, and
-    holds(i, k, j) is one compare: True when the residual row is zero at
-    every n the identity asserts (every n for a beam splitter, n >= j-k for
-    a squeezer, as j <= n+k there). A tilde slot sums at most `products`
-    products of two entries, and a left-hand slot is lead times an entry
-    plus den**2 times such a sum. The slot width is the bit length of that
-    bound at the widest entry, rounded up to whole bytes, so no slot carries
-    into the next and the packed compare is the entrywise one. A negative
-    entry cannot be packed and raises OverflowError. Only residual unpacks.
-    Each tilde row is built once and kept as long as the function, since
-    (i, k, j) and (i+1, k+1, j+1) share one."""
+    each (i, k, j) is decided by one compare of the packed sides above the
+    slots of n < j-k. A tilde slot sums at most `products` products of two
+    entries, and a left-hand slot is lead times an entry plus den**2 times
+    such a sum. The slot width is the bit length of that bound at the
+    widest entry, rounded up to whole bytes, so no slot carries into the
+    next and the packed compare is the entrywise one. A negative entry
+    cannot be packed and raises OverflowError. Only a failing row is
+    unpacked. Each tilde row is built once and kept as long as the
+    generator, since (i, k, j) and (i+1, k+1, j+1) share one."""
     bs = isinstance(p, BeamSplitterParam)
     if bs:
         table = bs_table_direct(imax, kmax, p, "rational")
@@ -691,25 +716,21 @@ def _identity_residual_rows(p: Param, imax: int, kmax: int, nmax: int | None = N
             tildes[(i, k, j)] = total
         return total
 
-    def sides(i: int, k: int, j: int) -> tuple[int, int]:
-        """(lead*lhs + den**2 * tilde(i-1,k-1,j-1) one slot up, tilde(i,k,j)), packed."""
-        left = lead * packed[(i, k)] + (step * tilde(i - 1, k - 1, j - 1) << width)
-        return left if bs else left & mask, tilde(i, k, j)
-
-    def holds(i: int, k: int, j: int) -> bool:
-        low = 0 if bs else width * max(0, j - k)  # the slots below n = j-k hold no squeezer claim
-        left, right = sides(i, k, j)
-        return left >> low == right >> low
-
-    def residual(i: int, k: int, j: int) -> list:
-        slots = i + k + 1 if bs else nmax + 1
-        left, right = (x.to_bytes(slots * size, "little") for x in sides(i, k, j))
-        return [
-            int.from_bytes(left[s : s + size], "little") - int.from_bytes(right[s : s + size], "little")
-            for s in range(0, slots * size, size)
-        ]
-
-    return den, holds, residual
+    for i in range(imax + 1):
+        for k in range(kmax + 1):
+            slots = i + k + 1 if bs else nmax + 1
+            for j in range(i + k + 1 if bs else nmax + k + 1):
+                low = 0 if bs else max(0, j - k)  # the squeezer asserts no n below j-k
+                left = lead * packed[(i, k)] + (step * tilde(i - 1, k - 1, j - 1) << width)
+                left, right, failures = left if bs else left & mask, tilde(i, k, j), []
+                # a beam-splitter row compares whole: a shift by 0 would copy both sides
+                if (left != right) if bs else left >> width * low != right >> width * low:
+                    as_bytes = [x.to_bytes(slots * size, "little") for x in (left, right)]
+                    for n in range(low, slots):
+                        a, b = (int.from_bytes(x[n * size : (n + 1) * size], "little") for x in as_bytes)
+                        if a != b:
+                            failures.append((n, Fraction(a - b, den ** (i + k if bs else k + n + 2))))
+                yield i, k, j, slots - low, failures
 
 
 # ---------------------------------------------------------------------------

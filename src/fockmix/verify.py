@@ -36,7 +36,6 @@ from .genfun import (
 from .numerics import nan_max
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import (
-    _bs_residual_rows,
     _tms_residual_rows,
     bs_prob_direct,
     bs_prob_double_sum,
@@ -46,7 +45,8 @@ from .probabilities import (
 )
 from .recurrences import (
     ClassicalTable,
-    _identity_residual_rows,
+    _bs_residual_rows,
+    _identity_rows,
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
@@ -208,42 +208,22 @@ def _tms_row_case(res: VerificationResult, r, indices: str, lam: float, expected
         res.check(r <= tol, indices, f"lam={lam}", expected, f"residual {r:.3e}", tol, r / tol)
 
 
-def _identity_failure(res: VerificationResult, i: int, k: int, n: int, j: int, parameter: str, residual) -> None:
-    res.fail(f"(i={i},k={k},n={n},j={j})", parameter, "residual 0 (exact)", residual, "exact")
-
-
-def _theorem1_exact(res: VerificationResult, imax: int, eta_values) -> None:
-    for eta in eta_values:
-        den, holds, residual = _identity_residual_rows(BeamSplitterParam.from_value(eta), imax, imax)
-        for i in range(imax + 1):
-            for k in range(imax + 1):
-                for j in range(i + k + 1):
-                    res.cases += i + k + 1  # rows are unpacked, and failure text built, for failing cases only
-                    if holds(i, k, j):
-                        continue
-                    for n, d in enumerate(residual(i, k, j)):
-                        if d:
-                            _identity_failure(res, i, k, n, j, f"eta={eta}", Fraction(d, den ** (i + k)))
-
-
-def _theorem2_exact(res: VerificationResult, nmax: int, lam_values) -> None:
-    for lam in lam_values:
-        # tilde(i, k, j) reads only rows (i', k') with k' <= k, so k <= nmax is all it needs
-        den, holds, residual = _identity_residual_rows(SqueezerParam.from_value(lam), nmax, nmax, nmax)
-        for i in range(nmax + 1):
-            for k in range(nmax + 1):
-                by_j = {j: residual(i, k, j) for j in range(nmax + k + 1) if not holds(i, k, j)}
-                for n in range(nmax + 1):
-                    res.cases += n + k + 1
-                    for j, diffs in by_j.items():
-                        if j <= n + k and diffs[n]:
-                            _identity_failure(res, i, k, n, j, f"lam={lam}", Fraction(diffs[n], den ** (k + n + 2)))
+def _identity_exact(res: VerificationResult, name: str, values, param, *sizes) -> None:
+    """The general-j identity of param's device at each value, name=value,
+    on the rows of _identity_rows(param.from_value(value), *sizes): each row
+    adds the n it asserts to the cases and reports each failing n with its
+    signed Fraction residual."""
+    for value in values:
+        for i, k, j, cells, failures in _identity_rows(param.from_value(value), *sizes):
+            res.cases += cells  # a row is unpacked, and failure text built, only where it fails
+            for n, residual in failures:
+                res.fail(f"(i={i},k={k},n={n},j={j})", f"{name}={value}", "residual 0 (exact)", residual, "exact")
 
 
 def _suite_recurrence_bs(res: VerificationResult) -> None:
     imax = 8
     etas = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
-    _theorem1_exact(res, imax, etas)
+    _identity_exact(res, "eta", etas, BeamSplitterParam, imax, imax)
 
     # j=1 in float against the direct table of the route-agreement checks
     fmax = 20
@@ -276,7 +256,8 @@ def _suite_recurrence_bs(res: VerificationResult) -> None:
 def _suite_recurrence_tms(res: VerificationResult) -> None:
     nmax = 6
     lams = ["1/4", "1/2", "3/4"]
-    _theorem2_exact(res, nmax, lams)
+    # tilde(i, k, j) reads only rows (i', k') with k' <= k, so k <= nmax is all it needs
+    _identity_exact(res, "lam", lams, SqueezerParam, nmax, nmax, nmax)
 
     # recurrence table against the reversal-route values, float
     sp = SqueezerParam(0.2)

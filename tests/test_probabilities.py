@@ -580,7 +580,7 @@ def test_squeezer_scans_and_tables_run_no_horner_sum(monkeypatch):
     table = recurrences.tms_table_direct(4, 4, 8, SqueezerParam.from_value("1/4"), "rational")
     assert table.normalization_max_residual() == 0
     res = verify.VerificationResult("theorem 2")
-    verify._theorem2_exact(res, 4, ["1/2"])
+    verify._identity_exact(res, "lam", ["1/2"], SqueezerParam, 4, 4, 4)
     assert res.ok and res.cases
 
 
@@ -604,7 +604,7 @@ def test_batched_residual_rows_are_the_per_row_residuals(eta, smax):
     # Rows i > k take the residual of their mirror (k, i); each must still be
     # the row's own residual bit for bit.
     p = BeamSplitterParam.from_value(eta)
-    rows = {(i, k): r for i, k, r in probabilities._bs_residual_rows(p, smax)}
+    rows = {(i, k): r for i, k, r in recurrences._bs_residual_rows(p, smax)}
     assert sorted(rows) == [(i, k) for i in range(smax + 1) for k in range(smax + 1 - i)]
     assert rows == {(i, k): normalization_residual(i, k, p) for i, k in rows}
 

@@ -175,10 +175,11 @@ def _run_exact_identity_blocks():
     """The full-scale theorem 1 and theorem 2 blocks; each must pass with
     its full case count."""
     res = verify.VerificationResult("exact identities")
-    verify._theorem1_exact(res, 8, [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    etas = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+    verify._identity_exact(res, "eta", etas, BeamSplitterParam, 8, 8)
     assert res.ok and res.cases == 5 * sum((i + k + 1) ** 2 for i in range(9) for k in range(9)) == 38205
     res = verify.VerificationResult("exact identities")
-    verify._theorem2_exact(res, 6, ["1/4", "1/2", "3/4"])
+    verify._identity_exact(res, "lam", ["1/4", "1/2", "3/4"], SqueezerParam, 6, 6, 6)
     assert res.ok and res.cases == 3 * sum(n + k + 1 for i in range(7) for k in range(7) for n in range(7)) == 7203
 
 
@@ -217,7 +218,7 @@ def test_a_negative_engine_entry_raises_instead_of_wrapping(monkeypatch):
     moved = _with_moved_cell((1, 3), _bs_cell((3, 2), 2), -uv - 1)  # entry -1
     monkeypatch.setattr(recurrences, "_top_coefficient_walk", moved)
     with pytest.raises(OverflowError):
-        recurrences._identity_residual_rows(third, 4, 4)
+        list(recurrences._identity_rows(third, 4, 4))
 
 
 # Residual rows against the signed Fraction residuals of a rational direct
@@ -238,15 +239,14 @@ def test_bs_identity_residual_rows_are_the_fraction_residuals(eta, cell):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(p.eta_exact.as_integer_ratio(), _bs_cell(*cell)))
         table = bs_table_direct(5, 5, p, "rational")
-        den, _, residual = recurrences._identity_residual_rows(p, 5, 5)
-    for i in range(6):
-        for k in range(6):
-            for j in range(i + k + 1):
-                cur = bs_tilde_row_reference(i, k, j, table)
-                prev = bs_tilde_row_reference(i - 1, k - 1, j - 1, table) if min(i, k, j) >= 1 else []
-                want = [table.value(i, k, n) - cur[n] + (prev[n - 1] if 1 <= n <= len(prev) else 0)
-                        for n in range(i + k + 1)]
-                assert [Fraction(d, den ** (i + k)) for d in residual(i, k, j)] == want
+        got = list(recurrences._identity_rows(p, 5, 5))
+    assert [row[:3] for row in got] == [(i, k, j) for i in range(6) for k in range(6) for j in range(i + k + 1)]
+    for i, k, j, cells, failures in got:
+        cur = bs_tilde_row_reference(i, k, j, table)
+        prev = bs_tilde_row_reference(i - 1, k - 1, j - 1, table) if min(i, k, j) >= 1 else []
+        want = [table.value(i, k, n) - cur[n] + (prev[n - 1] if 1 <= n <= len(prev) else 0)
+                for n in range(i + k + 1)]
+        assert (cells, failures) == (i + k + 1, [(n, r) for n, r in enumerate(want) if r])
 
 
 def _tms_cells(size):
@@ -268,22 +268,22 @@ def test_tms_identity_residual_rows_are_the_fraction_residuals(lam, cell):
         ratio = (1 - sp.lam_exact).as_integer_ratio()
         mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(ratio, _tms_cell(*cell)))
         table = tms_table_direct(5, 10, 5, sp, "rational")
-        den, _, residual = recurrences._identity_residual_rows(sp, 5, 10, 5)
-    for i in range(6):
-        for k in range(6):
-            for j in range(5 + k + 1):
-                want = [
-                    (1 - sp.lam_exact) * table.value(i, k, n)
-                    - tms_tilde_reference(i, k, n, j, table)
-                    + tms_tilde_reference(i - 1, k - 1, n - 1, j - 1, table)
-                    for n in range(6)
-                ]
-                assert [Fraction(d, den ** (k + n + 2)) for n, d in enumerate(residual(i, k, j))] == want
+        got = list(recurrences._identity_rows(sp, 5, 10, 5))
+    assert [row[:3] for row in got] == [(i, k, j) for i in range(6) for k in range(11) for j in range(5 + k + 1)]
+    for i, k, j, cells, failures in got:
+        want = [
+            (1 - sp.lam_exact) * table.value(i, k, n)
+            - tms_tilde_reference(i, k, n, j, table)
+            + tms_tilde_reference(i - 1, k - 1, n - 1, j - 1, table)
+            for n in range(6)
+        ]
+        low = max(0, j - k)  # the identity asserts n >= j-k only
+        assert (cells, failures) == (6 - low, [(n, r) for n, r in enumerate(want) if r and n >= low])
 
 
 def _engine_rows(p, imax, kmax, nmax=None):
     """(lead, den, rows): the integer rows of the rational direct table, as
-    _identity_residual_rows reads them, with no packing."""
+    _identity_rows reads them, with no packing."""
     if nmax is None:
         lead, den, table = 1, p.eta_exact.denominator, bs_table_direct(imax, kmax, p, "rational")
     else:
@@ -321,10 +321,10 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     device, (key, cell) = moved
     if device == "bs":
         p = BeamSplitterParam.from_value(ratio)
-        top, nmax, sizes, at, target = 5, None, (5, 5), _bs_cell(key, cell), p.eta_exact
-    else:  # the shape of the verify block: i, k, n <= 4 over rows with k <= 8
+        nmax, sizes, at, target = None, (5, 5), _bs_cell(key, cell), p.eta_exact
+    else:  # i, n <= 4 over rows with k <= 8
         p = SqueezerParam.from_value(ratio)
-        top, nmax, sizes, at, target = 4, 4, (4, 8, 4), _tms_cell(key, cell), 1 - p.lam_exact
+        nmax, sizes, at, target = 4, (4, 8, 4), _tms_cell(key, cell), 1 - p.lam_exact
     s, i, k = at
     build = bs_table_direct if nmax is None else tms_table_direct
     mirrored = recurrences._halves(s, *build(*sizes, p, "rational")._shells()[s])[2]
@@ -335,18 +335,17 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     for by in (1, widest):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(recurrences, "_top_coefficient_walk", _with_moved_cell(target.as_integer_ratio(), at, by))
-            den, holds, residual = recurrences._identity_residual_rows(p, *sizes)
-            lead, _, rows = _engine_rows(p, *sizes)
+            got = list(recurrences._identity_rows(p, *sizes))
+            lead, den, rows = _engine_rows(p, *sizes)
         failing = 0
-        for i in range(top + 1):
-            for k in range(top + 1):
-                for j in range(nmax + k + 1 if nmax else i + k + 1):
-                    row = _unpacked_residual(lead, den, rows, i, k, j, nmax)
-                    assert residual(i, k, j) == row
-                    low = max(0, j - k) if nmax else 0  # the squeezer asserts n >= j-k only
-                    assert holds(i, k, j) == (not any(row[low:]))
-                    failing += not holds(i, k, j)
-                    below += any(row[:low])
+        for i, k, j, cells, failures in got:
+            row = _unpacked_residual(lead, den, rows, i, k, j, nmax)
+            low = max(0, j - k) if nmax else 0  # the squeezer asserts n >= j-k only
+            scale = [den ** (k + n + 2 if nmax else i + k) for n in range(len(row))]
+            assert cells == len(row) - low
+            assert failures == [(n, Fraction(d, scale[n])) for n, d in enumerate(row) if d and n >= low]
+            failing += bool(failures)
+            below += any(row[:low])
         assert failing  # the moved cell shows
     if nmax:  # rows with j > n+k, non-zero below n = j-k, where the compare must not look
         assert below
