@@ -28,7 +28,10 @@ u'v' 2**(a+b-c) / (q'+1) and (u'+1)(v'+1) 2**(a+b-c) / q'. Both ends are
 quotients of short integers, which Python rounds correctly, and rounding is
 monotone, so when the two round to the same float that float is the
 correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
-is taken. Either way the float is bit for bit the same.
+is taken. Either way the float is bit for bit the same. The binary value's
+denominator, like those of 1/2, 3/4, ..., is a power of two, so a single
+cell takes Q = den**(i+k) as one shift (_den_power), where pow would square
+the power out in full.
 
 Squeezer probabilities go through partial time reversal,
 A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam), a float one the
@@ -150,9 +153,18 @@ def _cell_sums(c: PhotonConfig, device: Device, num: int, den: int) -> tuple[int
     if m < 0:
         return None
     if device is Device.BS:
-        return (*_scaled_factor_sums(i, c.k, n, num, den), den ** (i + c.k))
+        return (*_scaled_factor_sums(i, c.k, n, num, den), _den_power(den, i + c.k))
     u, v = _scaled_factor_sums(i, m, n, num, den)
-    return num * u, v, den ** (i + m + 1)
+    return num * u, v, _den_power(den, i + m + 1)
+
+
+def _den_power(den: int, e: int) -> int:
+    """den**e for den >= 1, one shift when den is a power of two, as the
+    denominator of every float's exact ratio is (and of 1/2, 3/4, ...):
+    pow squares a long power out in full where the shift only places a bit."""
+    if den & (den - 1):
+        return den**e
+    return 1 << (den.bit_length() - 1) * e
 
 
 # Denominators shorter than this many bits take the plain quotient in
@@ -185,16 +197,27 @@ def _rounded_quotient(u: int, v: int, q: int) -> float:
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
-    """Exact rational B(i,k->n) for rational transmittance."""
+    """Exact rational B(i,k->n) for rational transmittance: an int, a float
+    at its binary value or a Fraction."""
     _require(c, Device.BS)
-    if not 0 <= eta <= 1:
+    num, den = _ratio(eta)
+    if not 0 <= num <= den:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
-    return _exact_cell(c, Device.BS, Fraction(eta))
+    return _exact_cell(c, Device.BS, num, den)
 
 
-def _exact_cell(c: PhotonConfig, device: Device, x: Fraction) -> Fraction:
-    """The cell c as one Fraction U*V / Q at num/den = x."""
-    sums = _cell_sums(c, device, *x.as_integer_ratio())
+def _ratio(x) -> tuple[int, int]:
+    """x.as_integer_ratio() (den > 0), or (-1, 1), outside every range, for
+    a NaN or an infinity."""
+    try:
+        return x.as_integer_ratio()
+    except (ValueError, OverflowError):
+        return -1, 1
+
+
+def _exact_cell(c: PhotonConfig, device: Device, num: int, den: int) -> Fraction:
+    """The cell c as one Fraction U*V / Q at num/den."""
+    sums = _cell_sums(c, device, num, den)
     return Fraction(0) if sums is None else Fraction(sums[0] * sums[1], sums[2])
 
 
@@ -213,7 +236,7 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     as in bs_prob_exact.
     """
     _check_counts(i=i, k=k, n=n)
-    a, b = eta.as_integer_ratio()
+    a, b = _ratio(eta)
     if not 0 <= a <= b:
         raise ValueError(f"transmittance must lie in [0, 1], got {eta}")
     lo, hi = _term_range(i, k, n)
@@ -223,8 +246,8 @@ def bs_prob_double_sum(i: int, k: int, n: int, eta):
     right = [math.comb(n, t) * math.comb(s - n, f + t) for t in ts]
     es = range(f + 2 * lo, f + 2 * hi + 1)
     powers = [-(a**e * c ** (s - e)) if d & 1 else a**e * c ** (s - e) for d, e in enumerate(es)]
-    total = _double_sum(left, right, powers)
-    return Fraction(total, b**s) if isinstance(eta, Fraction) else total / b**s
+    total, q = _double_sum(left, right, powers), _den_power(b, s)
+    return Fraction(total, q) if isinstance(eta, Fraction) else total / q
 
 
 def _double_sum(left, right, powers) -> int:
@@ -261,11 +284,13 @@ def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
 
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
-    """Exact rational A(i,k->n) for rational squeezing parameter."""
+    """Exact rational A(i,k->n) for rational squeezing parameter: an int, a
+    float at its binary value or a Fraction."""
     _require(c, Device.TMS)
-    if not 0 <= lam < 1:
+    a, b = _ratio(lam)
+    if not 0 <= a < b:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    return _exact_cell(c, Device.TMS, 1 - Fraction(lam))
+    return _exact_cell(c, Device.TMS, b - a, b)
 
 
 def _top_coefficient_walk(num: int, den: int, shells, own=None, bridge=False):
@@ -397,7 +422,7 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     _check_counts(i=i, k=k)
     if isinstance(p, BeamSplitterParam):
         num, den = _exact_ratio(p)
-        q, cells = den ** (i + k), (_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1))
+        q, cells = _den_power(den, i + k), (_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1))
         return abs(math.fsum(_rounded_quotient(u, v, q) for u, v in cells) - 1.0)
     ((_, _, r),) = _tms_residual_rows(p, [i], [k])
     if isinstance(r, ConvergenceError):

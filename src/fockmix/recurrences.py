@@ -344,16 +344,17 @@ def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
     return slice(lo - c, max(lo, hi) - c), slice(lo - c_src - shift, max(lo, hi) - c_src - shift)
 
 
-def _halves(s: int, shell: np.ndarray, r: int, c: int) -> tuple:
-    """(lo, hi, mirrored) for shell s viewed as shell[i - r, n - c]: a fill
-    computes rows lo..hi, then writes each row i in mirrored as row s-i
-    reversed (B(i, k -> n) = B(k, i -> i+k-n)). mirrored is None, and
-    lo..hi every row, when the shell holds no pair i < s-i or its n window
-    is not closed under n -> s-n. Otherwise the rows whose mirror is held
-    reach row r or the last row, and the half of them at that end is
-    mirrored (i < s-i from row r, else i > s-i), so lo..hi is one run."""
-    last = r + len(shell) - 1
-    if 2 * c + shell.shape[1] - 1 != s or not 2 * r < s < 2 * last:
+def _halves(s: int, height: int, width: int, r: int, c: int) -> tuple:
+    """(lo, hi, mirrored) for shell s held as height rows from row r, each
+    over the width n from c on: a fill computes rows lo..hi, then writes each
+    row i in mirrored as row s-i reversed (B(i, k -> n) = B(k, i -> i+k-n)).
+    mirrored is None, and lo..hi every row, when the shell holds no pair
+    i < s-i or its n window is not closed under n -> s-n. Otherwise the rows
+    whose mirror is held reach row r or the last row, and the half of them
+    at that end is mirrored (i < s-i from row r, else i > s-i), so lo..hi is
+    one run."""
+    last = r + height - 1
+    if 2 * c + width - 1 != s or not 2 * r < s < 2 * last:
         return r, last, None
     if s - last <= r:
         mirrored = range(r, min(last, s - r, (s - 1) // 2) + 1)
@@ -370,7 +371,7 @@ def _bs_residual_rows(p: BeamSplitterParam, smax: int):
     and summed, and each mirrored row i takes the residual of row s-i."""
     shells = [(range(s + 1),) * 2 for s in range(smax + 1)]
     for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(*_exact_ratio(p), shells)):
-        lo, hi, _ = _halves(s, np.empty((s + 1, s + 1)), 0, 0)
+        lo, hi, _ = _halves(s, s + 1, s + 1, 0, 0)
         own = {i: abs(math.fsum(_row_values(*sums(i), q)) - 1.0) for i in range(lo, hi + 1)}
         for i in range(s + 1):
             yield i, s - i, own[i] if i in own else own[s - i]
@@ -407,7 +408,7 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
     below[0][...] = lead
     for s, (shell, r, c) in enumerate(shells[1:], 1):
         work = shell if shell.flags.c_contiguous else np.zeros(shell.shape, dtype)
-        width, (lo, hi, mirrored) = shell.shape[1], _halves(s, shell, r, c)
+        width, (lo, hi, mirrored) = shell.shape[1], _halves(s, *shell.shape, r, c)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, s-i >= 1
         if g0 <= g1:
             (prev, r1, c1), (prev2, r2, c2) = below, below2
@@ -450,7 +451,7 @@ def _direct_fill(t: ProbabilityTable, num: int, den: int, bridge: bool = False) 
     runs = [(range(r, r + len(v)), range(s - c + 1 - v.shape[1], s - c + 1)) for s, (v, r, c) in enumerate(shells)]
     walk = _top_coefficient_walk(num, den, runs, bridge=bridge)
     for s, ((shell, r, c), (_, _, q, sums)) in enumerate(zip(shells, walk)):
-        lo, hi, mirrored = _halves(s, shell, r, c)
+        lo, hi, mirrored = _halves(s, *shell.shape, r, c)
         q = q if t.den is None else None
         shell[lo - r : hi + 1 - r, ::-1] = [_row_values(*sums(i), q) for i in range(lo, hi + 1)]
         if mirrored:

@@ -42,7 +42,7 @@ def test_exact_engine_against_literal_double_sum():
                     assert bs_prob_double_sum(i, k, n, eta) == want
 
 
-@pytest.mark.parametrize("eta", [1.5, -0.5, Fraction(3, 2), Fraction(-1, 3)])
+@pytest.mark.parametrize("eta", [1.5, -0.5, Fraction(3, 2), Fraction(-1, 3), math.nan, math.inf])
 def test_double_sum_refuses_a_transmittance_outside_0_1(eta):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         bs_prob_double_sum(1, 1, 1, eta)
@@ -147,6 +147,53 @@ def test_exact_examples():
     assert bs_prob_exact(PhotonConfig(1, 1, 0), Fraction(1, 2)) == Fraction(1, 2)
     assert bs_prob_exact(PhotonConfig(2, 0, 1), Fraction(1, 3)) == Fraction(4, 9)
     assert bs_prob_exact(PhotonConfig(2, 1, 4), Fraction(1, 3)) == 0  # n > i+k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(1), st.integers(0, 2**64).map(lambda a: 2 * a + 1)), st.integers(0, 60), st.integers(0, 3000))
+@example(1, 0, 3000)  # den = 1
+@example(1, 52, 3000)  # a float's 2**-52 grid
+@example(3, 2, 3000)  # den = 12, not a power of two
+@example(1, 60, 0)
+def test_den_power_is_the_plain_power(odd, z, e):
+    den = odd << z
+    assert probabilities._den_power(den, e) == den**e
+
+
+_SPELLINGS = [
+    (0, 0.0, Fraction(0)),
+    (1, 1.0, Fraction(1)),
+    (0.5, Fraction(1, 2)),
+    (0.3, Fraction(0.3)),
+    (0.8, Fraction(3602879701896397, 2**52)),
+]
+
+
+@pytest.mark.parametrize("spellings", _SPELLINGS, ids=lambda x: repr(x[-1]))
+def test_exact_cells_are_one_fraction_for_every_spelling(spellings):
+    # An int, a float and a Fraction of one value give one Fraction, the
+    # literal double sum at that value.
+    bs, tms = PhotonConfig(7, 5, 6), PhotonConfig(4, 3, 5, Device.TMS)
+    x = spellings[-1]
+    got = [bs_prob_exact(bs, v) for v in spellings]
+    assert all(type(g) is Fraction and g == bs_prob_double_sum(7, 5, 6, x) for g in got), got
+    if x < 1:  # tms (4, 3 -> 5) is 1-lam times bs (4, 4 -> 5) at eta = 1-lam
+        got = [tms_prob_exact(tms, v) for v in spellings]
+        assert all(type(g) is Fraction and g == (1 - x) * bs_prob_double_sum(4, 4, 5, 1 - x) for g in got), got
+
+
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(-1, 3), 1.5, math.nan, math.inf, -math.inf])
+def test_exact_cells_refuse_a_parameter_outside_their_range(value):
+    with pytest.raises(ValueError, match=r"transmittance must lie in \[0, 1\], got"):
+        bs_prob_exact(PhotonConfig(1, 1, 1), value)
+    with pytest.raises(ValueError, match=r"squeezing parameter must lie in \[0, 1\), got"):
+        tms_prob_exact(PhotonConfig(1, 1, 1, Device.TMS), value)
+
+
+@pytest.mark.parametrize("lam", [1, 1.0, Fraction(1)])
+def test_exact_squeezer_cell_refuses_lam_1(lam):
+    with pytest.raises(ValueError, match=r"squeezing parameter must lie in \[0, 1\), got 1"):
+        tms_prob_exact(PhotonConfig(1, 1, 1, Device.TMS), lam)
 
 
 def test_float_examples():
@@ -413,7 +460,7 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
             table = build(*shape, p, precision)
         held = []
         for num, den, s, rows, ks, q, cells, reads in log:
-            lo, hi, _ = recurrences._halves(s, np.empty((len(rows), len(ks))), rows.start, s - ks[-1])
+            lo, hi, _ = recurrences._halves(s, len(rows), len(ks), rows.start, s - ks[-1])
             assert reads == {i: int(lo <= i <= hi) for i in rows}, (s, precision)
             for (i, k), (t, y, v) in cells.items():
                 cell = PhotonConfig(i, s - i, s - k) if bs else PhotonConfig(i, k, s - k, Device.TMS)

@@ -327,7 +327,8 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
         nmax, sizes, at, target = 4, (4, 8, 4), _tms_cell(key, cell), 1 - p.lam_exact
     s, i, k = at
     build = bs_table_direct if nmax is None else tms_table_direct
-    mirrored = recurrences._halves(s, *build(*sizes, p, "rational")._shells()[s])[2]
+    shell, r, c = build(*sizes, p, "rational")._shells()[s]
+    mirrored = recurrences._halves(s, *shell.shape, r, c)[2]
     if mirrored and i in mirrored:  # a copied row: move the cell it is copied from
         at = s, s - i, s - k
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
