@@ -39,7 +39,6 @@ from .recurrences import (
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
-    bs_tilde,
     bs_tilde_row,
     c_coeff,
     classical_gf,
@@ -48,7 +47,6 @@ from .recurrences import (
     tms_recurrence_check,
     tms_table_direct,
     tms_table_recurrence,
-    tms_tilde,
     tms_tilde_row,
 )
 from .genfun import (

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure or
 a failed internal self-check, 2 usage errors (bad flags, out-of-range
-parameters, points outside a convergence domain, tables above the entry
-limit, an --out that cannot be written, a rational value with more digits
-than sys.get_int_max_str_digits() allows as text).
+parameters, points outside a convergence domain, a generating function with
+no finite float value at the point, tables above the entry limit, an --out
+that cannot be written, a rational value with more digits than
+sys.get_int_max_str_digits() allows as text).
 
 Parameters accept decimal literals ("0.3") or exact ratios ("1/3"); rational
 precision requires the ratio form so the exact routes are never silently fed
@@ -76,6 +77,18 @@ def _param(device: str, eta: str | None, lam: str | None, rational: bool = False
         return (BeamSplitterParam if bs else SqueezerParam).from_value(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad parameter {text!r}: {exc}") from exc
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that refuses nan and the infinities (exit 2)."""
+
+    name = "finite float"
+
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        if not math.isfinite(x):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return x
 
 
 def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None, what: str = "the table") -> None:
@@ -343,14 +356,15 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
 @main.command()
 @click.option("--which", type=click.Choice(["g", "f", "diag"]), required=True)
 @click.option("--device", type=click.Choice(["bs", "tms"]), default="bs")
-@click.option("--x", type=float, default=0.0)
-@click.option("--y", type=float, default=0.0)
-@click.option("--z", type=float, default=0.0)
-@click.option("--w", type=float, default=0.0)
+@click.option("--x", type=_FiniteFloat(), default=0.0)
+@click.option("--y", type=_FiniteFloat(), default=0.0)
+@click.option("--z", type=_FiniteFloat(), default=0.0)
+@click.option("--w", type=_FiniteFloat(), default=0.0)
 @click.option("--eta", default=None)
 @click.option("--lambda", "lam", default=None)
 def genfun(which, device, x, y, z, w, eta, lam) -> None:
-    """Evaluate a closed-form generating function at a real point."""
+    """Evaluate a closed-form generating function at a real point; a value
+    that overflows the float range, or is not finite, exits 2 naming the point."""
     if which == "diag" and device != "bs":
         raise click.UsageError("the diagonal generating function is a beam-splitter object")
     param = _param(device, eta, lam)
@@ -364,6 +378,12 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
             value = (eval_g_tms if which == "g" else eval_f_tms)(pt, param)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        kind = {"g": "amplitude", "f": "probability", "diag": "diagonal"}[which]
+        where = f"x={x}, z={z}" if which == "diag" else pt
+        raise click.UsageError(f"{kind} generating function has no finite float value at {where}")
     click.echo(repr(value))
 
 

@@ -50,11 +50,12 @@ safe to share.
 
 A value or tilde row reads the buffer through ProbabilityTable.span at both
 precisions: every product lies on a known power of den, so a rational result
-is one Fraction per entry. The exact identity checks of the verify suites
-are one generator for both theorems, _identity_rows: it packs each integer
-row into one integer, decides each identity row with one big-integer
-compare, and divides a failing entry by its power of den (the den-power
-rule, which it states).
+is one Fraction per entry. A one-cell check of a general-j form reads two
+entries of its tilde rows (_general_j_check). The exact identity checks of
+the verify suites are one generator for both theorems, _identity_rows: it
+packs each integer row into one integer, decides each identity row with one
+big-integer compare, and divides a failing entry by its power of den (the
+den-power rule, which it states).
 
 The float convolution table is a third route, apart from the exact engine
 and the five-term fill. At every total a shell is the square of a
@@ -101,10 +102,8 @@ __all__ = [
     "bs_table_recurrence",
     "tms_table_direct",
     "tms_table_recurrence",
-    "bs_tilde",
     "bs_tilde_row",
     "bs_recurrence_check",
-    "tms_tilde",
     "tms_tilde_row",
     "tms_recurrence_check",
     "c_coeff",
@@ -229,7 +228,8 @@ class ProbabilityTable(Mapping):
     def value(self, i: int, k: int, n: int):
         """Entry (i, k -> n): a Python float, or in rational precision a
         Fraction over its scale den**e; zero at n < 0 and past a
-        beam-splitter row. n is a count as i and k are: one operator.index
+        beam-splitter row, while n past a squeezer row (past nmax) raises
+        TableCoverageError. n is a count as i and k are: one operator.index
         rejects (1.0) raises TableCoverageError."""
         try:
             n = operator.index(n)
@@ -238,13 +238,12 @@ class ProbabilityTable(Mapping):
         if n < 0:
             return self.zero
         row = self.span(i, k)
-        if self.device is Device.BS:
-            if n >= len(row):
+        if n >= len(row):
+            if self.device is Device.BS:
                 return self.zero
-            v, e = row[n], len(row) - 1
-        else:
-            v, e = _entry(row, n), operator.index(k) + n + 1
-        return float(v) if self.den is None else Fraction(v, self.den**e)
+            raise TableCoverageError(f"squeezer table holds n <= {len(row) - 1}, asked for n={n}")
+        e = len(row) - 1 if self.device is Device.BS else operator.index(k) + n + 1
+        return float(row[n]) if self.den is None else Fraction(row[n], self.den**e)
 
     def exact(self, sums, e: int, per_n: bool = False):
         """Buffer values, or sums of their products, as the table's numbers:
@@ -536,13 +535,6 @@ def tms_table_recurrence(imax: int, kmax: int, nmax: int, p: SqueezerParam, prec
     return _five_term_fill(t, (eta, lam, one), eta, ((lam, eta), (eta, lam)))
 
 
-def _entry(row: np.ndarray, n: int):
-    """row[n] of a buffer row; an n past a squeezer row (past nmax) raises TableCoverageError."""
-    if n >= len(row):
-        raise TableCoverageError(f"squeezer table holds n <= {len(row) - 1}, asked for n={n}")
-    return row[n]
-
-
 def _term_sum(terms, length: int, zero=0) -> list:
     """Entry n < length sums c * row[n - shift] over the terms (c, shift,
     row), one term after the other and each one taken, zero or not."""
@@ -577,30 +569,24 @@ def bs_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     return table.exact(out, i + k)
 
 
-def bs_tilde(i: int, k: int, j: int, n: int, table: ProbabilityTable):
-    """Single value of the convolution combination; 0 outside its support.
-    It sums only the entries it reads, in bs_tilde_row's order: entry n of
-    each pair's convolution from 0 * (a[0] + b[0]), then pair after pair."""
-    if min(i, k, n) < 0 or j < 0 or j > i + k or n > i + k:
-        return table.zero
-    total = table._zero
-    for a, b in _bs_tilde_pairs(i, k, j, table.span):
-        lo, hi = max(0, n + 1 - len(b)), min(n, len(a) - 1)
-        conv = 0 * (a.item(0) + b.item(0))
-        for x, y in zip(a[lo : hi + 1].tolist(), b[n - hi : n - lo + 1][::-1].tolist()):
-            conv += x * y
-        total += conv
-    return table.exact([total], i + k)[0]
+def _general_j_check(tilde_row, weight, top: int, i: int, k: int, n: int, j: int, table: ProbabilityTable):
+    """|weight * table(i,k->n) - [tilde(i,k,j)[n] - tilde(i-1,k-1,j-1)[n-1]]|
+    for j in [0, top], each tilde an entry of its row tilde_row, zero off the
+    row; the lower row is empty when min(i-1, k-1, j-1) < 0."""
+    if j < 0 or j > top:
+        raise ValueError(f"j must lie in [0, {top}], got {j}")
+    lhs = weight * table.value(i, k, n)
+    upper = tilde_row(i, k, j, table)
+    lower = tilde_row(i - 1, k - 1, j - 1, table) if min(i, k, j) > 0 else []
+    zero = table.zero
+    rhs = (upper[n] if 0 <= n < len(upper) else zero) - (lower[n - 1] if 0 < n <= len(lower) else zero)
+    return abs(lhs - rhs)
 
 
 def bs_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):
-    """|B(i,k->n) - [tilde(i,k,j,n) - tilde(i-1,k-1,j-1,n-1)]|; exactly zero
-    in rational precision."""
-    if j < 0 or j > i + k:
-        raise ValueError(f"j must lie in [0, {i + k}], got {j}")
-    lhs = table.value(i, k, n)
-    rhs = bs_tilde(i, k, j, n, table) - bs_tilde(i - 1, k - 1, j - 1, n - 1, table)
-    return abs(lhs - rhs)
+    """|B(i,k->n) - [tilde(i,k,j)[n] - tilde(i-1,k-1,j-1)[n-1]]| on the rows
+    of bs_tilde_row; exactly zero in rational precision."""
+    return _general_j_check(bs_tilde_row, 1, i + k, i, k, n, j, table)
 
 
 def _tms_tilde_terms(i: int, k: int, j: int, nmax: int, row):
@@ -613,32 +599,17 @@ def _tms_tilde_terms(i: int, k: int, j: int, nmax: int, row):
 
 def tms_tilde_row(i: int, k: int, j: int, table: ProbabilityTable) -> list:
     """Squeezer analog of bs_tilde_row, over n = 0..nmax; the convolution acts
-    on the input index i, and entries with j > n+k are 0. Summed over l, then
-    m, as tms_tilde is; a product in entry n lies on den**(k+n+2)."""
+    on the input index i, and entries with j > n+k are 0. Entry n sums over l,
+    then m; a product in it lies on den**(k+n+2)."""
     terms = _tms_tilde_terms(i, k, j, table.nmax, lambda i, k: table.span(i, k).tolist())
     return table.exact(_term_sum(terms, table.nmax + 1, table._zero), k + 2, per_n=True)
 
 
-def tms_tilde(i: int, k: int, n: int, j: int, table: ProbabilityTable):
-    """Single value of the squeezer combination; 0 outside its support. It
-    reads only the entries it sums, so n may pass nmax where those are held."""
-    if min(i, k, n) < 0 or j < 0 or j > n + k:
-        return table.zero
-    total = table._zero
-    for l in range(max(0, j - k), min(j, n) + 1):
-        for m in range(i + 1):
-            total += _entry(table.span(m, j - l), l) * _entry(table.span(i - m, k - j + l), n - l)
-    return table.exact([total], k + n + 2)[0]
-
-
 def tms_recurrence_check(i: int, k: int, n: int, j: int, table: ProbabilityTable):
-    """|(1-lam) A(i,k->n) - [tilde(i,k,n,j) - tilde(i-1,k-1,n-1,j-1)]|."""
-    if j < 0 or j > n + k:
-        raise ValueError(f"j must lie in [0, {n + k}], got {j}")
+    """|(1-lam) A(i,k->n) - [tilde(i,k,j)[n] - tilde(i-1,k-1,j-1)[n-1]]| on
+    the rows of tms_tilde_row; n past nmax raises TableCoverageError."""
     lam = _param_of(table.param, table.precision)
-    lhs = (1 - lam) * table.value(i, k, n)
-    rhs = tms_tilde(i, k, n, j, table) - tms_tilde(i - 1, k - 1, n - 1, j - 1, table)
-    return abs(lhs - rhs)
+    return _general_j_check(tms_tilde_row, 1 - lam, n + k, i, k, n, j, table)
 
 
 def _identity_rows(p: Param, imax: int, kmax: int, nmax: int | None = None):

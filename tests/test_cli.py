@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import fockmix.cli
 import fockmix.verify
@@ -585,6 +586,101 @@ def test_genfun_domain_error_exits_2():
     assert r.exit_code == 2
     r = run("genfun", "--which", "diag", "--x", "1.5", "--z", "0", "--eta", "0.5")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--which", "g", "--eta", "1/999983", "--y", "0.99", "--z", "-1", "--w", "1e308"],
+     "amplitude generating function has no finite float value at GenFunPoint(x=0.0, y=0.99, z=-1.0, w=1e+308)"),
+    (["--which", "diag", "--eta", "1/2", "--x", "1e308", "--z", "-1"],
+     "diagonal generating function has no finite float value at x=1e+308, z=-1.0"),
+    (["--which", "g", "--eta", "1/2", "--x", "nan", "--y", "0", "--z", "0", "--w", "0"],
+     "Invalid value for '--x': 'nan' is not a finite number"),
+    (["--which", "diag", "--eta", "1/2", "--x", "1e308", "--z", "1e308"],
+     "diagonal generating function has no finite float value at x=1e+308, z=1e+308"),
+    (["--which", "f", "--eta", "1/2", "--x", "-1e308", "--y", "1e308", "--z", "1e308", "--w", "-1e308"],
+     "probability generating function has no finite float value at "
+     "GenFunPoint(x=-1e+308, y=1e+308, z=1e+308, w=-1e+308)"),
+    (["--which", "g", "--device", "tms", "--lambda", "1/2", "--w", "-inf"],
+     "Invalid value for '--w': '-inf' is not a finite number"),
+    (["--which", "g", "--eta", "1/2", "--z", "1e309"], "Invalid value for '--z': '1e309' is not a finite number"),
+])
+def test_genfun_without_a_finite_value_exits_2_naming_the_point(argv, message):
+    # An overflow, a value that is not finite and a coordinate that is not
+    # finite are usage errors, as a point outside the domain is.
+    r = run("genfun", *argv)
+    assert r.exit_code == 2
+    assert r.output.endswith(f"Error: {message}\n")
+
+
+# Every command line of amp, prob, table, genfun and plotdata ends in a value
+# (exit 0, text that parses) or in a usage error (exit 2 with its message):
+# never a traceback, another exit code, nan or inf. Counts are small, so a
+# draw runs in milliseconds; the literals are the edges of the parameter
+# parsers and of the routes. Each option holds (values it takes, values it
+# refuses), and half the lines draw from both.
+_COUNTS = ["0", "1", "2", "3", "4", "5"], ["-1", "1.5", "text"]
+_LITERALS = (["0", "1", "0/1", "1/1", "1e-300", "5e-324", "1e-12", "1/999983", "-0.0", "1/2", "2/5", "0.3"],
+             ["nan", "inf", "1.0000000000000002", "3/2", "1/0", "text"])
+_POINTS = ["0", "-1", "0.5", "0.99", "1e308", "-1e308", "5e-324", "0.2"], ["nan", "inf", "-inf", "1e309", "text"]
+_DEVICES, _PRECISIONS = (["bs", "tms"], []), (["float", "rational"], [])
+_METHODS = ["direct", "convolution", "recurrence", "exact"], []
+_GRAMMAR = {
+    "amp": {"--device": _DEVICES, "--i": _COUNTS, "--k": _COUNTS, "--n": _COUNTS, "--eta": _LITERALS,
+            "--lambda": _LITERALS, "--method": (["direct", "convolution"], [])},
+    "prob": {"--device": _DEVICES, "--i": _COUNTS, "--k": _COUNTS, "--n": _COUNTS, "--eta": _LITERALS,
+             "--lambda": _LITERALS, "--precision": _PRECISIONS, "--method": _METHODS},
+    "table": {"--device": _DEVICES, "--imax": _COUNTS, "--kmax": _COUNTS, "--nmax": _COUNTS, "--eta": _LITERALS,
+              "--lambda": _LITERALS, "--precision": _PRECISIONS, "--method": _METHODS,
+              "--format": (["csv", "json"], [])},
+    "genfun": {"--which": (["g", "f", "diag"], []), "--device": _DEVICES, "--x": _POINTS, "--y": _POINTS,
+               "--z": _POINTS, "--w": _POINTS, "--eta": _LITERALS, "--lambda": _LITERALS},
+    "plotdata": {"--kind": (["hom-sweep", "tms-sweep", "diag-asymptotic", "quantum-classical"], []),
+                 "--steps": (["2", "3", "5"], ["1", "text"]), "--i": _COUNTS, "--k": _COUNTS, "--eta": _LITERALS},
+}
+_RARE = {"bs": {"--lambda", "--nmax"}, "tms": {"--eta"}}  # the options a device takes no value from
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with its first option, most of the others and rarely one
+    its device takes no value from; a missing or stray option is a usage
+    error too."""
+    command, edges = draw(st.sampled_from(sorted(_GRAMMAR))), draw(st.booleans())
+    argv, rare = [command], _RARE["bs"]
+    for index, (flag, (takes, refuses)) in enumerate(_GRAMMAR[command].items()):
+        drawn = draw(st.integers(0, 9))
+        if index == 0 or (drawn == 0 if flag in rare else drawn > 0):
+            value = draw(st.sampled_from(takes + refuses if edges else takes))
+            argv += [flag, value]
+            rare = _RARE.get(value, rare) if flag == "--device" else rare
+    return argv
+
+
+def _printed_values(command: str, fmt: str, text: str) -> list:
+    """Every number a command printed, as the Fraction of its text; nan and
+    inf have none, so they raise ValueError."""
+    if command in ("amp", "prob", "genfun"):
+        (line,) = text.splitlines()
+        return [Fraction(line)]
+    if command == "table" and fmt == "json":
+        def refuse(name):
+            raise ValueError(f"{name} in a JSON export")
+        entries = json.loads(text, parse_constant=refuse)["entries"]
+        return [Fraction(str(e["value"])) for e in entries]
+    rows = list(csv.reader(io.StringIO(text)))
+    return [Fraction(v) for row in rows[1:] for v in row]
+
+
+@settings(max_examples=400, deadline=None)  # about 1 s
+@given(argv=_command_lines())
+def test_every_command_line_ends_in_a_value_or_exit_2(argv):
+    r = CliRunner().invoke(main, argv)
+    assert r.exit_code in (0, 2) and isinstance(r.exception, (SystemExit, type(None))), (argv, r.exception)
+    if r.exit_code == 2:
+        assert "Error: " in r.output, argv
+    else:
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+        assert _printed_values(argv[0], fmt, r.stdout), argv
 
 
 def test_verify_contract(tmp_path):

@@ -31,7 +31,6 @@ from fockmix.recurrences import (
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
-    bs_tilde,
     bs_tilde_row,
     c_coeff,
     classical_gf,
@@ -40,7 +39,6 @@ from fockmix.recurrences import (
     tms_recurrence_check,
     tms_table_direct,
     tms_table_recurrence,
-    tms_tilde,
     tms_tilde_row,
 )
 
@@ -71,16 +69,15 @@ def test_bs_tilde_base_cases():
     table = bs_table_direct(4, 4, THIRD, "rational")
     for i in range(4):
         for k in range(4):
-            for n in range(i + k + 1):
-                assert bs_tilde(i, k, 0, n, table) == table.value(i, k, n)
-    assert bs_tilde(2, 2, 5, 1, table) == 0  # j beyond i+k
-    assert bs_tilde(-1, 2, 0, 0, table) == 0
+            assert bs_tilde_row(i, k, 0, table) == [table.value(i, k, n) for n in range(i + k + 1)]
+    assert bs_tilde_row(2, 2, 5, table) == [0] * 5  # j beyond i+k
+    assert bs_tilde_row(-1, 2, 0, table) == [0] * 2  # a negative index holds no pair
 
 
 def test_bs_tilde_missing_rows_raise():
     table = bs_table_direct(1, 1, THIRD, "rational")
     with pytest.raises(TableCoverageError):
-        bs_tilde(3, 3, 2, 1, table)
+        bs_tilde_row(3, 3, 2, table)
 
 
 def test_theorem_identity_exact_small():
@@ -100,8 +97,8 @@ def test_theorem_identity_hom_entry():
     assert table.value(1, 1, 1) == 0
     # the two combination values behind that zero, at eta = 1/2: the j=1
     # combination sums two convolutions of 1/2 each, the shifted one is 1
-    assert bs_tilde(1, 1, 1, 1, table) == 1
-    assert bs_tilde(0, 0, 0, 0, table) == 1
+    assert bs_tilde_row(1, 1, 1, table)[1] == 1
+    assert bs_tilde_row(0, 0, 0, table)[0] == 1
 
 
 def test_vacuum_row_two_term_reduction():
@@ -234,14 +231,14 @@ def test_tms_tilde_base_case_and_coverage():
                 manual = sum(
                     table.value(m, 0, 0) * table.value(i - m, k, n) for m in range(i + 1)
                 )
-                assert tms_tilde(i, k, n, 0, table) == manual
-    assert tms_tilde(2, 2, 2, 7, table) == 0  # j beyond n+k
+                assert tms_tilde_row(i, k, 0, table)[n] == manual
+    assert tms_tilde_row(2, 2, 7, table) == [0] * 5  # j beyond n+k at every n <= nmax
     small = tms_table_direct(2, 2, 2, sp, "rational")
     with pytest.raises(TableCoverageError):
-        tms_tilde(2, 2, 6, 1, small)
-    # past nmax, a value whose summed entries the table holds is still given
+        tms_recurrence_check(2, 2, 6, 1, small)  # past nmax
+    # a row holds n <= nmax, the entries a larger table holds there
     for i in range(3):
-        assert tms_tilde(i, 0, 3, 1, small) == tms_tilde(i, 0, 3, 1, table)
+        assert tms_tilde_row(i, 0, 1, small) == tms_tilde_row(i, 0, 1, table)[:3]
 
 
 def test_tms_theorem_identity_exact():
@@ -260,8 +257,8 @@ def test_tms_theorem_identity_exact():
 def test_tms_suppression_through_theorem():
     sp = SqueezerParam.from_value("1/2")
     table = tms_table_direct(2, 4, 2, sp, "rational")
-    tilde_now = tms_tilde(1, 1, 1, 1, table)
-    tilde_prev = tms_tilde(0, 0, 0, 0, table)
+    tilde_now = tms_tilde_row(1, 1, 1, table)[1]
+    tilde_prev = tms_tilde_row(0, 0, 0, table)[0]
     assert tilde_now - tilde_prev == 0  # (1-lam) A(1,1->1) vanishes at lam=1/2
 
 
@@ -839,19 +836,6 @@ def test_rational_tilde_rows_equal_fraction_convolutions(eta):
                     assert got == want and all(type(v) is Fraction for v in got)
 
 
-@pytest.mark.parametrize("eta, precision", [("1/3", "float"), ("1/3", "rational"), ("0.3", "float")])
-def test_bs_tilde_is_its_tilde_row_entry_without_the_row(monkeypatch, eta, precision):
-    table = bs_table_recurrence(6, 6, BeamSplitterParam.from_value(eta), precision)
-    rows = {(i, k, j): bs_tilde_row(i, k, j, table) for i, k in table for j in range(i + k + 1)}
-    monkeypatch.setattr(recurrences, "_convolve_full", lambda a, b: pytest.fail("a tilde row was built"))
-    for (i, k, j), row in rows.items():
-        got = [bs_tilde(i, k, j, n, table) for n in range(i + k + 2)]
-        assert [type(v) for v in got] == [float if precision == "float" else Fraction] * len(got)
-        assert got[-1] == 0 and got[:-1] == row
-        if precision == "float":  # bit for bit, signed zeros too
-            assert np.array(got[:-1]).tobytes() == np.array(row).tobytes()
-
-
 def test_float_tilde_rows_keep_their_operation_order():
     table = bs_table_direct(6, 6, BeamSplitterParam(0.7))
     for i in range(7):
@@ -943,7 +927,6 @@ def test_exact_reads_make_no_fraction_row(monkeypatch):
         "tms value": lambda: [tms.value(i, k, n) for i, k, n in tms_cells],
         "bs_tilde_row": lambda: [bs_tilde_row(i, k, j, bs) for i, k, _ in bs_cells for j in range(i + k + 1)],
         "tms_tilde_row": lambda: [tms_tilde_row(i, k, j, tms) for i, k, _ in tms_cells for j in range(3 + k + 1)],
-        "tms_tilde": lambda: [tms_tilde(i, k, n, j, tms) for i, k, n in tms_cells for j in range(n + k + 1)],
         "bs_recurrence_check": lambda: [
             bs_recurrence_check(i, k, n, j, bs) for i, k, n in bs_cells for j in range(i + k + 1)
         ],
@@ -975,7 +958,7 @@ def test_exact_reads_make_no_fraction_row(monkeypatch):
     with pytest.raises(TableCoverageError):
         tms.value(0, 0, 4)  # past nmax
     with pytest.raises(TableCoverageError):
-        tms_tilde(0, 0, 4, 0, tms)
+        tms_recurrence_check(0, 0, 4, 0, tms)  # past nmax
 
 
 # The paper's interference term vanishes exactly beyond the Hong-Ou-Mandel
@@ -1008,6 +991,17 @@ def test_tms_gain_two_suppression_zero():
             assert type(residual) is Fraction and residual == 0, (table.method, j)
     direct = tms_prob(PhotonConfig(1, 1, 1, Device.TMS), sp)
     assert type(direct) is float and direct == 0.0
+
+
+@pytest.mark.parametrize("precision, kind", [("float", float), ("rational", Fraction)])
+def test_general_j_checks_return_the_number_type_of_their_table(precision, kind):
+    # The HOM cell (1, 1 -> 1) at eta = 1/2 and the gain-2 cell (1, 1 -> 1)
+    # at lambda = 1/2, at every j: a float table's residual is a Python float.
+    bs = bs_table_direct(1, 1, BeamSplitterParam.from_value("1/2"), precision)
+    tms = tms_table_direct(1, 1, 1, SqueezerParam.from_value("1/2"), precision)
+    for j in range(3):
+        for residual in (bs_recurrence_check(1, 1, 1, j, bs), tms_recurrence_check(1, 1, 1, j, tms)):
+            assert type(residual) is kind and residual == 0, j
 
 
 def test_classical_residual_on_a_shared_table_is_the_per_call_value():

@@ -22,7 +22,7 @@ from fockmix.recurrences import (
     bs_table_convolution,
     bs_table_direct,
     bs_table_recurrence,
-    bs_tilde,
+    bs_tilde_row,
     tms_recurrence_check,
     tms_table_direct,
 )
@@ -166,7 +166,7 @@ def test_identity_failures_keep_their_fields_order_and_case_counts(monkeypatch):
         by_eta.setdefault(f.parameter, []).append((i, k, j, n))
     assert all(cells == sorted(cells) for cells in by_eta.values())
     table = bs_table_direct(6, 6, BeamSplitterParam.from_value("1/4"), "rational")
-    signed = table.value(3, 2, 2) - (bs_tilde(3, 2, 1, 2, table) - bs_tilde(2, 1, 0, 1, table))
+    signed = table.value(3, 2, 2) - (bs_tilde_row(3, 2, 1, table)[2] - bs_tilde_row(2, 1, 0, table)[1])
     want = verify.Failure("(i=3,k=2,n=2,j=1)", "eta=1/4", "residual 0 (exact)", str(signed), "exact")
     assert signed != 0 and want in identity
 
