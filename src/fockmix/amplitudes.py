@@ -14,13 +14,13 @@ the convention consistent with the closed-form amplitude generating function
 (its exponent contains -x*w), which the test suite checks by series expansion.
 Probabilities are insensitive to the choice.
 
-Accuracy policy: the direct route takes the exact factored sums U and V of
-the probability engine (_cell_sums) at every total: sqrt(i! k! n! (N-n)!)
+Accuracy policy: the direct route takes the factors of the exact U*V of
+the probability engine (_cell_factors) at every total: sqrt(i! k! n! (N-n)!)
 factors out of every term of the direct sum, which leaves a positive constant times
 (-1)**i * U, and A**2 = B = U*V / q**N for eta = p/q. The amplitude is the
-root of that exact probability, scaled by a power of 4 into the normal
-floats and rounded there (within one ulp, also where the probability
-underflows: _signed_root), with the sign of the direct sum. The vacuum
+root of that exact probability, rounded once, scaled by a power of 4 into
+the normal floats where it lies below them (within one ulp, also where the
+probability underflows: _signed_roots), with the sign of the direct sum. The vacuum
 rows are the direct amplitudes of (i, 0 -> n), and the amplitude series of
 genfun take the same root of the exact walk's sums, row by row. The convolution
 route reads neither the exact engine nor the direct route, at any total: it
@@ -35,11 +35,12 @@ one exact sum; up to total 32 the two routes agree to 3e-15 (README).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
-from .probabilities import _cell_sums, _exact_ratio, _partner_ratio, _require, _rounded_quotient
+from .probabilities import _cell_factors, _exact_ratio, _partner_ratio, _require, _rounded_ratios
 
 __all__ = [
     "bs_vacuum_row",
@@ -70,18 +71,36 @@ def bs_amplitude_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """Direct alternating sum for <n, i+k-n|BS(eta)|i, k>: (-1)**i sgn(U)
     sqrt(U*V / q**(i+k)) from its exact factored sums at every total (within
     one ulp)."""
-    sums = _cell_sums(c, Device.BS, *_exact_ratio(p))
-    return 0.0 if sums is None else _signed_root(c.i, *sums)
+    factors = _cell_factors(c, Device.BS, *_exact_ratio(p))
+    return 0.0 if factors is None else _signed_roots(c.i, *factors)[0]
 
 
-def _signed_root(i: int, u: int, v: int, q: int) -> float:
-    """The amplitude of input i from its exact factored sums (U, V, Q): the
-    root of U*V*4**e / Q, a float near 1 or above, times 2**-e (within one
-    ulp at every magnitude). Scaling by a power of 4 is exact, so where U*V / Q
-    is a normal float this is bit for bit the root of its rounded value."""
-    e = max(0, (q.bit_length() - u.bit_length() - v.bit_length()) // 2)  # bit_length ignores the sign
-    mag = math.ldexp(math.sqrt(_rounded_quotient(u << 2 * e, v, q)), -e)
-    return -mag if mag and (u < 0) != (i % 2 == 1) else mag
+_LEAST_NORMAL = sys.float_info.min
+
+
+def _signed_roots(i: int, rows, bottoms, shift: int = 0) -> list[float]:
+    """The amplitudes of input i from the factors of their exact
+    probabilities U*V / Q = prod(tops) * 2**shift / prod(bottoms), one tops
+    in the sequence rows for each, the first top carrying the sign of U
+    (within one ulp at every magnitude).
+
+    Above the least normal float the root of the rounded probability is the
+    amplitude. Below it, the root is taken of the quotient times 4**e, a
+    float near 1 or above, and scaled by 2**-e; the power of 4 goes into the
+    shift. Scaling by a power of 4 is exact, so either way the amplitude is
+    bit for bit the root of the quotient scaled into the normal floats."""
+    out = []
+    for tops, b in zip(rows, _rounded_ratios(rows, bottoms, shift)):
+        if b <= _LEAST_NORMAL and all(tops):  # else U*V / Q is 0, or above the least normal float as b is
+            # bit_length ignores the sign
+            lack = sum(map(int.bit_length, bottoms)) - shift - sum(map(int.bit_length, tops))
+            e = max(0, lack // 2)
+            (b,) = _rounded_ratios((tops,), bottoms, shift + 2 * e)
+            mag = math.ldexp(math.sqrt(b), -e)
+        else:
+            mag = math.sqrt(b)
+        out.append(-mag if mag and (tops[0] < 0) != (i % 2 == 1) else mag)
+    return out
 
 
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
@@ -147,8 +166,8 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> 
     one ulp), the convolution route the float sqrt(1.0 - lam) times
     bs_amplitude of the bridge cell at eta = 1-lam, bit for bit."""
     if method == "direct":
-        sums = _cell_sums(c, Device.TMS, *_partner_ratio(p))
-        return 0.0 if sums is None else _signed_root(c.i, *sums)
+        factors = _cell_factors(c, Device.TMS, *_partner_ratio(p))
+        return 0.0 if factors is None else _signed_roots(c.i, *factors)[0]
     if method != "convolution":
         raise ValueError(f"unknown amplitude method {method!r}")
     _require(c, Device.TMS)

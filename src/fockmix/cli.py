@@ -363,8 +363,9 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
 @click.option("--eta", default=None)
 @click.option("--lambda", "lam", default=None)
 def genfun(which, device, x, y, z, w, eta, lam) -> None:
-    """Evaluate a closed-form generating function at a real point; a value
-    that overflows the float range, or is not finite, exits 2 naming the point."""
+    """Evaluate a closed-form generating function at a real point; a point
+    outside its domain, or where its value overflows the float range or is
+    not finite (DomainError), exits 2 naming the point."""
     if which == "diag" and device != "bs":
         raise click.UsageError("the diagonal generating function is a beam-splitter object")
     param = _param(device, eta, lam)
@@ -378,12 +379,6 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
             value = (eval_g_tms if which == "g" else eval_f_tms)(pt, param)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        kind = {"g": "amplitude", "f": "probability", "diag": "diagonal"}[which]
-        where = f"x={x}, z={z}" if which == "diag" else pt
-        raise click.UsageError(f"{kind} generating function has no finite float value at {where}")
     click.echo(repr(value))
 
 

@@ -13,7 +13,9 @@ Four closed forms are evaluated at real points v = (x, y, z, w):
 
 plus the two-variable closed form of the diagonal (equal input) sequence.
 Everything here is real-valued only; the probability-type evaluators raise
-DomainError outside their convergence region rather than guessing.
+DomainError outside their convergence region rather than guessing, and every
+closed form raises DomainError naming the point where its value overflows
+the float range or is not finite.
 
 Series comparisons pick their truncation order at runtime from a geometric
 tail bound (largest coordinate against the device parameter), capped at total
@@ -25,16 +27,14 @@ single cells; each amplitude is the direct one, bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import log_factorial
 from .params import BeamSplitterParam, SqueezerParam
-from .amplitudes import _signed_root
+from .amplitudes import _signed_roots
 from .probabilities import _exact_ratio, _partner_ratio, _top_coefficient_walk
 from .recurrences import bs_table_recurrence
 
@@ -85,16 +85,28 @@ class SeriesResult:
     converged: bool
 
 
+def _finite(kind: str, where, value_of) -> float:
+    """value_of(), or DomainError naming the point where the closed form of
+    that kind overflows the float range or has no finite value."""
+    try:
+        value = value_of()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{kind} generating function has no finite float value at {where}")
+    return value
+
+
 def eval_g_bs(pt: GenFunPoint, p: BeamSplitterParam) -> float:
     x, y, z, w = pt.coords()
     se, so = math.sqrt(p.eta), math.sqrt(1.0 - p.eta)
-    return math.exp(se * (x * z + y * w) + so * (y * z - x * w))
+    return _finite("amplitude", pt, lambda: math.exp(se * (x * z + y * w) + so * (y * z - x * w)))
 
 
 def eval_g_tms(pt: GenFunPoint, p: SqueezerParam) -> float:
     x, y, z, w = pt.coords()
     sl, so = math.sqrt(p.lam), math.sqrt(1.0 - p.lam)
-    return so * math.exp(so * (x * z + y * w) + sl * (z * w - x * y))
+    return _finite("amplitude", pt, lambda: so * math.exp(so * (x * z + y * w) + sl * (z * w - x * y)))
 
 
 def _f_bs_denominator(pt: GenFunPoint, p: BeamSplitterParam) -> float:
@@ -111,14 +123,14 @@ def eval_f_bs(pt: GenFunPoint, p: BeamSplitterParam) -> float:
     den = _f_bs_denominator(pt, p)
     if den <= 0.0:
         raise DomainError(f"probability generating function undefined at {pt} (denominator {den})")
-    return 1.0 / den
+    return _finite("probability", pt, lambda: 1.0 / den)
 
 
 def eval_f_tms(pt: GenFunPoint, p: SqueezerParam) -> float:
     den = _f_tms_denominator(pt, p)
     if den <= 0.0:
         raise DomainError(f"probability generating function undefined at {pt} (denominator {den})")
-    return (1.0 - p.lam) / den
+    return _finite("probability", pt, lambda: (1.0 - p.lam) / den)
 
 
 def eval_f_bs_w1(x: float, y: float, z: float, p: BeamSplitterParam) -> float:
@@ -151,11 +163,15 @@ def diagonal_gf_bs(x: float, z: float, p: BeamSplitterParam) -> float:
 
     At eta = 1/2 the radicand factors as (1-x)(1-x z^2).
     """
-    eta = p.eta
-    radicand = (1.0 + x * z) ** 2 - 4.0 * (eta + (1.0 - eta) * z) * (x * (1.0 - eta) + eta * x * z)
-    if radicand <= 0.0:
-        raise DomainError(f"diagonal generating function undefined at x={x}, z={z}")
-    return 1.0 / math.sqrt(radicand)
+    eta, where = p.eta, f"x={x}, z={z}"
+
+    def value() -> float:
+        radicand = (1.0 + x * z) ** 2 - 4.0 * (eta + (1.0 - eta) * z) * (x * (1.0 - eta) + eta * x * z)
+        if radicand <= 0.0:
+            raise DomainError(f"diagonal generating function undefined at {where}")
+        return 1.0 / math.sqrt(radicand)
+
+    return _finite("diagonal", where, value)
 
 
 def _pick_order(tail, order: int | None) -> tuple[int, float, bool]:
@@ -200,9 +216,8 @@ def _amplitude_series(pt: GenFunPoint, order: int | None, num: int, den: int, br
         i, k = np.ogrid[: s + 1, : s + 1]
         counts = (i, k, s - k, s - i) if bridge else (i, s - i, s - k, k)  # (i, k, n, m) of the device
         amps = []
-        for j in rows:  # U = t*Y and V, as _cell_sums gives them
-            t, y, v = sums(j)
-            amps.append([*map(_signed_root, repeat(j), map(operator.mul, t, y), v, repeat(q))])
+        for j in rows:  # the factors of U = t*Y and V, Y >= 0, so t carries the sign of U
+            amps.append(_signed_roots(j, [*zip(*sums(j))], (q,)))
         amps = np.array(amps)
         lg = -0.5 * sum(lf[c] for c in counts)  # ln i! + ln k! + ln n! + ln m!, left to right
         terms = amps * np.vectorize(math.exp)(lg)

@@ -12,33 +12,39 @@ transpose, over the same terms t. The transpose takes no sum of its own.
 Term by term C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) (the
 transpose symmetry of the Wigner d-matrix, the self-duality of Krawtchouk
 polynomials), and the powers of num and r differ by one factor common to
-every term, so V is the Horner sum of U times C(s,i)/C(s,n), an exact
-division, times powers of num and r. A single cell thus runs one Horner sum
-in integers over the terms it reaches, every coefficient the one before it
-times an exact ratio, and four binomials.
+every term, so V is the Horner sum a of U times C(s,i)/C(s,n) times powers
+of num and r, and U*V = a**2 C(s,i)/C(s,n) num**(k-n+2*lo) r**(n+i-2*hi)
+over the terms lo..hi, C(s,i)/C(s,n) being the ratio of the two sums'
+first coefficients. A single cell thus runs one Horner sum in integers over
+the terms it reaches, every coefficient the one before it times an exact
+ratio, and three binomials, and hands out the factors of U*V and of its
+denominator (_cell_factors) without multiplying them out.
 
-The float route is the same exact sum rounded once: U*V / den**(i+k) is a
-quotient of two integers, rounded correctly, so no cancellation error bound
-or fallback is needed at any total. A float-only transmittance is taken at
-its exact binary value, whose 54-bit numerator and denominator make U, V and
-Q long, so the quotient is rounded from leading bits instead of forming U*V:
-with each of |U|, |V| and Q cut to its top 128 bits, u' = |U| >> a,
-v' = |V| >> b and q' = Q >> c, the exact value lies between
-u'v' 2**(a+b-c) / (q'+1) and (u'+1)(v'+1) 2**(a+b-c) / q'. Both ends are
-quotients of short integers, which Python rounds correctly, and rounding is
-monotone, so when the two round to the same float that float is the
-correctly rounded U*V/Q. Otherwise, or when Q is short, the plain quotient
-is taken. Either way the float is bit for bit the same. The binary value's
+The float route is the same exact value rounded once: the cell is a
+quotient of two integer products, rounded correctly, so no cancellation
+error bound or fallback is needed at any total. A float-only transmittance
+is taken at its exact binary value, whose 54-bit numerator and denominator
+make the factors long, so the quotient is rounded from leading bits instead
+of multiplying them out (_rounded_ratios): with each top x_j cut to its top
+128 bits, x_j' = |x_j| >> c_j, and the denominator Q likewise,
+q' = Q >> d, the exact value lies between prod(x_j') 2**e / (q'+1) and
+prod(x_j'+1) 2**e / q', e = sum(c_j) - d. Both ends are quotients of short
+integers, which Python rounds correctly, and rounding is monotone, so when
+the two round to the same float that float is the correctly rounded one
+(Ziv's test). Otherwise, or when Q is short, the plain quotient is taken.
+Either way the float is bit for bit the same. The binary value's
 denominator, like those of 1/2, 3/4, ..., is a power of two, so a single
-cell takes Q = den**(i+k) as one shift (_den_power), where pow would square
-the power out in full.
+cell takes den**(i+k) as a shift of the quotient (_den_factor), where pow
+would square the power out in full. The exact cells multiply the factors
+out, the division by C(s,n) taken first on the short a C(s,i).
 
 Squeezer probabilities go through partial time reversal,
-A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam), a float one the
-exact num*U*V / (den*Q) for 1 - lam = num/den, rounded once. Every single
-cell of either device takes its (U, V, Q) from _cell_sums: the float
-probabilities round the quotient once, the exact ones make one Fraction,
-and the direct amplitudes (vacuum rows included) take its signed root.
+A(i,k->n; lam) = (1-lam) * B(i, n+k-i -> n; eta=1-lam): the factors of the
+bridge cell with one more num on top and den below, for 1 - lam = num/den.
+Every single cell of either device takes its factors from _cell_factors:
+the float probabilities round them once, the exact ones make one Fraction,
+and the direct amplitudes (vacuum rows included) take the signed root of
+the rounded quotient.
 
 Every exact table of either device reads one engine instead. The cells of
 total s are coefficients of one shell of integer polynomials, (1 - num*x)**i
@@ -49,8 +55,9 @@ binomial, power table or division. It hands out the factors (t, Y, V) of
 a shell's exact (U, V) row by row, U = t*Y, and every reader takes only
 those: both direct tables (and through the rational ones the exact
 identity rows), the batched beam-splitter normalization rows, the squeezer
-normalization scans and the amplitude series. A single beam-splitter
-normalization row runs the single-cell sums.
+normalization scans and the amplitude series. The float readers round
+t*Y*V / q from the three factors, with no product formed. A single
+beam-splitter normalization row sums the row's single cells.
 """
 
 from __future__ import annotations
@@ -105,28 +112,6 @@ def _alternating_sum(a: int, b: int, c: int, lo: int, hi: int, num: int, r: int)
     return -acc if lo & 1 else acc
 
 
-def _scaled_factor_sums(i: int, k: int, n: int, num: int, den: int) -> tuple[int, int]:
-    """Integer pair (U, V) with B = U*V / den**(i+k) for eta = num/den, for a
-    reachable cell (n <= i+k).
-
-    U = sum_m (-1)**m C(i,m) C(k,n-m) num**m r**(n-m) and
-    V = sum_j (-1)**j C(n,j) C(s-n,i-j) num**(k-n+j) r**(i-j), r = den - num
-    and s = i+k: one alternating sum at (i, k, n) and at the transposed
-    (n, s-n, i), over the same range of terms. Taken by _alternating_sum
-    over the same lo..hi, both carry the same powers of num and r term by
-    term, and C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) (the
-    transpose symmetry of the Wigner d-matrix, the self-duality of
-    Krawtchouk polynomials). So the transposed sum is the first times
-    C(s,i)/C(s,n), an exact division, and one Horner sum gives both.
-    """
-    lo, hi = _term_range(i, k, n)
-    r = den - num
-    a = _alternating_sum(i, k, n, lo, hi, num, r)
-    u = a * num**lo * r ** (n - hi)
-    v = a * math.comb(i + k, i) // math.comb(i + k, n) * num ** (k - n + lo) * r ** (i - hi)
-    return u, v
-
-
 def _exact_ratio(p: BeamSplitterParam) -> tuple[int, int]:
     """(num, den) of the exact transmittance: the p/q carrier when there is
     one, else the float's own binary fraction."""
@@ -140,60 +125,120 @@ def _partner_ratio(p: SqueezerParam) -> tuple[int, int]:
     return b - a, b
 
 
-def _cell_sums(c: PhotonConfig, device: Device, num: int, den: int) -> tuple[int, int, int] | None:
-    """(U, V, Q) with the cell c equal to U*V / Q, or None if it is
-    unreachable, at eta = num/den (beam splitter) or 1 - lam = num/den
-    (squeezer); a configuration of the other device raises ValueError.
+def _cell_factors(
+    c: PhotonConfig, device: Device, num: int, den: int
+) -> tuple[tuple[tuple[int, ...]], tuple[int, int], int] | None:
+    """((tops,), bottoms, shift) with the cell c equal to
+    prod(tops) * 2**shift / prod(bottoms), or None if c is unreachable, at
+    eta = num/den (beam splitter) or 1 - lam = num/den (squeezer), in the
+    form _rounded_ratios takes, one row; a configuration of the other device
+    raises ValueError.
+
+    A beam-splitter cell (i, k -> n) is U*V / den**s, s = i+k, r = den - num,
+    for U = sum_m (-1)**m C(i,m) C(k,n-m) num**m r**(n-m) and
+    V = sum_j (-1)**j C(n,j) C(s-n,i-j) num**(k-n+j) r**(i-j): one
+    alternating sum at (i, k, n) and at the transposed (n, s-n, i), over the
+    same range of terms. Taken by _alternating_sum over the same lo..hi, both
+    carry the same powers of num and r term by term, and
+    C(n,t) C(s-n,i-t) C(s,n) = C(i,t) C(k,n-t) C(s,i) (the transpose
+    symmetry of the Wigner d-matrix, the self-duality of Krawtchouk
+    polynomials). So with a the one Horner sum, U = a num**lo r**(n-hi) and
+    V = a C(s,i)/C(s,n) num**(k-n+lo) r**(i-hi). The binomial ratio is that
+    of the two sums' first coefficients, C(n,hi) C(s-n,i-hi) over
+    C(i,hi) C(k,n-hi), one factor of each 1: C(s-n,i-n)/C(i,n) for i >= n,
+    C(n,i)/C(k,n-i) below, far shorter than C(s,i) and C(s,n) near the
+    middle of a row. The tops are a, a, the upper binomial, num**(k-n+2*lo)
+    and r**(n+i-2*hi), the first carrying the sign of U when U is not 0, and
+    the bottoms the lower binomial and den**s, its power of two as the shift
+    (_den_factor). Nothing is multiplied out and nothing divided.
 
     A squeezer cell (i, k -> n) is (num/den) B(i, m -> n) at eta = num/den,
-    m = n+k-i (partial time reversal), so its sums are those of that bridge
-    cell with one more factor num on U and den on Q."""
+    m = n+k-i (partial time reversal): the factors of that bridge cell with
+    one more factor num on top and den below."""
     _require(c, device)
-    i, m, n = c.i, c.m, c.n
-    if m < 0:
+    i, k, n = c.i, c.k, c.n
+    lift = device is Device.TMS
+    if lift:
+        k += n - i  # the bridge cell's k, the squeezer's m
+    if k < 0 or n > i + k:  # the cell's m < 0
         return None
-    if device is Device.BS:
-        return (*_scaled_factor_sums(i, c.k, n, num, den), _den_power(den, i + c.k))
-    u, v = _scaled_factor_sums(i, m, n, num, den)
-    return num * u, v, _den_power(den, i + m + 1)
+    lo, hi = _term_range(i, k, n)
+    r = den - num
+    a = _alternating_sum(i, k, n, lo, hi, num, r)
+    above, below = (math.comb(k - n + i, i - n), math.comb(i, n)) if i >= n else (math.comb(n, i), math.comb(k, n - i))
+    power, shift = _den_factor(den, i + k + lift)
+    tops = a, a, above, num ** (k - n + 2 * lo + lift), r ** (n + i - 2 * hi)
+    return (tops,), (below, power), -shift
+
+
+def _den_factor(den: int, e: int) -> tuple[int, int]:
+    """(d, z) with den**e = d * 2**z for den >= 1: (1, b*e) when den = 2**b,
+    as the denominator of every float's exact ratio is (and of 1/2, 3/4,
+    ...), else (den**e, 0). pow would square a long power of two out in full
+    where the shift only places a bit."""
+    if den & (den - 1):
+        return den**e, 0
+    return 1, (den.bit_length() - 1) * e
 
 
 def _den_power(den: int, e: int) -> int:
-    """den**e for den >= 1, one shift when den is a power of two, as the
-    denominator of every float's exact ratio is (and of 1/2, 3/4, ...):
-    pow squares a long power out in full where the shift only places a bit."""
-    if den & (den - 1):
-        return den**e
-    return 1 << (den.bit_length() - 1) * e
+    """den**e for den >= 1, one shift when den is a power of two."""
+    power, shift = _den_factor(den, e)
+    return power << shift
 
 
-# Denominators shorter than this many bits take the plain quotient in
-# _rounded_quotient, which is as fast as the bracket there: the two cost the
-# same near 2000 bits on a 2-vCPU x86_64 Xeon VM (Python 3.11).
+# Quotients whose denominator, shift included, is shorter than this many
+# bits are taken plain in _rounded_ratios, which is as fast as the bracket
+# there. On a 2-vCPU x86_64 Xeon VM (Python 3.11) the two cost the same near
+# 2000 bits for a float-only single cell (five tops, den**s a shift) and for
+# a row of the walk (three tops over q), and near 2500 bits for a p/q cell,
+# whose den**s is one long bottom.
 _SHORT_QUOTIENT_BITS = 2000
 _LEAD_BITS = 128
 
 
-def _rounded_quotient(u: int, v: int, q: int) -> float:
-    """u*v / q correctly rounded, for q > 0, bit for bit the plain quotient.
+def _rounded_ratios(rows, bottoms, shift: int = 0) -> list[float]:
+    """[prod(tops) * 2**shift / prod(bottoms) for tops in rows], each
+    correctly rounded, for integer tops and positive integer bottoms: bit for
+    bit the plain quotients. A single cell is one row; a row of a table or
+    the terms of a scan's shell share their denominator.
 
-    A long q takes the leading-bit bracket of the module docstring and falls
-    back to the plain quotient only when its two ends round apart."""
-    qbits = q.bit_length()
-    if qbits < _SHORT_QUOTIENT_BITS or not (u and v):
-        return u * v / q
-    a, b = abs(u), abs(v)
-    sa, sb = max(a.bit_length() - _LEAD_BITS, 0), max(b.bit_length() - _LEAD_BITS, 0)
-    ut, vt, qt = a >> sa, b >> sb, q >> (qbits - _LEAD_BITS)
-    e = sa + sb + _LEAD_BITS - qbits
-    lo, hi = ut * vt, (ut + 1) * (vt + 1)  # |u*v/q| lies in (lo / (qt+1), hi / qt) * 2**e
-    if e >= 0:
-        lo, hi = (lo << e) / (qt + 1), (hi << e) / qt
-    else:
-        lo, hi = lo / ((qt + 1) << -e), hi / (qt << -e)
-    if lo != hi:
-        return u * v / q
-    return -lo if (u < 0) != (v < 0) else lo
+    A long quotient takes the leading-bit bracket of the module docstring,
+    each top and the product of the bottoms cut to its top _LEAD_BITS bits,
+    and falls back to the plain quotient only when the two ends of the
+    bracket round apart. No top is multiplied by another on that path."""
+    bottom = math.prod(bottoms)
+    bracket = bottom.bit_length() - shift >= _SHORT_QUOTIENT_BITS
+    if bracket:
+        cut = max(bottom.bit_length() - _LEAD_BITS, 0)
+        b_lo = bottom >> cut
+        b_hi, start = b_lo + (cut > 0), shift - cut
+    out = []
+    for tops in rows:
+        if bracket:
+            e, t_lo, t_hi, negative = start, 1, 1, False
+            for x in tops:
+                cut = x.bit_length() - _LEAD_BITS
+                if cut > 0:  # x >> cut is the floor: |x| / 2**cut lies in [x, x+1], or in [~x, ~x + 1] below 0
+                    x >>= cut
+                    e += cut
+                    if x < 0:
+                        x, negative = ~x, not negative
+                    t_lo, t_hi = t_lo * x, t_hi * (x + 1)
+                else:
+                    if x < 0:
+                        x, negative = -x, not negative
+                    t_lo, t_hi = t_lo * x, t_hi * x
+            if e >= 0:  # the quotient lies in [t_lo / b_hi, t_hi / b_lo] * 2**e
+                lo, hi = (t_lo << e) / b_hi, (t_hi << e) / b_lo
+            else:
+                lo, hi = t_lo / (b_hi << -e), t_hi / (b_lo << -e)
+            if lo == hi:
+                out.append(-lo if negative and t_lo else lo)  # t_lo is 0 only for a zero top
+                continue
+        top = math.prod(tops)
+        out.append((top << shift) / bottom if shift >= 0 else top / (bottom << -shift))
+    return out
 
 
 def bs_prob_exact(c: PhotonConfig, eta: Fraction) -> Fraction:
@@ -216,9 +261,13 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _exact_cell(c: PhotonConfig, device: Device, num: int, den: int) -> Fraction:
-    """The cell c as one Fraction U*V / Q at num/den."""
-    sums = _cell_sums(c, device, num, den)
-    return Fraction(0) if sums is None else Fraction(sums[0] * sums[1], sums[2])
+    """The cell c as one Fraction at num/den, its factors multiplied out
+    with the exact division by C(s,n) taken first, on the short a*C(s,i)."""
+    factors = _cell_factors(c, device, num, den)
+    if factors is None:
+        return Fraction(0)
+    ((a, _, above, p, r),), (below, power), shift = factors
+    return Fraction(a * (a * above // below) * p * r, power << -shift)
 
 
 def bs_prob_double_sum(i: int, k: int, n: int, eta):
@@ -271,16 +320,16 @@ def _double_sum(left, right, powers) -> int:
 def bs_prob_direct(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """Direct-route B(i,k->n) in floating point: the exact factored sum at the
     parameter's exact value, rounded once, within half an ulp at every total."""
-    sums = _cell_sums(c, Device.BS, *_exact_ratio(p))
-    return 0.0 if sums is None else _rounded_quotient(*sums)
+    factors = _cell_factors(c, Device.BS, *_exact_ratio(p))
+    return 0.0 if factors is None else _rounded_ratios(*factors)[0]
 
 
 def tms_prob(c: PhotonConfig, p: SqueezerParam) -> float:
     """A(i,k->n) = (1-lam) B(i, n+k-i -> n) at eta = 1-lam; 0 if unreachable.
     The exact num*U*V / (den*Q), 1 - lam = num/den (_partner_ratio), rounded
     once: bit for bit float(tms_prob_exact(c, lam)) at the exact lam."""
-    sums = _cell_sums(c, Device.TMS, *_partner_ratio(p))
-    return 0.0 if sums is None else _rounded_quotient(*sums)
+    factors = _cell_factors(c, Device.TMS, *_partner_ratio(p))
+    return 0.0 if factors is None else _rounded_ratios(*factors)[0]
 
 
 def tms_prob_exact(c: PhotonConfig, lam: Fraction) -> Fraction:
@@ -297,8 +346,8 @@ def _top_coefficient_walk(num: int, den: int, shells, own=None, bridge=False):
     """Yield (rows, ks, q, sums) for the shells s = 0, 1, ... that shells
     gives as (rows, ks), the runs of rows i and of k = s-n that shell s
     holds: q = den**s, and sums(i) the factors (t, Y, V) of row i over k in
-    ks, U = t*Y and V the sums of _cell_sums for the cells (i, s-i -> s-k)
-    at eta = num/den, or with bridge the squeezer's (i, k -> s-k), Y times
+    ks, U = t*Y and V the factored sums (_cell_factors) of the cells
+    (i, s-i -> s-k) at eta = num/den, or with bridge the squeezer's (i, k -> s-k), Y times
     num and q times den. Given own (a scan's rows), only those rows are
     read. sums reads the shell last yielded, so its factors hold until the
     next step.
@@ -374,11 +423,11 @@ def _top_coefficient_walk(num: int, den: int, shells, own=None, bridge=False):
 
 def _row_values(t: list[int], y: list[int], v: list[int], q: int | None) -> list:
     """A row of the walk's factors (t, Y, V) as its exact numerators
-    t*(Y*V), or given q as the quotients t*(Y*V) / q correctly rounded."""
-    products = map(operator.mul, y, v)
+    t*(Y*V), or given q as the quotients t*Y*V / q correctly rounded from
+    the three factors, with no product formed."""
     if q is None:
-        return [*map(operator.mul, t, products)]
-    return [*map(_rounded_quotient, t, products, repeat(q))]
+        return [*map(operator.mul, t, map(operator.mul, y, v))]
+    return _rounded_ratios(zip(t, y, v), (q,))
 
 
 def _pairs(v: list[int], start: int, run: range) -> tuple[list[int], list[int]]:
@@ -421,9 +470,7 @@ def normalization_residual(i: int, k: int, p: BeamSplitterParam | SqueezerParam)
     """
     _check_counts(i=i, k=k)
     if isinstance(p, BeamSplitterParam):
-        num, den = _exact_ratio(p)
-        q, cells = _den_power(den, i + k), (_scaled_factor_sums(i, k, n, num, den) for n in range(i + k + 1))
-        return abs(math.fsum(_rounded_quotient(u, v, q) for u, v in cells) - 1.0)
+        return abs(math.fsum(bs_prob_direct(PhotonConfig(i, k, n), p) for n in range(i + k + 1)) - 1.0)
     ((_, _, r),) = _tms_residual_rows(p, [i], [k])
     if isinstance(r, ConvergenceError):
         raise r
@@ -455,13 +502,16 @@ def _tms_residual_rows(p: SqueezerParam, rows, cols):
     held = range(max(rows) + 1)  # the rows below a scan's own rows carry its columns up
     shells = chain(((held, range(low, s + 1)) for s in range(high)), repeat((held, range(low, high + 1))))
     for s, (_, _, q, sums) in enumerate(_top_coefficient_walk(num, den, shells, rows, bridge=True)):
-        row = None  # the row whose factors t, y, v were read last on this shell
-        for (i, k), (first, settled, last, c, terms) in list(live.items()):
-            if s < first:
-                continue
-            if i != row:
-                row, (t, y, v) = i, sums(i)
-            terms.append(_rounded_quotient(t[c] * v[c], y[c], q))
+        now, factors, row = [], [], None  # row: the row whose factors t, y, v were read last on this shell
+        for item in live.items():
+            (i, _), (first, _, _, c, _) = item
+            if s >= first:
+                if i != row:
+                    row, (t, y, v) = i, sums(i)
+                now.append(item)
+                factors.append((t[c] * v[c], y[c]))  # t is short
+        for ((i, k), (_, settled, last, _, terms)), term in zip(now, _rounded_ratios(factors, (q,))):
+            terms.append(term)
             if s >= settled and max(terms[-3:]) * ratio / (1.0 - ratio) < _TAIL_TOLERANCE:
                 done[(i, k)] = abs(math.fsum(terms) - 1.0)
             elif s == last:

@@ -515,7 +515,7 @@ def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: s
 def tms_table_direct(imax: int, kmax: int, nmax: int, p: SqueezerParam, precision: str = "float") -> ProbabilityTable:
     """Squeezer table through the reversal route (_direct_fill on the
     bridge shells s = k+n, with num in Y): cell (i, k -> n) is
-    num*U*V / den**(s+1) for 1 - lam = num/den, the sums of _cell_sums,
+    num*U*V / den**(s+1) for 1 - lam = num/den, the value of _cell_factors,
     zero below n = max(0, i-k). Rational rows equal tms_prob_exact, float
     rows tms_prob bit for bit. A band that is a whole shell copies one row
     of each mirror pair, in both precisions."""

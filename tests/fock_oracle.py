@@ -284,6 +284,19 @@ def factor_sums_reference(i: int, k: int, n: int, num: int, den: int) -> tuple[i
     return u, v
 
 
+def cell_sums_reference(c: PhotonConfig, num: int, den: int) -> tuple[int, int, int] | None:
+    """(U, V, Q) with the cell c equal to U*V / Q, term by term, or None if c
+    is unreachable: at eta = num/den for a beam splitter, and at
+    1 - lam = num/den for a squeezer, whose cell (i, k -> n) is num/den times
+    the beam-splitter cell (i, n+k-i -> n), num on U and den on Q."""
+    if c.m < 0:
+        return None
+    if c.device is Device.BS:
+        return (*factor_sums_reference(c.i, c.k, c.n, num, den), den ** (c.i + c.k))
+    u, v = factor_sums_reference(c.i, c.m, c.n, num, den)
+    return num * u, v, den ** (c.i + c.m + 1)
+
+
 def prob_plain_quotient(i: int, k: int, n: int, p: BeamSplitterParam) -> float:
     """B(i,k->n) as the term-by-term factored sums at the exact transmittance,
     multiplied out and divided once: u * v / den**(i+k), correctly rounded by

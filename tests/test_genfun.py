@@ -67,6 +67,31 @@ def test_f_domain_errors():
         eval_f_tms(GenFunPoint(0.0, 3.0, 0.0, 1.0), SqueezerParam(0.5))
 
 
+_HUGE = GenFunPoint(-1e308, 1e308, 1e308, -1e308)
+
+
+@pytest.mark.parametrize("evaluate, message", [
+    (lambda: eval_g_bs(GenFunPoint(0, 0.99, -1, 1e308), BeamSplitterParam.from_value("1/999983")),
+     "amplitude generating function has no finite float value at GenFunPoint(x=0, y=0.99, z=-1, w=1e+308)"),
+    (lambda: eval_g_tms(GenFunPoint(1e308, 0, 1e308, 0), SqueezerParam(0.5)),
+     "amplitude generating function has no finite float value at GenFunPoint(x=1e+308, y=0, z=1e+308, w=0)"),
+    (lambda: eval_f_bs(_HUGE, BeamSplitterParam(0.5)),
+     f"probability generating function has no finite float value at {_HUGE}"),
+    (lambda: eval_f_tms(GenFunPoint(1e308, 1e308, -1e308, 0), SqueezerParam(0.5)),
+     "probability generating function has no finite float value at GenFunPoint(x=1e+308, y=1e+308, z=-1e+308, w=0)"),
+    (lambda: diagonal_gf_bs(1e308, 1e308, BeamSplitterParam(0.5)),
+     "diagonal generating function has no finite float value at x=1e+308, z=1e+308"),
+    (lambda: diagonal_gf_bs(1e308, -1.0, BeamSplitterParam(0.5)),
+     "diagonal generating function has no finite float value at x=1e+308, z=-1.0"),
+])
+def test_closed_forms_without_a_finite_value_raise_domain_error_naming_the_point(evaluate, message):
+    # An overflow (a bare OverflowError from math.exp or a float power) and a
+    # nan (inf - inf inside the closed form) are points outside the domain.
+    with pytest.raises(DomainError) as err:
+        evaluate()
+    assert str(err.value) == message
+
+
 def test_unit_box_flag():
     assert GenFunPoint(0.1, 0.2, 0.0, 0.99).in_unit_box()
     assert not GenFunPoint(0.1, 0.2, 1.0, 0.5).in_unit_box()
@@ -132,7 +157,7 @@ def test_g_series_matches_closed_form():
 def test_g_series_are_the_per_device_loops_bit_for_bit(order):
     # Each series reads the walk shell by shell, and each of its amplitudes
     # must be the single cell's. At 1/10**40 and order 24 many U*V/Q lie
-    # below the normal floats, where _signed_root scales by powers of 4.
+    # below the normal floats, where _signed_roots scales by powers of 4.
     rng = random.Random(14)
     values = [("2/7", "1/5"), ("0", "0"), ("0.37", "0.37")] + [("1/" + str(10**40),) * 2] * (order == 24)
     params = [(BS, TMS)] + [(BeamSplitterParam.from_value(a), SqueezerParam.from_value(b)) for a, b in values]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -22,8 +23,9 @@ from fockmix.probabilities import (
     tms_prob,
     tms_prob_exact,
 )
-from fockmix.recurrences import bs_table_convolution, bs_table_direct
+from fockmix.recurrences import bs_table_convolution, bs_table_direct, tms_table_direct
 from fock_oracle import (
+    cell_sums_reference,
     factor_sums_reference,
     normalization_residual_per_cell,
     prob_double_sum_literal,
@@ -464,7 +466,7 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
             assert reads == {i: int(lo <= i <= hi) for i in rows}, (s, precision)
             for (i, k), (t, y, v) in cells.items():
                 cell = PhotonConfig(i, s - i, s - k) if bs else PhotonConfig(i, k, s - k, Device.TMS)
-                assert (t * y, v, q) == probabilities._cell_sums(cell, device, num, den), (s, i, k)
+                assert (t * y, v, q) == cell_sums_reference(cell, num, den), (s, i, k)
                 held.append((cell.i, cell.k, cell.n))
         if bs:
             want = [(i, k, n) for i in range(shape[0] + 1) for k in range(shape[1] + 1) for n in range(i + k + 1)]
@@ -491,7 +493,7 @@ def test_the_walk_hands_each_builder_and_scan_the_single_cell_sums_once(shape, v
             assert max(reads.values()) <= 1, s
             for (i, k), (t, y, v) in cells.items():
                 cell = PhotonConfig(i, k, s - k, Device.TMS)
-                assert (t * y, v, q) == probabilities._cell_sums(cell, device, num, den), (s, i, k)
+                assert (t * y, v, q) == cell_sums_reference(cell, num, den), (s, i, k)
 
 
 @pytest.mark.parametrize("imax, kmax", [(60, 0), (0, 60), (40, 2), (2, 40), (7, 7)])
@@ -511,7 +513,7 @@ def test_shells_of_thin_and_square_tables_give_the_single_cell_factor_sums(imax,
                 seen.append((i, s - i))
                 got = [(t * y, v, q) for t, y, v in zip(*sums(i))]
                 cells = [PhotonConfig(i, k if bridge else s - i, s - k, device) for k in range(s + 1)]
-                assert got == [probabilities._cell_sums(c, device, num, den) for c in cells], (bridge, s, i)
+                assert got == [cell_sums_reference(c, num, den) for c in cells], (bridge, s, i)
     assert sorted(seen) == sorted(2 * [(i, k) for i in range(imax + 1) for k in range(kmax + 1)])
 
 
@@ -536,7 +538,7 @@ def test_a_negative_photon_count_raises_before_any_work(monkeypatch, call, count
     def engine(*args, **kwargs):
         raise AssertionError("work began before the counts were checked")
 
-    for module, name in [(probabilities, "_scaled_factor_sums"), (probabilities, "_tms_residual_rows"),
+    for module, name in [(probabilities, "_alternating_sum"), (probabilities, "_tms_residual_rows"),
                          (probabilities, "_double_sum"), (recurrences, "_bs_binomial_row")]:
         monkeypatch.setattr(module, name, engine)
     with pytest.raises(ValueError, match=f"photon counts must be nonnegative, got {count}$"):
@@ -660,41 +662,65 @@ def _signed(magnitude, sign):
     return -magnitude if sign else magnitude
 
 
+def _widths(draw, bits: int, parts: int, least: int) -> list[int]:
+    """bits split into parts widths of at least least bits each (bits >= parts * least)."""
+    cuts = sorted(draw(st.integers(0, bits - parts * least)) for _ in range(parts - 1))
+    return [least + b - a for a, b in zip([0, *cuts], [*cuts, bits - parts * least])]
+
+
 @st.composite
-def _quotient_operands(draw):
-    """(u, v, q) with q on either side of the short-quotient bound and |u*v/q|
-    near 2**scale: normal, subnormal or below the subnormal range."""
+def _ratio_operands(draw):
+    """(rows, bottoms, shift): one to three rows of one to five signed tops
+    over one or two bottoms, the denominator prod(bottoms) * 2**-shift on
+    either side of the short-quotient bound, part of it a shift or not, and
+    |each ratio| near 2**scale: normal, subnormal or below the subnormal
+    range. A positive part of the shift scales the tops up, as a direct
+    amplitude does."""
     bound = probabilities._SHORT_QUOTIENT_BITS
     qbits = draw(st.sampled_from([1, 60, bound - 1, bound, bound + 1, 3 * bound]) | st.integers(1, 4 * bound))
-    q = draw(st.integers(2 ** (qbits - 1), 2**qbits - 1))
-    scale = draw(st.sampled_from([0, -1030, -1060, -1074, -1100]) | st.integers(-1100, 900))
-    ubits = draw(st.integers(0, max(0, qbits + scale)))
-    vbits = max(0, qbits + scale - ubits)
-    u = _signed(draw(st.integers(0, 2**ubits)), draw(st.booleans()))
-    v = _signed(draw(st.integers(0, 2**vbits)), draw(st.booleans()))
-    return u, v, q
+    z = draw(st.sampled_from([0, qbits // 2, qbits - 1]))  # the bits of the denominator taken as the shift
+    up = draw(st.sampled_from([0, 0, 7, 400]))
+    bottom_bits = _widths(draw, qbits - z, draw(st.integers(1, min(2, qbits - z))), 1)
+    bottoms = tuple(draw(st.integers(2 ** (w - 1), 2**w - 1)) for w in bottom_bits)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        scale = draw(st.sampled_from([0, -1030, -1060, -1074, -1100]) | st.integers(-1100, 900))
+        top_bits = _widths(draw, max(0, qbits + scale - up), draw(st.integers(1, 5)), 0)
+        rows.append(tuple(_signed(draw(st.integers(0, 2**w)), draw(st.booleans())) for w in top_bits))
+    return rows, bottoms, up - z
+
+
+def _plain_ratio(tops, bottoms, shift):
+    return (math.prod(tops) << max(shift, 0)) / (math.prod(bottoms) << max(-shift, 0))
 
 
 @settings(max_examples=400, deadline=None)
-@given(_quotient_operands())
-@example((3 << 3000, -(5 << 2000), 7 << 4000))
-@example((-1, 1, 1 << 5000))
-@example((-(1 << 1500), -(1 << 1500), 3 << 4100))
-@example((0, -(1 << 3000), 1 << 2500))
-def test_rounded_quotient_is_the_plain_quotient(operands):
-    u, v, q = operands
-    got, want = probabilities._rounded_quotient(u, v, q), u * v / q
-    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+@given(_ratio_operands())
+@example(([(3 << 3000, -(5 << 2000))], (7 << 4000,), 0))
+@example(([(-1, 1)], (1 << 5000,), 0))
+@example(([(-(1 << 1500), -(1 << 1500))], (3 << 4100,), 0))
+@example(([(0, -(1 << 3000))], (1 << 2500,), 0))
+@example(([(-(1 << 1500), 3, -(1 << 900), 0)], (5, 3), -3000))
+@example(([(-(3 << 1000), 7 << 800, 1 << 900, 3), (1, 1 << 2000), (-1, 5 << 500)], (5 << 100, 3), -2900))
+def test_rounded_ratios_are_the_plain_quotients(operands):
+    rows, bottoms, shift = operands
+    got, want = probabilities._rounded_ratios(rows, bottoms, shift), [_plain_ratio(t, bottoms, shift) for t in rows]
+    assert got == want
+    assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
-class _CountingInt(int):
-    """An int that counts the products formed with it on the left."""
+class _CountingMath:
+    """The math module, with every argument of prod logged."""
 
-    products = 0
+    def __init__(self):
+        self.prods = []
 
-    def __mul__(self, other):
-        type(self).products += 1
-        return int(self) * other
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def prod(self, xs):
+        self.prods.append(tuple(xs))
+        return math.prod(xs)
 
 
 @pytest.mark.parametrize(
@@ -705,20 +731,93 @@ class _CountingInt(int):
         (2**1000 + 2**947 + 1, 1.0 + 2**-52),  # just above halfway
     ],
 )
-def test_halfway_quotients_fall_back_to_the_exact_division(u, want):
+def test_halfway_quotients_fall_back_to_the_exact_division(monkeypatch, u, want):
     # The leading-bit bracket straddles a rounding boundary, so only the exact
-    # quotient u*v/q can round it; the fallback forms u*v once.
+    # quotient u*v/q can round it; the fallback multiplies the tops out once.
     q = 1 << 2100
     v = q >> (u.bit_length() - 1)
-    _CountingInt.products = 0
-    assert probabilities._rounded_quotient(_CountingInt(u), v, q) == want == u * v / q
-    assert _CountingInt.products == 1
+    monkeypatch.setattr(probabilities, "math", counting := _CountingMath())
+    assert probabilities._rounded_ratios([(u, v)], (q,)) == [want] == [u * v / q]
+    assert counting.prods.count((u, v)) == 1
 
 
-def test_long_quotients_off_a_boundary_do_not_form_the_product():
-    _CountingInt.products = 0
-    assert probabilities._rounded_quotient(_CountingInt(3 << 3000), 5 << 2000, 7 << 4000) == (15 << 5000) / (7 << 4000)
-    assert _CountingInt.products == 0
+def test_long_quotients_off_a_boundary_do_not_form_the_product(monkeypatch):
+    monkeypatch.setattr(probabilities, "math", counting := _CountingMath())
+    tops = (3 << 3000, 5 << 2000, 1 << 1000)
+    got = probabilities._rounded_ratios([tops, tops[::-1]], (7 << 3000, 1 << 1000), -1000)
+    assert got == [(15 << 5000) / (7 << 4000)] * 2
+    assert tops not in counting.prods and tops[::-1] not in counting.prods
+
+
+@pytest.mark.parametrize("value", ["0.37", "1e-12", "0.999", "3/10", "1/941"])
+def test_brackets_that_straddle_give_the_same_floats(monkeypatch, value):
+    # With 2-bit leads every long bracket straddles a rounding boundary and
+    # falls back to the exact quotient; the floats must not move.
+    cells = [(60, 40, 55), (100, 100, 100), (130, 20, 0), (3, 150, 150), (140, 140, 139)]
+    bp, sp = BeamSplitterParam.from_value(value), SqueezerParam.from_value(value)
+
+    def floats():
+        for i, k, n in cells:
+            bs, tms = PhotonConfig(i, k, n), PhotonConfig(i, k, n, Device.TMS)
+            yield bs_prob_direct(bs, bp), bs_amplitude(bs, bp), tms_prob(tms, sp), tms_amplitude(tms, sp)
+        yield normalization_residual(20, 30, bp), bs_table_direct(3, 40, bp).buffer.tobytes()
+        yield recurrences.tms_table_direct(2, 3, 90, sp).buffer.tobytes()
+
+    want = list(floats())
+    monkeypatch.setattr(probabilities, "_LEAD_BITS", 2)
+    monkeypatch.setattr(probabilities, "math", counting := _CountingMath())
+    assert list(floats()) == want
+    assert len(counting.prods) > 40  # the fallback ran
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    value=st.sampled_from([1e-12, 1 - 1e-12, 0.37, 0.999]) | st.floats(1e-12, 1 - 1e-12),
+    total=st.integers(0, 300),
+    i=st.integers(0, 300),
+    n=st.integers(0, 300),
+)
+@example(value=0.37, total=300, i=150, n=150)
+@example(value=0.999, total=300, i=0, n=300)
+@example(value=1e-12, total=27, i=27, n=27)  # the probability 1e-324 underflows
+@example(value=1 - 1e-12, total=300, i=300, n=1)
+def test_float_only_cells_are_the_exact_cell_rounded_once(value, total, i, n):
+    # A float-only parameter is taken at its binary value: each probability
+    # is float() of the exact Fraction there, and each direct amplitude the
+    # root of that float above the least normal float, else within one ulp
+    # of the exact root.
+    i %= total + 1
+    n %= total + 1
+    bp, sp, exact = BeamSplitterParam(value), SqueezerParam(value), Fraction(value)
+    bs, tms = PhotonConfig(i, total - i, n), PhotonConfig(i, total - n, n, Device.TMS)
+    cells = [
+        (bs_prob_direct(bs, bp), bs_amplitude(bs, bp), bs_prob_exact(bs, exact)),
+        (tms_prob(tms, sp), tms_amplitude(tms, sp), tms_prob_exact(tms, exact)),
+    ]
+    for prob, amp, want in cells:
+        assert prob == float(want)
+        if prob > sys.float_info.min:
+            assert abs(amp) == math.sqrt(prob)
+        else:
+            assert within_ulps(amp, want, 1)
+
+
+@pytest.mark.parametrize("build, shape, value, last", [
+    (tms_table_direct, (6, 6, 60), 0.8, 6 + 60 + 1),  # q = den**(k+n+1) on the last bridge shell
+    (bs_table_direct, (20, 25), 0.7, 20 + 25),
+])
+def test_float_direct_tables_past_the_short_quotient_bound_are_their_rational_twins_rounded(build, shape, value, last):
+    # The twin is the rational table at the float's binary value (its p/q
+    # carrier); each float row must hold its exactly rounded entries, byte
+    # for byte, where q = den**s passes the bound (about 3 500 bits on the
+    # squeezer's last shell, 2 400 on the beam splitter's).
+    param = type(BeamSplitterParam(value) if build is bs_table_direct else SqueezerParam(value))
+    got = build(*shape, param(value))
+    twin = build(*shape, param.from_value(str(Fraction(value))), "rational")
+    assert (Fraction(value).denominator ** last).bit_length() > probabilities._SHORT_QUOTIENT_BITS
+    assert sorted(got) == sorted(twin)
+    for key in got:
+        assert got[key].tobytes() == np.array([float(x) for x in twin[key]]).tobytes(), key
 
 
 # The engine's Horner sums against the term-by-term reference over the
@@ -736,12 +835,20 @@ _ENGINE_PARAMS = st.one_of(_RATIOS, st.sampled_from([0.7, 0.37, 1e-12, 1 - 1e-12
 @example((200, 0), "1/1")
 @example((1, 1), 0.0)
 @example((1, 0), 1.0)
-def test_factor_sums_are_the_term_by_term_reference(row, eta):
+def test_cell_factors_are_the_term_by_term_reference(row, eta):
+    # prod(tops) is U*V times the lower binomial, with the sign of a nonzero
+    # U first, and the other bottom with the shift is den**s, for the
+    # beam-splitter cell and for the squeezer cell whose bridge it is (one
+    # more num and den).
     total, i = row
     num, den = probabilities._exact_ratio(BeamSplitterParam.from_value(eta))
     for n in range(total + 1):
-        got = probabilities._scaled_factor_sums(i, total - i, n, num, den)
-        assert got == factor_sums_reference(i, total - i, n, num, den), n
+        u, v = factor_sums_reference(i, total - i, n, num, den)
+        for cell, lift in (PhotonConfig(i, total - i, n), 0), (PhotonConfig(i, total - n, n, Device.TMS), 1):
+            (tops,), (below, power), shift = probabilities._cell_factors(cell, cell.device, num, den)
+            assert math.prod(tops) == num**lift * u * v * below, (n, lift)
+            assert (tops[0] < 0) == (u < 0) or not u, (n, lift)
+            assert shift <= 0 and power << -shift == den ** (total + lift), (n, lift)
 
 
 @settings(max_examples=30, deadline=None)

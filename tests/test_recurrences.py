@@ -810,7 +810,7 @@ def test_tms_direct_table_runs_no_single_cell_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a single-cell route ran")
 
-    for name in ("tms_prob", "tms_prob_exact", "bs_prob_direct", "bs_prob_exact", "_scaled_factor_sums"):
+    for name in ("tms_prob", "tms_prob_exact", "bs_prob_direct", "bs_prob_exact", "_cell_factors"):
         monkeypatch.setattr(probabilities, name, refuse)
         monkeypatch.setattr(recurrences, name, refuse, raising=False)
     for precision, rows in want.items():
