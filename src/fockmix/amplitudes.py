@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
 from .probabilities import _cell_factors, _exact_ratio, _partner_ratio, _require, _rounded_ratios
 
@@ -131,6 +129,8 @@ def _photon_addition_shells(imax: int, kmax: int, eta: float):
     60x60, eta = 3/10); their sum over s, the weighted mean of the two, is
     stable. A shell reads only the rows of the shell below that the table
     holds."""
+    import numpy as np
+
     t, r = math.sqrt(eta), math.sqrt(1.0 - eta)
     root = np.sqrt(np.arange(imax + kmax + 1))
     shell, lo = np.ones((1, 1)), 0

@@ -336,6 +336,8 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
         raise click.UsageError("--nmax applies to squeezer tables only")
     if device == "tms" and nmax is None:
         raise click.UsageError("--nmax is required for squeezer tables")
+    import numpy  # the first table loads numpy; loaded before the clock, build_s times the build alone
+
     started = time.perf_counter()
     t = _build_table(device, method, imax, kmax, nmax, param, precision)
     built = time.perf_counter()

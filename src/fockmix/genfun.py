@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .numerics import log_factorial
 from .params import BeamSplitterParam, SqueezerParam
@@ -206,6 +204,8 @@ def _amplitude_series(pt: GenFunPoint, order: int | None, num: int, den: int, br
     at num/den: row i, column k of shell s is the cell (i, s-i -> s-k), or
     with bridge the squeezer's (i, k -> s-k). A shell's terms are numpy
     products taken left to right, as per cell; zero amplitudes are skipped."""
+    import numpy as np
+
     r = max(abs(c) for c in pt.coords())
     order, bound, ok = _pick_order(lambda o: _g_tail(r, o), order)
     powers = [_powers(v, order // 2) for v in pt.coords()]
@@ -258,6 +258,8 @@ def f_bs_series(pt: GenFunPoint, p: BeamSplitterParam, order: int | None = None)
 
 def _powers(v: float, order: int) -> np.ndarray:
     """[v**0, ..., v**order], each the Python power."""
+    import numpy as np
+
     return np.array([v**n for n in range(order + 1)], dtype=float)
 
 

@@ -79,8 +79,6 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Union
 
-import numpy as np
-
 from .amplitudes import _photon_addition_shells
 from .errors import TableCoverageError
 from .numerics import binomial_exact
@@ -141,6 +139,8 @@ class ProbabilityTable(Mapping):
     nmax: int | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if (self.device is Device.TMS) != (self.nmax is not None):
             raise ValueError("a squeezer table needs nmax, and a beam-splitter table takes none")
         for name in ("imax", "kmax", "nmax"):
@@ -261,6 +261,8 @@ class ProbabilityTable(Mapping):
         a rational row is lifted to one power of den, summed exactly and
         divided once; a float row is over den = 1, and x * 1.0 and x / 1.0
         are x."""
+        import numpy as np
+
         top = self.imax + self.kmax if self.nmax is None else self.kmax + self.nmax + 1
         powers = np.array([(self.den or 1) ** e for e in range(top + 1)], self.buffer.dtype)
         if self.nmax is None:
@@ -275,6 +277,8 @@ class ProbabilityTable(Mapping):
         return float(defects.max(initial=0.0))
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         if not isinstance(other, ProbabilityTable):
             return NotImplemented
         layout = operator.attrgetter("device", "imax", "kmax", "nmax", "den")
@@ -396,6 +400,8 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
     The step is symmetric under swapping the modes: only the rows lo..hi
     that _halves gives are stepped, seeded and clipped, and each mirrored
     row is then row s-i reversed, one slice copy (_mirror)."""
+    import numpy as np
+
     eta, om, one = weights
     dtype, rational, shells = t.buffer.dtype, t.den is not None, t._shells()
     scratch, views = np.empty((2, max(shell.size for shell, _, _ in shells)), dtype), {}
@@ -495,6 +501,8 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
                     row.append(_double_sum(left, right, signed[f & 1][f + 2 * lo : f + 2 * hi + 1]))
                 t.span(i, k)[:] = row
     else:
+        import numpy as np
+
         for s, amplitudes in enumerate(_photon_addition_shells(imax, kmax, eta)):
             sq = np.multiply(amplitudes, amplitudes, out=t.shell(s))
             np.minimum(sq, 1.0, out=sq)

@@ -372,6 +372,51 @@ def test_package_import_leaves_mpmath_out():
     assert out.stdout.strip() == "False"
 
 
+_CELLS_WITHOUT_NUMPY = """
+import contextlib, csv, io, sys
+from fractions import Fraction
+import fockmix, fockmix.cli
+from fockmix import (BeamSplitterParam, Device, GenFunPoint, PhotonConfig, SqueezerParam, bs_amplitude,
+                     bs_prob_direct, bs_prob_exact, eval_g_bs, normalization_residual, tms_amplitude, tms_prob,
+                     tms_prob_exact)
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fockmix.cli.main.main(list(argv), standalone_mode=False)
+    return out.getvalue()
+
+bs, tms = PhotonConfig(5, 4, 3), PhotonConfig(5, 4, 3, Device.TMS)
+assert 0.0 < bs_prob_direct(bs, BeamSplitterParam(0.37)) < 1.0
+assert 0.0 < tms_prob(tms, SqueezerParam(0.4)) < 1.0
+assert bs_prob_exact(bs, Fraction(1, 3)) > 0 and tms_prob_exact(tms, Fraction(2, 5)) > 0
+assert bs_amplitude(bs, BeamSplitterParam(0.37)) != 0.0 and tms_amplitude(tms, SqueezerParam(0.4)) != 0.0
+assert normalization_residual(6, 5, BeamSplitterParam(0.37)) < 1e-14
+assert eval_g_bs(GenFunPoint(0.1, 0.2, 0.3, 0.4), BeamSplitterParam(0.37)) > 0.0
+cli("prob", "--device", "bs", "--i", "5", "--k", "4", "--n", "3", "--eta", "0.37")
+cli("amp", "--device", "tms", "--i", "5", "--k", "4", "--n", "3", "--lambda", "0.4")
+cli("genfun", "--which", "g", "--x", "0.1", "--y", "0.2", "--eta", "0.37")
+cli("plotdata", "--kind", "hom-sweep", "--steps", "5")
+print("numpy" in sys.modules)
+rows = list(csv.DictReader(io.StringIO(cli("table", "--device", "bs", "--imax", "2", "--kmax", "2", "--eta", "0.3"))))
+print("numpy" in sys.modules, len(rows))
+"""
+
+
+def test_single_cells_and_their_commands_leave_numpy_out():
+    """Single cells, prob, amp, genfun and plotdata run in pure integers and
+    floats, so numpy is loaded by the first table only."""
+    src = str(Path(fockmix.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _CELLS_WITHOUT_NUMPY],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False", "True", "27"]  # 9 rows of i+k+1 cells
+
+
 def test_amplitude_level_reversal_relation():
     lam = 0.3
     sp = SqueezerParam(lam)
