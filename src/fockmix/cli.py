@@ -53,8 +53,9 @@ from .verify import SUITE_NAMES, hom_sweep, run_suite, tms_sweep
 
 _NORMALIZATION_TOLERANCE = 1e-10
 
-# Largest table a command builds, in entries (80 MB as float64), checked
-# before any allocation.
+# Largest table a command builds, in entries served, checked before any
+# allocation: 80 MB as float64, or about half that for a beam-splitter
+# recurrence or direct table, which stores one row of each mirror pair.
 _MAX_TABLE_ENTRIES = 10_000_000
 # Most work a rational double sum (prob --method convolution --precision
 # rational) takes, in terms times the bits of its largest term: (999, 999,

@@ -27,17 +27,19 @@ of its SU(2) blocks, so row (k, i) is row (i, k) reversed. The five-term
 and direct fills read their shells off ProbabilityTable._shells, and
 _halves alone decides the mirror: where a shell holds both rows of a pair
 over a window of n closed under n -> s-n (every beam-splitter shell, and a
-squeezer band that is a whole shell), they compute one row of each pair
-and copy the other reversed, in both precisions, bit for bit the row's own
-value, and the batched normalization rows (_bs_residual_rows) sum one row
-of each pair. Thin tables hold no such pair. The convolution table computes
-every row, so verify's exact route checks test each copied row against its
-own double sum.
+squeezer band that is a whole shell), they compute one row of each pair,
+in both precisions, and the other is bit for bit the row's own value
+reversed. A beam-splitter recurrence or direct table stores only the rows
+its fill computes and serves each other row as a reversed view of its
+partner; a squeezer band copies it in. The batched normalization rows
+(_bs_residual_rows) sum one row of each pair. Thin tables hold no such
+pair. The convolution table computes and stores every row, so verify's
+exact route checks test each mirrored row against its own double sum.
 
 Every table a builder returns is one ProbabilityTable, which owns one
-read-only buffer in its device's layout: a beam-splitter shell s = i+k is a
-block [row, n], and a squeezer bridge shell t = k+n a band of the grid
-[i, k*(nmax+1) + n].
+read-only buffer in its device's layout: the rows a beam-splitter shell
+s = i+k stores are a block [row, n], and a squeezer bridge shell t = k+n a
+band of the grid [i, k*(nmax+1) + n].
 Float buffers hold the entries. Rational buffers hold the integers the fills
 and the exact engine compute, each entry times a power of the denominator
 q of eta or lambda = p/q, and a rational row becomes Fractions when it is
@@ -76,7 +78,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from typing import Union
 
 from .amplitudes import _photon_addition_shells
@@ -117,17 +119,21 @@ Param = Union[BeamSplitterParam, SqueezerParam]
 class ProbabilityTable(Mapping):
     """Triangular (beam splitter) or rectangular (squeezer) probability table:
     one buffer in the device's layout, and the read-only Mapping of its rows
-    (i <= imax, k <= kmax) in shell order. Beam-splitter shells s = i+k are
-    blocks [i - lo, n] of a flat buffer, the squeezer a grid
-    [i, k*(nmax+1) + n]. A row over n holds i+k+1 values (beam splitter) or
-    nmax+1 (squeezer): a read-only float64 view, or in rational precision a
-    fresh list of Fractions. A rational buffer holds the ints entry * den**e,
-    den the denominator of eta or lambda and e = i+k (beam splitter) or
-    k+n+1 (squeezer), the same on every route. Every float entry lies in
-    [0, 1]: direct rows are exact values rounded once, and the fills clip as
-    they store a shell. A table reads as zeros until a builder fills and
-    freezes it. Tables are equal when device, sizes, den and buffer are.
-    No field or layout attribute can be rebound once the table is made.
+    (i <= imax, k <= kmax) in shell order. A beam-splitter shell s = i+k
+    stores the rows lo..hi of _runs[s], as the block [i - lo, n] of a flat
+    buffer: every row on the convolution route, else the run its fill
+    computes (_halves), and a row past the run is served as its partner's
+    stored row reversed, B(i, k -> n) = B(k, i -> s-n). The squeezer is a
+    grid [i, k*(nmax+1) + n] of every row. A row over n holds i+k+1 values
+    (beam splitter) or nmax+1 (squeezer): a read-only float64 view, or in
+    rational precision a fresh list of Fractions. A rational buffer holds
+    the ints entry * den**e, den the denominator of eta or lambda and e =
+    i+k (beam splitter) or k+n+1 (squeezer), the same on every route. Every
+    float entry lies in [0, 1]: direct rows are exact values rounded once,
+    and the fills clip as they store a shell. A table reads as zeros until a
+    builder fills and freezes it. Tables are equal when device, sizes, den
+    and every row they serve are, whichever rows each stores. No field or
+    layout attribute can be rebound once the table is made.
     """
 
     device: Device
@@ -153,13 +159,18 @@ class ProbabilityTable(Mapping):
             derived, dtype = {"den": exact.denominator, "_zero": 0}, object
         imax, kmax = self.imax, self.kmax
         if self.nmax is None:
-            sizes = ((min(imax, s) - max(0, s - kmax) + 1) * (s + 1) for s in range(imax + kmax + 1))
+            held = [(max(0, s - kmax), min(imax, s)) for s in range(imax + kmax + 1)]
+            runs = derived["_runs"] = [
+                (r, last) if self.method == "convolution" else _halves(s, last - r + 1, s + 1, r, 0)[:2]
+                for s, (r, last) in enumerate(held)
+            ]
+            sizes = ((hi - lo + 1) * (s + 1) for s, (lo, hi) in enumerate(runs))
             offsets = derived["_offsets"] = list(accumulate(sizes, initial=0))
-            # row (i, s-i) starts at _starts[s] + i*(s+1)
-            derived["_starts"] = [o - max(0, s - kmax) * (s + 1) for s, o in enumerate(offsets[:-1])]
+            # stored row (i, s-i) starts at _starts[s] + i*(s+1)
+            derived["_starts"] = [o - lo * (s + 1) for s, (o, (lo, _)) in enumerate(zip(offsets, runs))]
             derived["buffer"] = np.zeros(offsets[-1], dtype)
         else:
-            derived["buffer"] = np.zeros((imax + 1, (kmax + 1) * (self.nmax + 1)), dtype)
+            derived["_runs"], derived["buffer"] = None, np.zeros((imax + 1, (kmax + 1) * (self.nmax + 1)), dtype)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -177,18 +188,42 @@ class ProbabilityTable(Mapping):
         return Fraction(0) if self.precision == "rational" else 0.0
 
     def shell(self, s: int) -> np.ndarray:
-        """Beam-splitter shell s as the block [i - lo, n] of the buffer."""
+        """The rows lo..hi that beam-splitter shell s stores (_runs[s]), as
+        the block [i - lo, n] of the buffer."""
         return self.buffer[self._offsets[s] : self._offsets[s + 1]].reshape(-1, s + 1)
+
+    def _held(self, s: int) -> list:
+        """Every row of beam-splitter shell s, in row order, as blocks [i, n]:
+        the stored block, and the rows it mirrors as the partners' stored
+        rows with both axes reversed (row i is row s-i reversed)."""
+        (lo, hi), block = self._runs[s], self.shell(s)
+        r, last = max(0, s - self.kmax), min(self.imax, s)
+
+        def mirror(a: int, b: int):  # rows a..b, from the stored rows s-b..s-a
+            return block[s - b - lo : s - a - lo + 1][::-1, ::-1]
+
+        return [mirror(r, lo - 1)] * (r < lo) + [block] + [mirror(hi + 1, last)] * (hi < last)
+
+    def _aligned(self, other: ProbabilityTable):
+        """(ours, theirs) array pairs that hold every row two tables of one
+        device and size serve: the two buffers when both store the same rows,
+        else each beam-splitter shell's rows (_held) made one array."""
+        if self._runs == other._runs:
+            return [(self.buffer, other.buffer)]
+        import numpy as np
+
+        return ((np.concatenate(self._held(s)), np.concatenate(other._held(s))) for s in range(len(self._runs)))
 
     def _shells(self) -> list:
         """One (view, r, c) per shell s, the cell (i, s-i -> n) at
-        view[i - r, n - c]: the beam-splitter block shell(s), or the squeezer
-        bridge shell s = k+n, its cells (i, k -> s-k) for i <= min(imax, s)
-        and n from c = max(0, s-kmax) to min(s, nmax), as one strided slice
-        of the grid with k falling (cell (i, k, s-k) at column k*nmax + s)."""
+        view[i - r, n - c]: the rows beam-splitter shell s stores, the block
+        shell(s) from its first stored row r, or the squeezer bridge shell
+        s = k+n, its cells (i, k -> s-k) for i <= min(imax, s) and n from
+        c = max(0, s-kmax) to min(s, nmax), as one strided slice of the grid
+        with k falling (cell (i, k, s-k) at column k*nmax + s)."""
         imax, kmax, nmax = self.imax, self.kmax, self.nmax
         if nmax is None:
-            return [(self.shell(s), max(0, s - kmax), 0) for s in range(imax + kmax + 1)]
+            return [(self.shell(s), lo, 0) for s, (lo, _) in enumerate(self._runs)]
         views, step, grid = [], max(nmax, 1), self.buffer
         for s in range(kmax + nmax + 1):  # conditionals, not min and max: this runs once a shell
             top, stop = (kmax if s > kmax else s) * nmax + s, (s - nmax if s > nmax else 0) * nmax + s - step
@@ -216,8 +251,12 @@ class ProbabilityTable(Mapping):
         i, k = held
         if self.nmax is None:
             s = i + k
-            start = self._starts[s] + i * (s + 1)
-            return self.buffer[start : start + s + 1]
+            lo, hi = self._runs[s]
+            if lo <= i <= hi:
+                start = self._starts[s] + i * (s + 1)
+                return self.buffer[start : start + s + 1]
+            start = self._starts[s] + k * (s + 1)  # the stored row (k, i)
+            return self.buffer[start : start + s + 1][::-1]
         width = self.nmax + 1
         return self.buffer[i, k * width : (k + 1) * width]
 
@@ -257,16 +296,17 @@ class ProbabilityTable(Mapping):
         """Worst row-sum defect. Squeezer rows are partial sums, so only the
         excess above 1 counts there. A row whose sum is not finite makes the
         residual inf or nan, so no tolerance accepts it. The row sums are
-        taken on the buffer, by beam-splitter shell or over the squeezer grid:
-        a rational row is lifted to one power of den, summed exactly and
-        divided once; a float row is over den = 1, and x * 1.0 and x / 1.0
-        are x."""
+        taken on the buffer, over the squeezer grid or by beam-splitter shell,
+        on its stored block and on its mirrored rows as the reversed views
+        they are served as (numpy sums a view in its own order): a rational
+        row is lifted to one power of den, summed exactly and divided once;
+        a float row is over den = 1, and x * 1.0 and x / 1.0 are x."""
         import numpy as np
 
         top = self.imax + self.kmax if self.nmax is None else self.kmax + self.nmax + 1
         powers = np.array([(self.den or 1) ** e for e in range(top + 1)], self.buffer.dtype)
         if self.nmax is None:
-            sums = np.concatenate([self.shell(s).sum(axis=1) / powers[s] for s in range(top + 1)]).astype(float)
+            sums = np.concatenate([b.sum(axis=1) / powers[s] for s in range(top + 1) for b in self._held(s)]).astype(float)
         else:
             grid = self.buffer.reshape(self.imax + 1, self.kmax + 1, self.nmax + 1)
             sums = ((grid * powers[self.nmax :: -1]).sum(axis=2) / powers[self.nmax + 1 :]).astype(float).ravel()
@@ -282,7 +322,7 @@ class ProbabilityTable(Mapping):
         if not isinstance(other, ProbabilityTable):
             return NotImplemented
         layout = operator.attrgetter("device", "imax", "kmax", "nmax", "den")
-        return layout(self) == layout(other) and bool(np.array_equal(self.buffer, other.buffer))
+        return layout(self) == layout(other) and all(np.array_equal(a, b) for a, b in self._aligned(other))
 
     def __contains__(self, key) -> bool:
         """Whether key is a row (i, k) of the table; any other key is absent."""
@@ -334,11 +374,11 @@ def _weight(count: int, x, u: int, y, v: int):
         return math.exp(math.log(count) + u * logs[0] + v * logs[1])
 
 
-def _bs_binomial_row(counts: list, x, one=1) -> list:
+def _bs_binomial_row(counts: list, x, y) -> list:
     """Vacuum-seeded row from counts = C(s, .): the chance that n of s photons
-    land in output a, each with probability x/one, times one**s."""
+    land in output a, each with probability x and else, with y = 1 - x, in b."""
     s = len(counts) - 1
-    return [_weight(c, x, n, one - x, s - n) for n, c in enumerate(counts)]
+    return [_weight(c, x, n, y, s - n) for n, c in enumerate(counts)]
 
 
 def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
@@ -349,8 +389,9 @@ def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
 
 def _halves(s: int, height: int, width: int, r: int, c: int) -> tuple:
     """(lo, hi, mirrored) for shell s held as height rows from row r, each
-    over the width n from c on: a fill computes rows lo..hi, then writes each
-    row i in mirrored as row s-i reversed (B(i, k -> n) = B(k, i -> i+k-n)).
+    over the width n from c on: a fill computes rows lo..hi, and each row i
+    in mirrored is row s-i reversed (B(i, k -> n) = B(k, i -> i+k-n)), served
+    so by a beam-splitter table and written so into a squeezer band.
     mirrored is None, and lo..hi every row, when the shell holds no pair
     i < s-i or its n window is not closed under n -> s-n. Otherwise the rows
     whose mirror is held reach row r or the last row, and the half of them
@@ -398,8 +439,15 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
     contiguous in the buffer is worked in an array of its own.
 
     The step is symmetric under swapping the modes: only the rows lo..hi
-    that _halves gives are stepped, seeded and clipped, and each mirrored
-    row is then row s-i reversed, one slice copy (_mirror)."""
+    that _halves gives are stepped, seeded and clipped. A beam-splitter view
+    holds the rows its table stores, which hold no mirror pair, so all of
+    them. A row of a shell below past its stored run is read as its
+    partner's stored row reversed, and the rows that read one are stepped
+    one at a time: at most one a shell, except in the two shells after
+    shell imax of a table with imax < kmax, where the stored run moves to
+    the lower half. A
+    squeezer band that is a whole shell writes each mirrored row as row s-i
+    reversed, one slice copy (_mirror)."""
     import numpy as np
 
     eta, om, one = weights
@@ -409,6 +457,19 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
     def spare(shape: tuple) -> list:  # two scratch arrays of that shape, the views made once per shape
         return views.get(shape) or views.setdefault(shape, [x[: shape[0] * shape[1]].reshape(shape) for x in scratch])
 
+    def held(below: tuple, s: int, i: int) -> np.ndarray:  # row i of the view (rows, r, c) of shell s
+        rows, r0, _ = below
+        return rows[i - r0] if r0 <= i < r0 + len(rows) else rows[s - i - r0][::-1]
+
+    def step(body, up, left, diag, covers: list) -> None:  # the five terms of rows i from up i-1, left i, diag i-1
+        (to, at), (to1, at1), (to2, at2) = covers
+        a, b = spare((len(body), at.stop - at.start))
+        np.add(np.multiply(om, up[:, at], out=a), np.multiply(eta, left[:, at], out=b), out=body[:, to])
+        (a, b), dst = spare((len(body), at1.stop - at1.start)), body[:, to1]
+        dst += np.add(np.multiply(eta, up[:, at1], out=a), np.multiply(om, left[:, at1], out=b), out=a)
+        d, dst = diag[:, at2], body[:, to2]
+        dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
+
     below2, below = None, shells[0]  # (shell as stored, r, c) of the shells s-2 and s-1
     below[0][...] = lead
     for s, (shell, r, c) in enumerate(shells[1:], 1):
@@ -417,19 +478,21 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, s-i >= 1
         if g0 <= g1:
             (prev, r1, c1), (prev2, r2, c2) = below, below2
-            up, left, body = prev[g0 - 1 - r1 : g1 - r1], prev[g0 - r1 : g1 + 1 - r1], work[g0 - r : g1 + 1 - r]
-            to, at = _cover(c, width, c1, prev.shape[1], 0)
-            u, l, (a, b) = up[:, at], left[:, at], spare((len(body), at.stop - at.start))
-            np.add(np.multiply(om, u, out=a), np.multiply(eta, l, out=b), out=body[:, to])
-            to, at = _cover(c, width, c1, prev.shape[1], 1)
-            u, l, (a, b), dst = up[:, at], left[:, at], spare((len(body), at.stop - at.start)), body[:, to]
-            dst += np.add(np.multiply(eta, u, out=a), np.multiply(om, l, out=b), out=a)
-            to, at = _cover(c, width, c2, prev2.shape[1], 1)
-            d, dst = prev2[g0 - 1 - r2 : g1 - r2, at], body[:, to]
-            dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
+            covers = [_cover(c, width, c1, prev.shape[1], 0), _cover(c, width, c1, prev.shape[1], 1)]
+            covers.append(_cover(c, width, c2, prev2.shape[1], 1))
+            # the rows whose up, left and diag rows the views below hold, then the others
+            a = max(g0, r1 + 1, r2 + 1)
+            inner = range(a, max(a, min(g1, r1 + len(prev) - 1, r2 + len(prev2)) + 1))
+            if inner:
+                up, left = prev[inner.start - 1 - r1 : inner.stop - 1 - r1], prev[inner.start - r1 : inner.stop - r1]
+                diag = prev2[inner.start - 1 - r2 : inner.stop - 1 - r2]
+                step(work[inner.start - r : inner.stop - r], up, left, diag, covers)
+            for i in chain(range(g0, min(g1 + 1, inner.start)), range(max(g0, inner.stop), g1 + 1)):
+                up, left, diag = held(below, s - 1, i - 1), held(below, s - 1, i), held(below2, s - 2, i - 1)
+                step(work[i - r : i + 1 - r], up[None], left[None], diag[None], covers)
         for i, (x, y) in zip((0, s), seeds):
             if lo <= i <= hi:
-                row, src = work[i - r], below[0][min(i, s - 1) - below[1]]
+                row, src = work[i - r], held(below, s - 1, min(i, s - 1))
                 (to, at), (to1, at1) = (_cover(c, width, below[2], len(src), shift) for shift in (0, 1))
                 np.multiply(y, src[at], out=row[to])
                 row[to1] += x * src[at1]
@@ -447,13 +510,17 @@ def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> 
 def _direct_fill(t: ProbabilityTable, num: int, den: int, bridge: bool = False) -> ProbabilityTable:
     """Fill the table t from _top_coefficient_walk at eta = num/den (with
     bridge, the squeezer's cells) on t._shells(): shell s = (shell, r, c)
-    holds rows r..r+len-1 and k from s-c-width+1 to s-c, the walk's runs.
-    The rows lo..hi of _halves are one assignment over k rising (n falling)
-    of the row factors (t, Y, V) as numerators t*(Y*V) (rational) or their
-    quotients by q rounded once (float); each mirrored row is then row s-i
-    reversed, the same exact values, so the same bytes."""
-    shells = t._shells()
-    runs = [(range(r, r + len(v)), range(s - c + 1 - v.shape[1], s - c + 1)) for s, (v, r, c) in enumerate(shells)]
+    stores rows r..r+len-1 over k from s-c-width+1 to s-c. The walk steps
+    every row the shell holds, as its lower-end rule asks, and the fill reads
+    the rows lo..hi of _halves: one assignment over k rising (n falling) of
+    the row factors (t, Y, V) as numerators t*(Y*V) (rational) or their
+    quotients by q rounded once (float). A beam-splitter view holds only the
+    rows its table stores, so all of them; a squeezer band that is a whole
+    shell then writes each mirrored row as row s-i reversed, the same exact
+    values, so the same bytes."""
+    shells, imax, kmax = t._shells(), t.imax, t.kmax
+    rows = [range(0 if bridge else max(0, s - kmax), min(imax, s) + 1) for s in range(len(shells))]
+    runs = [(rows[s], range(s - c + 1 - v.shape[1], s - c + 1)) for s, (v, _, c) in enumerate(shells)]
     walk = _top_coefficient_walk(num, den, runs, bridge=bridge)
     for s, ((shell, r, c), (_, _, q, sums)) in enumerate(zip(shells, walk)):
         lo, hi, mirrored = _halves(s, *shell.shape, r, c)
@@ -468,8 +535,8 @@ def bs_table_direct(imax: int, kmax: int, p: BeamSplitterParam, precision: str =
     """Direct-route table from the exact factored sums U*V/Q on every shell
     s = i+k (_direct_fill): float rows are the exact values rounded once,
     bit for bit those of bs_prob_direct; rational rows hold U*V and equal
-    bs_prob_exact. Row (k, i) of a shell that holds both is row (i, k)
-    reversed, copied in both precisions."""
+    bs_prob_exact. The table stores one row of each pair (i, k), (k, i) and
+    serves the other reversed, in both precisions."""
     return _direct_fill(ProbabilityTable(Device.BS, p, "direct", precision, imax, kmax), *_exact_ratio(p))
 
 
@@ -511,8 +578,8 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Five-term fill (_five_term_fill) on the whole shells s = i+k from the
-    vacuum cell 1, half of each pair of mirror rows (i, k), (k, i) stepped
-    and the other copied. Float products go to two scratch arrays
+    vacuum cell 1, one of each pair of mirror rows (i, k), (k, i) stepped and
+    stored and the other served reversed. Float products go to two scratch arrays
     and the first sum straight into the zeroed shell; that keeps the bytes of
     (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
@@ -744,8 +811,9 @@ class ClassicalTable:
         key = (i, k)
         if key not in self._rows:
             _check_counts(i=i, k=k)
-            a = _bs_binomial_row([binomial_exact(i, n) for n in range(i + 1)], self._eta)
-            b = _bs_binomial_row([binomial_exact(k, n) for n in range(k + 1)], 1 - self._eta)
+            eta, om = self._eta, 1 - self._eta  # eta itself, not 1 - om, which drops its low bits below 1/2
+            a = _bs_binomial_row([binomial_exact(i, n) for n in range(i + 1)], eta, om)
+            b = _bs_binomial_row([binomial_exact(k, n) for n in range(k + 1)], om, eta)
             self._rows[key] = _convolve_full(a, b)
         return self._rows[key]
 

@@ -9,6 +9,7 @@ ranges the package promises: a full pass of the nine is 46 229 cases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -145,16 +146,19 @@ _AGREE_TOL = 1e-10  # every route-agreement pair in float
 
 
 def _agree(res: VerificationResult, tables, label: str, parameter, expected="exact equality") -> None:
-    """One case per pair of built tables of one layout, one array operation on
-    their buffers: float tables agree to _AGREE_TOL entrywise (a NaN fails),
-    rational ones exactly, as every route holds the same integers."""
+    """One case per pair of built tables of one device and size, over every
+    row they serve: one array operation on their buffers where both store the
+    same rows, else one per beam-splitter shell (ProbabilityTable._aligned).
+    Float tables agree to _AGREE_TOL entrywise (a NaN fails), rational ones
+    exactly, as every route holds the same integers."""
     for a, b in itertools.combinations(tables, 2):
         indices = f"{a.method} vs {b.method} {label}"
         if a.precision == "rational":
             equal = a == b
             res.check(equal, indices, parameter, expected, equal, "exact")
         else:
-            res.within(float(abs(a.buffer - b.buffer).max()), _AGREE_TOL, indices, parameter, expected)
+            worst = functools.reduce(nan_max, (float(abs(x - y).max()) for x, y in a._aligned(b)))
+            res.within(worst, _AGREE_TOL, indices, parameter, expected)
 
 
 def _suite_hom(res: VerificationResult) -> None:

@@ -276,6 +276,19 @@ def test_classical_model_rows():
             assert abs(math.fsum(table.row(i, k)) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("eta", [1e-12, 1e-17, 0.3])
+def test_classical_float_rows_are_their_rational_twins_rounded(eta):
+    # Mode b's photons reach output a with probability 1 - eta and stay with
+    # eta itself; 1 - (1 - eta) drops eta's low bits below 1/2, all of them
+    # at 1e-17, where 1 - eta rounds to 1.
+    table = ClassicalTable(BeamSplitterParam(eta))
+    twin = ClassicalTable(BeamSplitterParam.from_value(Fraction(eta)), "rational")
+    for i in range(6):
+        for k in range(6):
+            for got, want in zip(table.row(i, k), twin.row(i, k), strict=True):
+                assert abs(Fraction(got) - want) <= 1e-14 * want, (i, k)
+
+
 def test_classical_recurrence_j1_and_general():
     p = BeamSplitterParam(0.5)
     assert classical_recurrence_check(1, 1, 1, 1, p) <= 1e-15
@@ -322,7 +335,7 @@ def _assert_bit_identical(table, reference):
     assert list(table.entries) == list(reference)
     for key, row in reference.items():
         got = table.entries[key]
-        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.dtype == np.float64 and abs(got.strides[0]) == got.itemsize  # read forward, or mirrored reversed
         assert got.tobytes() == row.tobytes(), key
 
 
@@ -360,6 +373,14 @@ def test_float_tms_fill_holds_only_its_entries():
 _ALL_BUILDERS = [bs_table_direct, bs_table_convolution, bs_table_recurrence, tms_table_direct, tms_table_recurrence]
 
 
+def _stores(build, imax: int, kmax: int, i: int, k: int) -> bool:
+    """Whether a beam-splitter table of build stores row (i, k): every row on
+    the convolution route, else the run lo..hi that _halves gives its shell."""
+    s, r = i + k, max(0, i + k - kmax)
+    lo, hi, _ = recurrences._halves(s, min(imax, s) - r + 1, s + 1, r, 0)
+    return build is bs_table_convolution or lo <= i <= hi
+
+
 @pytest.mark.parametrize("precision", ["float", "rational"])
 @pytest.mark.parametrize("build", _ALL_BUILDERS, ids=lambda b: b.__name__)
 def test_built_table_rows_live_in_one_buffer(monkeypatch, build, precision):
@@ -372,7 +393,8 @@ def test_built_table_rows_live_in_one_buffer(monkeypatch, build, precision):
     keys = [(i, s - i) for s in range(imax + kmax + 1) for i in range(max(0, s - kmax), min(imax, s) + 1)]
     assert rows is table and not rows.buffer.flags.writeable
     assert list(rows) == keys and len(rows) == (imax + 1) * (kmax + 1) and sorted(rows) == sorted(keys)
-    assert rows.buffer.size == (sum(i + k + 1 for i, k in keys) if bs else len(keys) * (nmax + 1))
+    stored = [key for key in keys if not bs or _stores(build, imax, kmax, *key)]
+    assert rows.buffer.size == (sum(i + k + 1 for i, k in stored) if bs else len(keys) * (nmax + 1))
     # Every row index left of 0 or past imax or kmax is missing; none wraps into the buffer.
     outside = [(-1, 3), (imax + 1, 0), (0, kmax + 1), (-1, 0), (0, -1), (-2, 5), (6, -3)]
     for i, k in outside:
@@ -410,6 +432,50 @@ def test_built_table_rows_live_in_one_buffer(monkeypatch, build, precision):
         assert moved(table, (2, 1), 1, math.nan) != table
     assert shifted != table and table != shifted and other_device != table and table != dict.fromkeys(table)
     assert all(key in rows for key in keys) and not any(key in rows for key in outside)
+
+
+@pytest.mark.parametrize("precision", ["float", "rational"])
+@pytest.mark.parametrize("build", _ALL_BUILDERS[:3], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("imax, kmax", [(6, 6), (7, 4), (3, 9), (0, 5)])
+def test_a_mirrored_row_is_a_read_only_view_of_its_stored_partner(build, precision, imax, kmax):
+    table = build(imax, kmax, BeamSplitterParam.from_value("3/10"), precision)
+    stored = {key for key in table if _stores(build, imax, kmax, *key)}
+    assert build is not bs_table_convolution or len(stored) == len(table)  # it computes every row
+    # The stored rows, read forward, tile the buffer: it holds them and nothing else.
+    base, step = table.buffer.__array_interface__["data"][0], table.buffer.itemsize
+    tiles = sorted((table.span(*key).__array_interface__["data"][0] - base, table.span(*key).nbytes) for key in stored)
+    assert all(table.span(*key).strides == (step,) for key in stored)
+    assert [at for at, _ in tiles] == [0] + [at + size for at, size in tiles[:-1]]
+    assert sum(size for _, size in tiles) == table.buffer.nbytes
+    for i, k in table:
+        row = table.span(i, k)
+        assert np.shares_memory(row, table.buffer) and not row.flags.writeable
+        if (i, k) not in stored:
+            partner = table.span(k, i)
+            assert (k, i) in stored and np.shares_memory(row, partner) and row.strides == (-step,)
+            assert row.tolist() == partner.tolist()[::-1]
+
+
+@pytest.mark.parametrize("imax, kmax", [(6, 6), (7, 4)])
+def test_tables_of_two_layouts_compare_every_row_they_serve(imax, kmax):
+    # The rational routes hold the same integers, whichever rows each stores.
+    exact = BeamSplitterParam.from_value("2/7")
+    direct, conv, rec = (build(imax, kmax, exact, "rational") for build in _ALL_BUILDERS[:3])
+    assert direct == conv == rec and rec == conv
+    key = next(key for key in direct if not _stores(bs_table_direct, imax, kmax, *key))
+    assert moved(conv, key, 0, Fraction(1, 7 ** sum(key))) != direct
+    # A float table of the convolution layout that holds the direct rows is
+    # the direct table, until one entry of a row the direct table mirrors
+    # moves by one ulp.
+    p = BeamSplitterParam(0.3)
+    direct, copied = bs_table_direct(imax, kmax, p), ProbabilityTable(Device.BS, p, "convolution", "float", imax, kmax)
+    for i, k in copied:
+        copied.span(i, k)[:] = direct.span(i, k)
+    assert copied.frozen() == direct and direct == copied
+    value = direct.span(*key)[1]
+    off = moved(copied, key, 1, math.nextafter(value, 2.0) - value)
+    assert off != direct and direct != off
+    assert max(float(abs(a - b).max()) for a, b in off._aligned(direct)) == math.ulp(value)
 
 
 @pytest.mark.parametrize("precision", ["float", "rational"])

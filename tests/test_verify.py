@@ -316,7 +316,7 @@ _MOVED_CELLS = st.one_of(st.tuples(st.just("bs"), _BS_CELLS), st.tuples(st.just(
 @example(ratio="1/1000", moved=("bs", ((5, 5), 10)))
 @example(ratio="0/1", moved=("tms", ((0, 4), 4)))
 @example(ratio="999/1000", moved=("tms", ((4, 0), 0)))
-@example(ratio="0/1", moved=("bs", ((0, 1), 0)))  # row (0, 1) is copied from row (1, 0)
+@example(ratio="0/1", moved=("bs", ((0, 1), 0)))  # row (0, 1) is row (1, 0) reversed
 def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(ratio, moved):
     device, (key, cell) = moved
     if device == "bs":
@@ -328,8 +328,8 @@ def test_the_packed_compare_fails_exactly_where_the_residual_row_is_nonzero(rati
     s, i, k = at
     build = bs_table_direct if nmax is None else tms_table_direct
     shell, r, c = build(*sizes, p, "rational")._shells()[s]
-    mirrored = recurrences._halves(s, *shell.shape, r, c)[2]
-    if mirrored and i in mirrored:  # a copied row: move the cell it is copied from
+    lo, hi, _ = recurrences._halves(s, *shell.shape, r, c)
+    if not lo <= i <= hi:  # a mirrored row, not computed: move the cell it is read from
         at = s, s - i, s - k
     widest = max(map(max, _engine_rows(p, *sizes)[2].values()))
     below = 0
