@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 
+from .numerics import _check_size
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam, _check_counts
 from .probabilities import _cell_factors, _exact_ratio, _partner_ratio, _require, _rounded_ratios
 
@@ -104,8 +105,11 @@ def _signed_roots(i: int, rows, bottoms, shift: int = 0) -> list[float]:
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """<n, i+k-n|BS(eta)|i, k> as entry n of the last shell of
     _photon_addition_shells(i, k, eta), the single row (i, k), clipped to
-    [-1, 1]; its square is the entry of any float convolution table."""
+    [-1, 1]; its square is the entry of any float convolution table. A
+    block (i, k) of more than numerics._MAX_TABLE_ENTRIES entries raises
+    DomainError before the fill starts."""
     _require(c, Device.BS)
+    _check_size((c.i + 1) * (c.k + 1) * (c.i + c.k + 2) // 2, f"the photon-addition fill of block (i={c.i}, k={c.k})")
     if c.n > c.i + c.k:
         return 0.0
     for shell in _photon_addition_shells(c.i, c.k, p.eta):
@@ -164,7 +168,8 @@ def tms_amplitude(c: PhotonConfig, p: SqueezerParam, method: str = "direct") -> 
     """Squeezer amplitude <n, n+k-i|TMS(lam)|i, k> via partial time reversal:
     the direct route is the signed root of tms_prob's exact quotient (within
     one ulp), the convolution route the float sqrt(1.0 - lam) times
-    bs_amplitude of the bridge cell at eta = 1-lam, bit for bit."""
+    bs_amplitude of the bridge cell at eta = 1-lam, bit for bit, refused as
+    the fill of the bridge block (i, n+k-i)."""
     if method == "direct":
         factors = _cell_factors(c, Device.TMS, *_partner_ratio(p))
         return 0.0 if factors is None else _signed_roots(c.i, *factors)[0]

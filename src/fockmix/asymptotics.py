@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .numerics import nan_max
+from .numerics import _check_size, nan_max
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import bs_prob_direct, tms_prob
 
@@ -86,10 +86,14 @@ def convergence_report(i_values: list[int], device: Device) -> AsymptoticReport:
 
     Probes must be strictly increasing. The beam-splitter report reads
     B(probe, probe -> n) and the squeezer report A(n, probe -> probe), each
-    one correctly rounded cell of the direct route at eta = lam = 1/2.
+    one correctly rounded cell of the direct route at eta = lam = 1/2. Its
+    work grows with the probe, bounded as a probe x probe beam-splitter
+    table: a largest probe whose table would hold more than
+    numerics._MAX_TABLE_ENTRIES entries raises DomainError before any cell.
     """
     if list(i_values) != sorted(set(i_values)):
         raise ValueError("probe indices must be strictly increasing")
+    _check_size((max(i_values, default=0) + 1) ** 3, "the table")
     if device is Device.BS:
         bp = BeamSplitterParam(0.5)
         exact_of = lambda probe, n: bs_prob_direct(PhotonConfig(probe, probe, n), bp)

@@ -2,10 +2,14 @@
 
 Exit codes: 0 success (verify: all checks passed), 1 verification failure or
 a failed internal self-check, 2 usage errors (bad flags, out-of-range
-parameters, points outside a convergence domain, a generating function with
-no finite float value at the point, tables above the entry limit, an --out
-that cannot be written, a rational value with more digits than
-sys.get_int_max_str_digits() allows as text).
+parameters, an --out that cannot be written, and every refusal of the
+library, a DomainError: a point outside a convergence domain, a generating
+function with no finite float value at the point, a size above its budget;
+and a rational value with more digits than sys.get_int_max_str_digits()
+allows as text). The CLI keeps no size budget of its own: each library route
+checks its own before any work (numerics._MAX_TABLE_ENTRIES,
+probabilities._MAX_DOUBLE_SUM_WORK), and _Command turns the refusal into a
+usage error in the library's words.
 
 Parameters accept decimal literals ("0.3") or exact ratios ("1/3"); rational
 precision requires the ratio form so the exact routes are never silently fed
@@ -18,7 +22,6 @@ parameter, a float or, in rational precision, its canonical fraction, so
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import errno
 import io
@@ -36,7 +39,6 @@ import click
 from .asymptotics import convergence_report
 from .errors import DomainError
 from .genfun import GenFunPoint, diagonal_gf_bs, eval_f_bs, eval_f_tms, eval_g_bs, eval_g_tms
-from .numerics import log_binomial
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import bs_prob_direct, bs_prob_double_sum, bs_prob_exact, tms_prob, tms_prob_exact
 from .recurrences import (
@@ -52,16 +54,6 @@ from .amplitudes import bs_amplitude, tms_amplitude
 from .verify import SUITE_NAMES, hom_sweep, run_suite, tms_sweep
 
 _NORMALIZATION_TOLERANCE = 1e-10
-
-# Largest table a command builds, in entries served, checked before any
-# allocation: 80 MB as float64, or about half that for a beam-splitter
-# recurrence or direct table, which stores one row of each mirror pair.
-_MAX_TABLE_ENTRIES = 10_000_000
-# Most work a rational double sum (prob --method convolution --precision
-# rational) takes, in terms times the bits of its largest term: (999, 999,
-# 999) at 1/3, 10**6 terms of at most 5983 bits, takes about 7 s on a 2-vCPU
-# x86_64 Xeon VM (Python 3.11).
-_MAX_DOUBLE_SUM_WORK = 5_982_383_802
 
 
 def _param(device: str, eta: str | None, lam: str | None, rational: bool = False) -> BeamSplitterParam | SqueezerParam:
@@ -92,34 +84,12 @@ class _FiniteFloat(click.types.FloatParamType):
         return x
 
 
-def _check_table_size(device: Device, imax: int, kmax: int, nmax: int | None = None, what: str = "the table") -> None:
-    """Refuse (exit 2) `what`, a table above _MAX_TABLE_ENTRIES, before it is
-    built: beam-splitter rows (i, k) hold i+k+1 values, squeezer rows nmax+1."""
-    if device is Device.BS:
-        entries = (imax + 1) * (kmax + 1) * (imax + kmax + 2) // 2
-    else:
-        entries = (imax + 1) * (kmax + 1) * (nmax + 1)
-    if entries > _MAX_TABLE_ENTRIES:
-        raise click.UsageError(f"{what} would hold {entries} entries, above the limit of {_MAX_TABLE_ENTRIES}")
-
-
-def _amplitude(pc: PhotonConfig, param: BeamSplitterParam | SqueezerParam, method: str) -> float:
-    """The amplitude of pc by the route `method`, after refusing (exit 2) a
-    convolution whose photon-addition fill of block (i, k), or of the
-    squeezer's bridge block (i, n+k-i), is above the entry limit."""
-    if method == "convolution":
-        k = pc.k if pc.device is Device.BS else pc.m
-        _check_table_size(Device.BS, pc.i, k, what=f"the photon-addition fill of block (i={pc.i}, k={k})")
-    return (bs_amplitude if pc.device is Device.BS else tms_amplitude)(pc, param, method=method)
-
-
 def _build_table(device: str, method: str, imax: int, kmax: int, nmax: int | None,
                  param: BeamSplitterParam | SqueezerParam, precision: str) -> ProbabilityTable:
-    """The --device --method table, after refusing a squeezer convolution table
-    and one above the entry limit; the builders are looked up when called."""
+    """The --device --method table, after refusing a squeezer convolution
+    table; the builders are looked up when called."""
     if device == "tms" and method == "convolution":
         raise click.UsageError("squeezer tables support direct and recurrence methods")
-    _check_table_size(Device(device), imax, kmax, nmax)
     if device == "bs":
         builder = {"direct": bs_table_direct, "convolution": bs_table_convolution,
                    "recurrence": bs_table_recurrence}[method]
@@ -180,20 +150,25 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         raise
 
 
-@contextlib.contextmanager
-def _text_limit():
-    """Turn the ValueError of an int too long for text, raised as a rational
-    value is printed, into a usage error (exit 2) that names the limit,
-    sys.get_int_max_str_digits(); any other ValueError passes."""
-    try:
-        yield
-    except ValueError as exc:
-        if "int_max_str_digits" not in str(exc):
-            raise
-        raise click.UsageError(
-            f"a rational value has more digits than the {sys.get_int_max_str_digits()} that Python turns into "
-            "text (sys.get_int_max_str_digits); use float precision or smaller counts"
-        ) from exc
+class _Command(click.Command):
+    """A command that turns a refusal of the library into a usage error (exit
+    2) under its usage header: a DomainError in its own words, and the
+    ValueError of an int too long for text, raised as a rational value is
+    printed, naming the limit, sys.get_int_max_str_digits(); any other
+    ValueError passes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except DomainError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except ValueError as exc:
+            if "int_max_str_digits" not in str(exc):
+                raise
+            raise click.UsageError(
+                f"a rational value has more digits than the {sys.get_int_max_str_digits()} that Python turns into "
+                "text (sys.get_int_max_str_digits); use float precision or smaller counts", ctx
+            ) from exc
 
 
 @click.group()
@@ -206,6 +181,9 @@ def main(ctx: click.Context, verbose: bool) -> None:
     The process is single-threaded; table builds are vectorized internally.
     """
     ctx.obj = {"verbose": verbose}
+
+
+main.command_class = _Command
 
 
 def _note(record: dict) -> None:
@@ -226,7 +204,8 @@ def _note(record: dict) -> None:
 def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, method: str) -> None:
     """Print one transition amplitude."""
     param = _param(device, eta, lam)
-    click.echo(repr(_amplitude(PhotonConfig(i, k, n, Device(device)), param, method)))
+    amplitude = bs_amplitude if device == "bs" else tms_amplitude
+    click.echo(repr(amplitude(PhotonConfig(i, k, n, Device(device)), param, method)))
 
 
 @main.command()
@@ -253,25 +232,15 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
                 "squeezer amplitudes are irrational; rational precision supports "
                 "direct, exact and recurrence methods"
             )
-        lo, hi = max(0, n - k), min(i, n)  # m and j run over lo..hi, so e = k-n+m+j
-        (a, b), terms, bits = param.eta_exact.as_integer_ratio(), max(0, hi - lo + 1) ** 2, 0.0
-        if terms:  # Vandermonde bounds the binomials; a**e (b-a)**(i+k-e) is largest at an end of e
-            logs = math.log2(max(a, 1)), math.log2(max(b - a, 1))  # a zero factor makes its terms 0
-            power = max(e * logs[0] + (i + k - e) * logs[1] for e in (k - n + 2 * lo, k - n + 2 * hi))
-            bits = (log_binomial(i + k, n) + log_binomial(i + k, i)) / math.log(2) + power
-        if terms * bits > _MAX_DOUBLE_SUM_WORK:
-            raise click.UsageError(f"the double sum of (i={i}, k={k}, n={n}) would take {terms} terms of up to "
-                                   f"{math.ceil(bits)} bits, above the limit of {_MAX_DOUBLE_SUM_WORK} term-bits")
         value = bs_prob_double_sum(i, k, n, param.eta_exact)
     elif method == "convolution":
-        a = _amplitude(pc, param, method)
+        a = (bs_amplitude if bs else tms_amplitude)(pc, param, method=method)
         value = a * a  # the table's entry bit for bit; a ** 2 may not be
     elif rational:
         value = bs_prob_exact(pc, param.eta_exact) if bs else tms_prob_exact(pc, param.lam_exact)
     else:
         value = (bs_prob_direct if bs else tms_prob)(pc, param)
-    with _text_limit():
-        click.echo(str(value) if rational else repr(float(value)))
+    click.echo(str(value) if rational else repr(float(value)))
 
 
 def _table_chunks(table: ProbabilityTable, fmt: str):
@@ -350,8 +319,7 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
         _note(record)
         click.echo(f"normalization self-check failed: residual {residual:.3e}", err=True)
         sys.exit(1)
-    with _text_limit():
-        _emit(_table_chunks(t, fmt), out)
+    _emit(_table_chunks(t, fmt), out)
     record["emit_s"] = time.perf_counter() - checked
     _note(record)
 
@@ -373,15 +341,12 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
         raise click.UsageError("the diagonal generating function is a beam-splitter object")
     param = _param(device, eta, lam)
     pt = GenFunPoint(x, y, z, w)
-    try:
-        if which == "diag":
-            value = diagonal_gf_bs(x, z, param)
-        elif device == "bs":
-            value = (eval_g_bs if which == "g" else eval_f_bs)(pt, param)
-        else:
-            value = (eval_g_tms if which == "g" else eval_f_tms)(pt, param)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+    if which == "diag":
+        value = diagonal_gf_bs(x, z, param)
+    elif device == "bs":
+        value = (eval_g_bs if which == "g" else eval_f_bs)(pt, param)
+    else:
+        value = (eval_g_tms if which == "g" else eval_f_tms)(pt, param)
     click.echo(repr(value))
 
 
@@ -424,22 +389,14 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
             writer.writerow([repr(x), repr(v)])
     elif kind == "quantum-classical":
         k = i if k is None else k
-        products = (i + 1) * (k + 1)  # the classical row's convolution of two binomial rows
-        if products > _MAX_TABLE_ENTRIES:
-            raise click.UsageError(f"the classical row of (i={i}, k={k}) would take {products} convolution "
-                                   f"products, above the limit of {_MAX_TABLE_ENTRIES}")
         p = _param("bs", eta, None)
-        table = ClassicalTable(p)
+        classical = ClassicalTable(p).row(i, k)  # refuses an oversize row before any cell
         writer.writerow(["n", "quantum", "classical"])
-        for n in range(i + k + 1):
-            quantum = bs_prob_direct(PhotonConfig(i, k, n), p)
-            writer.writerow([n, repr(quantum), repr(float(table.prob(i, k, n)))])
+        for n, c in enumerate(classical):
+            writer.writerow([n, repr(bs_prob_direct(PhotonConfig(i, k, n), p)), repr(float(c))])
     else:
         if i < 1:
             raise click.UsageError("--i must be positive")
-        # convergence_report builds no table; its exact-cell work grows with
-        # --i, which is bounded like an i x i beam-splitter table
-        _check_table_size(Device.BS, i, i)
         report = convergence_report([i], Device.BS)
         detail = report.detail[i]
         writer.writerow(["n", "exact", "predicted"])

@@ -2,7 +2,9 @@
 
 
 class DomainError(ValueError):
-    """An evaluation point lies outside the convergence/validity domain."""
+    """An evaluation point lies outside the convergence/validity domain, or a
+    size lies above its budget (numerics._MAX_TABLE_ENTRIES,
+    probabilities._MAX_DOUBLE_SUM_WORK); a route raises it before any work."""
 
 
 class ConvergenceError(RuntimeError):

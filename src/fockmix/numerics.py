@@ -1,4 +1,5 @@
-"""Exact combinatorics and cancellation-aware floating-point helpers.
+"""Exact combinatorics, cancellation-aware floating-point helpers, and the
+entry budget every route checks before it allocates.
 
 Exact counts ride on Python's arbitrary-precision ``int``. All functions are
 pure and hold no state.
@@ -7,6 +8,8 @@ pure and hold no state.
 from __future__ import annotations
 
 import math
+
+from .errors import DomainError
 
 __all__ = [
     "binomial_exact",
@@ -20,6 +23,19 @@ __all__ = [
 
 # Largest n whose binomials stay well inside float range (C(1028,514) overflows).
 _SQRT_EXACT_MAX_N = 1000
+
+# Most entries a table serves, or values a fill block, classical row, probe or
+# sweep grid holds, checked before any allocation: 80 MB as float64, or about
+# half that for a beam-splitter recurrence or direct table, which stores one
+# row of each mirror pair.
+_MAX_TABLE_ENTRIES = 10_000_000
+
+
+def _check_size(size: int, what: str, verb: str = "hold", unit: str = "entries") -> None:
+    """Raise DomainError, "<what> would <verb> <size> <unit>, above the limit
+    of _MAX_TABLE_ENTRIES", for a size above the entry budget."""
+    if size > _MAX_TABLE_ENTRIES:
+        raise DomainError(f"{what} would {verb} {size} {unit}, above the limit of {_MAX_TABLE_ENTRIES}")
 
 
 def binomial_exact(n: int, k: int) -> int:

@@ -83,7 +83,7 @@ from typing import Union
 
 from .amplitudes import _photon_addition_shells
 from .errors import TableCoverageError
-from .numerics import binomial_exact
+from .numerics import _check_size, binomial_exact
 from .params import BeamSplitterParam, Device, SqueezerParam, _check_counts
 from .probabilities import (
     _double_sum,
@@ -133,7 +133,9 @@ class ProbabilityTable(Mapping):
     and the fills clip as they store a shell. A table reads as zeros until a
     builder fills and freezes it. Tables are equal when device, sizes, den
     and every row they serve are, whichever rows each stores. No field or
-    layout attribute can be rebound once the table is made.
+    layout attribute can be rebound once the table is made. A table that
+    would serve more entries than numerics._MAX_TABLE_ENTRIES raises
+    DomainError before numpy is loaded or its buffer allocated.
     """
 
     device: Device
@@ -145,8 +147,6 @@ class ProbabilityTable(Mapping):
     nmax: int | None = None
 
     def __post_init__(self):
-        import numpy as np
-
         if (self.device is Device.TMS) != (self.nmax is not None):
             raise ValueError("a squeezer table needs nmax, and a beam-splitter table takes none")
         for name in ("imax", "kmax", "nmax"):
@@ -154,10 +154,14 @@ class ProbabilityTable(Mapping):
             if size is not None and size < 0:
                 raise ValueError(f"{name} must be non-negative, got {size}")
         exact = _param_of(self.param, self.precision)  # checks the precision, and a rational one's p/q carrier
+        imax, kmax = self.imax, self.kmax
+        rows = (imax + 1) * (kmax + 1)  # of i+k+1 entries (beam splitter), (imax+kmax+2)/2 on average, or nmax+1
+        _check_size(rows * (imax + kmax + 2) // 2 if self.nmax is None else rows * (self.nmax + 1), "the table")
+        import numpy as np
+
         derived, dtype = {"den": None, "_zero": 0.0}, float  # _zero starts a sum of buffer values
         if self.precision == "rational":
             derived, dtype = {"den": exact.denominator, "_zero": 0}, object
-        imax, kmax = self.imax, self.kmax
         if self.nmax is None:
             held = [(max(0, s - kmax), min(imax, s)) for s in range(imax + kmax + 1)]
             runs = derived["_runs"] = [
@@ -797,8 +801,9 @@ class ClassicalTable:
     """Distribution of distinguishable photons: each routes independently, so
     every row is a convolution of the two binomial rows. Rows are memoized,
     and so are the l-sum of the general-j relation at each (i, k, j) and its
-    term count c(i, k, j). A negative i or k raises ValueError; an n
-    outside a row reads zero."""
+    term count c(i, k, j). A negative i or k raises ValueError, and a row
+    of more than numerics._MAX_TABLE_ENTRIES products (i+1)(k+1) raises
+    DomainError before any is taken; an n outside a row reads zero."""
 
     def __init__(self, p: BeamSplitterParam, precision: str = "float"):
         self.param = p
@@ -811,6 +816,7 @@ class ClassicalTable:
         key = (i, k)
         if key not in self._rows:
             _check_counts(i=i, k=k)
+            _check_size((i + 1) * (k + 1), f"the classical row of (i={i}, k={k})", "take", "convolution products")
             eta, om = self._eta, 1 - self._eta  # eta itself, not 1 - om, which drops its low bits below 1/2
             a = _bs_binomial_row([binomial_exact(i, n) for n in range(i + 1)], eta, om)
             b = _bs_binomial_row([binomial_exact(k, n) for n in range(k + 1)], om, eta)

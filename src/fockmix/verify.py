@@ -32,7 +32,7 @@ from .genfun import (
     g_bs_series,
     g_tms_series,
 )
-from .numerics import nan_max
+from .numerics import _check_size, nan_max
 from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
 from .probabilities import (
     _tms_residual_rows,
@@ -119,9 +119,11 @@ class VerificationResult:
 
 
 def _grid(steps: int) -> list[float]:
-    """A uniform grid of steps points on [0, 1]; fewer than 2 raise ValueError."""
+    """A uniform grid of steps points on [0, 1]; fewer than 2 raise ValueError,
+    and more than numerics._MAX_TABLE_ENTRIES DomainError, before any point."""
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    _check_size(steps, "the grid", unit="points")
     return [idx / (steps - 1) for idx in range(steps)]
 
 

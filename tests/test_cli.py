@@ -8,11 +8,16 @@ import stat
 import sys
 from fractions import Fraction
 
+import numpy
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import fockmix.amplitudes
+import fockmix.asymptotics
 import fockmix.cli
+import fockmix.numerics
+import fockmix.probabilities
 import fockmix.verify
 from fock_oracle import moved, render_table_reference
 from fockmix import recurrences
@@ -447,11 +452,11 @@ def test_malformed_parameter_literals_exit_2(literal, param):
     ("--device", "tms", "--imax", "300", "--kmax", "300", "--nmax", "300", "--lambda", "0.5"),
 ])
 def test_table_above_the_entry_limit_exits_2_before_any_build(monkeypatch, argv):
+    # the library refuses the table before its buffer is allocated
     def refuse(*args, **kwargs):
-        raise AssertionError("a builder ran for an oversize table")
+        raise AssertionError("a buffer was allocated for an oversize table")
 
-    for builder in _BUILDERS.values():
-        monkeypatch.setattr(fockmix.cli, builder.__name__, refuse)
+    monkeypatch.setattr(numpy, "zeros", refuse)
     r = run("table", *argv)
     assert r.exit_code == 2
     assert "above the limit of 10000000" in r.output
@@ -462,10 +467,12 @@ def test_table_entry_limit_counts_every_entry_of_the_table(monkeypatch, device, 
     param = (BeamSplitterParam if device == "bs" else SqueezerParam)(0.3)
     entries = sum(len(row) for row in _BUILDERS[(device, "recurrence")](*sizes, param).entries.values())
     argv = _table_argv(device, sizes, "0.3", "float", "recurrence", "csv")[1:]
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", entries)
     assert run("table", *argv).exit_code == 0
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries - 1)
-    assert run("table", *argv).exit_code == 2
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", entries - 1)
+    r = run("table", *argv)
+    assert r.exit_code == 2
+    assert f"the table would hold {entries} entries, above the limit of {entries - 1}" in r.output
 
 
 _TABLE_BUILDING_COMMANDS = [
@@ -486,12 +493,15 @@ _TABLE_BUILDING_COMMANDS = [
 
 @pytest.mark.parametrize("argv", _TABLE_BUILDING_COMMANDS)
 def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeypatch, argv):
+    # the work itself is refused: a table's buffer, the photon-addition fill,
+    # the exact cells of the asymptotic probe
     def refuse(*args, **kwargs):
-        raise AssertionError("a builder ran for an oversize table")
+        raise AssertionError("work began for an oversize table")
 
-    for name in ("bs_table_recurrence", "tms_table_recurrence", "convergence_report", "bs_amplitude", "tms_amplitude"):
-        monkeypatch.setattr(fockmix.cli, name, refuse)
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 100)  # each table above holds 154, 196 or 343
+    monkeypatch.setattr(numpy, "zeros", refuse)
+    monkeypatch.setattr(fockmix.amplitudes, "_photon_addition_shells", refuse)
+    monkeypatch.setattr(fockmix.asymptotics, "bs_prob_direct", refuse)
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", 100)  # each table above holds 154, 196 or 343
     r = run(*argv)
     assert r.exit_code == 2
     assert "above the limit of 100" in r.output
@@ -506,10 +516,12 @@ def test_commands_that_build_tables_refuse_oversize_ones_before_building(monkeyp
     (_TABLE_BUILDING_COMMANDS[8], 154),
 ])
 def test_commands_that_build_tables_run_at_the_entry_limit(monkeypatch, argv, entries):
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries)
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", entries)
     assert run(*argv).exit_code == 0
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", entries - 1)
-    assert run(*argv).exit_code == 2
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", entries - 1)
+    r = run(*argv)
+    assert r.exit_code == 2
+    assert f"would hold {entries} entries, above the limit of {entries - 1}" in r.output
 
 
 @pytest.mark.parametrize("command", ["amp", "prob"])
@@ -635,7 +647,7 @@ _GRAMMAR = {
     "genfun": {"--which": (["g", "f", "diag"], []), "--device": _DEVICES, "--x": _POINTS, "--y": _POINTS,
                "--z": _POINTS, "--w": _POINTS, "--eta": _LITERALS, "--lambda": _LITERALS},
     "plotdata": {"--kind": (["hom-sweep", "tms-sweep", "diag-asymptotic", "quantum-classical"], []),
-                 "--steps": (["2", "3", "5"], ["1", "text"]), "--i": _COUNTS, "--k": _COUNTS, "--eta": _LITERALS},
+                 "--steps": (["2", "3", "5"], ["1", "text", "10000001"]), "--i": _COUNTS, "--k": _COUNTS, "--eta": _LITERALS},
 }
 _RARE = {"bs": {"--lambda", "--nmax"}, "tms": {"--eta"}}  # the options a device takes no value from
 
@@ -764,16 +776,17 @@ def test_plotdata_quantum_classical_refuses_a_row_above_the_entry_limit_before_a
         raise AssertionError("work ran for an oversize row")
 
     assert run("plotdata", "--kind", "quantum-classical").exit_code == 0  # i = k = 100
-    for name in ("ClassicalTable", "bs_prob_direct"):
-        monkeypatch.setattr(fockmix.cli, name, refuse)
+    # the binomial rows of the classical row, and the exact quantum cells
+    monkeypatch.setattr(recurrences, "_bs_binomial_row", refuse)
+    monkeypatch.setattr(fockmix.probabilities, "_cell_factors", refuse)
     r = run("plotdata", "--kind", "quantum-classical", "--i", "9999", "--k", "1000")
     assert r.exit_code == 2
     assert "would take 10010000 convolution products, above the limit of 10000000" in r.output
     argv = ("plotdata", "--kind", "quantum-classical", "--i", "6", "--k", "3")
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 27)
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", 27)
     assert run(*argv).exit_code == 2
     monkeypatch.undo()
-    monkeypatch.setattr(fockmix.cli, "_MAX_TABLE_ENTRIES", 28)
+    monkeypatch.setattr(fockmix.numerics, "_MAX_TABLE_ENTRIES", 28)
     assert run(*argv).exit_code == 0
 
 
@@ -799,18 +812,20 @@ def test_rational_double_sum_refuses_a_cell_above_the_work_limit_before_any_work
     # at most log2 C(i+k, n) + log2 C(i+k, i) bits of binomials plus the bits
     # of the largest power a**e (b-a)**(i+k-e) at eta = a/b. (999, 100000,
     # 999) has as many terms as (999, 999, 999), but three times the bits.
-    def summed(i, k, n, eta):
-        return Fraction(1, 7)
+    # The library refuses before the sum: _double_sum, which adds the terms,
+    # is replaced by a zero total where the cell is accepted.
+    def summed(left, right, powers):
+        return 0
 
     def refuse(*args, **kwargs):
         raise AssertionError("work ran for an oversize double sum")
 
-    monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", summed)
-    assert run(*_DOUBLE_SUM_ARGS, "--i", "999", "--k", "999", "--n", "999", "--eta", "1/3").output == "1/7\n"
-    assert run(*_DOUBLE_SUM_ARGS, "--i", "5000", "--k", "0", "--n", "5000", "--eta", "1/3").output == "1/7\n"
-    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "50000", "--n", "500", "--eta", "1/3").output == "1/7\n"
-    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "500", "--n", "500", "--eta", "1/999983").output == "1/7\n"
-    monkeypatch.setattr(fockmix.cli, "bs_prob_double_sum", refuse)
+    monkeypatch.setattr(fockmix.probabilities, "_double_sum", summed)
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "999", "--k", "999", "--n", "999", "--eta", "1/3").output == "0\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "5000", "--k", "0", "--n", "5000", "--eta", "1/3").output == "0\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "50000", "--n", "500", "--eta", "1/3").output == "0\n"
+    assert run(*_DOUBLE_SUM_ARGS, "--i", "500", "--k", "500", "--n", "500", "--eta", "1/999983").output == "0\n"
+    monkeypatch.setattr(fockmix.probabilities, "_double_sum", refuse)
     for i, k, n, terms, bits in [(1000, 1000, 1000, 1002001, 5989), (999, 20000, 999, 10**6, 13577),
                                  (999, 100000, 999, 10**6, 18160)]:
         r = run(*_DOUBLE_SUM_ARGS, "--i", str(i), "--k", str(k), "--n", str(n), "--eta", "1/3")
@@ -819,9 +834,9 @@ def test_rational_double_sum_refuses_a_cell_above_the_work_limit_before_any_work
                 "above the limit of 5982383802 term-bits") in r.output
     monkeypatch.undo()
     argv = (*_DOUBLE_SUM_ARGS, "--i", "3", "--k", "5", "--n", "4", "--eta", "1/3")  # 16 terms of 18.9 bits
-    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_WORK", 302)
+    monkeypatch.setattr(fockmix.probabilities, "_MAX_DOUBLE_SUM_WORK", 302)
     assert run(*argv).exit_code == 2
-    monkeypatch.setattr(fockmix.cli, "_MAX_DOUBLE_SUM_WORK", 303)
+    monkeypatch.setattr(fockmix.probabilities, "_MAX_DOUBLE_SUM_WORK", 303)
     assert run(*argv).output == "1000/6561\n"
 
 
