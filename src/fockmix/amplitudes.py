@@ -105,13 +105,14 @@ def _signed_roots(i: int, rows, bottoms, shift: int = 0) -> list[float]:
 def bs_amplitude_convolution(c: PhotonConfig, p: BeamSplitterParam) -> float:
     """<n, i+k-n|BS(eta)|i, k> as entry n of the last shell of
     _photon_addition_shells(i, k, eta), the single row (i, k), clipped to
-    [-1, 1]; its square is the entry of any float convolution table. A
-    block (i, k) of more than numerics._MAX_TABLE_ENTRIES entries raises
-    DomainError before the fill starts."""
+    [-1, 1]; its square is the entry of any float convolution table. An
+    output count n > i+k is 0.0 with no fill; otherwise a block (i, k) of
+    more than numerics._MAX_TABLE_ENTRIES entries raises DomainError before
+    the fill starts."""
     _require(c, Device.BS)
-    _check_size((c.i + 1) * (c.k + 1) * (c.i + c.k + 2) // 2, f"the photon-addition fill of block (i={c.i}, k={c.k})")
     if c.n > c.i + c.k:
         return 0.0
+    _check_size((c.i + 1) * (c.k + 1) * (c.i + c.k + 2) // 2, f"the photon-addition fill of block (i={c.i}, k={c.k})")
     for shell in _photon_addition_shells(c.i, c.k, p.eta):
         pass
     return min(max(float(shell[0, c.n]), -1.0), 1.0)

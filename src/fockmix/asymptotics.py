@@ -88,12 +88,14 @@ def convergence_report(i_values: list[int], device: Device) -> AsymptoticReport:
     B(probe, probe -> n) and the squeezer report A(n, probe -> probe), each
     one correctly rounded cell of the direct route at eta = lam = 1/2. Its
     work grows with the probe, bounded as a probe x probe beam-splitter
-    table: a largest probe whose table would hold more than
-    numerics._MAX_TABLE_ENTRIES entries raises DomainError before any cell.
+    table of (probe+1)**3 entries: a largest probe whose table would hold
+    more than numerics._MAX_TABLE_ENTRIES entries raises DomainError, naming
+    the probe, before any cell.
     """
     if list(i_values) != sorted(set(i_values)):
         raise ValueError("probe indices must be strictly increasing")
-    _check_size((max(i_values, default=0) + 1) ** 3, "the table")
+    probe = max(i_values, default=0)
+    _check_size((probe + 1) ** 3, f"the largest probe {probe}, bounded as a {probe} x {probe} beam-splitter table,")
     if device is Device.BS:
         bp = BeamSplitterParam(0.5)
         exact_of = lambda probe, n: bs_prob_direct(PhotonConfig(probe, probe, n), bp)

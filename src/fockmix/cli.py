@@ -18,6 +18,11 @@ as canonical lowest-term fractions, which makes rational CSV output
 bit-stable across runs. The "param" of a JSON table is the table's own
 parameter, a float or, in rational precision, its canonical fraction, so
 "2/4" and "1/2" export the same bytes.
+
+Loading the CLI loads only click and fockmix's errors and numerics modules.
+Each command imports the library modules it uses when it runs, so a
+one-shot `prob` or `amp` loads neither the tables nor the suites, and a
+name replaced in its defining module is the one the command calls.
 """
 
 from __future__ import annotations
@@ -36,22 +41,7 @@ from collections.abc import Iterable
 
 import click
 
-from .asymptotics import convergence_report
 from .errors import DomainError
-from .genfun import GenFunPoint, diagonal_gf_bs, eval_f_bs, eval_f_tms, eval_g_bs, eval_g_tms
-from .params import BeamSplitterParam, Device, PhotonConfig, SqueezerParam
-from .probabilities import bs_prob_direct, bs_prob_double_sum, bs_prob_exact, tms_prob, tms_prob_exact
-from .recurrences import (
-    ClassicalTable,
-    ProbabilityTable,
-    bs_table_convolution,
-    bs_table_direct,
-    bs_table_recurrence,
-    tms_table_direct,
-    tms_table_recurrence,
-)
-from .amplitudes import bs_amplitude, tms_amplitude
-from .verify import SUITE_NAMES, hom_sweep, run_suite, tms_sweep
 
 _NORMALIZATION_TOLERANCE = 1e-10
 
@@ -59,6 +49,8 @@ _NORMALIZATION_TOLERANCE = 1e-10
 def _param(device: str, eta: str | None, lam: str | None, rational: bool = False) -> BeamSplitterParam | SqueezerParam:
     """The BeamSplitterParam or SqueezerParam of the --eta or --lambda
     literal; rational precision takes only p/q literals."""
+    from .params import BeamSplitterParam, SqueezerParam
+
     bs = device == "bs"
     text = eta if bs else lam
     if text is None:
@@ -84,12 +76,35 @@ class _FiniteFloat(click.types.FloatParamType):
         return x
 
 
+class _SuiteChoice(click.Choice):
+    """The --suite choice: verify.SUITE_NAMES and "all". The names are read
+    when the option is first parsed or shown, so loading the CLI does not
+    load the suites."""
+
+    def __init__(self) -> None:
+        self.case_sensitive = True
+
+    @property
+    def choices(self) -> tuple[str, ...]:
+        from .verify import SUITE_NAMES
+
+        return (*SUITE_NAMES, "all")
+
+
 def _build_table(device: str, method: str, imax: int, kmax: int, nmax: int | None,
                  param: BeamSplitterParam | SqueezerParam, precision: str) -> ProbabilityTable:
     """The --device --method table, after refusing a squeezer convolution
     table; the builders are looked up when called."""
     if device == "tms" and method == "convolution":
         raise click.UsageError("squeezer tables support direct and recurrence methods")
+    from .recurrences import (
+        bs_table_convolution,
+        bs_table_direct,
+        bs_table_recurrence,
+        tms_table_direct,
+        tms_table_recurrence,
+    )
+
     if device == "bs":
         builder = {"direct": bs_table_direct, "convolution": bs_table_convolution,
                    "recurrence": bs_table_recurrence}[method]
@@ -203,6 +218,9 @@ def _note(record: dict) -> None:
 @click.option("--method", type=click.Choice(["direct", "convolution"]), default="direct")
 def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, method: str) -> None:
     """Print one transition amplitude."""
+    from .amplitudes import bs_amplitude, tms_amplitude
+    from .params import Device, PhotonConfig
+
     param = _param(device, eta, lam)
     amplitude = bs_amplitude if device == "bs" else tms_amplitude
     click.echo(repr(amplitude(PhotonConfig(i, k, n, Device(device)), param, method)))
@@ -219,6 +237,9 @@ def amp(device: str, i: int, k: int, n: int, eta: str | None, lam: str | None, m
 @click.option("--method", type=click.Choice(["direct", "convolution", "recurrence", "exact"]), default="direct")
 def prob(device, i, k, n, eta, lam, precision, method) -> None:
     """Print one transition probability."""
+    from .params import Device, PhotonConfig
+    from .probabilities import bs_prob_direct, bs_prob_double_sum, bs_prob_exact, tms_prob, tms_prob_exact
+
     if method == "exact":
         precision, method = "rational", "direct"
     rational, bs = precision == "rational", device == "bs"
@@ -234,6 +255,8 @@ def prob(device, i, k, n, eta, lam, precision, method) -> None:
             )
         value = bs_prob_double_sum(i, k, n, param.eta_exact)
     elif method == "convolution":
+        from .amplitudes import bs_amplitude, tms_amplitude
+
         a = (bs_amplitude if bs else tms_amplitude)(pc, param, method=method)
         value = a * a  # the table's entry bit for bit; a ** 2 may not be
     elif rational:
@@ -253,6 +276,8 @@ def _table_chunks(table: ProbabilityTable, fmt: str):
     n = 0..i+k with m = i+k-n, and squeezer rows start at n = max(0, i-k),
     the first n with m = n+k-i >= 0.
     """
+    from .params import Device
+
     rational = table.precision == "rational"
     bs = table.device is Device.BS
     if fmt == "csv":
@@ -306,7 +331,9 @@ def table(device, imax, kmax, nmax, eta, lam, precision, method, fmt, out) -> No
         raise click.UsageError("--nmax applies to squeezer tables only")
     if device == "tms" and nmax is None:
         raise click.UsageError("--nmax is required for squeezer tables")
-    import numpy  # the first table loads numpy; loaded before the clock, build_s times the build alone
+    # the first table loads numpy and the builders; loaded before the clock, build_s times the build alone
+    import numpy
+    from . import recurrences
 
     started = time.perf_counter()
     t = _build_table(device, method, imax, kmax, nmax, param, precision)
@@ -339,6 +366,8 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
     not finite (DomainError), exits 2 naming the point."""
     if which == "diag" and device != "bs":
         raise click.UsageError("the diagonal generating function is a beam-splitter object")
+    from .genfun import GenFunPoint, diagonal_gf_bs, eval_f_bs, eval_f_tms, eval_g_bs, eval_g_tms
+
     param = _param(device, eta, lam)
     pt = GenFunPoint(x, y, z, w)
     if which == "diag":
@@ -351,13 +380,15 @@ def genfun(which, device, x, y, z, w, eta, lam) -> None:
 
 
 @main.command()
-@click.option("--suite", type=click.Choice(SUITE_NAMES + ["all"]), required=True)
+@click.option("--suite", type=_SuiteChoice(), required=True)
 @click.option("--scale", type=click.Choice(["full"]), default="full", expose_value=False,
               help="accepted so that existing command lines still parse; every suite runs at one scale")
 @click.option("--out", type=click.Path(), default=None)
 def verify(suite, out) -> None:
     """Run a named invariant suite; exit 0 on all-pass, 1 on any failure."""
     _check_out(out)
+    from .verify import run_suite
+
     result = run_suite(suite)
     _emit([json.dumps(result.to_dict(), indent=2) + "\n"], out)
     if not result.ok:
@@ -383,11 +414,17 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if kind in ("hom-sweep", "tms-sweep"):
+        from .verify import hom_sweep, tms_sweep
+
         column, sweep = ("eta", hom_sweep) if kind == "hom-sweep" else ("lambda", tms_sweep)
         writer.writerow([column, "prob"])
         for x, v in sweep(steps):
             writer.writerow([repr(x), repr(v)])
     elif kind == "quantum-classical":
+        from .params import PhotonConfig
+        from .probabilities import bs_prob_direct
+        from .recurrences import ClassicalTable
+
         k = i if k is None else k
         p = _param("bs", eta, None)
         classical = ClassicalTable(p).row(i, k)  # refuses an oversize row before any cell
@@ -397,6 +434,9 @@ def plotdata(kind, steps, i, k, eta, out) -> None:
     else:
         if i < 1:
             raise click.UsageError("--i must be positive")
+        from .asymptotics import convergence_report
+        from .params import Device
+
         report = convergence_report([i], Device.BS)
         detail = report.detail[i]
         writer.writerow(["n", "exact", "predicted"])

@@ -141,8 +141,9 @@ def test_an_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, argv, where):
     def refuse(*args, **kwargs):
         raise AssertionError("work began before --out was checked")
 
-    for name in ("bs_table_recurrence", "run_suite", "hom_sweep"):
-        monkeypatch.setattr(fockmix.cli, name, refuse)
+    monkeypatch.setattr(recurrences, "bs_table_recurrence", refuse)
+    for name in ("run_suite", "hom_sweep"):
+        monkeypatch.setattr(fockmix.verify, name, refuse)
     out = tmp_path / "missing" / "x.csv" if where == "missing-parent" else tmp_path
     r = run(*argv, "--out", str(out))
     assert r.exit_code == 2
@@ -534,6 +535,23 @@ def test_a_convolution_refusal_names_the_fill_block(command, device, flag, k, n)
             "above the limit of 10000000") in r.output
 
 
+@pytest.mark.parametrize("command", ["amp", "prob"])
+def test_a_convolution_cell_past_the_photon_count_is_zero_at_any_size(command):
+    # n > i+k conserves no photon count: the cell is 0.0 with no fill, as on
+    # the direct route, though the block (2000, 2000) is above the budget
+    argv = ("--device", "bs", "--i", "2000", "--k", "2000", "--n", "5000", "--eta", "0.37")
+    for method in ("convolution", "direct"):
+        r = run(command, *argv, "--method", method)
+        assert (r.exit_code, r.output) == (0, "0.0\n")
+
+
+def test_an_oversize_asymptotic_probe_is_refused_naming_the_probe():
+    r = run("plotdata", "--kind", "diag-asymptotic", "--i", "300")
+    assert r.exit_code == 2
+    assert ("the largest probe 300, bounded as a 300 x 300 beam-splitter table, would hold 27270901 entries, "
+            "above the limit of 10000000") in r.output
+
+
 def test_table_self_check_failure_exits_1(monkeypatch):
     from fockmix.recurrences import ProbabilityTable
 
@@ -544,12 +562,12 @@ def test_table_self_check_failure_exits_1(monkeypatch):
 
 @pytest.mark.parametrize("device, builder", [("bs", "bs_table_recurrence"), ("tms", "tms_table_recurrence")])
 def test_table_with_a_nan_row_exits_1_and_writes_nothing(monkeypatch, tmp_path, device, builder):
-    original = getattr(fockmix.cli, builder)
+    original = getattr(recurrences, builder)
 
     def with_nan_row(*args):
         return moved(original(*args), (1, 1), 1, math.nan)
 
-    monkeypatch.setattr(fockmix.cli, builder, with_nan_row)
+    monkeypatch.setattr(recurrences, builder, with_nan_row)
     argv = _table_argv(device, (2, 2, 4), "0.5", "float", "recurrence", "csv")
     out = tmp_path / "t.csv"
     r = run(*argv, "--out", str(out))

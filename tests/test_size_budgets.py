@@ -66,6 +66,16 @@ def test_a_convolution_amplitude_refuses_a_fill_block_above_the_entry_budget(mon
                   "the photon-addition fill of block (i=3, k=2) would hold 42 entries")
 
 
+@pytest.mark.parametrize("amplitude, c, param", [
+    (bs_amplitude, PhotonConfig(3, 2, 6), _BS),  # n > i+k: no photon count conserved
+    (tms_amplitude, PhotonConfig(3, 2, 0, Device.TMS), _TMS),  # m = n+k-i < 0
+], ids=["bs", "tms"])
+def test_a_convolution_amplitude_that_is_zero_by_photon_count_is_never_refused(monkeypatch, amplitude, c, param):
+    # the cell is 0.0 with no fill, whatever the fill of its block would hold
+    monkeypatch.setattr(numerics, "_MAX_TABLE_ENTRIES", 0)
+    assert amplitude(c, param, "convolution") == 0.0
+
+
 def test_a_classical_row_refuses_more_products_than_the_entry_budget(monkeypatch):
     # the row (3, 2) convolves two binomial rows, 4 x 3 products; each call
     # takes a fresh table, whose rows are memoized
@@ -84,7 +94,7 @@ def test_a_double_sum_refuses_terms_times_bits_above_its_budget(monkeypatch):
 def test_a_convergence_report_bounds_its_largest_probe_as_a_table(monkeypatch, device):
     # the probe 4 is bounded as a 4 x 4 beam-splitter table, 5**3 entries
     _at_and_above(monkeypatch, numerics, "_MAX_TABLE_ENTRIES", 125, lambda: convergence_report([2, 4], device),
-                  "the table would hold 125 entries")
+                  "the largest probe 4, bounded as a 4 x 4 beam-splitter table, would hold 125 entries")
 
 
 def test_a_sweep_grid_refuses_more_points_than_the_entry_budget(monkeypatch):
