@@ -45,10 +45,10 @@ and the exact engine compute, each entry times a power of the denominator
 q of eta or lambda = p/q, and a rational row becomes Fractions when it is
 read. The fill builds a shell from the two below it: floats on the
 coefficients (eta, 1-eta, 1), rational precision on the integers (a, b-a,
-b^2) for eta = a/b, so no gcd runs inside the fill. It writes its float
-products into two scratch arrays made once per table and clips float cells
-to [0, 1] before the next shell reads them. A built table is immutable and
-safe to share.
+b^2) for eta = a/b, so no gcd runs inside the fill. It works the last three
+shells in one zero-padded grid made once per table, clips float cells to
+[0, 1] before the next shell reads them, and copies each shell's rows into
+the buffer. A built table is immutable and safe to share.
 
 A value or tilde row reads the buffer through ProbabilityTable.span at both
 precisions: every product lies on a known power of den, so a rational result
@@ -78,7 +78,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, count, repeat
 from typing import Union
 
 from .amplitudes import _photon_addition_shells
@@ -385,10 +385,7 @@ def _bs_binomial_row(counts: list, x, y) -> list:
     return [_weight(c, x, n, y, s - n) for n, c in enumerate(counts)]
 
 
-def _cover(c: int, width: int, c_src: int, width_src: int, shift: int) -> tuple:
-    """(target, source) slices of the n in [c, c+width) whose n - shift lies in [c_src, c_src+width_src)."""
-    lo, hi = max(c, c_src + shift), min(c + width, c_src + shift + width_src)
-    return slice(lo - c, max(lo, hi) - c), slice(lo - c_src - shift, max(lo, hi) - c_src - shift)
+_PITCH = 8  # the five-term fill's grid pitch grows in steps of this many columns
 
 
 def _halves(s: int, height: int, width: int, r: int, c: int) -> tuple:
@@ -432,82 +429,93 @@ def _mirror(work: np.ndarray, s: int, r: int, rows: range) -> None:
 
 def _five_term_fill(t: ProbabilityTable, weights: tuple, lead, seeds: tuple) -> ProbabilityTable:
     """Fill t by the beam splitter's five-term step, shell s after shell:
-    om up + eta left, + (eta up + om left) one n up, - one * one * diag, each
-    term over the n its source shell holds. On t._shells(), the views
-    (shell, r, c) of lead times the cells (i, s-i -> n) at [i - r, n - c],
-    at the _carrier coefficients weights = (eta, om, one). Shell 0 holds
-    lead, the vacuum cell. At the vacuum edge the step drops its k-1 terms:
-    rows i = 0 and i = s are y below[n] + x below[n-1] from row
-    min(i, s-1) of shell s-1, for seeds = ((x, y) of row 0, (x, y) of row
-    s), so lead C(s, n) x**n y**(s-n) by Pascal's rule. A shell not
-    contiguous in the buffer is worked in an array of its own.
+    (om up + eta left) + (eta up + om left) one n up, - one * one * diag. On
+    t._shells(), the views (shell, r, c) of lead times the cells
+    (i, s-i -> n) at [i - r, n - c], at the _carrier coefficients weights =
+    (eta, om, one). Shell 0 holds lead, the vacuum cell. At the vacuum edge
+    the step drops its k-1 terms: rows i = 0 and i = s are y below[n] + x
+    below[n-1] from row min(i, s-1) of shell s-1, over the n it holds, for
+    seeds = ((x, y) of row 0, (x, y) of row s), so lead C(s, n) x**n
+    y**(s-n) by Pascal's rule.
 
-    The step is symmetric under swapping the modes: only the rows lo..hi
-    that _halves gives are stepped, seeded and clipped. A beam-splitter view
-    holds the rows its table stores, which hold no mirror pair, so all of
-    them. A row of a shell below past its stored run is read as its
-    partner's stored row reversed, and the rows that read one are stepped
-    one at a time: at most one a shell, except in the two shells after
-    shell imax of a table with imax < kmax, where the stored run moves to
-    the lower half. A
-    squeezer band that is a whole shell writes each mirrored row as row s-i
-    reversed, one slice copy (_mirror)."""
+    The shells s-2, s-1 and s are worked in the three slots of one grid,
+    each slot a flat array of rows of one pitch: row i of shell x at slot
+    row i - base + 1 (a zero guard row on either side), column n - c, then
+    zero pads. The pitch is the widest shell so far plus at least two pad
+    columns, rounded up to a multiple of _PITCH, so the two shells below are
+    laid out anew only when it grows. Each of the five terms of the rows
+    lo..hi with i, s-i >= 1 is then one ufunc call on flat views at fixed
+    offsets, up and left one pitch apart and n-1 one element back, from the
+    products om*X and eta*X of shell s-1 taken once. A term the source shell
+    does not hold reads a pad, and adds an exact identity: 0.0 in the grid
+    (x - 0.0 is x), -0.0 in the products' last column (x + -0.0 is x), so
+    even a zero keeps its sign. A squeezer band that did not widen reads
+    cells into its pads, which are zeroed again. Rows i = 0 and i = s keep
+    the windows of their two-term step, since 1.0 - om is not eta bit for
+    bit. The rows lo..hi are clipped and copied into the view, one copy a
+    shell, and a squeezer band that is a whole shell writes its mirrored
+    rows from them (_mirror). A row of shell s past lo..hi that a later step
+    reads is copied into the slot as its partner's row reversed
+    (B(i, k -> n) = B(k, i -> s-n)), so one block step covers every stepped
+    row."""
     import numpy as np
 
     eta, om, one = weights
     dtype, rational, shells = t.buffer.dtype, t.den is not None, t._shells()
-    scratch, views = np.empty((2, max(shell.size for shell, _, _ in shells)), dtype), {}
-
-    def spare(shape: tuple) -> list:  # two scratch arrays of that shape, the views made once per shape
-        return views.get(shape) or views.setdefault(shape, [x[: shape[0] * shape[1]].reshape(shape) for x in scratch])
-
-    def held(below: tuple, s: int, i: int) -> np.ndarray:  # row i of the view (rows, r, c) of shell s
-        rows, r0, _ = below
-        return rows[i - r0] if r0 <= i < r0 + len(rows) else rows[s - i - r0][::-1]
-
-    def step(body, up, left, diag, covers: list) -> None:  # the five terms of rows i from up i-1, left i, diag i-1
-        (to, at), (to1, at1), (to2, at2) = covers
-        a, b = spare((len(body), at.stop - at.start))
-        np.add(np.multiply(om, up[:, at], out=a), np.multiply(eta, left[:, at], out=b), out=body[:, to])
-        (a, b), dst = spare((len(body), at1.stop - at1.start)), body[:, to1]
-        dst += np.add(np.multiply(eta, up[:, at1], out=a), np.multiply(om, left[:, at1], out=b), out=a)
-        d, dst = diag[:, at2], body[:, to2]
-        dst -= np.multiply(one * one, d, out=spare(d.shape)[0]) if rational else d
-
-    below2, below = None, shells[0]  # (shell as stored, r, c) of the shells s-2 and s-1
-    below[0][...] = lead
-    for s, (shell, r, c) in enumerate(shells[1:], 1):
-        work = shell if shell.flags.c_contiguous else np.zeros(shell.shape, dtype)
-        width, (lo, hi, mirrored) = shell.shape[1], _halves(s, *shell.shape, r, c)
+    plan, spans, pitch = [], [], 0
+    for s, (shell, r, c) in enumerate(shells):
+        lo, hi, mirrored = _halves(s, *shell.shape, r, c)
         g0, g1 = max(1, lo), min(hi, s - 1)  # the rows with i, s-i >= 1
+        spans.append([lo, hi])
+        # the rows of the shells below that the step reads, which cover the rows the seeds read
+        for x, a, b in [(s - 1, g0 - 1, g1), (s - 2, g0 - 1, g1 - 1)] if g0 <= g1 else ():
+            spans[x][:] = min(spans[x][0], a), max(spans[x][1], b)
+        pitch = max(pitch, (shell.shape[1] + 1) // _PITCH * _PITCH + _PITCH)
+        plan.append((lo, hi, mirrored, g0, g1, pitch))
+    size = max((top - base + 3) * plan[min(x + 2, len(plan) - 1)][-1] for x, (base, top) in enumerate(spans))
+    grid, prod, tmp = np.zeros((3, size), dtype), np.empty((2, size), dtype), np.empty(size, dtype)
+    products, pad, pitch = np.array([[om], [eta]], dtype), 0 if rational else -0.0, plan[0][-1]
+
+    def at(x: int, i: int) -> int:  # row i of shell x in its slot
+        return (i - spans[x][0] + 1) * pitch
+
+    def slot(x: int, step: int) -> np.ndarray:  # the slot of shell x as rows of that pitch
+        return grid[x % 3, : (spans[x][1] - spans[x][0] + 3) * step].reshape(-1, step)
+
+    grid[0, at(0, 0)] = shells[0][0][0, 0] = lead
+    for s, ((shell, r, c), (lo, hi, mirrored, g0, g1, step)) in enumerate(zip(shells[1:], plan[1:]), 1):
+        if step > pitch:  # lay the two shells below out at the wider pitch (numpy copies where they overlap)
+            for x in range(max(0, s - 2), s):
+                slot(x, step)[:, :pitch], slot(x, step)[:, pitch:] = slot(x, pitch), 0
+        pitch, work, below, width = step, slot(s, step), grid[(s - 1) % 3], shell.shape[1]
+        out, shift, wide = work.reshape(-1), c - shells[s - 1][2], shells[s - 1][0].shape[1]
+        a, b = (at(s, g0), at(s, g1 + 1)) if g0 <= g1 else (out.size,) * 2
+        out[:a], out[b:] = 0, 0
         if g0 <= g1:
-            (prev, r1, c1), (prev2, r2, c2) = below, below2
-            covers = [_cover(c, width, c1, prev.shape[1], 0), _cover(c, width, c1, prev.shape[1], 1)]
-            covers.append(_cover(c, width, c2, prev2.shape[1], 1))
-            # the rows whose up, left and diag rows the views below hold, then the others
-            a = max(g0, r1 + 1, r2 + 1)
-            inner = range(a, max(a, min(g1, r1 + len(prev) - 1, r2 + len(prev2)) + 1))
-            if inner:
-                up, left = prev[inner.start - 1 - r1 : inner.stop - 1 - r1], prev[inner.start - r1 : inner.stop - r1]
-                diag = prev2[inner.start - 1 - r2 : inner.stop - 1 - r2]
-                step(work[inner.start - r : inner.stop - r], up, left, diag, covers)
-            for i in chain(range(g0, min(g1 + 1, inner.start)), range(max(g0, inner.stop), g1 + 1)):
-                up, left, diag = held(below, s - 1, i - 1), held(below, s - 1, i), held(below2, s - 2, i - 1)
-                step(work[i - r : i + 1 - r], up[None], left[None], diag[None], covers)
+            u, n = at(s - 1, g0 - 1) + shift, b - a  # up at n = c, and left one row on
+            np.multiply(products, below[u - 1 : u + pitch + n], out=prod[:, u - 1 : u + pitch + n])
+            prod[:, u - 1 + (pitch - u) % pitch : u + pitch + n : pitch] = pad
+            body, d = out[a:b], at(s - 2, g0 - 1) + c - shells[s - 2][2] - 1
+            np.add(prod[0, u : u + n], prod[1, u + pitch : u + pitch + n], out=body)
+            body += np.add(prod[1, u - 1 : u - 1 + n], prod[0, u + pitch - 1 : u + pitch - 1 + n], out=tmp[:n])
+            diag = grid[(s - 2) % 3, d : d + n]
+            body -= np.multiply(one * one, diag, out=tmp[:n]) if rational else diag
+            if width <= wide:  # a band that did not widen read cells into its pads
+                body.reshape(-1, pitch)[:, width:] = 0
         for i, (x, y) in zip((0, s), seeds):
             if lo <= i <= hi:
-                row, src = work[i - r], held(below, s - 1, min(i, s - 1))
-                (to, at), (to1, at1) = (_cover(c, width, below[2], len(src), shift) for shift in (0, 1))
-                np.multiply(y, src[at], out=row[to])
-                row[to1] += x * src[at1]
+                row, src, stop = at(s, i), at(s - 1, min(i, s - 1)), min(width, wide + 1 - shift)
+                np.multiply(y, below[src + shift : src + wide], out=out[row : row + wide - shift])
+                out[row + 1 - shift : row + stop] += x * below[src : src + stop - 1 + shift]
+        stepped = out[at(s, lo) : at(s, hi + 1)]
         if not rational:
-            stepped = work[lo - r : hi + 1 - r]
             np.clip(stepped, 0.0, 1.0, out=stepped)
+        shell[lo - r : hi + 1 - r] = stepped.reshape(-1, pitch)[:, :width]
         if mirrored:
-            _mirror(work, s, r, mirrored)
-        if work is not shell:
-            shell[...] = work
-        below2, below = below, (work, r, c)
+            _mirror(shell, s, r, mirrored)
+        for rows in (range(spans[s][0], lo), range(hi + 1, spans[s][1] + 1)):
+            if rows:  # rows past the run that a later step reads: their partners reversed
+                _mirror(work[:, :width], s, spans[s][0] - 1, rows)
     return t.frozen()
 
 
@@ -583,8 +591,7 @@ def bs_table_convolution(imax: int, kmax: int, p: BeamSplitterParam, precision: 
 def bs_table_recurrence(imax: int, kmax: int, p: BeamSplitterParam, precision: str = "float") -> ProbabilityTable:
     """Five-term fill (_five_term_fill) on the whole shells s = i+k from the
     vacuum cell 1, one of each pair of mirror rows (i, k), (k, i) stepped and
-    stored and the other served reversed. Float products go to two scratch arrays
-    and the first sum straight into the zeroed shell; that keeps the bytes of
+    stored and the other served reversed. The float sums keep the bytes of
     (om up + eta left) + (eta up + om left) - 1 * 1 * diag, as x * 1.0 is x."""
     t = ProbabilityTable(Device.BS, p, "recurrence", precision, imax, kmax)
     eta, om, one = _carrier(_param_of(p, precision))

@@ -13,6 +13,7 @@ from fockmix.numerics import (
     sqrt_binomial,
 )
 from fock_oracle import pascal_binomials
+from test_package import _fresh
 
 
 def test_binomial_against_pascal_oracle():
@@ -100,18 +101,26 @@ def test_sqrt_binomial_seam():
     assert sqrt_binomial(5, 6) == 0.0
 
 
+_COLD_START = """
+import importlib
+from concurrent.futures import ThreadPoolExecutor
+
+import fockmix.numerics as numerics
+
+importlib.reload(numerics)
+with ThreadPoolExecutor(max_workers=8) as pool:
+    results = list(pool.map(numerics.log_factorial, [100] * 64))
+print(len(set(results)), repr(results[0]))
+"""
+
+
 def test_log_factorial_concurrent_cold_start():
-    # log_factorial holds no state: concurrent first calls after a reload agree
-    import importlib
-    from concurrent.futures import ThreadPoolExecutor
-
-    import fockmix.numerics as numerics
-
-    importlib.reload(numerics)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(numerics.log_factorial, [100] * 64))
-    assert len(set(results)) == 1
-    assert math.isclose(results[0], math.log(math.factorial(100)), rel_tol=1e-13)
+    # log_factorial holds no state: concurrent first calls after a reload
+    # agree. In a fresh interpreter, so that the reload leaves the package's
+    # eager numerics names bound to this process's functions.
+    distinct, value = _fresh(_COLD_START)[0].split()
+    assert distinct == "1"
+    assert math.isclose(float(value), math.log(math.factorial(100)), rel_tol=1e-13)
 
 
 _rationals = st.fractions(

@@ -339,8 +339,12 @@ def _assert_bit_identical(table, reference):
         assert got.tobytes() == row.tobytes(), key
 
 
+# Shapes whose shells cross several steps of the fill grid's pitch, or are
+# thin: (64, 64) re-pitches sixteen times, (1, 130) steps one row a shell.
 @pytest.mark.parametrize("eta", [0.5, 0.3, 0.0, -0.0, 1.0, 1e-12, 1 - 1e-12])
-@pytest.mark.parametrize("imax, kmax", [(0, 0), (0, 7), (7, 0), (12, 5), (5, 12), (40, 40)])
+@pytest.mark.parametrize(
+    "imax, kmax", [(0, 0), (0, 7), (7, 0), (12, 5), (5, 12), (40, 40), (70, 3), (3, 70), (1, 130), (64, 64)]
+)
 def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
     _assert_bit_identical(bs_table_recurrence(imax, kmax, BeamSplitterParam(eta)), bs_rows_rowwise(imax, kmax, eta))
 
@@ -348,16 +352,53 @@ def test_float_bs_shell_fill_is_bit_identical_to_row_fill(imax, kmax, eta):
 @pytest.mark.parametrize("lam", [0.25, 0.6, 0.0, -0.0, 1e-12, 0.999])
 @pytest.mark.parametrize(
     "imax, kmax, nmax",
-    [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80), (3, 12, 4), (2, 40, 1), (4, 7, 0), (0, 9, 2)],
+    [(0, 0, 5), (5, 0, 9), (0, 5, 9), (6, 3, 12), (3, 6, 12), (20, 20, 80), (3, 12, 4), (2, 40, 1), (4, 7, 0),
+     (0, 9, 2), (30, 30, 90), (2, 300, 3), (40, 10, 70)],
 )
 def test_float_tms_shell_fill_is_bit_identical_to_row_fill(imax, kmax, nmax, lam):
     # kmax > nmax or nmax = 0: bridge shells whose band starts above k = 0.
+    # At lambda = -0.0 the rows i = s start with -0.0, which the grid's pads
+    # must leave signed as the row fill does.
     table = tms_table_recurrence(imax, kmax, nmax, SqueezerParam(lam))
     _assert_bit_identical(table, tms_rows_rowwise(imax, kmax, nmax, lam))
 
 
+_FILL_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, 1000).flatmap(lambda q: st.integers(0, q).map(lambda p: p / q)),
+    st.sampled_from([0.0, -0.0, 1e-12, 1 - 1e-12]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=2, max_size=3), _FILL_VALUES)
+@example([40, 40], -0.0)
+@example([9, 40, 3], -0.0)
+@example([40, 3, 40], 1 - 1e-12)
+def test_float_fills_are_bit_identical_to_the_row_fills_at_any_shape(sizes, x):
+    # Two sizes are a beam-splitter table at eta = x, three a squeezer table
+    # at lambda = x (below 1).
+    if len(sizes) == 2:
+        _assert_bit_identical(bs_table_recurrence(*sizes, BeamSplitterParam(x)), bs_rows_rowwise(*sizes, x))
+    else:
+        assume(x < 1.0)
+        _assert_bit_identical(tms_table_recurrence(*sizes, SqueezerParam(x)), tms_rows_rowwise(*sizes, x))
+
+
+@pytest.mark.parametrize(
+    "build, direct, sizes, param",
+    [(bs_table_recurrence, bs_table_direct, (45, 20), BeamSplitterParam.from_value("1/3")),
+     (tms_table_recurrence, tms_table_direct, (20, 5, 40), SqueezerParam.from_value("2/5"))],
+    ids=["bs-45x20", "tms-20x5x40"],
+)
+def test_rational_fills_hold_the_direct_integers_across_pitch_steps(build, direct, sizes, param):
+    assert build(*sizes, param, "rational") == direct(*sizes, param, "rational")
+
+
 def test_float_tms_fill_holds_only_its_entries():
-    # A thin table: one grid padded to k+n would hold about 64 MB here.
+    # A thin table: one grid padded to k+n would hold about 64 MB here. The
+    # fill's peak, 0.85 MB with the 0.1 MB buffer, is mostly its per-shell
+    # views and plan; its grid holds four rows of 8 columns a slot.
     tracemalloc.start()
     try:
         table = tms_table_recurrence(1, 2000, 2, SqueezerParam(0.5))
@@ -546,7 +587,11 @@ def test_float_bs_fill_holds_its_buffer_and_scratch_only(build):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Two arrays the size of the largest five-term body, [i, n < s] over i, k >= 1.
+    # The bound: two arrays the size of the largest five-term body, [i, n < s]
+    # over i, k >= 1, plus 1 MB. The five-term fill's scratch is its grid:
+    # six flat arrays (three shell slots, the two products of the shell below,
+    # one sum) of its largest slot, a stored run of rows plus a few at the
+    # padded pitch, 0.57 MB above the buffer here.
     scratch = 2 * 8 * max((min(imax, s - 1) - max(1, s - kmax) + 1) * s for s in range(imax + kmax + 1))
     assert peak < table.entries.buffer.nbytes + scratch + 1_000_000
 
